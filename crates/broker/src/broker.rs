@@ -21,10 +21,11 @@
 //! event's virtual time ([`Recorder::pin_sim_time_us`]), so the outcome
 //! log is byte-identical at every worker count and a sharded
 //! [`Recorder`](nod_obs::Recorder)'s merged snapshot doesn't depend on
-//! the thread count either. The cost of uniformity: `drive` always takes
-//! the eagerly-classified prepare path (never the lazy streaming
-//! engine), trading some single-worker throughput for a counter stream
-//! that cannot depend on how many workers ran.
+//! the thread count either. For the same uniformity `drive` always takes
+//! the [`prepare`] path — the whole product ranked as plain data, of
+//! which the commit walk materializes only the offers it tries — never
+//! the lazy streaming engine, so the counter stream cannot depend on how
+//! many workers ran. Every attempt, retries included, prepares afresh.
 //!
 //! With [`FleetSpec::explain`] set, every negotiation additionally
 //! records a [`DecisionLog`](nod_qosneg::DecisionLog); the broker keeps
@@ -46,6 +47,7 @@ use nod_obs::{
     HistogramSnapshot, Recorder, SloAlert, SloMonitor, SloSpec, Span, Tracer, ValueHistogram,
 };
 use nod_qosneg::classify::ScoredOffer;
+use nod_qosneg::engine::RankedOffers;
 use nod_qosneg::explain::{
     AttemptExplain, DecisionLog, ExplainData, LedgerRow, SessionExplain, Settlement, StreamRow,
 };
@@ -345,9 +347,10 @@ enum Prep {
     /// Steps 1–4 ended before step 5 (local failure / no feasible offer);
     /// the terminal status plus — with provenance on — the decision log.
     Early(NegotiationStatus, Option<Box<DecisionLog>>),
-    /// The classified offer list, ready for a step-5 commit walk, with
-    /// the prepare-stage decision log when provenance is on.
-    Offers(Vec<ScoredOffer>, NegotiationTrace, Option<Box<DecisionLog>>),
+    /// The classified offers — ranked plain data over their engine — ready
+    /// for a step-5 commit walk, with the prepare-stage decision log when
+    /// provenance is on.
+    Offers(RankedOffers, NegotiationTrace, Option<Box<DecisionLog>>),
     /// The negotiation itself failed (stringified [`QosError`], matching
     /// what [`Session::submit`] would have returned).
     Failed(String),

@@ -145,9 +145,25 @@ impl Network {
         Ok((c, s))
     }
 
+    /// Which shard of the route memo holds the pair.
+    fn route_shard(client: ClientId, server: ServerId) -> u64 {
+        client.0.rotate_left(32) ^ server.0
+    }
+
+    /// Is there a route between the pair? The same answer — and the same
+    /// `net.path.rejections` counting — as `path(..).is_ok()`, without
+    /// cloning a memoized route.
+    pub fn reachable(&self, client: ClientId, server: ServerId) -> bool {
+        let memoized = self
+            .routes
+            .lock_key(Self::route_shard(client, server))
+            .contains_key(&(client, server));
+        memoized || self.path(client, server).is_ok()
+    }
+
     /// The route a client↔server stream would take.
     pub fn path(&self, client: ClientId, server: ServerId) -> Result<Vec<LinkId>, NetError> {
-        let shard_key = client.0.rotate_left(32) ^ server.0;
+        let shard_key = Self::route_shard(client, server);
         if let Some(links) = self.routes.lock_key(shard_key).get(&(client, server)) {
             return Ok(links.clone());
         }

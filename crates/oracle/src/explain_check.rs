@@ -23,6 +23,7 @@
 
 use std::collections::BTreeSet;
 
+use nod_mmdoc::{Language, MediaQos};
 use nod_qosneg::negotiate::NegotiationContext;
 use nod_qosneg::{NegotiationRequest, Session, StreamingMode};
 
@@ -306,12 +307,23 @@ fn ref_dominates(a: &RefOffer, b: &RefOffer) -> bool {
     if a.cost > b.cost || a.qos.len() != b.qos.len() || a.variant_ids == b.variant_ids {
         return false;
     }
-    if !a.qos.iter().zip(&b.qos).all(|(qa, qb)| qa.meets(qb)) {
+    if !a.qos.iter().zip(&b.qos).all(|(qa, qb)| ref_covers(qa, qb)) {
         return false;
     }
-    a.cost < b.cost
-        || a.qos
-            .iter()
-            .zip(&b.qos)
-            .any(|(qa, qb)| qa != qb && !qb.meets(qa))
+    a.cost < b.cost || a.qos.iter().zip(&b.qos).any(|(qa, qb)| !ref_covers(qb, qa))
+}
+
+/// "At least as good for every request": `meets`, except that between two
+/// *offered* tracks `Language::Any` is not a two-way wildcard — only the
+/// language-neutral track satisfies every language request, so it ranks
+/// above a specific language and never below one.
+fn ref_covers(a: &MediaQos, b: &MediaQos) -> bool {
+    let language = |qos: &MediaQos| match qos {
+        MediaQos::Audio(q) => Some(q.language),
+        MediaQos::Text(q) => Some(q.language),
+        _ => None,
+    };
+    let neutral_below_specific =
+        language(b) == Some(Language::Any) && language(a) != Some(Language::Any);
+    a.meets(b) && !neutral_below_specific
 }

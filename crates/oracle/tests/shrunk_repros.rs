@@ -178,3 +178,71 @@ fn repro_budget_pc_cannot_decode_mpeg1() {
     scenario.client = ClientKind::BudgetPc;
     run_differential(&scenario).expect("infeasible client conforms");
 }
+
+#[test]
+fn repro_language_neutral_track_is_not_dominated_by_a_specific_language() {
+    // Shrunk from oracle seed 3107860856177698331 ([explain-pruned]). Three
+    // audio tracks: English and expensive; French, better quality, cheap;
+    // language-neutral and cheap. `MediaQos::meets` let the French track
+    // "meet" the neutral one (`Any` is a wildcard on either side), so the
+    // sweep pruned the neutral track — the only cheap one an English
+    // request accepts — and then, dominance no longer being transitive,
+    // missed that the neutral track dominates the English one. Between
+    // offered tracks neutral ranks above specific: exactly the English
+    // track is pruned, and its dominator is the neutral one.
+    let audio = |lang: u8, color: u8, max_block: u64| VariantSpec {
+        color,
+        res: 320,
+        fps: 15,
+        lang,
+        max_block,
+        avg_block: max_block,
+        file_kb: 40,
+        server: 0,
+    };
+    let scenario = Scenario {
+        seed: 3_107_860_856_177_698_331,
+        components: vec![ComponentSpec {
+            kind: MediaKind::Audio,
+            duration_ms: 1_000,
+            variants: vec![audio(0, 0, 60_000), audio(1, 2, 2_000), audio(2, 0, 2_000)],
+        }],
+        client: ClientKind::Highend,
+        strategy: ClassificationStrategy::CostOnly,
+        access_bps: 10_000_000,
+        max_cost: CostCeiling::Millis(6_000),
+        max_startup_ms: 1,
+        jitter_buffer_ms: 0,
+        ..exactly_full_scenario()
+    };
+    run_differential(&scenario).expect("scenario conforms");
+    nod_oracle::run_explain_crosscheck(&scenario).expect("decision log matches the reference");
+
+    let built = scenario.build();
+    let (farm, network) = built.make_world();
+    let session = Session::new(NegotiationContext {
+        catalog: &built.catalog,
+        farm: &farm,
+        network: &network,
+        cost_model: &built.cost_model,
+        strategy: scenario.strategy,
+        guarantee: scenario.guarantee,
+        enumeration_cap: 250_000,
+        jitter_buffer_ms: scenario.jitter_buffer_ms,
+        prune_dominated: true,
+        streaming: StreamingMode::Auto,
+        recorder: None,
+        explain: true,
+    });
+    let out = session
+        .submit(&NegotiationRequest::new(
+            &built.client,
+            built.document,
+            &built.profile,
+        ))
+        .expect("valid request");
+    let pruned = &out.decisions.expect("explain is on").pruned;
+    assert_eq!(pruned.len(), 1, "{pruned:?}");
+    assert_eq!(pruned[0].victim_variants, vec![1]);
+    assert_eq!(pruned[0].dominator_variants, vec![3]);
+}

@@ -15,12 +15,14 @@
 //!
 //! [`OfferEngine`] exploits that structure: it clones the per-component
 //! feasible variants once, precomputes each variant's partial scores
-//! (importance, `CostNet + CostSer` for its duration, SNS flags, and the
-//! §6 mapped stream requirements), and then
+//! (importance, `CostNet + CostSer` for its duration, SNS flags), and then
 //!
-//! * materializes the full classified list in one pass over the flat
-//!   product ([`OfferEngine::classify_all`] — bit-identical to
-//!   [`classify`] on the eagerly enumerated offers), or
+//! * **ranks** the whole product as plain data ([`RankedOffers`]: one
+//!   small `Copy` [`ScoredCombo`] per offer, sorted by the classification
+//!   order — bit-identical to [`classify`](crate::classify) on the eagerly
+//!   enumerated offers — paired with its engine, which turns an entry into
+//!   a [`ScoredOffer`] only when step 5 attempts it or somebody reads the
+//!   list as a slice), or
 //! * **streams** offers in classified / reservation order lazily
 //!   ([`OfferEngine::classified_stream`], `reservation_stream`): a binary
 //!   heap over per-component variant lists sorted by score contribution,
@@ -29,18 +31,18 @@
 //!   product.
 //!
 //! Exactness: per-offer scores are combined from the precomputed partials
-//! in document component order with the same fold the eager path uses, so
-//! OIF values are bit-identical and ties resolve identically. The heap is
-//! ordered by that exact key; a small reorder buffer (`KEY_SLACK`) absorbs
-//! the ≤ few-ULP disagreement between "sorted per-component contributions"
-//! and the exactly-rounded sum, so the emission order matches the stable
-//! full sort *including ties* (equal keys emit in enumeration-rank order,
-//! just as a stable sort leaves them).
+//! in document component order with the same fold [`ScoredOffer::score`]
+//! uses, so OIF values are bit-identical and ties resolve identically. The
+//! stream's heap is ordered by that exact key; a small reorder buffer
+//! (`KEY_SLACK`) absorbs the ≤ few-ULP disagreement between "sorted
+//! per-component contributions" and the exactly-rounded sum, so the
+//! emission order matches the ranked list *including ties* (equal keys
+//! emit in enumeration-rank order).
 //!
 //! Streaming is declined ([`OfferEngine::streaming_supported`]) when a
 //! profile produces non-finite importances (best-first pruning is unsound
 //! under NaN) or the document has more components than the packed state
-//! supports; callers then fall back to the eager sort, which handles both.
+//! supports; callers then walk the ranked list, which handles both.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -51,17 +53,15 @@ use std::sync::{Mutex, OnceLock};
 use nod_cmfs::Guarantee;
 use nod_mmdoc::{MonomediaId, Variant};
 
-use crate::classify::{classify, sort_key_cmp, ClassificationStrategy, ScoredOffer};
+use crate::classify::{sort_key_cmp, ClassificationStrategy, ScoredOffer};
 use crate::cost::CostModel;
-use crate::mapping::{map_requirements, NetworkQosSpec};
 use crate::money::Money;
-use crate::offer::{EnumerationError, OfferSet, SystemOffer};
+use crate::offer::{EnumerationError, SystemOffer};
 use crate::profile::UserProfile;
 use crate::sns::StaticNegotiationStatus;
 
 /// Maximum component count the packed heap state supports. Documents with
-/// more monomedia fall back to the eager sort (their products are enormous
-/// anyway and hit the enumeration cap long before this matters).
+/// more monomedia are walked from the ranked list instead.
 pub const MAX_STREAM_COMPONENTS: usize = 8;
 
 /// Absolute slack on the best-first emission guard. Keys within this band
@@ -80,33 +80,34 @@ const KEY_SLACK: f64 = 1e-6;
 struct VariantScore {
     /// `media_importance` of the variant's QoS.
     importance: f64,
-    /// `CostNetᵢ + CostSerᵢ` for this component's duration.
-    cost: Money,
+    /// `CostNetᵢ` and `CostSerᵢ` for this component's duration (kept apart
+    /// so explain's score rows can cite the split without re-pricing).
+    net: Money,
+    ser: Money,
     /// Does the variant meet the profile's *desired* spec?
     meets_desired: bool,
     /// Does the variant meet the profile's *worst acceptable* spec?
     meets_worst: bool,
-    /// The §6 mapped stream requirements (used by commit).
-    spec: NetworkQosSpec,
+}
+
+impl VariantScore {
+    fn cost(&self) -> Money {
+        self.net + self.ser
+    }
 }
 
 /// One document component: the owned feasible variants plus their scores.
 #[derive(Debug, Clone)]
 struct Component {
-    /// Which monomedia this component presents (kept for debugging dumps).
-    #[allow(dead_code)]
-    mono: MonomediaId,
     variants: Vec<Variant>,
     scores: Vec<VariantScore>,
 }
 
-/// A combination picked by the streaming enumerator, scored exactly as the
-/// eager path would score it.
-#[derive(Debug, Clone)]
+/// One system offer as plain data, scored exactly as [`ScoredOffer::score`]
+/// would score it. The chosen variants are not stored: they are decoded
+/// from `rank` and the engine's strides ([`OfferEngine::materialize`]).
+#[derive(Debug, Clone, Copy)]
 pub struct ScoredCombo {
-    /// Per-component variant index (into the feasible list), document
-    /// component order. Only the first `k` entries are meaningful.
-    positions: [u16; MAX_STREAM_COMPONENTS],
     /// Lexicographic enumeration rank of the combination — its index in
     /// the eager enumeration order.
     pub rank: u64,
@@ -122,26 +123,12 @@ pub struct ScoredCombo {
     pub satisfies_request: bool,
 }
 
-/// Internal comparator key of a combination (mirrors
-/// `classify::sort_key_cmp` without materializing a [`ScoredOffer`]).
-#[derive(Debug, Clone, Copy)]
-struct ComboKey {
-    sns: StaticNegotiationStatus,
-    oif: f64,
-    cost: Money,
-    qos_importance: f64,
-    rank: u64,
-}
-
-impl ScoredCombo {
-    fn key(&self) -> ComboKey {
-        ComboKey {
-            sns: self.sns,
-            oif: self.oif,
-            cost: self.cost,
-            qos_importance: self.qos_importance,
-            rank: self.rank,
-        }
+/// Add one offer to the `(desirable, acceptable, constraint)` populations.
+fn tally(census: &mut (u64, u64, u64), sns: StaticNegotiationStatus) {
+    match sns {
+        StaticNegotiationStatus::Desirable => census.0 += 1,
+        StaticNegotiationStatus::Acceptable => census.1 += 1,
+        StaticNegotiationStatus::Constraint => census.2 += 1,
     }
 }
 
@@ -273,7 +260,6 @@ pub struct StreamStats {
 pub struct OfferEngine {
     components: Vec<Component>,
     strategy: ClassificationStrategy,
-    profile: UserProfile,
     copyright: Money,
     cost_per_dollar: f64,
     max_cost: Money,
@@ -323,15 +309,14 @@ impl OfferEngine {
                         let (net, ser) = cost_model.monomedia_cost(v, duration_ms, guarantee);
                         VariantScore {
                             importance,
-                            cost: net + ser,
+                            net,
+                            ser,
                             meets_desired: profile.desired.met_by(&v.qos),
                             meets_worst: profile.worst.met_by(&v.qos),
-                            spec: map_requirements(v),
                         }
                     })
                     .collect();
                 Component {
-                    mono: *mono,
                     variants: variants.iter().map(|&v| v.clone()).collect(),
                     scores,
                 }
@@ -345,7 +330,6 @@ impl OfferEngine {
         Ok(OfferEngine {
             components,
             strategy,
-            profile: profile.clone(),
             copyright: cost_model.copyright,
             cost_per_dollar: profile.importance.cost_per_dollar,
             max_cost: profile.max_cost,
@@ -360,20 +344,10 @@ impl OfferEngine {
         self.total
     }
 
-    /// Component count.
-    pub fn component_count(&self) -> usize {
-        self.components.len()
-    }
-
-    /// The classification strategy the engine orders by.
-    pub fn strategy(&self) -> ClassificationStrategy {
-        self.strategy
-    }
-
     /// Can the lazy best-first streams run? False when a profile produces
     /// non-finite importances (best-first pruning is unsound under NaN) or
-    /// the component count exceeds [`MAX_STREAM_COMPONENTS`]; the eager
-    /// [`classify_all`](Self::classify_all) handles those cases.
+    /// the component count exceeds [`MAX_STREAM_COMPONENTS`]; the ranked
+    /// list ([`RankedOffers`]) handles those cases.
     pub fn streaming_supported(&self) -> bool {
         self.finite
             && self.components.len() <= MAX_STREAM_COMPONENTS
@@ -383,63 +357,93 @@ impl OfferEngine {
                 .all(|c| c.variants.len() <= u16::MAX as usize)
     }
 
-    /// The §6 mapped stream requirement of one chosen variant (precomputed
-    /// at build time).
-    pub fn stream_spec(&self, component: usize, variant_idx: usize) -> &NetworkQosSpec {
-        &self.components[component].scores[variant_idx].spec
-    }
-
-    /// Materialize every system offer in enumeration order, one flat pass
-    /// over the [`OfferSet`] arena (no per-combination index allocations).
-    pub fn offers(&self) -> Vec<SystemOffer> {
-        let dims: Vec<usize> = self.components.iter().map(|c| c.variants.len()).collect();
-        let set = OfferSet::enumerate(&dims, usize::MAX).expect("product checked at build");
-        set.iter()
-            .map(|combo| {
-                let mut cost = self.copyright;
-                let variants: Vec<Variant> = combo
-                    .iter()
-                    .zip(&self.components)
-                    .map(|(&idx, comp)| {
-                        cost += comp.scores[idx as usize].cost;
-                        comp.variants[idx as usize].clone()
-                    })
-                    .collect();
-                SystemOffer { variants, cost }
+    /// The chosen variants of the combination at enumeration `rank` with
+    /// their `(CostNetᵢ, CostSerᵢ)`, decoded from the strides, in document
+    /// component order.
+    fn streams_at(&self, rank: u64) -> impl Iterator<Item = (&Variant, Money, Money)> {
+        self.strides
+            .iter()
+            .zip(&self.components)
+            .map(move |(&stride, comp)| {
+                let p = (rank / stride % comp.variants.len() as u64) as usize;
+                (&comp.variants[p], comp.scores[p].net, comp.scores[p].ser)
             })
-            .collect()
     }
 
-    /// The full classified list — the eager path. Bit-identical to running
-    /// [`classify`] over the eagerly enumerated offers (it *is* that, over
-    /// the arena-materialized offers).
+    /// Materialize every system offer in enumeration order.
+    pub fn offers(&self) -> Vec<SystemOffer> {
+        let mut offers = Vec::with_capacity(self.total);
+        self.for_each_combo(|combo| offers.push(self.materialize(&combo).offer));
+        offers
+    }
+
+    /// The whole product as plain data in classified order — scored with
+    /// the [`ScoredOffer::score`]-identical fold and sorted by the same
+    /// explicit `(strategy key, rank)` order as [`classify`](crate::classify).
+    /// `keep`, indexed by enumeration rank, drops pruned offers first.
+    pub(crate) fn ranked(&self, keep: Option<&[bool]>) -> Vec<ScoredCombo> {
+        let mut entries = Vec::with_capacity(self.total);
+        self.for_each_combo(|combo| {
+            if keep.is_none_or(|k| k[combo.rank as usize]) {
+                entries.push(combo);
+            }
+        });
+        entries.sort_unstable_by(|a, b| self.order_cmp(a, b));
+        entries
+    }
+
+    /// The full materialized classified list, built from the ranked
+    /// entries. Bit-identical to running [`classify`](crate::classify)
+    /// over the eagerly enumerated offers.
     pub fn classify_all(&self) -> Vec<ScoredOffer> {
-        classify(self.offers(), &self.profile, self.strategy)
+        self.materialize_all(&self.ranked(None))
     }
 
-    /// Score the combination at `positions` (one variant index per
-    /// component) with the same fold the eager path uses, so the resulting
-    /// values are bit-identical to [`ScoredOffer::score`]'s.
-    fn score_positions(&self, positions: &[u16]) -> ScoredCombo {
-        let mut pos = [0u16; MAX_STREAM_COMPONENTS];
-        pos[..positions.len()].copy_from_slice(positions);
+    fn materialize_all(&self, entries: &[ScoredCombo]) -> Vec<ScoredOffer> {
+        entries.iter().map(|c| self.materialize(c)).collect()
+    }
+
+    /// Score every combination of the product, in enumeration (rank)
+    /// order, without materializing any of them.
+    fn for_each_combo(&self, mut visit: impl FnMut(ScoredCombo)) {
+        let mut odo = vec![0usize; self.components.len()];
+        for row in 0..self.total {
+            if row > 0 {
+                for (slot, comp) in odo.iter_mut().zip(&self.components).rev() {
+                    *slot += 1;
+                    if *slot < comp.variants.len() {
+                        break;
+                    }
+                    *slot = 0;
+                }
+            }
+            visit(self.score_with(|c| odo[c]));
+        }
+    }
+
+    /// Score the combination whose component `c` takes variant
+    /// `index_of(c)`, with the same fold the eager path uses, so the
+    /// resulting values are bit-identical to [`ScoredOffer::score`]'s.
+    fn score_with(&self, index_of: impl Fn(usize) -> usize) -> ScoredCombo {
         let mut cost = self.copyright;
         let mut all_des = true;
         let mut all_wst = true;
         let mut rank = 0u64;
-        for (c, &p) in positions.iter().enumerate() {
-            let s = &self.components[c].scores[p as usize];
-            cost += s.cost;
-            all_des &= s.meets_desired;
-            all_wst &= s.meets_worst;
-            rank += p as u64 * self.strides[c];
-        }
         // Identical fold to `qos_importance`: `iter().map(..).sum()` in
-        // document component order, starting from +0.0.
-        let qos_importance: f64 = positions
+        // document component order.
+        let qos_importance: f64 = self
+            .components
             .iter()
             .enumerate()
-            .map(|(c, &p)| self.components[c].scores[p as usize].importance)
+            .map(|(c, comp)| {
+                let p = index_of(c);
+                let s = &comp.scores[p];
+                cost += s.cost();
+                all_des &= s.meets_desired;
+                all_wst &= s.meets_worst;
+                rank += p as u64 * self.strides[c];
+                s.importance
+            })
             .sum();
         let oif = qos_importance - self.cost_per_dollar * cost.dollars();
         let within = cost <= self.max_cost;
@@ -451,7 +455,6 @@ impl OfferEngine {
             StaticNegotiationStatus::Constraint
         };
         ScoredCombo {
-            positions: pos,
             rank,
             cost,
             qos_importance,
@@ -461,18 +464,12 @@ impl OfferEngine {
         }
     }
 
-    /// Turn a streamed combination into the [`ScoredOffer`] the eager path
-    /// would have produced for it.
+    /// Turn a combination into the [`ScoredOffer`] the eager path would
+    /// have produced for it.
     pub fn materialize(&self, combo: &ScoredCombo) -> ScoredOffer {
-        let k = self.components.len();
-        let variants: Vec<Variant> = combo.positions[..k]
-            .iter()
-            .zip(&self.components)
-            .map(|(&p, comp)| comp.variants[p as usize].clone())
-            .collect();
         ScoredOffer {
             offer: SystemOffer {
-                variants,
+                variants: (self.streams_at(combo.rank).map(|(v, ..)| v.clone())).collect(),
                 cost: combo.cost,
             },
             sns: combo.sns,
@@ -482,51 +479,13 @@ impl OfferEngine {
         }
     }
 
-    /// The chosen variants of a streamed combination (no clone).
-    pub fn combo_variants<'e>(&'e self, combo: &ScoredCombo) -> Vec<&'e Variant> {
-        let k = self.components.len();
-        combo.positions[..k]
-            .iter()
-            .zip(&self.components)
-            .map(|(&p, comp)| &comp.variants[p as usize])
-            .collect()
-    }
-
-    /// Count the SNS classes over the whole product without allocating or
-    /// sorting (recorder support for the streaming path): returns
+    /// Count the SNS classes over the whole product without sorting or
+    /// materializing (recorder support for the streaming path): returns
     /// `(desirable, acceptable, constraint)`.
     pub fn sns_census(&self) -> (u64, u64, u64) {
-        let k = self.components.len();
-        let (mut d, mut a, mut c) = (0u64, 0u64, 0u64);
-        let mut odo = vec![0u16; k];
-        for row in 0..self.total {
-            if row > 0 {
-                for i in (0..k).rev() {
-                    odo[i] += 1;
-                    if (odo[i] as usize) < self.components[i].variants.len() {
-                        break;
-                    }
-                    odo[i] = 0;
-                }
-            }
-            let mut cost = self.copyright;
-            let mut all_des = true;
-            let mut all_wst = true;
-            for (i, &p) in odo.iter().enumerate() {
-                let s = &self.components[i].scores[p as usize];
-                cost += s.cost;
-                all_des &= s.meets_desired;
-                all_wst &= s.meets_worst;
-            }
-            if all_des && cost <= self.max_cost {
-                d += 1;
-            } else if all_wst {
-                a += 1;
-            } else {
-                c += 1;
-            }
-        }
-        (d, a, c)
+        let mut census = (0, 0, 0);
+        self.for_each_combo(|combo| tally(&mut census, combo.sns));
+        census
     }
 
     /// Map streamed combinations to their indices in the classified list
@@ -534,50 +493,34 @@ impl OfferEngine {
     /// allocation proportional to the product, no sort. O(total·(k + m))
     /// for m targets.
     pub fn classified_indices(&self, targets: &[&ScoredCombo]) -> Vec<usize> {
-        let keys: Vec<ComboKey> = targets.iter().map(|t| t.key()).collect();
-        let mut counts = vec![0usize; keys.len()];
-        let k = self.components.len();
-        let mut odo = vec![0u16; k];
-        for row in 0..self.total {
-            if row > 0 {
-                for i in (0..k).rev() {
-                    odo[i] += 1;
-                    if (odo[i] as usize) < self.components[i].variants.len() {
-                        break;
-                    }
-                    odo[i] = 0;
-                }
+        let mut counts = vec![0usize; targets.len()];
+        self.for_each_combo(|combo| {
+            for (t, count) in targets.iter().zip(counts.iter_mut()) {
+                *count += usize::from(self.order_cmp(&combo, t) == Ordering::Less);
             }
-            let combo = self.score_positions(&odo);
-            let key = combo.key();
-            for (t, count) in keys.iter().zip(counts.iter_mut()) {
-                match self.key_cmp(&key, t) {
-                    Ordering::Less => *count += 1,
-                    Ordering::Equal if key.rank < t.rank => *count += 1,
-                    _ => {}
-                }
-            }
-        }
+        });
         counts
     }
 
-    /// Mirror of `classify::sort_key_cmp` on combination keys. Equal means
-    /// the stable sort would keep enumeration order, so rank breaks ties.
-    fn key_cmp(&self, a: &ComboKey, b: &ComboKey) -> Ordering {
-        let by_oif = |x: &ComboKey, y: &ComboKey| y.oif.total_cmp(&x.oif);
+    /// The classification order on plain entries: `classify::sort_key_cmp`
+    /// on the strategy key, then the enumeration rank, so the order is
+    /// total and ties keep enumeration order.
+    fn order_cmp(&self, a: &ScoredCombo, b: &ScoredCombo) -> Ordering {
+        let by_oif = |x: &ScoredCombo, y: &ScoredCombo| y.oif.total_cmp(&x.oif);
         match self.strategy {
             ClassificationStrategy::SnsThenOif => a.sns.cmp(&b.sns).then_with(|| by_oif(a, b)),
             ClassificationStrategy::OifOnly => by_oif(a, b),
             ClassificationStrategy::CostOnly => a.cost.cmp(&b.cost),
             ClassificationStrategy::QosOnly => b.qos_importance.total_cmp(&a.qos_importance),
         }
+        .then_with(|| a.rank.cmp(&b.rank))
     }
 
     /// Per-variant contribution to the stream's ordering axis.
     fn contribution(&self, kind: KeyKind, score: &VariantScore) -> f64 {
         match kind {
-            KeyKind::Oif => score.importance - self.cost_per_dollar * score.cost.dollars(),
-            KeyKind::Cost => -(score.cost.millis() as f64),
+            KeyKind::Oif => score.importance - self.cost_per_dollar * score.cost().dollars(),
+            KeyKind::Cost => -(score.cost().millis() as f64),
             KeyKind::Qos => score.importance,
         }
     }
@@ -671,6 +614,9 @@ impl OfferEngine {
 pub struct OfferStream<'e> {
     engine: &'e OfferEngine,
     kind: KeyKind,
+    /// Per-component variant indices in contribution order, computed once
+    /// per stream; each phase masks them.
+    sorted: Vec<Vec<u16>>,
     phases: Vec<(Mask, Filter)>,
     next_phase: usize,
     current: Option<PhaseEnum>,
@@ -695,11 +641,13 @@ impl<'e> OfferStream<'e> {
     fn new(engine: &'e OfferEngine, phases: Vec<(Mask, Filter)>) -> Self {
         assert!(
             engine.streaming_supported(),
-            "streaming unsupported for this engine (use classify_all)"
+            "streaming unsupported for this engine (walk RankedOffers)"
         );
+        let kind = KeyKind::for_strategy(engine.strategy);
         OfferStream {
             engine,
-            kind: KeyKind::for_strategy(engine.strategy),
+            kind,
+            sorted: engine.sorted_lists(kind),
             phases,
             next_phase: 0,
             current: None,
@@ -739,9 +687,8 @@ impl<'e> OfferStream<'e> {
     /// component (the phase contributes nothing).
     fn open_phase(&mut self, mask: Mask, filter: Filter) -> Option<PhaseEnum> {
         let eng = self.engine;
-        let sorted = eng.sorted_lists(self.kind);
-        let mut lists: Vec<Vec<u16>> = Vec::with_capacity(sorted.len());
-        for (c, order) in sorted.iter().enumerate() {
+        let mut lists: Vec<Vec<u16>> = Vec::with_capacity(self.sorted.len());
+        for (c, order) in self.sorted.iter().enumerate() {
             let masked: Vec<u16> = order
                 .iter()
                 .copied()
@@ -790,7 +737,7 @@ impl<'e> OfferStream<'e> {
                 for (c, slot) in orig.iter_mut().enumerate().take(k) {
                     *slot = phase.lists[c][s.pos[c] as usize];
                 }
-                return Some(eng.score_positions(&orig[..k]));
+                return Some(eng.score_with(|c| orig[c] as usize));
             }
             // Expand the frontier's best state: push its successors, keep
             // it in the reorder buffer when the phase filter accepts it.
@@ -841,7 +788,7 @@ impl<'e> OfferStream<'e> {
         let mut rank = 0u64;
         for (c, &slot) in orig.iter().enumerate().take(k) {
             let s = &eng.components[c].scores[slot as usize];
-            cost += s.cost;
+            cost += s.cost();
             all_des &= s.meets_desired;
             all_wst &= s.meets_worst;
             rank += slot as u64 * eng.strides[c];
@@ -870,21 +817,89 @@ impl<'e> OfferStream<'e> {
     }
 }
 
+/// The classified offer list as plain data over its engine: one
+/// [`ScoredCombo`] per (unpruned) offer, in classified order. This is what
+/// [`prepare`](crate::negotiate::prepare) hands to step 5; an entry becomes
+/// a [`ScoredOffer`] only when it is attempted, explained or read.
+#[derive(Debug, Clone)]
+pub struct RankedOffers {
+    engine: OfferEngine,
+    entries: Vec<ScoredCombo>,
+}
+
+impl RankedOffers {
+    /// Rank `engine`'s whole product; `keep`, indexed by enumeration rank,
+    /// drops pruned offers first.
+    pub fn new(engine: OfferEngine, keep: Option<&[bool]>) -> RankedOffers {
+        let entries = engine.ranked(keep);
+        RankedOffers { engine, entries }
+    }
+
+    /// Number of classified offers.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Is the list empty?
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The entries, in classified order.
+    pub fn entries(&self) -> &[ScoredCombo] {
+        &self.entries
+    }
+
+    /// The streams of the offer at classified index `idx`: each chosen
+    /// variant (no clone) with its `(CostNetᵢ, CostSerᵢ)`, in document
+    /// component order.
+    pub(crate) fn streams(&self, idx: usize) -> impl Iterator<Item = (&Variant, Money, Money)> {
+        self.engine.streams_at(self.entries[idx].rank)
+    }
+
+    /// The offer at classified index `idx`, materialized.
+    pub fn materialize(&self, idx: usize) -> ScoredOffer {
+        self.engine.materialize(&self.entries[idx])
+    }
+
+    /// Step 5's attempt order: indices of the offers that satisfy the
+    /// user's request, in classified order, then the rest, likewise.
+    pub fn reservation_order(&self) -> impl Iterator<Item = usize> + '_ {
+        let pick = move |wanted: bool| {
+            (0..self.entries.len()).filter(move |&i| self.entries[i].satisfies_request == wanted)
+        };
+        pick(true).chain(pick(false))
+    }
+
+    /// SNS class populations: `(desirable, acceptable, constraint)`.
+    pub(crate) fn sns_census(&self) -> (u64, u64, u64) {
+        let mut census = (0, 0, 0);
+        self.entries.iter().for_each(|e| tally(&mut census, e.sns));
+        census
+    }
+}
+
 /// The classified offer list of a [`crate::negotiate::NegotiationOutcome`]
-/// — possibly **deferred**. On the streaming path the negotiation commits
-/// an offer from a short enumerated prefix; the full classified list is
-/// only computed when somebody actually reads it (adaptation, diagnostics,
-/// the TUI). Any slice access (via `Deref`) materializes it exactly once,
-/// with the same eager sort as before; `len()` is known without
-/// materializing.
+/// — **deferred** until somebody actually reads it (adaptation,
+/// diagnostics, the TUI). Step 5 walks plain [`RankedOffers`] (or a short
+/// streamed prefix); any slice access (via `Deref`) materializes every
+/// entry exactly once, ranking first when the streamed walk never had to;
+/// `len()` is known without materializing.
 pub struct OfferList {
     len: usize,
     cells: OnceLock<Vec<ScoredOffer>>,
-    engine: Mutex<Option<OfferEngine>>,
+    source: Mutex<Option<Source>>,
+}
+
+/// What a deferred [`OfferList`] materializes from.
+enum Source {
+    /// The streamed walk's engine: not ranked yet.
+    Engine(OfferEngine),
+    Ranked(RankedOffers),
 }
 
 impl OfferList {
-    /// An already-materialized list (the eager path).
+    /// An already-materialized list.
     pub fn from_vec(offers: Vec<ScoredOffer>) -> OfferList {
         let len = offers.len();
         let cells = OnceLock::new();
@@ -892,16 +907,26 @@ impl OfferList {
         OfferList {
             len,
             cells,
-            engine: Mutex::new(None),
+            source: Mutex::new(None),
         }
     }
 
-    /// A deferred list backed by the engine; materializes on first access.
+    /// A deferred list backed by the engine; ranks and materializes on
+    /// first access.
     pub fn deferred(engine: OfferEngine) -> OfferList {
         OfferList {
             len: engine.total(),
             cells: OnceLock::new(),
-            engine: Mutex::new(Some(engine)),
+            source: Mutex::new(Some(Source::Engine(engine))),
+        }
+    }
+
+    /// A deferred list over ranked entries; materializes on first access.
+    pub fn ranked(list: RankedOffers) -> OfferList {
+        OfferList {
+            len: list.len(),
+            cells: OnceLock::new(),
+            source: Mutex::new(Some(Source::Ranked(list))),
         }
     }
 
@@ -923,13 +948,11 @@ impl OfferList {
     /// The classified offers, materializing them on first call.
     pub fn as_slice(&self) -> &[ScoredOffer] {
         self.cells.get_or_init(|| {
-            let engine = self
-                .engine
-                .lock()
-                .expect("offer list lock")
-                .take()
-                .expect("deferred offer list carries an engine");
-            engine.classify_all()
+            let source = self.source.lock().expect("offer list lock").take();
+            match source.expect("deferred offer list carries its source") {
+                Source::Engine(engine) => engine.classify_all(),
+                Source::Ranked(list) => list.engine.materialize_all(&list.entries),
+            }
         })
     }
 

@@ -25,13 +25,11 @@
 //!
 //! [`NegotiationContext::explain`]: crate::negotiate::NegotiationContext::explain
 
-use nod_cmfs::Guarantee;
 use nod_obs::RetentionStats;
 use nod_simcore::json::{FromJson, Json, JsonError, ToJson};
 use nod_simcore::json_struct;
 
-use crate::classify::ScoredOffer;
-use crate::cost::CostModel;
+use crate::engine::RankedOffers;
 use crate::money::Money;
 use crate::negotiate::NegotiationStatus;
 use crate::sns::StaticNegotiationStatus;
@@ -375,44 +373,32 @@ json_struct!(ScoreRow {
 });
 
 impl ScoreRow {
-    /// Decompose one classified offer. `durations_ms` maps monomedia id →
-    /// playout duration (from the document), so CostNet/CostSer can be
-    /// recomputed per stream exactly as formula (1) priced them.
-    pub fn build(
-        rank: usize,
-        scored: &ScoredOffer,
-        durations_ms: &[(u64, u64)],
-        cost_model: &CostModel,
-        guarantee: Guarantee,
-        chosen: bool,
-    ) -> ScoreRow {
+    /// Decompose the offer at classified index `rank` of `ranked`: its
+    /// scores from the entry, its streams and their CostNet/CostSer split
+    /// from the engine's per-variant prices — exactly what formula (1)
+    /// summed, nothing re-priced, no offer materialized.
+    fn of(ranked: &RankedOffers, rank: usize, chosen: bool) -> ScoreRow {
+        let combo = &ranked.entries()[rank];
         let mut cost_net = Money::default();
         let mut cost_ser = Money::default();
-        for v in &scored.offer.variants {
-            let duration = durations_ms
-                .iter()
-                .find(|(m, _)| *m == v.monomedia.0)
-                .map(|&(_, d)| d)
-                .unwrap_or(0);
-            let (net, ser) = cost_model.monomedia_cost(v, duration, guarantee);
-            cost_net += net;
-            cost_ser += ser;
-        }
+        let streams = ranked
+            .streams(rank)
+            .map(|(v, net, ser)| {
+                cost_net += net;
+                cost_ser += ser;
+                (v.id.0, v.server.0)
+            })
+            .collect();
         ScoreRow {
             rank: rank as u64,
-            streams: scored
-                .offer
-                .variants
-                .iter()
-                .map(|v| (v.id.0, v.server.0))
-                .collect(),
-            sns: scored.sns,
-            qos_importance: scored.qos_importance,
-            oif: scored.oif,
+            streams,
+            sns: combo.sns,
+            qos_importance: combo.qos_importance,
+            oif: combo.oif,
             cost_net,
             cost_ser,
-            cost_total: scored.offer.cost,
-            satisfies_request: scored.satisfies_request,
+            cost_total: combo.cost,
+            satisfies_request: combo.satisfies_request,
             chosen,
         }
     }
@@ -541,88 +527,23 @@ json_struct!(DecisionLog {
 });
 
 impl DecisionLog {
-    /// Record the top-k score rows of a freshly classified list.
-    ///
-    /// The top offers are combos over a small shared variant pool, so
-    /// the same stream shows up in many rows; each distinct variant is
-    /// priced once through a stack cache (B13 bounds the per-attempt
-    /// overhead, and this runs on every explained attempt).
-    pub fn record_scores(
-        &mut self,
-        ordered: &[ScoredOffer],
-        cost_model: &CostModel,
-        guarantee: Guarantee,
-    ) {
+    /// Record the top-k score rows of a freshly ranked list (B13 bounds
+    /// the per-attempt overhead, and this runs on every explained attempt).
+    pub fn record_scores(&mut self, ranked: &RankedOffers) {
+        let top = ranked.len().min(EXPLAIN_TOP_K);
         self.scores.clear();
-        self.scores.reserve_exact(ordered.len().min(EXPLAIN_TOP_K));
-        let mut cache = [(u64::MAX, Money::default(), Money::default()); 32];
-        let mut cached = 0usize;
-        for (rank, scored) in ordered.iter().take(EXPLAIN_TOP_K).enumerate() {
-            let mut cost_net = Money::default();
-            let mut cost_ser = Money::default();
-            for v in &scored.offer.variants {
-                let (net, ser) = match cache[..cached].iter().find(|&&(id, _, _)| id == v.id.0) {
-                    Some(&(_, net, ser)) => (net, ser),
-                    None => {
-                        let duration = self
-                            .durations_ms
-                            .iter()
-                            .find(|(m, _)| *m == v.monomedia.0)
-                            .map(|&(_, d)| d)
-                            .unwrap_or(0);
-                        let (net, ser) = cost_model.monomedia_cost(v, duration, guarantee);
-                        if cached < cache.len() {
-                            cache[cached] = (v.id.0, net, ser);
-                            cached += 1;
-                        }
-                        (net, ser)
-                    }
-                };
-                cost_net += net;
-                cost_ser += ser;
-            }
-            self.scores.push(ScoreRow {
-                rank: rank as u64,
-                streams: scored
-                    .offer
-                    .variants
-                    .iter()
-                    .map(|v| (v.id.0, v.server.0))
-                    .collect(),
-                sns: scored.sns,
-                qos_importance: scored.qos_importance,
-                oif: scored.oif,
-                cost_net,
-                cost_ser,
-                cost_total: scored.offer.cost,
-                satisfies_request: scored.satisfies_request,
-                chosen: false,
-            });
-        }
+        self.scores.reserve_exact(top);
+        self.scores
+            .extend((0..top).map(|rank| ScoreRow::of(ranked, rank, false)));
     }
 
-    /// Mark `rank` as the reserved offer, appending its row when it ranks
-    /// below the top-k cut.
-    pub fn mark_chosen(
-        &mut self,
-        rank: usize,
-        scored: &ScoredOffer,
-        cost_model: &CostModel,
-        guarantee: Guarantee,
-    ) {
+    /// Mark the offer at classified index `rank` of `ranked` as the
+    /// reserved one, appending its row when it ranks below the top-k cut.
+    pub fn mark_chosen(&mut self, ranked: &RankedOffers, rank: usize) {
         self.chosen_rank = Some(rank as u64);
-        if let Some(row) = self.scores.iter_mut().find(|r| r.rank == rank as u64) {
-            row.chosen = true;
-        } else {
-            let row = ScoreRow::build(
-                rank,
-                scored,
-                &self.durations_ms,
-                cost_model,
-                guarantee,
-                true,
-            );
-            self.scores.push(row);
+        match self.scores.iter_mut().find(|r| r.rank == rank as u64) {
+            Some(row) => row.chosen = true,
+            None => self.scores.push(ScoreRow::of(ranked, rank, true)),
         }
     }
 }
@@ -861,6 +782,10 @@ impl ExplainArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostModel;
+    use crate::engine::OfferEngine;
+    use nod_cmfs::Guarantee;
+    use nod_mmdoc::prelude::*;
 
     fn sample_artifact() -> ExplainArtifact {
         ExplainArtifact {
@@ -996,38 +921,62 @@ mod tests {
 
     #[test]
     fn mark_chosen_appends_rows_past_the_cut() {
-        let mut log = DecisionLog::default();
-        log.scores.push(ScoreRow {
-            rank: 0,
-            streams: vec![(1, 0)].into(),
-            sns: StaticNegotiationStatus::Desirable,
-            qos_importance: 1.0,
-            oif: 1.0,
-            cost_net: Money::default(),
-            cost_ser: Money::default(),
-            cost_total: Money::default(),
-            satisfies_request: true,
-            chosen: false,
-        });
-        let scored = ScoredOffer {
-            offer: crate::offer::SystemOffer {
-                variants: vec![],
-                cost: Money::default(),
-            },
-            sns: crate::sns::StaticNegotiationStatus::Acceptable,
-            oif: 0.5,
-            qos_importance: 0.5,
-            satisfies_request: false,
-        };
+        // One component, twelve variants: twelve single-stream offers.
+        let variants: Vec<Variant> = (1..=12)
+            .map(|id| Variant {
+                id: VariantId(id),
+                monomedia: MonomediaId(1),
+                format: Format::Mpeg1,
+                qos: MediaQos::Video(VideoQos {
+                    color: ColorDepth::Color,
+                    resolution: Resolution::TV,
+                    frame_rate: FrameRate::new(30 - id as u32),
+                }),
+                blocks: BlockStats::new(10_000, 5_000),
+                blocks_per_second: 30 - id as u32,
+                file_bytes: 1_000_000,
+                server: ServerId(id % 2),
+            })
+            .collect();
         let model = CostModel::era_default();
+        let engine = OfferEngine::build(
+            &[(MonomediaId(1), variants.iter().collect())],
+            &[(MonomediaId(1), 60_000)].into(),
+            &crate::profile::tv_news_profile(),
+            &model,
+            Guarantee::Guaranteed,
+            crate::ClassificationStrategy::SnsThenOif,
+            1_000,
+        )
+        .expect("engine builds");
+        let ranked = RankedOffers::new(engine, None);
+        let mut log = DecisionLog::default();
+        log.record_scores(&ranked);
+        assert_eq!(log.scores.len(), EXPLAIN_TOP_K);
+        for (rank, row) in log.scores.iter().enumerate() {
+            let offer = ranked.materialize(rank);
+            let v = &offer.offer.variants[0];
+            assert_eq!(row.rank, rank as u64);
+            assert_eq!(row.streams.as_slice(), [(v.id.0, v.server.0)]);
+            assert_eq!(row.oif.to_bits(), offer.oif.to_bits());
+            assert_eq!(
+                (row.cost_net, row.cost_ser),
+                model.monomedia_cost(v, 60_000, Guarantee::Guaranteed)
+            );
+            assert_eq!(
+                model.copyright + row.cost_net + row.cost_ser,
+                row.cost_total
+            );
+        }
         // Chosen within the recorded rows: marked in place.
-        log.mark_chosen(0, &scored, &model, Guarantee::Guaranteed);
-        assert_eq!(log.scores.len(), 1);
+        log.mark_chosen(&ranked, 0);
+        assert_eq!(log.scores.len(), EXPLAIN_TOP_K);
         assert!(log.scores[0].chosen);
         // Chosen past the cut: appended.
-        log.mark_chosen(11, &scored, &model, Guarantee::Guaranteed);
-        assert_eq!(log.scores.len(), 2);
-        assert_eq!(log.scores[1].rank, 11);
-        assert!(log.scores[1].chosen);
+        log.mark_chosen(&ranked, 11);
+        assert_eq!(log.scores.len(), EXPLAIN_TOP_K + 1);
+        assert_eq!(log.scores[EXPLAIN_TOP_K].rank, 11);
+        assert!(log.scores[EXPLAIN_TOP_K].chosen);
+        assert_eq!(log.chosen_rank, Some(11));
     }
 }

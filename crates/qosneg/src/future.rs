@@ -21,7 +21,8 @@ use nod_mmdoc::{DocumentId, ServerId};
 use nod_netsim::LinkId;
 use nod_simcore::{BookingId, IntervalLedger, SimDuration, SimTime};
 
-use crate::classify::{reservation_order, ScoredOffer};
+use crate::classify::ScoredOffer;
+use crate::engine::OfferList;
 use crate::mapping::charged_bit_rate;
 use crate::negotiate::{
     prepare, NegotiationContext, NegotiationError, NegotiationStatus, NegotiationTrace, Prepared,
@@ -182,8 +183,9 @@ pub struct FutureOutcome {
     pub booking: Option<AdvanceBookingId>,
     /// Index of the booked offer in `ordered_offers`.
     pub booked_index: Option<usize>,
-    /// The classified offers (for later adaptation / rebooking).
-    pub ordered_offers: Vec<ScoredOffer>,
+    /// The classified offers (for later adaptation / rebooking), deferred
+    /// like [`crate::negotiate::NegotiationOutcome::ordered_offers`].
+    pub ordered_offers: OfferList,
     /// Work counters.
     pub trace: NegotiationTrace,
 }
@@ -207,7 +209,7 @@ pub(crate) fn negotiate_future_impl(
                 user_offer: o.user_offer,
                 booking: None,
                 booked_index: None,
-                ordered_offers: o.ordered_offers.into_vec(),
+                ordered_offers: o.ordered_offers,
                 trace: o.trace,
             });
         }
@@ -221,30 +223,26 @@ pub(crate) fn negotiate_future_impl(
         .map_err(|e| NegotiationError::InvalidProfile(e.to_string()))?;
     let end = start + SimDuration::from_millis(duration_ms.max(1));
 
-    for idx in reservation_order(&ordered) {
+    let mut booked = None;
+    for idx in ordered.reservation_order() {
         trace.reservation_attempts += 1;
-        if let Some(booking) = book.try_book_offer(ctx, client, &ordered[idx], start, end) {
-            let status = if ordered[idx].satisfies_request {
-                NegotiationStatus::Succeeded
-            } else {
-                NegotiationStatus::FailedWithOffer
-            };
-            return Ok(FutureOutcome {
-                status,
-                user_offer: Some(ordered[idx].offer.to_user_offer()),
-                booking: Some(booking),
-                booked_index: Some(idx),
-                ordered_offers: ordered,
-                trace,
-            });
+        let scored = ordered.materialize(idx);
+        if let Some(booking) = book.try_book_offer(ctx, client, &scored, start, end) {
+            booked = Some((idx, scored, booking));
+            break;
         }
     }
+    let status = match &booked {
+        Some((_, scored, _)) if scored.satisfies_request => NegotiationStatus::Succeeded,
+        Some(_) => NegotiationStatus::FailedWithOffer,
+        None => NegotiationStatus::FailedTryLater,
+    };
     Ok(FutureOutcome {
-        status: NegotiationStatus::FailedTryLater,
-        user_offer: None,
-        booking: None,
-        booked_index: None,
-        ordered_offers: ordered,
+        status,
+        user_offer: booked.as_ref().map(|(_, s, _)| s.offer.to_user_offer()),
+        booking: booked.as_ref().map(|&(_, _, booking)| booking),
+        booked_index: booked.as_ref().map(|&(idx, _, _)| idx),
+        ordered_offers: OfferList::ranked(ordered),
         trace,
     })
 }

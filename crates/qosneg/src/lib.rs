@@ -107,6 +107,6 @@ pub use negotiate::{
 };
 pub use offer::{violated_components, OfferSet, SystemOffer, UserOffer};
 pub use profile::{MmQosSpec, TimeProfile, UserProfile};
-pub use prune::{dominates, importance_is_monotone, prune_dominated, prune_dominated_explained};
+pub use prune::{dominates, importance_is_monotone, keep_mask, prune_dominated};
 pub use request::{NegotiationRequest, Procedure, RetryPolicy, Session};
 pub use sns::StaticNegotiationStatus;

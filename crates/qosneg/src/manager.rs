@@ -43,7 +43,7 @@ pub struct ManagerConfig {
     pub prune_dominated: bool,
     /// Step-5 enumeration mode (see
     /// [`crate::negotiate::StreamingMode`]): `Auto` (the default) streams
-    /// offers lazily, `Off` forces the eager materialize-and-sort path.
+    /// offers lazily, `Off` forces the ranked list.
     pub streaming: crate::negotiate::StreamingMode,
     /// Observability hook shared by every negotiation, playout session and
     /// confirmation this manager drives. `None` (the default) makes all

@@ -11,34 +11,32 @@ use nod_mmdoc::{DocumentId, MediaKind, MonomediaId, ServerId, Variant};
 use nod_netsim::{NetError, NetReservationId, Network};
 use nod_obs::{Recorder, Span};
 
-use crate::classify::{classify, reservation_order, ClassificationStrategy, ScoredOffer};
+use crate::classify::{ClassificationStrategy, ScoredOffer};
 use crate::cost::CostModel;
-use crate::engine::{OfferEngine, OfferList, ScoredCombo};
+use crate::engine::{OfferEngine, OfferList, RankedOffers, ScoredCombo};
 use crate::explain::{DecisionLog, RefusalKind, RefusalRecord, Shortfall};
 use crate::mapping::{charged_bit_rate, map_requirements, path_supports};
 use crate::offer::{EnumerationError, SystemOffer, UserOffer};
 use crate::profile::{MmQosSpec, UserProfile};
-use crate::sns::StaticNegotiationStatus;
 
 /// How steps 3–5 enumerate and order offers.
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StreamingMode {
     /// Stream offers lazily in reservation order when the engine supports
-    /// it (the default), materializing the full classified list only on
-    /// demand; falls back to the eager sort when it does not, or when
-    /// commitment keeps failing (see `STREAM_FALLBACK_ATTEMPTS`).
+    /// it (the default); falls back to ranking the whole product when it
+    /// does not, or when commitment keeps failing (see
+    /// `STREAM_FALLBACK_ATTEMPTS`).
     #[default]
     Auto,
-    /// Always materialize and sort the full offer list up front (the
-    /// pre-engine behavior).
+    /// Always rank the whole product up front and walk that list.
     Off,
 }
 
 /// After this many refused commits the streaming path stops enumerating
-/// lazily and falls back to the full classified sort: a long refusal
-/// prefix means we will likely walk much of the list anyway, and the
-/// eager sort amortizes better than heap expansion past this depth.
+/// lazily and falls back to the ranked list: a long refusal prefix means
+/// we will likely walk much of the list anyway, and one sort amortizes
+/// better than heap expansion past this depth.
 const STREAM_FALLBACK_ATTEMPTS: usize = 24;
 
 /// The five negotiation statuses of paper §4.
@@ -135,12 +133,12 @@ pub struct NegotiationTrace {
     pub reservation_attempts: usize,
     /// Offers removed by dominance pruning (0 unless enabled).
     pub offers_pruned: usize,
-    /// Offers yielded by the lazy best-first enumerator (0 on the eager
+    /// Offers yielded by the lazy best-first enumerator (0 on the ranked
     /// path). On the streaming path this is the prefix step 5 actually
     /// paid for, versus `offers_enumerated` — the full product size.
     pub offers_streamed: usize,
     /// 1 when the streaming prefix gave up (too many refused commits) and
-    /// fell back to the full classified sort.
+    /// fell back to the ranked list.
     pub stream_fallbacks: usize,
 }
 
@@ -164,10 +162,9 @@ pub struct NegotiationOutcome {
     pub reserved_offer: Option<ScoredOffer>,
     /// The full classified offer list — kept because "during the active
     /// phase, if QoS violations occur the adaptation procedure makes use of
-    /// the whole set of feasible system offers" (§4). On the streaming
-    /// path this is **deferred**: the list exists logically (its `len()` is
-    /// known) but is only materialized — with the same eager sort as
-    /// before — when first accessed as a slice.
+    /// the whole set of feasible system offers" (§4). It is **deferred**:
+    /// the list exists logically (its `len()` is known) but its offers are
+    /// only materialized when first accessed as a slice.
     pub ordered_offers: OfferList,
     /// The clamped QoS returned on `FailedWithLocalOffer`.
     pub local_offer: Option<MmQosSpec>,
@@ -230,8 +227,8 @@ pub struct NegotiationContext<'a> {
     pub prune_dominated: bool,
     /// Step-5 enumeration mode (see [`StreamingMode`]). `Auto` streams
     /// offers lazily in reservation order via [`crate::engine`];
-    /// `Off` forces the eager materialize-and-sort path. Both produce
-    /// identical outcomes; pruning implies the eager path.
+    /// `Off` forces the ranked list. Both produce identical outcomes;
+    /// pruning and explain imply the ranked list.
     pub streaming: StreamingMode,
     /// Observability hook. `None` (the default everywhere) costs a branch
     /// per stage and nothing else; `Some` times each pipeline stage as a
@@ -239,8 +236,10 @@ pub struct NegotiationContext<'a> {
     pub recorder: Option<&'a Recorder>,
     /// Record a [`DecisionLog`] on every outcome (see [`crate::explain`]).
     /// `false` (the default everywhere) costs one branch per stage and
-    /// allocates nothing; `true` forces eager classification (the log
-    /// needs the materialized top-k) and fills `NegotiationOutcome::decisions`.
+    /// allocates nothing; `true` walks the ranked list (the log's top-k
+    /// rows are read off its entries; only attempted offers are
+    /// materialized, as without explain) and fills
+    /// `NegotiationOutcome::decisions`.
     pub explain: bool,
 }
 
@@ -262,33 +261,34 @@ fn stage_span(
 /// the classified offer list, or an early outcome (local failure /
 /// no-feasible-offer).
 pub enum Prepared {
-    /// Steps 1–4 completed: the classified offers, the trace so far, and —
-    /// when [`NegotiationContext::explain`] is set — the decision log of
-    /// those steps (pruning decisions, score decomposition). Step 5
+    /// Steps 1–4 completed: the classified offers as plain ranked data over
+    /// their engine, the trace so far, and — when
+    /// [`NegotiationContext::explain`] is set — the decision log of those
+    /// steps (pruning decisions, score decomposition). Step 5
     /// ([`commit_prepared`]) finishes the log with refusals and the chosen
     /// rank.
-    Offers(Vec<ScoredOffer>, NegotiationTrace, Option<Box<DecisionLog>>),
+    Offers(RankedOffers, NegotiationTrace, Option<Box<DecisionLog>>),
     /// Negotiation ended before step 5.
     Early(Box<NegotiationOutcome>),
 }
 
-/// [`prepare`]'s internal shape: like [`Prepared`] but the classification
-/// may still be pending inside the engine, so the streaming step 5 can
-/// avoid paying for it.
+/// [`prepare_inner`]'s result: scores are precomputed inside the engine but
+/// ordering is still pending, so the streaming step 5 can avoid paying
+/// for it.
 enum PreparedInner {
     Early(Box<NegotiationOutcome>),
-    /// Eagerly classified (the pruning path).
-    Offers(Vec<ScoredOffer>, NegotiationTrace),
-    /// Scores precomputed; enumeration and ordering still lazy.
-    Engine(Box<OfferEngine>, NegotiationTrace),
+    /// The engine, the dominance-pruning keep-mask over enumeration ranks
+    /// (when pruning ran), and the trace so far.
+    Engine(OfferEngine, Option<Vec<bool>>, NegotiationTrace),
 }
 
 /// Run steps 1–4 (local check, compatibility filter, costing,
-/// classification) without committing resources. Both the immediate
-/// negotiation ([`negotiate`]) and advance negotiation
-/// ([`crate::future::negotiate_future`]) build on this. Always returns
-/// the fully classified list; [`negotiate`] itself goes through the lazy
-/// engine instead.
+/// classification) without committing resources. Both the broker's
+/// prepare/commit split ([`commit_prepared`]) and advance negotiation
+/// ([`crate::future::negotiate_future`]) build on this. Returns the whole
+/// product ranked as plain data ([`RankedOffers`]) — no offer is
+/// materialized here beyond explain's top-k rows; [`negotiate`] itself
+/// streams a prefix lazily instead when it can.
 pub fn prepare(
     ctx: &NegotiationContext<'_>,
     client: &ClientMachine,
@@ -297,72 +297,69 @@ pub fn prepare(
 ) -> Result<Prepared, NegotiationError> {
     let mut log: Option<Box<DecisionLog>> = ctx.explain.then(Box::default);
     match prepare_inner(ctx, client, document, profile, None, log.as_deref_mut())? {
-        PreparedInner::Early(mut outcome) => {
-            if let Some(mut l) = log {
-                l.status = Some(outcome.status);
-                outcome.decisions = Some(l);
-            }
-            Ok(Prepared::Early(outcome))
-        }
-        PreparedInner::Offers(ordered, trace) => Ok(Prepared::Offers(ordered, trace, log)),
-        PreparedInner::Engine(engine, trace) => Ok(Prepared::Offers(
-            classify_engine(ctx, None, &engine),
-            trace,
-            log,
-        )),
-    }
-}
-
-/// SNS class populations of a classified list: `(desirable, acceptable,
-/// constraint)`.
-fn census_of(ordered: &[ScoredOffer]) -> (u64, u64, u64) {
-    let (mut d, mut a, mut c) = (0u64, 0u64, 0u64);
-    for scored in ordered {
-        match scored.sns {
-            StaticNegotiationStatus::Desirable => d += 1,
-            StaticNegotiationStatus::Acceptable => a += 1,
-            StaticNegotiationStatus::Constraint => c += 1,
-        }
-    }
-    (d, a, c)
-}
-
-/// Emit the classification counters (`negotiation.offers.classified` and
-/// the per-class `negotiation.sns`) when a recorder is attached.
-fn emit_classified_counters(ctx: &NegotiationContext<'_>, total: usize, census: (u64, u64, u64)) {
-    if let Some(rec) = ctx.recorder {
-        rec.counter("negotiation.offers.classified", total as u64);
-        for (class, n) in [
-            ("DESIRABLE", census.0),
-            ("ACCEPTABLE", census.1),
-            ("CONSTRAINT", census.2),
-        ] {
-            if n > 0 {
-                rec.counter_with("negotiation.sns", &[("class", class)], n);
-            }
+        PreparedInner::Early(outcome) => Ok(Prepared::Early(finish_early(outcome, log))),
+        PreparedInner::Engine(engine, keep, trace) => {
+            let ranked = rank_offers(ctx, None, engine, keep.as_deref(), log.as_deref_mut());
+            Ok(Prepared::Offers(ranked, trace, log))
         }
     }
 }
 
-/// Materialize and sort the engine's full offer list under a `classify`
-/// span, with the usual classification counters.
-fn classify_engine(
+/// Attach the decision log (when explain is on) to an early outcome.
+fn finish_early(
+    mut outcome: Box<NegotiationOutcome>,
+    log: Option<Box<DecisionLog>>,
+) -> Box<NegotiationOutcome> {
+    if let Some(mut l) = log {
+        l.status = Some(outcome.status);
+        outcome.decisions = Some(l);
+    }
+    outcome
+}
+
+/// Steps 3–4 proper: rank the engine's product (minus pruned ranks) under
+/// a `classify` span, emit `negotiation.offers.classified` and the
+/// per-class `negotiation.sns` counters when a recorder is attached, and
+/// — with explain on — record the top-k score rows.
+fn rank_offers(
     ctx: &NegotiationContext<'_>,
     parent: Option<&Span>,
-    engine: &OfferEngine,
-) -> Vec<ScoredOffer> {
+    engine: OfferEngine,
+    keep: Option<&[bool]>,
+    log: Option<&mut DecisionLog>,
+) -> RankedOffers {
     let span = stage_span(ctx, parent, "classify");
-    let ordered = engine.classify_all();
+    let ranked = RankedOffers::new(engine, keep);
     if let Some(span) = span {
         span.end();
     }
-    emit_classified_counters(ctx, ordered.len(), census_of(&ordered));
-    ordered
+    if let Some(rec) = ctx.recorder {
+        emit_classified_counters(rec, ranked.len(), ranked.sns_census());
+    }
+    if let Some(l) = log {
+        l.record_scores(&ranked);
+    }
+    ranked
 }
 
-/// [`prepare`] with stage spans parented under `parent` (the `negotiate`
-/// span) when tracing is active, keeping classification lazy when pruning
-/// is off.
+/// Emit the classification counters (`negotiation.offers.classified` and
+/// the per-class `negotiation.sns`).
+fn emit_classified_counters(rec: &Recorder, total: usize, census: (u64, u64, u64)) {
+    rec.counter("negotiation.offers.classified", total as u64);
+    for (class, n) in [
+        ("DESIRABLE", census.0),
+        ("ACCEPTABLE", census.1),
+        ("CONSTRAINT", census.2),
+    ] {
+        if n > 0 {
+            rec.counter_with("negotiation.sns", &[("class", class)], n);
+        }
+    }
+}
+
+/// Steps 1–2 and the engine build, with stage spans parented under
+/// `parent` (the `negotiate` span) when tracing is active; ordering is left
+/// to the caller.
 fn prepare_inner(
     ctx: &NegotiationContext<'_>,
     client: &ClientMachine,
@@ -424,7 +421,7 @@ fn prepare_inner(
             let feasible: Vec<&Variant> = variants
                 .into_iter()
                 .filter(|v| client.feasible(v))
-                .filter(|v| ctx.network.path(client.id, v.server).is_ok())
+                .filter(|v| ctx.network.reachable(client.id, v.server))
                 .collect();
             (mono, feasible)
         })
@@ -490,17 +487,15 @@ fn prepare_inner(
 
     // The prune span is opened even when pruning is disabled so that every
     // instrumented negotiation contributes to `span.prune.ms` (a near-zero
-    // sample documents that the stage was skipped). Pruning needs the
-    // materialized offers, so it forces the eager path.
+    // sample documents that the stage was skipped). Dominance is judged on
+    // the materialized offers; what survives is a keep-mask over ranks.
     let span_prune = stage_span(ctx, parent, "prune");
-    let pruned_offers: Option<Vec<SystemOffer>> =
+    let keep: Option<Vec<bool>> =
         if ctx.prune_dominated && crate::prune::importance_is_monotone(&profile.importance) {
-            let (survivors, pruned) = match log.as_deref_mut() {
-                Some(l) => crate::prune::prune_dominated_explained(engine.offers(), &mut l.pruned),
-                None => crate::prune::prune_dominated(engine.offers()),
-            };
-            trace.offers_pruned = pruned;
-            Some(survivors)
+            let records = log.as_deref_mut().map(|l| &mut l.pruned);
+            let keep = crate::prune::keep_mask(&engine.offers(), records);
+            trace.offers_pruned = keep.iter().filter(|&&k| !k).count();
+            Some(keep)
         } else {
             None
         };
@@ -510,38 +505,11 @@ fn prepare_inner(
     if let Some(rec) = ctx.recorder {
         rec.counter("negotiation.offers.pruned", trace.offers_pruned as u64);
     }
-    if let Some(l) = log.as_deref_mut() {
+    if let Some(l) = log {
         l.feasible_variants = trace.feasible_variants as u64;
         l.offers_enumerated = trace.offers_enumerated as u64;
     }
-
-    match pruned_offers {
-        Some(offers) => {
-            let span_classify = stage_span(ctx, parent, "classify");
-            let ordered = classify(offers, profile, ctx.strategy);
-            if let Some(span) = span_classify {
-                span.end();
-            }
-            emit_classified_counters(ctx, ordered.len(), census_of(&ordered));
-            if let Some(l) = log {
-                l.record_scores(&ordered, ctx.cost_model, ctx.guarantee);
-            }
-            Ok(PreparedInner::Offers(ordered, trace))
-        }
-        // Explain needs the materialized top-k now, so it forces the eager
-        // classification the streaming path would otherwise defer. Both
-        // paths produce identical outcomes (the streaming-equivalence
-        // tests pin that), so explain changes what is *recorded*, never
-        // what is decided.
-        None if ctx.explain => {
-            let ordered = classify_engine(ctx, parent, &engine);
-            if let Some(l) = log {
-                l.record_scores(&ordered, ctx.cost_model, ctx.guarantee);
-            }
-            Ok(PreparedInner::Offers(ordered, trace))
-        }
-        None => Ok(PreparedInner::Engine(Box::new(engine), trace)),
-    }
+    Ok(PreparedInner::Engine(engine, keep, trace))
 }
 
 /// Run steps 1–5 for `client` requesting `document` under `profile` — the
@@ -578,37 +546,29 @@ fn negotiate_steps(
     root: Option<&Span>,
 ) -> Result<NegotiationOutcome, NegotiationError> {
     let mut log: Option<Box<DecisionLog>> = ctx.explain.then(Box::default);
-    let (ordered, trace) =
+    let (engine, keep, trace) =
         match prepare_inner(ctx, client, document, profile, root, log.as_deref_mut())? {
-            PreparedInner::Early(mut outcome) => {
-                if let Some(mut l) = log {
-                    l.status = Some(outcome.status);
-                    outcome.decisions = Some(l);
-                }
-                return Ok(*outcome);
-            }
-            PreparedInner::Offers(ordered, trace) => (ordered, trace),
-            PreparedInner::Engine(engine, trace) => {
-                // Unreachable with explain on: prepare_inner classified
-                // eagerly, so `log` is always threaded through the walk.
-                if ctx.streaming == StreamingMode::Auto && engine.streaming_supported() {
-                    return Ok(negotiate_streaming(
-                        ctx, client, profile, root, *engine, trace,
-                    ));
-                }
-                (classify_engine(ctx, root, &engine), trace)
-            }
+            PreparedInner::Early(outcome) => return Ok(*finish_early(outcome, log)),
+            PreparedInner::Engine(engine, keep, trace) => (engine, keep, trace),
         };
-
-    // ---- Step 5 (eager): walk the full reservation order ----------------
-    let order = reservation_order(&ordered);
-    Ok(commit_ordered(
+    // Pruning thins the list and explain needs its top-k rows, so both walk
+    // the ranked list, as do wide documents and `StreamingMode::Off`.
+    if keep.is_none()
+        && log.is_none()
+        && ctx.streaming == StreamingMode::Auto
+        && engine.streaming_supported()
+    {
+        return Ok(negotiate_streaming(
+            ctx, client, profile, root, engine, trace,
+        ));
+    }
+    let ranked = rank_offers(ctx, root, engine, keep.as_deref(), log.as_deref_mut());
+    Ok(commit_ranked(
         ctx,
         client,
         profile,
         root,
-        ordered,
-        &order,
+        ranked,
         0,
         Vec::new(),
         trace,
@@ -663,7 +623,7 @@ impl RefusalCensus {
 /// stream and try to commit each, paying only for the attempted prefix.
 /// On success the classified list stays deferred (the outcome carries the
 /// engine); after [`STREAM_FALLBACK_ATTEMPTS`] refusals — or when the
-/// stream runs dry — the remaining walk happens on the materialized list.
+/// stream runs dry — the remaining walk happens on the ranked list.
 fn negotiate_streaming(
     ctx: &NegotiationContext<'_>,
     client: &ClientMachine,
@@ -672,12 +632,12 @@ fn negotiate_streaming(
     engine: OfferEngine,
     mut trace: NegotiationTrace,
 ) -> NegotiationOutcome {
-    // The classify stage becomes stream setup; when instrumented, an
-    // allocation-free census keeps the per-class `negotiation.sns`
-    // counters identical to what the eager sort would have emitted.
+    // The classify stage becomes stream setup; when instrumented, a
+    // sort-free census keeps the per-class `negotiation.sns` counters
+    // identical to what ranking would have emitted.
     let span_classify = stage_span(ctx, root, "classify");
-    if ctx.recorder.is_some() {
-        emit_classified_counters(ctx, engine.total(), engine.sns_census());
+    if let Some(rec) = ctx.recorder {
+        emit_classified_counters(rec, engine.total(), engine.sns_census());
     }
     let mut stream = engine.reservation_stream();
     if let Some(span) = span_classify {
@@ -758,7 +718,7 @@ fn negotiate_streaming(
         };
     }
 
-    // No commit in the streamed prefix: materialize the full list. The
+    // No commit in the streamed prefix: rank the whole product. The
     // streamed attempts are exactly the first entries of the reservation
     // order, so their diagnostics map positionally; the walk resumes where
     // the stream stopped (or ends immediately when it ran dry).
@@ -768,33 +728,31 @@ fn negotiate_streaming(
             rec.counter("negotiation.stream.fallback", 1);
         }
     }
-    let ordered = engine.classify_all();
-    let order = reservation_order(&ordered);
+    let ranked = RankedOffers::new(engine, None);
     let attempted = stream_failures.len();
-    let failures: Vec<(usize, CommitFailure)> = order
-        .iter()
+    let failures: Vec<(usize, CommitFailure)> = ranked
+        .reservation_order()
         .zip(stream_failures)
-        .map(|(&idx, (combo, reason))| {
-            debug_assert_eq!(ordered[idx].offer.cost, combo.cost);
-            debug_assert_eq!(ordered[idx].oif.to_bits(), combo.oif.to_bits());
+        .map(|(idx, (combo, reason))| {
+            debug_assert_eq!(ranked.entries()[idx].rank, combo.rank);
             (idx, reason)
         })
         .collect();
-    commit_ordered(
-        ctx, client, profile, root, ordered, &order, attempted, failures, trace, None,
+    commit_ranked(
+        ctx, client, profile, root, ranked, attempted, failures, trace, None,
     )
 }
 
-/// The eager step-5 walk: try to commit `ordered[order[start_at..]]` in
-/// turn, carrying over diagnostics from any attempts already made.
+/// The step-5 walk over the ranked list: materialize and try to commit the
+/// offers of its reservation order from position `start_at` on, carrying
+/// over diagnostics from any attempts already made.
 #[allow(clippy::too_many_arguments)]
-fn commit_ordered(
+fn commit_ranked(
     ctx: &NegotiationContext<'_>,
     client: &ClientMachine,
     profile: &UserProfile,
     root: Option<&Span>,
-    ordered: Vec<ScoredOffer>,
-    order: &[usize],
+    ranked: RankedOffers,
     start_at: usize,
     mut failures: Vec<(usize, CommitFailure)>,
     mut trace: NegotiationTrace,
@@ -804,15 +762,11 @@ fn commit_ordered(
     // per-candidate refusal points inside it carry the verdicts.
     let span_commit = stage_span(ctx, root, "commit");
     let mut census = RefusalCensus::default();
-    let mut committed: Option<(usize, SessionReservation)> = None;
-    for &idx in &order[start_at..] {
+    let mut committed: Option<(usize, ScoredOffer, SessionReservation)> = None;
+    for idx in ranked.reservation_order().skip(start_at) {
         trace.reservation_attempts += 1;
-        match try_commit_refusal(
-            ctx,
-            client,
-            &ordered[idx].offer,
-            profile.time.max_startup_ms,
-        ) {
+        let scored = ranked.materialize(idx);
+        match try_commit_refusal(ctx, client, &scored.offer, profile.time.max_startup_ms) {
             Err(refusal) => {
                 if ctx.recorder.is_some() {
                     census.attempt(Some(&refusal.failure));
@@ -821,13 +775,12 @@ fn commit_ordered(
                     l.refusals.push(refusal.record(idx));
                 }
                 failures.push((idx, refusal.failure));
-                continue;
             }
             Ok(reservation) => {
                 if ctx.recorder.is_some() {
                     census.attempt(None);
                 }
-                committed = Some((idx, reservation));
+                committed = Some((idx, scored, reservation));
                 break;
             }
         }
@@ -839,42 +792,28 @@ fn commit_ordered(
         span.end();
     }
 
-    if let Some((idx, reservation)) = committed {
-        let status = if ordered[idx].satisfies_request {
-            NegotiationStatus::Succeeded
-        } else {
-            NegotiationStatus::FailedWithOffer
-        };
-        if let Some(l) = decisions.as_deref_mut() {
-            l.mark_chosen(idx, &ordered[idx], ctx.cost_model, ctx.guarantee);
-            l.status = Some(status);
-        }
-        let user_offer = ordered[idx].offer.to_user_offer();
-        let reserved_offer = Some(ordered[idx].clone());
-        return NegotiationOutcome {
-            status,
-            user_offer: Some(user_offer),
-            reserved_index: Some(idx),
-            reservation: Some(reservation),
-            reserved_offer,
-            ordered_offers: OfferList::from_vec(ordered),
-            local_offer: None,
-            commit_failures: failures,
-            trace,
-            decisions,
-        };
-    }
-
+    let status = match &committed {
+        Some((_, scored, _)) if scored.satisfies_request => NegotiationStatus::Succeeded,
+        Some(_) => NegotiationStatus::FailedWithOffer,
+        None => NegotiationStatus::FailedTryLater,
+    };
     if let Some(l) = decisions.as_deref_mut() {
-        l.status = Some(NegotiationStatus::FailedTryLater);
+        if let Some((idx, ..)) = committed {
+            l.mark_chosen(&ranked, idx);
+        }
+        l.status = Some(status);
     }
+    let (reserved_index, reserved_offer, reservation) = match committed {
+        Some((idx, scored, reservation)) => (Some(idx), Some(scored), Some(reservation)),
+        None => (None, None, None),
+    };
     NegotiationOutcome {
-        status: NegotiationStatus::FailedTryLater,
-        user_offer: None,
-        reserved_index: None,
-        reservation: None,
-        reserved_offer: None,
-        ordered_offers: OfferList::from_vec(ordered),
+        status,
+        user_offer: reserved_offer.as_ref().map(|s| s.offer.to_user_offer()),
+        reserved_index,
+        reservation,
+        reserved_offer,
+        ordered_offers: OfferList::ranked(ranked),
         local_offer: None,
         commit_failures: failures,
         trace,
@@ -890,25 +829,24 @@ fn commit_ordered(
 /// broker's deterministic threaded mode is built on: [`prepare`] reads only
 /// the catalog and static topology, so it can run on many sessions in
 /// parallel, while these walks — the only part that touches live farm and
-/// network capacity — are serialized in session order. A refused walk
-/// returns the classified list in `ordered_offers`
-/// ([`OfferList::into_vec`]), so retries re-walk without re-preparing.
+/// network capacity — are serialized in session order. Only the attempted
+/// offers are materialized; the outcome's `ordered_offers` keeps the ranked
+/// list deferred. A refused session's retry prepares again (the broker
+/// does not carry the list across attempts).
 pub fn commit_prepared(
     ctx: &NegotiationContext<'_>,
     client: &ClientMachine,
     profile: &UserProfile,
-    ordered: Vec<ScoredOffer>,
+    ordered: RankedOffers,
     trace: NegotiationTrace,
     decisions: Option<Box<DecisionLog>>,
 ) -> NegotiationOutcome {
-    let order = reservation_order(&ordered);
-    let outcome = commit_ordered(
+    let outcome = commit_ranked(
         ctx,
         client,
         profile,
         None,
         ordered,
-        &order,
         0,
         Vec::new(),
         trace,

@@ -240,9 +240,10 @@ impl OfferSet {
 /// combinations; the cap exists to surface pathological catalogs rather
 /// than silently truncating (the caller can raise it).
 ///
-/// This is the ref-vector view kept for API compatibility; the negotiation
-/// pipeline itself runs on the flat [`OfferSet`] arena (via
-/// [`crate::engine::OfferEngine`]) and never builds the nested vectors.
+/// This is the paper-literal ref-vector view, kept as a reference for
+/// tests; the negotiation pipeline itself scores combinations from
+/// [`crate::engine::OfferEngine`]'s per-variant partials and never builds
+/// the nested vectors.
 pub fn enumerate_combinations<'a>(
     per_mono: &[(MonomediaId, Vec<&'a Variant>)],
     cap: usize,

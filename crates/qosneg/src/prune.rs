@@ -2,10 +2,11 @@
 //!
 //! Offer enumeration is a cartesian product; most of it is chaff. An offer
 //! **A dominates B** when A's QoS meets B's componentwise *and* A costs no
-//! more. Under a *monotone* importance profile (better parameter values
-//! never carry lower importance — true of the defaults and of any profile
-//! a rational GUI produces), a dominated offer can never precede its
-//! dominator in the classification:
+//! more (a language-neutral track ranks above any specific language, see
+//! `covers`). Under a *monotone* importance profile (better parameter
+//! values never carry lower importance — true of the defaults and of any
+//! profile a rational GUI produces), a dominated offer can never precede
+//! its dominator in the classification:
 //!
 //! * SNS: A meets whatever B meets, and `A.cost ≤ B.cost`, so
 //!   `SNS(A) ≤ SNS(B)` and `satisfies_request(A) ≥ satisfies_request(B)`;
@@ -19,7 +20,7 @@
 //! the paper's exact fallback semantics keep the full set; the ablation
 //! bench (B7) measures what pruning buys when enabled.
 
-use nod_mmdoc::MediaQos;
+use nod_mmdoc::{Language, MediaQos};
 
 use crate::explain::PruneRecord;
 use crate::importance::ImportanceProfile;
@@ -37,6 +38,26 @@ pub fn importance_is_monotone(imp: &ImportanceProfile) -> bool {
         && curve_monotone(imp.resolution.anchors())
 }
 
+/// Is QoS `a` at least as good as `b` under *every* requirement `b` could
+/// satisfy? [`MediaQos::meets`], except for track languages: `meets`
+/// treats `Language::Any` as a wildcard on both sides, which is right for
+/// a requirement but not between two *offered* tracks — a French track
+/// would "meet" a language-neutral one although only the neutral track
+/// satisfies an English request. Here a language-neutral track is the top
+/// of the language order: `a` covers `b` when their languages are equal or
+/// `a` is neutral. That makes the relation — and with it dominance —
+/// transitive, which the front-only sweep below relies on.
+fn covers(a: &MediaQos, b: &MediaQos) -> bool {
+    let language = |a: Language, b: Language| a == b || a == Language::Any;
+    match (a, b) {
+        (MediaQos::Audio(a), MediaQos::Audio(b)) => {
+            a.quality >= b.quality && language(a.language, b.language)
+        }
+        (MediaQos::Text(a), MediaQos::Text(b)) => language(a.language, b.language),
+        _ => a.meets(b),
+    }
+}
+
 /// Does offer `a` dominate offer `b`? Requires the offers to cover the
 /// same components in the same order (true for enumeration output).
 pub fn dominates(a: &SystemOffer, b: &SystemOffer) -> bool {
@@ -47,7 +68,7 @@ pub fn dominates(a: &SystemOffer, b: &SystemOffer) -> bool {
         .variants
         .iter()
         .zip(&b.variants)
-        .all(|(va, vb)| va.monomedia == vb.monomedia && va.qos.meets(&vb.qos));
+        .all(|(va, vb)| va.monomedia == vb.monomedia && covers(&va.qos, &vb.qos));
     if !component_wise {
         return false;
     }
@@ -56,7 +77,7 @@ pub fn dominates(a: &SystemOffer, b: &SystemOffer) -> bool {
         || a.variants
             .iter()
             .zip(&b.variants)
-            .any(|(va, vb)| va.qos != vb.qos && !vb.qos.meets(&va.qos))
+            .any(|(va, vb)| !covers(&vb.qos, &va.qos))
 }
 
 /// Remove offers dominated by another offer in the set. Returns the
@@ -72,31 +93,27 @@ pub fn dominates(a: &SystemOffer, b: &SystemOffer) -> bool {
 /// offers incomparable) is still quadratic, but on enumeration output the
 /// front stays small and dominated offers exit at the first hit.
 pub fn prune_dominated(offers: Vec<SystemOffer>) -> (Vec<SystemOffer>, usize) {
-    prune_sweep(offers, None)
+    let keep = keep_mask(&offers, None);
+    let before = offers.len();
+    let survivors: Vec<SystemOffer> = offers
+        .into_iter()
+        .zip(keep)
+        .filter_map(|(offer, k)| k.then_some(offer))
+        .collect();
+    let pruned = before - survivors.len();
+    (survivors, pruned)
 }
 
-/// [`prune_dominated`] that also records, for every pruned offer, the
-/// first dominating offer the sweep found (in the same check order the
-/// plain sweep short-circuits on, so the survivor set is identical).
-/// Records are appended in sweep (cost) order.
-pub fn prune_dominated_explained(
-    offers: Vec<SystemOffer>,
-    records: &mut Vec<PruneRecord>,
-) -> (Vec<SystemOffer>, usize) {
-    prune_sweep(offers, Some(records))
-}
-
-fn prune_sweep(
-    offers: Vec<SystemOffer>,
-    mut records: Option<&mut Vec<PruneRecord>>,
-) -> (Vec<SystemOffer>, usize) {
+/// The sweep itself: `keep[i]` is false iff `offers[i]` is dominated by
+/// another offer of the set. Negotiation applies the mask to the engine's
+/// enumeration ranks instead of thinning a materialized list. With
+/// `records`, every pruned offer is logged with the first dominating offer
+/// the sweep found, in sweep (cost) order.
+pub fn keep_mask(offers: &[SystemOffer], mut records: Option<&mut Vec<PruneRecord>>) -> Vec<bool> {
     let n = offers.len();
-    if n <= 1 {
-        return (offers, 0);
-    }
+    let mut keep = vec![true; n];
     let mut by_cost: Vec<usize> = (0..n).collect();
     by_cost.sort_by_key(|&i| offers[i].cost); // stable: ties keep input order
-    let mut keep = vec![true; n];
     let mut front: Vec<usize> = Vec::new();
     let mut run_start = 0;
     while run_start < by_cost.len() {
@@ -136,16 +153,7 @@ fn prune_sweep(
         front.extend(run.iter().copied().filter(|&i| keep[i]));
         run_start = run_end;
     }
-    let mut survivors = Vec::with_capacity(n);
-    let mut pruned = 0;
-    for (offer, k) in offers.into_iter().zip(keep) {
-        if k {
-            survivors.push(offer);
-        } else {
-            pruned += 1;
-        }
-    }
-    (survivors, pruned)
+    keep
 }
 
 /// QoS values of an offer (helper for tests).
@@ -355,12 +363,11 @@ mod tests {
                 .iter()
                 .map(|o| (o.variants[0].id.0, o.clone()))
                 .collect();
-            let (plain, plain_pruned) = prune_dominated(offers.clone());
             let mut records = Vec::new();
-            let (explained, explained_pruned) = prune_dominated_explained(offers, &mut records);
-            assert_eq!(plain, explained, "round {round}: survivor sets differ");
-            assert_eq!(plain_pruned, explained_pruned);
-            assert_eq!(records.len(), explained_pruned, "one record per victim");
+            let explained = keep_mask(&offers, Some(&mut records));
+            assert_eq!(keep_mask(&offers, None), explained, "round {round}");
+            let pruned = explained.iter().filter(|&&k| !k).count();
+            assert_eq!(records.len(), pruned, "one record per victim");
             for rec in &records {
                 let victim = &by_id[&rec.victim_variants[0]];
                 let dominator = &by_id[&rec.dominator_variants[0]];

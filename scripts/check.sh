@@ -21,9 +21,9 @@ cargo test --workspace -q
 # --explain-check additionally replays each scenario with explanations on
 # and asserts the decision log cites exactly the refusal kinds, score
 # decomposition and pruning victims the reference observed.
-echo "==> conformance oracle (run_oracle --cases \${NOD_ORACLE_CASES:-256} --seed 7 --explain-check)"
+echo "==> conformance oracle (run_oracle --cases \${NOD_ORACLE_CASES:-4096} --seed 7 --explain-check)"
 cargo run -q --release -p nod-oracle --bin run_oracle -- \
-    --cases "${NOD_ORACLE_CASES:-256}" --seed 7 --explain-check
+    --cases "${NOD_ORACLE_CASES:-4096}" --seed 7 --explain-check
 
 # Non-gating bench smoke: the fast-mode snapshot only has to *run* (panics
 # and build errors fail the check); the numbers themselves are not gated.
@@ -104,5 +104,13 @@ test -s "$trace_tmp/run.nodj"
 recover_out="$(cargo run -q --release -p nod-bench --bin run_contended -- \
     "${recover_flags[@]}" --recover)"
 grep -q "recovery verified" <<< "$recover_out"
+
+# Benchmark smoke (gating): `benchmark/` is a standalone package outside
+# the workspace, so nothing above compiles it — a qosneg/broker API change
+# could break the repo's benchmark silently. Build it and run every
+# workload at 1/50 size: leak checks, fate sums, and the
+# steady/sharded/observed outcome-digest equality (~10 s).
+echo "==> benchmark smoke (benchmark/ run --smoke)"
+cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- run --smoke
 
 echo "All checks passed."

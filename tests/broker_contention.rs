@@ -359,6 +359,67 @@ fn outcome_log_is_byte_identical_across_worker_counts() {
 }
 
 #[test]
+fn refused_then_admitted_session_reports_the_same_events_at_one_and_two_workers() {
+    // Every attempt prepares afresh — a retry's ranked list is built by
+    // whichever shard prefetched it — so a session that is refused and
+    // then admitted on a later attempt must tell the same story whether
+    // the coordinator or a prepare shard ranked its offers.
+    let clients = clients();
+    let profile = tv_news_profile();
+    let specs: Vec<SessionSpec<'_>> = (0..64u64)
+        .map(|i| SessionSpec {
+            client: &clients[(i % CLIENTS) as usize],
+            document: DocumentId(i % 8 + 1),
+            profile: &profile,
+            arrival_ms: i * 250,
+            hold_ms: Some(8_000),
+        })
+        .collect();
+    let run = |workers: usize| {
+        let w = world(900);
+        let config = BrokerConfig {
+            retry: RetryPolicy {
+                max_attempts: 10,
+                ..RetryPolicy::era_default()
+            },
+            ..BrokerConfig::era_default()
+        };
+        let report = Broker::new(ctx(&w), config).drive(&FleetSpec::new(&specs).workers(workers));
+        assert_eq!(report.leaked_streams, 0);
+        assert_drained(&w);
+        report
+    };
+    let (one, two) = (run(1), run(2));
+    let retried_in = one
+        .results
+        .iter()
+        .position(|r| matches!(r.fate, SessionFate::Admitted { .. }) && r.attempts > 1)
+        .expect("the burst must refuse a session that a retry then admits");
+    let story = |events: &[news_on_demand::broker::OutcomeEvent]| -> Vec<_> {
+        (events.iter().filter(|e| e.session == retried_in))
+            .cloned()
+            .collect()
+    };
+    let events = story(&one.events);
+    assert!(
+        matches!(
+            events[0].kind,
+            OutcomeKind::RetryScheduled { attempt: 1, .. }
+        ),
+        "{events:?}"
+    );
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e.kind, OutcomeKind::Admitted { attempt, .. } if attempt > 1)),
+        "{events:?}"
+    );
+    assert_eq!(events, story(&two.events));
+    assert_eq!(one.events, two.events, "1 vs 2 workers diverged");
+    assert_eq!(one.results, two.results);
+}
+
+#[test]
 fn slab_recycling_keeps_peak_live_at_the_concurrent_overlap() {
     let w = world(960);
     let clients = clients();
