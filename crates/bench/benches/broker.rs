@@ -12,13 +12,13 @@ use std::hint::black_box;
 
 use nod_bench::micro::Micro;
 use nod_bench::World;
-use nod_broker::{Broker, BrokerConfig, EventRetention, FleetSpec, SessionSpec};
+use nod_broker::{Broker, BrokerConfig, FleetSpec, SessionSpec};
 use nod_client::ClientMachine;
 use nod_cmfs::Guarantee;
 use nod_mmdoc::{ClientId, DocumentId};
 use nod_qosneg::negotiate::{NegotiationContext, StreamingMode};
 use nod_qosneg::profile::tv_news_profile;
-use nod_qosneg::{ClassificationStrategy, RetryPolicy};
+use nod_qosneg::ClassificationStrategy;
 use nod_workload::{run_contended, ContendedConfig};
 
 fn ctx(w: &World) -> NegotiationContext<'_> {
@@ -90,48 +90,6 @@ fn main() {
     m.metric("b9_retries", r.retries as f64);
     m.metric("b9_starved", r.starved as f64);
     m.metric("b9_leaked_streams", r.leaked_streams as f64);
-
-    // Real-thread stress smoke: 32 sessions with 4 worker shards
-    // prefetching prepares; records what got through and that nothing
-    // leaked.
-    {
-        let w = nod_bench::standard_world(10, 8, 2, 4);
-        let cx = ctx(&w);
-        let clients: Vec<ClientMachine> = (0..4)
-            .map(|i| ClientMachine::era_workstation(ClientId(i)))
-            .collect();
-        let profile = tv_news_profile();
-        let specs: Vec<SessionSpec<'_>> = (0..32u64)
-            .map(|i| SessionSpec {
-                client: &clients[(i % 4) as usize],
-                document: DocumentId(i % 8 + 1),
-                profile: &profile,
-                arrival_ms: 0,
-                hold_ms: None,
-            })
-            .collect();
-        let broker = Broker::new(
-            cx,
-            BrokerConfig {
-                retry: RetryPolicy {
-                    max_attempts: 3,
-                    ..RetryPolicy::era_default()
-                },
-                ..BrokerConfig::era_default()
-            },
-        );
-        let report = broker.drive(
-            &FleetSpec::new(&specs)
-                .workers(4)
-                .retention(EventRetention::CountsOnly),
-        );
-        assert_eq!(
-            report.leaked_streams, 0,
-            "threaded broker stress leaked capacity"
-        );
-        m.metric("b9_threaded_admitted", report.admitted as f64);
-        m.metric("b9_threaded_leaked", report.leaked_streams as f64);
-    }
 
     m.report();
 }

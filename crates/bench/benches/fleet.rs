@@ -2,38 +2,27 @@
 //!
 //! Drives the metro fleet (see [`nod_bench::MetroFleet`]) through
 //! `Broker::drive` at 1k/10k/100k/1M sessions and reports sessions/sec
-//! and peak RSS per scale. Two contracts gate the sweep:
-//!
-//! * **Deterministic merge**: at the identity scale (10k fast / 100k
-//!   full) the same fleet is driven at 1, 2 and 8 workers with full
-//!   event retention, and the outcome logs must be byte-identical —
-//!   worker shards may only change wall-clock, never the story.
-//! * **Bounded memory**: every scale must drain with zero leaked
-//!   reservations, and the top scale runs under windowed retention so
-//!   live memory tracks peak *concurrent* sessions (the slab arena),
-//!   not the offered total — that is what lets 1M sessions fit in a few
-//!   hundred MB.
+//! and peak RSS per scale. One contract gates the sweep — **bounded
+//! memory**: every scale must drain with zero leaked reservations, and
+//! the top scale runs under windowed retention so live memory tracks
+//! peak *concurrent* sessions (the slab arena), not the offered total —
+//! that is what lets 1M sessions fit in a few hundred MB. (Outcome-log
+//! determinism is gated by `tests/broker_contention.rs` and by the
+//! `benchmark/` smoke's digest checks.)
 //!
 //! `NOD_BENCH_FAST=1` caps the sweep at 10k sessions for CI; the full
-//! sweep (about four minutes of driving, single-core) is for
-//! publication numbers. Peak RSS is a process-lifetime high-water mark,
-//! so scales run smallest-first and each scale's reading is attributable
-//! to it.
-//!
-//! On a single-core host the worker axis cannot shorten wall-clock —
-//! the 8-worker rows measure coordination overhead, and the merge
-//! assert is what the axis is for. On multicore, prepare (steps 1–4,
-//! the bulk of per-session CPU) fans out across the shards.
+//! sweep is for publication numbers. Peak RSS is a process-lifetime
+//! high-water mark, so scales run smallest-first and each scale's
+//! reading is attributable to it.
 
 use nod_bench::micro::Micro;
 use nod_bench::{peak_rss_kb, MetroFleet};
-use nod_broker::{Broker, BrokerConfig, BrokerReport, EventRetention, FleetSpec};
+use nod_broker::{Broker, BrokerConfig, EventRetention, FleetSpec};
 use nod_cmfs::Guarantee;
 use nod_qosneg::negotiate::{NegotiationContext, StreamingMode};
 use nod_qosneg::ClassificationStrategy;
 
 const SEED: u64 = 12;
-const WORKERS: usize = 8;
 
 fn ctx(fleet: &MetroFleet) -> NegotiationContext<'_> {
     NegotiationContext {
@@ -53,12 +42,12 @@ fn ctx(fleet: &MetroFleet) -> NegotiationContext<'_> {
 }
 
 /// Drive `sessions` once and fold the throughput row into the metrics.
-fn sweep_scale(m: &mut Micro, sessions: usize, retention: EventRetention) -> BrokerReport {
+fn sweep_scale(m: &mut Micro, sessions: usize, retention: EventRetention) {
     let fleet = MetroFleet::build(SEED, sessions);
     let specs = fleet.specs();
     let broker = Broker::new(ctx(&fleet), BrokerConfig::era_default());
     let t0 = std::time::Instant::now();
-    let report = broker.drive(&FleetSpec::new(&specs).workers(WORKERS).retention(retention));
+    let report = broker.drive(&FleetSpec::new(&specs).retention(retention));
     let wall = t0.elapsed();
     assert_eq!(
         report.leaked_streams, 0,
@@ -80,34 +69,6 @@ fn sweep_scale(m: &mut Micro, sessions: usize, retention: EventRetention) -> Bro
     if let Some(kb) = peak_rss_kb() {
         m.metric(&format!("{prefix}/peak_rss_mb"), kb as f64 / 1024.0);
     }
-    report
-}
-
-/// Drive the identity scale at 1/2/8 workers with the full event log and
-/// assert the logs are byte-identical.
-fn assert_identity(m: &mut Micro, sessions: usize) {
-    let fleet = MetroFleet::build(SEED, sessions);
-    let specs = fleet.specs();
-    let broker = Broker::new(ctx(&fleet), BrokerConfig::era_default());
-    let mut baseline: Option<BrokerReport> = None;
-    for workers in [1usize, 2, 8] {
-        let report = broker.drive(&FleetSpec::new(&specs).workers(workers));
-        assert_eq!(report.leaked_streams, 0);
-        match &baseline {
-            None => baseline = Some(report),
-            Some(b) => {
-                assert_eq!(
-                    b.events, report.events,
-                    "B12: outcome log diverged at {workers} workers ({sessions} sessions)"
-                );
-                assert_eq!(b.results, report.results);
-            }
-        }
-    }
-    let events = baseline.expect("three runs").events.len();
-    m.metric("b12_identity/sessions", sessions as f64);
-    m.metric("b12_identity/workers_checked", 3.0);
-    m.metric("b12_identity/events", events as f64);
 }
 
 fn main() {
@@ -135,8 +96,6 @@ fn main() {
     for &(sessions, retention) in scales {
         sweep_scale(&mut m, sessions, retention);
     }
-
-    assert_identity(&mut m, if fast { 10_000 } else { 100_000 });
 
     m.report();
 }

@@ -1,23 +1,21 @@
 //! B11 — fleet telemetry at scale.
 //!
-//! The sharded broker engine (`Broker::drive` with worker shards)
-//! carries the full telemetry stack — per-thread recorder shards,
+//! `Broker::drive` carries the full telemetry stack — recorder,
 //! tail-based trace sampling, SLO-ready counters — and that stack must
-//! hold three promises at fleet size:
+//! hold two promises at fleet size (snapshot determinism is gated by
+//! `nod-workload`'s same-seed test and the recorder's own shard-merge
+//! tests):
 //!
-//! * **Determinism**: the same seed yields a byte-identical merged
-//!   metrics snapshot whether the fleet runs on 1, 2 or 8 worker
-//!   threads (shards merge by sum/max/bucket, never by arrival order).
 //! * **Retention**: the tail sampler keeps 100% of failed sessions and
 //!   exactly the `top_k` slowest, and drops the rest at session end, so
 //!   trace memory is O(retained), not O(sessions).
-//! * **Overhead**: a big threaded contended run with the whole stack
-//!   live stays within ~10% of the identical run with observability
-//!   disabled (`recorder = None`). The ratio is asserted outside
-//!   `NOD_BENCH_FAST` (CI smoke samples are too few to bound noise) and
-//!   always emitted as a metric. Samples are paired — disabled and
-//!   instrumented alternate — so machine-load drift lands on both sides
-//!   equally instead of biasing whichever ran second.
+//! * **Overhead**: a big contended run with the whole stack live stays
+//!   within ~10% of the identical run with observability disabled
+//!   (`recorder = None`). The ratio is asserted outside `NOD_BENCH_FAST`
+//!   (CI smoke samples are too few to bound noise) and always emitted as
+//!   a metric. Samples are paired — disabled and instrumented alternate —
+//!   so machine-load drift lands on both sides equally instead of
+//!   biasing whichever ran second.
 
 use std::collections::BTreeSet;
 
@@ -25,11 +23,8 @@ use nod_bench::micro::Micro;
 use nod_obs::{Recorder, RetentionPolicy, Tracer};
 use nod_workload::{run_contended_with, ContendedConfig};
 
-const WORKERS: usize = 4;
-
-/// The determinism/retention fleet: one server, long holds — heavy
-/// retry pressure, so the ticketed commit order and the tail sampler
-/// are exercised hard.
+/// The retention fleet: one server, long holds — heavy retry pressure,
+/// so the tail sampler is exercised hard.
 fn config(sessions: usize) -> ContendedConfig {
     ContendedConfig {
         seed: 9,
@@ -64,9 +59,9 @@ fn policy() -> RetentionPolicy {
     }
 }
 
-/// Full telemetry stack: sharded recorder + tail-sampling tracer.
-fn instrumented(shards: usize) -> (Recorder, Tracer) {
-    let rec = Recorder::sharded(shards);
+/// Full telemetry stack: recorder + tail-sampling tracer.
+fn instrumented() -> (Recorder, Tracer) {
+    let rec = Recorder::new();
     let tracer = Tracer::with_sampling(policy());
     rec.set_tracer(tracer.clone());
     (rec, tracer)
@@ -76,47 +71,10 @@ fn main() {
     let fast = std::env::var("NOD_BENCH_FAST").is_ok_and(|v| v == "1");
     let mut m = Micro::new();
 
-    // Determinism: same seed, 1/2/8 worker threads, byte-identical
-    // merged snapshots. This is the contract that makes the sharded
-    // recorder a replay unit rather than a best-effort aggregate.
-    let det_cfg = config(if fast { 128 } else { 1_024 });
-    let mut snapshots = Vec::new();
-    for workers in [1usize, 2, 8] {
-        let (rec, _tracer) = instrumented(workers.max(2));
-        let cfg = ContendedConfig {
-            workers,
-            ..det_cfg.clone()
-        };
-        let (result, _) = run_contended_with(&cfg, Some(&rec));
-        snapshots.push((
-            workers,
-            result.admitted,
-            result.leaked_streams,
-            rec.snapshot().to_json_pretty(),
-        ));
-    }
-    let (_, admitted0, leaked0, snap0) = &snapshots[0];
-    for (workers, admitted, leaked, snap) in &snapshots[1..] {
-        assert_eq!(
-            (admitted, leaked),
-            (admitted0, leaked0),
-            "admission outcome diverged at {workers} workers"
-        );
-        assert_eq!(
-            snap, snap0,
-            "merged snapshot diverged from the 1-worker run at {workers} workers"
-        );
-    }
-    m.metric("b11_determinism/threads_checked", 3.0);
-    m.metric("b11_determinism/snapshot_bytes", snap0.len() as f64);
-
     // Retention: run the fleet with tail sampling and audit the
     // sampler's ledger against the broker's admission count.
-    let ret_cfg = ContendedConfig {
-        workers: WORKERS,
-        ..config(if fast { 256 } else { 2_048 })
-    };
-    let (rec, tracer) = instrumented(WORKERS);
+    let ret_cfg = config(if fast { 256 } else { 2_048 });
+    let (rec, tracer) = instrumented();
     let (ret_result, _) = run_contended_with(&ret_cfg, Some(&rec));
     let admitted = ret_result.admitted;
     let stats = tracer
@@ -156,10 +114,7 @@ fn main() {
     // Each pair yields one disabled/instrumented ratio — machine-load
     // drift cancels within a pair — and the asserted statistic is the
     // median of those ratios, so a single noisy pair cannot fail the run.
-    let cfg = ContendedConfig {
-        workers: WORKERS,
-        ..overhead_config(if fast { 512 } else { 10_000 })
-    };
+    let cfg = overhead_config(if fast { 512 } else { 10_000 });
     let run_disabled = || {
         let (result, _) = run_contended_with(&cfg, None);
         std::hint::black_box((result.admitted, result.leaked_streams));
@@ -173,7 +128,7 @@ fn main() {
         let t0 = std::time::Instant::now();
         run_disabled();
         let disabled = t0.elapsed().as_nanos() as f64;
-        let (rec, tracer) = instrumented(WORKERS);
+        let (rec, tracer) = instrumented();
         let t0 = std::time::Instant::now();
         let (result, _) = run_contended_with(&cfg, Some(&rec));
         let telemetry = t0.elapsed().as_nanos() as f64;

@@ -46,7 +46,7 @@ use nod_workload::{
 fn usage() -> ! {
     eprintln!(
         "usage: run_contended [--sessions N] [--servers N] [--clients N] [--seed N] \
-         [--workers N] [--faults N] [--arrivals-per-minute F] [--hold-ms N] [--choice-period MS] \
+         [--faults N] [--arrivals-per-minute F] [--hold-ms N] [--choice-period MS] \
          [--trace-out <path>] [--trace-report] [--chrome-out <path>] [--metrics-out <path>] \
          [--prom-out <path>] [--windows-out <dir>] [--window-ms N] [--slos] [--explain-out <path>] \
          [--journal <path>] [--kill-at-event N] [--recover]"
@@ -91,7 +91,6 @@ fn main() {
             "--servers" => config.servers = parse(&mut it, "--servers"),
             "--clients" => config.clients = parse(&mut it, "--clients"),
             "--seed" => config.seed = parse(&mut it, "--seed"),
-            "--workers" => config.workers = parse(&mut it, "--workers"),
             "--faults" => config.fault_windows = parse(&mut it, "--faults"),
             "--arrivals-per-minute" => {
                 config.arrivals_per_minute = parse(&mut it, "--arrivals-per-minute")

@@ -3,15 +3,13 @@
 //!
 //! ```text
 //! cargo run --release -p nod-bench --bin run_fleet -- \
-//!     --sessions 10000 --workers 8 --assert-merge
+//!     --sessions 10000
 //! ```
 //!
 //! Builds the B12 metro world (see [`nod_bench::MetroFleet`]), drives
 //! every session to a terminal fate, and prints sessions/sec, admission
-//! ratio, peak live sessions and peak RSS. `--assert-merge` re-runs the
-//! same fleet at 1 worker and asserts the outcome logs are byte-identical
-//! — the deterministic-merge contract the CI smoke gates on. Any leaked
-//! stream is fatal.
+//! ratio, peak live sessions and peak RSS. Any leaked stream is fatal —
+//! the zero-leak audit the CI smoke gates on.
 
 use nod_bench::{write_artifact, MetroFleet};
 use nod_broker::{Broker, BrokerConfig, EventRetention, FleetSpec, Journal, JournalConfig};
@@ -23,8 +21,7 @@ use nod_qosneg::ClassificationStrategy;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: run_fleet [--sessions N] [--workers N] [--seed N] [--assert-merge] \
-         [--explain-out <path>] [--journal <path>]"
+        "usage: run_fleet [--sessions N] [--seed N] [--explain-out <path>] [--journal <path>]"
     );
     std::process::exit(2);
 }
@@ -58,18 +55,14 @@ fn ctx(fleet: &MetroFleet) -> NegotiationContext<'_> {
 
 fn main() {
     let mut sessions = 10_000usize;
-    let mut workers = 8usize;
     let mut seed = 12u64;
-    let mut assert_merge = false;
     let mut explain_out: Option<String> = None;
     let mut journal_path: Option<String> = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--sessions" => sessions = parse(&mut it, "--sessions"),
-            "--workers" => workers = parse(&mut it, "--workers"),
             "--seed" => seed = parse(&mut it, "--seed"),
-            "--assert-merge" => assert_merge = true,
             "--explain-out" => explain_out = Some(parse(&mut it, "--explain-out")),
             "--journal" => journal_path = Some(parse(&mut it, "--journal")),
             _ => usage(),
@@ -79,43 +72,29 @@ fn main() {
     let fleet = MetroFleet::build(seed, sessions);
     let specs = fleet.specs();
     println!(
-        "fleet: {} sessions over {} servers, {} workers, seed {}",
+        "fleet: {} sessions over {} servers, seed {}",
         sessions,
         fleet.servers(),
-        workers,
         seed
     );
 
     let broker = Broker::new(ctx(&fleet), BrokerConfig::era_default());
-    let retention = if assert_merge {
-        // Keep the raw log: it is what the merge assert compares.
-        EventRetention::Full
-    } else {
-        EventRetention::WindowsOnly
-    };
     let policy = RetentionPolicy::default();
-    // The journal attaches to the measured run only: a journal records
-    // exactly one run, and the merge assert's sequential rerun is a
-    // fresh drive of the same fleet.
     let journal = journal_path.as_ref().map(|p| {
         Journal::create(p, JournalConfig::default()).unwrap_or_else(|e| {
             eprintln!("error: cannot create journal {p}: {e}");
             std::process::exit(1);
         })
     });
-    let fleet_spec = |workers: usize| {
-        let mut spec = FleetSpec::new(&specs).workers(workers).retention(retention);
-        if explain_out.is_some() {
-            spec = spec.explain(policy);
-        }
-        spec
-    };
-    let mut journaled_spec = fleet_spec(workers);
+    let mut spec = FleetSpec::new(&specs).retention(EventRetention::WindowsOnly);
+    if explain_out.is_some() {
+        spec = spec.explain(policy);
+    }
     if let Some(j) = &journal {
-        journaled_spec = journaled_spec.journal(j);
+        spec = spec.journal(j);
     }
     let t0 = std::time::Instant::now();
-    let report = broker.drive(&journaled_spec);
+    let report = broker.drive(&spec);
     let wall = t0.elapsed();
     if let (Some(path), Some(j)) = (&journal_path, &journal) {
         let s = j.stats();
@@ -144,30 +123,6 @@ fn main() {
             .map(|kb| format!("  peak RSS {:.0} MB", kb as f64 / 1024.0))
             .unwrap_or_default(),
     );
-
-    if assert_merge {
-        let t0 = std::time::Instant::now();
-        let sequential = broker.drive(&fleet_spec(1));
-        let wall1 = t0.elapsed();
-        assert_eq!(
-            sequential.leaked_streams, 0,
-            "sequential run leaked streams"
-        );
-        assert_eq!(
-            report.events, sequential.events,
-            "outcome log diverged between {workers} workers and 1"
-        );
-        assert_eq!(report.results, sequential.results);
-        assert_eq!(
-            report.explains, sequential.explains,
-            "explain data diverged between {workers} workers and 1"
-        );
-        println!(
-            "merge assert OK: {} events byte-identical at {workers} workers vs 1 (sequential {:.2?})",
-            report.events.len(),
-            wall1,
-        );
-    }
 
     if let Some(path) = &explain_out {
         let data = report.explains.clone().expect("explain was requested");

@@ -4,7 +4,7 @@
 //! actually rely on — warmup, repeated timed samples, median-of-samples
 //! reporting, grouped/parameterized functions — and drops the rest. Each
 //! sample times a batch of iterations sized so one batch takes roughly
-//! [`Micro::target_sample`]; per-iteration figures are the batch time
+//! the harness's target sample time; per-iteration figures are the batch time
 //! divided by the batch size. Results print as an aligned table
 //! ([`crate::Table`]) with median/mean/min nanoseconds per iteration, so
 //! bench output stays diffable run-to-run.

@@ -11,33 +11,23 @@
 //! same seed, specs and fault plan replay the identical [`OutcomeEvent`]
 //! sequence bit for bit.
 //!
-//! Scale comes from the prepare/commit split: negotiation steps 1–4
-//! ([`prepare`]) read only the catalog and static topology, so with
-//! [`FleetSpec::workers`] > 1 they are prefetched by a pool of worker
-//! shards (arrivals in arrival order ahead of the clock, same-tick
-//! retries as a batch), while the step-5 commit walks — the only part
-//! that touches live farm/network capacity — stay on the coordinator in
-//! exact event order. Worker-side instrumentation is pinned to each
-//! event's virtual time ([`Recorder::pin_sim_time_us`]), so the outcome
-//! log is byte-identical at every worker count and a sharded
-//! [`Recorder`](nod_obs::Recorder)'s merged snapshot doesn't depend on
-//! the thread count either. For the same uniformity `drive` always takes
-//! the [`prepare`] path — the whole product ranked as plain data, of
-//! which the commit walk materializes only the offers it tries — never
-//! the lazy streaming engine, so the counter stream cannot depend on how
-//! many workers ran. Every attempt, retries included, prepares afresh.
+//! Every attempt, retries included, runs negotiation steps 1–4
+//! ([`prepare`]) and then the step-5 commit walk ([`commit_prepared`])
+//! back to back on the one event loop, in exact event order. `prepare`
+//! reads only the catalog and static topology and ranks the whole offer
+//! product as plain data; the commit walk — the only part that touches
+//! live farm/network capacity — materializes just the offers it tries.
+//! The lazy streaming engine behind [`Session::submit`] is not used here:
+//! EXPERIMENTS.md ("Prefetch pool: measured, deleted") records why each
+//! step-5 walk keeps its own caller.
 //!
 //! With [`FleetSpec::explain`] set, every negotiation additionally
 //! records a [`DecisionLog`](nod_qosneg::DecisionLog); the broker keeps
 //! the full capacity ledger (who held which streams, from when to when)
 //! and tail-retains per-session explanations under the same policy trace
 //! retention uses, so [`BrokerReport::explains`] — and any
-//! `--explain-out` artifact written from it — is byte-identical at every
-//! worker count.
-
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::{Condvar, Mutex, MutexGuard};
+//! `--explain-out` artifact written from it — replays byte for byte with
+//! the outcome log.
 
 use nod_client::ClientMachine;
 use nod_cmfs::{Guarantee, StreamRequirement};
@@ -47,14 +37,12 @@ use nod_obs::{
     HistogramSnapshot, Recorder, SloAlert, SloMonitor, SloSpec, Span, Tracer, ValueHistogram,
 };
 use nod_qosneg::classify::ScoredOffer;
-use nod_qosneg::engine::RankedOffers;
 use nod_qosneg::explain::{
-    AttemptExplain, DecisionLog, ExplainData, LedgerRow, SessionExplain, Settlement, StreamRow,
+    AttemptExplain, ExplainData, LedgerRow, SessionExplain, Settlement, StreamRow,
 };
 use nod_qosneg::mapping::charged_bit_rate;
 use nod_qosneg::negotiate::{
-    commit_prepared, prepare, CommitFailure, NegotiationContext, NegotiationTrace, Prepared,
-    SessionReservation,
+    commit_prepared, prepare, CommitFailure, NegotiationContext, Prepared, SessionReservation,
 };
 use nod_qosneg::{NegotiationStatus, QosError, RetryPolicy, Session, UserProfile};
 use nod_simcore::{EventQueue, SimTime, StreamRng};
@@ -63,8 +51,8 @@ use crate::audit::CapacitySnapshot;
 use crate::fault::{Fault, FaultPlan};
 use crate::fleet::{EventRetention, FleetSpec};
 use crate::journal::{
-    HeaderRecord, Journal, JournalError, SnapEvent, SnapHold, SnapResult, SnapSession,
-    SnapshotState, SpecHasher,
+    HeaderRecord, Journal, JournalError, ParsedJournal, SnapEvent, SnapHold, SnapResult,
+    SnapSession, SnapshotState, SpecHasher,
 };
 use crate::slab::Slab;
 use crate::windows::{FleetWindow, WindowAccumulator};
@@ -289,17 +277,22 @@ pub struct RecoveryReport {
 }
 
 /// Journal replay state during recovery: the journaled post-snapshot
-/// events the engine must regenerate — each asserted byte-equal and
+/// events the engine must regenerate — each checked byte-equal and
 /// suppressed from the new report — before the run goes live.
 struct Replay {
     tail: Vec<OutcomeEvent>,
     cursor: usize,
+    /// Global outcome-log index of `tail[0]`.
+    events_before: u64,
 }
 
-/// What a resumed drive starts from ([`Broker::recover`]).
-struct ResumeState {
-    snapshot: Option<SnapshotState>,
-    tail: Vec<OutcomeEvent>,
+impl Replay {
+    /// The error for a mismatch at the cursor.
+    fn diverged(&self) -> JournalError {
+        JournalError::ReplayDiverged {
+            event: self.events_before + self.cursor as u64,
+        }
+    }
 }
 
 /// Runtime-scheduled events. Fault edges and arrivals are known up front
@@ -339,36 +332,6 @@ struct LiveSession {
 struct SessionAcc {
     attempts: Vec<AttemptExplain>,
     settlement: Option<Settlement>,
-}
-
-/// A prepared negotiation, in the thread-portable shape the prefetch
-/// pool hands back to the coordinator.
-enum Prep {
-    /// Steps 1–4 ended before step 5 (local failure / no feasible offer);
-    /// the terminal status plus — with provenance on — the decision log.
-    Early(NegotiationStatus, Option<Box<DecisionLog>>),
-    /// The classified offers — ranked plain data over their engine — ready
-    /// for a step-5 commit walk, with the prepare-stage decision log when
-    /// provenance is on.
-    Offers(RankedOffers, NegotiationTrace, Option<Box<DecisionLog>>),
-    /// The negotiation itself failed (stringified [`QosError`], matching
-    /// what [`Session::submit`] would have returned).
-    Failed(String),
-}
-
-/// Run steps 1–4 for one spec. Reads only the catalog and static
-/// topology, so the result is independent of in-flight commits — safe to
-/// run on any thread, ahead of the virtual clock. With `explain` set the
-/// returned decision log is a pure function of the spec, so it too is
-/// independent of which worker ran the prepare.
-fn prepare_session(ctx: &NegotiationContext<'_>, spec: &SessionSpec<'_>, explain: bool) -> Prep {
-    let mut ctx = *ctx;
-    ctx.explain = explain;
-    match prepare(&ctx, spec.client, spec.document, spec.profile) {
-        Err(err) => Prep::Failed(QosError::from(err).to_string()),
-        Ok(Prepared::Early(out)) => Prep::Early(out.status, out.decisions),
-        Ok(Prepared::Offers(ordered, trace, decisions)) => Prep::Offers(ordered, trace, decisions),
-    }
 }
 
 /// Classify a FAILEDTRYLATER's commit failures by what the session will
@@ -412,150 +375,6 @@ fn ms_to_us(ms: u64) -> u64 {
         "virtual time {ms} ms overflows the microsecond clock"
     );
     ms.saturating_mul(1_000)
-}
-
-/// How many arrivals each worker keeps prepared ahead of the clock.
-const ARRIVAL_PREFETCH_PER_WORKER: usize = 32;
-
-struct PrefetchJob {
-    session: u32,
-    /// The event's virtual instant, µs — what worker-side spans and sink
-    /// events are stamped with ([`Recorder::pin_sim_time_us`]).
-    at_us: u64,
-}
-
-#[derive(Default)]
-struct PoolState {
-    /// Cursor into the arrival order: jobs issued so far.
-    next_arrival: usize,
-    /// Same-tick retry re-prepares; serviced before arrivals so the
-    /// coordinator never stalls behind the prefetch window.
-    retries: VecDeque<PrefetchJob>,
-    /// Finished prepares, keyed by session (at most one in flight per
-    /// session at any instant).
-    done: HashMap<u32, Prep>,
-    /// Arrival jobs issued but not yet consumed by the coordinator —
-    /// bounds the memory held in `done`.
-    outstanding_arrivals: usize,
-    shutdown: bool,
-}
-
-/// The worker-shard pool: prefetches [`prepare_session`] results while
-/// the coordinator's event loop commits in exact event order.
-///
-/// Arrivals are issued in the same (arrival, index) order the event loop
-/// consumes them, so the coordinator only ever waits on a job that has
-/// already been issued — the handoff cannot deadlock. Workers never
-/// resume traces (prepare-stage trace events are coordinator-only at
-/// workers = 1); their counters and span histograms land in the
-/// recorder with pinned virtual timestamps, keeping the merged snapshot
-/// independent of the worker count.
-struct PrefetchPool<'o> {
-    /// `(session index, arrival_ms)` in consumption order.
-    order: &'o [(u32, u64)],
-    window: usize,
-    /// Record a [`DecisionLog`] on every prepare.
-    explain: bool,
-    state: Mutex<PoolState>,
-    /// Signalled when work appears (retry batch, freed window slot,
-    /// shutdown).
-    work: Condvar,
-    /// Signalled when a prepare finishes.
-    ready: Condvar,
-}
-
-impl<'o> PrefetchPool<'o> {
-    fn new(order: &'o [(u32, u64)], workers: usize, explain: bool) -> Self {
-        PrefetchPool {
-            order,
-            window: (workers * ARRIVAL_PREFETCH_PER_WORKER).clamp(workers, 1_024),
-            explain,
-            state: Mutex::new(PoolState::default()),
-            work: Condvar::new(),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Lock the pool state, shrugging off poisoning: a panicking peer is
-    /// already unwinding the run, and the state itself is always
-    /// consistent between mutations.
-    fn lock(&self) -> MutexGuard<'_, PoolState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Worker-shard loop: drain retry batches first, then prefetch
-    /// arrivals up to the window, park when neither is available.
-    fn work(&self, broker: &Broker<'_>, specs: &[SessionSpec<'_>]) {
-        loop {
-            let job = {
-                let mut st = self.lock();
-                loop {
-                    if st.shutdown {
-                        return;
-                    }
-                    if let Some(job) = st.retries.pop_front() {
-                        break job;
-                    }
-                    if st.next_arrival < self.order.len() && st.outstanding_arrivals < self.window {
-                        let (session, at_ms) = self.order[st.next_arrival];
-                        st.next_arrival += 1;
-                        st.outstanding_arrivals += 1;
-                        break PrefetchJob {
-                            session,
-                            at_us: ms_to_us(at_ms),
-                        };
-                    }
-                    st = self.work.wait(st).unwrap_or_else(|e| e.into_inner());
-                }
-            };
-            let spec = &specs[job.session as usize];
-            let prep = {
-                let _pin = broker.recorder.map(|r| r.pin_sim_time_us(job.at_us));
-                prepare_session(broker.session.context(), spec, self.explain)
-            };
-            let mut st = self.lock();
-            st.done.insert(job.session, prep);
-            drop(st);
-            self.ready.notify_all();
-        }
-    }
-
-    /// Hand the pool one tick's worth of retry re-prepares.
-    fn enqueue_retries(&self, jobs: &[(u32, u64)]) {
-        if jobs.is_empty() {
-            return;
-        }
-        let mut st = self.lock();
-        for &(session, at_ms) in jobs {
-            st.retries.push_back(PrefetchJob {
-                session,
-                at_us: ms_to_us(at_ms),
-            });
-        }
-        drop(st);
-        self.work.notify_all();
-    }
-
-    /// Block until `session`'s prepare is done and take it.
-    fn take(&self, session: u32, arrival: bool) -> Prep {
-        let mut st = self.lock();
-        loop {
-            if let Some(prep) = st.done.remove(&session) {
-                if arrival {
-                    st.outstanding_arrivals -= 1;
-                    drop(st);
-                    self.work.notify_all();
-                }
-                return prep;
-            }
-            st = self.ready.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    fn shutdown(&self) {
-        self.lock().shutdown = true;
-        self.work.notify_all();
-    }
 }
 
 /// The broker: a [`Session`] facade plus contention policy.
@@ -619,15 +438,12 @@ impl<'a> Broker<'a> {
     /// Drive every session of `fleet` to a terminal fate on the virtual
     /// clock and return the full [`BrokerReport`].
     ///
-    /// This is the engine behind both the old sequential `run` and the
-    /// old threaded stress mode. Determinism contract: the outcome log
-    /// replays bit for bit for a given (seed, specs, faults) triple **at
-    /// every worker count** — [`FleetSpec::workers`] shards only the
-    /// load-independent prepare stage, commits happen on the coordinator
-    /// in exact event order, and each session draws jitter from its own
-    /// pre-split RNG. With a sharded [`Recorder`](nod_obs::Recorder)
-    /// attached, the merged metric snapshot is byte-identical at every
-    /// worker count too.
+    /// Determinism contract: the outcome log replays bit for bit for a
+    /// given (seed, specs, faults) triple against the same pristine
+    /// world — every event is handled on this one loop in (time,
+    /// schedule) order, and each session draws jitter from its own
+    /// pre-split RNG. An attached [`Recorder`](nod_obs::Recorder)'s
+    /// metric snapshot replays with it.
     pub fn drive(&self, fleet: &FleetSpec<'_>) -> BrokerReport {
         if let Some(journal) = fleet.journal {
             journal.begin(HeaderRecord {
@@ -637,6 +453,7 @@ impl<'a> Broker<'a> {
             });
         }
         self.drive_from(fleet, None)
+            .unwrap_or_else(|e| unreachable!("a fresh drive replays no journal: {e}"))
     }
 
     /// The fleet-identity hash a journal header carries: seed, per-spec
@@ -706,11 +523,18 @@ impl<'a> Broker<'a> {
     /// Recovery rebuilds the engine at the journal's last complete
     /// snapshot — slab, held reservations, capacity ledgers, pending
     /// confirmations/choice-period timers and retry queues — then
-    /// re-drives: every regenerated outcome is asserted byte-equal to
+    /// re-drives: every regenerated outcome is checked byte-equal to
     /// the journaled suffix and suppressed, after which the run is live.
     /// The returned report's `events` therefore hold only the outcomes
     /// after the journal's end; see [`RecoveryReport`] for where they
     /// sit in the global log.
+    ///
+    /// The spec hash does not cover the farm or the network, so a world
+    /// that differs from the original is caught here instead: a held
+    /// stream that no longer fits is [`JournalError::RestoreFailed`], a
+    /// regenerated outcome that differs from the journal is
+    /// [`JournalError::ReplayDiverged`]. Either way every reservation the
+    /// resumed run made is released before the error is returned.
     pub fn recover(&self, fleet: &FleetSpec<'_>) -> Result<RecoveryReport, JournalError> {
         let journal = fleet.journal.ok_or(JournalError::NoJournal)?;
         let parsed = journal.recover_state(HeaderRecord {
@@ -729,18 +553,12 @@ impl<'a> Broker<'a> {
                 rec.counter("broker.recovery.torn_bytes", torn_bytes as u64);
             }
         }
-        let report = self.drive_from(
-            fleet,
-            Some(ResumeState {
-                snapshot: parsed.snapshot,
-                tail: parsed.tail,
-            }),
-        );
+        let report = self.drive_from(fleet, Some(parsed));
         if let Some(span) = span {
             span.end();
         }
         Ok(RecoveryReport {
-            report,
+            report: report?,
             replayed_events,
             resumed_at_ms,
             suffix_starts_at_event,
@@ -748,65 +566,16 @@ impl<'a> Broker<'a> {
         })
     }
 
-    /// Shared engine entry behind [`Broker::drive`] (fresh) and
-    /// [`Broker::recover`] (resumed from a snapshot + replay tail).
-    fn drive_from(&self, fleet: &FleetSpec<'_>, resume: Option<ResumeState>) -> BrokerReport {
-        let specs = fleet.sessions;
-        // Arrival consumption order: (arrival_ms, spec index) — exactly
-        // how the legacy single queue broke ties. Shared with the
-        // prefetch pool so issue order equals consumption order.
-        let mut order: Vec<(u32, u64)> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i as u32, s.arrival_ms))
-            .collect();
-        order.sort_unstable_by_key(|&(i, at_ms)| (at_ms, i));
-
-        // Arrivals at or before a resumed snapshot's tick were fully
-        // processed before the snapshot was cut; both the loop and the
-        // prefetch pool start past them (the pool would otherwise fill
-        // its window with prepares the coordinator never consumes and
-        // deadlock).
-        let ai0 = match resume.as_ref().and_then(|r| r.snapshot.as_ref()) {
-            Some(s) => order.partition_point(|&(_, at_ms)| at_ms <= s.at_ms),
-            None => 0,
-        };
-
-        let workers = fleet.workers.max(1);
-        if workers == 1 || specs.len() < 2 {
-            return self.drive_loop(fleet, &order, ai0, None, resume);
-        }
-        let pool = PrefetchPool::new(&order[ai0..], workers, fleet.explain.is_some());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let pool = &pool;
-                scope.spawn(move || pool.work(self, specs));
-            }
-            // Wake and stop the workers even if the event loop panics
-            // (the end-of-run audit debug_asserts on leaked capacity) —
-            // otherwise the scope would join forever.
-            struct Shutdown<'p, 'o>(&'p PrefetchPool<'o>);
-            impl Drop for Shutdown<'_, '_> {
-                fn drop(&mut self) {
-                    self.0.shutdown();
-                }
-            }
-            let _guard = Shutdown(&pool);
-            self.drive_loop(fleet, &order, ai0, Some(&pool), resume)
-        })
-    }
-
-    /// The coordinator: one virtual-time event loop over three merged,
-    /// individually-sorted event streams — fault edges, arrivals, and
-    /// runtime-scheduled events — processing each tick as a batch.
-    fn drive_loop(
+    /// The engine behind [`Broker::drive`] (fresh) and [`Broker::recover`]
+    /// (resumed from a snapshot + replay tail): one virtual-time event
+    /// loop over three merged, individually-sorted event streams — fault
+    /// edges, arrivals, and runtime-scheduled events — processing each
+    /// tick as a batch. Only a resumed run can fail.
+    fn drive_from(
         &self,
         fleet: &FleetSpec<'_>,
-        order: &[(u32, u64)],
-        ai0: usize,
-        pool: Option<&PrefetchPool<'_>>,
-        resume: Option<ResumeState>,
-    ) -> BrokerReport {
+        resume: Option<ParsedJournal>,
+    ) -> Result<BrokerReport, JournalError> {
         let specs = fleet.sessions;
         let ctx = self.session.context();
         // Captured before a resumed run re-reserves its held streams, so
@@ -822,10 +591,25 @@ impl<'a> Broker<'a> {
             }
         };
         let fault_edges = faults.edges_ms();
+        // Arrival consumption order: (arrival_ms, spec index) — exactly
+        // how the legacy single queue broke ties.
+        let mut order: Vec<(u32, u64)> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (i as u32, s.arrival_ms))
+            .collect();
+        order.sort_unstable_by_key(|&(i, at_ms)| (at_ms, i));
 
-        let (snap, tail) = match resume {
-            Some(r) => (r.snapshot, r.tail),
-            None => (None, Vec::new()),
+        let (snap, replay) = match resume {
+            Some(r) => (
+                r.snapshot,
+                (!r.tail.is_empty()).then_some(Replay {
+                    tail: r.tail,
+                    cursor: 0,
+                    events_before: r.events_before,
+                }),
+            ),
+            None => (None, None),
         };
 
         let mut dynq: EventQueue<Ev> = EventQueue::new();
@@ -866,7 +650,6 @@ impl<'a> Broker<'a> {
         let mut state = DriveLoop {
             broker: self,
             specs,
-            pool,
             tracer,
             retention: fleet.retention,
             dynq,
@@ -882,26 +665,29 @@ impl<'a> Broker<'a> {
             retries: 0,
             backoff_ms_total: 0,
             faults_injected: 0,
-            retry_prep: BinaryHeap::new(),
             keeper: fleet.explain.map(TailKeeper::new),
             ledger: Vec::new(),
             ledger_ix: vec![u32::MAX; specs.len()],
             journal: fleet.journal,
             snapshot_due: false,
-            replay: (!tail.is_empty()).then_some(Replay { tail, cursor: 0 }),
+            replay,
+            failed: None,
         };
 
         let mut fi = 0usize; // next fault edge
-        let mut ai = ai0; // next arrival (index into `order`)
+        let mut ai = 0usize; // next arrival (index into `order`)
         if let Some(s) = &snap {
-            // Fault edges at or before the snapshot tick are folded into
-            // the restored fault state; the loop resumes past them.
+            // Fault edges and arrivals at or before the snapshot tick were
+            // fully processed before the snapshot was cut (the edges are
+            // folded into the restored fault state); the loop resumes
+            // past them.
             fi = fault_edges.partition_point(|&e| e <= s.at_ms);
-            state.restore(s, faults);
+            ai = order.partition_point(|&(_, at_ms)| at_ms <= s.at_ms);
+            state.failed = state.restore(s, faults).err();
         }
-        let mut retry_batch: Vec<(u32, u64)> = Vec::new();
         let mut end_ms = 0u64;
-        loop {
+        // A failed recovery stops at the end of the tick it failed in.
+        while state.failed.is_none() {
             // The next tick: the earliest head of the three streams.
             let mut t = u64::MAX;
             if let Some(&edge) = fault_edges.get(fi) {
@@ -922,20 +708,6 @@ impl<'a> Broker<'a> {
                 // shares the instant.
                 rec.set_sim_time_us(ms_to_us(t));
             }
-            // Hand this tick's retry re-prepares to the pool as one
-            // batch, so worker shards chew them in parallel while the
-            // coordinator commits in order.
-            if let Some(pool) = pool {
-                retry_batch.clear();
-                while let Some(&Reverse((fire_ms, session))) = state.retry_prep.peek() {
-                    if fire_ms > t {
-                        break;
-                    }
-                    state.retry_prep.pop();
-                    retry_batch.push((session, fire_ms));
-                }
-                pool.enqueue_retries(&retry_batch);
-            }
             // Tick order replicates the legacy single queue's tie-break:
             // fault edges (scheduled first), then arrivals in spec order,
             // then runtime-scheduled events in schedule order. Handlers
@@ -954,7 +726,7 @@ impl<'a> Broker<'a> {
                 if let Some(tr) = tracer {
                     tr.resume(i as u64);
                 }
-                state.attempt(i, t, true);
+                state.attempt(i, t);
                 if let Some(tr) = tracer {
                     tr.suspend();
                 }
@@ -966,7 +738,7 @@ impl<'a> Broker<'a> {
                         if let Some(tr) = tracer {
                             tr.resume(i as u64);
                         }
-                        state.attempt(i, t, false);
+                        state.attempt(i, t);
                         if let Some(tr) = tracer {
                             tr.suspend();
                         }
@@ -993,11 +765,13 @@ impl<'a> Broker<'a> {
                 state.write_snapshot(t);
             }
         }
-        assert!(
-            state.replay.is_none(),
-            "recovery replay ended with journaled events unconsumed — \
-             the journal holds more events than the resumed run produced"
-        );
+        // Replay left over once the loop drains means the journal holds
+        // more events than the resumed run produced.
+        let failed = state.failed.take();
+        if let Some(err) = failed.or_else(|| state.replay.as_ref().map(Replay::diverged)) {
+            state.release_all(faults);
+            return Err(err);
+        }
         if let Some(journal) = state.journal {
             journal
                 .sync()
@@ -1071,7 +845,7 @@ impl<'a> Broker<'a> {
                 stats,
             }
         });
-        BrokerReport {
+        Ok(BrokerReport {
             results,
             events: state.events,
             windows: state
@@ -1092,7 +866,7 @@ impl<'a> Broker<'a> {
             latency: latency_snapshot(state.latency),
             slo_alerts,
             explains,
-        }
+        })
     }
 }
 
@@ -1105,7 +879,6 @@ fn latency_snapshot(latency: ValueHistogram) -> HistogramSnapshot {
 struct DriveLoop<'e, 'a> {
     broker: &'e Broker<'a>,
     specs: &'e [SessionSpec<'e>],
-    pool: Option<&'e PrefetchPool<'e>>,
     tracer: Option<&'a Tracer>,
     retention: EventRetention,
     dynq: EventQueue<Ev>,
@@ -1123,9 +896,6 @@ struct DriveLoop<'e, 'a> {
     retries: u64,
     backoff_ms_total: u64,
     faults_injected: u64,
-    /// Scheduled retries awaiting hand-off to the prefetch pool at their
-    /// tick, `(fire_ms, session)`.
-    retry_prep: BinaryHeap<Reverse<(u64, u32)>>,
     /// Tail-retained session explanations ([`FleetSpec::explain`]).
     keeper: Option<TailKeeper<SessionExplain>>,
     /// Capacity ledger, one row per admission, in commit order.
@@ -1140,16 +910,17 @@ struct DriveLoop<'e, 'a> {
     /// Journaled post-snapshot events still being replay-verified; `None`
     /// once the run is live.
     replay: Option<Replay>,
+    /// Why a resumed run cannot continue ([`Broker::recover`]); once set,
+    /// nothing more is recorded and the loop stops.
+    failed: Option<JournalError>,
 }
 
 impl DriveLoop<'_, '_> {
-    /// Fold one outcome into the log, the window accumulator and — for a
-    /// scheduled retry — the pool hand-off heap.
+    /// Fold one outcome into the journal, the window accumulator and
+    /// the log.
     fn record(&mut self, at_ms: u64, session: usize, kind: OutcomeKind) {
-        if self.pool.is_some() {
-            if let OutcomeKind::RetryScheduled { at_ms: fire_ms, .. } = kind {
-                self.retry_prep.push(Reverse((fire_ms, session as u32)));
-            }
+        if self.failed.is_some() {
+            return;
         }
         // Recovery replay: the engine regenerates the journaled suffix.
         // Each regenerated outcome must match the journal exactly (the
@@ -1158,16 +929,10 @@ impl DriveLoop<'_, '_> {
         // run. Past the journal's end the run is live again.
         if let Some(rp) = self.replay.as_mut() {
             let expect = &rp.tail[rp.cursor];
-            assert!(
-                expect.at_ms == at_ms && expect.session == session && expect.kind == kind,
-                "recovery replay diverged at journaled event {}: journal has {:?}, \
-                 engine produced {:?} for session {} at {} ms",
-                rp.cursor,
-                expect,
-                kind,
-                session,
-                at_ms,
-            );
+            if expect.at_ms != at_ms || expect.session != session || expect.kind != kind {
+                self.failed = Some(rp.diverged());
+                return;
+            }
             rp.cursor += 1;
             if rp.cursor == rp.tail.len() {
                 self.replay = None;
@@ -1196,14 +961,14 @@ impl DriveLoop<'_, '_> {
     /// live slab (with every held stream re-reserved against the fresh
     /// world), pending events and counters. Re-reservation happens at
     /// nominal health — live holds passed a commit-time capacity check,
-    /// so on a pristine world they always fit — and the fault state in
-    /// force at the snapshot tick is applied afterwards. No fault edge
+    /// so on the original pristine world they always fit; a world that
+    /// refuses one is [`JournalError::RestoreFailed`] — and the fault state
+    /// in force at the snapshot tick is applied afterwards. No fault edge
     /// lies strictly between the last edge ≤ tick and the tick itself,
     /// so reset-then-reapply recomputes exactly the state the crashed
     /// run held, even when a window closed on the snapshot tick.
-    fn restore(&mut self, snap: &SnapshotState, faults: &FaultPlan) {
-        let broker = self.broker;
-        let ctx = broker.session.context();
+    fn restore(&mut self, snap: &SnapshotState, faults: &FaultPlan) -> Result<(), JournalError> {
+        let ctx = self.broker.session.context();
         for r in &snap.results {
             let i = r.session as usize;
             let fate = match r.fate {
@@ -1222,33 +987,13 @@ impl DriveLoop<'_, '_> {
         }
         for s in &snap.live {
             let i = s.session as usize;
-            let reservation = s.reserved.then(|| {
-                let mut res = SessionReservation {
-                    servers: Vec::with_capacity(s.holds.len()),
-                    network: Vec::new(),
-                };
-                for h in &s.holds {
-                    let server = ServerId(h.server);
-                    let rid = ctx.farm.try_reserve(server, h.req).unwrap_or_else(|e| {
-                        panic!("recovery re-reserve of session {i} on {server} failed: {e:?}")
-                    });
-                    res.servers.push((server, rid));
-                    if let Some(bps) = h.net_bps {
-                        let nid = ctx
-                            .network
-                            .try_reserve(self.specs[i].client.id, server, bps)
-                            .unwrap_or_else(|e| {
-                                panic!("recovery net re-reserve of session {i} failed: {e:?}")
-                            });
-                        res.network.push(nid);
-                    }
-                }
-                res
-            });
             let slot = self.live.insert(LiveSession {
                 attempts: s.attempts,
                 rng: StreamRng::from_state_parts(s.rng.0, s.rng.1),
-                reservation,
+                reservation: s.reserved.then(|| SessionReservation {
+                    servers: Vec::with_capacity(s.holds.len()),
+                    network: Vec::new(),
+                }),
                 pending_admit: match s.pending_admit {
                     0 => None,
                     1 => Some(false),
@@ -1262,6 +1007,30 @@ impl DriveLoop<'_, '_> {
                 holds: s.holds.clone(),
             });
             self.slots[i] = slot;
+            // Re-reserve hold by hold into the slab-resident reservation,
+            // so a refusal partway leaves everything made so far where
+            // `release_all` finds it.
+            let Some(res) = self
+                .live
+                .get_mut(slot)
+                .and_then(|st| st.reservation.as_mut())
+            else {
+                continue;
+            };
+            for h in &s.holds {
+                let server = ServerId(h.server);
+                let rid = ctx.farm.try_reserve(server, h.req).map_err(|e| {
+                    JournalError::RestoreFailed(format!("session {i} on {server}: {e:?}"))
+                })?;
+                res.servers.push((server, rid));
+                if let Some(bps) = h.net_bps {
+                    let client = self.specs[i].client.id;
+                    let nid = ctx.network.try_reserve(client, server, bps).map_err(|e| {
+                        JournalError::RestoreFailed(format!("session {i} path to {server}: {e:?}"))
+                    })?;
+                    res.network.push(nid);
+                }
+            }
         }
         faults.apply_state_at(ctx.farm, ctx.network, snap.at_ms);
         // Pending events, rescheduled in delivery order: fresh sequence
@@ -1275,15 +1044,26 @@ impl DriveLoop<'_, '_> {
                 _ => Ev::InjectLeak,
             };
             self.dynq.schedule(SimTime::from_micros(e.at_us), ev);
-            if self.pool.is_some() && e.kind == 0 {
-                self.retry_prep
-                    .push(Reverse((e.at_us / 1_000, e.session as u32)));
-            }
         }
         self.peak_live = snap.peak_live as usize;
         self.retries = snap.retries;
         self.backoff_ms_total = snap.backoff_ms_total;
         self.faults_injected = snap.faults_injected;
+        Ok(())
+    }
+
+    /// Abandon a failed recovery: lift the fault state and release every
+    /// reservation the resumed run holds, leaving the world as
+    /// [`Broker::recover`] found it.
+    fn release_all(&mut self, faults: &FaultPlan) {
+        let broker = self.broker;
+        let ctx = broker.session.context();
+        faults.apply_state_at(ctx.farm, ctx.network, u64::MAX);
+        for &slot in &self.slots {
+            if let Some(res) = self.live.get_mut(slot).and_then(|st| st.reservation.take()) {
+                broker.session.release(&res);
+            }
+        }
     }
 
     /// Cut a checkpoint at the end of tick `at_ms` and append it to the
@@ -1400,7 +1180,7 @@ impl DriveLoop<'_, '_> {
     }
 
     /// One negotiation attempt (arrival or retry) for session `i`.
-    fn attempt(&mut self, i: usize, now_ms: u64, arrival: bool) {
+    fn attempt(&mut self, i: usize, now_ms: u64) {
         let broker = self.broker;
         let specs = self.specs;
         let slot = if self.slots[i] == u32::MAX {
@@ -1435,23 +1215,24 @@ impl DriveLoop<'_, '_> {
         }
         let spec = &specs[i];
         let attempt_span = broker.recorder.and_then(|r| r.trace_span("attempt"));
-        let prep = match self.pool {
-            Some(pool) => pool.take(i as u32, arrival),
-            None => prepare_session(broker.session.context(), spec, self.keeper.is_some()),
-        };
+        let mut ctx = *broker.session.context();
+        ctx.explain = self.keeper.is_some();
         let mut reserved_offer: Option<ScoredOffer> = None;
-        let outcome = match prep {
-            Prep::Failed(error) => {
+        let outcome = match prepare(&ctx, spec.client, spec.document, spec.profile) {
+            Err(err) => {
                 if let Some(a) = attempt_span {
                     a.end();
                 }
                 let attempts = self.live.get(slot).expect("live session").attempts;
                 self.finish(i, attempts, SessionFate::Errored, None);
+                // Stringified as `Session::submit` would have returned it.
+                let error = QosError::from(err).to_string();
                 self.record(now_ms, i, OutcomeKind::Errored { error });
                 self.close_out(i, now_ms);
                 return;
             }
-            Prep::Early(status, decisions) => {
+            Ok(Prepared::Early(out)) => {
+                let status = out.status;
                 // The fused negotiate path would have emitted the
                 // terminal outcome itself; the split path does it here.
                 if let Some(rec) = broker.recorder {
@@ -1459,9 +1240,9 @@ impl DriveLoop<'_, '_> {
                     rec.counter_with("negotiation.outcome", &[("status", &s)], 1);
                     rec.trace_point("negotiation.outcome", &[("status", &s)]);
                 }
-                (status, None, false, "other", decisions)
+                (status, None, false, "other", out.decisions)
             }
-            Prep::Offers(ordered, trace, decisions) => {
+            Ok(Prepared::Offers(ordered, trace, decisions)) => {
                 let mut out = commit_prepared(
                     broker.session.context(),
                     spec.client,

@@ -1,12 +1,10 @@
 //! [`FleetSpec`]: the single description of a broker run.
 //!
 //! `Broker::drive(&FleetSpec)` is the one entry point for driving a
-//! fleet of sessions — it subsumes the old `Broker::run` (sequential,
-//! full report) and `Broker::run_threaded` (parallel, counts only)
-//! split. A `FleetSpec` bundles everything a run needs: the session
-//! specs, an optional [`FaultPlan`], the worker count for the sharded
-//! prepare stage, SLO objectives, the outcome-log retention policy and
-//! an optional fleet-window cadence.
+//! fleet of sessions. A `FleetSpec` bundles everything a run needs: the
+//! session specs, an optional [`FaultPlan`], SLO objectives, the
+//! outcome-log retention policy, an optional fleet-window cadence, and
+//! the explain and journal channels.
 
 use nod_obs::{RetentionPolicy, SloSpec};
 
@@ -41,7 +39,6 @@ pub enum EventRetention {
 /// let report = broker.drive(
 ///     &FleetSpec::new(&specs)
 ///         .faults(&plan)
-///         .workers(8)
 ///         .slos(default_fleet_slos())
 ///         .windows(1_000),
 /// );
@@ -50,7 +47,6 @@ pub enum EventRetention {
 pub struct FleetSpec<'a> {
     pub(crate) sessions: &'a [SessionSpec<'a>],
     pub(crate) faults: Option<&'a FaultPlan>,
-    pub(crate) workers: usize,
     pub(crate) slos: Vec<SloSpec>,
     pub(crate) retention: EventRetention,
     pub(crate) window_ms: u64,
@@ -59,13 +55,12 @@ pub struct FleetSpec<'a> {
 }
 
 impl<'a> FleetSpec<'a> {
-    /// A fleet over `sessions` with defaults: no faults, one worker, no
-    /// SLOs, full event retention, no windows.
+    /// A fleet over `sessions` with defaults: no faults, no SLOs, full
+    /// event retention, no windows.
     pub fn new(sessions: &'a [SessionSpec<'a>]) -> Self {
         FleetSpec {
             sessions,
             faults: None,
-            workers: 1,
             slos: Vec::new(),
             retention: EventRetention::Full,
             window_ms: 0,
@@ -80,10 +75,11 @@ impl<'a> FleetSpec<'a> {
         self
     }
 
-    /// Shard negotiation steps 1–4 across `workers` OS threads (clamped
-    /// to ≥ 1). The outcome log is identical at every worker count.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+    // Inert: kept only because `benchmark/` calls it and is frozen in this
+    // PR; delete together with the `fleet_sharded` workload in the next
+    // benchmark PR.
+    #[doc(hidden)]
+    pub fn workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -113,7 +109,7 @@ impl<'a> FleetSpec<'a> {
     /// is kept, and per-session explanations are tail-retained under
     /// `policy` — 100% of failures, the top-k slowest, and a seeded head
     /// sample, exactly like trace retention. The retained set (and the
-    /// serialized artifact) is byte-identical at every worker count.
+    /// serialized artifact) replays byte for byte with the outcome log.
     pub fn explain(mut self, policy: RetentionPolicy) -> Self {
         self.explain = Some(policy);
         self

@@ -216,6 +216,17 @@ pub enum JournalError {
     Malformed(&'static str),
     /// Recovery was invoked without a journal attached to the fleet.
     NoJournal,
+    /// The resumed run did not regenerate the journaled suffix — the
+    /// world `recover` was handed is not the one the journal was written
+    /// against (the spec hash does not cover the farm or the network).
+    ReplayDiverged {
+        /// Global outcome-log index of the first journaled event the
+        /// engine failed to reproduce.
+        event: u64,
+    },
+    /// A stream the snapshot held could not be re-reserved on the world
+    /// `recover` was handed; the text names the session and the refusal.
+    RestoreFailed(String),
 }
 
 impl fmt::Display for JournalError {
@@ -233,6 +244,13 @@ impl fmt::Display for JournalError {
             JournalError::Malformed(what) => write!(f, "malformed journal record: {what}"),
             JournalError::NoJournal => {
                 write!(f, "recover needs FleetSpec::journal to point at a journal")
+            }
+            JournalError::ReplayDiverged { event } => write!(
+                f,
+                "recovery replay diverged from the journal at outcome event {event}"
+            ),
+            JournalError::RestoreFailed(what) => {
+                write!(f, "recovery could not re-reserve a held stream: {what}")
             }
         }
     }
@@ -659,7 +677,7 @@ struct Inner {
 /// [`Broker::drive`](crate::Broker::drive) durable, and hand the same
 /// (reopened) journal to [`Broker::recover`](crate::Broker::recover)
 /// after a crash. Interior-mutable so the borrowed `FleetSpec` stays
-/// `Clone`; the broker only ever appends from the coordinator thread.
+/// `Clone`; the broker only ever appends from its one event loop.
 pub struct Journal {
     inner: Mutex<Inner>,
 }

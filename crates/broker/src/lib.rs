@@ -14,11 +14,9 @@
 //!   back off exponentially with seeded jitter and try again; admitted
 //!   sessions hold resources for their document's duration and release
 //!   them on departure, which is exactly what lets later retries succeed.
-//!   With [`FleetSpec::workers`] > 1 the load-independent prepare stage
-//!   (negotiation steps 1–4) is sharded across worker threads while
-//!   commits stay in exact event order — same seed, same outcome log, at
-//!   every worker count. Live state sits in a recycled [`Slab`] arena
-//!   sized by *peak concurrency*, not total volume, and
+//!   Every attempt runs steps 1–5 on that one loop in exact event order
+//!   — same seed, same outcome log. Live state sits in a recycled
+//!   [`Slab`] arena sized by *peak concurrency*, not total volume, and
 //!   [`EventRetention`] bounds what the report keeps at fleet scale.
 //! - [`FaultPlan`] injects replayable degradations — server crashes,
 //!   admission brownouts, link blackouts and capacity drops — over timed

@@ -94,8 +94,9 @@ pub struct Network {
     /// is incident to every link, which makes an uncached lookup
     /// O(total links); without the memo, per-session cost grows with farm
     /// size and a city-scale fleet spends most of its time re-routing the
-    /// same three-hop paths. Sharded so concurrent prepare workers don't
-    /// serialize on one cache lock.
+    /// same three-hop paths. Sharded so clients negotiating from
+    /// different threads against one shared `Network` don't serialize on
+    /// one cache lock.
     routes: Sharded<HashMap<(ClientId, ServerId), Vec<LinkId>>>,
     /// Shortest-path trees by source node, filled on first use. A server
     /// streams to many clients, so one Dijkstra per server answers every

@@ -65,7 +65,7 @@ pub mod trace;
 
 pub use hist::{HistogramShardAcc, LogBuckets, LogHistogram, ValueHistogram, RELATIVE_ERROR};
 pub use prom::to_prometheus_text;
-pub use recorder::{Recorder, SimTimePin, Span};
+pub use recorder::{Recorder, Span};
 pub use retain::TailKeeper;
 pub use sink::{FileSink, MemorySink, ObsEvent, ObsSink, StderrSink};
 pub use slo::{default_fleet_slos, Objective, SloAlert, SloMonitor, SloSpec};

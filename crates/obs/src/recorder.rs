@@ -1,6 +1,6 @@
 //! The metric recorder and its span handles.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, MutexGuard, OnceLock};
@@ -45,24 +45,6 @@ const SHARD_CACHE_CAP: usize = 64;
 
 thread_local! {
     static SHARD_OF: RefCell<Vec<(usize, usize)>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread override of the simulation clock (see
-    /// [`Recorder::pin_sim_time_us`]).
-    static SIM_TIME_PIN: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-/// RAII guard for [`Recorder::pin_sim_time_us`]: while alive, every
-/// timestamp the *current thread* reads from any recorder is the pinned
-/// virtual instant. Dropping it restores the previous pin (pins nest).
-#[must_use = "the pin only holds while the guard is alive"]
-#[derive(Debug)]
-pub struct SimTimePin {
-    prev: Option<u64>,
-}
-
-impl Drop for SimTimePin {
-    fn drop(&mut self) {
-        SIM_TIME_PIN.with(|p| p.set(self.prev));
-    }
 }
 
 impl Shards {
@@ -244,28 +226,9 @@ impl Recorder {
         self.shared.use_sim_clock.store(true, Ordering::Relaxed);
     }
 
-    /// Pin the *current thread's* clock to the virtual instant `t_us`
-    /// until the returned guard drops.
-    ///
-    /// [`Recorder::set_sim_time_us`] is global: a worker thread doing
-    /// virtual-time work concurrently with the coordinator's event loop
-    /// would otherwise stamp its spans with whatever tick the coordinator
-    /// happens to be on — a scheduler-dependent value. Pinning gives the
-    /// worker the event's own virtual time (so span durations are a
-    /// deterministic zero and sink timestamps are replayable) without
-    /// touching the shared clock other threads read.
-    pub fn pin_sim_time_us(&self, t_us: u64) -> SimTimePin {
-        let prev = SIM_TIME_PIN.with(|p| p.replace(Some(t_us)));
-        SimTimePin { prev }
-    }
-
-    /// Current timestamp in microseconds: the calling thread's pin if one
-    /// is alive ([`Recorder::pin_sim_time_us`]), else the sim clock if set,
-    /// else wall time since the recorder was created.
+    /// Current timestamp in microseconds: the sim clock if set, else wall
+    /// time since the recorder was created.
     pub fn now_us(&self) -> u64 {
-        if let Some(pinned) = SIM_TIME_PIN.with(|p| p.get()) {
-            return pinned;
-        }
         if self.shared.use_sim_clock.load(Ordering::Relaxed) {
             self.shared.sim_time_us.load(Ordering::Relaxed)
         } else {
@@ -828,36 +791,5 @@ mod tests {
         assert_eq!(s.buckets, l.buckets);
         assert_eq!((s.p50, s.p90, s.p95, s.p99), (l.p50, l.p90, l.p95, l.p99));
         assert!((s.mean - l.mean).abs() <= 0.02 * l.max, "sketched mean");
-    }
-
-    #[test]
-    fn sim_time_pin_overrides_per_thread_and_nests() {
-        let rec = Recorder::new();
-        rec.set_sim_time_us(500);
-        assert_eq!(rec.now_us(), 500);
-        {
-            let _outer = rec.pin_sim_time_us(1_000);
-            assert_eq!(rec.now_us(), 1_000);
-            {
-                let _inner = rec.pin_sim_time_us(2_000);
-                assert_eq!(rec.now_us(), 2_000);
-            }
-            assert_eq!(rec.now_us(), 1_000, "inner pin restores the outer");
-        }
-        assert_eq!(rec.now_us(), 500, "dropping the pin restores the clock");
-
-        // The pin is thread-local: another thread still reads the shared
-        // sim clock while this thread is pinned.
-        let _pin = rec.pin_sim_time_us(9_999);
-        let other = &rec;
-        std::thread::scope(|s| {
-            s.spawn(move || assert_eq!(other.now_us(), 500))
-                .join()
-                .unwrap();
-        });
-        // A pinned span has a deterministic zero duration.
-        let span = rec.span("pinned.stage");
-        span.end();
-        assert_eq!(rec.snapshot().histograms["span.pinned.stage.ms"].max, 0.0);
     }
 }

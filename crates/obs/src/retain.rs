@@ -6,9 +6,8 @@
 //! to arbitrary per-session payloads (decision logs, today). Because the
 //! decision is a pure function of `(policy, id, failed, duration)` and the
 //! slow set is a total order, the retained set is **finish-order
-//! independent**: the same sessions survive no matter how many workers
-//! raced to produce them, which is what keeps `--explain-out` artifacts
-//! byte-identical across worker counts.
+//! independent**: the same sessions survive whatever order they finish
+//! in, which is what lets `--explain-out` artifacts replay byte for byte.
 //!
 //! Memory is O(retained): non-retained payloads are dropped at the moment
 //! their session finishes, not at drain time.

@@ -13,14 +13,14 @@
 //! netsim reservation attempts without threading a context argument
 //! through every call.
 //!
-//! Mechanics, chosen for the two execution modes the broker has:
+//! Mechanics:
 //!
 //! - Events are buffered on a **per-thread** active-trace buffer (a
 //!   thread-local `Vec`), so emission takes no lock. The shared per-trace
 //!   store is only touched at `resume`/`suspend` boundaries — once per
-//!   broker event, not once per trace event. The same protocol works when
-//!   `Broker::drive` shards prepare work across OS threads, because a
-//!   session's trace is owned by exactly one thread at a time.
+//!   broker event, not once per trace event. The same protocol holds for
+//!   callers that negotiate from several OS threads, because a session's
+//!   trace is owned by exactly one thread at a time.
 //! - Sequence numbers are assigned per trace at flush time, so a trace's
 //!   events totally order even though sessions interleave. A deterministic
 //!   run (same seed, specs, faults) therefore serializes to a

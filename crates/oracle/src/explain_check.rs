@@ -5,7 +5,7 @@
 //! optimized paths *decide* like the reference; this module proves the
 //! `explain` channel *reports* those decisions faithfully. For a scenario
 //! it replays the negotiation with `explain` enabled and asserts that the
-//! resulting [`DecisionLog`]:
+//! resulting [`DecisionLog`](nod_qosneg::explain::DecisionLog):
 //!
 //! * names the same commit-refusal kinds, offer by offer, in the same
 //!   attempt order as the reference's step-5 refusal log;

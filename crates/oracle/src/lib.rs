@@ -2,7 +2,7 @@
 //!
 //! Three pieces, per ISSUE 5:
 //!
-//! * [`reference`] — a deliberately slow, paper-literal reference
+//! * [`mod@reference`] — a deliberately slow, paper-literal reference
 //!   negotiator implemented straight from the HPDC-5 steps 1–6, sharing no
 //!   engine/classify/prune code with `nod-qosneg`;
 //! * [`scenario`] — a seeded scenario generator spanning the edge-case
@@ -13,7 +13,7 @@
 //!   the reference and every optimized execution path (streaming, eager,
 //!   `Session::submit`, single-session broker), comparing statuses,
 //!   reserved offers, ordered-offer prefixes, CostDoc, and the post-run
-//!   capacity ledger; and [`shrink`] — a greedy scenario shrinker that
+//!   capacity ledger; and [`mod@shrink`] — a greedy scenario shrinker that
 //!   reduces any divergence to a minimal repro.
 //!
 //! The gating entry point is the `run_oracle` binary (wired into

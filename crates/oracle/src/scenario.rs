@@ -133,7 +133,8 @@ pub struct Scenario {
     pub strategy: ClassificationStrategy,
     /// Guarantee class.
     pub guarantee: Guarantee,
-    /// Video requirement (ladder: see [`Scenario::video_ladder`]).
+    /// Video requirement (ladders: [`Scenario::RES_LADDER`],
+    /// [`Scenario::FPS_LADDER`]).
     pub video_req: Option<ReqSpec>,
     /// Audio requirement (quality level 0..=2 + language via desired&3).
     pub audio_req: Option<ReqSpec>,

@@ -19,7 +19,7 @@
 //!
 //! * **ranks** the whole product as plain data ([`RankedOffers`]: one
 //!   small `Copy` [`ScoredCombo`] per offer, sorted by the classification
-//!   order — bit-identical to [`classify`](crate::classify) on the eagerly
+//!   order — bit-identical to [`classify`](crate::classify()) on the eagerly
 //!   enumerated offers — paired with its engine, which turns an entry into
 //!   a [`ScoredOffer`] only when step 5 attempts it or somebody reads the
 //!   list as a slice), or
@@ -393,7 +393,7 @@ impl OfferEngine {
     }
 
     /// The full materialized classified list, built from the ranked
-    /// entries. Bit-identical to running [`classify`](crate::classify)
+    /// entries. Bit-identical to running [`classify`](crate::classify())
     /// over the eagerly enumerated offers.
     pub fn classify_all(&self) -> Vec<ScoredOffer> {
         self.materialize_all(&self.ranked(None))

@@ -1,6 +1,6 @@
 //! The unified error surface of the negotiation API.
 //!
-//! Historically each entry point failed its own way: [`negotiate`]
+//! Historically each entry point failed its own way: `negotiate`
 //! returned [`NegotiationError`], enumeration surfaced
 //! [`EnumerationError`], and step-5 refusals hid inside
 //! [`NegotiationOutcome::commit_failures`]. [`QosError`] folds all three
@@ -9,7 +9,6 @@
 //! contention: [`QosError::transient`], "would retrying later plausibly
 //! succeed?".
 //!
-//! [`negotiate`]: crate::negotiate::negotiate
 //! [`NegotiationError`]: crate::negotiate::NegotiationError
 //! [`EnumerationError`]: crate::offer::EnumerationError
 //! [`NegotiationOutcome::commit_failures`]: crate::negotiate::NegotiationOutcome

@@ -20,7 +20,7 @@
 //! path is a boolean check on the hot path and allocates nothing. Logs are
 //! plain data with [`ToJson`]/[`FromJson`] impls, serialized as JSON lines
 //! ([`ExplainArtifact`]) so a `--explain-out` artifact is diffable,
-//! byte-identical across worker counts, and queryable offline by the
+//! byte-identical for the same seed, and queryable offline by the
 //! `nod_explain` CLI.
 //!
 //! [`NegotiationContext::explain`]: crate::negotiate::NegotiationContext::explain
@@ -678,8 +678,7 @@ pub struct ExplainMeta {
     pub source: String,
     /// Workload seed.
     pub seed: u64,
-    /// Total sessions driven. The worker count is deliberately not
-    /// recorded: same-seed artifacts are byte-identical at every count.
+    /// Total sessions driven.
     pub sessions: u64,
     /// Retention: slowest sessions kept.
     pub top_k: u64,

@@ -213,7 +213,8 @@ pub struct NegotiationContext<'a> {
     pub strategy: ClassificationStrategy,
     /// Service-guarantee class requested.
     pub guarantee: Guarantee,
-    /// Enumeration budget (see [`enumerate_combinations`]).
+    /// Enumeration budget (see
+    /// [`enumerate_combinations`](crate::offer::enumerate_combinations)).
     pub enumeration_cap: usize,
     /// Client jitter-buffer size (ms of media) — its preroll enters the
     /// startup-latency check of the time profile.
@@ -285,10 +286,11 @@ enum PreparedInner {
 /// Run steps 1–4 (local check, compatibility filter, costing,
 /// classification) without committing resources. Both the broker's
 /// prepare/commit split ([`commit_prepared`]) and advance negotiation
-/// ([`crate::future::negotiate_future`]) build on this. Returns the whole
-/// product ranked as plain data ([`RankedOffers`]) — no offer is
-/// materialized here beyond explain's top-k rows; [`negotiate`] itself
-/// streams a prefix lazily instead when it can.
+/// ([`Session::submit_future`](crate::Session::submit_future)) build on
+/// this. Returns the whole product ranked as plain data
+/// ([`RankedOffers`]) — no offer is materialized here beyond explain's
+/// top-k rows; [`Session::submit`](crate::Session::submit) itself streams
+/// a prefix lazily instead when it can.
 pub fn prepare(
     ctx: &NegotiationContext<'_>,
     client: &ClientMachine,
@@ -823,14 +825,13 @@ fn commit_ranked(
 
 /// Step 5 alone: walk `ordered` in reservation order and commit the first
 /// offer that fits, emitting the same per-attempt counters and terminal
-/// `negotiation.outcome{status=…}` as the fused [`negotiate`] path.
+/// `negotiation.outcome{status=…}` as the fused
+/// [`Session::submit`](crate::Session::submit) path.
 ///
-/// This is the commit half of the [`prepare`]/commit split the concurrent
-/// broker's deterministic threaded mode is built on: [`prepare`] reads only
-/// the catalog and static topology, so it can run on many sessions in
-/// parallel, while these walks — the only part that touches live farm and
-/// network capacity — are serialized in session order. Only the attempted
-/// offers are materialized; the outcome's `ordered_offers` keeps the ranked
+/// This is the commit half of the [`prepare`]/commit split the broker
+/// and advance booking share: [`prepare`] reads only the catalog and
+/// static topology, while this walk is the only part that touches live
+/// farm and network capacity. Only the attempted offers are materialized; the outcome's `ordered_offers` keeps the ranked
 /// list deferred. A refused session's retry prepares again (the broker
 /// does not carry the list across attempts).
 pub fn commit_prepared(

@@ -7,9 +7,9 @@
 //! pair of conversion traits ([`ToJson`] / [`FromJson`]) plus `macro_rules!`
 //! helpers that mirror the encodings `serde` derives produced:
 //!
-//! * named-field structs → objects keyed by field name ([`json_struct!`]),
-//! * newtype structs → the bare inner value ([`json_newtype!`]),
-//! * unit-variant enums → the variant name as a string ([`json_unit_enum!`]),
+//! * named-field structs → objects keyed by field name ([`json_struct!`](crate::json_struct)),
+//! * newtype structs → the bare inner value ([`json_newtype!`](crate::json_newtype)),
+//! * unit-variant enums → the variant name as a string ([`json_unit_enum!`](crate::json_unit_enum)),
 //! * payload-carrying enum variants → externally tagged
 //!   (`{"Variant": payload}`), hand-written at the defining type.
 //!

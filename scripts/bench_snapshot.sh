@@ -7,8 +7,7 @@
 # bench and the B14 write-ahead-journal bench with NOD_BENCH_JSON_OUT set,
 # then merges the dumps into a single JSON file at the repo root. Honors NOD_BENCH_FAST=1
 # for a quick smoke run (CI); leave it unset for publication-quality
-# numbers. The B9 run doubles as the broker stress smoke: it includes a
-# real-thread race against the shared farm and panics on leaked capacity.
+# numbers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,7 +23,7 @@ echo "==> bench: classification"
 NOD_BENCH_JSON_OUT="$tmpdir/classification.json" \
     cargo bench -q -p nod-bench --bench classification 2>&1 | tail -n +1
 
-echo "==> bench: broker (contended + threaded stress smoke)"
+echo "==> bench: broker (B9 contended broker)"
 NOD_BENCH_JSON_OUT="$tmpdir/broker.json" \
     cargo bench -q -p nod-bench --bench broker 2>&1 | tail -n +1
 
@@ -32,20 +31,18 @@ echo "==> bench: trace (B10 tracing overhead; asserts the alloc-free disabled pa
 NOD_BENCH_JSON_OUT="$tmpdir/trace.json" \
     cargo bench -q -p nod-bench --bench trace 2>&1 | tail -n +1
 
-# B11 gates in both modes: snapshot determinism across thread counts and
-# the tail sampler's retention ledger are asserted even under
-# NOD_BENCH_FAST=1; the 10% overhead ratio is asserted only in full mode
-# (smoke samples are too few to bound noise) but always lands in the JSON.
-echo "==> bench: telemetry (B11 fleet telemetry: determinism, retention, overhead)"
+# B11 gates in both modes: the tail sampler's retention ledger is
+# asserted even under NOD_BENCH_FAST=1; the 10% overhead ratio is asserted
+# only in full mode (smoke samples are too few to bound noise) but always
+# lands in the JSON.
+echo "==> bench: telemetry (B11 fleet telemetry: retention, overhead)"
 NOD_BENCH_JSON_OUT="$tmpdir/telemetry.json" \
     cargo bench -q -p nod-bench --bench telemetry 2>&1 | tail -n +1
 
 # B12 sweeps the metro fleet through Broker::drive — 1k/10k in fast mode,
 # 1k/10k/100k/1M in full mode — reporting sessions/sec and peak RSS per
-# scale. The byte-identical merge across 1/2/8 workers gates in both
-# modes (at 10k fast, 100k full); zero leaked reservations gate at every
-# scale.
-echo "==> bench: fleet (B12 city-scale sweep: throughput, RSS, deterministic merge)"
+# scale. Zero leaked reservations gate at every scale.
+echo "==> bench: fleet (B12 city-scale sweep: throughput, RSS)"
 NOD_BENCH_JSON_OUT="$tmpdir/fleet.json" \
     cargo bench -q -p nod-bench --bench fleet 2>&1 | tail -n +1
 

@@ -280,7 +280,7 @@ fn fault_injection_replays_identically_for_the_same_seed() {
 }
 
 #[test]
-fn threaded_stress_run_terminates_and_leaks_nothing() {
+fn burst_stress_run_terminates_and_leaks_nothing() {
     let w = world(950);
     let clients = clients();
     let profile = tv_news_profile();
@@ -294,11 +294,7 @@ fn threaded_stress_run_terminates_and_leaks_nothing() {
         })
         .collect();
     let broker = Broker::new(ctx(&w), BrokerConfig::era_default());
-    let report = broker.drive(
-        &FleetSpec::new(&specs)
-            .workers(4)
-            .retention(EventRetention::CountsOnly),
-    );
+    let report = broker.drive(&FleetSpec::new(&specs).retention(EventRetention::CountsOnly));
     assert!(report.admitted >= 1, "some sessions must get through");
     assert_eq!(report.leaked_streams, 0);
     assert!(
@@ -308,11 +304,7 @@ fn threaded_stress_run_terminates_and_leaks_nothing() {
     assert_drained(&w);
 
     // A second drive over the same world must agree with the first.
-    let again = broker.drive(
-        &FleetSpec::new(&specs)
-            .workers(4)
-            .retention(EventRetention::CountsOnly),
-    );
+    let again = broker.drive(&FleetSpec::new(&specs).retention(EventRetention::CountsOnly));
     assert_eq!(
         (again.admitted, again.leaked_streams),
         (report.admitted, report.leaked_streams)
@@ -321,11 +313,10 @@ fn threaded_stress_run_terminates_and_leaks_nothing() {
 }
 
 #[test]
-fn outcome_log_is_byte_identical_across_worker_counts() {
+fn outcome_log_is_byte_identical_across_fresh_worlds() {
     // The drive() determinism contract under everything at once: faults
     // churning the farm, a choicePeriod holding reservations open, and
-    // retries — the outcome log and per-session results must not depend
-    // on the worker count.
+    // retries — two drives from fresh worlds must tell the same story.
     let config = ContendedConfig {
         seed: 41,
         sessions: 48,
@@ -336,34 +327,22 @@ fn outcome_log_is_byte_identical_across_worker_counts() {
         choice_period_ms: 500,
         ..ContendedConfig::default()
     };
-    let run = |workers: usize| {
-        run_contended_with(
-            &ContendedConfig {
-                workers,
-                ..config.clone()
-            },
-            None,
-        )
-    };
-    let (r1, rep1) = run(1);
-    let (r2, rep2) = run(2);
-    let (r8, rep8) = run(8);
+    let (r1, rep1) = run_contended_with(&config, None);
+    let (r2, rep2) = run_contended_with(&config, None);
     assert!(r1.faults_injected > 0, "the fault plan must fire");
     assert!(r1.retries > 0, "the load must contend");
     assert_eq!(r1, r2);
-    assert_eq!(r1, r8);
-    assert_eq!(rep1.events, rep2.events, "1 vs 2 workers diverged");
-    assert_eq!(rep1.events, rep8.events, "1 vs 8 workers diverged");
-    assert_eq!(rep1.results, rep8.results);
+    assert_eq!(rep1.events, rep2.events, "same-seed drives diverged");
+    assert_eq!(rep1.results, rep2.results);
     assert_eq!(rep1.leaked_streams, 0);
 }
 
 #[test]
-fn refused_then_admitted_session_reports_the_same_events_at_one_and_two_workers() {
-    // Every attempt prepares afresh — a retry's ranked list is built by
-    // whichever shard prefetched it — so a session that is refused and
-    // then admitted on a later attempt must tell the same story whether
-    // the coordinator or a prepare shard ranked its offers.
+fn refused_then_admitted_session_tells_its_story_in_order() {
+    // Every attempt prepares afresh, so a session that is refused and
+    // then admitted on a later attempt must log each refusal as a
+    // scheduled retry that fires when it said it would, then the
+    // admission, then the departure — and nothing else.
     let clients = clients();
     let profile = tv_news_profile();
     let specs: Vec<SessionSpec<'_>> = (0..64u64)
@@ -375,48 +354,43 @@ fn refused_then_admitted_session_reports_the_same_events_at_one_and_two_workers(
             hold_ms: Some(8_000),
         })
         .collect();
-    let run = |workers: usize| {
-        let w = world(900);
-        let config = BrokerConfig {
-            retry: RetryPolicy {
-                max_attempts: 10,
-                ..RetryPolicy::era_default()
-            },
-            ..BrokerConfig::era_default()
-        };
-        let report = Broker::new(ctx(&w), config).drive(&FleetSpec::new(&specs).workers(workers));
-        assert_eq!(report.leaked_streams, 0);
-        assert_drained(&w);
-        report
+    let w = world(900);
+    let config = BrokerConfig {
+        retry: RetryPolicy {
+            max_attempts: 10,
+            ..RetryPolicy::era_default()
+        },
+        ..BrokerConfig::era_default()
     };
-    let (one, two) = (run(1), run(2));
-    let retried_in = one
+    let report = Broker::new(ctx(&w), config).drive(&FleetSpec::new(&specs));
+    assert_eq!(report.leaked_streams, 0);
+    assert_drained(&w);
+    let retried = report
         .results
         .iter()
-        .position(|r| matches!(r.fate, SessionFate::Admitted { .. }) && r.attempts > 1)
+        .find(|r| matches!(r.fate, SessionFate::Admitted { .. }) && r.attempts > 1)
         .expect("the burst must refuse a session that a retry then admits");
-    let story = |events: &[news_on_demand::broker::OutcomeEvent]| -> Vec<_> {
-        (events.iter().filter(|e| e.session == retried_in))
-            .cloned()
-            .collect()
-    };
-    let events = story(&one.events);
-    assert!(
-        matches!(
-            events[0].kind,
-            OutcomeKind::RetryScheduled { attempt: 1, .. }
-        ),
+    let events: Vec<_> = (report.events.iter())
+        .filter(|e| e.session == retried.session)
+        .collect();
+    let refusals = retried.attempts as usize - 1;
+    assert_eq!(events.len(), refusals + 2, "{events:?}");
+    for (n, pair) in events[..=refusals].windows(2).enumerate() {
+        let OutcomeKind::RetryScheduled { at_ms, attempt } = pair[0].kind else {
+            panic!("event {n} is not a scheduled retry: {events:?}");
+        };
+        assert_eq!(attempt as usize, n + 1, "{events:?}");
+        assert_eq!(at_ms, pair[1].at_ms, "retry {n} fired off schedule");
+    }
+    assert_eq!(
+        events[refusals].kind,
+        OutcomeKind::Admitted {
+            degraded: false,
+            attempt: retried.attempts
+        },
         "{events:?}"
     );
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e.kind, OutcomeKind::Admitted { attempt, .. } if attempt > 1)),
-        "{events:?}"
-    );
-    assert_eq!(events, story(&two.events));
-    assert_eq!(one.events, two.events, "1 vs 2 workers diverged");
-    assert_eq!(one.results, two.results);
+    assert_eq!(events[refusals + 1].kind, OutcomeKind::Departed);
 }
 
 #[test]

@@ -16,10 +16,24 @@
 //! 3. **Exactly-once settlement**: across the combined pre-crash +
 //!    post-recovery log, every session confirms at most once, departs at
 //!    most once, and reaches exactly one terminal fate.
+//!
+//! The last two tests hand `Broker::recover` a world that is not the one
+//! the journal was written against — the one mismatch the header's spec
+//! hash cannot see — and require a typed error and an untouched world
+//! instead of a panic.
 
 use news_on_demand::broker::{
-    BrokerReport, Journal, JournalConfig, JournalError, OutcomeEvent, OutcomeKind, RecoveryReport,
+    Broker, BrokerConfig, BrokerReport, CapacitySnapshot, FleetSpec, Journal, JournalConfig,
+    JournalError, OutcomeEvent, OutcomeKind, RecoveryReport, SessionSpec,
 };
+use news_on_demand::client::ClientMachine;
+use news_on_demand::cmfs::{Guarantee, ServerConfig, ServerFarm};
+use news_on_demand::mmdb::{Catalog, CorpusBuilder, CorpusParams};
+use news_on_demand::mmdoc::{ClientId, DocumentId, ServerId};
+use news_on_demand::netsim::{Network, Topology};
+use news_on_demand::qosneg::negotiate::{NegotiationContext, StreamingMode};
+use news_on_demand::qosneg::profile::tv_news_profile;
+use news_on_demand::qosneg::{ClassificationStrategy, CostModel};
 use news_on_demand::simcore::StreamRng;
 use news_on_demand::workload::{
     recover_contended, run_contended_journaled, run_contended_with, ContendedConfig,
@@ -275,4 +289,118 @@ fn compacted_journals_stay_bounded_and_recoverable() {
     let rec = recover_contended(&config, None, &rec_journal).expect("compacted journal recovers");
     assert_recovery(&full, &rec, usize::MAX);
     assert!(rec.resumed_at_ms.is_some(), "compaction implies a snapshot");
+}
+
+/// A hand-built world whose farm size the test controls: the catalog,
+/// network and specs are identical at every `max_streams`, so the fleet's
+/// spec hash is too.
+struct World {
+    catalog: Catalog,
+    farm: ServerFarm,
+    network: Network,
+    cost: CostModel,
+}
+
+fn world(max_streams: usize) -> World {
+    let catalog = CorpusBuilder::new(CorpusParams {
+        documents: 8,
+        servers: (0..2).map(ServerId).collect(),
+        ..CorpusParams::default()
+    })
+    .build(&mut StreamRng::new(950));
+    let server = ServerConfig {
+        max_streams,
+        ..ServerConfig::era_default()
+    };
+    World {
+        catalog,
+        farm: ServerFarm::uniform(2, server),
+        network: Network::new(Topology::dumbbell(4, 2, 25_000_000, 155_000_000)),
+        cost: CostModel::era_default(),
+    }
+}
+
+fn broker(w: &World) -> Broker<'_> {
+    let ctx = NegotiationContext {
+        catalog: &w.catalog,
+        farm: &w.farm,
+        network: &w.network,
+        cost_model: &w.cost,
+        strategy: ClassificationStrategy::SnsThenOif,
+        guarantee: Guarantee::Guaranteed,
+        enumeration_cap: 500_000,
+        jitter_buffer_ms: 2_000,
+        prune_dominated: false,
+        streaming: StreamingMode::Auto,
+        recorder: None,
+        explain: false,
+    };
+    Broker::new(ctx, BrokerConfig::era_default())
+}
+
+/// Journal a contended run on a 16-stream farm, cut the journal at the
+/// end of event record `cut_after_event`, and recover the same fleet —
+/// first against an identical fresh world (the positive control), then
+/// against a 1-stream farm. Returns the control's report and the second
+/// recovery's error, after checking that it left its world untouched.
+fn recover_on_a_smaller_farm(cut_after_event: usize) -> (RecoveryReport, JournalError) {
+    let clients: Vec<ClientMachine> = (0..4)
+        .map(|i| ClientMachine::era_workstation(ClientId(i)))
+        .collect();
+    let profile = tv_news_profile();
+    let specs: Vec<SessionSpec<'_>> = (0..48u64)
+        .map(|i| SessionSpec {
+            client: &clients[(i % 4) as usize],
+            document: DocumentId(i % 8 + 1),
+            profile: &profile,
+            arrival_ms: i * 250,
+            hold_ms: Some(8_000),
+        })
+        .collect();
+    let original = world(16);
+    let journal = Journal::in_memory(chaos_journal_cfg());
+    let full = broker(&original).drive(&FleetSpec::new(&specs).journal(&journal));
+    assert!(full.retries > 0, "the 16-stream farm must contend");
+    let cut = journal.event_record_ends()[cut_after_event];
+    let crashed = || Journal::from_bytes(journal.bytes()[..cut].to_vec(), chaos_journal_cfg());
+
+    let same = world(16);
+    let control = broker(&same)
+        .recover(&FleetSpec::new(&specs).journal(&crashed()))
+        .expect("the cut recovers on the world it was written against");
+
+    let smaller = world(1);
+    let before = CapacitySnapshot::capture(&smaller.farm, &smaller.network);
+    let err = broker(&smaller)
+        .recover(&FleetSpec::new(&specs).journal(&crashed()))
+        .expect_err("a 1-stream farm cannot resume a 16-stream farm's run");
+    assert_eq!(
+        CapacitySnapshot::capture(&smaller.farm, &smaller.network),
+        before,
+        "failed recovery left reservations behind ({err})"
+    );
+    (control, err)
+}
+
+#[test]
+fn replay_against_a_smaller_farm_is_a_typed_error() {
+    // Cut before the first snapshot (cadence 64): recovery is tail replay
+    // from a pristine engine, and the 1-stream farm refuses a session the
+    // journal says was admitted.
+    let (control, err) = recover_on_a_smaller_farm(20);
+    assert_eq!(control.resumed_at_ms, None, "cut holds a snapshot");
+    assert_eq!(control.replayed_events, 21);
+    assert!(
+        matches!(err, JournalError::ReplayDiverged { event } if event <= 20),
+        "{err}"
+    );
+}
+
+#[test]
+fn restoring_more_streams_than_the_farm_has_is_a_typed_error() {
+    // Cut after the first snapshot, taken while several sessions hold
+    // streams on each server: the 1-stream farm cannot re-reserve them.
+    let (control, err) = recover_on_a_smaller_farm(80);
+    assert!(control.resumed_at_ms.is_some(), "cut holds no snapshot");
+    assert!(matches!(err, JournalError::RestoreFailed(_)), "{err}");
 }

@@ -9,8 +9,6 @@ use std::collections::BTreeSet;
 use news_on_demand::obs::{analyze, Recorder, RetentionPolicy, Tracer};
 use news_on_demand::workload::{run_contended_with, ContendedConfig};
 
-const WORKERS: usize = 4;
-
 /// A fleet small enough for tier-1 but contended enough that most
 /// sessions fail: one server, long holds, fast arrivals.
 fn config() -> ContendedConfig {
@@ -20,7 +18,6 @@ fn config() -> ContendedConfig {
         servers: 1,
         arrivals_per_minute: 240.0,
         hold_ms: 8_000,
-        workers: WORKERS,
         ..ContendedConfig::default()
     }
 }
@@ -36,7 +33,7 @@ fn policy() -> RetentionPolicy {
 
 /// Run the contended fleet with a tail-sampling tracer attached.
 fn sampled_run() -> (usize, Tracer) {
-    let recorder = Recorder::sharded(WORKERS);
+    let recorder = Recorder::new();
     let tracer = Tracer::with_sampling(policy());
     recorder.set_tracer(tracer.clone());
     let (result, _) = run_contended_with(&config(), Some(&recorder));

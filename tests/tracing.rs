@@ -2,10 +2,9 @@
 //! runs must be deterministic (same seed → byte-identical JSONL and equal
 //! span-tree shapes, including under fault injection and confirmation
 //! windows), complete (every event lands in exactly one session tree and
-//! wait attribution covers the whole session), survive multi-worker
-//! `drive` without violating the causal invariants, and the flight
-//! recorder must
-//! capture the last events when the capacity audit trips.
+//! wait attribution covers the whole session), carry the prepare-stage
+//! spans of every attempt, and the flight recorder must capture the last
+//! events when the capacity audit trips.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -166,7 +165,7 @@ fn ctx<'a>(w: &'a World, recorder: Option<&'a Recorder>) -> NegotiationContext<'
 }
 
 #[test]
-fn threaded_drive_traces_satisfy_causal_invariants() {
+fn drive_traces_keep_prepare_spans_under_every_attempt() {
     let w = world(950);
     let clients: Vec<ClientMachine> = (0..CLIENTS)
         .map(|i| ClientMachine::era_workstation(ClientId(i)))
@@ -185,28 +184,41 @@ fn threaded_drive_traces_satisfy_causal_invariants() {
     let tracer = Tracer::new();
     recorder.set_tracer(tracer.clone());
     let broker = Broker::new(ctx(&w, Some(&recorder)), BrokerConfig::era_default());
-    let report = broker.drive(
-        &FleetSpec::new(&specs)
-            .workers(4)
-            .retention(EventRetention::CountsOnly),
-    );
+    let report = broker.drive(&FleetSpec::new(&specs).retention(EventRetention::CountsOnly));
     assert!(report.admitted >= 1);
     assert_eq!(report.leaked_streams, 0);
 
-    // Scheduling is nondeterministic, but the per-session resume/suspend
-    // protocol must still partition events into well-formed trees: every
-    // span closes inside its parent, no orphans, every event covered.
+    // The per-session resume/suspend protocol must partition a same-tick
+    // burst into well-formed trees: every span closes inside its parent,
+    // no orphans, every event covered.
     let events = tracer.drain();
-    assert!(!events.is_empty(), "threaded run produced no events");
-    let trees = analyze::build_trees(&events).expect("threaded trace must keep causal invariants");
+    assert!(!events.is_empty(), "traced run produced no events");
+    let trees = analyze::build_trees(&events).expect("trace must keep causal invariants");
     let covered: usize = trees
         .iter()
         .flat_map(|t| t.roots.iter())
         .map(node_events)
         .sum();
     assert_eq!(covered, events.len());
+    // Steps 1–4 run inside the attempt they belong to, so a session's
+    // trace explains its ranking as well as its commit walk.
+    assert_eq!(trees.len(), 24, "one tree per session");
     for tree in &trees {
         assert!(tree.trace < 24, "trace ids are session indices");
+        let attempts: Vec<&SpanNode> = (tree.roots.iter())
+            .flat_map(|root| root.children.iter())
+            .filter(|n| n.name == "attempt")
+            .collect();
+        assert!(!attempts.is_empty(), "trace {} has no attempt", tree.trace);
+        for attempt in attempts {
+            for stage in ["enumerate", "classify"] {
+                assert!(
+                    attempt.find(stage).is_some(),
+                    "trace {}: attempt span lacks a `{stage}` span",
+                    tree.trace
+                );
+            }
+        }
     }
 }
 
@@ -238,11 +250,7 @@ fn injected_leak_trips_audit_and_dumps_flight_recorder() {
     );
     // The audit fires a debug_assert after dumping: tolerate both debug
     // (panic caught here) and release (run returns normally) profiles.
-    // Eight worker shards: the audit and dump must fire under the
-    // threaded engine too, and the panic must not wedge the pool.
-    let _ = catch_unwind(AssertUnwindSafe(|| {
-        broker.drive(&FleetSpec::new(&specs).workers(8))
-    }));
+    let _ = catch_unwind(AssertUnwindSafe(|| broker.drive(&FleetSpec::new(&specs))));
 
     let dump = tracer
         .take_flight_dump()
