@@ -16,10 +16,20 @@
 //! back to back on the one event loop, in exact event order. `prepare`
 //! reads only the catalog and static topology and ranks the whole offer
 //! product as plain data; the commit walk — the only part that touches
-//! live farm/network capacity — materializes just the offers it tries.
+//! live farm/network capacity — tries offers by reference and
+//! materializes the one that commits. Under contention most walks refuse
+//! every offer, so the walk asks each question once: each prefix of
+//! chosen variants is judged once per walk against the capacity the walk
+//! started with, and a refused prefix refuses every later offer sharing
+//! it with the identical reason and shortfall. Capacity freed by another
+//! thread mid-walk is seen by the next attempt; a success always performs
+//! the real reservations, so the memo can never over-commit or leak. The
+//! outcome log, the refusal diagnostics and the explain rows are what a
+//! walk that re-asked every offer would have produced
+//! (`tests/broker_contention.rs` pins one overloaded seed).
 //! The lazy streaming engine behind [`Session::submit`] is not used here:
 //! EXPERIMENTS.md ("Prefetch pool: measured, deleted") records why each
-//! step-5 walk keeps its own caller.
+//! offer order keeps its own caller.
 //!
 //! With [`FleetSpec::explain`] set, every negotiation additionally
 //! records a [`DecisionLog`](nod_qosneg::DecisionLog); the broker keeps

@@ -58,13 +58,18 @@ impl std::error::Error for CatalogError {}
 /// The in-memory metadata catalog.
 ///
 /// `BTreeMap`s keep iteration deterministic, which keeps every experiment
-/// that enumerates the catalog reproducible.
+/// that enumerates the catalog reproducible. Variants themselves sit in a
+/// dense arena: the negotiation's per-document lookup then costs one map
+/// descent per component instead of one per variant.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     documents: BTreeMap<DocumentId, Document>,
-    variants: BTreeMap<VariantId, Variant>,
-    /// Index: monomedia → variants representing it.
-    by_monomedia: BTreeMap<MonomediaId, Vec<VariantId>>,
+    /// The variants, in insertion order; the indexes below point in here.
+    arena: Vec<Variant>,
+    /// Index: variant id → arena slot (id-ordered iteration and lookup).
+    by_id: BTreeMap<VariantId, usize>,
+    /// Index: monomedia → arena slots of the variants representing it.
+    by_monomedia: BTreeMap<MonomediaId, Vec<usize>>,
     /// Index: monomedia → owning document.
     owner: BTreeMap<MonomediaId, DocumentId>,
 }
@@ -90,7 +95,7 @@ impl Catalog {
 
     /// Register a stored variant of an already-registered monomedia.
     pub fn add_variant(&mut self, variant: Variant) -> Result<(), CatalogError> {
-        if self.variants.contains_key(&variant.id) {
+        if self.by_id.contains_key(&variant.id) {
             return Err(CatalogError::DuplicateVariant(variant.id));
         }
         variant.validate().map_err(CatalogError::InvalidVariant)?;
@@ -109,11 +114,13 @@ impl Catalog {
                 got: variant.qos.kind(),
             });
         }
+        let slot = self.arena.len();
         self.by_monomedia
             .entry(variant.monomedia)
             .or_default()
-            .push(variant.id);
-        self.variants.insert(variant.id, variant);
+            .push(slot);
+        self.by_id.insert(variant.id, slot);
+        self.arena.push(variant);
         Ok(())
     }
 
@@ -124,7 +131,7 @@ impl Catalog {
 
     /// Look up a variant.
     pub fn variant(&self, id: VariantId) -> Option<&Variant> {
-        self.variants.get(&id)
+        self.by_id.get(&id).map(|&slot| &self.arena[slot])
     }
 
     /// All documents, in id order.
@@ -134,14 +141,14 @@ impl Catalog {
 
     /// All variants, in id order.
     pub fn variants(&self) -> impl Iterator<Item = &Variant> {
-        self.variants.values()
+        self.by_id.values().map(|&slot| &self.arena[slot])
     }
 
     /// Stored variants of one monomedia, in insertion order.
     pub fn variants_of(&self, mono: MonomediaId) -> Vec<&Variant> {
         self.by_monomedia
             .get(&mono)
-            .map(|ids| ids.iter().map(|id| &self.variants[id]).collect())
+            .map(|slots| slots.iter().map(|&slot| &self.arena[slot]).collect())
             .unwrap_or_default()
     }
 
@@ -164,10 +171,7 @@ impl Catalog {
 
     /// Variants stored on a given server (the server's content inventory).
     pub fn variants_on(&self, server: ServerId) -> Vec<&Variant> {
-        self.variants
-            .values()
-            .filter(|v| v.server == server)
-            .collect()
+        self.variants().filter(|v| v.server == server).collect()
     }
 
     /// Number of stored documents.
@@ -177,7 +181,7 @@ impl Catalog {
 
     /// Number of stored variants.
     pub fn variant_count(&self) -> usize {
-        self.variants.len()
+        self.arena.len()
     }
 
     /// Serialize to a JSON string. Only the documents and variants are
@@ -185,7 +189,7 @@ impl Catalog {
     pub fn to_json(&self) -> Result<String, CatalogError> {
         use nod_simcore::json::{Json, ToJson};
         let docs: Vec<Json> = self.documents.values().map(|d| d.to_json()).collect();
-        let vars: Vec<Json> = self.variants.values().map(|v| v.to_json()).collect();
+        let vars: Vec<Json> = self.variants().map(|v| v.to_json()).collect();
         let obj = Json::Obj(vec![
             ("documents".to_string(), Json::Arr(docs)),
             ("variants".to_string(), Json::Arr(vars)),
@@ -225,7 +229,7 @@ impl Catalog {
     /// Aggregate statistics per medium: `(variant count, total bytes)`.
     pub fn media_inventory(&self) -> HashMap<MediaKind, (usize, u64)> {
         let mut inv: HashMap<MediaKind, (usize, u64)> = HashMap::new();
-        for v in self.variants.values() {
+        for v in &self.arena {
             let e = inv.entry(v.qos.kind()).or_insert((0, 0));
             e.0 += 1;
             e.1 += v.file_bytes;
@@ -321,6 +325,24 @@ mod tests {
             c.variants_of_document(DocumentId(5)).unwrap_err(),
             CatalogError::NoSuchDocument(DocumentId(5))
         );
+    }
+
+    #[test]
+    fn id_order_and_insertion_order_are_both_kept() {
+        // Inserted out of id order: `variants()` still iterates by id,
+        // `variants_of` by insertion, and lookups find each one.
+        let mut c = Catalog::new();
+        c.add_document(sample_doc()).unwrap();
+        c.add_variant(video_variant(9, 1)).unwrap();
+        c.add_variant(audio_variant(5)).unwrap();
+        c.add_variant(video_variant(2, 0)).unwrap();
+        let ids = |vs: Vec<&Variant>| vs.iter().map(|v| v.id.0).collect::<Vec<_>>();
+        assert_eq!(ids(c.variants().collect()), [2, 5, 9]);
+        assert_eq!(ids(c.variants_of(MonomediaId(1))), [9, 2]);
+        assert_eq!(c.variant(VariantId(5)).unwrap().monomedia, MonomediaId(2));
+        assert!(c.variant(VariantId(3)).is_none());
+        let back = Catalog::from_json(&c.to_json().unwrap()).unwrap();
+        assert_eq!(ids(back.variants().collect()), [2, 5, 9]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use nod_simcore::sync::{Mutex, Sharded};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use nod_mmdoc::{ClientId, ServerId};
 use nod_obs::Recorder;
@@ -72,11 +72,15 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
+/// A memoized route, shared: a metrics read, a reservation attempt and
+/// the reservation table entry all hold the route itself, never a copy.
+type Route = Arc<[LinkId]>;
+
 #[derive(Debug, Default)]
 struct NetState {
     reserved_bps: BTreeMap<LinkId, u64>,
     health: BTreeMap<LinkId, f64>,
-    reservations: BTreeMap<NetReservationId, (Vec<LinkId>, u64)>,
+    reservations: BTreeMap<NetReservationId, (Route, u64)>,
 }
 
 /// The reservable network.
@@ -97,12 +101,12 @@ pub struct Network {
     /// same three-hop paths. Sharded so clients negotiating from
     /// different threads against one shared `Network` don't serialize on
     /// one cache lock.
-    routes: Sharded<HashMap<(ClientId, ServerId), Vec<LinkId>>>,
+    routes: Sharded<HashMap<(ClientId, ServerId), Route>>,
     /// Shortest-path trees by source node, filled on first use. A server
     /// streams to many clients, so one Dijkstra per server answers every
     /// client pair — without the tree, warming the pair cache costs one
     /// Dijkstra per pair, which is quadratic in fleet size.
-    trees: Sharded<HashMap<NodeId, std::sync::Arc<RouteTree>>>,
+    trees: Sharded<HashMap<NodeId, Arc<RouteTree>>>,
     next_id: AtomicU64,
     /// Set-once observability hook; `None` keeps reservation allocation-free.
     recorder: OnceLock<Recorder>,
@@ -153,29 +157,32 @@ impl Network {
 
     /// Is there a route between the pair? The same answer — and the same
     /// `net.path.rejections` counting — as `path(..).is_ok()`, without
-    /// cloning a memoized route.
+    /// copying the route.
     pub fn reachable(&self, client: ClientId, server: ServerId) -> bool {
-        let memoized = self
-            .routes
-            .lock_key(Self::route_shard(client, server))
-            .contains_key(&(client, server));
-        memoized || self.path(client, server).is_ok()
+        self.route(client, server).is_ok()
     }
 
     /// The route a client↔server stream would take.
     pub fn path(&self, client: ClientId, server: ServerId) -> Result<Vec<LinkId>, NetError> {
+        self.route(client, server).map(|links| links.to_vec())
+    }
+
+    /// The memoized route.
+    fn route(&self, client: ClientId, server: ServerId) -> Result<Route, NetError> {
         let shard_key = Self::route_shard(client, server);
         if let Some(links) = self.routes.lock_key(shard_key).get(&(client, server)) {
-            return Ok(links.clone());
+            return Ok(Arc::clone(links));
         }
         let result = self.endpoints(client, server).and_then(|(c, s)| {
             let tree = self
                 .trees
                 .lock_key(s.0)
                 .entry(s)
-                .or_insert_with(|| std::sync::Arc::new(route_tree(&self.topo, s)))
+                .or_insert_with(|| Arc::new(route_tree(&self.topo, s)))
                 .clone();
-            tree.path_to(s, c).map_err(NetError::Unreachable)
+            tree.path_to(s, c)
+                .map(Route::from)
+                .map_err(NetError::Unreachable)
         });
         match &result {
             // Only routable pairs are cached: failures stay cheap to
@@ -183,7 +190,7 @@ impl Network {
             Ok(links) => {
                 self.routes
                     .lock_key(shard_key)
-                    .insert((client, server), links.clone());
+                    .insert((client, server), Arc::clone(links));
             }
             Err(_) => {
                 if let Some(rec) = self.recorder.get() {
@@ -205,12 +212,12 @@ impl Network {
         client: ClientId,
         server: ServerId,
     ) -> Result<PathMetrics, NetError> {
-        let links = self.path(client, server)?;
+        let links = self.route(client, server)?;
         let st = self.state.lock();
         let mut delay = 0u64;
         let mut bottleneck = u64::MAX;
         let mut max_util = 0.0f64;
-        for &l in &links {
+        for &l in links.iter() {
             let lk = self.topo.link(l).expect("route links exist");
             delay += lk.delay_us;
             let cap = self.link_capacity(&st, l);
@@ -260,7 +267,7 @@ impl Network {
         if let Some(rec) = self.recorder.get() {
             rec.counter("net.reservation.attempts", 1);
         }
-        let links = match self.path(client, server) {
+        let links = match self.route(client, server) {
             Ok(links) => links,
             Err(e) => {
                 self.count_rejection(&e);
@@ -268,7 +275,7 @@ impl Network {
             }
         };
         let mut st = self.state.lock();
-        for &l in &links {
+        for &l in links.iter() {
             let cap = self.link_capacity(&st, l);
             let used = st.reserved_bps.get(&l).copied().unwrap_or(0);
             if used + bps > cap {
@@ -282,7 +289,7 @@ impl Network {
                 return Err(err);
             }
         }
-        for &l in &links {
+        for &l in links.iter() {
             *st.reserved_bps.entry(l).or_insert(0) += bps;
         }
         let id = NetReservationId(self.next_id.fetch_add(1, Ordering::Relaxed));
@@ -312,8 +319,8 @@ impl Network {
     pub fn release(&self, id: NetReservationId) {
         let mut st = self.state.lock();
         if let Some((links, bps)) = st.reservations.remove(&id) {
-            for l in links {
-                if let Some(v) = st.reserved_bps.get_mut(&l) {
+            for l in links.iter() {
+                if let Some(v) = st.reserved_bps.get_mut(l) {
                     *v = v.saturating_sub(bps);
                 }
             }

@@ -357,15 +357,34 @@ impl OfferEngine {
                 .all(|c| c.variants.len() <= u16::MAX as usize)
     }
 
+    /// Number of document components (streams per offer).
+    pub(crate) fn components(&self) -> usize {
+        self.components.len()
+    }
+
+    /// Identifies the variants the combination at `rank` chooses for
+    /// components `0..=component`: two ranks share the value exactly when
+    /// they share that prefix.
+    pub(crate) fn prefix(&self, rank: u64, component: usize) -> u64 {
+        rank / self.strides[component]
+    }
+
     /// The chosen variants of the combination at enumeration `rank` with
     /// their `(CostNetᵢ, CostSerᵢ)`, decoded from the strides, in document
     /// component order.
-    fn streams_at(&self, rank: u64) -> impl Iterator<Item = (&Variant, Money, Money)> {
+    pub(crate) fn streams_at(
+        &self,
+        rank: u64,
+    ) -> impl Iterator<Item = (&Variant, Money, Money)> + Clone {
+        // One division per component: what is left of the rank after the
+        // components before this one.
+        let mut rest = rank;
         self.strides
             .iter()
             .zip(&self.components)
             .map(move |(&stride, comp)| {
-                let p = (rank / stride % comp.variants.len() as u64) as usize;
+                let p = (rest / stride) as usize;
+                rest %= stride;
                 (&comp.variants[p], comp.scores[p].net, comp.scores[p].ser)
             })
     }
@@ -848,6 +867,11 @@ impl RankedOffers {
     /// The entries, in classified order.
     pub fn entries(&self) -> &[ScoredCombo] {
         &self.entries
+    }
+
+    /// The engine the entries' ranks decode against.
+    pub(crate) fn engine(&self) -> &OfferEngine {
+        &self.engine
     }
 
     /// The streams of the offer at classified index `idx`: each chosen

@@ -10,6 +10,7 @@ use nod_mmdb::Catalog;
 use nod_mmdoc::{DocumentId, MediaKind, MonomediaId, ServerId, Variant};
 use nod_netsim::{NetError, NetReservationId, Network};
 use nod_obs::{Recorder, Span};
+use std::collections::BTreeMap;
 
 use crate::classify::{ClassificationStrategy, ScoredOffer};
 use crate::cost::CostModel;
@@ -565,17 +566,8 @@ fn negotiate_steps(
         ));
     }
     let ranked = rank_offers(ctx, root, engine, keep.as_deref(), log.as_deref_mut());
-    Ok(commit_ranked(
-        ctx,
-        client,
-        profile,
-        root,
-        ranked,
-        0,
-        Vec::new(),
-        trace,
-        log,
-    ))
+    let walk = CommitWalk::new(ctx, client, profile);
+    Ok(commit_ranked(walk, root, ranked, 0, Vec::new(), trace, log))
 }
 
 /// Per-walk refusal census. A commit walk refuses dozens of offers for a
@@ -585,10 +577,13 @@ fn negotiate_steps(
 /// tiny first-occurrence-ordered vec and emits one
 /// `negotiation.commit.refused{reason=}` counter delta and one trace
 /// point (value = count) per distinct reason at the end of the walk —
-/// identical counter totals, bounded trace volume.
+/// identical counter totals, bounded trace volume. It counts *offers*;
+/// `memo_hits` says how many of them were answered from the walk's memo
+/// without asking a server or a link.
 #[derive(Default)]
 struct RefusalCensus {
     attempts: u64,
+    memo_hits: u64,
     by_reason: Vec<(&'static str, u64)>,
 }
 
@@ -610,6 +605,9 @@ impl RefusalCensus {
         if self.attempts > 0 {
             rec.counter("negotiation.reservation.attempts", self.attempts);
         }
+        if self.memo_hits > 0 {
+            rec.counter("negotiation.commit.memo_hits", self.memo_hits);
+        }
         for (kind, n) in self.by_reason {
             rec.counter_with("negotiation.commit.refused", &[("reason", kind)], n);
             rec.trace_point_value(
@@ -621,11 +619,109 @@ impl RefusalCensus {
     }
 }
 
+/// One step-5 walk: the attempt both offer loops make, and what the walk
+/// has learned so far.
+///
+/// Every refused attempt rolls back completely ([`PendingCommit`]), so each
+/// attempt of a walk starts from the same farm and network state, and a
+/// refusal at component `d` depends on that state and on the variants
+/// chosen for components `0..=d` only. The walk therefore judges each such
+/// prefix once: `refused` remembers it, and a later offer sharing the
+/// prefix gets the identical [`CommitRefusal`] without asking a server or a
+/// link again. Capacity another thread frees mid-walk is seen by the
+/// session's next attempt (a new walk), not by this one; a success always
+/// performs the real reservations, so the memo can never over-commit or
+/// leak.
+struct CommitWalk<'c, 'a> {
+    ctx: &'c NegotiationContext<'a>,
+    client: &'c ClientMachine,
+    max_startup_ms: u64,
+    /// `(d, engine.prefix(rank, d))` → the refusal at component `d`.
+    refused: BTreeMap<(usize, u64), CommitRefusal>,
+    census: RefusalCensus,
+}
+
+impl<'c, 'a> CommitWalk<'c, 'a> {
+    fn new(
+        ctx: &'c NegotiationContext<'a>,
+        client: &'c ClientMachine,
+        profile: &UserProfile,
+    ) -> Self {
+        CommitWalk {
+            ctx,
+            client,
+            max_startup_ms: profile.time.max_startup_ms,
+            refused: BTreeMap::new(),
+            census: RefusalCensus::default(),
+        }
+    }
+
+    /// Try to commit the offer at enumeration `rank` of `engine`, by
+    /// reference: nothing is materialized here.
+    fn attempt(
+        &mut self,
+        engine: &OfferEngine,
+        rank: u64,
+    ) -> Result<SessionReservation, CommitRefusal> {
+        let result = self.judge(engine, rank);
+        if self.ctx.recorder.is_some() {
+            self.census
+                .attempt(result.as_ref().err().map(|r| &r.failure));
+        }
+        result
+    }
+
+    /// The attempt proper: the per-offer decode check, then the memo, then
+    /// the servers and links.
+    fn judge(
+        &mut self,
+        engine: &OfferEngine,
+        rank: u64,
+    ) -> Result<SessionReservation, CommitRefusal> {
+        let variants = engine.streams_at(rank).map(|(v, ..)| v);
+        check_decode_budget(self.client, variants.clone())?;
+        if let Some(refusal) = self.remembered(engine, rank) {
+            self.census.memo_hits += 1;
+            return Err(refusal);
+        }
+        reserve_streams(self.ctx, self.client, variants, self.max_startup_ms).map_err(
+            |(d, refusal)| {
+                // The last component's prefix is the whole offer, which
+                // no walk attempts twice.
+                if d + 1 < engine.components() {
+                    self.refused
+                        .insert((d, engine.prefix(rank, d)), refusal.clone());
+                }
+                refusal
+            },
+        )
+    }
+
+    /// The refusal an earlier attempt of this walk drew for a prefix of the
+    /// offer at `rank`, if any (at most one prefix can have one: offers
+    /// sharing a refused prefix never reach past it).
+    fn remembered(&self, engine: &OfferEngine, rank: u64) -> Option<CommitRefusal> {
+        if self.refused.is_empty() {
+            return None;
+        }
+        (0..engine.components().saturating_sub(1))
+            .find_map(|d| self.refused.get(&(d, engine.prefix(rank, d))))
+            .cloned()
+    }
+
+    /// Emit the census of the `commit` span being closed; the memo stays.
+    fn emit_census(&mut self) {
+        if let Some(rec) = self.ctx.recorder {
+            std::mem::take(&mut self.census).emit(rec);
+        }
+    }
+}
+
 /// Step 5 over the lazy engine: pull offers from the reservation-order
 /// stream and try to commit each, paying only for the attempted prefix.
 /// On success the classified list stays deferred (the outcome carries the
 /// engine); after [`STREAM_FALLBACK_ATTEMPTS`] refusals — or when the
-/// stream runs dry — the remaining walk happens on the ranked list.
+/// stream runs dry — the same walk continues on the ranked list.
 fn negotiate_streaming(
     ctx: &NegotiationContext<'_>,
     client: &ClientMachine,
@@ -650,9 +746,9 @@ fn negotiate_streaming(
     // per-candidate verdicts are carried by the admission / reservation /
     // refusal points inside it.
     let span_commit = stage_span(ctx, root, "commit");
-    let mut census = RefusalCensus::default();
+    let mut walk = CommitWalk::new(ctx, client, profile);
     let mut stream_failures: Vec<(ScoredCombo, CommitFailure)> = Vec::new();
-    let mut committed: Option<(ScoredCombo, ScoredOffer, SessionReservation)> = None;
+    let mut committed: Option<(ScoredCombo, SessionReservation)> = None;
     let mut exhausted = false;
     while stream_failures.len() < STREAM_FALLBACK_ATTEMPTS {
         let Some(combo) = stream.next() else {
@@ -660,22 +756,15 @@ fn negotiate_streaming(
             break;
         };
         trace.reservation_attempts += 1;
-        let scored = engine.materialize(&combo);
-        let attempt = try_commit_diagnosed(ctx, client, &scored.offer, profile.time.max_startup_ms);
-        if ctx.recorder.is_some() {
-            census.attempt(attempt.as_ref().err());
-        }
-        match attempt {
-            Err(reason) => stream_failures.push((combo, reason)),
+        match walk.attempt(&engine, combo.rank) {
+            Err(refusal) => stream_failures.push((combo, refusal.failure)),
             Ok(reservation) => {
-                committed = Some((combo, scored, reservation));
+                committed = Some((combo, reservation));
                 break;
             }
         }
     }
-    if let Some(rec) = ctx.recorder {
-        census.emit(rec);
-    }
+    walk.emit_census();
     if let Some(span) = span_commit {
         span.end();
     }
@@ -687,7 +776,7 @@ fn negotiate_streaming(
         rec.counter("negotiation.stream.heap_pushes", stats.heap_pushes as u64);
     }
 
-    if let Some((combo, scored, reservation)) = committed {
+    if let Some((combo, reservation)) = committed {
         // Recover the classified-list indices of the attempted offers
         // (diagnostics point into `ordered_offers`) with one counting
         // sweep — no materialization, no sort.
@@ -700,6 +789,7 @@ fn negotiate_streaming(
             .zip(stream_failures)
             .map(|(&idx, (_, reason))| (idx, reason))
             .collect();
+        let scored = engine.materialize(&combo);
         let status = if scored.satisfies_request {
             NegotiationStatus::Succeeded
         } else {
@@ -722,8 +812,9 @@ fn negotiate_streaming(
 
     // No commit in the streamed prefix: rank the whole product. The
     // streamed attempts are exactly the first entries of the reservation
-    // order, so their diagnostics map positionally; the walk resumes where
-    // the stream stopped (or ends immediately when it ran dry).
+    // order, so their diagnostics map positionally; the walk — memo
+    // included — resumes where the stream stopped (or ends immediately
+    // when it ran dry).
     if !exhausted {
         trace.stream_fallbacks += 1;
         if let Some(rec) = ctx.recorder {
@@ -740,19 +831,15 @@ fn negotiate_streaming(
             (idx, reason)
         })
         .collect();
-    commit_ranked(
-        ctx, client, profile, root, ranked, attempted, failures, trace, None,
-    )
+    commit_ranked(walk, root, ranked, attempted, failures, trace, None)
 }
 
-/// The step-5 walk over the ranked list: materialize and try to commit the
-/// offers of its reservation order from position `start_at` on, carrying
-/// over diagnostics from any attempts already made.
-#[allow(clippy::too_many_arguments)]
+/// The step-5 walk over the ranked list: try to commit the offers of its
+/// reservation order from position `start_at` on, continuing `walk` and
+/// carrying over diagnostics from any attempts it already made. Only the
+/// offer that commits is materialized.
 fn commit_ranked(
-    ctx: &NegotiationContext<'_>,
-    client: &ClientMachine,
-    profile: &UserProfile,
+    mut walk: CommitWalk<'_, '_>,
     root: Option<&Span>,
     ranked: RankedOffers,
     start_at: usize,
@@ -762,34 +849,24 @@ fn commit_ranked(
 ) -> NegotiationOutcome {
     // As in the streamed walk, one commit span per ordered walk; the
     // per-candidate refusal points inside it carry the verdicts.
-    let span_commit = stage_span(ctx, root, "commit");
-    let mut census = RefusalCensus::default();
+    let span_commit = stage_span(walk.ctx, root, "commit");
     let mut committed: Option<(usize, ScoredOffer, SessionReservation)> = None;
     for idx in ranked.reservation_order().skip(start_at) {
         trace.reservation_attempts += 1;
-        let scored = ranked.materialize(idx);
-        match try_commit_refusal(ctx, client, &scored.offer, profile.time.max_startup_ms) {
+        match walk.attempt(ranked.engine(), ranked.entries()[idx].rank) {
             Err(refusal) => {
-                if ctx.recorder.is_some() {
-                    census.attempt(Some(&refusal.failure));
-                }
                 if let Some(l) = decisions.as_deref_mut() {
                     l.refusals.push(refusal.record(idx));
                 }
                 failures.push((idx, refusal.failure));
             }
             Ok(reservation) => {
-                if ctx.recorder.is_some() {
-                    census.attempt(None);
-                }
-                committed = Some((idx, scored, reservation));
+                committed = Some((idx, ranked.materialize(idx), reservation));
                 break;
             }
         }
     }
-    if let Some(rec) = ctx.recorder {
-        census.emit(rec);
-    }
+    walk.emit_census();
     if let Some(span) = span_commit {
         span.end();
     }
@@ -824,16 +901,27 @@ fn commit_ranked(
 }
 
 /// Step 5 alone: walk `ordered` in reservation order and commit the first
-/// offer that fits, emitting the same per-attempt counters and terminal
+/// offer that fits, emitting the same per-walk counters and terminal
 /// `negotiation.outcome{status=…}` as the fused
 /// [`Session::submit`](crate::Session::submit) path.
 ///
-/// This is the commit half of the [`prepare`]/commit split the broker
-/// and advance booking share: [`prepare`] reads only the catalog and
-/// static topology, while this walk is the only part that touches live
-/// farm and network capacity. Only the attempted offers are materialized; the outcome's `ordered_offers` keeps the ranked
-/// list deferred. A refused session's retry prepares again (the broker
-/// does not carry the list across attempts).
+/// This is the commit half of the [`prepare`]/commit split the broker and
+/// advance booking share: [`prepare`] reads only the catalog and static
+/// topology, while this walk is the only part that touches live farm and
+/// network capacity.
+///
+/// Offers are attempted by reference and only the one that commits is
+/// materialized; the outcome's `ordered_offers` keeps the ranked list
+/// deferred. Each prefix of chosen variants is judged once per walk,
+/// against the capacity the walk started with: a refused prefix refuses
+/// every later offer that shares it without asking the server or link
+/// again, with the identical [`CommitRefusal`]. Capacity freed by another
+/// thread mid-walk is seen by the session's next attempt, not this walk.
+/// A success always performs the real reservations, so the memo can never
+/// over-commit or leak.
+///
+/// A refused session's retry prepares again (the broker does not carry
+/// the list across attempts).
 pub fn commit_prepared(
     ctx: &NegotiationContext<'_>,
     client: &ClientMachine,
@@ -842,17 +930,8 @@ pub fn commit_prepared(
     trace: NegotiationTrace,
     decisions: Option<Box<DecisionLog>>,
 ) -> NegotiationOutcome {
-    let outcome = commit_ranked(
-        ctx,
-        client,
-        profile,
-        None,
-        ordered,
-        0,
-        Vec::new(),
-        trace,
-        decisions,
-    );
+    let walk = CommitWalk::new(ctx, client, profile);
+    let outcome = commit_ranked(walk, None, ordered, 0, Vec::new(), trace, decisions);
     if let Some(rec) = ctx.recorder {
         let status = outcome.status.to_string();
         rec.counter_with("negotiation.outcome", &[("status", &status)], 1);
@@ -1106,93 +1185,99 @@ fn net_shortfall(err: NetError, requested: u64) -> Shortfall {
 
 /// [`try_commit_diagnosed`] that also reports the concrete shortfall —
 /// which disk round / interface / link ran out, requested vs available.
-/// This is the commit primitive the decision-provenance layer records.
+/// This is the commit primitive the decision-provenance layer records;
+/// the step-5 walks run the same two checks per offer, by reference.
 pub fn try_commit_refusal(
     ctx: &NegotiationContext<'_>,
     client: &ClientMachine,
     offer: &SystemOffer,
     max_startup_ms: u64,
 ) -> Result<SessionReservation, CommitRefusal> {
-    // Combination-level client check: the offer's streams must fit the
-    // machine's concurrent decode budget (per-variant decodability was
-    // step 2; this guards the whole configuration).
-    if !client.can_decode_concurrently(offer.variants.iter()) {
-        return Err(CommitRefusal {
+    check_decode_budget(client, offer.variants.iter())?;
+    reserve_streams(ctx, client, offer.variants.iter(), max_startup_ms)
+        .map_err(|(_, refusal)| refusal)
+}
+
+/// Combination-level client check: the offer's streams must fit the
+/// machine's concurrent decode budget (per-variant decodability was
+/// step 2; this guards the whole configuration).
+fn check_decode_budget<'v>(
+    client: &ClientMachine,
+    variants: impl Iterator<Item = &'v Variant>,
+) -> Result<(), CommitRefusal> {
+    if client.can_decode_concurrently(variants) {
+        Ok(())
+    } else {
+        Err(CommitRefusal {
             failure: CommitFailure::DecodeBudget,
             shortfall: Shortfall::DecodeBudget,
-        });
+        })
     }
+}
+
+/// Two-phase commit of an offer's streams, in document component order:
+/// reserve each on its server and its network path, rolling back
+/// everything on the first refusal — which is returned with the index of
+/// the component that drew it.
+fn reserve_streams<'v>(
+    ctx: &NegotiationContext<'_>,
+    client: &ClientMachine,
+    variants: impl Iterator<Item = &'v Variant>,
+    max_startup_ms: u64,
+) -> Result<SessionReservation, (usize, CommitRefusal)> {
     // Any early return (or panic) below drops the guard, which releases
     // every reservation taken so far — no refusal path can leak capacity.
     let mut pending = PendingCommit::new(ctx.farm, ctx.network);
 
-    for variant in &offer.variants {
+    for (d, variant) in variants.enumerate() {
+        let refuse = |failure, shortfall| Err((d, CommitRefusal { failure, shortfall }));
+        let server = variant.server;
         let spec = map_requirements(variant);
         // Load-dependent path QoS check (§6 constants vs. current metrics).
-        let metrics = match ctx.network.path_metrics(client.id, variant.server) {
+        let metrics = match ctx.network.path_metrics(client.id, server) {
             Ok(m) if path_supports(&spec, &m) => m,
-            _ => {
-                return Err(CommitRefusal {
-                    failure: CommitFailure::PathQos {
-                        server: variant.server,
-                    },
-                    shortfall: Shortfall::PathQos,
-                });
-            }
+            _ => return refuse(CommitFailure::PathQos { server }, Shortfall::PathQos),
         };
         // Time-profile check: the stream must be able to start in time.
         if variant.blocks_per_second > 0 {
             let round_us = ctx
                 .farm
-                .server(variant.server)
+                .server(server)
                 .map(|s| s.config().round_us)
                 .unwrap_or(0);
-            let startup = crate::startup::estimate_startup_ms(
+            let estimated_ms = crate::startup::estimate_startup_ms(
                 round_us,
                 metrics.delay_us,
                 crate::startup::preroll_ms(ctx.jitter_buffer_ms),
             );
-            if startup > max_startup_ms {
-                return Err(CommitRefusal {
-                    failure: CommitFailure::Startup {
-                        estimated_ms: startup,
-                        limit_ms: max_startup_ms,
+            if estimated_ms > max_startup_ms {
+                let limit_ms = max_startup_ms;
+                return refuse(
+                    CommitFailure::Startup {
+                        estimated_ms,
+                        limit_ms,
                     },
-                    shortfall: Shortfall::Startup {
-                        estimated_ms: startup,
-                        limit_ms: max_startup_ms,
+                    Shortfall::Startup {
+                        estimated_ms,
+                        limit_ms,
                     },
-                });
+                );
             }
         }
         // Server admission (continuous media only occupy disk rounds, but
         // discrete media still count against stream slots).
         let req = StreamRequirement::for_variant(variant, ctx.guarantee);
-        match ctx.farm.try_reserve(variant.server, req) {
-            Ok(id) => pending.servers.push((variant.server, id)),
-            Err(e) => {
-                return Err(CommitRefusal {
-                    failure: CommitFailure::Server {
-                        server: variant.server,
-                    },
-                    shortfall: admission_shortfall(e),
-                });
-            }
+        match ctx.farm.try_reserve(server, req) {
+            Ok(id) => pending.servers.push((server, id)),
+            Err(e) => return refuse(CommitFailure::Server { server }, admission_shortfall(e)),
         }
         // Network bandwidth along the path (continuous media only; discrete
         // transfers ride the residual capacity ahead of playout).
         if variant.blocks_per_second > 0 {
             let bps = charged_bit_rate(variant, ctx.guarantee);
-            match ctx.network.try_reserve(client.id, variant.server, bps) {
+            match ctx.network.try_reserve(client.id, server, bps) {
                 Ok(id) => pending.nets.push(id),
-                Err(e) => {
-                    return Err(CommitRefusal {
-                        failure: CommitFailure::Network {
-                            server: variant.server,
-                        },
-                        shortfall: net_shortfall(e, bps),
-                    });
-                }
+                Err(e) => return refuse(CommitFailure::Network { server }, net_shortfall(e, bps)),
             }
         }
     }

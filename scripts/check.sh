@@ -116,6 +116,27 @@ grep -q "recovery verified" <<< "$recover_out"
 echo "==> benchmark smoke (benchmark/ run --smoke)"
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- run --smoke
 
+# The standalone package's own unit tests (statistics, digest, span
+# self-time, generators, BENCHMARK.json <=> code): nothing above runs them.
+echo "==> benchmark unit tests (cargo test --manifest-path benchmark/Cargo.toml)"
+cargo test --release --quiet --manifest-path benchmark/Cargo.toml
+
+# Outcome-digest pin (gating): a performance change must leave every
+# workload's seed-12 story unchanged. Minimum-length runs (~15 s in all)
+# print the same digest as a 25 s one; scripts/benchmark_digests.txt holds
+# the expected `<workload> <digest>` pairs.
+echo "==> benchmark digests (seed 12 vs scripts/benchmark_digests.txt)"
+while read -r workload expected; do
+    got="$(cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+        run --workload "$workload" --seed 12 --seconds 0 --trace 0 < /dev/null |
+        sed -n 's/^row .*"outcome_digest":"\([^"]*\)".*/\1/p')"
+    if [ "$got" != "$expected" ]; then
+        echo "error: $workload outcome_digest is '$got', expected $expected"
+        exit 1
+    fi
+    echo "$workload $got"
+done < scripts/benchmark_digests.txt
+
 echo "==> line budget (scripts/loc_budget.sh)"
 scripts/loc_budget.sh
 

@@ -575,3 +575,66 @@ fn retry_deadline_is_exclusive_at_the_boundary() {
     );
     assert_eq!(report.results[0].attempts, 2, "the scheduled retry ran");
 }
+
+/// FNV-1a, enough to pin a log's bytes in a test.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+#[test]
+fn overload_story_is_unchanged_by_how_the_walk_asks() {
+    // An overloaded fleet — 96 sessions arriving four a second at one
+    // server, through fault windows — is mostly refused walks and
+    // retries. How step 5 walks (every offer asked afresh, or refused
+    // prefixes remembered) must not show anywhere in what the run
+    // records: the numbers below were recorded from the commit whose walk
+    // re-asked every offer.
+    use news_on_demand::obs::RetentionPolicy;
+    use news_on_demand::qosneg::explain::{ExplainArtifact, ExplainMeta};
+    let policy = RetentionPolicy::default();
+    let config = ContendedConfig {
+        seed: 1996,
+        sessions: 96,
+        servers: 1,
+        arrivals_per_minute: 240.0,
+        hold_ms: 12_000,
+        fault_windows: 3,
+        choice_period_ms: 300,
+        explain: Some(policy),
+        ..ContendedConfig::default()
+    };
+    let (result, report) = run_contended_with(&config, None);
+    assert_eq!(result.leaked_streams, 0);
+    let log = format!("{:?}", report.events);
+    let artifact = ExplainArtifact::new(
+        ExplainMeta {
+            source: "test".into(),
+            seed: config.seed,
+            sessions: config.sessions as u64,
+            top_k: policy.top_k as u64,
+            sample_every: policy.sample_every,
+            sample_seed: policy.seed,
+        },
+        report.explains.expect("explain was requested"),
+    )
+    .to_jsonl();
+    // Pinned from that commit, seed 1996.
+    assert_eq!(
+        (result.admitted, result.starved, result.retries),
+        (78, 18, 292)
+    );
+    assert_eq!(report.events.len(), 550);
+    assert_eq!(fnv1a(log.as_bytes()), 0xf682_f642_ad9f_8969, "outcome log");
+    assert_eq!(
+        artifact.matches("\"shortfall\"").count(),
+        3844,
+        "refusal rows in the explain artifact"
+    );
+    assert_eq!(
+        (artifact.len(), fnv1a(artifact.as_bytes())),
+        (762_594, 0x9a16_015a_8040_f1df),
+        "explain artifact"
+    );
+}
