@@ -22,9 +22,9 @@ use nod_cmfs::Guarantee;
 use nod_mmdoc::{ClientId, DocumentId};
 use nod_obs::RetentionPolicy;
 use nod_qosneg::explain::DecisionLog;
-use nod_qosneg::negotiate::NegotiationContext;
+use nod_qosneg::negotiate::{NegotiationContext, StreamingMode};
 use nod_qosneg::profile::tv_news_profile;
-use nod_qosneg::{ClassificationStrategy, NegotiationRequest, Session, StreamingMode};
+use nod_qosneg::{ClassificationStrategy, NegotiationRequest, Session};
 use nod_workload::{run_contended_with, ContendedConfig};
 
 /// Counts heap allocations so the disabled-path check is exact, not a

@@ -3,12 +3,13 @@
 //! plus the observability overhead check: the same negotiation with the
 //! recorder disabled, enabled, and enabled with a sink attached.
 //!
-//! B8 — the streaming offer engine vs. the eager classify-everything
-//! path: end-to-end `negotiate()` latency when the first offer commits
-//! (streaming should only pay for the prefix), the full-sort fallback
-//! when every commit is refused (streaming must stay within ~10% of the
-//! eager path), and heap-allocation counts per negotiation measured by a
-//! counting global allocator.
+//! B8 — the lazily ordered offer walk on a rich catalog: end-to-end
+//! `negotiate()` latency when the first offer commits (the walk orders a
+//! head and materializes one offer) and when every commit is refused (the
+//! walk orders and attempts the whole product), and heap-allocation
+//! counts measured by a counting global allocator — the first-offer walk
+//! must allocate a small fraction of what materializing the classified
+//! list does.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -57,7 +58,7 @@ fn negotiate(
 }
 
 /// Counts heap allocations so the b8 metrics can show how many the
-/// streaming engine avoids. Counting is a single relaxed atomic add per
+/// lazy walk avoids. Counting is a single relaxed atomic add per
 /// allocation; the timing benches share the overhead equally.
 struct CountingAlloc;
 
@@ -229,9 +230,9 @@ fn main() {
         }
     });
 
-    // B8: streaming engine vs. eager classification on a rich catalog
-    // (every document carries video, narration, French narration, and a
-    // still image — four components — with an 8-rung video ladder).
+    // B8: the lazy offer walk on a rich catalog (every document carries
+    // video, narration, French narration, and a still image — four
+    // components — with an 8-rung video ladder).
     let rich = || {
         let mut rng = StreamRng::new(29);
         let catalog = CorpusBuilder::new(CorpusParams {
@@ -255,34 +256,23 @@ fn main() {
 
     let w8 = rich();
     let client = ClientMachine::era_highend(ClientId(0));
-    let c_auto = ctx(&w8);
-    let c_off = NegotiationContext {
-        streaming: StreamingMode::Off,
-        ..ctx(&w8)
-    };
+    let c8 = ctx(&w8);
 
     // First-commit path: a healthy farm accepts the best offer on the
-    // first try, so streaming only pays for the enumeration prefix.
-    m.bench("b8_streaming/first_commit/streaming", || {
-        let out = negotiate(&c_auto, &client, DocumentId(1), &tv_news_profile()).unwrap();
+    // first try, so the walk scores the product, orders a head and
+    // materializes one offer.
+    m.bench("b8_lazy_order/first_commit", || {
+        let out = negotiate(&c8, &client, DocumentId(1), &tv_news_profile()).unwrap();
         if let Some(r) = &out.reservation {
             r.release(&w8.farm, &w8.network);
         }
-        out.trace.offers_streamed
-    });
-    m.bench("b8_streaming/first_commit/eager", || {
-        let out = negotiate(&c_off, &client, DocumentId(1), &tv_news_profile()).unwrap();
-        if let Some(r) = &out.reservation {
-            r.release(&w8.farm, &w8.network);
-        }
-        out.trace.offers_enumerated
+        out.trace.reservation_attempts
     });
 
-    // Allocation counts on the enumeration path alone: identical prebuilt
-    // engines, then (a) stream setup + first yielded offer vs. (b) the full
-    // materialize-classify-sort. This isolates exactly what the streaming
-    // engine replaces; the end-to-end numbers below include the shared
-    // negotiation machinery (profile, feasibility, commit) on both sides.
+    // Allocation counts on the ordering path alone: identical prebuilt
+    // engines, then (a) the walk's first offer vs. (b) the full
+    // materialized classified list. The end-to-end count below includes
+    // the shared negotiation machinery (profile, feasibility, commit).
     let engine = {
         let document = w8.catalog.document(DocumentId(1)).unwrap();
         let per_mono: Vec<(MonomediaId, Vec<&Variant>)> = w8
@@ -318,58 +308,41 @@ fn main() {
     const ROUNDS: u64 = 32;
     let before = alloc_count();
     for _ in 0..ROUNDS {
-        let mut stream = engine.reservation_stream();
-        black_box(stream.next());
+        black_box(engine.reservation_stream().next());
     }
-    let stream_allocs = (alloc_count() - before) as f64 / ROUNDS as f64;
+    let first_offer_allocs = (alloc_count() - before) as f64 / ROUNDS as f64;
     let before = alloc_count();
     for _ in 0..ROUNDS {
         let ordered = engine.classify_all();
         black_box(reservation_order(&ordered));
     }
-    let eager_sort_allocs = (alloc_count() - before) as f64 / ROUNDS as f64;
-    m.metric(
-        "b8_allocs_enumeration_path/streaming_first_offer",
-        stream_allocs,
+    let full_list_allocs = (alloc_count() - before) as f64 / ROUNDS as f64;
+    assert!(
+        first_offer_allocs * 10.0 < full_list_allocs,
+        "the first-offer walk ({first_offer_allocs} allocations) must not materialize the list \
+         ({full_list_allocs})"
     );
+    m.metric("b8_allocs_enumeration_path/first_offer", first_offer_allocs);
     m.metric(
-        "b8_allocs_enumeration_path/eager_full_sort",
-        eager_sort_allocs,
-    );
-    m.metric(
-        "b8_allocs_enumeration_path/eager_over_streaming",
-        eager_sort_allocs / stream_allocs.max(1.0),
+        "b8_allocs_enumeration_path/full_materialized_list",
+        full_list_allocs,
     );
 
-    // Allocation counts on the same first-commit negotiation.
-    let streaming_allocs = allocs_per_negotiation(&c_auto, &w8, &client, 32);
-    let eager_allocs = allocs_per_negotiation(&c_off, &w8, &client, 32);
-    m.metric("b8_allocs_per_negotiation/streaming", streaming_allocs);
-    m.metric("b8_allocs_per_negotiation/eager", eager_allocs);
+    // Allocation count of the same first-commit negotiation.
     m.metric(
-        "b8_allocs_per_negotiation/eager_over_streaming",
-        eager_allocs / streaming_allocs.max(1.0),
+        "b8_allocs_per_negotiation/first_commit",
+        allocs_per_negotiation(&c8, &w8, &client, 32),
     );
 
-    // Fallback path: every server is dead, so every commit is refused and
-    // the streaming path must fall back to the full sort after its
-    // attempt budget. It should stay within ~10% of the eager path.
+    // All-refused path: every server is dead, so every commit is refused
+    // and the walk orders and attempts the whole product.
     let w_dead = rich();
     for s in w_dead.farm.ids() {
         w_dead.farm.server(s).unwrap().set_health(0.0);
     }
-    let d_auto = ctx(&w_dead);
-    let d_off = NegotiationContext {
-        streaming: StreamingMode::Off,
-        ..ctx(&w_dead)
-    };
-    m.bench("b8_streaming/all_refused_fallback/streaming", || {
-        let out = negotiate(&d_auto, &client, DocumentId(1), &tv_news_profile()).unwrap();
-        debug_assert!(out.reservation.is_none());
-        out.trace.stream_fallbacks
-    });
-    m.bench("b8_streaming/all_refused_fallback/eager", || {
-        let out = negotiate(&d_off, &client, DocumentId(1), &tv_news_profile()).unwrap();
+    let c_dead = ctx(&w_dead);
+    m.bench("b8_lazy_order/all_refused", || {
+        let out = negotiate(&c_dead, &client, DocumentId(1), &tv_news_profile()).unwrap();
         debug_assert!(out.reservation.is_none());
         out.trace.reservation_attempts
     });

@@ -14,10 +14,10 @@
 //! Every attempt, retries included, runs negotiation steps 1–4
 //! ([`prepare`]) and then the step-5 commit walk ([`commit_prepared`])
 //! back to back on the one event loop, in exact event order. `prepare`
-//! reads only the catalog and static topology and ranks the whole offer
+//! reads only the catalog and static topology and scores the whole offer
 //! product as plain data; the commit walk — the only part that touches
-//! live farm/network capacity — tries offers by reference and
-//! materializes the one that commits. Under contention most walks refuse
+//! live farm/network capacity — orders that list as far as it gets, tries
+//! offers by reference and materializes the one that commits. Under contention most walks refuse
 //! every offer, so the walk asks each question once: each prefix of
 //! chosen variants is judged once per walk against the capacity the walk
 //! started with, and a refused prefix refuses every later offer sharing
@@ -27,9 +27,8 @@
 //! outcome log, the refusal diagnostics and the explain rows are what a
 //! walk that re-asked every offer would have produced
 //! (`tests/broker_contention.rs` pins one overloaded seed).
-//! The lazy streaming engine behind [`Session::submit`] is not used here:
-//! EXPERIMENTS.md ("Prefetch pool: measured, deleted") records why each
-//! offer order keeps its own caller.
+//! [`Session::submit`] is the same `prepare` and the same walk under one
+//! `negotiate` span.
 //!
 //! With [`FleetSpec::explain`] set, every negotiation additionally
 //! records a [`DecisionLog`](nod_qosneg::DecisionLog); the broker keeps

@@ -5,7 +5,8 @@
 //! ```
 //!
 //! Runs `N` seeded scenarios (deterministic in `S`) through the reference
-//! negotiator and every optimized execution path. Any divergence is
+//! negotiator and every optimized execution path (`session`, `manager`,
+//! `broker`). Any divergence is
 //! shrunk to a minimal scenario and printed as a ready-to-paste `#[test]`;
 //! the process then exits nonzero. The divergence count is recorded on the
 //! `oracle.divergences` counter (written to `--metrics-out` when given).
@@ -13,7 +14,10 @@
 //! `--explain-check` additionally replays every divergence-free scenario
 //! with explanations enabled and asserts the decision log cites exactly
 //! the commit-refusal kinds, pruned-variant set, and winning-offer rank
-//! the paper-literal reference observes.
+//! the paper-literal reference observes — and that the explained outcome
+//! equals the plain one field by field (status, reserved index and offer,
+//! refusal list, attempt count): observing does not change what is
+//! observed.
 
 use std::collections::BTreeMap;
 

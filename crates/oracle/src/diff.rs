@@ -4,9 +4,9 @@
 //! Each path gets its own freshly built world (farm + network with the
 //! scenario's pre-existing load), because reservations are stateful and a
 //! run must never observe another run's leftovers. The reference outcome
-//! is the ground truth; every optimized path — streaming engine, eager
-//! sort, `Session::submit`, and a single-session broker schedule — must
-//! match it on:
+//! is the ground truth; every optimized path — `Session::submit`, the
+//! owned `QosManager`, and a single-session broker schedule — must match
+//! it on:
 //!
 //! * negotiation status and reserved-offer identity (variants, CostDoc,
 //!   SNS, OIF bits, satisfaction flag) and its classified index;
@@ -23,10 +23,10 @@ use nod_broker::{Broker, BrokerConfig, FleetSpec, SessionFate, SessionSpec};
 use nod_cmfs::ServerFarm;
 use nod_mmdoc::ServerId;
 use nod_netsim::Network;
-use nod_qosneg::negotiate::NegotiationContext;
+use nod_qosneg::negotiate::{NegotiationContext, StreamingMode};
 use nod_qosneg::{
     ClassificationStrategy, ManagerConfig, Money, NegotiationOutcome, NegotiationRequest, QosError,
-    QosManager, ScoredOffer, Session, StreamingMode,
+    QosManager, ScoredOffer, Session,
 };
 
 use crate::reference::{reference_negotiate, RefContext, RefError, RefOutcome, RefRefusal};
@@ -137,11 +137,8 @@ pub fn run_differential(scenario: &Scenario) -> Result<(), Box<Divergence>> {
     let ref_held = Ledger::capture(&ref_farm, &ref_network, scenario.servers);
 
     // ---- Optimized paths ----------------------------------------------
-    for (path, streaming) in [
-        ("streaming", Some(StreamingMode::Auto)),
-        ("eager", Some(StreamingMode::Off)),
-        ("session", None),
-    ] {
+    {
+        let path = "session";
         let (farm, network) = built.make_world();
         let ctx = NegotiationContext {
             catalog: &built.catalog,
@@ -158,10 +155,7 @@ pub fn run_differential(scenario: &Scenario) -> Result<(), Box<Divergence>> {
             explain: false,
         };
         let session = Session::new(ctx);
-        let mut request = NegotiationRequest::new(&built.client, built.document, &built.profile);
-        if let Some(mode) = streaming {
-            request = request.streaming(mode);
-        }
+        let request = NegotiationRequest::new(&built.client, built.document, &built.profile);
         let outcome = session.submit(&request);
         compare_path(
             scenario, &built, &reference, &ref_held, &baseline, &outcome, &farm, &network, path,

@@ -16,7 +16,11 @@
 //!   (+ copyright) sum reproduces CostDoc;
 //! * with dominance pruning enabled, names exactly the victim set a
 //!   pairwise sweep of the reference's full classified list identifies,
-//!   with every cited dominator actually dominating its victim.
+//!   with every cited dominator actually dominating its victim;
+//! * and that explaining changed nothing: the explained outcome equals the
+//!   plain one (same walk, explain off, fresh world) on status, reserved
+//!   index and offer, the `(index, CommitFailure)` list and the attempt
+//!   count.
 //!
 //! Any violation is a [`Divergence`] on the `explain` / `explain-pruned`
 //! path, shrinkable like any other.
@@ -24,8 +28,8 @@
 use std::collections::BTreeSet;
 
 use nod_mmdoc::{Language, MediaQos};
-use nod_qosneg::negotiate::NegotiationContext;
-use nod_qosneg::{NegotiationRequest, Session, StreamingMode};
+use nod_qosneg::negotiate::{NegotiationContext, NegotiationOutcome, StreamingMode};
+use nod_qosneg::{NegotiationRequest, Session};
 
 use crate::diff::Divergence;
 use crate::reference::{reference_negotiate, RefContext, RefOffer, RefOutcome};
@@ -121,8 +125,47 @@ pub fn run_explain_crosscheck(scenario: &Scenario) -> Result<(), Box<Divergence>
             ));
         }
         check_scores(decisions, &reference, &built).map_err(|d| diverge(path, d))?;
+
+        // Observing must not change what is observed.
+        let (plain_farm, plain_network) = built.make_world();
+        let plain_ctx = NegotiationContext {
+            farm: &plain_farm,
+            network: &plain_network,
+            explain: false,
+            ..ctx
+        };
+        match Session::new(plain_ctx).submit(&request) {
+            Ok(plain) => check_same_outcome(&outcome, &plain).map_err(|d| diverge(path, d))?,
+            Err(e) => return Err(diverge(path, format!("plain path errored ({e})"))),
+        }
         if let Some(res) = &outcome.reservation {
             res.release(&farm, &network);
+        }
+    }
+    Ok(())
+}
+
+/// The explained outcome must equal the plain one, field by field
+/// (compared as `Debug` text, so a NaN score equals itself).
+fn check_same_outcome(
+    explained: &NegotiationOutcome,
+    plain: &NegotiationOutcome,
+) -> Result<(), String> {
+    let fields = |o: &NegotiationOutcome| {
+        [
+            ("status", format!("{:?}", o.status)),
+            ("reserved_index", format!("{:?}", o.reserved_index)),
+            ("reserved_offer", format!("{:?}", o.reserved_offer)),
+            ("commit_failures", format!("{:?}", o.commit_failures)),
+            (
+                "reservation_attempts",
+                o.trace.reservation_attempts.to_string(),
+            ),
+        ]
+    };
+    for ((name, got), (_, want)) in fields(explained).into_iter().zip(fields(plain)) {
+        if got != want {
+            return Err(format!("explained {name} {got} != plain {want}"));
         }
     }
     Ok(())

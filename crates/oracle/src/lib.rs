@@ -10,8 +10,8 @@
 //!   importances, cost-ceiling boundaries, capacity exactly-full) plus a
 //!   `to_rust_literal` emitter for ready-to-paste repro tests;
 //! * [`diff`] — the differential runner replaying each scenario through
-//!   the reference and every optimized execution path (streaming, eager,
-//!   `Session::submit`, single-session broker), comparing statuses,
+//!   the reference and every optimized execution path (`Session::submit`,
+//!   `QosManager`, single-session broker), comparing statuses,
 //!   reserved offers, ordered-offer prefixes, CostDoc, and the post-run
 //!   capacity ledger; and [`mod@shrink`] — a greedy scenario shrinker that
 //!   reduces any divergence to a minimal repro.
@@ -21,7 +21,8 @@
 //! replay shrunk scenarios directly. [`explain_check`] extends the oracle
 //! to the observability channel: decision logs must cite exactly the
 //! refusal kinds, pruned-variant set, and winning-offer rank the
-//! reference observes (`run_oracle --explain-check`).
+//! reference observes, and the explained outcome must equal the plain one
+//! (`run_oracle --explain-check`).
 
 pub mod diff;
 pub mod explain_check;

@@ -18,8 +18,8 @@ fn nth_scenario(seed: u64, i: u64) -> Scenario {
 #[test]
 fn seeded_sweep_agrees_on_every_path() {
     // 64 scenarios is the in-test slice of the 256-case CI gate: every
-    // execution path (reference / streaming / eager / session / manager /
-    // broker) must agree bit-exactly, and every world must return to its
+    // execution path (reference / session / manager / broker) must agree
+    // bit-exactly, and every world must return to its
     // baseline ledger after release.
     for i in 0..64 {
         let scenario = nth_scenario(7, i);

@@ -160,8 +160,8 @@ fn repro_zero_variant_component_fails_without_offer() {
 #[test]
 fn repro_nan_importance_orders_deterministically() {
     // A NaN importance weight poisons every OIF. `total_cmp` still gives
-    // one deterministic order, and streaming must reproduce the eager sort
-    // bit-for-bit.
+    // one deterministic order, and the lazily ordered walk must reproduce
+    // the reference sort bit-for-bit.
     let mut scenario = exactly_full_scenario();
     scenario.anomaly = ImportanceAnomaly::NanColor;
     run_differential(&scenario).expect("NaN importance conforms");

@@ -87,9 +87,9 @@ impl ScoredOffer {
 /// custom importance profile — made the old comparator intransitive
 /// (`NaN == x` for every `x`), which violates `sort_by`'s strict-weak-order
 /// contract and can panic in recent `std`. The total order sorts NaNs
-/// deterministically instead. Shared with the streaming engine
-/// ([`crate::engine`]) so both paths rank offers identically.
-pub(crate) fn sort_key_cmp(
+/// deterministically instead. The offer engine ([`crate::engine`]) orders
+/// its plain entries by the same key.
+fn sort_key_cmp(
     strategy: ClassificationStrategy,
     a: &ScoredOffer,
     b: &ScoredOffer,
@@ -108,9 +108,9 @@ pub(crate) fn sort_key_cmp(
 /// Fully deterministic: equal strategy keys (duplicated variants, replica
 /// offers) fall through to an **explicit tertiary key — the enumeration
 /// (arena) index** of the offer, i.e. the order step 3 produced it in.
-/// This is the same rank the streaming engine carries per state
-/// ([`crate::engine`]), so both paths agree on tie order by contract, not
-/// by the accident of a stable sort.
+/// This is the same rank the offer engine carries per entry
+/// ([`crate::engine`]), so both agree on tie order by contract, not by the
+/// accident of a stable sort.
 pub fn classify(
     offers: Vec<SystemOffer>,
     profile: &UserProfile,

@@ -1,11 +1,11 @@
-//! The streaming offer engine: flat enumeration, per-variant score
-//! precomputation, and lazy best-first classification.
+//! The offer engine: flat enumeration, per-variant score precomputation,
+//! and the one offer order every step-5 walk reads — ranked lazily.
 //!
 //! The paper's steps 3–4 cost, score and sort *every* feasible system
 //! offer before step 5 walks the ordered list — but in the common case the
-//! first offer (or a short prefix) commits, so the full
-//! materialize-and-sort is wasted work on the hot path. The scoring
-//! kernels are separable over components:
+//! first offer (or a short prefix) commits, so materializing and fully
+//! sorting the product is wasted work on the hot path. The scoring kernels
+//! are separable over components:
 //!
 //! * `QoS_importance` is a **sum** of per-variant media importances;
 //! * formula (1) cost is `CostCop + Σᵢ (CostNetᵢ + CostSerᵢ)` — additive
@@ -14,38 +14,31 @@
 //!   conjunctions, and the cost ceiling is a predicate on the sum.
 //!
 //! [`OfferEngine`] exploits that structure: it clones the per-component
-//! feasible variants once, precomputes each variant's partial scores
-//! (importance, `CostNet + CostSer` for its duration, SNS flags), and then
-//!
-//! * **ranks** the whole product as plain data ([`RankedOffers`]: one
-//!   small `Copy` [`ScoredCombo`] per offer, sorted by the classification
-//!   order — bit-identical to [`classify`](crate::classify()) on the eagerly
-//!   enumerated offers — paired with its engine, which turns an entry into
-//!   a [`ScoredOffer`] only when step 5 attempts it or somebody reads the
-//!   list as a slice), or
-//! * **streams** offers in classified / reservation order lazily
-//!   ([`OfferEngine::classified_stream`], `reservation_stream`): a binary
-//!   heap over per-component variant lists sorted by score contribution,
-//!   with Lawler-style successor expansion, yields the best remaining
-//!   combination in O(k log n) per offer without touching the rest of the
-//!   product.
+//! feasible variants once and precomputes each variant's partial scores
+//! (importance, `CostNet + CostSer` for its duration, SNS flags).
+//! [`RankedOffers`] then scores the whole product as plain data in one
+//! odometer pass (one small `Copy` [`ScoredCombo`] per offer, counting the
+//! offers that satisfy the request as it goes) and **orders it on demand**
+//! by the classification order — bit-identical to
+//! [`classify`](crate::classify()) on the eagerly enumerated offers: the
+//! first ordering step puts the [`HEAD`] best entries in place (a
+//! selection plus a sort of that head, linear in the product), the next
+//! sorts the rest. Step 5 walks it with a [`WalkCursor`] — satisfying
+//! offers in classified order, then the rest — so an attempted offer's
+//! index *is* its classified position, and an entry becomes a
+//! [`ScoredOffer`] only when it commits or somebody reads the list as a
+//! slice. [`OfferEngine::reservation_stream`] is the same walk over a
+//! borrowed engine.
 //!
 //! Exactness: per-offer scores are combined from the precomputed partials
 //! in document component order with the same fold [`ScoredOffer::score`]
-//! uses, so OIF values are bit-identical and ties resolve identically. The
-//! stream's heap is ordered by that exact key; a small reorder buffer
-//! (`KEY_SLACK`) absorbs the ≤ few-ULP disagreement between "sorted
-//! per-component contributions" and the exactly-rounded sum, so the
-//! emission order matches the ranked list *including ties* (equal keys
-//! emit in enumeration-rank order).
-//!
-//! Streaming is declined ([`OfferEngine::streaming_supported`]) when a
-//! profile produces non-finite importances (best-first pruning is unsound
-//! under NaN) or the document has more components than the packed state
-//! supports; callers then walk the ranked list, which handles both.
+//! uses, so OIF values are bit-identical; the order compares the strategy
+//! key with `total_cmp` and then the enumeration rank, so it is total —
+//! ties keep enumeration order, NaN and infinite importances sort where
+//! [`classify`](crate::classify()) puts them — and selecting a head of it
+//! yields exactly the full sort's prefix.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::{Mutex, OnceLock};
@@ -53,27 +46,23 @@ use std::sync::{Mutex, OnceLock};
 use nod_cmfs::Guarantee;
 use nod_mmdoc::{MonomediaId, Variant};
 
-use crate::classify::{sort_key_cmp, ClassificationStrategy, ScoredOffer};
+use crate::classify::{ClassificationStrategy, ScoredOffer};
 use crate::cost::CostModel;
 use crate::money::Money;
 use crate::offer::{EnumerationError, SystemOffer};
 use crate::profile::UserProfile;
 use crate::sns::StaticNegotiationStatus;
 
-/// Maximum component count the packed heap state supports. Documents with
-/// more monomedia are walked from the ranked list instead.
+/// Inert: kept only because `benchmark/` names it; delete in the next
+/// benchmark PR. It limits nothing — documents of any width take the one
+/// walk.
+#[doc(hidden)]
 pub const MAX_STREAM_COMPONENTS: usize = 8;
 
-/// Absolute slack on the best-first emission guard. Keys within this band
-/// of the heap frontier are held in the reorder buffer until the frontier
-/// drops below, then emitted in exact `(key, rank)` order. Must exceed the
-/// worst-case rounding disagreement between a state's exactly-computed key
-/// and the non-increasing real-valued path bound (≲ 1e-10 for sums of at
-/// most nine double terms at these magnitudes); must stay below genuine
-/// key differences, which derive from milli-dollar cost grids and anchored
-/// importance values. Violating the upper bound only delays emission, it
-/// never reorders it.
-const KEY_SLACK: f64 = 1e-6;
+/// How many offers the first ordering step puts in place. Most walks
+/// commit one of the first few offers of the classified order; a walk (or
+/// a reader) that needs more pays one sort of the rest.
+pub const HEAD: usize = 8;
 
 /// Per-variant precomputed partial scores.
 #[derive(Debug, Clone)]
@@ -123,138 +112,6 @@ pub struct ScoredCombo {
     pub satisfies_request: bool,
 }
 
-/// Add one offer to the `(desirable, acceptable, constraint)` populations.
-fn tally(census: &mut (u64, u64, u64), sns: StaticNegotiationStatus) {
-    match sns {
-        StaticNegotiationStatus::Desirable => census.0 += 1,
-        StaticNegotiationStatus::Acceptable => census.1 += 1,
-        StaticNegotiationStatus::Constraint => census.2 += 1,
-    }
-}
-
-/// Which sorted-contribution axis a stream orders by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KeyKind {
-    /// OIF descending (SnsThenOif phases and OifOnly).
-    Oif,
-    /// Cost ascending.
-    Cost,
-    /// QoS importance descending.
-    Qos,
-}
-
-impl KeyKind {
-    fn for_strategy(strategy: ClassificationStrategy) -> KeyKind {
-        match strategy {
-            ClassificationStrategy::SnsThenOif | ClassificationStrategy::OifOnly => KeyKind::Oif,
-            ClassificationStrategy::CostOnly => KeyKind::Cost,
-            ClassificationStrategy::QosOnly => KeyKind::Qos,
-        }
-    }
-}
-
-/// Which variants a phase enumerates per component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mask {
-    Full,
-    Desired,
-    Worst,
-    DesiredAndWorst,
-}
-
-/// Which combinations a phase emits (evaluated on the whole combination:
-/// `all_des` / `all_wst` are the per-component conjunctions, `within` is
-/// `cost ≤ max_cost`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Filter {
-    All,
-    /// `within` — Desirable under a Desired mask; satisfying under a
-    /// Worst mask.
-    Within,
-    /// `within ∧ ¬all_des` — Acceptable ∩ satisfying (Worst mask).
-    WithinNotAllDesired,
-    /// `within ∧ ¬all_wst` — Desirable ∖ satisfying (Desired mask).
-    WithinNotAllWorst,
-    /// `¬within` — Acceptable ∖ satisfying (Worst mask).
-    NotWithin,
-    /// `¬(all_des ∧ within)` — Acceptable (Worst mask).
-    NotDesirable,
-    /// `¬all_wst ∧ ¬(all_des ∧ within)` — Constraint (Full mask).
-    Constraint,
-    /// `¬(all_wst ∧ within)` — the non-satisfying tail (Full mask).
-    NotSatisfying,
-}
-
-impl Filter {
-    fn accepts(self, all_des: bool, all_wst: bool, within: bool) -> bool {
-        match self {
-            Filter::All => true,
-            Filter::Within => within,
-            Filter::WithinNotAllDesired => within && !all_des,
-            Filter::WithinNotAllWorst => within && !all_wst,
-            Filter::NotWithin => !within,
-            Filter::NotDesirable => !(all_des && within),
-            Filter::Constraint => !(all_wst || (all_des && within)),
-            Filter::NotSatisfying => !(all_wst && within),
-        }
-    }
-}
-
-/// A best-first frontier state: a packed position vector plus its exact
-/// key. Plain data — the streaming path allocates nothing per combination
-/// beyond amortized heap growth.
-#[derive(Debug, Clone, Copy)]
-struct State {
-    /// Exact strategy key, negated-cost for CostOnly so "larger is better"
-    /// holds uniformly.
-    key: f64,
-    /// Enumeration (arena) rank — the explicit tertiary tie key. Equal
-    /// strategy keys emit in rank order, matching the tertiary key
-    /// [`crate::classify::classify`] sorts by on the eager path.
-    rank: u64,
-    /// Document cost (for filters and emission).
-    cost: Money,
-    /// Per-component index into the phase's *sorted* lists.
-    pos: [u16; MAX_STREAM_COMPONENTS],
-    /// Successor rule: only components ≥ `last` advance, so every
-    /// combination is generated exactly once (its unique non-decreasing
-    /// increment path).
-    last: u8,
-    all_des: bool,
-    all_wst: bool,
-}
-
-impl PartialEq for State {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for State {}
-impl PartialOrd for State {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for State {
-    /// Max-heap priority: larger key first, then smaller rank first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key
-            .total_cmp(&other.key)
-            .then_with(|| other.rank.cmp(&self.rank))
-    }
-}
-
-/// Counters describing how hard a stream worked.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StreamStats {
-    /// Combinations emitted to the caller.
-    pub yielded: usize,
-    /// Frontier states pushed onto the heap (including filtered ones).
-    pub heap_pushes: usize,
-    /// Frontier states popped and expanded.
-    pub expanded: usize,
-}
-
 /// The per-negotiation offer engine (see the module docs).
 #[derive(Debug, Clone)]
 pub struct OfferEngine {
@@ -265,7 +122,6 @@ pub struct OfferEngine {
     max_cost: Money,
     total: usize,
     strides: Vec<u64>,
-    finite: bool,
 }
 
 impl OfferEngine {
@@ -296,7 +152,6 @@ impl OfferEngine {
         if total > cap {
             return Err(EnumerationError::TooManyOffers { cap });
         }
-        let mut finite = profile.importance.cost_per_dollar.is_finite();
         let components: Vec<Component> = per_mono
             .iter()
             .map(|(mono, variants)| {
@@ -305,7 +160,6 @@ impl OfferEngine {
                     .iter()
                     .map(|v| {
                         let importance = profile.importance.media_importance(&v.qos);
-                        finite &= importance.is_finite();
                         let (net, ser) = cost_model.monomedia_cost(v, duration_ms, guarantee);
                         VariantScore {
                             importance,
@@ -335,7 +189,6 @@ impl OfferEngine {
             max_cost: profile.max_cost,
             total,
             strides,
-            finite,
         })
     }
 
@@ -344,17 +197,11 @@ impl OfferEngine {
         self.total
     }
 
-    /// Can the lazy best-first streams run? False when a profile produces
-    /// non-finite importances (best-first pruning is unsound under NaN) or
-    /// the component count exceeds [`MAX_STREAM_COMPONENTS`]; the ranked
-    /// list ([`RankedOffers`]) handles those cases.
+    /// Inert: kept only because `benchmark/` names it; delete in the next
+    /// benchmark PR. Always `true` — every engine takes the one walk.
+    #[doc(hidden)]
     pub fn streaming_supported(&self) -> bool {
-        self.finite
-            && self.components.len() <= MAX_STREAM_COMPONENTS
-            && self
-                .components
-                .iter()
-                .all(|c| c.variants.len() <= u16::MAX as usize)
+        true
     }
 
     /// Number of document components (streams per offer).
@@ -396,26 +243,13 @@ impl OfferEngine {
         offers
     }
 
-    /// The whole product as plain data in classified order — scored with
-    /// the [`ScoredOffer::score`]-identical fold and sorted by the same
-    /// explicit `(strategy key, rank)` order as [`classify`](crate::classify).
-    /// `keep`, indexed by enumeration rank, drops pruned offers first.
-    pub(crate) fn ranked(&self, keep: Option<&[bool]>) -> Vec<ScoredCombo> {
-        let mut entries = Vec::with_capacity(self.total);
-        self.for_each_combo(|combo| {
-            if keep.is_none_or(|k| k[combo.rank as usize]) {
-                entries.push(combo);
-            }
-        });
-        entries.sort_unstable_by(|a, b| self.order_cmp(a, b));
-        entries
-    }
-
-    /// The full materialized classified list, built from the ranked
-    /// entries. Bit-identical to running [`classify`](crate::classify())
-    /// over the eagerly enumerated offers.
+    /// The full materialized classified list: score, order and
+    /// materialize everything. Bit-identical to running
+    /// [`classify`](crate::classify()) over the eagerly enumerated offers.
     pub fn classify_all(&self) -> Vec<ScoredOffer> {
-        self.materialize_all(&self.ranked(None))
+        let mut ranking = Ranking::score(self, None);
+        ranking.order_to(ranking.entries.len());
+        self.materialize_all(&ranking.entries)
     }
 
     fn materialize_all(&self, entries: &[ScoredCombo]) -> Vec<ScoredOffer> {
@@ -498,375 +332,170 @@ impl OfferEngine {
         }
     }
 
-    /// Count the SNS classes over the whole product without sorting or
-    /// materializing (recorder support for the streaming path): returns
-    /// `(desirable, acceptable, constraint)`.
-    pub fn sns_census(&self) -> (u64, u64, u64) {
-        let mut census = (0, 0, 0);
-        self.for_each_combo(|combo| tally(&mut census, combo.sns));
-        census
+    /// Step 5's attempt order over a borrowed engine — the same walk
+    /// [`commit_prepared`](crate::negotiate::commit_prepared) makes over a
+    /// [`RankedOffers`]: satisfying offers in classified order, then the
+    /// rest. Scores the product up front; each `next()` orders only as far
+    /// as it has to.
+    pub fn reservation_stream(&self) -> impl Iterator<Item = ScoredCombo> {
+        let mut ranking = Ranking::score(self, None);
+        let mut cursor = WalkCursor::default();
+        std::iter::from_fn(move || ranking.advance(&mut cursor).map(|idx| ranking.entries[idx]))
     }
+}
 
-    /// Map streamed combinations to their indices in the classified list
-    /// (`classify_all` order) by a counting sweep over the product — no
-    /// allocation proportional to the product, no sort. O(total·(k + m))
-    /// for m targets.
-    pub fn classified_indices(&self, targets: &[&ScoredCombo]) -> Vec<usize> {
-        let mut counts = vec![0usize; targets.len()];
-        self.for_each_combo(|combo| {
-            for (t, count) in targets.iter().zip(counts.iter_mut()) {
-                *count += usize::from(self.order_cmp(&combo, t) == Ordering::Less);
+/// Where a step-5 walk stands in a ranked product: satisfying offers in
+/// classified order first, then the rest, likewise. Start from
+/// `WalkCursor::default()`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WalkCursor {
+    /// Next classified index the current pass looks at.
+    at: usize,
+    /// Offers yielded so far, over both passes.
+    yielded: usize,
+}
+
+/// The scored product, ordered on demand: `entries[..ordered]` are the
+/// first `ordered` offers of the classified order, in place; the rest all
+/// sort after them, in no particular order yet.
+#[derive(Debug, Clone)]
+struct Ranking {
+    strategy: ClassificationStrategy,
+    entries: Vec<ScoredCombo>,
+    ordered: usize,
+    /// How many entries satisfy the user's request.
+    satisfying: usize,
+}
+
+impl Ranking {
+    /// Score `engine`'s whole product in enumeration order with the
+    /// [`ScoredOffer::score`]-identical fold; `keep`, indexed by
+    /// enumeration rank, drops pruned offers first.
+    fn score(engine: &OfferEngine, keep: Option<&[bool]>) -> Ranking {
+        let mut entries = Vec::with_capacity(engine.total);
+        let mut satisfying = 0;
+        engine.for_each_combo(|combo| {
+            if keep.is_none_or(|k| k[combo.rank as usize]) {
+                satisfying += usize::from(combo.satisfies_request);
+                entries.push(combo);
             }
         });
-        counts
-    }
-
-    /// The classification order on plain entries: `classify::sort_key_cmp`
-    /// on the strategy key, then the enumeration rank, so the order is
-    /// total and ties keep enumeration order.
-    fn order_cmp(&self, a: &ScoredCombo, b: &ScoredCombo) -> Ordering {
-        let by_oif = |x: &ScoredCombo, y: &ScoredCombo| y.oif.total_cmp(&x.oif);
-        match self.strategy {
-            ClassificationStrategy::SnsThenOif => a.sns.cmp(&b.sns).then_with(|| by_oif(a, b)),
-            ClassificationStrategy::OifOnly => by_oif(a, b),
-            ClassificationStrategy::CostOnly => a.cost.cmp(&b.cost),
-            ClassificationStrategy::QosOnly => b.qos_importance.total_cmp(&a.qos_importance),
-        }
-        .then_with(|| a.rank.cmp(&b.rank))
-    }
-
-    /// Per-variant contribution to the stream's ordering axis.
-    fn contribution(&self, kind: KeyKind, score: &VariantScore) -> f64 {
-        match kind {
-            KeyKind::Oif => score.importance - self.cost_per_dollar * score.cost().dollars(),
-            KeyKind::Cost => -(score.cost().millis() as f64),
-            KeyKind::Qos => score.importance,
+        Ranking {
+            strategy: engine.strategy,
+            entries,
+            ordered: 0,
+            satisfying,
         }
     }
 
-    /// Per-component variant indices sorted by contribution, descending,
-    /// stable (equal contributions keep enumeration order).
-    fn sorted_lists(&self, kind: KeyKind) -> Vec<Vec<u16>> {
-        self.components
-            .iter()
-            .map(|comp| {
-                let mut idx: Vec<u16> = (0..comp.variants.len() as u16).collect();
-                idx.sort_by(|&a, &b| {
-                    self.contribution(kind, &comp.scores[b as usize])
-                        .total_cmp(&self.contribution(kind, &comp.scores[a as usize]))
-                });
-                idx
-            })
-            .collect()
-    }
-
-    fn mask_allows(&self, mask: Mask, component: usize, variant_idx: usize) -> bool {
-        let s = &self.components[component].scores[variant_idx];
-        match mask {
-            Mask::Full => true,
-            Mask::Desired => s.meets_desired,
-            Mask::Worst => s.meets_worst,
-            Mask::DesiredAndWorst => s.meets_desired && s.meets_worst,
+    /// Put (at least) the first `n` entries of the classified order in
+    /// place: a request within [`HEAD`] selects and sorts that head, linear
+    /// in the product; anything deeper sorts the rest.
+    #[inline]
+    fn order_to(&mut self, n: usize) {
+        if n > self.ordered {
+            self.order_more(n);
         }
     }
 
-    /// The phase sequence whose concatenation is exactly the classified
-    /// order. For SnsThenOif the SNS classes are disjoint sub-products
-    /// enumerated best-class-first; other strategies are a single phase.
-    fn classified_phases(&self) -> Vec<(Mask, Filter)> {
-        match self.strategy {
-            ClassificationStrategy::SnsThenOif => vec![
-                (Mask::Desired, Filter::Within),
-                (Mask::Worst, Filter::NotDesirable),
-                (Mask::Full, Filter::Constraint),
-            ],
-            _ => vec![(Mask::Full, Filter::All)],
+    /// The ordering step itself, out of line: a walk checks `order_to` once
+    /// per offer and takes this at most twice.
+    #[cold]
+    fn order_more(&mut self, n: usize) {
+        let strategy = self.strategy;
+        let cmp = |a: &ScoredCombo, b: &ScoredCombo| order_cmp(strategy, a, b);
+        if n <= HEAD && HEAD < self.entries.len() {
+            self.entries.select_nth_unstable_by(HEAD - 1, cmp);
+            self.entries[..HEAD].sort_unstable_by(cmp);
+            self.ordered = HEAD;
+        } else {
+            self.entries[self.ordered..].sort_unstable_by(cmp);
+            self.ordered = self.entries.len();
         }
     }
 
-    /// The phase sequence whose concatenation is exactly
-    /// `reservation_order(classify_all())`: satisfying offers in classified
-    /// order, then the rest in classified order.
-    fn reservation_phases(&self) -> Vec<(Mask, Filter)> {
-        match self.strategy {
-            ClassificationStrategy::SnsThenOif => vec![
-                // Satisfying: Desirable ∩ satisfying, then Acceptable ∩
-                // satisfying (Desirable ⊆ within by definition).
-                (Mask::DesiredAndWorst, Filter::Within),
-                (Mask::Worst, Filter::WithinNotAllDesired),
-                // The rest, classified order: Desirable ∖ satisfying,
-                // Acceptable ∖ satisfying, Constraint.
-                (Mask::Desired, Filter::WithinNotAllWorst),
-                (Mask::Worst, Filter::NotWithin),
-                (Mask::Full, Filter::Constraint),
-            ],
-            _ => vec![
-                (Mask::Worst, Filter::Within),
-                (Mask::Full, Filter::NotSatisfying),
-            ],
+    /// The classified index of the walk's next offer, ordering as far as
+    /// the walk has got.
+    #[inline]
+    fn advance(&mut self, cursor: &mut WalkCursor) -> Option<usize> {
+        if cursor.yielded == self.entries.len() {
+            return None;
         }
-    }
-
-    /// Stream every offer lazily in classified (`classify_all`) order.
-    ///
-    /// # Panics
-    /// Panics if [`streaming_supported`](Self::streaming_supported) is
-    /// false.
-    pub fn classified_stream(&self) -> OfferStream<'_> {
-        OfferStream::new(self, self.classified_phases())
-    }
-
-    /// Stream every offer lazily in step-5 reservation order (satisfying
-    /// offers first, both halves in classified order).
-    ///
-    /// # Panics
-    /// Panics if [`streaming_supported`](Self::streaming_supported) is
-    /// false.
-    pub fn reservation_stream(&self) -> OfferStream<'_> {
-        OfferStream::new(self, self.reservation_phases())
-    }
-}
-
-/// A lazy best-first offer stream (see the module docs). Yields every
-/// combination exactly once, in the order the corresponding eager sort
-/// would produce.
-pub struct OfferStream<'e> {
-    engine: &'e OfferEngine,
-    kind: KeyKind,
-    /// Per-component variant indices in contribution order, computed once
-    /// per stream; each phase masks them.
-    sorted: Vec<Vec<u16>>,
-    phases: Vec<(Mask, Filter)>,
-    next_phase: usize,
-    current: Option<PhaseEnum>,
-    /// Work counters.
-    pub stats: StreamStats,
-}
-
-/// One phase's frontier: the masked sorted lists, the expansion heap, and
-/// the reorder buffer.
-struct PhaseEnum {
-    /// Per component: variant indices in contribution order, masked.
-    lists: Vec<Vec<u16>>,
-    filter: Filter,
-    heap: BinaryHeap<State>,
-    /// Popped states not yet safe to emit (exact-order reorder buffer).
-    /// Ordered by the same `(key, rank)` total order as the frontier, so
-    /// equal-key states — duplicated variants — drain in arena order.
-    pending: BinaryHeap<State>,
-}
-
-impl<'e> OfferStream<'e> {
-    fn new(engine: &'e OfferEngine, phases: Vec<(Mask, Filter)>) -> Self {
-        assert!(
-            engine.streaming_supported(),
-            "streaming unsupported for this engine (walk RankedOffers)"
-        );
-        let kind = KeyKind::for_strategy(engine.strategy);
-        OfferStream {
-            engine,
-            kind,
-            sorted: engine.sorted_lists(kind),
-            phases,
-            next_phase: 0,
-            current: None,
-            stats: StreamStats::default(),
+        // The first pass ends with the last satisfying offer — known from
+        // the count, not by looking at (and so ordering) the tail — and the
+        // second starts over from the top.
+        let rest = cursor.yielded >= self.satisfying;
+        if cursor.yielded == self.satisfying {
+            cursor.at = 0;
         }
-    }
-
-    /// The next combination in stream order, or `None` when the product is
-    /// exhausted.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<ScoredCombo> {
         loop {
-            if self.current.is_none() {
-                if self.next_phase >= self.phases.len() {
-                    return None;
-                }
-                let (mask, filter) = self.phases[self.next_phase];
-                self.next_phase += 1;
-                if let Some(phase) = self.open_phase(mask, filter) {
-                    self.current = Some(phase);
-                }
-                continue;
-            }
-            match self.advance_current() {
-                Some(combo) => {
-                    self.stats.yielded += 1;
-                    return Some(combo);
-                }
-                None => {
-                    self.current = None;
-                }
+            let idx = cursor.at;
+            cursor.at += 1;
+            self.order_to(idx + 1);
+            if self.entries[idx].satisfies_request != rest {
+                cursor.yielded += 1;
+                return Some(idx);
             }
         }
     }
+}
 
-    /// Build a phase's frontier, or `None` when the mask empties a
-    /// component (the phase contributes nothing).
-    fn open_phase(&mut self, mask: Mask, filter: Filter) -> Option<PhaseEnum> {
-        let eng = self.engine;
-        let mut lists: Vec<Vec<u16>> = Vec::with_capacity(self.sorted.len());
-        for (c, order) in self.sorted.iter().enumerate() {
-            let masked: Vec<u16> = order
-                .iter()
-                .copied()
-                .filter(|&v| eng.mask_allows(mask, c, v as usize))
-                .collect();
-            if masked.is_empty() {
-                return None;
-            }
-            lists.push(masked);
-        }
-        let mut phase = PhaseEnum {
-            lists,
-            filter,
-            heap: BinaryHeap::new(),
-            pending: BinaryHeap::new(),
-        };
-        let root = self.state_at(&phase, [0u16; MAX_STREAM_COMPONENTS], 0);
-        phase.heap.push(root);
-        self.stats.heap_pushes += 1;
-        Some(phase)
+/// The classification order on plain entries: `classify`'s strategy key,
+/// then the enumeration rank, so the order is total and ties keep
+/// enumeration order.
+fn order_cmp(strategy: ClassificationStrategy, a: &ScoredCombo, b: &ScoredCombo) -> Ordering {
+    let by_oif = |x: &ScoredCombo, y: &ScoredCombo| y.oif.total_cmp(&x.oif);
+    match strategy {
+        ClassificationStrategy::SnsThenOif => a.sns.cmp(&b.sns).then_with(|| by_oif(a, b)),
+        ClassificationStrategy::OifOnly => by_oif(a, b),
+        ClassificationStrategy::CostOnly => a.cost.cmp(&b.cost),
+        ClassificationStrategy::QosOnly => b.qos_importance.total_cmp(&a.qos_importance),
     }
-
-    /// Score the state whose per-component *sorted-list* positions are
-    /// `pos`, with the exact strategy key.
-    fn state_at(&self, phase: &PhaseEnum, pos: [u16; MAX_STREAM_COMPONENTS], last: u8) -> State {
-        Self::state_for(self.engine, self.kind, phase, pos, last)
-    }
-
-    /// Pop/expand until the reorder buffer's best entry is provably final,
-    /// then emit it.
-    fn advance_current(&mut self) -> Option<ScoredCombo> {
-        let eng = self.engine;
-        let k = eng.components.len();
-        loop {
-            let phase = self.current.as_mut().expect("current phase");
-            let emit_now = match (phase.pending.peek(), phase.heap.peek()) {
-                (Some(p), Some(h)) => p.key > h.key + KEY_SLACK,
-                (Some(_), None) => true,
-                (None, None) => return None,
-                (None, Some(_)) => false,
-            };
-            if emit_now {
-                let s = self.current.as_mut().unwrap().pending.pop().unwrap();
-                let phase = self.current.as_ref().unwrap();
-                let mut orig = [0u16; MAX_STREAM_COMPONENTS];
-                for (c, slot) in orig.iter_mut().enumerate().take(k) {
-                    *slot = phase.lists[c][s.pos[c] as usize];
-                }
-                return Some(eng.score_with(|c| orig[c] as usize));
-            }
-            // Expand the frontier's best state: push its successors, keep
-            // it in the reorder buffer when the phase filter accepts it.
-            let s = phase.heap.pop().expect("non-empty heap");
-            self.stats.expanded += 1;
-            let mut pushes = 0usize;
-            {
-                let phase = self.current.as_mut().unwrap();
-                for c in (s.last as usize)..k {
-                    if (s.pos[c] as usize) + 1 < phase.lists[c].len() {
-                        let mut pos = s.pos;
-                        pos[c] += 1;
-                        pushes += 1;
-                        let child = {
-                            // Re-borrow immutably for scoring.
-                            let phase_ref: &PhaseEnum = phase;
-                            Self::state_for(eng, self.kind, phase_ref, pos, c as u8)
-                        };
-                        phase.heap.push(child);
-                    }
-                }
-                let within = s.cost <= eng.max_cost;
-                if phase.filter.accepts(s.all_des, s.all_wst, within) {
-                    phase.pending.push(s);
-                }
-            }
-            self.stats.heap_pushes += pushes;
-        }
-    }
-
-    /// Static variant of [`state_at`](Self::state_at) usable under a
-    /// mutable phase borrow.
-    fn state_for(
-        eng: &OfferEngine,
-        kind: KeyKind,
-        phase: &PhaseEnum,
-        pos: [u16; MAX_STREAM_COMPONENTS],
-        last: u8,
-    ) -> State {
-        let k = eng.components.len();
-        let mut orig = [0u16; MAX_STREAM_COMPONENTS];
-        for (c, slot) in orig.iter_mut().enumerate().take(k) {
-            *slot = phase.lists[c][pos[c] as usize];
-        }
-        let mut cost = eng.copyright;
-        let mut all_des = true;
-        let mut all_wst = true;
-        let mut rank = 0u64;
-        for (c, &slot) in orig.iter().enumerate().take(k) {
-            let s = &eng.components[c].scores[slot as usize];
-            cost += s.cost();
-            all_des &= s.meets_desired;
-            all_wst &= s.meets_worst;
-            rank += slot as u64 * eng.strides[c];
-        }
-        let key = match kind {
-            KeyKind::Oif => {
-                let qos: f64 = (0..k)
-                    .map(|c| eng.components[c].scores[orig[c] as usize].importance)
-                    .sum();
-                qos - eng.cost_per_dollar * cost.dollars()
-            }
-            KeyKind::Cost => -(cost.millis() as f64),
-            KeyKind::Qos => (0..k)
-                .map(|c| eng.components[c].scores[orig[c] as usize].importance)
-                .sum(),
-        };
-        State {
-            key,
-            rank,
-            cost,
-            pos,
-            last,
-            all_des,
-            all_wst,
-        }
-    }
+    .then_with(|| a.rank.cmp(&b.rank))
 }
 
 /// The classified offer list as plain data over its engine: one
-/// [`ScoredCombo`] per (unpruned) offer, in classified order. This is what
+/// [`ScoredCombo`] per (unpruned) offer, scored up front and ordered on
+/// demand (see the module docs). This is what
 /// [`prepare`](crate::negotiate::prepare) hands to step 5; an entry becomes
-/// a [`ScoredOffer`] only when it is attempted, explained or read.
+/// a [`ScoredOffer`] only when it commits, or when somebody reads the list.
+/// Every accessor orders as far as it needs first, so none ever returns an
+/// entry that is not in its classified position.
 #[derive(Debug, Clone)]
 pub struct RankedOffers {
     engine: OfferEngine,
-    entries: Vec<ScoredCombo>,
+    ranking: Ranking,
 }
 
 impl RankedOffers {
-    /// Rank `engine`'s whole product; `keep`, indexed by enumeration rank,
-    /// drops pruned offers first.
+    /// Score `engine`'s whole product; `keep`, indexed by enumeration rank,
+    /// drops pruned offers first. Nothing is ordered yet.
     pub fn new(engine: OfferEngine, keep: Option<&[bool]>) -> RankedOffers {
-        let entries = engine.ranked(keep);
-        RankedOffers { engine, entries }
+        let ranking = Ranking::score(&engine, keep);
+        RankedOffers { engine, ranking }
     }
 
     /// Number of classified offers.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.ranking.entries.len()
     }
 
     /// Is the list empty?
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.ranking.entries.is_empty()
     }
 
-    /// The entries, in classified order.
-    pub fn entries(&self) -> &[ScoredCombo] {
-        &self.entries
+    /// The entries, in classified order (orders the whole list).
+    pub fn entries(&mut self) -> &[ScoredCombo] {
+        self.ranking.order_to(self.ranking.entries.len());
+        &self.ranking.entries
+    }
+
+    /// The entry at classified index `idx`.
+    #[inline]
+    pub fn entry(&mut self, idx: usize) -> &ScoredCombo {
+        self.ranking.order_to(idx + 1);
+        &self.ranking.entries[idx]
     }
 
     /// The engine the entries' ranks decode against.
@@ -874,52 +503,51 @@ impl RankedOffers {
         &self.engine
     }
 
-    /// The streams of the offer at classified index `idx`: each chosen
-    /// variant (no clone) with its `(CostNetᵢ, CostSerᵢ)`, in document
-    /// component order.
-    pub(crate) fn streams(&self, idx: usize) -> impl Iterator<Item = (&Variant, Money, Money)> {
-        self.engine.streams_at(self.entries[idx].rank)
-    }
-
     /// The offer at classified index `idx`, materialized.
-    pub fn materialize(&self, idx: usize) -> ScoredOffer {
-        self.engine.materialize(&self.entries[idx])
+    pub fn materialize(&mut self, idx: usize) -> ScoredOffer {
+        let combo = *self.entry(idx);
+        self.engine.materialize(&combo)
     }
 
-    /// Step 5's attempt order: indices of the offers that satisfy the
-    /// user's request, in classified order, then the rest, likewise.
-    pub fn reservation_order(&self) -> impl Iterator<Item = usize> + '_ {
-        let pick = move |wanted: bool| {
-            (0..self.entries.len()).filter(move |&i| self.entries[i].satisfies_request == wanted)
-        };
-        pick(true).chain(pick(false))
+    /// Step 5's walk: the classified index of the next offer to attempt —
+    /// the offers that satisfy the user's request, in classified order,
+    /// then the rest, likewise — or `None` when `cursor` has yielded them
+    /// all.
+    #[inline]
+    pub fn next_attempt(&mut self, cursor: &mut WalkCursor) -> Option<usize> {
+        self.ranking.advance(cursor)
+    }
+
+    /// The whole of step 5's attempt order, from a fresh cursor.
+    pub fn reservation_order(&mut self) -> impl Iterator<Item = usize> + '_ {
+        let mut cursor = WalkCursor::default();
+        std::iter::from_fn(move || self.next_attempt(&mut cursor))
     }
 
     /// SNS class populations: `(desirable, acceptable, constraint)`.
     pub(crate) fn sns_census(&self) -> (u64, u64, u64) {
         let mut census = (0, 0, 0);
-        self.entries.iter().for_each(|e| tally(&mut census, e.sns));
+        for entry in &self.ranking.entries {
+            match entry.sns {
+                StaticNegotiationStatus::Desirable => census.0 += 1,
+                StaticNegotiationStatus::Acceptable => census.1 += 1,
+                StaticNegotiationStatus::Constraint => census.2 += 1,
+            }
+        }
         census
     }
 }
 
 /// The classified offer list of a [`crate::negotiate::NegotiationOutcome`]
 /// — **deferred** until somebody actually reads it (adaptation,
-/// diagnostics, the TUI). Step 5 walks plain [`RankedOffers`] (or a short
-/// streamed prefix); any slice access (via `Deref`) materializes every
-/// entry exactly once, ranking first when the streamed walk never had to;
-/// `len()` is known without materializing.
+/// diagnostics, the TUI). Step 5 walks plain [`RankedOffers`], ordering
+/// only as far as it gets; any slice access (via `Deref`) finishes the
+/// ordering and materializes every entry exactly once; `len()` is known
+/// without either.
 pub struct OfferList {
     len: usize,
     cells: OnceLock<Vec<ScoredOffer>>,
-    source: Mutex<Option<Source>>,
-}
-
-/// What a deferred [`OfferList`] materializes from.
-enum Source {
-    /// The streamed walk's engine: not ranked yet.
-    Engine(OfferEngine),
-    Ranked(RankedOffers),
+    source: Mutex<Option<RankedOffers>>,
 }
 
 impl OfferList {
@@ -935,22 +563,13 @@ impl OfferList {
         }
     }
 
-    /// A deferred list backed by the engine; ranks and materializes on
+    /// A deferred list over ranked entries; orders and materializes on
     /// first access.
-    pub fn deferred(engine: OfferEngine) -> OfferList {
-        OfferList {
-            len: engine.total(),
-            cells: OnceLock::new(),
-            source: Mutex::new(Some(Source::Engine(engine))),
-        }
-    }
-
-    /// A deferred list over ranked entries; materializes on first access.
     pub fn ranked(list: RankedOffers) -> OfferList {
         OfferList {
             len: list.len(),
             cells: OnceLock::new(),
-            source: Mutex::new(Some(Source::Ranked(list))),
+            source: Mutex::new(Some(list)),
         }
     }
 
@@ -973,10 +592,9 @@ impl OfferList {
     pub fn as_slice(&self) -> &[ScoredOffer] {
         self.cells.get_or_init(|| {
             let source = self.source.lock().expect("offer list lock").take();
-            match source.expect("deferred offer list carries its source") {
-                Source::Engine(engine) => engine.classify_all(),
-                Source::Ranked(list) => list.engine.materialize_all(&list.entries),
-            }
+            let mut list = source.expect("deferred offer list carries its source");
+            list.ranking.order_to(list.len());
+            list.engine.materialize_all(&list.ranking.entries)
         })
     }
 
@@ -1022,16 +640,6 @@ impl std::fmt::Debug for OfferList {
             write!(f, "OfferList {{ len: {}, deferred }}", self.len)
         }
     }
-}
-
-/// `sort_key_cmp` re-exposed for the equivalence tests (comparing streamed
-/// against sorted orders including tie handling).
-pub fn offer_order_cmp(
-    strategy: ClassificationStrategy,
-    a: &ScoredOffer,
-    b: &ScoredOffer,
-) -> Ordering {
-    sort_key_cmp(strategy, a, b)
 }
 
 #[cfg(test)]
@@ -1086,13 +694,18 @@ mod tests {
         .expect("engine builds")
     }
 
+    /// The paper-literal reference: classify the eagerly enumerated offers.
+    fn reference(engine: &OfferEngine) -> Vec<ScoredOffer> {
+        crate::classify::classify(engine.offers(), &profile(), engine.strategy)
+    }
+
     #[test]
     fn offer_list_defers_materialization_until_read() {
         let engine = engine_over(vec![
             variant(1, 1, ColorDepth::Color, 25, 0),
             variant(2, 1, ColorDepth::Grey, 15, 1),
         ]);
-        let list = OfferList::deferred(engine);
+        let list = OfferList::ranked(RankedOffers::new(engine, None));
         assert_eq!(list.len(), 2);
         assert!(!list.is_empty());
         assert!(!list.is_materialized());
@@ -1105,103 +718,46 @@ mod tests {
     }
 
     #[test]
-    fn stream_breaks_ties_in_enumeration_order() {
-        // Three replicas with identical QoS and identical cost: their sort
-        // keys are fully equal, so the stream must fall back to the stable
-        // tie-break — enumeration (rank) order — exactly like the eager
-        // stable sort does.
-        let engine = engine_over(vec![
-            variant(1, 1, ColorDepth::Color, 25, 0),
-            variant(2, 1, ColorDepth::Color, 25, 1),
-            variant(3, 1, ColorDepth::Color, 25, 2),
-        ]);
-        let eager = engine.classify_all();
-        let mut stream = engine.classified_stream();
-        for (i, expected) in eager.iter().enumerate() {
-            let combo = stream.next().expect("stream matches eager length");
-            assert_eq!(combo.rank, i as u64, "ties must keep enumeration order");
-            assert_eq!(&engine.materialize(&combo), expected);
-        }
-        assert!(stream.next().is_none());
-    }
-
-    #[test]
-    fn duplicated_variants_stream_matches_eager_bit_exact() {
-        // Two components, each carrying exact duplicate variants (same QoS,
-        // same blocks, same server — only the id differs): large runs of
-        // fully-equal strategy keys across a multi-component product. The
-        // stream's reorder buffer must drain those runs in enumeration
-        // (arena) order, bit-exactly matching the eager classify — which
-        // now sorts by the same explicit tertiary key.
-        let vars1 = [
-            variant(1, 1, ColorDepth::Color, 25, 0),
-            variant(2, 1, ColorDepth::Color, 25, 0), // dup of 1
-            variant(3, 1, ColorDepth::Grey, 15, 1),
-            variant(4, 1, ColorDepth::Grey, 15, 1), // dup of 3
-        ];
-        let vars2 = [
-            variant(5, 2, ColorDepth::Color, 25, 1),
-            variant(6, 2, ColorDepth::Color, 25, 1), // dup of 5
-            variant(7, 2, ColorDepth::Color, 25, 1), // dup of 5
-        ];
-        let refs1: Vec<&Variant> = vars1.iter().collect();
-        let refs2: Vec<&Variant> = vars2.iter().collect();
-        let per_mono = vec![(MonomediaId(1), refs1), (MonomediaId(2), refs2)];
-        let durations: HashMap<MonomediaId, u64> =
-            [(MonomediaId(1), 60_000), (MonomediaId(2), 60_000)].into();
-        for strategy in [
-            ClassificationStrategy::SnsThenOif,
-            ClassificationStrategy::OifOnly,
-            ClassificationStrategy::CostOnly,
-            ClassificationStrategy::QosOnly,
-        ] {
-            let engine = OfferEngine::build(
-                &per_mono,
-                &durations,
-                &profile(),
-                &CostModel::era_default(),
-                Guarantee::Guaranteed,
-                strategy,
-                10_000,
-            )
-            .expect("engine builds");
-            let eager = engine.classify_all();
-            assert_eq!(eager.len(), 12);
-            let mut stream = engine.classified_stream();
-            for (i, expected) in eager.iter().enumerate() {
-                let combo = stream.next().expect("stream matches eager length");
-                let got = engine.materialize(&combo);
-                let ids =
-                    |o: &ScoredOffer| o.offer.variants.iter().map(|v| v.id).collect::<Vec<_>>();
-                assert_eq!(ids(&got), ids(expected), "{strategy:?} position {i}");
-                assert_eq!(
-                    got.oif.to_bits(),
-                    expected.oif.to_bits(),
-                    "{strategy:?} position {i}"
-                );
-                assert_eq!(got.offer.cost, expected.offer.cost);
-                assert_eq!(got.sns, expected.sns);
-            }
-            assert!(stream.next().is_none());
+    fn ties_keep_enumeration_order_in_the_head_and_past_it() {
+        // Twelve replicas with identical QoS and identical cost: every sort
+        // key is equal, so the order must fall back to the explicit
+        // tie-break — enumeration (rank) order — in the selected head and
+        // in the rest sorted later, exactly like the reference sort.
+        let engine = engine_over(
+            (1..=12)
+                .map(|id| variant(id, 1, ColorDepth::Color, 25, id % 3))
+                .collect(),
+        );
+        let want = reference(&engine);
+        let mut ranked = RankedOffers::new(engine, None);
+        for (i, expected) in want.iter().enumerate() {
+            assert_eq!(
+                ranked.entry(i).rank,
+                i as u64,
+                "ties keep enumeration order"
+            );
+            assert_eq!(&ranked.materialize(i), expected);
         }
     }
 
     #[test]
-    fn stream_stats_account_for_every_yield() {
-        let engine = engine_over(vec![
-            variant(1, 1, ColorDepth::SuperColor, 30, 0),
-            variant(2, 1, ColorDepth::Color, 25, 0),
-            variant(3, 1, ColorDepth::Grey, 15, 1),
-            variant(4, 1, ColorDepth::BlackWhite, 5, 1),
-        ]);
-        let mut stream = engine.reservation_stream();
-        let mut yielded = 0;
-        while stream.next().is_some() {
-            yielded += 1;
-        }
-        assert_eq!(yielded, engine.total());
-        assert_eq!(stream.stats.yielded, yielded);
-        assert!(stream.stats.heap_pushes >= yielded);
+    fn the_first_step_orders_a_head_and_the_next_the_rest() {
+        let engine = engine_over(
+            (1..=20)
+                .map(|id| variant(id, 1, ColorDepth::Color, 5 + id as u32, id % 2))
+                .collect(),
+        );
+        let want = reference(&engine);
+        let mut ranked = RankedOffers::new(engine, None);
+        assert_eq!(ranked.ranking.ordered, 0, "scoring orders nothing");
+        ranked.entry(0);
+        assert_eq!(ranked.ranking.ordered, HEAD);
+        ranked.entry(HEAD - 1);
+        assert_eq!(ranked.ranking.ordered, HEAD);
+        ranked.entry(HEAD);
+        assert_eq!(ranked.ranking.ordered, want.len());
+        let got: Vec<ScoredOffer> = (0..want.len()).map(|i| ranked.materialize(i)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -1211,12 +767,12 @@ mod tests {
             variant(2, 1, ColorDepth::Color, 25, 0),
             variant(3, 1, ColorDepth::Grey, 15, 1),
         ]);
-        let (d, a, c) = engine.sns_census();
-        let eager = engine.classify_all();
-        let count = |s: StaticNegotiationStatus| eager.iter().filter(|o| o.sns == s).count() as u64;
+        let want = reference(&engine);
+        let (d, a, c) = RankedOffers::new(engine, None).sns_census();
+        let count = |s: StaticNegotiationStatus| want.iter().filter(|o| o.sns == s).count() as u64;
         assert_eq!(d, count(StaticNegotiationStatus::Desirable));
         assert_eq!(a, count(StaticNegotiationStatus::Acceptable));
         assert_eq!(c, count(StaticNegotiationStatus::Constraint));
-        assert_eq!(d + a + c, eager.len() as u64);
+        assert_eq!(d + a + c, want.len() as u64);
     }
 }

@@ -377,12 +377,13 @@ impl ScoreRow {
     /// scores from the entry, its streams and their CostNet/CostSer split
     /// from the engine's per-variant prices — exactly what formula (1)
     /// summed, nothing re-priced, no offer materialized.
-    fn of(ranked: &RankedOffers, rank: usize, chosen: bool) -> ScoreRow {
-        let combo = &ranked.entries()[rank];
+    fn of(ranked: &mut RankedOffers, rank: usize, chosen: bool) -> ScoreRow {
+        let combo = *ranked.entry(rank);
         let mut cost_net = Money::default();
         let mut cost_ser = Money::default();
         let streams = ranked
-            .streams(rank)
+            .engine()
+            .streams_at(combo.rank)
             .map(|(v, net, ser)| {
                 cost_net += net;
                 cost_ser += ser;
@@ -527,9 +528,10 @@ json_struct!(DecisionLog {
 });
 
 impl DecisionLog {
-    /// Record the top-k score rows of a freshly ranked list (B13 bounds
-    /// the per-attempt overhead, and this runs on every explained attempt).
-    pub fn record_scores(&mut self, ranked: &RankedOffers) {
+    /// Record the top-k score rows of a freshly scored list, ordering only
+    /// those k (B13 bounds the per-attempt overhead, and this runs on every
+    /// explained attempt).
+    pub fn record_scores(&mut self, ranked: &mut RankedOffers) {
         let top = ranked.len().min(EXPLAIN_TOP_K);
         self.scores.clear();
         self.scores.reserve_exact(top);
@@ -539,7 +541,7 @@ impl DecisionLog {
 
     /// Mark the offer at classified index `rank` of `ranked` as the
     /// reserved one, appending its row when it ranks below the top-k cut.
-    pub fn mark_chosen(&mut self, ranked: &RankedOffers, rank: usize) {
+    pub fn mark_chosen(&mut self, ranked: &mut RankedOffers, rank: usize) {
         self.chosen_rank = Some(rank as u64);
         match self.scores.iter_mut().find(|r| r.rank == rank as u64) {
             Some(row) => row.chosen = true,
@@ -948,9 +950,9 @@ mod tests {
             1_000,
         )
         .expect("engine builds");
-        let ranked = RankedOffers::new(engine, None);
+        let mut ranked = RankedOffers::new(engine, None);
         let mut log = DecisionLog::default();
-        log.record_scores(&ranked);
+        log.record_scores(&mut ranked);
         assert_eq!(log.scores.len(), EXPLAIN_TOP_K);
         for (rank, row) in log.scores.iter().enumerate() {
             let offer = ranked.materialize(rank);
@@ -968,11 +970,11 @@ mod tests {
             );
         }
         // Chosen within the recorded rows: marked in place.
-        log.mark_chosen(&ranked, 0);
+        log.mark_chosen(&mut ranked, 0);
         assert_eq!(log.scores.len(), EXPLAIN_TOP_K);
         assert!(log.scores[0].chosen);
         // Chosen past the cut: appended.
-        log.mark_chosen(&ranked, 11);
+        log.mark_chosen(&mut ranked, 11);
         assert_eq!(log.scores.len(), EXPLAIN_TOP_K + 1);
         assert_eq!(log.scores[EXPLAIN_TOP_K].rank, 11);
         assert!(log.scores[EXPLAIN_TOP_K].chosen);

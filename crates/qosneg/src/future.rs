@@ -22,7 +22,7 @@ use nod_netsim::LinkId;
 use nod_simcore::{BookingId, IntervalLedger, SimDuration, SimTime};
 
 use crate::classify::ScoredOffer;
-use crate::engine::OfferList;
+use crate::engine::{OfferList, WalkCursor};
 use crate::mapping::charged_bit_rate;
 use crate::negotiate::{
     prepare, NegotiationContext, NegotiationError, NegotiationStatus, NegotiationTrace, Prepared,
@@ -201,7 +201,7 @@ pub(crate) fn negotiate_future_impl(
     profile: &crate::profile::UserProfile,
     start: SimTime,
 ) -> Result<FutureOutcome, NegotiationError> {
-    let (ordered, mut trace) = match prepare(ctx, client, document, profile)? {
+    let (mut ordered, mut trace) = match prepare(ctx, client, document, profile)? {
         Prepared::Early(outcome) => {
             let o = *outcome;
             return Ok(FutureOutcome {
@@ -224,7 +224,8 @@ pub(crate) fn negotiate_future_impl(
     let end = start + SimDuration::from_millis(duration_ms.max(1));
 
     let mut booked = None;
-    for idx in ordered.reservation_order() {
+    let mut cursor = WalkCursor::default();
+    while let Some(idx) = ordered.next_attempt(&mut cursor) {
         trace.reservation_attempts += 1;
         let scored = ordered.materialize(idx);
         if let Some(booking) = book.try_book_offer(ctx, client, &scored, start, end) {

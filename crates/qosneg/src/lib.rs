@@ -28,7 +28,7 @@
 //!
 //! The unified entry point is a [`NegotiationRequest`] — a builder
 //! bundling the document, profile, client, procedure, strategy,
-//! streaming mode, recorder, and retry/deadline policy — submitted
+//! recorder, and retry/deadline policy — submitted
 //! through a [`Session`] facade:
 //!
 //! ```
@@ -89,7 +89,7 @@ pub use adapt::{AdaptationOutcome, AdaptationReason};
 pub use classify::{classify, ClassificationStrategy, ScoredOffer};
 pub use confirm::{ConfirmationDecision, ConfirmationTimer, PendingConfirmation};
 pub use cost::{CostModel, CostTable};
-pub use engine::{OfferEngine, OfferList, OfferStream, StreamStats};
+pub use engine::{OfferEngine, OfferList};
 pub use error::QosError;
 pub use explain::{
     AdaptationRecord, DecisionLog, ExplainArtifact, ExplainData, ExplainMeta, PruneRecord,
@@ -103,7 +103,6 @@ pub use mapping::{map_requirements, NetworkQosSpec};
 pub use money::Money;
 pub use negotiate::{
     CommitFailure, CommitRefusal, NegotiationOutcome, NegotiationStatus, SessionReservation,
-    StreamingMode,
 };
 pub use offer::{violated_components, OfferSet, SystemOffer, UserOffer};
 pub use profile::{MmQosSpec, TimeProfile, UserProfile};

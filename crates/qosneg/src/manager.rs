@@ -41,10 +41,6 @@ pub struct ManagerConfig {
     /// see `nod_qosneg::prune`). Off by default to keep the paper's exact
     /// fallback semantics.
     pub prune_dominated: bool,
-    /// Step-5 enumeration mode (see
-    /// [`crate::negotiate::StreamingMode`]): `Auto` (the default) streams
-    /// offers lazily, `Off` forces the ranked list.
-    pub streaming: crate::negotiate::StreamingMode,
     /// Observability hook shared by every negotiation, playout session and
     /// confirmation this manager drives. `None` (the default) makes all
     /// instrumentation a dead branch.
@@ -63,7 +59,6 @@ impl Default for ManagerConfig {
             enumeration_cap: 250_000,
             jitter_buffer_ms: 2_000,
             prune_dominated: false,
-            streaming: crate::negotiate::StreamingMode::Auto,
             degraded_delivery_ratio: 0.3,
             recorder: None,
             explain: false,
@@ -157,7 +152,7 @@ impl QosManager {
             enumeration_cap: self.config.enumeration_cap,
             jitter_buffer_ms: self.config.jitter_buffer_ms,
             prune_dominated: self.config.prune_dominated,
-            streaming: self.config.streaming,
+            streaming: crate::negotiate::StreamingMode::Auto,
             recorder: self.config.recorder.as_ref(),
             explain: self.config.explain,
         }

@@ -14,31 +14,21 @@ use std::collections::BTreeMap;
 
 use crate::classify::{ClassificationStrategy, ScoredOffer};
 use crate::cost::CostModel;
-use crate::engine::{OfferEngine, OfferList, RankedOffers, ScoredCombo};
+use crate::engine::{OfferEngine, OfferList, RankedOffers, WalkCursor};
 use crate::explain::{DecisionLog, RefusalKind, RefusalRecord, Shortfall};
 use crate::mapping::{charged_bit_rate, map_requirements, path_supports};
 use crate::offer::{EnumerationError, SystemOffer, UserOffer};
 use crate::profile::{MmQosSpec, UserProfile};
 
-/// How steps 3–5 enumerate and order offers.
+/// Inert: kept only because `benchmark/` names it; delete in the next
+/// benchmark PR. There is one offer order and one walk; nothing reads this.
+#[doc(hidden)]
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StreamingMode {
-    /// Stream offers lazily in reservation order when the engine supports
-    /// it (the default); falls back to ranking the whole product when it
-    /// does not, or when commitment keeps failing (see
-    /// `STREAM_FALLBACK_ATTEMPTS`).
     #[default]
     Auto,
-    /// Always rank the whole product up front and walk that list.
-    Off,
 }
-
-/// After this many refused commits the streaming path stops enumerating
-/// lazily and falls back to the ranked list: a long refusal prefix means
-/// we will likely walk much of the list anyway, and one sort amortizes
-/// better than heap expansion past this depth.
-const STREAM_FALLBACK_ATTEMPTS: usize = 24;
 
 /// The five negotiation statuses of paper §4.
 ///
@@ -134,13 +124,6 @@ pub struct NegotiationTrace {
     pub reservation_attempts: usize,
     /// Offers removed by dominance pruning (0 unless enabled).
     pub offers_pruned: usize,
-    /// Offers yielded by the lazy best-first enumerator (0 on the ranked
-    /// path). On the streaming path this is the prefix step 5 actually
-    /// paid for, versus `offers_enumerated` — the full product size.
-    pub offers_streamed: usize,
-    /// 1 when the streaming prefix gave up (too many refused commits) and
-    /// fell back to the ranked list.
-    pub stream_fallbacks: usize,
 }
 
 /// The negotiation result (the "negotiation results" of §4: a status and
@@ -214,8 +197,8 @@ pub struct NegotiationContext<'a> {
     pub strategy: ClassificationStrategy,
     /// Service-guarantee class requested.
     pub guarantee: Guarantee,
-    /// Enumeration budget (see
-    /// [`enumerate_combinations`](crate::offer::enumerate_combinations)).
+    /// Enumeration budget: [`OfferEngine::build`] refuses a document whose
+    /// offer product exceeds it.
     pub enumeration_cap: usize,
     /// Client jitter-buffer size (ms of media) — its preroll enters the
     /// startup-latency check of the time profile.
@@ -227,10 +210,9 @@ pub struct NegotiationContext<'a> {
     /// its dominator is not, so the paper's exact fallback semantics keep
     /// this off; it is an optimization knob for large catalogs.
     pub prune_dominated: bool,
-    /// Step-5 enumeration mode (see [`StreamingMode`]). `Auto` streams
-    /// offers lazily in reservation order via [`crate::engine`];
-    /// `Off` forces the ranked list. Both produce identical outcomes;
-    /// pruning and explain imply the ranked list.
+    /// Inert: kept only because `benchmark/` names it; delete in the next
+    /// benchmark PR. Read by nothing.
+    #[doc(hidden)]
     pub streaming: StreamingMode,
     /// Observability hook. `None` (the default everywhere) costs a branch
     /// per stage and nothing else; `Some` times each pipeline stage as a
@@ -238,10 +220,9 @@ pub struct NegotiationContext<'a> {
     pub recorder: Option<&'a Recorder>,
     /// Record a [`DecisionLog`] on every outcome (see [`crate::explain`]).
     /// `false` (the default everywhere) costs one branch per stage and
-    /// allocates nothing; `true` walks the ranked list (the log's top-k
-    /// rows are read off its entries; only attempted offers are
-    /// materialized, as without explain) and fills
-    /// `NegotiationOutcome::decisions`.
+    /// allocates nothing; `true` takes the same walk and additionally
+    /// reads the log's top-k rows off the head of the order, records every
+    /// refusal, and fills `NegotiationOutcome::decisions`.
     pub explain: bool,
 }
 
@@ -263,114 +244,62 @@ fn stage_span(
 /// the classified offer list, or an early outcome (local failure /
 /// no-feasible-offer).
 pub enum Prepared {
-    /// Steps 1–4 completed: the classified offers as plain ranked data over
-    /// their engine, the trace so far, and — when
-    /// [`NegotiationContext::explain`] is set — the decision log of those
-    /// steps (pruning decisions, score decomposition). Step 5
-    /// ([`commit_prepared`]) finishes the log with refusals and the chosen
-    /// rank.
+    /// Steps 1–4 completed: the classified offers as plain data over their
+    /// engine — scored, and ordered as far as anybody has read — the trace
+    /// so far, and — when [`NegotiationContext::explain`] is set — the
+    /// decision log of those steps (pruning decisions, score
+    /// decomposition). Step 5 ([`commit_prepared`]) finishes the log with
+    /// refusals and the chosen rank.
     Offers(RankedOffers, NegotiationTrace, Option<Box<DecisionLog>>),
     /// Negotiation ended before step 5.
     Early(Box<NegotiationOutcome>),
 }
 
-/// [`prepare_inner`]'s result: scores are precomputed inside the engine but
-/// ordering is still pending, so the streaming step 5 can avoid paying
-/// for it.
-enum PreparedInner {
-    Early(Box<NegotiationOutcome>),
-    /// The engine, the dominance-pruning keep-mask over enumeration ranks
-    /// (when pruning ran), and the trace so far.
-    Engine(OfferEngine, Option<Vec<bool>>, NegotiationTrace),
-}
-
 /// Run steps 1–4 (local check, compatibility filter, costing,
-/// classification) without committing resources. Both the broker's
-/// prepare/commit split ([`commit_prepared`]) and advance negotiation
-/// ([`Session::submit_future`](crate::Session::submit_future)) build on
-/// this. Returns the whole product ranked as plain data
-/// ([`RankedOffers`]) — no offer is materialized here beyond explain's
-/// top-k rows; [`Session::submit`](crate::Session::submit) itself streams
-/// a prefix lazily instead when it can.
+/// classification) without committing resources. Every caller of the
+/// procedure — [`Session::submit`](crate::Session::submit), the broker,
+/// advance negotiation
+/// ([`Session::submit_future`](crate::Session::submit_future)) — runs this
+/// and then walks the result. Returns the whole product scored as plain
+/// data ([`RankedOffers`]); nothing is sorted or materialized here beyond
+/// explain's top-k rows.
 pub fn prepare(
     ctx: &NegotiationContext<'_>,
     client: &ClientMachine,
     document: DocumentId,
     profile: &UserProfile,
 ) -> Result<Prepared, NegotiationError> {
-    let mut log: Option<Box<DecisionLog>> = ctx.explain.then(Box::default);
-    match prepare_inner(ctx, client, document, profile, None, log.as_deref_mut())? {
-        PreparedInner::Early(outcome) => Ok(Prepared::Early(finish_early(outcome, log))),
-        PreparedInner::Engine(engine, keep, trace) => {
-            let ranked = rank_offers(ctx, None, engine, keep.as_deref(), log.as_deref_mut());
-            Ok(Prepared::Offers(ranked, trace, log))
-        }
-    }
+    prepare_under(ctx, None, client, document, profile)
 }
 
-/// Attach the decision log (when explain is on) to an early outcome.
-fn finish_early(
-    mut outcome: Box<NegotiationOutcome>,
-    log: Option<Box<DecisionLog>>,
-) -> Box<NegotiationOutcome> {
-    if let Some(mut l) = log {
-        l.status = Some(outcome.status);
-        outcome.decisions = Some(l);
-    }
-    outcome
-}
-
-/// Steps 3–4 proper: rank the engine's product (minus pruned ranks) under
-/// a `classify` span, emit `negotiation.offers.classified` and the
-/// per-class `negotiation.sns` counters when a recorder is attached, and
-/// — with explain on — record the top-k score rows.
-fn rank_offers(
+/// [`prepare`] with its stage spans parented under `parent` (the
+/// `negotiate` span) when tracing is active.
+fn prepare_under(
     ctx: &NegotiationContext<'_>,
     parent: Option<&Span>,
-    engine: OfferEngine,
-    keep: Option<&[bool]>,
-    log: Option<&mut DecisionLog>,
-) -> RankedOffers {
-    let span = stage_span(ctx, parent, "classify");
-    let ranked = RankedOffers::new(engine, keep);
-    if let Some(span) = span {
-        span.end();
-    }
-    if let Some(rec) = ctx.recorder {
-        emit_classified_counters(rec, ranked.len(), ranked.sns_census());
-    }
-    if let Some(l) = log {
-        l.record_scores(&ranked);
-    }
-    ranked
-}
-
-/// Emit the classification counters (`negotiation.offers.classified` and
-/// the per-class `negotiation.sns`).
-fn emit_classified_counters(rec: &Recorder, total: usize, census: (u64, u64, u64)) {
-    rec.counter("negotiation.offers.classified", total as u64);
-    for (class, n) in [
-        ("DESIRABLE", census.0),
-        ("ACCEPTABLE", census.1),
-        ("CONSTRAINT", census.2),
-    ] {
-        if n > 0 {
-            rec.counter_with("negotiation.sns", &[("class", class)], n);
-        }
-    }
-}
-
-/// Steps 1–2 and the engine build, with stage spans parented under
-/// `parent` (the `negotiate` span) when tracing is active; ordering is left
-/// to the caller.
-fn prepare_inner(
-    ctx: &NegotiationContext<'_>,
     client: &ClientMachine,
     document: DocumentId,
     profile: &UserProfile,
-    parent: Option<&Span>,
-    mut log: Option<&mut DecisionLog>,
-) -> Result<PreparedInner, NegotiationError> {
+) -> Result<Prepared, NegotiationError> {
+    let mut log: Option<Box<DecisionLog>> = ctx.explain.then(Box::default);
+    let early = |status, local_offer, trace, log: Option<Box<DecisionLog>>| {
+        let decisions = log.map(|mut l| {
+            l.status = Some(status);
+            l
+        });
+        Ok(Prepared::Early(Box::new(NegotiationOutcome {
+            status,
+            user_offer: None,
+            reserved_index: None,
+            reservation: None,
+            reserved_offer: None,
+            ordered_offers: OfferList::default(),
+            local_offer,
+            commit_failures: Vec::new(),
+            trace,
+            decisions,
+        })))
+    };
     profile
         .validate()
         .map_err(NegotiationError::InvalidProfile)?;
@@ -396,18 +325,12 @@ fn prepare_inner(
         if let Some(req) = profile.worst.for_kind(kind) {
             if client.check_local(&req).is_err() {
                 let local = clamp_spec(client, &profile.desired);
-                return Ok(PreparedInner::Early(Box::new(NegotiationOutcome {
-                    status: NegotiationStatus::FailedWithLocalOffer,
-                    user_offer: None,
-                    reserved_index: None,
-                    reservation: None,
-                    reserved_offer: None,
-                    ordered_offers: OfferList::default(),
-                    local_offer: Some(local),
-                    commit_failures: Vec::new(),
+                return early(
+                    NegotiationStatus::FailedWithLocalOffer,
+                    Some(local),
                     trace,
-                    decisions: None,
-                })));
+                    log,
+                );
             }
         }
     }
@@ -431,10 +354,10 @@ fn prepare_inner(
         .collect();
     trace.feasible_variants = per_mono.iter().map(|(_, v)| v.len()).sum();
 
-    // ---- Step 3/4: precompute scores, enumerate (lazily) ----------------
+    // ---- Step 3/4: precompute scores, then score the product ------------
     // The engine clones each feasible variant once and precomputes its
-    // partial scores (importance, CostNet + CostSer, SNS flags, mapped
-    // stream spec); per-offer scoring becomes an O(k) combine of those.
+    // partial scores (importance, CostNet + CostSer, SNS flags); per-offer
+    // scoring becomes an O(k) combine of those.
     let durations: std::collections::HashMap<MonomediaId, u64> = doc
         .monomedia()
         .iter()
@@ -454,18 +377,7 @@ fn prepare_inner(
             if let Some(span) = span_enumerate {
                 span.end();
             }
-            return Ok(PreparedInner::Early(Box::new(NegotiationOutcome {
-                status: NegotiationStatus::FailedWithoutOffer,
-                user_offer: None,
-                reserved_index: None,
-                reservation: None,
-                reserved_offer: None,
-                ordered_offers: OfferList::default(),
-                local_offer: None,
-                commit_failures: Vec::new(),
-                trace,
-                decisions: None,
-            })));
+            return early(NegotiationStatus::FailedWithoutOffer, None, trace, log);
         }
         Err(e @ EnumerationError::TooManyOffers { .. }) => {
             // An enumeration blow-up is a deployment configuration problem,
@@ -508,19 +420,53 @@ fn prepare_inner(
     if let Some(rec) = ctx.recorder {
         rec.counter("negotiation.offers.pruned", trace.offers_pruned as u64);
     }
-    if let Some(l) = log {
+
+    // Steps 3–4 proper, under a `classify` span: score the product (minus
+    // pruned ranks). Ordering is left to whoever reads the list — the
+    // walk, or explain's top-k rows just below.
+    let span_classify = stage_span(ctx, parent, "classify");
+    let mut ranked = RankedOffers::new(engine, keep.as_deref());
+    if let Some(span) = span_classify {
+        span.end();
+    }
+    if let Some(rec) = ctx.recorder {
+        rec.counter("negotiation.offers.classified", ranked.len() as u64);
+        let (desirable, acceptable, constraint) = ranked.sns_census();
+        for (class, n) in [
+            ("DESIRABLE", desirable),
+            ("ACCEPTABLE", acceptable),
+            ("CONSTRAINT", constraint),
+        ] {
+            if n > 0 {
+                rec.counter_with("negotiation.sns", &[("class", class)], n);
+            }
+        }
+    }
+    if let Some(l) = log.as_deref_mut() {
         l.feasible_variants = trace.feasible_variants as u64;
         l.offers_enumerated = trace.offers_enumerated as u64;
+        l.record_scores(&mut ranked);
     }
-    Ok(PreparedInner::Engine(engine, keep, trace))
+    Ok(Prepared::Offers(ranked, trace, log))
+}
+
+/// Emit the terminal `negotiation.outcome{status=…}` counter and trace
+/// point.
+fn emit_outcome(ctx: &NegotiationContext<'_>, outcome: &NegotiationOutcome) {
+    if let Some(rec) = ctx.recorder {
+        let status = outcome.status.to_string();
+        rec.counter_with("negotiation.outcome", &[("status", &status)], 1);
+        rec.trace_point("negotiation.outcome", &[("status", &status)]);
+    }
 }
 
 /// Run steps 1–5 for `client` requesting `document` under `profile` — the
-/// implementation behind [`crate::Session::submit`].
+/// implementation behind [`crate::Session::submit`]: [`prepare`], then the
+/// walk of [`commit_prepared`], under one root span.
 ///
 /// With a [`NegotiationContext::recorder`] attached, the whole call is
 /// timed as a `negotiate` span with `enumerate`/`prune`/`classify` and
-/// per-attempt `commit` children, and the final status increments
+/// `commit` children, and the final status increments
 /// `negotiation.outcome{status=…}`.
 pub(crate) fn negotiate_impl(
     ctx: &NegotiationContext<'_>,
@@ -529,45 +475,22 @@ pub(crate) fn negotiate_impl(
     profile: &UserProfile,
 ) -> Result<NegotiationOutcome, NegotiationError> {
     let root = ctx.recorder.map(|rec| rec.span("negotiate"));
-    let result = negotiate_steps(ctx, client, document, profile, root.as_ref());
+    let result =
+        prepare_under(ctx, root.as_ref(), client, document, profile).map(
+            |prepared| match prepared {
+                Prepared::Early(outcome) => *outcome,
+                Prepared::Offers(ranked, trace, log) => {
+                    commit_walk(ctx, root.as_ref(), client, profile, ranked, trace, log)
+                }
+            },
+        );
     if let Some(span) = root {
         span.end();
     }
-    if let (Some(rec), Ok(outcome)) = (ctx.recorder, &result) {
-        let status = outcome.status.to_string();
-        rec.counter_with("negotiation.outcome", &[("status", &status)], 1);
-        rec.trace_point("negotiation.outcome", &[("status", &status)]);
+    if let Ok(outcome) = &result {
+        emit_outcome(ctx, outcome);
     }
     result
-}
-
-fn negotiate_steps(
-    ctx: &NegotiationContext<'_>,
-    client: &ClientMachine,
-    document: DocumentId,
-    profile: &UserProfile,
-    root: Option<&Span>,
-) -> Result<NegotiationOutcome, NegotiationError> {
-    let mut log: Option<Box<DecisionLog>> = ctx.explain.then(Box::default);
-    let (engine, keep, trace) =
-        match prepare_inner(ctx, client, document, profile, root, log.as_deref_mut())? {
-            PreparedInner::Early(outcome) => return Ok(*finish_early(outcome, log)),
-            PreparedInner::Engine(engine, keep, trace) => (engine, keep, trace),
-        };
-    // Pruning thins the list and explain needs its top-k rows, so both walk
-    // the ranked list, as do wide documents and `StreamingMode::Off`.
-    if keep.is_none()
-        && log.is_none()
-        && ctx.streaming == StreamingMode::Auto
-        && engine.streaming_supported()
-    {
-        return Ok(negotiate_streaming(
-            ctx, client, profile, root, engine, trace,
-        ));
-    }
-    let ranked = rank_offers(ctx, root, engine, keep.as_deref(), log.as_deref_mut());
-    let walk = CommitWalk::new(ctx, client, profile);
-    Ok(commit_ranked(walk, root, ranked, 0, Vec::new(), trace, log))
 }
 
 /// Per-walk refusal census. A commit walk refuses dozens of offers for a
@@ -619,8 +542,8 @@ impl RefusalCensus {
     }
 }
 
-/// One step-5 walk: the attempt both offer loops make, and what the walk
-/// has learned so far.
+/// One step-5 walk: the attempt it makes per offer, and what it has
+/// learned so far.
 ///
 /// Every refused attempt rolls back completely ([`PendingCommit`]), so each
 /// attempt of a walk starts from the same farm and network state, and a
@@ -717,143 +640,30 @@ impl<'c, 'a> CommitWalk<'c, 'a> {
     }
 }
 
-/// Step 5 over the lazy engine: pull offers from the reservation-order
-/// stream and try to commit each, paying only for the attempted prefix.
-/// On success the classified list stays deferred (the outcome carries the
-/// engine); after [`STREAM_FALLBACK_ATTEMPTS`] refusals — or when the
-/// stream runs dry — the same walk continues on the ranked list.
-fn negotiate_streaming(
+/// The step-5 walk: attempt the offers of `ranked` in reservation order
+/// (one [`WalkCursor`], ordering the list only as far as the walk gets)
+/// and commit the first that fits. An attempted offer's index is its
+/// classified position; only the offer that commits is materialized.
+fn commit_walk(
     ctx: &NegotiationContext<'_>,
+    root: Option<&Span>,
     client: &ClientMachine,
     profile: &UserProfile,
-    root: Option<&Span>,
-    engine: OfferEngine,
-    mut trace: NegotiationTrace,
-) -> NegotiationOutcome {
-    // The classify stage becomes stream setup; when instrumented, a
-    // sort-free census keeps the per-class `negotiation.sns` counters
-    // identical to what ranking would have emitted.
-    let span_classify = stage_span(ctx, root, "classify");
-    if let Some(rec) = ctx.recorder {
-        emit_classified_counters(rec, engine.total(), engine.sns_census());
-    }
-    let mut stream = engine.reservation_stream();
-    if let Some(span) = span_classify {
-        span.end();
-    }
-
-    // One commit span covers the whole streamed walk (step 5 as a stage);
-    // per-candidate verdicts are carried by the admission / reservation /
-    // refusal points inside it.
-    let span_commit = stage_span(ctx, root, "commit");
-    let mut walk = CommitWalk::new(ctx, client, profile);
-    let mut stream_failures: Vec<(ScoredCombo, CommitFailure)> = Vec::new();
-    let mut committed: Option<(ScoredCombo, SessionReservation)> = None;
-    let mut exhausted = false;
-    while stream_failures.len() < STREAM_FALLBACK_ATTEMPTS {
-        let Some(combo) = stream.next() else {
-            exhausted = true;
-            break;
-        };
-        trace.reservation_attempts += 1;
-        match walk.attempt(&engine, combo.rank) {
-            Err(refusal) => stream_failures.push((combo, refusal.failure)),
-            Ok(reservation) => {
-                committed = Some((combo, reservation));
-                break;
-            }
-        }
-    }
-    walk.emit_census();
-    if let Some(span) = span_commit {
-        span.end();
-    }
-    let stats = stream.stats;
-    drop(stream);
-    trace.offers_streamed = stats.yielded;
-    if let Some(rec) = ctx.recorder {
-        rec.counter("negotiation.stream.yielded", stats.yielded as u64);
-        rec.counter("negotiation.stream.heap_pushes", stats.heap_pushes as u64);
-    }
-
-    if let Some((combo, reservation)) = committed {
-        // Recover the classified-list indices of the attempted offers
-        // (diagnostics point into `ordered_offers`) with one counting
-        // sweep — no materialization, no sort.
-        let mut targets: Vec<&ScoredCombo> = stream_failures.iter().map(|(c, _)| c).collect();
-        targets.push(&combo);
-        let indices = engine.classified_indices(&targets);
-        let reserved_index = indices[indices.len() - 1];
-        let failures: Vec<(usize, CommitFailure)> = indices
-            .iter()
-            .zip(stream_failures)
-            .map(|(&idx, (_, reason))| (idx, reason))
-            .collect();
-        let scored = engine.materialize(&combo);
-        let status = if scored.satisfies_request {
-            NegotiationStatus::Succeeded
-        } else {
-            NegotiationStatus::FailedWithOffer
-        };
-        let user_offer = scored.offer.to_user_offer();
-        return NegotiationOutcome {
-            status,
-            user_offer: Some(user_offer),
-            reserved_index: Some(reserved_index),
-            reservation: Some(reservation),
-            reserved_offer: Some(scored),
-            ordered_offers: OfferList::deferred(engine),
-            local_offer: None,
-            commit_failures: failures,
-            trace,
-            decisions: None,
-        };
-    }
-
-    // No commit in the streamed prefix: rank the whole product. The
-    // streamed attempts are exactly the first entries of the reservation
-    // order, so their diagnostics map positionally; the walk — memo
-    // included — resumes where the stream stopped (or ends immediately
-    // when it ran dry).
-    if !exhausted {
-        trace.stream_fallbacks += 1;
-        if let Some(rec) = ctx.recorder {
-            rec.counter("negotiation.stream.fallback", 1);
-        }
-    }
-    let ranked = RankedOffers::new(engine, None);
-    let attempted = stream_failures.len();
-    let failures: Vec<(usize, CommitFailure)> = ranked
-        .reservation_order()
-        .zip(stream_failures)
-        .map(|(idx, (combo, reason))| {
-            debug_assert_eq!(ranked.entries()[idx].rank, combo.rank);
-            (idx, reason)
-        })
-        .collect();
-    commit_ranked(walk, root, ranked, attempted, failures, trace, None)
-}
-
-/// The step-5 walk over the ranked list: try to commit the offers of its
-/// reservation order from position `start_at` on, continuing `walk` and
-/// carrying over diagnostics from any attempts it already made. Only the
-/// offer that commits is materialized.
-fn commit_ranked(
-    mut walk: CommitWalk<'_, '_>,
-    root: Option<&Span>,
-    ranked: RankedOffers,
-    start_at: usize,
-    mut failures: Vec<(usize, CommitFailure)>,
+    mut ranked: RankedOffers,
     mut trace: NegotiationTrace,
     mut decisions: Option<Box<DecisionLog>>,
 ) -> NegotiationOutcome {
-    // As in the streamed walk, one commit span per ordered walk; the
+    // One commit span covers the whole walk (step 5 as a stage); the
     // per-candidate refusal points inside it carry the verdicts.
-    let span_commit = stage_span(walk.ctx, root, "commit");
+    let span_commit = stage_span(ctx, root, "commit");
+    let mut walk = CommitWalk::new(ctx, client, profile);
+    let mut failures: Vec<(usize, CommitFailure)> = Vec::new();
     let mut committed: Option<(usize, ScoredOffer, SessionReservation)> = None;
-    for idx in ranked.reservation_order().skip(start_at) {
+    let mut cursor = WalkCursor::default();
+    while let Some(idx) = ranked.next_attempt(&mut cursor) {
         trace.reservation_attempts += 1;
-        match walk.attempt(ranked.engine(), ranked.entries()[idx].rank) {
+        let rank = ranked.entry(idx).rank;
+        match walk.attempt(ranked.engine(), rank) {
             Err(refusal) => {
                 if let Some(l) = decisions.as_deref_mut() {
                     l.refusals.push(refusal.record(idx));
@@ -878,7 +688,7 @@ fn commit_ranked(
     };
     if let Some(l) = decisions.as_deref_mut() {
         if let Some((idx, ..)) = committed {
-            l.mark_chosen(&ranked, idx);
+            l.mark_chosen(&mut ranked, idx);
         }
         l.status = Some(status);
     }
@@ -902,23 +712,22 @@ fn commit_ranked(
 
 /// Step 5 alone: walk `ordered` in reservation order and commit the first
 /// offer that fits, emitting the same per-walk counters and terminal
-/// `negotiation.outcome{status=…}` as the fused
-/// [`Session::submit`](crate::Session::submit) path.
+/// `negotiation.outcome{status=…}` as
+/// [`Session::submit`](crate::Session::submit) — which is [`prepare`]
+/// followed by this same walk.
 ///
-/// This is the commit half of the [`prepare`]/commit split the broker and
-/// advance booking share: [`prepare`] reads only the catalog and static
-/// topology, while this walk is the only part that touches live farm and
-/// network capacity.
+/// [`prepare`] reads only the catalog and static topology, while this walk
+/// is the only part that touches live farm and network capacity.
 ///
 /// Offers are attempted by reference and only the one that commits is
-/// materialized; the outcome's `ordered_offers` keeps the ranked list
-/// deferred. Each prefix of chosen variants is judged once per walk,
-/// against the capacity the walk started with: a refused prefix refuses
-/// every later offer that shares it without asking the server or link
-/// again, with the identical [`CommitRefusal`]. Capacity freed by another
-/// thread mid-walk is seen by the session's next attempt, not this walk.
-/// A success always performs the real reservations, so the memo can never
-/// over-commit or leak.
+/// materialized; the list is ordered only as far as the walk gets, and the
+/// outcome's `ordered_offers` keeps it deferred. Each prefix of chosen
+/// variants is judged once per walk, against the capacity the walk started
+/// with: a refused prefix refuses every later offer that shares it without
+/// asking the server or link again, with the identical [`CommitRefusal`].
+/// Capacity freed by another thread mid-walk is seen by the session's next
+/// attempt, not this walk. A success always performs the real
+/// reservations, so the memo can never over-commit or leak.
 ///
 /// A refused session's retry prepares again (the broker does not carry
 /// the list across attempts).
@@ -930,13 +739,8 @@ pub fn commit_prepared(
     trace: NegotiationTrace,
     decisions: Option<Box<DecisionLog>>,
 ) -> NegotiationOutcome {
-    let walk = CommitWalk::new(ctx, client, profile);
-    let outcome = commit_ranked(walk, None, ordered, 0, Vec::new(), trace, decisions);
-    if let Some(rec) = ctx.recorder {
-        let status = outcome.status.to_string();
-        rec.counter_with("negotiation.outcome", &[("status", &status)], 1);
-        rec.trace_point("negotiation.outcome", &[("status", &status)]);
-    }
+    let outcome = commit_walk(ctx, None, client, profile, ordered, trace, decisions);
+    emit_outcome(ctx, &outcome);
     outcome
 }
 

@@ -6,7 +6,7 @@
 //! `negotiate_multidomain` (hierarchical) and the two baselines. A
 //! [`NegotiationRequest`] now carries everything those signatures
 //! threaded positionally — client, document, profile, plus per-request
-//! overrides (strategy, streaming mode, recorder) and the retry/deadline
+//! overrides (strategy, recorder) and the retry/deadline
 //! policy the concurrent broker consumes — and a [`Session`] facade
 //! dispatches it:
 //!
@@ -36,7 +36,7 @@ use crate::error::QosError;
 use crate::future::{negotiate_future_impl, AdvanceBook, FutureOutcome};
 use crate::hierarchy::{negotiate_multidomain_impl, Domain, MultiDomainConfig, MultiDomainOutcome};
 use crate::negotiate::{
-    negotiate_impl, NegotiationContext, NegotiationOutcome, SessionReservation, StreamingMode,
+    negotiate_impl, NegotiationContext, NegotiationOutcome, SessionReservation,
 };
 use crate::profile::UserProfile;
 
@@ -146,8 +146,6 @@ pub struct NegotiationRequest<'a> {
     pub procedure: Procedure,
     /// Override the session's classification strategy for this request.
     pub strategy: Option<ClassificationStrategy>,
-    /// Override the session's streaming mode for this request.
-    pub streaming: Option<StreamingMode>,
     /// Override (or attach) an observability recorder for this request.
     pub recorder: Option<&'a Recorder>,
     /// Request decision provenance ([`crate::DecisionLog`]) on the outcome
@@ -172,7 +170,6 @@ impl<'a> NegotiationRequest<'a> {
             profile,
             procedure: Procedure::default(),
             strategy: None,
-            streaming: None,
             recorder: None,
             explain: false,
             retry: RetryPolicy::NO_RETRY,
@@ -189,12 +186,6 @@ impl<'a> NegotiationRequest<'a> {
     /// Override the classification strategy.
     pub fn strategy(mut self, strategy: ClassificationStrategy) -> Self {
         self.strategy = Some(strategy);
-        self
-    }
-
-    /// Override the streaming mode.
-    pub fn streaming(mut self, streaming: StreamingMode) -> Self {
-        self.streaming = Some(streaming);
         self
     }
 
@@ -258,9 +249,6 @@ impl<'a> Session<'a> {
         let mut ctx: NegotiationContext<'r> = self.ctx;
         if let Some(strategy) = req.strategy {
             ctx.strategy = strategy;
-        }
-        if let Some(streaming) = req.streaming {
-            ctx.streaming = streaming;
         }
         if let Some(recorder) = req.recorder {
             ctx.recorder = Some(recorder);

@@ -1,9 +1,14 @@
-//! The ranked list — the engine's whole product scored from the
-//! per-variant partials and sorted as plain data — must be bit-identical
-//! to the paper-literal pipeline `classify(engine.offers(), …)`: same
-//! offers at every position, same SNS / satisfaction flags, same cost,
-//! OIF equal to the bit. And explaining a negotiation must record the
-//! list it walked without changing what the walk decides.
+//! The one offer order — the engine's whole product scored from the
+//! per-variant partials and ordered on demand as plain data — must be
+//! bit-identical to the paper-literal pipeline
+//! `classify(engine.offers(), …)` however far it has been ordered: the lazy
+//! walk attempts `reservation_order(…)`'s indices in its order, every
+//! accessor of a list whose walk stopped early reads the same offers at
+//! the same positions (same SNS / satisfaction flags, same cost, OIF equal
+//! to the bit), and wide, duplicated, non-finite, pruned and explained
+//! requests are ordinary inputs to that one assertion. And explaining a
+//! negotiation must record the list it walked without changing what the
+//! walk decides.
 
 use std::collections::HashMap;
 
@@ -12,7 +17,8 @@ use nod_cmfs::{Guarantee, ServerConfig, ServerFarm};
 use nod_mmdb::{Catalog, CorpusBuilder, CorpusParams};
 use nod_mmdoc::prelude::*;
 use nod_netsim::{Network, Topology};
-use nod_qosneg::engine::{OfferEngine, RankedOffers};
+use nod_qosneg::classify::reservation_order;
+use nod_qosneg::engine::{OfferEngine, OfferList, RankedOffers, WalkCursor, HEAD};
 use nod_qosneg::explain::EXPLAIN_TOP_K;
 use nod_qosneg::negotiate::{
     commit_prepared, prepare, NegotiationContext, NegotiationOutcome, Prepared, StreamingMode,
@@ -20,7 +26,10 @@ use nod_qosneg::negotiate::{
 use nod_qosneg::offer::enumerate_combinations;
 use nod_qosneg::profile::{tv_news_profile, MmQosSpec, UserProfile};
 use nod_qosneg::prune::{importance_is_monotone, keep_mask, prune_dominated};
-use nod_qosneg::{classify, ClassificationStrategy, CostModel, Money, ScoredOffer, SystemOffer};
+use nod_qosneg::{
+    classify, ClassificationStrategy, CostModel, Money, NegotiationRequest, ScoredOffer, Session,
+    SystemOffer,
+};
 use nod_simcore::StreamRng;
 
 const STRATEGIES: [ClassificationStrategy; 4] = [
@@ -37,8 +46,8 @@ struct World {
     cost: CostModel,
 }
 
-/// The streaming-equivalence corpus: catalog shape varies with the seed,
-/// from one variant per component to rich.
+/// The equivalence corpus: catalog shape varies with the seed, from one
+/// variant per component to rich.
 fn world(seed: u64) -> World {
     let mut shape = StreamRng::new(seed ^ 0x5EED);
     let servers = 2 + shape.below(3) as usize;
@@ -210,36 +219,97 @@ fn assert_bit_identical(got: &[ScoredOffer], want: &[ScoredOffer], tag: &str) {
     }
 }
 
-/// Ranked ≡ eager for `engine`, unpruned and (under a monotone profile)
-/// through the dominance keep-mask; returns the offers checked.
+/// The lazily ordered `fresh` list ≡ the reference classification `want`:
+/// the walk attempts `reservation_order(want)`'s indices step by step (so
+/// every prefix of the walk is checked), and after a walk that stopped
+/// early — inside the ordered head, at its edge, past it — every accessor
+/// still reads `want`, in `want`'s order.
+fn check_order(fresh: &RankedOffers, want: &[ScoredOffer], tag: &str) {
+    assert_eq!(fresh.len(), want.len(), "{tag}: length");
+    let order = reservation_order(want);
+
+    let mut walked = fresh.clone();
+    let mut cursor = WalkCursor::default();
+    for (step, &idx) in order.iter().enumerate() {
+        assert_eq!(
+            walked.next_attempt(&mut cursor),
+            Some(idx),
+            "{tag}: attempt {step}"
+        );
+        let got = walked.materialize(idx);
+        assert_bit_identical(
+            std::slice::from_ref(&got),
+            std::slice::from_ref(&want[idx]),
+            &format!("{tag} attempt {step}"),
+        );
+    }
+    assert_eq!(walked.next_attempt(&mut cursor), None, "{tag}: walk ends");
+
+    let mut stops = vec![0, 1, HEAD - 1, HEAD, HEAD + 1, want.len() / 2, want.len()];
+    stops.retain(|&stop| stop <= want.len());
+    stops.dedup();
+    for stop in stops {
+        let tag = format!("{tag}, walk stopped after {stop}");
+        let mut stopped = fresh.clone();
+        let mut cursor = WalkCursor::default();
+        for _ in 0..stop {
+            stopped.next_attempt(&mut cursor);
+        }
+
+        // By index, deepest first: an index past the ordered head orders
+        // as far as it needs instead of returning whatever lies there.
+        let mut by_index = stopped.clone();
+        let mut got: Vec<ScoredOffer> = (0..want.len())
+            .rev()
+            .map(|i| by_index.materialize(i))
+            .collect();
+        got.reverse();
+        assert_bit_identical(&got, want, &format!("{tag}: materialize"));
+
+        // Entries carry the same scores as the offers they stand for.
+        let mut entries = stopped.clone();
+        for (i, (entry, offer)) in entries.entries().iter().zip(want).enumerate() {
+            assert_eq!(entry.oif.to_bits(), offer.oif.to_bits(), "{tag}: entry {i}");
+            assert_eq!(entry.cost, offer.offer.cost, "{tag}: entry {i}");
+            assert_eq!(entry.sns, offer.sns, "{tag}: entry {i}");
+        }
+
+        // Step 5's order from a fresh cursor: satisfying offers first,
+        // both halves classified.
+        let mut again = stopped.clone();
+        let got: Vec<usize> = again.reservation_order().collect();
+        assert_eq!(got, order, "{tag}: reservation order");
+
+        // What an outcome's `ordered_offers` reads after such a walk.
+        let list = OfferList::ranked(stopped);
+        assert_eq!(list.len(), want.len(), "{tag}");
+        assert_bit_identical(list.as_slice(), want, &format!("{tag}: as_slice"));
+    }
+}
+
+/// Lazy order ≡ reference for `engine`, unpruned and (under a monotone
+/// profile) through the dominance keep-mask; returns the offers checked.
 fn check_engine(
     engine: &OfferEngine,
     profile: &UserProfile,
     strategy: ClassificationStrategy,
     tag: &str,
 ) -> usize {
-    let ranked = RankedOffers::new(engine.clone(), None);
-    let got: Vec<ScoredOffer> = (0..ranked.len()).map(|i| ranked.materialize(i)).collect();
     let want = classify(engine.offers(), profile, strategy);
-    assert_bit_identical(&got, &want, tag);
+    check_order(&RankedOffers::new(engine.clone(), None), &want, tag);
     assert_bit_identical(&engine.classify_all(), &want, tag);
-    // Entries carry the same scores as the offers they materialize to.
-    for (entry, offer) in ranked.entries().iter().zip(&got) {
-        assert_eq!(entry.oif.to_bits(), offer.oif.to_bits(), "{tag}");
-        assert_eq!(entry.cost, offer.offer.cost, "{tag}");
-    }
-    // Step 5's order: satisfying offers first, both halves classified.
-    let order: Vec<usize> = ranked.reservation_order().collect();
-    assert_eq!(
-        order,
-        nod_qosneg::classify::reservation_order(&want),
-        "{tag}"
-    );
+    // The borrowing name of the same walk.
+    let streamed: Vec<ScoredOffer> = (engine.reservation_stream())
+        .map(|combo| engine.materialize(&combo))
+        .collect();
+    let attempted: Vec<ScoredOffer> = (reservation_order(&want).iter())
+        .map(|&idx| want[idx].clone())
+        .collect();
+    assert_bit_identical(&streamed, &attempted, &format!("{tag}: reservation_stream"));
 
     if importance_is_monotone(&profile.importance) {
         let keep = keep_mask(&engine.offers(), None);
         let pruned = RankedOffers::new(engine.clone(), Some(&keep));
-        let got: Vec<ScoredOffer> = (0..pruned.len()).map(|i| pruned.materialize(i)).collect();
         let (survivors, dropped) = prune_dominated(engine.offers());
         assert_eq!(
             pruned.len() + dropped,
@@ -247,17 +317,17 @@ fn check_engine(
             "{tag}: pruned count"
         );
         let want = classify(survivors, profile, strategy);
-        assert_bit_identical(&got, &want, &format!("{tag} pruned"));
+        check_order(&pruned, &want, &format!("{tag} pruned"));
     }
-    got.len()
+    want.len()
 }
 
 #[test]
-fn ranked_list_matches_eager_classification_over_the_corpus() {
+fn lazy_order_matches_the_reference_classification_over_the_corpus() {
     let client = ClientMachine::era_workstation(ClientId(0));
     let profile = tv_news_profile();
     let (mut engines, mut offers) = (0usize, 0usize);
-    for seed in 0..40u64 {
+    for seed in 0..70u64 {
         let w = world(seed);
         for doc in 1..=6u64 {
             for strategy in STRATEGIES {
@@ -275,15 +345,14 @@ fn ranked_list_matches_eager_classification_over_the_corpus() {
             }
         }
     }
-    assert!(engines >= 800, "coverage too thin: {engines} engines");
-    assert!(offers > 10_000, "coverage too thin: {offers} offers");
+    assert!(engines >= 1_400, "coverage too thin: {engines} engines");
+    assert!(offers > 18_000, "coverage too thin: {offers} offers");
 }
 
 #[test]
-fn ranked_list_handles_wide_duplicated_nan_and_single_offer_products() {
+fn lazy_order_handles_wide_duplicated_nan_and_single_offer_products() {
     let colors = [ColorDepth::Color, ColorDepth::Grey];
-    // Ten components × two variants: past the packed stream state, so
-    // only the ranked list can order it.
+    // Ten components × two variants: 1 024 offers, far past the head.
     let wide: Vec<Vec<Variant>> = (0..10u64)
         .map(|c| {
             (0..2u64)
@@ -318,7 +387,6 @@ fn ranked_list_handles_wide_duplicated_nan_and_single_offer_products() {
         let profile = video_profile();
         let engine = built_engine(&wide, &profile, strategy);
         assert_eq!(engine.total(), 1024);
-        assert!(!engine.streaming_supported(), "ten components are wide");
         check_engine(&engine, &profile, strategy, &format!("wide {strategy:?}"));
 
         let engine = built_engine(&duplicated, &profile, strategy);
@@ -328,17 +396,32 @@ fn ranked_list_handles_wide_duplicated_nan_and_single_offer_products() {
         let engine = built_engine(&single, &profile, strategy);
         assert_eq!(check_engine(&engine, &profile, strategy, "single"), 1);
 
+        // NaN and ∞ importances: the order is total, so they sort where
+        // the reference puts them — in the head and past it.
         for (name, profile) in [("nan", &nan), ("infinite", &infinite)] {
+            let engine = built_engine(&wide, profile, strategy);
+            check_engine(
+                &engine,
+                profile,
+                strategy,
+                &format!("{name} wide {strategy:?}"),
+            );
             let engine = built_engine(&duplicated, profile, strategy);
-            assert!(!engine.streaming_supported(), "{name}: non-finite scores");
             check_engine(&engine, profile, strategy, &format!("{name} {strategy:?}"));
         }
     }
 }
 
-/// `prepare` → `commit_prepared` on a fresh world, optionally explained
+/// One negotiation on a fresh world — through `Session::submit` or
+/// through the `prepare` → `commit_prepared` pair — optionally explained
 /// and with server 0 choked so the walk has refusals to report.
-fn split_negotiation(seed: u64, doc: u64, explain: bool, choke: bool) -> NegotiationOutcome {
+fn negotiation(
+    seed: u64,
+    doc: u64,
+    via_submit: bool,
+    explain: bool,
+    choke: bool,
+) -> NegotiationOutcome {
     let w = world(seed);
     if choke {
         w.farm.server(ServerId(0)).unwrap().set_health(0.0);
@@ -347,6 +430,11 @@ fn split_negotiation(seed: u64, doc: u64, explain: bool, choke: bool) -> Negotia
     let profile = tv_news_profile();
     let mut ctx = ctx(&w, ClassificationStrategy::SnsThenOif);
     ctx.explain = explain;
+    if via_submit {
+        return Session::new(ctx)
+            .submit(&NegotiationRequest::new(&client, DocumentId(doc), &profile))
+            .expect("valid request");
+    }
     match prepare(&ctx, &client, DocumentId(doc), &profile).expect("valid request") {
         Prepared::Early(outcome) => *outcome,
         Prepared::Offers(ranked, trace, decisions) => {
@@ -361,15 +449,21 @@ fn explain_records_the_walk_without_changing_it() {
     let (mut refused, mut reserved) = (0usize, 0usize);
     for seed in 0..12u64 {
         for doc in 1..=6u64 {
-            for choke in [false, true] {
-                let plain = split_negotiation(seed, doc, false, choke);
-                let explained = split_negotiation(seed, doc, true, choke);
-                let tag = format!("seed {seed} doc {doc} choke {choke}");
+            for (choke, via_submit) in [(false, false), (true, false), (false, true), (true, true)]
+            {
+                let plain = negotiation(seed, doc, via_submit, false, choke);
+                let explained = negotiation(seed, doc, via_submit, true, choke);
+                let tag = format!("seed {seed} doc {doc} choke {choke} submit {via_submit}");
                 assert_eq!(plain.status, explained.status, "{tag}: status");
                 assert_eq!(plain.reserved_index, explained.reserved_index, "{tag}");
                 assert_eq!(plain.reserved_offer, explained.reserved_offer, "{tag}");
                 assert_eq!(plain.commit_failures, explained.commit_failures, "{tag}");
                 assert_eq!(plain.trace, explained.trace, "{tag}: trace");
+                assert_eq!(
+                    plain.ordered_offers.as_slice(),
+                    explained.ordered_offers.as_slice(),
+                    "{tag}: ordered offers"
+                );
                 assert!(plain.decisions.is_none(), "{tag}: explain off logs nothing");
                 let log = explained.decisions.as_ref().expect("explain on logs");
                 assert_eq!(log.status, Some(explained.status), "{tag}");

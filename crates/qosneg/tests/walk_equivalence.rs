@@ -4,9 +4,10 @@
 //! and ask `try_commit_refusal` about each, every server and link
 //! included. Same reserved offer, same `(index, CommitFailure)` list, same
 //! explain `RefusalRecord`s down to the shortfall numbers, same capacity
-//! held afterwards — through `Session::submit` (the streamed prefix
-//! handing its memo to the ranked fallback) and through
-//! `prepare → commit_prepared`.
+//! held afterwards — through `Session::submit`, plain and explained, and
+//! through `prepare → commit_prepared`, on walks that stop inside the
+//! ordered head and walks that outlast it (the ordering step in the middle
+//! of a walk must not cost it its memo).
 //!
 //! The counting tests then pin what the memo is for: a refused walk asks
 //! the farm once per distinct refused prefix, not once per offer, and a
@@ -21,6 +22,7 @@ use nod_mmdb::{Catalog, CorpusBuilder, CorpusParams};
 use nod_mmdoc::prelude::*;
 use nod_netsim::{Network, Topology};
 use nod_obs::Recorder;
+use nod_qosneg::engine::HEAD;
 use nod_qosneg::explain::{RefusalRecord, Shortfall};
 use nod_qosneg::negotiate::{
     commit_prepared, prepare, try_commit_refusal, CommitFailure, NegotiationContext,
@@ -191,7 +193,8 @@ fn naive_walk(
     doc: DocumentId,
     profile: &UserProfile,
 ) -> Option<Naive> {
-    let Prepared::Offers(ranked, ..) = prepare(ctx, client, doc, profile).expect("valid request")
+    let Prepared::Offers(mut ranked, ..) =
+        prepare(ctx, client, doc, profile).expect("valid request")
     else {
         return None;
     };
@@ -200,7 +203,8 @@ fn naive_walk(
         failures: Vec::new(),
         refusals: Vec::new(),
     };
-    for idx in ranked.reservation_order() {
+    let order: Vec<usize> = ranked.reservation_order().collect();
+    for idx in order {
         let scored = ranked.materialize(idx);
         match try_commit_refusal(ctx, client, &scored.offer, profile.time.max_startup_ms) {
             Err(refusal) => {
@@ -227,7 +231,8 @@ struct Coverage {
     /// Offers refused by a link short of bandwidth (`Shortfall::Link`).
     link_refusals: usize,
     memo_hits: u64,
-    stream_fallbacks: usize,
+    /// `Session::submit` walks that outlasted the ordered head.
+    deep_walks: usize,
 }
 
 fn assert_outcome(out: &NegotiationOutcome, naive: &Naive, tag: &str) {
@@ -276,8 +281,7 @@ fn assert_walks_agree(
         .count();
     coverage.late_commits += usize::from(naive.reserved.is_some() && !naive.failures.is_empty());
 
-    // Session::submit as a viewer calls it: the streamed prefix, then the
-    // ranked fallback continuing the same walk. The recorder only reads.
+    // Session::submit as a viewer calls it. The recorder only reads.
     let w = make();
     let rec = Recorder::new();
     let out = Session::new(ctx(&w, strategy))
@@ -297,9 +301,9 @@ fn assert_walks_agree(
         "{tag}: the refusal census counts offers"
     );
     coverage.memo_hits += snap.counter("negotiation.commit.memo_hits");
-    coverage.stream_fallbacks += out.trace.stream_fallbacks;
+    coverage.deep_walks += usize::from(out.trace.reservation_attempts > HEAD);
 
-    // The explained walk (ranked list, decision log).
+    // The explained walk: the same walk, with a decision log.
     let w = make();
     let out = Session::new(ctx(&w, strategy))
         .submit(&NegotiationRequest::new(client, doc, profile).explain())
@@ -407,9 +411,9 @@ fn memoised_walk_equals_naive_walk_over_the_contended_corpus() {
         coverage.memo_hits
     );
     assert!(
-        coverage.stream_fallbacks >= 10,
-        "the stream never handed its walk to the ranked list: {} fallbacks",
-        coverage.stream_fallbacks
+        coverage.deep_walks >= 10,
+        "no walk outlasted the ordered head: {} did",
+        coverage.deep_walks
     );
 }
 
@@ -548,10 +552,7 @@ fn exactly_full_farms_refuse_the_same_offers_for_the_same_numbers() {
     let c = check_scenario(&head_full, &roomy_client(), &video_profile(), "head full");
     assert_eq!(c.refused_offers, 4 * 36, "every offer refused");
     assert_eq!(c.memo_hits, 4 * (36 - 4), "one real question per variant");
-    assert_eq!(
-        c.stream_fallbacks, 4,
-        "36 offers outlast the streamed prefix"
-    );
+    assert_eq!(c.deep_walks, 4, "36 offers outlast the ordered head");
 
     // Servers 2 and 3 exactly full: component 0 reserves, component 1 is
     // refused, the offer rolls back — once per (c0, c1) pair.
@@ -716,8 +717,8 @@ fn decode_budget_refusals_interleave_with_remembered_ones() {
 
 #[test]
 fn a_ten_component_article_is_walked_like_the_naive_walk() {
-    // 2¹⁰ offers, too wide to stream: the ranked list is walked from its
-    // first entry. Server 1 is full and the last component lives only
+    // 2¹⁰ offers over ten components — the same walk as any other article.
+    // Server 1 is full and the last component lives only
     // there, so all 1024 offers are refused — at the first component that
     // picked its server-1 variant.
     let mut components: Vec<Vec<Stream>> = (0..9)
@@ -731,7 +732,7 @@ fn a_ten_component_article_is_walked_like_the_naive_walk() {
     };
     let c = check_scenario(&make, &roomy_client(), &video_profile(), "wide");
     assert_eq!(c.refused_offers, 4 * 1024);
-    assert_eq!(c.stream_fallbacks, 0, "wide articles never stream");
+    assert_eq!(c.deep_walks, 4);
     // Real questions: for each depth d < 9, the one prefix that stayed on
     // server 0 until d and then left it (10 of them, the last being the
     // all-server-0 prefix at depth 9 asked 2 times, once per last
@@ -759,8 +760,8 @@ fn a_refused_walk_asks_the_farm_once_per_distinct_first_variant() {
     let profile = video_profile();
     let strategy = ClassificationStrategy::SnsThenOif;
 
-    // Session::submit: 24 streamed attempts, then the ranked fallback,
-    // which must inherit what the stream learned.
+    // Session::submit: the walk orders a head, outlasts it and orders the
+    // rest — and must still know what it learned on the way.
     let w = make();
     let rec = Recorder::new();
     w.farm.set_recorder(&rec);
@@ -768,7 +769,6 @@ fn a_refused_walk_asks_the_farm_once_per_distinct_first_variant() {
         .submit(&NegotiationRequest::new(&client, DocumentId(1), &profile).recorder(&rec))
         .expect("valid request");
     assert_eq!(out.status, NegotiationStatus::FailedTryLater);
-    assert_eq!(out.trace.stream_fallbacks, 1);
     assert_eq!(out.commit_failures.len(), 36);
     assert_eq!(admissions(&rec), 4, "one admission call per first variant");
     let snap = rec.snapshot();

@@ -1,17 +1,21 @@
 #!/usr/bin/env bash
-# Snapshot the negotiation-path microbenches into BENCH_negotiation.json.
+# Snapshot the negotiation-path microbenches into BENCH_negotiation.json
+# (or into the file named by the optional first argument — fast-mode smokes
+# pass one so they never touch the committed snapshot).
+#
+# usage: scripts/bench_snapshot.sh [out.json]
 #
 # Runs the B4/B8 negotiation bench, the B1/B2/B7 classification bench, the
 # B9 contended-broker bench, the B10 trace bench, the B11 fleet-telemetry
 # bench, the B12 city-scale fleet sweep, the B13 decision-provenance
 # bench and the B14 write-ahead-journal bench with NOD_BENCH_JSON_OUT set,
-# then merges the dumps into a single JSON file at the repo root. Honors NOD_BENCH_FAST=1
+# then merges the dumps into a single JSON file. Honors NOD_BENCH_FAST=1
 # for a quick smoke run (CI); leave it unset for publication-quality
 # numbers.
 set -euo pipefail
+out="$(realpath -m "${1:-$(dirname "$0")/../BENCH_negotiation.json}")"
 cd "$(dirname "$0")/.."
 
-out="BENCH_negotiation.json"
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 

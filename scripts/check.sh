@@ -20,12 +20,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 # Conformance oracle (gating): replay seeded scenarios through the
 # paper-literal reference negotiator and every optimized execution path
-# (streaming / eager / session / manager / broker). Any divergence prints a
+# (session / manager / broker). Any divergence prints a
 # shrunk, ready-to-paste repro test and fails the gate. Deterministic in
 # the seed; raise NOD_ORACLE_CASES locally for a deeper sweep.
 # --explain-check additionally replays each scenario with explanations on
 # and asserts the decision log cites exactly the refusal kinds, score
-# decomposition and pruning victims the reference observed.
+# decomposition and pruning victims the reference observed, and that the
+# explained outcome equals the plain one field by field.
 echo "==> conformance oracle (run_oracle --cases \${NOD_ORACLE_CASES:-4096} --seed 7 --explain-check)"
 cargo run -q --release -p nod-oracle --bin run_oracle -- \
     --cases "${NOD_ORACLE_CASES:-4096}" --seed 7 --explain-check
@@ -35,8 +36,12 @@ cargo run -q --release -p nod-oracle --bin run_oracle -- \
 # Includes the B11 telemetry smoke, whose tail-retention asserts gate
 # even in fast mode (only the overhead ratio is full-mode), and the B12
 # sweep, which asserts zero leaked streams at every scale.
-echo "==> bench smoke (NOD_BENCH_FAST=1 scripts/bench_snapshot.sh)"
-NOD_BENCH_FAST=1 scripts/bench_snapshot.sh
+# The snapshot goes to a temp file: only a full-mode run may rewrite the
+# committed BENCH_negotiation.json (the last gate below checks it).
+echo "==> bench smoke (NOD_BENCH_FAST=1 scripts/bench_snapshot.sh <tmp>)"
+smoke_tmp="$(mktemp -d)"
+trap 'rm -rf "$smoke_tmp"' EXIT
+NOD_BENCH_FAST=1 scripts/bench_snapshot.sh "$smoke_tmp/bench_smoke.json"
 
 # Fleet smoke (gating): drive a 10k-session metro fleet through
 # Broker::drive; run_fleet's zero-leak capacity audit fails the gate.
@@ -49,12 +54,10 @@ cargo run -q --release -p nod-bench --bin run_fleet -- --sessions 10000
 # whose span trees pass the analyzer's causal-integrity checks (the
 # --trace-report path exits non-zero on a malformed trace).
 echo "==> trace smoke (run_contended --trace-out)"
-trace_tmp="$(mktemp -d)"
-trap 'rm -rf "$trace_tmp"' EXIT
 cargo run -q --release -p nod-bench --bin run_contended -- \
     --sessions 16 --servers 1 --seed 5 --hold-ms 4000 \
-    --trace-out "$trace_tmp/trace.jsonl" --trace-report > /dev/null
-test -s "$trace_tmp/trace.jsonl"
+    --trace-out "$smoke_tmp/trace.jsonl" --trace-report > /dev/null
+test -s "$smoke_tmp/trace.jsonl"
 
 # Exposition smoke: the same run must emit a Prometheus text snapshot and
 # per-window scrape files; the feature-gated nod_top live view (not built
@@ -63,9 +66,9 @@ test -s "$trace_tmp/trace.jsonl"
 echo "==> exposition smoke (run_contended --prom-out --windows-out, nod_top --once)"
 cargo run -q --release -p nod-bench --bin run_contended -- \
     --sessions 16 --servers 1 --seed 5 --hold-ms 4000 --slos \
-    --prom-out "$trace_tmp/metrics.prom" --windows-out "$trace_tmp/windows" > /dev/null
-test -s "$trace_tmp/metrics.prom"
-test -s "$trace_tmp/windows/window_0000.prom"
+    --prom-out "$smoke_tmp/metrics.prom" --windows-out "$smoke_tmp/windows" > /dev/null
+test -s "$smoke_tmp/metrics.prom"
+test -s "$smoke_tmp/windows/window_0000.prom"
 # Capture rather than pipe to grep -q: a closed pipe would make the bin's
 # trailing summary print panic before grep ever fails the check.
 top_frame="$(cargo run -q --release -p nod-tui --features top --bin nod_top -- \
@@ -79,10 +82,10 @@ grep -q "nod-top — fleet window" <<< "$top_frame"
 echo "==> explain smoke (run_contended --explain-out, nod_explain --once)"
 cargo run -q --release -p nod-bench --bin run_contended -- \
     --sessions 64 --servers 1 --seed 5 --hold-ms 4000 \
-    --explain-out "$trace_tmp/explain.jsonl" > /dev/null
-test -s "$trace_tmp/explain.jsonl"
+    --explain-out "$smoke_tmp/explain.jsonl" > /dev/null
+test -s "$smoke_tmp/explain.jsonl"
 explain_overview="$(cargo run -q --release -p nod-bench --bin nod_explain -- \
-    --once "$trace_tmp/explain.jsonl")"
+    --once "$smoke_tmp/explain.jsonl")"
 grep -q "retained .* of .* finished" <<< "$explain_overview"
 
 # Kill-and-recover smoke (gating): journal a contended run, crash the
@@ -93,7 +96,7 @@ grep -q "retained .* of .* finished" <<< "$explain_overview"
 # log is the byte-identical suffix with zero leaked streams.
 echo "==> kill-and-recover smoke (run_contended --journal --kill-at-event / --recover)"
 recover_flags=(--sessions 64 --servers 1 --seed 9 --faults 3 --choice-period 300
-    --journal "$trace_tmp/run.nodj")
+    --journal "$smoke_tmp/run.nodj")
 set +e
 cargo run -q --release -p nod-bench --bin run_contended -- \
     "${recover_flags[@]}" --kill-at-event 40 > /dev/null
@@ -103,7 +106,7 @@ if [ "$kill_status" -ne 86 ]; then
     echo "error: --kill-at-event exited with $kill_status, expected the chaos exit code 86"
     exit 1
 fi
-test -s "$trace_tmp/run.nodj"
+test -s "$smoke_tmp/run.nodj"
 recover_out="$(cargo run -q --release -p nod-bench --bin run_contended -- \
     "${recover_flags[@]}" --recover)"
 grep -q "recovery verified" <<< "$recover_out"
@@ -139,5 +142,9 @@ done < scripts/benchmark_digests.txt
 
 echo "==> line budget (scripts/loc_budget.sh)"
 scripts/loc_budget.sh
+
+# Nothing above may have touched the committed bench snapshot.
+echo "==> tree clean (git diff --quiet -- BENCH_negotiation.json)"
+git diff --quiet -- BENCH_negotiation.json
 
 echo "All checks passed."
