@@ -17,41 +17,44 @@
 //! reads only the catalog and static topology and scores the whole offer
 //! product as plain data; the commit walk — the only part that touches
 //! live farm/network capacity — orders that list as far as it gets, tries
-//! offers by reference and materializes the one that commits. Under contention most walks refuse
-//! every offer, so the walk asks each question once: each prefix of
-//! chosen variants is judged once per walk against the capacity the walk
-//! started with, and a refused prefix refuses every later offer sharing
-//! it with the identical reason and shortfall. Capacity freed by another
-//! thread mid-walk is seen by the next attempt; a success always performs
-//! the real reservations, so the memo can never over-commit or leak. The
-//! outcome log, the refusal diagnostics and the explain rows are what a
-//! walk that re-asked every offer would have produced
+//! offers by reference and materializes the one that commits. Under
+//! contention most walks refuse every offer, so the walk asks each
+//! question once: each prefix of chosen variants is judged once per walk
+//! against the capacity the walk started with, and a refused prefix
+//! refuses every later offer sharing it with the identical reason and
+//! shortfall. Nothing else runs while a walk does; a success always
+//! performs the real reservations, so the memo can never over-commit or
+//! leak. The outcome log, the refusal diagnostics and the explain rows are
+//! what a walk that re-asked every offer would have produced
 //! (`tests/broker_contention.rs` pins one overloaded seed).
 //! [`Session::submit`] is the same `prepare` and the same walk under one
 //! `negotiate` span.
 //!
-//! With [`FleetSpec::explain`] set, every negotiation additionally
-//! records a [`DecisionLog`](nod_qosneg::DecisionLog); the broker keeps
+//! With [`FleetSpec::explain`] set, every attempt records its live facts
+//! (status, chosen rank, refusals with their shortfalls); the broker keeps
 //! the full capacity ledger (who held which streams, from when to when)
 //! and tail-retains per-session explanations under the same policy trace
-//! retention uses, so [`BrokerReport::explains`] — and any
+//! retention uses; only the retained sessions' attempts are completed into
+//! full [`DecisionLog`](nod_qosneg::DecisionLog)s, when the run ends
+//! ([`explain_attempts`]), so [`BrokerReport::explains`] — and any
 //! `--explain-out` artifact written from it — replays byte for byte with
 //! the outcome log.
 
 use nod_client::ClientMachine;
 use nod_cmfs::{Guarantee, StreamRequirement};
 use nod_mmdoc::{DocumentId, ServerId, VariantId};
-use nod_obs::TailKeeper;
 use nod_obs::{
-    HistogramSnapshot, Recorder, SloAlert, SloMonitor, SloSpec, Span, Tracer, ValueHistogram,
+    interned_key, Counter, Histogram, HistogramSnapshot, Recorder, SloAlert, SloMonitor, SloSpec,
+    Span, TailKeeper, Tracer, ValueHistogram,
 };
 use nod_qosneg::classify::ScoredOffer;
 use nod_qosneg::explain::{
-    AttemptExplain, ExplainData, LedgerRow, SessionExplain, Settlement, StreamRow,
+    AttemptExplain, DecisionLog, ExplainData, LedgerRow, SessionExplain, Settlement, StreamRow,
 };
 use nod_qosneg::mapping::charged_bit_rate;
 use nod_qosneg::negotiate::{
-    commit_prepared, prepare, CommitFailure, NegotiationContext, Prepared, SessionReservation,
+    commit_prepared, explain_attempts, prepare, record_outcome, CommitFailure, NegotiationContext,
+    Prepared, SessionReservation,
 };
 use nod_qosneg::{NegotiationStatus, QosError, RetryPolicy, Session, UserProfile};
 use nod_simcore::{EventQueue, SimTime, StreamRng};
@@ -315,7 +318,7 @@ enum Ev {
 
 /// Live state of an in-flight session — slab-resident from first arrival
 /// until its resources drain.
-struct LiveSession {
+struct LiveSession<'a> {
     attempts: u32,
     rng: StreamRng,
     reservation: Option<SessionReservation>,
@@ -324,10 +327,11 @@ struct LiveSession {
     /// Latency recorded and session span closed.
     closed: bool,
     /// Open trace spans (only when a tracer is attached).
-    session_span: Option<Span>,
-    backoff_span: Option<Span>,
-    confirm_span: Option<Span>,
-    /// Accumulating decision provenance ([`FleetSpec::explain`]).
+    session_span: Option<Span<'a>>,
+    backoff_span: Option<Span<'a>>,
+    confirm_span: Option<Span<'a>>,
+    /// Accumulating decision provenance ([`FleetSpec::explain`]): each
+    /// attempt's live facts, completed only if the session is kept.
     explain: Option<SessionAcc>,
     /// Re-reservation rows for the held streams, captured at commit time
     /// — populated only when a journal is attached (empty `Vec`s never
@@ -363,13 +367,46 @@ fn refusal_reason(failures: &[(usize, CommitFailure)]) -> &'static str {
     }
 }
 
-fn fate_label(fate: SessionFate) -> &'static str {
+/// Every fate with its label, indexed by [`fate_index`] — which is also
+/// how a journal snapshot encodes a finished session's fate.
+const FATES: [(SessionFate, &str); 5] = [
+    (SessionFate::Admitted { degraded: false }, "admitted"),
+    (
+        SessionFate::Admitted { degraded: true },
+        "admitted_degraded",
+    ),
+    (SessionFate::Starved, "starved"),
+    (SessionFate::Rejected, "rejected"),
+    (SessionFate::Errored, "errored"),
+];
+
+fn fate_index(fate: SessionFate) -> usize {
     match fate {
-        SessionFate::Admitted { degraded: false } => "admitted",
-        SessionFate::Admitted { degraded: true } => "admitted_degraded",
-        SessionFate::Starved => "starved",
-        SessionFate::Rejected => "rejected",
-        SessionFate::Errored => "errored",
+        SessionFate::Admitted { degraded: false } => 0,
+        SessionFate::Admitted { degraded: true } => 1,
+        SessionFate::Starved => 2,
+        SessionFate::Rejected => 3,
+        SessionFate::Errored => 4,
+    }
+}
+
+/// The broker's per-session metric handles and trace keys, resolved when
+/// the broker is built.
+struct Metrics {
+    journal_records: Counter,
+    session_ms: Histogram,
+    /// `session.outcome{fate=…}`, indexed by [`fate_index`].
+    session_outcome: [&'static str; 5],
+}
+
+impl Metrics {
+    fn resolve(rec: &Recorder) -> Metrics {
+        Metrics {
+            journal_records: rec.counter_handle("broker.journal.records", &[]),
+            session_ms: rec.histogram_handle("broker.session_ms", &[]),
+            session_outcome: FATES
+                .map(|(_, fate)| interned_key("session.outcome", &[("fate", fate)])),
+        }
     }
 }
 
@@ -391,6 +428,7 @@ pub struct Broker<'a> {
     session: Session<'a>,
     config: BrokerConfig,
     recorder: Option<&'a Recorder>,
+    metrics: Option<Metrics>,
     slos: Vec<SloSpec>,
 }
 
@@ -400,6 +438,7 @@ impl<'a> Broker<'a> {
     pub fn new(ctx: NegotiationContext<'a>, config: BrokerConfig) -> Self {
         Broker {
             recorder: ctx.recorder,
+            metrics: ctx.recorder.map(Metrics::resolve),
             session: Session::new(ctx),
             config,
             slos: Vec::new(),
@@ -426,11 +465,6 @@ impl<'a> Broker<'a> {
         if let Some(rec) = self.recorder {
             rec.counter(name, delta);
         }
-    }
-
-    /// The attached tracer, if the recorder carries one.
-    fn tracer(&self) -> Option<&'a Tracer> {
-        self.recorder.and_then(|r| r.tracer())
     }
 
     fn hold_ms(&self, spec: &SessionSpec<'_>) -> u64 {
@@ -655,7 +689,7 @@ impl<'a> Broker<'a> {
             fleet.slos.clone()
         };
         let window_ms = fleet.effective_window_ms();
-        let tracer = self.tracer();
+        let tracer = self.recorder.and_then(Recorder::tracer);
         let mut state = DriveLoop {
             broker: self,
             specs,
@@ -677,6 +711,8 @@ impl<'a> Broker<'a> {
             keeper: fleet.explain.map(TailKeeper::new),
             ledger: Vec::new(),
             ledger_ix: vec![u32::MAX; specs.len()],
+            spare_attempts: Vec::new(),
+            spare_log: None,
             journal: fleet.journal,
             snapshot_due: false,
             replay,
@@ -731,36 +767,13 @@ impl<'a> Broker<'a> {
                     break;
                 }
                 ai += 1;
-                let i = i as usize;
-                if let Some(tr) = tracer {
-                    tr.resume(i as u64);
-                }
-                state.attempt(i, t);
-                if let Some(tr) = tracer {
-                    tr.suspend();
-                }
+                state.in_trace(i as usize, |s| s.attempt(i as usize, t));
             }
             while state.dynq.peek_time().map(SimTime::as_millis) == Some(t) {
                 let (_, ev) = state.dynq.pop().expect("peeked event");
                 match ev {
-                    Ev::Retry(i) => {
-                        if let Some(tr) = tracer {
-                            tr.resume(i as u64);
-                        }
-                        state.attempt(i, t);
-                        if let Some(tr) = tracer {
-                            tr.suspend();
-                        }
-                    }
-                    Ev::Confirm(i) => {
-                        if let Some(tr) = tracer {
-                            tr.resume(i as u64);
-                        }
-                        state.confirm(i, t);
-                        if let Some(tr) = tracer {
-                            tr.suspend();
-                        }
-                    }
+                    Ev::Retry(i) => state.in_trace(i, |s| s.attempt(i, t)),
+                    Ev::Confirm(i) => state.in_trace(i, |s| s.confirm(i, t)),
                     Ev::Departure(i) => state.departure(i, t),
                     Ev::InjectLeak => state.inject_leak(),
                 }
@@ -813,26 +826,12 @@ impl<'a> Broker<'a> {
                 r.unwrap_or_else(|| unreachable!("session {i} never reached a terminal fate"))
             })
             .collect();
-        let admitted = results
-            .iter()
-            .filter(|r| matches!(r.fate, SessionFate::Admitted { .. }))
-            .count();
-        let degraded = results
-            .iter()
-            .filter(|r| matches!(r.fate, SessionFate::Admitted { degraded: true }))
-            .count();
-        let starved = results
-            .iter()
-            .filter(|r| r.fate == SessionFate::Starved)
-            .count();
-        let rejected = results
-            .iter()
-            .filter(|r| r.fate == SessionFate::Rejected)
-            .count();
-        let errored = results
-            .iter()
-            .filter(|r| r.fate == SessionFate::Errored)
-            .count();
+        let mut by_fate = [0usize; 5];
+        for r in &results {
+            by_fate[fate_index(r.fate)] += 1;
+        }
+        let [admitted_in_full, degraded, starved, rejected, errored] = by_fate;
+        let admitted = admitted_in_full + degraded;
         let admission_ratio = if specs.is_empty() {
             0.0
         } else {
@@ -848,9 +847,19 @@ impl<'a> Broker<'a> {
         let slo_alerts = state.slo.finish(self.recorder, end_ms).to_vec();
         let explains = state.keeper.map(|keeper| {
             let (items, stats) = keeper.drain();
+            // Only the retained sessions' attempts are completed from their
+            // live facts into full decision logs.
+            let sessions = (items.into_iter())
+                .map(|(_, mut s)| {
+                    let spec = &specs[s.session as usize];
+                    let logs = s.attempts.iter_mut().map(|a| &mut a.decisions);
+                    explain_attempts(ctx, spec.client, spec.document, spec.profile, logs);
+                    s
+                })
+                .collect();
             ExplainData {
                 ledger: state.ledger,
-                sessions: items.into_iter().map(|(_, s)| s).collect(),
+                sessions,
                 stats,
             }
         });
@@ -872,15 +881,11 @@ impl<'a> Broker<'a> {
             leaked_streams,
             admission_ratio,
             peak_live_sessions: state.peak_live,
-            latency: latency_snapshot(state.latency),
+            latency: state.latency.snapshot(),
             slo_alerts,
             explains,
         })
     }
-}
-
-fn latency_snapshot(latency: ValueHistogram) -> HistogramSnapshot {
-    latency.snapshot()
 }
 
 /// The event loop's mutable state, split out so handlers can borrow
@@ -893,7 +898,7 @@ struct DriveLoop<'e, 'a> {
     dynq: EventQueue<Ev>,
     /// Pre-split per-session RNGs, taken into the slab at first arrival.
     rngs: Vec<Option<StreamRng>>,
-    live: Slab<LiveSession>,
+    live: Slab<LiveSession<'a>>,
     /// Spec index → slab slot (`u32::MAX` when not in flight).
     slots: Vec<u32>,
     results: Vec<Option<SessionResult>>,
@@ -912,6 +917,10 @@ struct DriveLoop<'e, 'a> {
     /// Spec index → ledger row (`u32::MAX` when never admitted), so the
     /// departure handler can stamp `depart_ms`.
     ledger_ix: Vec<u32>,
+    /// Emptied explain buffers of the last dropped session and of the last
+    /// attempt, reused so explaining does not allocate them every time.
+    spare_attempts: Vec<AttemptExplain>,
+    spare_log: Option<Box<DecisionLog>>,
     /// The write-ahead journal ([`FleetSpec::journal`]), when attached.
     journal: Option<&'e Journal>,
     /// The journal's snapshot cadence fired; cut one at this tick's end.
@@ -924,7 +933,7 @@ struct DriveLoop<'e, 'a> {
     failed: Option<JournalError>,
 }
 
-impl DriveLoop<'_, '_> {
+impl<'a> DriveLoop<'_, 'a> {
     /// Fold one outcome into the journal, the window accumulator and
     /// the log.
     fn record(&mut self, at_ms: u64, session: usize, kind: OutcomeKind) {
@@ -952,7 +961,9 @@ impl DriveLoop<'_, '_> {
             if journal.append_event(at_ms, session, &kind) {
                 self.snapshot_due = true;
             }
-            self.broker.counter("broker.journal.records", 1);
+            if let (Some(rec), Some(m)) = (self.broker.recorder, &self.broker.metrics) {
+                rec.add(m.journal_records, 1);
+            }
         }
         if let Some(acc) = &mut self.win_acc {
             acc.push(at_ms, &kind);
@@ -980,16 +991,11 @@ impl DriveLoop<'_, '_> {
         let ctx = self.broker.session.context();
         for r in &snap.results {
             let i = r.session as usize;
-            let fate = match r.fate {
-                0 => SessionFate::Admitted { degraded: false },
-                1 => SessionFate::Admitted { degraded: true },
-                2 => SessionFate::Starved,
-                3 => SessionFate::Rejected,
-                _ => SessionFate::Errored,
-            };
             self.results[i] = Some(SessionResult {
                 session: i,
-                fate,
+                fate: FATES
+                    .get(r.fate as usize)
+                    .map_or(SessionFate::Errored, |&(f, _)| f),
                 attempts: r.attempts,
                 admitted_at_ms: (r.admitted_at_ms != u64::MAX).then_some(r.admitted_at_ms),
             });
@@ -1003,11 +1009,8 @@ impl DriveLoop<'_, '_> {
                     servers: Vec::with_capacity(s.holds.len()),
                     network: Vec::new(),
                 }),
-                pending_admit: match s.pending_admit {
-                    0 => None,
-                    1 => Some(false),
-                    _ => Some(true),
-                },
+                // 0 = none, 1 = pending admit, 2 = pending degraded admit.
+                pending_admit: (s.pending_admit > 0).then_some(s.pending_admit > 1),
                 closed: s.closed,
                 session_span: None,
                 backoff_span: None,
@@ -1085,32 +1088,22 @@ impl DriveLoop<'_, '_> {
             .flatten()
             .map(|r| SnapResult {
                 session: r.session as u64,
-                fate: match r.fate {
-                    SessionFate::Admitted { degraded: false } => 0,
-                    SessionFate::Admitted { degraded: true } => 1,
-                    SessionFate::Starved => 2,
-                    SessionFate::Rejected => 3,
-                    SessionFate::Errored => 4,
-                },
+                fate: fate_index(r.fate) as u8,
                 attempts: r.attempts,
                 admitted_at_ms: r.admitted_at_ms.unwrap_or(u64::MAX),
             })
             .collect();
         let mut live = Vec::with_capacity(self.live.len());
-        for (i, &slot) in self.slots.iter().enumerate() {
-            if slot == u32::MAX {
+        for i in 0..self.slots.len() {
+            if self.slots[i] == u32::MAX {
                 continue;
             }
-            let st = self.live.get(slot).expect("live session");
+            let st = self.session(i);
             live.push(SnapSession {
                 session: i as u64,
                 attempts: st.attempts,
                 rng: st.rng.state_parts(),
-                pending_admit: match st.pending_admit {
-                    None => 0,
-                    Some(false) => 1,
-                    Some(true) => 2,
-                },
+                pending_admit: st.pending_admit.map_or(0, |degraded| 1 + degraded as u8),
                 closed: st.closed,
                 reserved: st.reservation.is_some(),
                 holds: st.holds.clone(),
@@ -1152,30 +1145,25 @@ impl DriveLoop<'_, '_> {
         self.broker.counter("broker.journal.snapshots", 1);
     }
 
-    /// Capture the re-reservation rows for a just-committed offer — only
-    /// when a journal is attached, so the disabled path stays
-    /// allocation-free.
-    fn hold_rows(&self, offer: Option<&ScoredOffer>) -> Vec<SnapHold> {
-        if self.journal.is_none() {
-            return Vec::new();
+    /// Run `f` with session `i`'s trace resumed, when tracing.
+    fn in_trace(&mut self, i: usize, f: impl FnOnce(&mut Self)) {
+        if let Some(tr) = self.tracer {
+            tr.resume(i as u64);
         }
-        let Some(offer) = offer else {
-            return Vec::new();
-        };
-        let guarantee = self.broker.session.context().guarantee;
-        offer
-            .offer
-            .variants
-            .iter()
-            .map(|v| SnapHold {
-                server: v.server.0,
-                req: StreamRequirement::for_variant(v, guarantee),
-                // Discrete media are delivered ahead of playout and hold
-                // no steady-state bandwidth (cf. `push_ledger`) — nothing
-                // to re-reserve on the network.
-                net_bps: (v.blocks_per_second > 0).then(|| charged_bit_rate(v, guarantee)),
-            })
-            .collect()
+        f(self);
+        if let Some(tr) = self.tracer {
+            tr.suspend();
+        }
+    }
+
+    /// The slab entry of in-flight session `i`. The one invariant behind
+    /// it: a spec index whose slot is not `u32::MAX` is in the slab —
+    /// `attempt` and `restore` record the slot of the entry they insert,
+    /// and every removal resets it.
+    fn session(&mut self, i: usize) -> &mut LiveSession<'a> {
+        self.live
+            .get_mut(self.slots[i])
+            .expect("a spec index whose slot is not u32::MAX is in the slab")
     }
 
     fn finish(&mut self, i: usize, attempts: u32, fate: SessionFate, admitted_at_ms: Option<u64>) {
@@ -1191,10 +1179,10 @@ impl DriveLoop<'_, '_> {
     /// One negotiation attempt (arrival or retry) for session `i`.
     fn attempt(&mut self, i: usize, now_ms: u64) {
         let broker = self.broker;
-        let specs = self.specs;
-        let slot = if self.slots[i] == u32::MAX {
+        let spec = &self.specs[i];
+        if self.slots[i] == u32::MAX {
             let rng = self.rngs[i].take().expect("arrival consumed its RNG once");
-            let slot = self.live.insert(LiveSession {
+            self.slots[i] = self.live.insert(LiveSession {
                 attempts: 0,
                 rng,
                 reservation: None,
@@ -1203,36 +1191,38 @@ impl DriveLoop<'_, '_> {
                 session_span: None,
                 backoff_span: None,
                 confirm_span: None,
-                explain: self.keeper.is_some().then(SessionAcc::default),
+                explain: self.keeper.is_some().then(|| SessionAcc {
+                    attempts: std::mem::take(&mut self.spare_attempts),
+                    settlement: None,
+                }),
                 holds: Vec::new(),
             });
-            self.slots[i] = slot;
             self.peak_live = self.peak_live.max(self.live.len());
-            slot
-        } else {
-            self.slots[i]
-        };
-        {
-            let st = self.live.get_mut(slot).expect("live session");
-            st.attempts += 1;
-            if st.session_span.is_none() {
-                st.session_span = broker.recorder.and_then(|r| r.trace_span("session"));
-            }
-            if let Some(b) = st.backoff_span.take() {
-                b.end();
-            }
         }
-        let spec = &specs[i];
+        let st = self.session(i);
+        st.attempts += 1;
+        let attempts = st.attempts;
+        if st.session_span.is_none() {
+            st.session_span = broker.recorder.and_then(|r| r.trace_span("session"));
+        }
+        if let Some(b) = st.backoff_span.take() {
+            b.end();
+        }
         let attempt_span = broker.recorder.and_then(|r| r.trace_span("attempt"));
-        let mut ctx = *broker.session.context();
-        ctx.explain = self.keeper.is_some();
+        // Explanations are the keeper's, and only its live facts are
+        // recorded here; an explaining base context would derive the rest
+        // on every attempt.
+        let ctx = NegotiationContext {
+            explain: false,
+            ..*broker.session.context()
+        };
+        let mut facts = (self.keeper.is_some()).then(|| self.spare_log.take().unwrap_or_default());
         let mut reserved_offer: Option<ScoredOffer> = None;
         let outcome = match prepare(&ctx, spec.client, spec.document, spec.profile) {
             Err(err) => {
                 if let Some(a) = attempt_span {
                     a.end();
                 }
-                let attempts = self.live.get(slot).expect("live session").attempts;
                 self.finish(i, attempts, SessionFate::Errored, None);
                 // Stringified as `Session::submit` would have returned it.
                 let error = QosError::from(err).to_string();
@@ -1241,25 +1231,19 @@ impl DriveLoop<'_, '_> {
                 return;
             }
             Ok(Prepared::Early(out)) => {
-                let status = out.status;
                 // The fused negotiate path would have emitted the
                 // terminal outcome itself; the split path does it here.
                 if let Some(rec) = broker.recorder {
-                    let s = status.to_string();
-                    rec.counter_with("negotiation.outcome", &[("status", &s)], 1);
-                    rec.trace_point("negotiation.outcome", &[("status", &s)]);
+                    record_outcome(rec, out.status);
                 }
-                (status, None, false, "other", out.decisions)
+                if let Some(log) = facts.as_deref_mut() {
+                    log.status = Some(out.status);
+                }
+                (out.status, None, false, "other", facts)
             }
-            Ok(Prepared::Offers(ordered, trace, decisions)) => {
-                let mut out = commit_prepared(
-                    broker.session.context(),
-                    spec.client,
-                    spec.profile,
-                    ordered,
-                    trace,
-                    decisions,
-                );
+            Ok(Prepared::Offers(ordered, trace, _)) => {
+                let mut out =
+                    commit_prepared(&ctx, spec.client, spec.profile, ordered, trace, facts);
                 let transient = out.commit_failures.is_empty()
                     || out.commit_failures.iter().any(|(_, f)| f.transient());
                 let reason = refusal_reason(&out.commit_failures);
@@ -1277,50 +1261,36 @@ impl DriveLoop<'_, '_> {
             a.end();
         }
         let (status, reservation, transient, reason, decisions) = outcome;
-        if let Some(d) = decisions {
-            let st = self.live.get_mut(slot).expect("live session");
-            if let Some(acc) = st.explain.as_mut() {
+        if let Some(mut d) = decisions {
+            if let Some(acc) = self.session(i).explain.as_mut() {
+                let decisions = std::mem::take(&mut *d);
                 acc.attempts.push(AttemptExplain {
                     at_ms: now_ms,
-                    decisions: *d,
+                    decisions,
                 });
             }
+            self.spare_log = Some(d);
         }
         let kind = match status {
             NegotiationStatus::Succeeded => {
-                if reservation.is_some() {
-                    self.push_ledger(i, now_ms, reserved_offer.as_ref());
-                    let holds = self.hold_rows(reserved_offer.as_ref());
-                    self.live.get_mut(slot).expect("live session").holds = holds;
-                }
-                self.live.get_mut(slot).expect("live session").reservation = reservation;
-                self.admit(i, slot, now_ms, false)
+                self.hold(i, now_ms, reservation, reserved_offer, false)
+            }
+            NegotiationStatus::FailedWithOffer if broker.config.accept_degraded => {
+                self.hold(i, now_ms, reservation, reserved_offer, true)
             }
             NegotiationStatus::FailedWithOffer => {
-                if broker.config.accept_degraded {
-                    if reservation.is_some() {
-                        self.push_ledger(i, now_ms, reserved_offer.as_ref());
-                        let holds = self.hold_rows(reserved_offer.as_ref());
-                        self.live.get_mut(slot).expect("live session").holds = holds;
-                    }
-                    self.live.get_mut(slot).expect("live session").reservation = reservation;
-                    self.admit(i, slot, now_ms, true)
-                } else {
-                    if let Some(res) = &reservation {
-                        broker.session.release(res);
-                    }
-                    let attempts = self.live.get(slot).expect("live session").attempts;
-                    self.finish(i, attempts, SessionFate::Rejected, None);
-                    OutcomeKind::Rejected { status }
+                if let Some(res) = &reservation {
+                    broker.session.release(res);
                 }
+                self.finish(i, attempts, SessionFate::Rejected, None);
+                OutcomeKind::Rejected { status }
             }
             NegotiationStatus::FailedTryLater => {
-                self.try_later(i, slot, now_ms, transient, reason, status)
+                self.try_later(i, now_ms, transient, reason, status)
             }
             _ => {
                 // FailedWithoutOffer, FailedWithLocalOffer and any future
                 // status: terminal, nothing reserved.
-                let attempts = self.live.get(slot).expect("live session").attempts;
                 self.finish(i, attempts, SessionFate::Rejected, None);
                 OutcomeKind::Rejected { status }
             }
@@ -1329,45 +1299,59 @@ impl DriveLoop<'_, '_> {
         self.close_out(i, now_ms);
     }
 
-    /// Append a capacity-ledger row for a session whose reservation was
-    /// just committed. `depart_ms` starts equal to `admit_ms` and is
-    /// stamped for real when the session departs; `ledger_ix` remembers
-    /// which row to stamp.
-    fn push_ledger(&mut self, i: usize, now_ms: u64, offer: Option<&ScoredOffer>) {
-        if self.keeper.is_none() {
-            return;
+    /// Keep the reservation a walk committed and admit the session. What
+    /// the offer holds is written down only for the channels that read it:
+    /// a capacity-ledger row (explain; `depart_ms` is stamped when the
+    /// session departs) and re-reservation rows (journal).
+    fn hold(
+        &mut self,
+        i: usize,
+        now_ms: u64,
+        reservation: Option<SessionReservation>,
+        offer: Option<ScoredOffer>,
+        degraded: bool,
+    ) -> OutcomeKind {
+        if let Some(offer) = offer.filter(|_| reservation.is_some()) {
+            let guarantee = self.broker.session.context().guarantee;
+            // Discrete media are delivered ahead of playout and hold no
+            // steady-state bandwidth — nothing to reserve on the network.
+            let streams = (offer.offer.variants.iter()).map(|v| {
+                (
+                    v,
+                    (v.blocks_per_second > 0).then(|| charged_bit_rate(v, guarantee)),
+                )
+            });
+            if self.keeper.is_some() {
+                self.ledger_ix[i] = self.ledger.len() as u32;
+                self.ledger.push(LedgerRow {
+                    session: i as u64,
+                    admit_ms: now_ms,
+                    depart_ms: now_ms,
+                    streams: (streams.clone())
+                        .map(|(v, bps)| StreamRow {
+                            server: v.server.0,
+                            bps: bps.unwrap_or(0),
+                        })
+                        .collect(),
+                });
+            }
+            if self.journal.is_some() {
+                self.session(i).holds = streams
+                    .map(|(v, net_bps)| SnapHold {
+                        server: v.server.0,
+                        req: StreamRequirement::for_variant(v, guarantee),
+                        net_bps,
+                    })
+                    .collect();
+            }
         }
-        let Some(offer) = offer else {
-            return;
-        };
-        let guarantee = self.broker.session.context().guarantee;
-        let streams = offer
-            .offer
-            .variants
-            .iter()
-            .map(|v| StreamRow {
-                server: v.server.0,
-                // Discrete media are delivered ahead of playout and hold
-                // no steady-state bandwidth.
-                bps: if v.blocks_per_second > 0 {
-                    charged_bit_rate(v, guarantee)
-                } else {
-                    0
-                },
-            })
-            .collect();
-        self.ledger_ix[i] = self.ledger.len() as u32;
-        self.ledger.push(LedgerRow {
-            session: i as u64,
-            admit_ms: now_ms,
-            depart_ms: now_ms,
-            streams,
-        });
+        self.session(i).reservation = reservation;
+        self.admit(i, now_ms, degraded)
     }
 
-    fn admit(&mut self, i: usize, slot: u32, now_ms: u64, degraded: bool) -> OutcomeKind {
+    fn admit(&mut self, i: usize, now_ms: u64, degraded: bool) -> OutcomeKind {
         let broker = self.broker;
-        let st = self.live.get_mut(slot).expect("live session");
+        let st = self.session(i);
         let attempts = st.attempts;
         if st.reservation.is_some() && broker.config.choice_period_ms > 0 {
             // The paper's choicePeriod: resources stay reserved while the
@@ -1416,7 +1400,6 @@ impl DriveLoop<'_, '_> {
     fn try_later(
         &mut self,
         i: usize,
-        slot: u32,
         now_ms: u64,
         transient: bool,
         reason: &'static str,
@@ -1427,19 +1410,16 @@ impl DriveLoop<'_, '_> {
         if !transient {
             // Every refusal was load-independent (decode budget, startup
             // bound): waiting cannot help.
-            let attempts = self.live.get(slot).expect("live session").attempts;
+            let attempts = self.session(i).attempts;
             self.finish(i, attempts, SessionFate::Rejected, None);
             return OutcomeKind::Rejected { status };
         }
-        let attempts = self.live.get(slot).expect("live session").attempts;
+        let attempts = self.session(i).attempts;
         if attempts >= policy.max_attempts {
             self.finish(i, attempts, SessionFate::Starved, None);
             return OutcomeKind::Starved { attempts };
         }
-        let backoff = {
-            let st = self.live.get_mut(slot).expect("live session");
-            broker.config.retry.backoff_ms(attempts, &mut st.rng).max(1)
-        };
+        let backoff = policy.backoff_ms(attempts, &mut self.session(i).rng).max(1);
         let fire_ms = now_ms + backoff;
         if let Some(deadline) = policy.deadline_ms {
             // The deadline is exclusive (see `RetryPolicy::deadline_ms`):
@@ -1458,7 +1438,7 @@ impl DriveLoop<'_, '_> {
             // wait-time attribution splits backoff by.
             if let Some(span) = rec.trace_span("backoff") {
                 rec.trace_point("backoff.reason", &[("reason", reason)]);
-                self.live.get_mut(slot).expect("live session").backoff_span = Some(span);
+                self.session(i).backoff_span = Some(span);
             }
         }
         self.dynq
@@ -1471,8 +1451,7 @@ impl DriveLoop<'_, '_> {
 
     fn confirm(&mut self, i: usize, now_ms: u64) {
         let broker = self.broker;
-        let slot = self.slots[i];
-        let st = self.live.get_mut(slot).expect("confirm on a live session");
+        let st = self.session(i);
         let degraded = st
             .pending_admit
             .take()
@@ -1505,19 +1484,12 @@ impl DriveLoop<'_, '_> {
     }
 
     fn departure(&mut self, i: usize, now_ms: u64) {
-        let slot = self.slots[i];
-        let res = self
-            .live
-            .get_mut(slot)
-            .expect("departure of a live session")
-            .reservation
-            .take();
-        if let Some(res) = res {
+        if let Some(res) = self.session(i).reservation.take() {
             self.broker.session.release(&res);
         }
         // An admitted session is closed by the time it departs; its slab
         // slot — the last thing keeping it live — is recycled here.
-        let st = self.live.remove(slot);
+        let st = self.live.remove(self.slots[i]);
         debug_assert!(st.closed, "session {i} departed before closing");
         self.slots[i] = u32::MAX;
         if let Some(&ix) = self.ledger_ix.get(i) {
@@ -1582,9 +1554,9 @@ impl DriveLoop<'_, '_> {
         st.closed = true;
         let result = self.results[i].as_ref().expect("just checked");
         let total_ms = now_ms.saturating_sub(self.specs[i].arrival_ms);
-        if let Some(rec) = broker.recorder {
-            rec.observe("broker.session_ms", total_ms as f64);
-            rec.trace_point("session.outcome", &[("fate", fate_label(result.fate))]);
+        if let (Some(rec), Some(m)) = (broker.recorder, &broker.metrics) {
+            rec.record(m.session_ms, total_ms as f64);
+            rec.trace_point_key(m.session_outcome[fate_index(result.fate)], None);
         }
         if let Some(span) = st.session_span.take() {
             span.end();
@@ -1594,9 +1566,9 @@ impl DriveLoop<'_, '_> {
             .admitted_at_ms
             .map(|at| at.saturating_sub(self.specs[i].arrival_ms) as f64);
         let attempts = result.attempts as u64;
-        let fate = fate_label(result.fate);
+        let fate = FATES[fate_index(result.fate)].1;
         let holds = st.reservation.is_some();
-        let acc = st.explain.take();
+        let mut acc = st.explain.take();
         self.latency.record(total_ms as f64);
         self.slo
             .on_session(broker.recorder, now_ms, latency_ms, failed, attempts);
@@ -1609,7 +1581,7 @@ impl DriveLoop<'_, '_> {
         if let Some(keeper) = self.keeper.as_mut() {
             let arrival_ms = self.specs[i].arrival_ms;
             keeper.finish_with(i as u64, failed, ms_to_us(total_ms), || {
-                let acc = acc.unwrap_or_default();
+                let acc = acc.take().unwrap_or_default();
                 SessionExplain {
                     session: i as u64,
                     arrival_ms,
@@ -1620,6 +1592,11 @@ impl DriveLoop<'_, '_> {
                     adaptations: Vec::new(),
                 }
             });
+            // A dropped session's attempt list is reused by the next one.
+            if let Some(SessionAcc { mut attempts, .. }) = acc {
+                attempts.clear();
+                self.spare_attempts = attempts;
+            }
         }
         if !holds {
             self.live.remove(slot);

@@ -104,12 +104,14 @@ impl<'a> FleetSpec<'a> {
         self
     }
 
-    /// Collect decision provenance: every negotiation records a
-    /// [`DecisionLog`](nod_qosneg::DecisionLog), the full capacity ledger
-    /// is kept, and per-session explanations are tail-retained under
-    /// `policy` — 100% of failures, the top-k slowest, and a seeded head
-    /// sample, exactly like trace retention. The retained set (and the
-    /// serialized artifact) replays byte for byte with the outcome log.
+    /// Collect decision provenance: every negotiation records its live
+    /// facts, the full capacity ledger is kept, and per-session
+    /// explanations are tail-retained under `policy` — 100% of failures,
+    /// the top-k slowest, and a seeded head sample, exactly like trace
+    /// retention; the retained sessions' attempts are completed into full
+    /// [`DecisionLog`](nod_qosneg::DecisionLog)s when the run ends. The
+    /// retained set (and the serialized artifact) replays byte for byte
+    /// with the outcome log.
     pub fn explain(mut self, policy: RetentionPolicy) -> Self {
         self.explain = Some(policy);
         self

@@ -179,6 +179,13 @@ impl<'a> Take<'a> {
         self.pos += n;
         Ok(s)
     }
+    /// A `u32` record count, and how many records to reserve for it: no
+    /// more than the bytes left could hold at `min_bytes` apiece, so a
+    /// corrupt count cannot ask for more memory than the payload spans.
+    fn count(&mut self, min_bytes: usize) -> Result<(usize, usize), JournalError> {
+        let n = self.u32()? as usize;
+        Ok((n, n.min((self.bytes.len() - self.pos) / min_bytes)))
+    }
     fn done(&self) -> Result<(), JournalError> {
         if self.pos == self.bytes.len() {
             Ok(())
@@ -538,8 +545,10 @@ impl SnapshotState {
             peak_live: t.u64()?,
             ..SnapshotState::default()
         };
-        let results = t.u32()? as usize;
-        snap.results.reserve(results);
+        // Smallest encodings: result 21 bytes, live session 35 (no holds),
+        // hold 54, pending event 17.
+        let (results, reserve) = t.count(21)?;
+        snap.results.reserve(reserve);
         for _ in 0..results {
             snap.results.push(SnapResult {
                 session: t.u64()?,
@@ -548,8 +557,8 @@ impl SnapshotState {
                 admitted_at_ms: t.u64()?,
             });
         }
-        let live = t.u32()? as usize;
-        snap.live.reserve(live);
+        let (live, reserve) = t.count(35)?;
+        snap.live.reserve(reserve);
         for _ in 0..live {
             let session = t.u64()?;
             let attempts = t.u32()?;
@@ -557,8 +566,8 @@ impl SnapshotState {
             let pending_admit = t.u8()?;
             let closed = t.u8()? != 0;
             let reserved = t.u8()? != 0;
-            let nholds = t.u32()? as usize;
-            let mut holds = Vec::with_capacity(nholds);
+            let (nholds, reserve) = t.count(54)?;
+            let mut holds = Vec::with_capacity(reserve);
             for _ in 0..nholds {
                 let server = t.u64()?;
                 let req = StreamRequirement {
@@ -594,8 +603,8 @@ impl SnapshotState {
                 holds,
             });
         }
-        let dynq = t.u32()? as usize;
-        snap.dynq.reserve(dynq);
+        let (dynq, reserve) = t.count(17)?;
+        snap.dynq.reserve(reserve);
         for _ in 0..dynq {
             snap.dynq.push(SnapEvent {
                 at_us: t.u64()?,
@@ -1166,6 +1175,50 @@ mod tests {
                 kind: 1,
                 session: 1,
             }],
+        }
+    }
+
+    /// A journal of one header and one snapshot record whose payload is
+    /// `payload`, framed with a valid CRC.
+    fn journal_with(payload: &[u8]) -> Journal {
+        let j = Journal::in_memory(JournalConfig::default());
+        j.begin(header());
+        let mut bytes = j.bytes();
+        put_u32(&mut bytes, payload.len() as u32);
+        put_u32(&mut bytes, crc32(payload));
+        bytes.extend_from_slice(payload);
+        Journal::from_bytes(bytes, JournalConfig::default())
+    }
+
+    #[test]
+    fn an_inflated_record_count_is_malformed_not_an_allocation() {
+        let mut payload = vec![REC_SNAPSHOT];
+        for v in [1_234u64, 0, 0, 0, 0, 0] {
+            put_u64(&mut payload, v);
+        }
+        put_u32(&mut payload, u32::MAX);
+        assert!(matches!(
+            journal_with(&payload).recover_state(header()),
+            Err(JournalError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn every_single_byte_mutation_of_a_snapshot_decodes_or_errors() {
+        let mut snap = sample_snapshot(5);
+        let discrete = SnapHold {
+            net_bps: None,
+            ..snap.live[0].holds[0]
+        };
+        snap.live[0].holds.push(discrete);
+        let payload = snap.encode();
+        for at in 1..payload.len() {
+            for b in [0x00, 0x01, 0x7F, 0x80, 0xFF, payload[at] ^ 0x01] {
+                let mut mutated = payload.clone();
+                mutated[at] = b;
+                // Either outcome is fine; a panic or an abort is not.
+                let _ = SnapshotState::decode(&mut Take::new(&mutated[1..]));
+            }
         }
     }
 

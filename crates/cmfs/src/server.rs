@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use nod_mmdoc::ServerId;
-use nod_obs::Recorder;
+use nod_obs::{Counter, Histogram, Recorder};
 
 use crate::admission::{AdmissionError, StreamRequirement};
 use crate::disk::DiskModel;
@@ -62,6 +62,51 @@ struct ServerState {
     admission_factor: f64,
 }
 
+/// A server's admission metrics, resolved when the recorder is attached.
+#[derive(Debug)]
+struct Metrics {
+    rec: Recorder,
+    accepted: Counter,
+    paused: Counter,
+    stream_limit: Counter,
+    disk: Counter,
+    interface: Counter,
+    slack: Histogram,
+}
+
+impl Metrics {
+    fn resolve(rec: Recorder, id: ServerId) -> Metrics {
+        let server = format!("s{}", id.0);
+        let server = server.as_str();
+        let rejected = |reason| {
+            let labels = [
+                ("server", server),
+                ("result", "rejected"),
+                ("reason", reason),
+            ];
+            rec.counter_handle("cmfs.admission", &labels)
+        };
+        Metrics {
+            accepted: rec.counter_handle(
+                "cmfs.admission",
+                &[("server", server), ("result", "accepted")],
+            ),
+            paused: rejected("paused"),
+            stream_limit: rejected("stream_limit"),
+            disk: rejected("disk"),
+            interface: rejected("interface"),
+            slack: rec.histogram_handle("cmfs.admit.disk_slack", &[("server", server)]),
+            rec,
+        }
+    }
+
+    /// Count an admission verdict and mark it in the active trace.
+    fn verdict(&self, c: Counter) {
+        self.rec.add(c, 1);
+        self.rec.trace_point_key(c.key(), None);
+    }
+}
+
 /// A continuous-media file server.
 ///
 /// Thread-safe: negotiations for different clients may race on the same
@@ -74,9 +119,7 @@ pub struct FileServer {
     state: Mutex<ServerState>,
     next_reservation: AtomicU64,
     /// Set-once observability hook; `None` keeps admission allocation-free.
-    recorder: OnceLock<Recorder>,
-    /// Cached `s<id>` string for the `server` metric label.
-    server_label: String,
+    metrics: OnceLock<Metrics>,
 }
 
 impl FileServer {
@@ -101,8 +144,7 @@ impl FileServer {
                 admission_factor: 1.0,
             }),
             next_reservation: AtomicU64::new(1),
-            recorder: OnceLock::new(),
-            server_label: format!("s{}", id.0),
+            metrics: OnceLock::new(),
         }
     }
 
@@ -112,7 +154,9 @@ impl FileServer {
     /// label — and each accept records the remaining disk-round slack in
     /// the `cmfs.admit.disk_slack{server=…}` histogram.
     pub fn set_recorder(&self, recorder: Recorder) {
-        let _ = self.recorder.set(recorder);
+        if self.metrics.get().is_none() {
+            let _ = self.metrics.set(Metrics::resolve(recorder, self.id));
+        }
     }
 
     /// This server's id.
@@ -153,11 +197,11 @@ impl FileServer {
     pub fn try_reserve(&self, req: StreamRequirement) -> Result<ReservationId, AdmissionError> {
         let mut st = self.state.lock();
         if st.admission_factor <= 0.0 {
-            self.count_rejection("paused");
+            self.count_rejection(|m| m.paused);
             return Err(AdmissionError::AdmissionPaused);
         }
         if st.reservations.len() >= self.config.max_streams {
-            self.count_rejection("stream_limit");
+            self.count_rejection(|m| m.stream_limit);
             return Err(AdmissionError::StreamLimit {
                 limit: self.config.max_streams,
             });
@@ -168,7 +212,7 @@ impl FileServer {
         let cost_us = self.round_cost_us(&req);
         let cap_us = self.capacity_round_us(effective);
         if st.used_round_us + cost_us > cap_us {
-            self.count_rejection("disk");
+            self.count_rejection(|m| m.disk);
             return Err(AdmissionError::DiskSaturated {
                 used_us: st.used_round_us,
                 requested_us: cost_us,
@@ -178,7 +222,7 @@ impl FileServer {
         let bps = req.charged_bit_rate();
         let cap_bps = self.capacity_bps(effective);
         if st.used_bps + bps > cap_bps {
-            self.count_rejection("interface");
+            self.count_rejection(|m| m.interface);
             return Err(AdmissionError::InterfaceSaturated {
                 used_bps: st.used_bps,
                 requested_bps: bps,
@@ -189,35 +233,17 @@ impl FileServer {
         st.used_round_us += cost_us;
         st.used_bps += bps;
         st.reservations.insert(id, req);
-        if let Some(rec) = self.recorder.get() {
-            rec.counter_with(
-                "cmfs.admission",
-                &[("server", &self.server_label), ("result", "accepted")],
-                1,
-            );
-            rec.trace_point(
-                "cmfs.admission",
-                &[("server", &self.server_label), ("result", "accepted")],
-            );
+        if let Some(m) = self.metrics.get() {
+            m.verdict(m.accepted);
             let slack = cap_us.saturating_sub(st.used_round_us) as f64 / cap_us.max(1) as f64;
-            rec.observe_with(
-                "cmfs.admit.disk_slack",
-                &[("server", &self.server_label)],
-                slack,
-            );
+            m.rec.record(m.slack, slack);
         }
         Ok(id)
     }
 
-    fn count_rejection(&self, reason: &str) {
-        if let Some(rec) = self.recorder.get() {
-            let labels = [
-                ("server", self.server_label.as_str()),
-                ("result", "rejected"),
-                ("reason", reason),
-            ];
-            rec.counter_with("cmfs.admission", &labels, 1);
-            rec.trace_point("cmfs.admission", &labels);
+    fn count_rejection(&self, reason: impl FnOnce(&Metrics) -> Counter) {
+        if let Some(m) = self.metrics.get() {
+            m.verdict(reason(m));
         }
     }
 

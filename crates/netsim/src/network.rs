@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use nod_mmdoc::{ClientId, ServerId};
-use nod_obs::Recorder;
+use nod_obs::{Counter, Recorder};
 
 use crate::routing::{route_tree, RouteError, RouteTree};
 use crate::topology::{LinkId, NodeId, Topology};
@@ -83,6 +83,46 @@ struct NetState {
     reservations: BTreeMap<NetReservationId, (Route, u64)>,
 }
 
+/// The network's metrics, resolved when the recorder is attached.
+#[derive(Debug)]
+struct Metrics {
+    rec: Recorder,
+    path_rejections: Counter,
+    attempts: Counter,
+    accepted: Counter,
+    unknown_client: Counter,
+    unknown_server: Counter,
+    unreachable: Counter,
+    bandwidth: Counter,
+}
+
+impl Metrics {
+    fn resolve(rec: Recorder) -> Metrics {
+        let rejected = |reason| {
+            rec.counter_handle(
+                "net.reservation",
+                &[("result", "rejected"), ("reason", reason)],
+            )
+        };
+        Metrics {
+            path_rejections: rec.counter_handle("net.path.rejections", &[]),
+            attempts: rec.counter_handle("net.reservation.attempts", &[]),
+            accepted: rec.counter_handle("net.reservation", &[("result", "accepted")]),
+            unknown_client: rejected("unknown_client"),
+            unknown_server: rejected("unknown_server"),
+            unreachable: rejected("unreachable"),
+            bandwidth: rejected("bandwidth"),
+            rec,
+        }
+    }
+
+    /// Count a reservation verdict and mark it in the active trace.
+    fn verdict(&self, c: Counter) {
+        self.rec.add(c, 1);
+        self.rec.trace_point_key(c.key(), None);
+    }
+}
+
 /// The reservable network.
 ///
 /// Thread-safe: concurrent negotiations share one instance; a path
@@ -109,7 +149,7 @@ pub struct Network {
     trees: Sharded<HashMap<NodeId, Arc<RouteTree>>>,
     next_id: AtomicU64,
     /// Set-once observability hook; `None` keeps reservation allocation-free.
-    recorder: OnceLock<Recorder>,
+    metrics: OnceLock<Metrics>,
 }
 
 impl Network {
@@ -121,7 +161,7 @@ impl Network {
             routes: Sharded::new(16, HashMap::new),
             trees: Sharded::new(16, HashMap::new),
             next_id: AtomicU64::new(1),
-            recorder: OnceLock::new(),
+            metrics: OnceLock::new(),
         }
     }
 
@@ -130,7 +170,9 @@ impl Network {
     /// `net.reservation{result=…}` — rejections carry a `reason` label —
     /// and unroutable path lookups count `net.path.rejections`.
     pub fn set_recorder(&self, recorder: Recorder) {
-        let _ = self.recorder.set(recorder);
+        if self.metrics.get().is_none() {
+            let _ = self.metrics.set(Metrics::resolve(recorder));
+        }
     }
 
     /// The underlying topology.
@@ -162,13 +204,30 @@ impl Network {
         self.route(client, server).is_ok()
     }
 
+    /// [`Network::reachable`] without counting `net.path.rejections`: for
+    /// re-deriving a decision whose lookups were counted when it was made.
+    pub fn has_route(&self, client: ClientId, server: ServerId) -> bool {
+        self.lookup(client, server).is_ok()
+    }
+
     /// The route a client↔server stream would take.
     pub fn path(&self, client: ClientId, server: ServerId) -> Result<Vec<LinkId>, NetError> {
         self.route(client, server).map(|links| links.to_vec())
     }
 
-    /// The memoized route.
+    /// The memoized route; an unroutable pair counts
+    /// `net.path.rejections`.
     fn route(&self, client: ClientId, server: ServerId) -> Result<Route, NetError> {
+        let result = self.lookup(client, server);
+        if let (Err(_), Some(m)) = (&result, self.metrics.get()) {
+            m.rec.add(m.path_rejections, 1);
+        }
+        result
+    }
+
+    /// The memoized route, uncounted.
+    #[inline]
+    fn lookup(&self, client: ClientId, server: ServerId) -> Result<Route, NetError> {
         let shard_key = Self::route_shard(client, server);
         if let Some(links) = self.routes.lock_key(shard_key).get(&(client, server)) {
             return Ok(Arc::clone(links));
@@ -184,19 +243,12 @@ impl Network {
                 .map(Route::from)
                 .map_err(NetError::Unreachable)
         });
-        match &result {
-            // Only routable pairs are cached: failures stay cheap to
-            // compute and keep counting below on every lookup.
-            Ok(links) => {
-                self.routes
-                    .lock_key(shard_key)
-                    .insert((client, server), Arc::clone(links));
-            }
-            Err(_) => {
-                if let Some(rec) = self.recorder.get() {
-                    rec.counter("net.path.rejections", 1);
-                }
-            }
+        // Only routable pairs are cached: failures stay cheap to compute
+        // and keep counting on every lookup.
+        if let Ok(links) = &result {
+            self.routes
+                .lock_key(shard_key)
+                .insert((client, server), Arc::clone(links));
         }
         result
     }
@@ -264,8 +316,8 @@ impl Network {
         server: ServerId,
         bps: u64,
     ) -> Result<NetReservationId, NetError> {
-        if let Some(rec) = self.recorder.get() {
-            rec.counter("net.reservation.attempts", 1);
+        if let Some(m) = self.metrics.get() {
+            m.rec.add(m.attempts, 1);
         }
         let links = match self.route(client, server) {
             Ok(links) => links,
@@ -294,24 +346,20 @@ impl Network {
         }
         let id = NetReservationId(self.next_id.fetch_add(1, Ordering::Relaxed));
         st.reservations.insert(id, (links, bps));
-        if let Some(rec) = self.recorder.get() {
-            rec.counter_with("net.reservation", &[("result", "accepted")], 1);
-            rec.trace_point("net.reservation", &[("result", "accepted")]);
+        if let Some(m) = self.metrics.get() {
+            m.verdict(m.accepted);
         }
         Ok(id)
     }
 
     fn count_rejection(&self, err: &NetError) {
-        if let Some(rec) = self.recorder.get() {
-            let reason = match err {
-                NetError::UnknownClient(_) => "unknown_client",
-                NetError::UnknownServer(_) => "unknown_server",
-                NetError::Unreachable(_) => "unreachable",
-                NetError::InsufficientBandwidth { .. } => "bandwidth",
-            };
-            let labels = [("result", "rejected"), ("reason", reason)];
-            rec.counter_with("net.reservation", &labels, 1);
-            rec.trace_point("net.reservation", &labels);
+        if let Some(m) = self.metrics.get() {
+            m.verdict(match err {
+                NetError::UnknownClient(_) => m.unknown_client,
+                NetError::UnknownServer(_) => m.unknown_server,
+                NetError::Unreachable(_) => m.unreachable,
+                NetError::InsufficientBandwidth { .. } => m.bandwidth,
+            });
         }
     }
 

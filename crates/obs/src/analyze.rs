@@ -529,18 +529,10 @@ mod tests {
         t.resume(41);
         t.span_start(1_000, "session", 1, 0);
         t.span_start(1_000, "attempt", 2, 0);
-        t.point(
-            1_000,
-            || "cmfs.admission{result=disk,server=s0}".to_string(),
-            None,
-        );
+        t.point(1_000, || "cmfs.admission{result=disk,server=s0}", None);
         t.span_end(1_000, "attempt", 2, 0, 0.0, false, 41);
         t.span_start(1_000, "backoff", 3, 0);
-        t.point(
-            1_000,
-            || "backoff.reason{reason=admission}".to_string(),
-            None,
-        );
+        t.point(1_000, || "backoff.reason{reason=admission}", None);
         t.span_end(51_000, "backoff", 3, 0, 50.0, false, 41);
         t.span_start(51_000, "attempt", 4, 0);
         t.span_end(53_000, "attempt", 4, 0, 2.0, false, 41);

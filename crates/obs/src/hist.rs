@@ -10,11 +10,10 @@
 //! values a dedicated zero bucket, so signed metrics (deltas, slacks)
 //! summarize correctly.
 //!
-//! Storage is a sparse `BTreeMap<i64, u64>` per sign: a latency
-//! distribution spanning 1 µs – 100 s touches ~900 buckets worst case,
-//! typically far fewer.
-
-use std::collections::BTreeMap;
+//! Storage is one dense run of counts per sign, from the smallest to the
+//! largest bucket seen, so recording a sample is an index computation and
+//! an increment: a latency distribution spanning 1 µs – 100 s spans ~900
+//! buckets, the whole finite `f64` range fewer than 40 000.
 
 use nod_simcore::json_struct;
 use nod_simcore::OnlineStats;
@@ -47,12 +46,49 @@ pub struct LogBuckets {
 
 json_struct!(LogBuckets { zero, pos, neg });
 
+/// One sign region: `counts[k]` holds bucket `base + k`. Only a sample
+/// widens the run, so it spans exactly the smallest to the largest
+/// non-empty bucket, and derived equality is equality of the buckets.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Region {
+    base: i64,
+    counts: Vec<u64>,
+}
+
+impl Region {
+    fn add(&mut self, i: i64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        if self.counts.is_empty() {
+            self.base = i;
+        } else if i < self.base {
+            let grow = (self.base - i) as usize;
+            self.counts.splice(0..0, std::iter::repeat_n(0, grow));
+            self.base = i;
+        }
+        let k = (i - self.base) as usize;
+        if k >= self.counts.len() {
+            self.counts.resize(k + 1, 0);
+        }
+        self.counts[k] += n;
+    }
+
+    /// Non-empty buckets `(index, count)`, ascending.
+    fn iter(&self) -> impl DoubleEndedIterator<Item = (i64, u64)> + '_ {
+        let base = self.base;
+        (self.counts.iter().enumerate())
+            .filter(|&(_, &n)| n > 0)
+            .map(move |(k, &n)| (base + k as i64, n))
+    }
+}
+
 /// A log-bucketed histogram with bounded relative error and exact merge.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LogHistogram {
     zero: u64,
-    pos: BTreeMap<i64, u64>,
-    neg: BTreeMap<i64, u64>,
+    pos: Region,
+    neg: Region,
 }
 
 impl LogHistogram {
@@ -78,15 +114,15 @@ impl LogHistogram {
         if x.abs() < ZERO_EPSILON {
             self.zero += 1;
         } else if x > 0.0 {
-            *self.pos.entry(Self::index(x)).or_insert(0) += 1;
+            self.pos.add(Self::index(x), 1);
         } else {
-            *self.neg.entry(Self::index(-x)).or_insert(0) += 1;
+            self.neg.add(Self::index(-x), 1);
         }
     }
 
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
-        self.zero + self.pos.values().sum::<u64>() + self.neg.values().sum::<u64>()
+        self.zero + self.pos.counts.iter().sum::<u64>() + self.neg.counts.iter().sum::<u64>()
     }
 
     /// The `q`-quantile (`0 ≤ q ≤ 1`) with relative error ≤
@@ -101,7 +137,7 @@ impl LogHistogram {
         let mut seen = 0u64;
         // Ascending value order: most-negative first (largest magnitude),
         // then zero, then positives.
-        for (&i, &n) in self.neg.iter().rev() {
+        for (i, n) in self.neg.iter().rev() {
             seen += n;
             if seen > rank {
                 return -Self::bucket_value(i);
@@ -111,29 +147,25 @@ impl LogHistogram {
         if seen > rank {
             return 0.0;
         }
-        for (&i, &n) in self.pos.iter() {
+        for (i, n) in self.pos.iter() {
             seen += n;
             if seen > rank {
                 return Self::bucket_value(i);
             }
         }
         // Unreachable when counts are consistent; fall back to the top.
-        self.pos
-            .keys()
-            .next_back()
-            .map(|&i| Self::bucket_value(i))
-            .unwrap_or(0.0)
+        (self.pos.iter().next_back()).map_or(0.0, |(i, _)| Self::bucket_value(i))
     }
 
     /// Add `other`'s buckets into `self` — the exact merge: quantiles of
     /// the merged histogram equal quantiles of the union stream.
     pub fn merge(&mut self, other: &LogHistogram) {
         self.zero += other.zero;
-        for (&i, &n) in &other.pos {
-            *self.pos.entry(i).or_insert(0) += n;
+        for (i, n) in other.pos.iter() {
+            self.pos.add(i, n);
         }
-        for (&i, &n) in &other.neg {
-            *self.neg.entry(i).or_insert(0) += n;
+        for (i, n) in other.neg.iter() {
+            self.neg.add(i, n);
         }
     }
 
@@ -150,19 +182,19 @@ impl LogHistogram {
             return (0.0, 0.0);
         }
         let mut sum = 0.0f64;
-        for (&i, &c) in self.neg.iter().rev() {
+        for (i, c) in self.neg.iter().rev() {
             sum += c as f64 * -Self::bucket_value(i);
         }
-        for (&i, &c) in self.pos.iter() {
+        for (i, c) in self.pos.iter() {
             sum += c as f64 * Self::bucket_value(i);
         }
         let mean = sum / n as f64;
         let mut m2 = self.zero as f64 * mean * mean;
-        for (&i, &c) in self.neg.iter().rev() {
+        for (i, c) in self.neg.iter().rev() {
             let d = -Self::bucket_value(i) - mean;
             m2 += c as f64 * d * d;
         }
-        for (&i, &c) in self.pos.iter() {
+        for (i, c) in self.pos.iter() {
             let d = Self::bucket_value(i) - mean;
             m2 += c as f64 * d * d;
         }
@@ -173,18 +205,24 @@ impl LogHistogram {
     pub fn to_buckets(&self) -> LogBuckets {
         LogBuckets {
             zero: self.zero,
-            pos: self.pos.iter().map(|(&i, &n)| (i, n)).collect(),
-            neg: self.neg.iter().map(|(&i, &n)| (i, n)).collect(),
+            pos: self.pos.iter().collect(),
+            neg: self.neg.iter().collect(),
         }
     }
 
     /// Rebuild from exported buckets.
     pub fn from_buckets(b: &LogBuckets) -> Self {
-        LogHistogram {
+        let mut h = LogHistogram {
             zero: b.zero,
-            pos: b.pos.iter().copied().collect(),
-            neg: b.neg.iter().copied().collect(),
+            ..LogHistogram::default()
+        };
+        for &(i, n) in &b.pos {
+            h.pos.add(i, n);
         }
+        for &(i, n) in &b.neg {
+            h.neg.add(i, n);
+        }
+        h
     }
 }
 
@@ -225,21 +263,6 @@ impl ValueHistogram {
         self.stats.count()
     }
 
-    /// Smallest sample, `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        self.stats.min()
-    }
-
-    /// Largest sample, `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        self.stats.max()
-    }
-
-    /// The log-bucket sketch (for order-independent shard merges).
-    pub fn log(&self) -> &LogHistogram {
-        &self.log
-    }
-
     /// Summarize: exact count/mean/m2/min/max, log-bucketed quantiles
     /// clamped into `[min, max]`.
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -249,6 +272,21 @@ impl ValueHistogram {
         } else {
             self.stats.variance() * (n - 1) as f64
         };
+        self.summary(self.stats.mean(), m2)
+    }
+
+    /// [`ValueHistogram::snapshot`] with `mean`/`m2` derived from the log
+    /// buckets ([`LogHistogram::bucket_moments`]): they carry the buckets'
+    /// ≤ [`RELATIVE_ERROR`] relative error instead of being Welford-exact,
+    /// but depend only on the *multiset* of samples, never on their order —
+    /// what an order-independent (sharded) recorder reports.
+    pub fn bucket_snapshot(&self) -> HistogramSnapshot {
+        let (mean, m2) = self.log.bucket_moments();
+        self.summary(mean, m2)
+    }
+
+    fn summary(&self, mean: f64, m2: f64) -> HistogramSnapshot {
+        let n = self.stats.count();
         let min = self.stats.min().unwrap_or(0.0);
         let max = self.stats.max().unwrap_or(0.0);
         let q = |p: f64| {
@@ -260,71 +298,6 @@ impl ValueHistogram {
         };
         HistogramSnapshot {
             count: n,
-            mean: self.stats.mean(),
-            m2,
-            min,
-            max,
-            p50: q(0.50),
-            p90: q(0.90),
-            p95: q(0.95),
-            p99: q(0.99),
-            buckets: self.log.to_buckets(),
-        }
-    }
-}
-
-/// Order-independent accumulator over per-shard [`ValueHistogram`]s.
-///
-/// The sharded recorder cannot use Welford/Chan moment merging: the result
-/// depends on how samples were partitioned across shards, which depends on
-/// thread count. This accumulator keeps only partition-independent pieces —
-/// count (exact sum), min/max (exact fold), and the log buckets (exact
-/// union) — and derives mean/m2 from the merged buckets
-/// ([`LogHistogram::bucket_moments`]), so the finished summary is
-/// bit-identical no matter how the sample stream was split. The price is
-/// that mean/m2 carry the buckets' ≤ [`RELATIVE_ERROR`] relative error
-/// instead of being exact.
-#[derive(Debug, Clone, Default)]
-pub struct HistogramShardAcc {
-    count: u64,
-    min: Option<f64>,
-    max: Option<f64>,
-    log: LogHistogram,
-}
-
-impl HistogramShardAcc {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        HistogramShardAcc::default()
-    }
-
-    /// Fold one shard's histogram in (any order, any grouping).
-    pub fn add(&mut self, h: &ValueHistogram) {
-        self.count += h.count();
-        if let Some(m) = h.min() {
-            self.min = Some(self.min.map_or(m, |cur| cur.min(m)));
-        }
-        if let Some(m) = h.max() {
-            self.max = Some(self.max.map_or(m, |cur| cur.max(m)));
-        }
-        self.log.merge(h.log());
-    }
-
-    /// The merged summary: exact count/min/max, bucket-derived mean/m2,
-    /// quantiles from the merged buckets clamped into `[min, max]`.
-    pub fn finish(&self) -> HistogramSnapshot {
-        let min = self.min.unwrap_or(0.0);
-        let max = self.max.unwrap_or(0.0);
-        let (mean, m2) = self.log.bucket_moments();
-        let q = |p: f64| {
-            if self.count == 0 {
-                0.0
-            } else {
-                self.log.quantile(p).clamp(min, max)
-            }
-        };
-        HistogramSnapshot {
-            count: self.count,
             mean,
             m2,
             min,
@@ -453,12 +426,12 @@ mod tests {
         }
     }
 
-    /// The sharded recorder's correctness keystone: accumulating any
-    /// partition of a sample stream shard-by-shard yields the exact same
-    /// summary — and it matches a single unsharded histogram on every
+    /// The order-independent summary's keystone: any split of a sample
+    /// stream, merged bucket by bucket, reproduces the same bucket-derived
+    /// moments bit for bit — and they match the exact summary on every
     /// partition-independent field.
     #[test]
-    fn shard_accumulation_equals_single_recorder() {
+    fn bucket_snapshot_is_partition_independent() {
         for case in 0..32u64 {
             let mut rng = StreamRng::new(0x5A_4D ^ case);
             let n = rng.range_u64(1, 600);
@@ -476,56 +449,39 @@ mod tests {
                     }
                 })
                 .collect();
-
             let mut single = ValueHistogram::new();
+            let mut parts = vec![LogHistogram::new(); 7];
             for &x in &samples {
                 single.record(x);
+                parts[rng.below(7) as usize].record(x);
             }
-            let single_snap = single.snapshot();
-
-            // Two different partitions of the same stream (2 and 7 shards,
-            // assigned round-robin vs randomly).
-            let partition = |k: usize, rng: &mut StreamRng, random: bool| {
-                let mut shards = vec![ValueHistogram::new(); k];
-                for (i, &x) in samples.iter().enumerate() {
-                    let s = if random {
-                        rng.below(k as u64) as usize
-                    } else {
-                        i % k
-                    };
-                    shards[s].record(x);
-                }
-                let mut acc = HistogramShardAcc::new();
-                for h in &shards {
-                    acc.add(h);
-                }
-                acc.finish()
-            };
-            let two = partition(2, &mut rng, false);
-            let seven = partition(7, &mut rng, true);
-            assert_eq!(two, seven, "case {case}: partition must not matter");
-
-            // Exact fields agree with the single recorder bit for bit…
-            assert_eq!(two.count, single_snap.count, "case {case}");
-            assert_eq!(two.min, single_snap.min, "case {case}");
-            assert_eq!(two.max, single_snap.max, "case {case}");
-            assert_eq!(two.buckets, single_snap.buckets, "case {case}");
-            for (a, b) in [
-                (two.p50, single_snap.p50),
-                (two.p90, single_snap.p90),
-                (two.p95, single_snap.p95),
-                (two.p99, single_snap.p99),
-            ] {
-                assert_eq!(a, b, "case {case}: quantiles are bucket-exact");
+            let mut merged = LogHistogram::new();
+            for part in &parts {
+                merged.merge(part);
             }
-            // …and the bucket-derived moments track the exact ones within
-            // the advertised relative error.
-            let tol = 3.0 * RELATIVE_ERROR * single_snap.max.abs().max(single_snap.min.abs());
+            assert_eq!(
+                merged.bucket_moments(),
+                single.log.bucket_moments(),
+                "case {case}"
+            );
+            let (exact, sketched) = (single.snapshot(), single.bucket_snapshot());
+            assert_eq!(exact.count, sketched.count, "case {case}");
+            assert_eq!(exact.min, sketched.min, "case {case}");
+            assert_eq!(exact.max, sketched.max, "case {case}");
+            assert_eq!(exact.buckets, sketched.buckets, "case {case}");
+            assert_eq!(
+                (exact.p50, exact.p90, exact.p95, exact.p99),
+                (sketched.p50, sketched.p90, sketched.p95, sketched.p99),
+                "case {case}: quantiles are bucket-exact"
+            );
+            // The bucket-derived moments track the exact ones within the
+            // advertised relative error.
+            let tol = 3.0 * RELATIVE_ERROR * exact.max.abs().max(exact.min.abs());
             assert!(
-                (two.mean - single_snap.mean).abs() <= tol.max(1e-9),
+                (sketched.mean - exact.mean).abs() <= tol.max(1e-9),
                 "case {case}: mean {} vs {}",
-                two.mean,
-                single_snap.mean
+                sketched.mean,
+                exact.mean
             );
         }
     }

@@ -63,9 +63,9 @@ pub mod slo;
 mod snapshot;
 pub mod trace;
 
-pub use hist::{HistogramShardAcc, LogBuckets, LogHistogram, ValueHistogram, RELATIVE_ERROR};
+pub use hist::{LogBuckets, LogHistogram, ValueHistogram, RELATIVE_ERROR};
 pub use prom::to_prometheus_text;
-pub use recorder::{Recorder, Span};
+pub use recorder::{Counter, Gauge, HandleSet, Histogram, Recorder, Span, SpanKind};
 pub use retain::TailKeeper;
 pub use sink::{FileSink, MemorySink, ObsEvent, ObsSink, StderrSink};
 pub use slo::{default_fleet_slos, Objective, SloAlert, SloMonitor, SloSpec};
@@ -89,37 +89,26 @@ pub fn metric_key(name: &str, labels: &[(&str, &str)]) -> String {
 }
 
 /// [`metric_key`] writing into a caller-owned buffer (reused capacity).
+/// Up to four labels sort on the stack, so a warm buffer allocates
+/// nothing.
 fn write_metric_key(out: &mut String, name: &str, labels: &[(&str, &str)]) {
-    // One- and two-label calls (the vast majority) skip the sort buffer.
-    let mut two: [(&str, &str); 2];
-    let sorted: &[(&str, &str)];
-    let owned: Vec<(&str, &str)>;
-    match labels {
-        [] => {
-            out.push_str(name);
-            return;
-        }
-        [_] => sorted = labels,
-        [a, b] => {
-            two = [*a, *b];
-            if two[0] > two[1] {
-                two.swap(0, 1);
-            }
-            sorted = &two;
-        }
-        _ => {
-            let mut v = labels.to_vec();
-            v.sort();
-            owned = v;
-            sorted = &owned;
-        }
-    }
-    let mut cap = name.len() + 2;
-    for (k, v) in sorted {
-        cap += k.len() + v.len() + 2;
-    }
-    out.reserve(cap);
     out.push_str(name);
+    if labels.is_empty() {
+        return;
+    }
+    let mut inline = [("", ""); 4];
+    let mut spilled = Vec::new();
+    let sorted: &mut [(&str, &str)] = match inline.get_mut(..labels.len()) {
+        Some(buf) => {
+            buf.copy_from_slice(labels);
+            buf
+        }
+        None => {
+            spilled.extend_from_slice(labels);
+            &mut spilled
+        }
+    };
+    sorted.sort_unstable();
     out.push('{');
     for (i, (k, v)) in sorted.iter().enumerate() {
         if i > 0 {
@@ -132,43 +121,32 @@ fn write_metric_key(out: &mut String, name: &str, labels: &[(&str, &str)]) {
     out.push('}');
 }
 
-/// Cap on the per-thread pool behind [`intern_metric_key`]; past it new
-/// keys fall back to a per-call allocation instead of growing the leak.
-const INTERN_CAP: usize = 4096;
-
-std::thread_local! {
-    static INTERN_SCRATCH: std::cell::RefCell<String> =
-        const { std::cell::RefCell::new(String::new()) };
-    static INTERNED: std::cell::RefCell<std::collections::HashSet<&'static str>> =
-        std::cell::RefCell::new(std::collections::HashSet::new());
+/// The process-wide pool behind [`interned_key`], with the scratch
+/// buffer keys are flattened into before the lookup.
+#[derive(Default)]
+struct InternPool {
+    keys: std::collections::HashSet<&'static str>,
+    scratch: String,
 }
 
-/// [`metric_key`] through a bounded per-thread intern pool: the distinct
-/// key set of a run is small (names × label values), so steady-state
-/// lookups return a leaked `&'static str` and allocate nothing. Used by
-/// the tracing hot path, where a point fires per admission verdict.
-pub(crate) fn intern_metric_key(
-    name: &str,
-    labels: &[(&str, &str)],
-) -> std::borrow::Cow<'static, str> {
-    INTERN_SCRATCH.with(|scratch| {
-        let mut scratch = scratch.borrow_mut();
-        scratch.clear();
-        write_metric_key(&mut scratch, name, labels);
-        INTERNED.with(|set| {
-            let mut set = set.borrow_mut();
-            if let Some(&k) = set.get(scratch.as_str()) {
-                return std::borrow::Cow::Borrowed(k);
-            }
-            if set.len() < INTERN_CAP {
-                let leaked: &'static str = Box::leak(scratch.clone().into_boxed_str());
-                set.insert(leaked);
-                std::borrow::Cow::Borrowed(leaked)
-            } else {
-                std::borrow::Cow::Owned(scratch.clone())
-            }
-        })
-    })
+/// [`metric_key`] as a `&'static str`, through one process-wide pool: the
+/// first call per distinct key leaks one copy, every later call returns
+/// it without allocating. The key set is names × label values — bounded
+/// by the topology (servers, links) and the label enums, not by how many
+/// sessions run. Metric handles and compact trace events carry these.
+pub fn interned_key(name: &str, labels: &[(&str, &str)]) -> &'static str {
+    static POOL: std::sync::OnceLock<nod_simcore::sync::Mutex<InternPool>> =
+        std::sync::OnceLock::new();
+    let mut pool = POOL.get_or_init(Default::default).lock();
+    let pool = &mut *pool;
+    pool.scratch.clear();
+    write_metric_key(&mut pool.scratch, name, labels);
+    if let Some(&key) = pool.keys.get(pool.scratch.as_str()) {
+        return key;
+    }
+    let key: &'static str = Box::leak(pool.scratch.clone().into_boxed_str());
+    pool.keys.insert(key);
+    key
 }
 
 #[cfg(test)]
@@ -180,5 +158,14 @@ mod tests {
         assert_eq!(metric_key("a.b", &[]), "a.b");
         assert_eq!(metric_key("a.b", &[("z", "1"), ("a", "2")]), "a.b{a=2,z=1}");
         assert_eq!(metric_key("a.b", &[("a", "2"), ("z", "1")]), "a.b{a=2,z=1}");
+        let five = [("e", "5"), ("d", "4"), ("c", "3"), ("b", "2"), ("a", "1")];
+        assert_eq!(metric_key("m", &five), "m{a=1,b=2,c=3,d=4,e=5}");
+    }
+
+    #[test]
+    fn interned_keys_are_flattened_once() {
+        let a = interned_key("x", &[("k", "v")]);
+        assert_eq!(a, "x{k=v}");
+        assert!(std::ptr::eq(a, interned_key("x", &[("k", "v")])));
     }
 }

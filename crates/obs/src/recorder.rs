@@ -1,74 +1,155 @@
-//! The metric recorder and its span handles.
+//! The metric recorder, its metric handles and its span handles.
+//!
+//! Every metric lives in one dense slot table. A `name{labels}` key is
+//! resolved once — under the registry lock, on the cold path — to a `Copy`
+//! handle ([`Counter`], [`Gauge`], [`Histogram`]) that indexes its slot, so
+//! a write through a handle is an atomic add (counters), an atomic store
+//! (gauges) or one uncontended lock (histograms). The string-keyed methods
+//! ([`Recorder::counter_with`] and friends) resolve and write in one call;
+//! hot call sites hold their handles instead, resolved when the recorder
+//! is attached or on first use through [`Recorder::handles`].
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, MutexGuard, OnceLock};
+use std::any::Any;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use nod_simcore::sync::Mutex;
 
-use crate::hist::{HistogramShardAcc, ValueHistogram};
+use crate::hist::ValueHistogram;
 use crate::sink::{ObsEvent, ObsSink};
 use crate::snapshot::Snapshot;
 use crate::trace::{TraceId, Tracer};
-use crate::{metric_key, DROPPED_SAMPLES};
+use crate::{interned_key, write_metric_key, DROPPED_SAMPLES};
 
-#[derive(Debug, Default)]
-struct State {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    hists: BTreeMap<String, ValueHistogram>,
+/// A resolved counter ([`Recorder::counter_handle`]). It carries its
+/// key, because trace points ride on counters ([`Counter::key`]). A handle
+/// belongs to the recorder that resolved it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Counter {
+    slot: u32,
+    key: &'static str,
 }
 
-/// Where metric writes land.
-enum Store {
-    /// One table behind one lock — the default, with exact last-write
-    /// gauges and exact Welford histogram moments.
-    Locked(Mutex<State>),
-    /// Per-worker-thread tables merged at snapshot time, so a threaded
-    /// fleet run never serializes its hot path on one recorder lock.
-    Sharded(Shards),
-}
-
-struct Shards {
-    shards: Box<[Mutex<State>]>,
-    /// Next shard to hand to a thread that has none yet.
-    next: AtomicUsize,
-}
-
-/// Each thread remembers which shard it owns per sharded recorder
-/// (keyed by the recorder's allocation address), so the hot path is one
-/// thread-local scan instead of an atomic claim. Bounded: the cache is
-/// cleared if it ever fills, which only costs a re-claim.
-const SHARD_CACHE_CAP: usize = 64;
-
-thread_local! {
-    static SHARD_OF: RefCell<Vec<(usize, usize)>> = const { RefCell::new(Vec::new()) };
-}
-
-impl Shards {
-    /// The calling thread's shard for the recorder identified by `token`.
-    fn shard(&self, token: usize) -> &Mutex<State> {
-        let idx = SHARD_OF.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            if let Some(&(_, i)) = cache.iter().find(|(t, _)| *t == token) {
-                i
-            } else {
-                let i = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-                if cache.len() >= SHARD_CACHE_CAP {
-                    cache.clear();
-                }
-                cache.push((token, i));
-                i
-            }
-        });
-        &self.shards[idx]
+impl Counter {
+    /// The flattened `name{labels}` key this handle resolved.
+    pub fn key(self) -> &'static str {
+        self.key
     }
 }
 
+/// A resolved gauge ([`Recorder::gauge_handle`]): its slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Gauge(u32);
+
+/// A resolved histogram ([`Recorder::histogram_handle`]): its slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Histogram(u32);
+
+/// A resolved span name ([`Recorder::span_kind`]): the name and its
+/// `span.<name>.ms` histograms, clean and `dropped="true"`, so opening and
+/// ending the span never formats or looks up a key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpanKind {
+    name: &'static str,
+    ms: Histogram,
+    dropped: Histogram,
+}
+
+/// The call-site handles of one instrumented module, resolved once per
+/// recorder by [`Recorder::handles`].
+pub trait HandleSet: Any + Send + Sync {
+    /// Resolve every handle of the set against `rec`.
+    fn resolve(rec: &Recorder) -> Self;
+}
+
+/// Slots of the first table segment; segment `k` holds `FIRST << k`.
+const FIRST: usize = 32;
+
+/// A growable table of slots addressed by `u32`, in segments that never
+/// move once allocated, so writers index it without a lock while the
+/// registry appends.
+struct Slots<T> {
+    segments: [OnceLock<Box<[T]>>; 27],
+}
+
+impl<T: Default> Slots<T> {
+    fn new() -> Self {
+        Slots {
+            segments: std::array::from_fn(|_| OnceLock::new()),
+        }
+    }
+
+    /// `(segment, offset)` of `slot`.
+    fn locate(slot: u32) -> (usize, usize) {
+        let n = slot as usize / FIRST + 1;
+        let segment = (usize::BITS - 1 - n.leading_zeros()) as usize;
+        (segment, slot as usize - FIRST * ((1 << segment) - 1))
+    }
+
+    fn get(&self, slot: u32) -> Option<&T> {
+        let (segment, offset) = Self::locate(slot);
+        self.segments.get(segment)?.get()?.get(offset)
+    }
+
+    /// Allocate `slot`'s segment if it is the first of it.
+    fn ensure(&self, slot: u32) {
+        let (segment, _) = Self::locate(slot);
+        self.segments[segment]
+            .get_or_init(|| (0..FIRST << segment).map(|_| T::default()).collect());
+    }
+}
+
+#[derive(Default)]
+struct CounterSlot {
+    value: AtomicU64,
+    written: AtomicBool,
+}
+
+/// A gauge slot holds `f64` bits; this NaN pattern marks "never set"
+/// (non-finite values never reach a slot).
+const UNSET: u64 = 0x7FF8_0000_DEAD_BEEF;
+
+struct GaugeSlot(AtomicU64);
+
+impl Default for GaugeSlot {
+    fn default() -> Self {
+        GaugeSlot(AtomicU64::new(UNSET))
+    }
+}
+
+/// Indexes of [`Registry::keys`].
+const COUNTERS: usize = 0;
+const GAUGES: usize = 1;
+const HISTS: usize = 2;
+
+/// Key → slot and slot → key, the cold half of the table, per kind of
+/// metric. Both only grow; a resolved slot that was never written stays
+/// out of snapshots.
+#[derive(Default)]
+struct Registry {
+    scratch: String,
+    keys: [HashMap<&'static str, u32>; 3],
+    names: [Vec<&'static str>; 3],
+    spans: HashMap<&'static str, SpanKind>,
+}
+
+/// One node of the per-recorder [`HandleSet`] list: append-only, so a
+/// resolved set never moves and can be lent out for the recorder's life.
+struct SetNode {
+    set: Box<dyn Any + Send + Sync>,
+    next: OnceLock<Box<SetNode>>,
+}
+
 struct Shared {
-    store: Store,
+    registry: Mutex<Registry>,
+    counters: Slots<CounterSlot>,
+    gauges: Slots<GaugeSlot>,
+    hists: Slots<Mutex<ValueHistogram>>,
+    /// Order-independent folds ([`Recorder::sharded`]).
+    sharded: bool,
+    sets: OnceLock<Box<SetNode>>,
     sink: Option<Arc<dyn ObsSink>>,
     /// Set-once causal tracer; absent on the vast majority of recorders.
     tracer: OnceLock<Tracer>,
@@ -78,31 +159,24 @@ struct Shared {
     use_sim_clock: AtomicBool,
 }
 
-impl std::fmt::Debug for Shared {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let store = match &self.store {
-            Store::Locked(_) => "locked".to_string(),
-            Store::Sharded(s) => format!("sharded({})", s.shards.len()),
-        };
-        f.debug_struct("Shared")
-            .field("store", &store)
-            .field("sink", &self.sink.as_ref().map(|_| "<sink>"))
-            .finish_non_exhaustive()
-    }
-}
-
 /// A shared handle to a metric store plus an optional event sink.
 ///
 /// `Recorder` is an `Arc` internally: clone it freely, hand clones to every
-/// subsystem, and read one merged [`Snapshot`] at the end. All methods take
+/// subsystem, and read one [`Snapshot`] at the end. All methods take
 /// `&self` and are thread-safe.
 ///
 /// Instrumented code should hold an `Option<Recorder>` (or
 /// `Option<&Recorder>` in `Copy` contexts) so that the disabled
 /// configuration costs a branch and nothing else.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct Recorder {
     shared: Arc<Shared>,
+}
+
+impl std::fmt::Debug for Recorder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Recorder").finish_non_exhaustive()
+    }
 }
 
 impl Default for Recorder {
@@ -114,42 +188,35 @@ impl Default for Recorder {
 impl Recorder {
     /// A recorder with no event sink (metrics only).
     pub fn new() -> Self {
-        Recorder::build(None, None)
+        Recorder::build(None, false)
     }
 
     /// A recorder that also streams every event to `sink`.
     pub fn with_sink(sink: Arc<dyn ObsSink>) -> Self {
-        Recorder::build(Some(sink), None)
+        Recorder::build(Some(sink), false)
     }
 
-    /// A recorder whose metric tables are sharded across worker threads
-    /// (each thread claims a private shard on first write), merged into one
-    /// [`Snapshot`] on read — so threaded fleet runs never contend on a
-    /// recorder lock.
-    ///
-    /// The determinism contract: the merged snapshot depends only on the
-    /// *multiset* of writes, not on which thread made them — counters sum
-    /// exactly, gauges aggregate by running **max** (not last-write, which
-    /// would be scheduler-dependent), and histogram summaries are derived
-    /// from the merged log buckets ([`HistogramShardAcc`]), so the same
-    /// seed yields a byte-identical snapshot at any thread count. Histogram
-    /// `mean`/`m2` therefore carry the buckets' ≤ 1% relative error instead
-    /// of being Welford-exact.
-    pub fn sharded(shards: usize) -> Self {
-        Recorder::build(None, Some(shards.max(1)))
+    /// A recorder whose snapshot depends only on the *multiset* of writes,
+    /// not on their order or on which thread made them: counters sum,
+    /// gauges keep their running **max** (not the last write, which racing
+    /// writers make scheduler-dependent), and histogram `mean`/`m2` derive
+    /// from the log buckets ([`ValueHistogram::bucket_snapshot`]), carrying
+    /// their ≤ 1% relative error instead of being Welford-exact. The same
+    /// seed therefore yields a byte-identical snapshot at any thread count.
+    /// The argument is ignored: there is one table, whatever the writers.
+    pub fn sharded(_shards: usize) -> Self {
+        Recorder::build(None, true)
     }
 
-    fn build(sink: Option<Arc<dyn ObsSink>>, shards: Option<usize>) -> Self {
-        let store = match shards {
-            None => Store::Locked(Mutex::new(State::default())),
-            Some(n) => Store::Sharded(Shards {
-                shards: (0..n).map(|_| Mutex::new(State::default())).collect(),
-                next: AtomicUsize::new(0),
-            }),
-        };
+    fn build(sink: Option<Arc<dyn ObsSink>>, sharded: bool) -> Self {
         Recorder {
             shared: Arc::new(Shared {
-                store,
+                registry: Mutex::new(Registry::default()),
+                counters: Slots::new(),
+                gauges: Slots::new(),
+                hists: Slots::new(),
+                sharded,
+                sets: OnceLock::new(),
                 sink,
                 tracer: OnceLock::new(),
                 span_ids: AtomicU64::new(1),
@@ -160,17 +227,86 @@ impl Recorder {
         }
     }
 
-    /// Is this a sharded (fleet-mode) recorder?
-    pub fn is_sharded(&self) -> bool {
-        matches!(self.shared.store, Store::Sharded(_))
+    /// Resolve the counter `name{labels}` (creating it on first use; it
+    /// enters snapshots at its first write).
+    pub fn counter_handle(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
+        let (slot, key) = self.resolve(COUNTERS, name, labels);
+        Counter { slot, key }
     }
 
-    /// Lock the calling thread's metric table (the single table in locked
-    /// mode, this thread's shard in sharded mode).
-    fn state(&self) -> MutexGuard<'_, State> {
-        match &self.shared.store {
-            Store::Locked(m) => m.lock(),
-            Store::Sharded(s) => s.shard(Arc::as_ptr(&self.shared) as usize).lock(),
+    /// Resolve the gauge `name{labels}`.
+    pub fn gauge_handle(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
+        Gauge(self.resolve(GAUGES, name, labels).0)
+    }
+
+    /// Resolve the histogram `name{labels}`.
+    pub fn histogram_handle(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
+        Histogram(self.resolve(HISTS, name, labels).0)
+    }
+
+    /// The key of slot `slot` among the metrics of kind `kind` (cold).
+    fn key_of(&self, kind: usize, slot: u32) -> &'static str {
+        let reg = self.shared.registry.lock();
+        reg.names[kind].get(slot as usize).copied().unwrap_or("")
+    }
+
+    /// The slot and interned key of `name{labels}` among the metrics of
+    /// kind `kind`, allocated on first use.
+    fn resolve(&self, kind: usize, name: &str, labels: &[(&str, &str)]) -> (u32, &'static str) {
+        let mut reg = self.shared.registry.lock();
+        let reg = &mut *reg;
+        reg.scratch.clear();
+        write_metric_key(&mut reg.scratch, name, labels);
+        let map = &mut reg.keys[kind];
+        if let Some((&key, &slot)) = map.get_key_value(reg.scratch.as_str()) {
+            return (slot, key);
+        }
+        let (slot, key) = (map.len() as u32, interned_key(&reg.scratch, &[]));
+        map.insert(key, slot);
+        reg.names[kind].push(key);
+        match kind {
+            COUNTERS => self.shared.counters.ensure(slot),
+            GAUGES => self.shared.gauges.ensure(slot),
+            _ => self.shared.hists.ensure(slot),
+        }
+        (slot, key)
+    }
+
+    /// Resolve the span name `name`: its `span.<name>.ms` histograms.
+    pub fn span_kind(&self, name: &'static str) -> SpanKind {
+        if let Some(&kind) = self.shared.registry.lock().spans.get(name) {
+            return kind;
+        }
+        let metric = format!("span.{name}.ms");
+        let kind = SpanKind {
+            name,
+            ms: self.histogram_handle(&metric, &[]),
+            dropped: self.histogram_handle(&metric, &[("dropped", "true")]),
+        };
+        self.shared.registry.lock().spans.insert(name, kind);
+        kind
+    }
+
+    /// The handle set `H` of this recorder, resolved on first use and kept
+    /// for the recorder's life: how a call site that is handed a recorder
+    /// per call (a negotiation context, say) holds its handles.
+    pub fn handles<H: HandleSet>(&self) -> &H {
+        let mut link = &self.shared.sets;
+        loop {
+            match link.get() {
+                Some(node) => match node.set.downcast_ref::<H>() {
+                    Some(set) => return set,
+                    None => link = &node.next,
+                },
+                None => {
+                    // Resolved outside any lock; if another thread links a
+                    // node here first, the walk simply continues past it.
+                    let _ = link.set(Box::new(SetNode {
+                        set: Box::new(H::resolve(self)),
+                        next: OnceLock::new(),
+                    }));
+                }
+            }
         }
     }
 
@@ -198,22 +334,21 @@ impl Recorder {
 
     /// Record a point event (a leaf annotation, e.g. an admission verdict)
     /// under the innermost open span of the active trace. A branch when no
-    /// tracer is attached, a thread-local check when no trace is resumed —
-    /// allocation-free in both cases.
+    /// tracer is attached, a thread-local check when no trace is resumed;
+    /// the key is flattened and interned only when the point is kept.
     pub fn trace_point(&self, name: &str, labels: &[(&str, &str)]) {
-        self.trace_point_value(name, labels, None);
+        if let Some(tracer) = self.shared.tracer.get() {
+            tracer.point(self.now_us(), || interned_key(name, labels), None);
+        }
     }
 
-    /// [`Recorder::trace_point`] carrying a numeric value.
-    pub fn trace_point_value(&self, name: &str, labels: &[(&str, &str)], value: Option<f64>) {
-        let Some(tracer) = self.shared.tracer.get() else {
-            return;
-        };
-        tracer.point(
-            self.now_us(),
-            || crate::intern_metric_key(name, labels),
-            value,
-        );
+    /// [`Recorder::trace_point`] under an already flattened key — typically
+    /// the [`Counter::key`] of the counter the point rides on — carrying an
+    /// optional value.
+    pub fn trace_point_key(&self, key: &'static str, value: Option<f64>) {
+        if let Some(tracer) = self.shared.tracer.get() {
+            tracer.point(self.now_us(), || key, value);
+        }
     }
 
     /// Drive span timing from the simulation clock instead of wall time.
@@ -251,22 +386,17 @@ impl Recorder {
 
     /// Add `delta` to the counter `name` with labels.
     pub fn counter_with(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        if let Some(sink) = &self.shared.sink {
-            let key = metric_key(name, labels);
-            *self.state().counters.entry(key.clone()).or_insert(0) += delta;
-            sink.emit(&ObsEvent::counter(self.now_us(), key, delta));
-        } else {
-            // Steady state (key already seen on this thread and in this
-            // shard) touches no allocator: interned key, `get_mut` hit.
-            let key = crate::intern_metric_key(name, labels);
-            let mut state = self.state();
-            match state.counters.get_mut(key.as_ref()) {
-                Some(v) => *v += delta,
-                None => {
-                    state.counters.insert(key.into_owned(), delta);
-                }
-            }
+        self.add(self.counter_handle(name, labels), delta);
+    }
+
+    /// Add `delta` to a resolved counter.
+    #[inline]
+    pub fn add(&self, c: Counter, delta: u64) {
+        if let Some(slot) = self.shared.counters.get(c.slot) {
+            slot.value.fetch_add(delta, Ordering::Relaxed);
+            slot.written.store(true, Ordering::Relaxed);
         }
+        self.emit_with(|| ObsEvent::counter(self.now_us(), c.key.to_string(), delta));
     }
 
     /// Set the gauge `name` to `value`. Non-finite values are dropped and
@@ -275,39 +405,39 @@ impl Recorder {
         self.gauge_with(name, &[], value);
     }
 
-    /// Set a labelled gauge. In sharded mode the gauge aggregates by
-    /// running max instead of last-write, because "last" is
-    /// scheduler-dependent once writers race across shards.
+    /// Set a labelled gauge.
     pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        if self.drop_non_finite(name, value) {
+        match value.is_finite() {
+            true => self.set(self.gauge_handle(name, labels), value),
+            false => self.drop_non_finite(name),
+        }
+    }
+
+    /// Set a resolved gauge: the last write wins, or the running max on a
+    /// [`Recorder::sharded`] recorder, because "last" is
+    /// scheduler-dependent once writers race.
+    #[inline]
+    pub fn set(&self, g: Gauge, value: f64) {
+        if !value.is_finite() {
+            self.drop_non_finite(self.key_of(GAUGES, g.0));
             return;
         }
-        let sharded = self.is_sharded();
-        let set = |state: &mut State, key: &str| {
-            if sharded {
-                match state.gauges.get_mut(key) {
-                    Some(g) => *g = g.max(value),
-                    None => {
-                        state.gauges.insert(key.to_string(), value);
-                    }
-                }
+        if let Some(slot) = self.shared.gauges.get(g.0) {
+            if self.shared.sharded {
+                let _ = slot
+                    .0
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                        Some(match bits {
+                            UNSET => value.to_bits(),
+                            _ => f64::from_bits(bits).max(value).to_bits(),
+                        })
+                    });
             } else {
-                match state.gauges.get_mut(key) {
-                    Some(g) => *g = value,
-                    None => {
-                        state.gauges.insert(key.to_string(), value);
-                    }
-                }
+                slot.0.store(value.to_bits(), Ordering::Relaxed);
             }
-        };
-        if let Some(sink) = &self.shared.sink {
-            let key = metric_key(name, labels);
-            set(&mut self.state(), &key);
-            sink.emit(&ObsEvent::gauge(self.now_us(), key, value));
-        } else {
-            let key = crate::intern_metric_key(name, labels);
-            set(&mut self.state(), key.as_ref());
         }
+        let key = || self.key_of(GAUGES, g.0).to_string();
+        self.emit_with(|| ObsEvent::gauge(self.now_us(), key(), value));
     }
 
     /// Record `value` into the histogram `name`. Non-finite values are
@@ -318,54 +448,45 @@ impl Recorder {
 
     /// Record a labelled histogram sample.
     pub fn observe_with(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        if self.drop_non_finite(name, value) {
-            return;
-        }
-        if let Some(sink) = &self.shared.sink {
-            let key = metric_key(name, labels);
-            self.state()
-                .hists
-                .entry(key.clone())
-                .or_default()
-                .record(value);
-            sink.emit(&ObsEvent::observe(self.now_us(), key, value));
-        } else {
-            let key = crate::intern_metric_key(name, labels);
-            let mut state = self.state();
-            match state.hists.get_mut(key.as_ref()) {
-                Some(h) => h.record(value),
-                None => {
-                    state
-                        .hists
-                        .entry(key.into_owned())
-                        .or_default()
-                        .record(value);
-                }
-            }
+        match value.is_finite() {
+            true => self.record(self.histogram_handle(name, labels), value),
+            false => self.drop_non_finite(name),
         }
     }
 
-    /// True (and counted) when `value` cannot enter the stats layer.
-    fn drop_non_finite(&self, name: &str, value: f64) -> bool {
-        if value.is_finite() {
-            return false;
+    /// Record a sample into a resolved histogram.
+    #[inline]
+    pub fn record(&self, h: Histogram, value: f64) {
+        if !value.is_finite() {
+            self.drop_non_finite(self.key_of(HISTS, h.0));
+            return;
         }
-        let key = metric_key(DROPPED_SAMPLES, &[("metric", name)]);
-        if let Some(sink) = &self.shared.sink {
-            *self.state().counters.entry(key.clone()).or_insert(0) += 1;
-            sink.emit(&ObsEvent::counter(self.now_us(), key, 1));
-        } else {
-            *self.state().counters.entry(key).or_insert(0) += 1;
+        if let Some(slot) = self.shared.hists.get(h.0) {
+            slot.lock().record(value);
         }
-        true
+        let key = || self.key_of(HISTS, h.0).to_string();
+        self.emit_with(|| ObsEvent::observe(self.now_us(), key(), value));
+    }
+
+    /// Count a non-finite sample of metric `key`, which cannot enter the
+    /// stats layer, under the metric's name without its labels.
+    #[cold]
+    fn drop_non_finite(&self, key: &str) {
+        let name = key.split('{').next().unwrap_or(key);
+        self.counter_with(DROPPED_SAMPLES, &[("metric", name)], 1);
     }
 
     /// Open a root span. The span records `span.<name>.ms` when it ends
     /// (on drop or [`Span::end`]) and emits start/end events to the sink.
     /// With a tracer attached and a trace resumed on this thread, the span
     /// also joins that trace's tree, parented by the ambient span stack.
-    pub fn span(&self, name: &'static str) -> Span {
-        self.span_with_parent(name, 0, false)
+    pub fn span(&self, name: &'static str) -> Span<'_> {
+        self.span_of(self.span_kind(name))
+    }
+
+    /// [`Recorder::span`] of a resolved [`SpanKind`].
+    pub fn span_of(&self, kind: SpanKind) -> Span<'_> {
+        self.open(kind.name, Some((kind.ms, kind.dropped)), 0)
     }
 
     /// Open a root span that exists *only* in the active trace: no
@@ -374,17 +495,22 @@ impl Recorder {
     /// purpose is trace structure (the broker's per-session `session` /
     /// `attempt` / `backoff` / `confirm` spans), so enabling tracing does
     /// not also grow the metric surface — and untraced runs pay nothing.
-    pub fn trace_span(&self, name: &'static str) -> Option<Span> {
+    pub fn trace_span(&self, name: &'static str) -> Option<Span<'_>> {
         if !self.trace_active() {
             return None;
         }
-        Some(self.span_with_parent(name, 0, true))
+        Some(self.open(name, None, 0))
     }
 
-    fn span_with_parent(&self, name: &'static str, parent: u64, quiet: bool) -> Span {
+    fn open(
+        &self,
+        name: &'static str,
+        hists: Option<(Histogram, Histogram)>,
+        parent: u64,
+    ) -> Span<'_> {
         let id = self.shared.span_ids.fetch_add(1, Ordering::Relaxed);
         let start_us = self.now_us();
-        if !quiet {
+        if hists.is_some() {
             self.emit_with(|| ObsEvent::span_start(start_us, name.to_string(), id, parent));
         }
         let trace = self
@@ -393,68 +519,56 @@ impl Recorder {
             .get()
             .and_then(|t| t.span_start(start_us, name, id, parent));
         Span {
-            rec: self.clone(),
+            rec: self,
             name,
+            hists,
             id,
             parent,
             start_us,
             trace,
-            quiet,
             ended: false,
         }
     }
 
     /// Snapshot the full metric state (counters, gauges, histogram
-    /// summaries). Cheap enough to call between experiment phases. For a
-    /// sharded recorder this merges every shard with order-independent
-    /// folds (counter sum, gauge max, bucket union), so the result is
-    /// independent of how writes were spread across threads.
+    /// summaries). Cheap enough to call between experiment phases. A
+    /// [`Recorder::sharded`] recorder reports its order-independent folds.
     pub fn snapshot(&self) -> Snapshot {
-        match &self.shared.store {
-            Store::Locked(m) => {
-                let state = m.lock();
-                let counters = state.counters.clone();
-                let gauges = state.gauges.clone();
-                let histograms = state
-                    .hists
-                    .iter()
-                    .map(|(k, h)| (k.clone(), h.snapshot()))
-                    .collect();
-                Snapshot {
-                    counters,
-                    gauges,
-                    histograms,
-                }
-            }
-            Store::Sharded(s) => {
-                let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-                let mut gauges: BTreeMap<String, f64> = BTreeMap::new();
-                let mut accs: BTreeMap<String, HistogramShardAcc> = BTreeMap::new();
-                // One shard lock at a time; writers on other shards keep
-                // running while we walk.
-                for shard in s.shards.iter() {
-                    let state = shard.lock();
-                    for (k, v) in &state.counters {
-                        *counters.entry(k.clone()).or_insert(0) += v;
-                    }
-                    for (k, v) in &state.gauges {
-                        gauges
-                            .entry(k.clone())
-                            .and_modify(|g| *g = g.max(*v))
-                            .or_insert(*v);
-                    }
-                    for (k, h) in &state.hists {
-                        accs.entry(k.clone()).or_default().add(h);
-                    }
-                }
-                let histograms = accs.iter().map(|(k, a)| (k.clone(), a.finish())).collect();
-                Snapshot {
-                    counters,
-                    gauges,
-                    histograms,
+        let shared = &self.shared;
+        let reg = shared.registry.lock();
+        let mut snap = Snapshot::default();
+        for (&key, &c) in &reg.keys[COUNTERS] {
+            if let Some(slot) = shared.counters.get(c) {
+                if slot.written.load(Ordering::Relaxed) {
+                    let value = slot.value.load(Ordering::Relaxed);
+                    snap.counters.insert(key.to_string(), value);
                 }
             }
         }
+        for (&key, &g) in &reg.keys[GAUGES] {
+            match shared.gauges.get(g).map(|s| s.0.load(Ordering::Relaxed)) {
+                Some(UNSET) | None => {}
+                Some(bits) => {
+                    snap.gauges.insert(key.to_string(), f64::from_bits(bits));
+                }
+            }
+        }
+        for (&key, &h) in &reg.keys[HISTS] {
+            let Some(slot) = shared.hists.get(h) else {
+                continue;
+            };
+            let hist = slot.lock();
+            if hist.count() == 0 {
+                continue;
+            }
+            let summary = if shared.sharded {
+                hist.bucket_snapshot()
+            } else {
+                hist.snapshot()
+            };
+            snap.histograms.insert(key.to_string(), summary);
+        }
+        snap
     }
 
     /// Flush the sink, if any (no-op for in-memory and stderr sinks).
@@ -478,20 +592,21 @@ impl Recorder {
 /// path (early return, error unwind), and those timings must stay visible
 /// without polluting the clean-path histogram.
 #[derive(Debug)]
-pub struct Span {
-    rec: Recorder,
+pub struct Span<'r> {
+    rec: &'r Recorder,
     name: &'static str,
+    /// The span's histograms, clean and dropped; `None` for a trace-only
+    /// span, which skips the metrics/sink half of `finish`.
+    hists: Option<(Histogram, Histogram)>,
     id: u64,
     parent: u64,
     start_us: u64,
     /// The trace this span's start was recorded into, if any.
     trace: Option<TraceId>,
-    /// Trace-only: skip the metrics/sink half of `finish`.
-    quiet: bool,
     ended: bool,
 }
 
-impl Span {
+impl<'r> Span<'r> {
     /// This span's id (appears in sink events as `span`).
     pub fn id(&self) -> u64 {
         self.id
@@ -502,9 +617,18 @@ impl Span {
         self.parent
     }
 
-    /// Open a child span.
-    pub fn child(&self, name: &'static str) -> Span {
-        self.rec.span_with_parent(name, self.id, self.quiet)
+    /// Open a child span (trace-only when this span is).
+    pub fn child(&self, name: &'static str) -> Span<'r> {
+        match self.hists {
+            Some(_) => self.child_of(self.rec.span_kind(name)),
+            None => self.rec.open(name, None, self.id),
+        }
+    }
+
+    /// [`Span::child`] of a resolved [`SpanKind`].
+    pub fn child_of(&self, kind: SpanKind) -> Span<'r> {
+        let hists = self.hists.map(|_| (kind.ms, kind.dropped));
+        self.rec.open(kind.name, hists, self.id)
     }
 
     /// End the span now (otherwise it ends on drop, which flags the
@@ -520,14 +644,9 @@ impl Span {
         self.ended = true;
         let end_us = self.rec.now_us();
         let elapsed_ms = end_us.saturating_sub(self.start_us) as f64 / 1_000.0;
-        if !self.quiet {
-            let metric = format!("span.{}.ms", self.name);
-            if via_drop {
-                self.rec
-                    .observe_with(&metric, &[("dropped", "true")], elapsed_ms);
-            } else {
-                self.rec.observe(&metric, elapsed_ms);
-            }
+        if let Some((ms, dropped)) = self.hists {
+            self.rec
+                .record(if via_drop { dropped } else { ms }, elapsed_ms);
             self.rec.emit_with(|| {
                 ObsEvent::span_end(
                     end_us,
@@ -552,7 +671,7 @@ impl Span {
     }
 }
 
-impl Drop for Span {
+impl Drop for Span<'_> {
     fn drop(&mut self) {
         self.finish(true);
     }
@@ -607,11 +726,26 @@ mod tests {
         rec.observe("lat", f64::INFINITY);
         rec.observe("lat", 1.0);
         rec.gauge("g", f64::NEG_INFINITY);
+        let h = rec.histogram_handle("lat", &[("k", "v")]);
+        rec.record(h, f64::NAN);
         let snap = rec.snapshot();
         assert_eq!(snap.histograms["lat"].count, 1);
-        assert_eq!(snap.counter("obs.dropped_samples{metric=lat}"), 2);
+        assert_eq!(snap.counter("obs.dropped_samples{metric=lat}"), 3);
         assert_eq!(snap.counter("obs.dropped_samples{metric=g}"), 1);
         assert!(!snap.gauges.contains_key("g"));
+        assert!(!snap.histograms.contains_key("lat{k=v}"));
+    }
+
+    #[test]
+    fn resolved_but_unwritten_metrics_stay_out_of_snapshots() {
+        let rec = Recorder::new();
+        let c = rec.counter_handle("c", &[("server", "s0")]);
+        rec.gauge_handle("g", &[]);
+        rec.histogram_handle("h", &[]);
+        rec.span_kind("never");
+        assert_eq!(rec.snapshot(), Snapshot::default());
+        rec.add(c, 0);
+        assert_eq!(rec.snapshot().counters["c{server=s0}"], 0);
     }
 
     #[test]
@@ -627,6 +761,21 @@ mod tests {
         // their relative-error bound instead of degrading to a subsample.
         assert!((h.p50 - 10_000.0).abs() <= 250.0, "p50={}", h.p50);
         assert!((h.p99 - 19_800.0).abs() <= 450.0, "p99={}", h.p99);
+    }
+
+    #[test]
+    fn the_slot_table_spans_many_segments() {
+        assert_eq!(Slots::<GaugeSlot>::locate(0), (0, 0));
+        assert_eq!(Slots::<GaugeSlot>::locate(31), (0, 31));
+        assert_eq!(Slots::<GaugeSlot>::locate(32), (1, 0));
+        assert_eq!(Slots::<GaugeSlot>::locate(96), (2, 0));
+        let rec = Recorder::new();
+        for i in 0..1_000 {
+            rec.counter_with("many", &[("i", &i.to_string())], i);
+        }
+        let snap = rec.snapshot();
+        assert_eq!(snap.counters.len(), 1_000);
+        assert_eq!(snap.counter("many{i=999}"), 999);
     }
 
     #[test]
@@ -734,53 +883,47 @@ mod tests {
         assert!(!rec.trace_active());
     }
 
-    /// Write one fixed multiset of metrics from `threads` workers (the
-    /// split is by index, so the union is thread-count-independent).
-    fn sharded_run(shards: usize, threads: usize) -> Snapshot {
-        let rec = Recorder::sharded(shards);
-        rec.set_sim_time_us(0);
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let rec = rec.clone();
-                scope.spawn(move || {
-                    for i in (t..256).step_by(threads) {
-                        rec.counter_with("fleet.sessions", &[("class", "tv")], 1);
-                        rec.observe("fleet.latency_ms", (i % 37 + 1) as f64);
-                        rec.gauge("fleet.load", (i % 11) as f64);
-                    }
-                });
+    struct Pair {
+        hits: Counter,
+        misses: Counter,
+    }
+
+    impl HandleSet for Pair {
+        fn resolve(rec: &Recorder) -> Self {
+            Pair {
+                hits: rec.counter_handle("cache", &[("result", "hit")]),
+                misses: rec.counter_handle("cache", &[("result", "miss")]),
             }
-        });
-        rec.snapshot()
+        }
     }
 
     #[test]
-    fn sharded_snapshots_are_identical_across_thread_counts() {
-        let one = sharded_run(8, 1);
-        let two = sharded_run(8, 2);
-        let eight = sharded_run(8, 8);
-        assert_eq!(one.to_json_pretty(), two.to_json_pretty());
-        assert_eq!(one.to_json_pretty(), eight.to_json_pretty());
-        // Shard count must not matter either.
-        let narrow = sharded_run(1, 8);
-        assert_eq!(one.to_json_pretty(), narrow.to_json_pretty());
-        assert_eq!(one.counter("fleet.sessions{class=tv}"), 256);
-        assert_eq!(one.histograms["fleet.latency_ms"].count, 256);
-        // Gauges aggregate by max in sharded mode.
-        assert_eq!(one.gauges["fleet.load"], 10.0);
+    fn handle_sets_resolve_once_per_recorder() {
+        let a = Recorder::new();
+        let b = Recorder::new();
+        assert!(std::ptr::eq(a.handles::<Pair>(), a.handles::<Pair>()));
+        a.add(a.handles::<Pair>().hits, 2);
+        b.add(b.handles::<Pair>().misses, 1);
+        assert_eq!(a.snapshot().counter("cache{result=hit}"), 2);
+        assert_eq!(b.snapshot().counter_sum("cache{"), 1);
     }
 
     #[test]
     fn sharded_matches_locked_on_order_independent_fields() {
-        let sharded = sharded_run(8, 8);
+        let sharded = Recorder::sharded(8);
         let rec = Recorder::new();
-        for i in 0..256usize {
-            rec.counter_with("fleet.sessions", &[("class", "tv")], 1);
-            rec.observe("fleet.latency_ms", (i % 37 + 1) as f64);
-            rec.gauge("fleet.load", (i % 11) as f64);
+        for r in [&sharded, &rec] {
+            for i in 0..256usize {
+                r.counter_with("fleet.sessions", &[("class", "tv")], 1);
+                r.observe("fleet.latency_ms", (i % 37 + 1) as f64);
+                r.gauge("fleet.load", (i % 11) as f64);
+            }
         }
-        let locked = rec.snapshot();
+        let (sharded, locked) = (sharded.snapshot(), rec.snapshot());
         assert_eq!(sharded.counters, locked.counters);
+        // The sharded gauge is the max, the locked one the last write.
+        assert_eq!(sharded.gauges["fleet.load"], 10.0);
+        assert_eq!(locked.gauges["fleet.load"], (255 % 11) as f64);
         let (s, l) = (
             &sharded.histograms["fleet.latency_ms"],
             &locked.histograms["fleet.latency_ms"],

@@ -1,9 +1,10 @@
-//! Generic tail-based retention, shared with trace sampling.
+//! Tail-based retention: the one implementation of the decision behind
+//! trace sampling and explanation retention.
 //!
-//! [`TailKeeper`] applies the exact retention decision of
-//! [`Tracer::finish_session`] — keep 100% of failures, the top-k slowest
-//! by a total `(duration, id)` order, and a seeded baseline hash sample —
-//! to arbitrary per-session payloads (decision logs, today). Because the
+//! [`TailKeeper`] keeps 100% of failures, the top-k slowest by a total
+//! `(duration, id)` order, and a seeded baseline hash sample — of
+//! arbitrary per-session payloads (decision logs), or of nothing but the
+//! decision ([`Tracer::finish_session`] keeps the traces). Because the
 //! decision is a pure function of `(policy, id, failed, duration)` and the
 //! slow set is a total order, the retained set is **finish-order
 //! independent**: the same sessions survive whatever order they finish
@@ -27,8 +28,8 @@ pub struct TailKeeper<T> {
     items: BTreeMap<u64, T>,
     /// Sessions retained unconditionally (failed or baseline-sampled).
     pinned: BTreeSet<u64>,
-    /// `(duration_us, id)` of the current top-k slowest.
-    slow: BTreeSet<(u64, u64)>,
+    /// `(duration_us, id)` of the current top-k slowest, ascending.
+    slow: Vec<(u64, u64)>,
     stats: RetentionStats,
 }
 
@@ -39,7 +40,7 @@ impl<T> TailKeeper<T> {
             policy,
             items: BTreeMap::new(),
             pinned: BTreeSet::new(),
-            slow: BTreeSet::new(),
+            slow: Vec::with_capacity(policy.top_k + 1),
             stats: RetentionStats::default(),
         }
     }
@@ -56,14 +57,16 @@ impl<T> TailKeeper<T> {
     /// [`TailKeeper::finish`] with a lazily built payload: `make` runs
     /// only when the retention decision keeps the session, so on a fleet
     /// where most sessions are dropped the per-session cost is the
-    /// decision itself, not payload construction.
+    /// decision itself, not payload construction. Returns the session
+    /// dropped now, if any — this one, or a previously slow one that
+    /// `duration_us` just outranked.
     pub fn finish_with(
         &mut self,
         id: u64,
         failed: bool,
         duration_us: u64,
         make: impl FnOnce() -> T,
-    ) {
+    ) -> Option<u64> {
         self.stats.finished += 1;
         let head = self.policy.sample_every > 0
             && splitmix64(id ^ self.policy.seed).is_multiple_of(self.policy.sample_every);
@@ -72,30 +75,39 @@ impl<T> TailKeeper<T> {
         } else if head {
             self.stats.kept_head += 1;
         }
-        if failed || head {
+        let pinned = failed || head;
+        if pinned {
             self.pinned.insert(id);
         }
-        let evicted = if self.policy.top_k > 0 {
-            self.slow.insert((duration_us, id));
-            if self.slow.len() > self.policy.top_k {
-                self.slow.pop_first()
-            } else {
-                None
-            }
+        // Top-k candidacy: the k largest of a total order survive, whatever
+        // the finish order. A session below a full set's smallest is
+        // evicted at once, without touching the set.
+        let entry = (duration_us, id);
+        let k = self.policy.top_k;
+        let evicted = if self.slow.len() == k && self.slow.first().is_none_or(|&min| entry < min) {
+            Some(entry)
         } else {
-            Some((duration_us, id))
+            let at = self.slow.partition_point(|&e| e < entry);
+            self.slow.insert(at, entry);
+            (self.slow.len() > k).then(|| self.slow.remove(0))
         };
-        // The session just reported survives iff it is pinned or still in
-        // the slow set; only then is its payload built and stored.
-        if self.pinned.contains(&id) || self.slow.contains(&(duration_us, id)) {
+        // The session just reported survives iff it is pinned or slow;
+        // only then is its payload built and stored.
+        if pinned || evicted != Some(entry) {
             self.items.insert(id, make());
         }
-        if let Some((_, t)) = evicted {
-            if !self.pinned.contains(&t) {
-                self.stats.dropped += 1;
-                self.items.remove(&t);
-            }
+        let (_, t) = evicted?;
+        if (t == id && pinned) || (t != id && self.pinned.contains(&t)) {
+            return None;
         }
+        self.stats.dropped += 1;
+        self.items.remove(&t);
+        Some(t)
+    }
+
+    /// Count `events` a bounded in-flight trace buffer discarded.
+    pub(crate) fn truncated(&mut self, events: u64) {
+        self.stats.truncated_events += events;
     }
 
     /// Retention totals so far (with `kept_slow` reflecting the current

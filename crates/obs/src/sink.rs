@@ -45,63 +45,47 @@ json_struct!(ObsEvent {
 });
 
 impl ObsEvent {
-    pub(crate) fn counter(t_us: u64, name: String, delta: u64) -> Self {
+    fn new(t_us: u64, kind: &str, name: String, value: Option<f64>, delta: Option<u64>) -> Self {
+        let (span, parent) = (None, None);
+        let kind = kind.to_string();
         ObsEvent {
             t_us,
-            kind: "counter".to_string(),
+            kind,
             name,
-            value: None,
-            delta: Some(delta),
-            span: None,
-            parent: None,
+            value,
+            delta,
+            span,
+            parent,
         }
+    }
+
+    pub(crate) fn counter(t_us: u64, name: String, delta: u64) -> Self {
+        ObsEvent::new(t_us, "counter", name, None, Some(delta))
     }
 
     pub(crate) fn gauge(t_us: u64, name: String, value: f64) -> Self {
-        ObsEvent {
-            t_us,
-            kind: "gauge".to_string(),
-            name,
-            value: Some(value),
-            delta: None,
-            span: None,
-            parent: None,
-        }
+        ObsEvent::new(t_us, "gauge", name, Some(value), None)
     }
 
     pub(crate) fn observe(t_us: u64, name: String, value: f64) -> Self {
-        ObsEvent {
-            t_us,
-            kind: "observe".to_string(),
-            name,
-            value: Some(value),
-            delta: None,
-            span: None,
-            parent: None,
-        }
+        ObsEvent::new(t_us, "observe", name, Some(value), None)
     }
 
     pub(crate) fn span_start(t_us: u64, name: String, id: u64, parent: u64) -> Self {
+        let (span, parent) = (Some(id), Some(parent));
         ObsEvent {
-            t_us,
-            kind: "span_start".to_string(),
-            name,
-            value: None,
-            delta: None,
-            span: Some(id),
-            parent: Some(parent),
+            span,
+            parent,
+            ..ObsEvent::new(t_us, "span_start", name, None, None)
         }
     }
 
     pub(crate) fn span_end(t_us: u64, name: String, id: u64, parent: u64, ms: f64) -> Self {
+        let (span, parent) = (Some(id), Some(parent));
         ObsEvent {
-            t_us,
-            kind: "span_end".to_string(),
-            name,
-            value: Some(ms),
-            delta: None,
-            span: Some(id),
-            parent: Some(parent),
+            span,
+            parent,
+            ..ObsEvent::new(t_us, "span_end", name, Some(ms), None)
         }
     }
 

@@ -16,11 +16,15 @@
 //! Mechanics:
 //!
 //! - Events are buffered on a **per-thread** active-trace buffer (a
-//!   thread-local `Vec`), so emission takes no lock. The shared per-trace
-//!   store is only touched at `resume`/`suspend` boundaries — once per
-//!   broker event, not once per trace event. The same protocol holds for
-//!   callers that negotiate from several OS threads, because a session's
-//!   trace is owned by exactly one thread at a time.
+//!   thread-local `Vec`), so emission takes no lock. A buffered event is a
+//!   small `Copy` record — a kind tag, an interned `&'static str` name,
+//!   the ids and the value — and becomes a [`TraceEvent`] only when the
+//!   trace is drained or a flight dump is cut. The shared per-trace store
+//!   (hashed by trace id) is only touched at `resume`/`suspend`
+//!   boundaries — once per broker event, not once per trace event. The
+//!   same protocol holds for callers that negotiate from several OS
+//!   threads, because a session's trace is owned by exactly one thread at
+//!   a time.
 //! - Sequence numbers are assigned per trace at flush time, so a trace's
 //!   events totally order even though sessions interleave. A deterministic
 //!   run (same seed, specs, faults) therefore serializes to a
@@ -36,15 +40,15 @@
 //! dropped: every recorded event belongs to exactly one session tree,
 //! which is what makes [`crate::analyze`]'s reconstruction total.
 
-use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
-use std::io::Write;
-use std::path::Path;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use nod_simcore::json::{from_str, to_string, FromJson, Json, JsonError, ToJson};
+use nod_simcore::json::{from_str, to_string, JsonError};
 use nod_simcore::sync::Mutex;
+
+use crate::retain::TailKeeper;
 
 /// Identifies one trace (the broker uses the session index).
 pub type TraceId = u64;
@@ -59,7 +63,8 @@ pub const FLIGHT_CAPACITY: usize = 256;
 /// carries the elapsed milliseconds in `value` and `detail = "dropped"`
 /// when the span was dropped without an explicit end. For points, `span`
 /// is the enclosing span and `name` is a flattened metric-style key (e.g.
-/// `cmfs.admission{result=disk,server=s0}`).
+/// `cmfs.admission{result=disk,server=s0}`). Events are buffered in a
+/// compact form and built only when a trace is drained or dumped.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// The trace this event belongs to.
@@ -68,68 +73,31 @@ pub struct TraceEvent {
     pub seq: u64,
     /// Timestamp in microseconds (virtual time under a simulation driver).
     pub t_us: u64,
-    /// `span_start`, `span_end` or `point`. `Cow` so the emission hot
-    /// path writes a static literal without allocating.
-    pub kind: Cow<'static, str>,
-    /// Span name or point key. Span names are static literals — only
-    /// point keys (flattened metric-style) are owned.
-    pub name: Cow<'static, str>,
+    /// `span_start`, `span_end` or `point`.
+    pub kind: String,
+    /// Span name or point key.
+    pub name: String,
     /// Span id (for points: the enclosing span).
     pub span: u64,
     /// Parent span id, 0 = root (span events only).
     pub parent: u64,
     /// Annotation; `"dropped"` on a `span_end` reached via drop.
-    pub detail: Cow<'static, str>,
+    pub detail: String,
     /// Elapsed milliseconds for `span_end`, free value for points.
     pub value: Option<f64>,
 }
 
-// Hand-written (rather than `json_struct!`) because the `Cow` fields fall
-// outside the macro; the encoding is the identical field-keyed object.
-impl ToJson for TraceEvent {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("trace".to_string(), self.trace.to_json()),
-            ("seq".to_string(), self.seq.to_json()),
-            ("t_us".to_string(), self.t_us.to_json()),
-            (
-                "kind".to_string(),
-                Json::Str(self.kind.clone().into_owned()),
-            ),
-            (
-                "name".to_string(),
-                Json::Str(self.name.clone().into_owned()),
-            ),
-            ("span".to_string(), self.span.to_json()),
-            ("parent".to_string(), self.parent.to_json()),
-            (
-                "detail".to_string(),
-                Json::Str(self.detail.clone().into_owned()),
-            ),
-            ("value".to_string(), self.value.to_json()),
-        ])
-    }
-}
-
-impl FromJson for TraceEvent {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        fn field<T: FromJson>(v: &Json, name: &str) -> Result<T, JsonError> {
-            T::from_json(v.field(name)?)
-                .map_err(|e| JsonError(format!("TraceEvent.{name}: {}", e.0)))
-        }
-        Ok(TraceEvent {
-            trace: field(v, "trace")?,
-            seq: field(v, "seq")?,
-            t_us: field(v, "t_us")?,
-            kind: Cow::Owned(field::<String>(v, "kind")?),
-            name: Cow::Owned(field::<String>(v, "name")?),
-            span: field(v, "span")?,
-            parent: field(v, "parent")?,
-            detail: Cow::Owned(field::<String>(v, "detail")?),
-            value: field(v, "value")?,
-        })
-    }
-}
+nod_simcore::json_struct!(TraceEvent {
+    trace,
+    seq,
+    t_us,
+    kind,
+    name,
+    span,
+    parent,
+    detail,
+    value,
+});
 
 impl TraceEvent {
     /// Serialize as one JSON line (no trailing newline).
@@ -155,19 +123,83 @@ pub struct FlightDump {
 impl FlightDump {
     /// The dump as JSONL, one event per line.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in &self.events {
-            out.push_str(&ev.to_json_line());
-            out.push('\n');
+        jsonl(&self.events)
+    }
+}
+
+/// Events as JSONL, one per line.
+fn jsonl(events: &[TraceEvent]) -> String {
+    events.iter().map(|e| e.to_json_line() + "\n").collect()
+}
+
+/// What a buffered event is.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    SpanStart,
+    SpanEnd,
+    /// A `span_end` reached by dropping the span.
+    SpanDropped,
+    Point,
+}
+
+/// One buffered trace event: `Copy`, owning nothing. The trace id and the
+/// sequence number are implied by where it is stored.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    kind: Kind,
+    t_us: u64,
+    /// Span name or point key.
+    name: &'static str,
+    span: u64,
+    parent: u64,
+    value: Option<f64>,
+}
+
+impl Record {
+    fn event(&self, trace: u64, seq: u64) -> TraceEvent {
+        let (kind, detail) = match self.kind {
+            Kind::SpanStart => ("span_start", ""),
+            Kind::SpanEnd => ("span_end", ""),
+            Kind::SpanDropped => ("span_end", "dropped"),
+            Kind::Point => ("point", ""),
+        };
+        TraceEvent {
+            trace,
+            seq,
+            t_us: self.t_us,
+            kind: kind.to_string(),
+            name: self.name.to_string(),
+            span: self.span,
+            parent: self.parent,
+            detail: detail.to_string(),
+            value: self.value,
         }
-        out
+    }
+}
+
+/// Hashes a trace id with one multiply: ids are dense session numbers
+/// chosen by the caller, not adversarial input.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ b as u64);
+        }
+    }
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 }
 
 /// Per-trace state while its session is suspended.
 #[derive(Debug, Default)]
 struct TraceState {
-    events: Vec<TraceEvent>,
+    events: Vec<Record>,
     next_seq: u64,
     /// Seqs handed out before the last [`Tracer::drain`]; event `seq`
     /// lives at `events[seq - drained]`.
@@ -291,28 +323,47 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Tail-sampling state: which traces are pinned (failed / baseline), the
-/// current top-k slow set, and the decision totals.
-#[derive(Default)]
-struct SamplingState {
-    /// Traces retained unconditionally (failed or baseline-sampled).
-    pinned: std::collections::BTreeSet<u64>,
-    /// `(duration_us, trace)` of the current top-k slowest — a total
-    /// order, so the retained set is finish-order-independent.
-    slow: std::collections::BTreeSet<(u64, u64)>,
-    stats: RetentionStats,
+/// Everything behind the tracer's one lock: the per-trace stores and the
+/// flight ring over them.
+struct Store {
+    traces: HashMap<u64, TraceState, BuildHasherDefault<IdHasher>>,
+    flight: Flight,
+    /// Emptied states of dropped traces, reused by new ones, so a sampled
+    /// fleet does not allocate per session.
+    spare: Vec<TraceState>,
 }
 
-struct Sampling {
-    policy: RetentionPolicy,
-    state: Mutex<SamplingState>,
+/// Most states [`Store::spare`] keeps, and the largest event buffer it
+/// keeps one with: a typical session's, so reuse does not leave every
+/// in-flight trace holding the largest buffer any trace ever needed.
+const SPARE_STATES: usize = 64;
+const SPARE_EVENTS: usize = 32;
+
+impl Store {
+    /// The state of `trace`, created (or recycled) on first use.
+    fn state(&mut self, trace: u64) -> &mut TraceState {
+        let spare = &mut self.spare;
+        (self.traces.entry(trace)).or_insert_with(|| spare.pop().unwrap_or_default())
+    }
+
+    /// Forget `trace`, keeping its emptied buffers for the next one.
+    fn drop_trace(&mut self, trace: u64) {
+        let Some(mut st) = self.traces.remove(&trace) else {
+            return;
+        };
+        if self.spare.len() < SPARE_STATES && st.events.capacity() <= SPARE_EVENTS {
+            st.events.clear();
+            st.stack.clear();
+            (st.next_seq, st.drained) = (0, 0);
+            self.spare.push(st);
+        }
+    }
 }
 
 struct TracerShared {
-    traces: Mutex<BTreeMap<u64, TraceState>>,
-    flight: Mutex<Flight>,
+    store: Mutex<Store>,
     /// Tail-based retention; `None` (the default) retains everything.
-    sampling: Option<Sampling>,
+    sampling: Option<(RetentionPolicy, Mutex<TailKeeper<()>>)>,
 }
 
 /// The active trace of the current thread: events buffer here lock-free
@@ -323,14 +374,14 @@ struct ActiveTrace {
     tracer: usize,
     trace: u64,
     stack: Vec<u64>,
-    buf: Vec<TraceEvent>,
+    buf: Vec<Record>,
 }
 
 thread_local! {
     static ACTIVE: RefCell<Option<ActiveTrace>> = const { RefCell::new(None) };
     /// Emptied buffer kept from the last suspend so steady-state
     /// resume/suspend cycles do not allocate.
-    static SPARE_BUF: RefCell<Vec<TraceEvent>> = const { RefCell::new(Vec::new()) };
+    static SPARE_BUF: RefCell<Vec<Record>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A shared handle to the per-session trace store and flight recorder.
@@ -377,33 +428,24 @@ impl Tracer {
     fn build(flight_capacity: usize, sampling: Option<RetentionPolicy>) -> Self {
         Tracer {
             shared: Arc::new(TracerShared {
-                traces: Mutex::new(BTreeMap::new()),
-                flight: Mutex::new(Flight {
-                    ring: VecDeque::new(),
-                    len: 0,
-                    capacity: flight_capacity.max(1),
-                    dump: None,
+                store: Mutex::new(Store {
+                    traces: HashMap::default(),
+                    flight: Flight {
+                        ring: VecDeque::new(),
+                        len: 0,
+                        capacity: flight_capacity.max(1),
+                        dump: None,
+                    },
+                    spare: Vec::new(),
                 }),
-                sampling: sampling.map(|policy| Sampling {
-                    policy,
-                    state: Mutex::new(SamplingState::default()),
-                }),
+                sampling: sampling.map(|policy| (policy, Mutex::new(TailKeeper::new(policy)))),
             }),
         }
     }
 
-    /// The tail-sampling policy, when this tracer samples.
-    pub fn sampling_policy(&self) -> Option<RetentionPolicy> {
-        self.shared.sampling.as_ref().map(|s| s.policy)
-    }
-
     /// The tail sampler's decision totals (`None` without sampling).
     pub fn retention_stats(&self) -> Option<RetentionStats> {
-        let s = self.shared.sampling.as_ref()?;
-        let state = s.state.lock();
-        let mut stats = state.stats;
-        stats.kept_slow = state.slow.len();
-        Some(stats)
+        Some(self.shared.sampling.as_ref()?.1.lock().stats())
     }
 
     fn id(&self) -> usize {
@@ -414,7 +456,9 @@ impl Tracer {
     /// span stack. Any previously active trace is suspended first.
     pub fn resume(&self, trace: TraceId) {
         self.suspend();
-        let stack = std::mem::take(&mut self.shared.traces.lock().entry(trace).or_default().stack);
+        let mut store = self.shared.store.lock();
+        let stack = std::mem::take(&mut store.state(trace).stack);
+        drop(store);
         let buf = SPARE_BUF.with(|b| std::mem::take(&mut *b.borrow_mut()));
         ACTIVE.with(|a| {
             *a.borrow_mut() = Some(ActiveTrace {
@@ -441,36 +485,25 @@ impl Tracer {
         let Some(active) = active else { return };
         let mut buf = active.buf;
         {
-            let mut traces = self.shared.traces.lock();
-            let st = traces.entry(active.trace).or_default();
+            let mut store = self.shared.store.lock();
+            let store = &mut *store;
+            let st = store.state(active.trace);
             st.stack = active.stack;
             // Under tail sampling the in-flight buffer is bounded: events
             // past the per-trace cap are counted and discarded (seqs stay
             // contiguous because they are assigned only to kept events).
-            if let Some(s) = &self.shared.sampling {
-                let allowed = s
-                    .policy
-                    .max_events_per_trace
-                    .saturating_sub(st.events.len());
+            if let Some((policy, keeper)) = &self.shared.sampling {
+                let allowed = policy.max_events_per_trace.saturating_sub(st.events.len());
                 if buf.len() > allowed {
-                    let overflow = (buf.len() - allowed) as u64;
+                    keeper.lock().truncated((buf.len() - allowed) as u64);
                     buf.truncate(allowed);
-                    s.state.lock().stats.truncated_events += overflow;
                 }
             }
-            if !buf.is_empty() {
-                let trace = active.trace;
-                let first_seq = st.next_seq;
-                for (i, ev) in buf.iter_mut().enumerate() {
-                    ev.seq = first_seq + i as u64;
-                }
-                st.next_seq = first_seq + buf.len() as u64;
-                st.events.append(&mut buf);
-                self.shared
-                    .flight
-                    .lock()
-                    .push_range(trace, first_seq..st.next_seq);
-            }
+            let first_seq = st.next_seq;
+            st.next_seq += buf.len() as u64;
+            st.events.append(&mut buf);
+            let seqs = first_seq..st.next_seq;
+            store.flight.push_range(active.trace, seqs);
         }
         // `append` left the buffer empty with its capacity intact — keep
         // it for the next resume on this thread.
@@ -494,37 +527,8 @@ impl Tracer {
             return;
         };
         self.suspend();
-        let mut traces = self.shared.traces.lock();
-        let mut state = s.state.lock();
-        state.stats.finished += 1;
-        let head = s.policy.sample_every > 0
-            && splitmix64(trace ^ s.policy.seed).is_multiple_of(s.policy.sample_every);
-        if failed {
-            state.stats.kept_failed += 1;
-        } else if head {
-            state.stats.kept_head += 1;
-        }
-        if failed || head {
-            state.pinned.insert(trace);
-        }
-        // Top-k candidacy: insert, then evict the smallest past k. The set
-        // is ordered by `(duration, trace)`, so the survivors are the k
-        // largest of a total order regardless of finish order.
-        let evicted = if s.policy.top_k > 0 {
-            state.slow.insert((duration_us, trace));
-            if state.slow.len() > s.policy.top_k {
-                state.slow.pop_first()
-            } else {
-                None
-            }
-        } else {
-            Some((duration_us, trace))
-        };
-        if let Some((_, t)) = evicted {
-            if !state.pinned.contains(&t) {
-                state.stats.dropped += 1;
-                traces.remove(&t);
-            }
+        if let Some(t) = s.1.lock().finish_with(trace, failed, duration_us, || ()) {
+            self.shared.store.lock().drop_trace(t);
         }
     }
 
@@ -534,14 +538,6 @@ impl Tracer {
         ACTIVE.with(|a| match &*a.borrow() {
             Some(at) if at.tracer == self.id() => Some(at.trace),
             _ => None,
-        })
-    }
-
-    /// The innermost open span of the active trace (0 = none).
-    pub fn current_span(&self) -> u64 {
-        ACTIVE.with(|a| match &*a.borrow() {
-            Some(at) if at.tracer == self.id() => at.stack.last().copied().unwrap_or(0),
-            _ => 0,
         })
     }
 
@@ -566,15 +562,12 @@ impl Tracer {
             } else {
                 at.stack.last().copied().unwrap_or(0)
             };
-            at.buf.push(TraceEvent {
-                trace: at.trace,
-                seq: 0,
+            at.buf.push(Record {
+                kind: Kind::SpanStart,
                 t_us,
-                kind: Cow::Borrowed("span_start"),
-                name: Cow::Borrowed(name),
+                name,
                 span,
                 parent,
-                detail: Cow::Borrowed(""),
                 value: None,
             });
             at.stack.push(span);
@@ -596,19 +589,16 @@ impl Tracer {
         dropped: bool,
         trace: TraceId,
     ) {
-        let make = || TraceEvent {
-            trace,
-            seq: 0,
+        let record = Record {
+            kind: if dropped {
+                Kind::SpanDropped
+            } else {
+                Kind::SpanEnd
+            },
             t_us,
-            kind: Cow::Borrowed("span_end"),
-            name: Cow::Borrowed(name),
+            name,
             span,
             parent,
-            detail: if dropped {
-                Cow::Borrowed("dropped")
-            } else {
-                Cow::Borrowed("")
-            },
             value: Some(ms),
         };
         let buffered = ACTIVE.with(|a| {
@@ -616,7 +606,7 @@ impl Tracer {
             match &mut *slot {
                 Some(at) if at.tracer == self.id() && at.trace == trace => {
                     at.stack.retain(|&s| s != span);
-                    at.buf.push(make());
+                    at.buf.push(record);
                     true
                 }
                 _ => false,
@@ -626,29 +616,21 @@ impl Tracer {
             return;
         }
         // Out-of-window end: append straight to the owning trace.
-        let mut traces = self.shared.traces.lock();
-        let st = traces.entry(trace).or_default();
+        let mut store = self.shared.store.lock();
+        let store = &mut *store;
+        let st = store.state(trace);
         st.stack.retain(|&s| s != span);
-        let mut ev = make();
-        ev.seq = st.next_seq;
+        st.events.push(record);
         st.next_seq += 1;
-        self.shared
-            .flight
-            .lock()
-            .push_range(ev.trace, ev.seq..ev.seq + 1);
-        st.events.push(ev);
+        let seqs = st.next_seq - 1..st.next_seq;
+        store.flight.push_range(trace, seqs);
     }
 
     /// Record a point under the innermost open span of the active trace.
     /// Dropped when no trace is active or no span is open (a point must
-    /// belong to a tree). The name is built lazily so inactive threads pay
-    /// one thread-local check and nothing else.
-    pub(crate) fn point<N: Into<Cow<'static, str>>>(
-        &self,
-        t_us: u64,
-        name: impl FnOnce() -> N,
-        value: Option<f64>,
-    ) {
+    /// belong to a tree). The name is resolved lazily so inactive threads
+    /// pay one thread-local check and nothing else.
+    pub(crate) fn point(&self, t_us: u64, name: impl FnOnce() -> &'static str, value: Option<f64>) {
         ACTIVE.with(|a| {
             let mut slot = a.borrow_mut();
             let at = match &mut *slot {
@@ -658,15 +640,12 @@ impl Tracer {
             let Some(&enclosing) = at.stack.last() else {
                 return;
             };
-            at.buf.push(TraceEvent {
-                trace: at.trace,
-                seq: 0,
+            at.buf.push(Record {
+                kind: Kind::Point,
                 t_us,
-                kind: Cow::Borrowed("point"),
-                name: name().into(),
+                name: name(),
                 span: enclosing,
                 parent: 0,
-                detail: Cow::Borrowed(""),
                 value,
             });
         });
@@ -680,8 +659,8 @@ impl Tracer {
     /// first trigger is kept (the first failure is the informative one).
     pub fn trigger_flight_dump(&self, reason: &str) {
         self.suspend();
-        let traces = self.shared.traces.lock();
-        let mut flight = self.shared.flight.lock();
+        let mut store = self.shared.store.lock();
+        let Store { traces, flight, .. } = &mut *store;
         if flight.dump.is_some() {
             return;
         }
@@ -693,10 +672,11 @@ impl Tracer {
                 .flat_map(|(trace, seqs)| seqs.clone().map(move |seq| (*trace, seq)))
                 .filter_map(|(trace, seq)| {
                     let st = traces.get(&trace)?;
-                    st.events
-                        .get(usize::try_from(seq.checked_sub(st.drained)?).ok()?)
+                    let record = st
+                        .events
+                        .get(usize::try_from(seq.checked_sub(st.drained)?).ok()?)?;
+                    Some(record.event(trace, seq))
                 })
-                .cloned()
                 .collect(),
         };
         eprintln!(
@@ -712,7 +692,7 @@ impl Tracer {
     /// Take the flight dump captured by the first
     /// [`Tracer::trigger_flight_dump`], if any.
     pub fn take_flight_dump(&self) -> Option<FlightDump> {
-        self.shared.flight.lock().dump.take()
+        self.shared.store.lock().flight.dump.take()
     }
 
     /// All recorded events, ordered by `(trace, seq)` — the canonical log
@@ -720,30 +700,22 @@ impl Tracer {
     /// thread's active trace first; other threads must have suspended.
     pub fn drain(&self) -> Vec<TraceEvent> {
         self.suspend();
-        let mut traces = self.shared.traces.lock();
+        let traces = &mut self.shared.store.lock().traces;
+        let mut ids: Vec<u64> = traces.keys().copied().collect();
+        ids.sort_unstable();
         let mut out = Vec::new();
-        for st in traces.values_mut() {
+        for trace in ids {
+            let st = traces.get_mut(&trace).expect("id listed from the map");
+            let first = st.drained;
+            out.extend((st.events.drain(..).zip(first..)).map(|(r, seq)| r.event(trace, seq)));
             st.drained = st.next_seq;
-            out.append(&mut st.events);
         }
         out
     }
 
     /// [`Tracer::drain`] serialized as JSONL.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in self.drain() {
-            out.push_str(&ev.to_json_line());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Write [`Tracer::to_jsonl`] to `path`.
-    pub fn write_jsonl(&self, path: &Path) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_jsonl().as_bytes())?;
-        f.flush()
+        jsonl(&self.drain())
     }
 }
 
@@ -757,7 +729,7 @@ mod tests {
             seq: 0,
             t_us: 7,
             kind: "point".into(),
-            name: name.to_string().into(),
+            name: name.to_string(),
             span: 1,
             parent: 0,
             detail: "".into(),
@@ -788,11 +760,11 @@ mod tests {
         t.resume(0);
         assert_eq!(t.active(), Some(0));
         t.span_start(1, "session", 10, 0);
-        t.point(2, || "a".to_string(), None);
+        t.point(2, || "a", None);
         t.resume(1); // implicit suspend of 0
         t.span_start(3, "session", 11, 0);
         t.resume(0); // back to 0: stack restored
-        assert_eq!(t.current_span(), 10);
+        t.point(4, || "b", None);
         t.span_end(4, "session", 10, 0, 0.003, false, 0);
         t.suspend();
         t.resume(1);
@@ -800,11 +772,12 @@ mod tests {
         let events = t.drain();
         let t0: Vec<&TraceEvent> = events.iter().filter(|e| e.trace == 0).collect();
         let t1: Vec<&TraceEvent> = events.iter().filter(|e| e.trace == 1).collect();
-        assert_eq!(t0.len(), 3);
+        assert_eq!(t0.len(), 4);
         assert_eq!(t1.len(), 2);
+        assert_eq!(t0[2].span, 10, "the restored stack encloses the point");
         assert_eq!(
             t0.iter().map(|e| e.seq).collect::<Vec<_>>(),
-            vec![0, 1, 2],
+            vec![0, 1, 2, 3],
             "per-trace seqs are contiguous"
         );
         assert_eq!(t1.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![0, 1]);
@@ -813,7 +786,7 @@ mod tests {
     #[test]
     fn events_without_active_trace_are_dropped() {
         let t = Tracer::new();
-        t.point(1, || "orphan".to_string(), None);
+        t.point(1, || "orphan", None);
         assert!(t.span_start(1, "s", 1, 0).is_none());
         assert!(t.drain().is_empty());
     }
@@ -822,9 +795,9 @@ mod tests {
     fn points_need_an_enclosing_span() {
         let t = Tracer::new();
         t.resume(0);
-        t.point(1, || "orphan".to_string(), None);
+        t.point(1, || "orphan", None);
         t.span_start(2, "root", 1, 0);
-        t.point(3, || "kept".to_string(), None);
+        t.point(3, || "kept", None);
         t.span_end(4, "root", 1, 0, 0.002, false, 0);
         let events = t.drain();
         assert_eq!(events.len(), 3);
@@ -838,7 +811,7 @@ mod tests {
         t.resume(0);
         t.span_start(0, "root", 1, 0);
         for i in 0..10 {
-            t.point(i, || format!("p{i}"), None);
+            t.point(i, || crate::interned_key(&format!("p{i}"), &[]), None);
         }
         t.trigger_flight_dump("leaked_reservation_audit");
         t.trigger_flight_dump("second trigger must not overwrite");
@@ -857,7 +830,7 @@ mod tests {
         t.resume(trace);
         t.span_start(0, "session", trace * 100 + 1, 0);
         for i in 0..points {
-            t.point(i, || format!("p{i}"), None);
+            t.point(i, || crate::interned_key(&format!("p{i}"), &[]), None);
         }
         t.span_end(
             duration_us,
@@ -962,7 +935,6 @@ mod tests {
     #[test]
     fn default_tracer_retains_everything_and_ignores_finish() {
         let t = Tracer::new();
-        assert!(t.sampling_policy().is_none());
         assert!(t.retention_stats().is_none());
         session(&t, 0, 5, false, 1);
         session(&t, 1, 5, false, 2);
@@ -975,9 +947,9 @@ mod tests {
         let b = Tracer::new();
         a.resume(0);
         a.span_start(0, "root", 1, 0);
-        b.point(1, || "lost".to_string(), None);
+        b.point(1, || "lost", None);
         assert_eq!(b.active(), None);
-        a.point(1, || "kept".to_string(), None);
+        a.point(1, || "kept", None);
         assert_eq!(a.drain().len(), 2);
         assert!(b.drain().is_empty());
     }

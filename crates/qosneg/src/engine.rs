@@ -88,6 +88,8 @@ impl VariantScore {
 /// One document component: the owned feasible variants plus their scores.
 #[derive(Debug, Clone)]
 struct Component {
+    mono: MonomediaId,
+    duration_ms: u64,
     variants: Vec<Variant>,
     scores: Vec<VariantScore>,
 }
@@ -171,6 +173,8 @@ impl OfferEngine {
                     })
                     .collect();
                 Component {
+                    mono: *mono,
+                    duration_ms,
                     variants: variants.iter().map(|&v| v.clone()).collect(),
                     scores,
                 }
@@ -207,6 +211,11 @@ impl OfferEngine {
     /// Number of document components (streams per offer).
     pub(crate) fn components(&self) -> usize {
         self.components.len()
+    }
+
+    /// `(monomedia id, duration_ms)` per component, in document order.
+    pub(crate) fn durations(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        (self.components.iter()).map(|c| (c.mono.0, c.duration_ms))
     }
 
     /// Identifies the variants the combination at `rank` chooses for
@@ -524,15 +533,11 @@ impl RankedOffers {
         std::iter::from_fn(move || self.next_attempt(&mut cursor))
     }
 
-    /// SNS class populations: `(desirable, acceptable, constraint)`.
-    pub(crate) fn sns_census(&self) -> (u64, u64, u64) {
-        let mut census = (0, 0, 0);
+    /// SNS class populations: `[desirable, acceptable, constraint]`.
+    pub(crate) fn sns_census(&self) -> [u64; 3] {
+        let mut census = [0; 3];
         for entry in &self.ranking.entries {
-            match entry.sns {
-                StaticNegotiationStatus::Desirable => census.0 += 1,
-                StaticNegotiationStatus::Acceptable => census.1 += 1,
-                StaticNegotiationStatus::Constraint => census.2 += 1,
-            }
+            census[entry.sns as usize] += 1;
         }
         census
     }
@@ -768,7 +773,7 @@ mod tests {
             variant(3, 1, ColorDepth::Grey, 15, 1),
         ]);
         let want = reference(&engine);
-        let (d, a, c) = RankedOffers::new(engine, None).sns_census();
+        let [d, a, c] = RankedOffers::new(engine, None).sns_census();
         let count = |s: StaticNegotiationStatus| want.iter().filter(|o| o.sns == s).count() as u64;
         assert_eq!(d, count(StaticNegotiationStatus::Desirable));
         assert_eq!(a, count(StaticNegotiationStatus::Acceptable));

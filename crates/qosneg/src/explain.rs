@@ -17,13 +17,19 @@
 //!   including the make-before-break check ([`AdaptationRecord`]).
 //!
 //! Collection is opt-in via [`NegotiationContext::explain`]; the disabled
-//! path is a boolean check on the hot path and allocates nothing. Logs are
+//! path is a boolean check per walk and allocates nothing. Only the walk's
+//! live facts — refusals, the chosen rank, the status — are captured as it
+//! runs; the rest of a log (score rows, pruning victims, durations,
+//! counts) depends only on the catalog and the request, and is derived
+//! from them ([`explain_attempts`]) when a log is wanted — for the broker,
+//! only for the sessions its tail retention keeps. Logs are
 //! plain data with [`ToJson`]/[`FromJson`] impls, serialized as JSON lines
 //! ([`ExplainArtifact`]) so a `--explain-out` artifact is diffable,
 //! byte-identical for the same seed, and queryable offline by the
 //! `nod_explain` CLI.
 //!
 //! [`NegotiationContext::explain`]: crate::negotiate::NegotiationContext::explain
+//! [`explain_attempts`]: crate::negotiate::explain_attempts
 
 use nod_obs::RetentionStats;
 use nod_simcore::json::{FromJson, Json, JsonError, ToJson};
@@ -337,9 +343,7 @@ impl FromJson for StreamList {
 pub struct ScoreRow {
     /// Rank in the classified list (0 = best).
     pub rank: u64,
-    /// The offer's streams. Inline ([`StreamList`]): rows are recorded on
-    /// every explained attempt, so each saved allocation counts (B13
-    /// bounds the overhead).
+    /// The offer's streams, inline ([`StreamList`]).
     pub streams: StreamList,
     /// Static negotiation status (DESIRABLE / ACCEPTABLE / CONSTRAINT).
     pub sns: StaticNegotiationStatus,
@@ -528,9 +532,7 @@ json_struct!(DecisionLog {
 });
 
 impl DecisionLog {
-    /// Record the top-k score rows of a freshly scored list, ordering only
-    /// those k (B13 bounds the per-attempt overhead, and this runs on every
-    /// explained attempt).
+    /// Record the top-k score rows of a scored list, ordering only those k.
     pub fn record_scores(&mut self, ranked: &mut RankedOffers) {
         let top = ranked.len().min(EXPLAIN_TOP_K);
         self.scores.clear();

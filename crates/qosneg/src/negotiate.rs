@@ -7,9 +7,9 @@
 use nod_client::ClientMachine;
 use nod_cmfs::{AdmissionError, Guarantee, ReservationId, ServerFarm, StreamRequirement};
 use nod_mmdb::Catalog;
-use nod_mmdoc::{DocumentId, MediaKind, MonomediaId, ServerId, Variant};
+use nod_mmdoc::{ClientId, DocumentId, MediaKind, MonomediaId, ServerId, Variant};
 use nod_netsim::{NetError, NetReservationId, Network};
-use nod_obs::{Recorder, Span};
+use nod_obs::{Counter, HandleSet, Histogram, Recorder, Span, SpanKind};
 use std::collections::BTreeMap;
 
 use crate::classify::{ClassificationStrategy, ScoredOffer};
@@ -157,8 +157,9 @@ pub struct NegotiationOutcome {
     pub commit_failures: Vec<(usize, CommitFailure)>,
     /// Work counters.
     pub trace: NegotiationTrace,
-    /// The decision log, present iff [`NegotiationContext::explain`] was
-    /// set (boxed: explain off must not widen the outcome).
+    /// The decision log, present when [`NegotiationContext::explain`] was
+    /// set (or a log was handed to [`commit_prepared`]); boxed, so explain
+    /// off does not widen the outcome.
     pub decisions: Option<Box<DecisionLog>>,
 }
 
@@ -218,26 +219,92 @@ pub struct NegotiationContext<'a> {
     /// per stage and nothing else; `Some` times each pipeline stage as a
     /// span and counts offers, reservation attempts and outcomes.
     pub recorder: Option<&'a Recorder>,
-    /// Record a [`DecisionLog`] on every outcome (see [`crate::explain`]).
-    /// `false` (the default everywhere) costs one branch per stage and
-    /// allocates nothing; `true` takes the same walk and additionally
-    /// reads the log's top-k rows off the head of the order, records every
-    /// refusal, and fills `NegotiationOutcome::decisions`.
+    /// Return a [`DecisionLog`] with every outcome (see [`crate::explain`]).
+    /// `false` (the default everywhere) costs one branch per walk and
+    /// allocates nothing; `true` takes the same walk, records every
+    /// refusal, then derives the steps-1–4 half of the log
+    /// ([`explain_attempts`]) and fills `NegotiationOutcome::decisions`.
+    /// Steps 1–4 never look at it.
     pub explain: bool,
+}
+
+/// The negotiation's metric handles, resolved once per recorder.
+struct Metrics {
+    negotiate: SpanKind,
+    enumerate: SpanKind,
+    prune: SpanKind,
+    classify: SpanKind,
+    commit: SpanKind,
+    enumerated: Counter,
+    feasible: Histogram,
+    pruned: Counter,
+    classified: Counter,
+    /// `negotiation.sns{class=…}`, indexed like [`StaticNegotiationStatus`].
+    sns: [Counter; 3],
+    /// `negotiation.outcome{status=…}`, indexed by `status as usize`.
+    outcome: [Counter; 5],
+    attempts: Counter,
+    memo_hits: Counter,
+    /// `negotiation.commit.refused{reason=…}`, indexed by `kind as usize`.
+    refused: [Counter; 5],
+}
+
+impl HandleSet for Metrics {
+    fn resolve(rec: &Recorder) -> Self {
+        use NegotiationStatus::*;
+        let outcome = [
+            Succeeded,
+            FailedWithOffer,
+            FailedTryLater,
+            FailedWithoutOffer,
+            FailedWithLocalOffer,
+        ]
+        .map(|s| rec.counter_handle("negotiation.outcome", &[("status", &s.to_string())]));
+        let refused = [
+            RefusalKind::DecodeBudget,
+            RefusalKind::PathQos,
+            RefusalKind::Startup,
+            RefusalKind::Server,
+            RefusalKind::Network,
+        ]
+        .map(|k| rec.counter_handle("negotiation.commit.refused", &[("reason", k.as_str())]));
+        Metrics {
+            negotiate: rec.span_kind("negotiate"),
+            enumerate: rec.span_kind("enumerate"),
+            prune: rec.span_kind("prune"),
+            classify: rec.span_kind("classify"),
+            commit: rec.span_kind("commit"),
+            enumerated: rec.counter_handle("negotiation.offers.enumerated", &[]),
+            feasible: rec.histogram_handle("negotiation.feasible_variants", &[]),
+            pruned: rec.counter_handle("negotiation.offers.pruned", &[]),
+            classified: rec.counter_handle("negotiation.offers.classified", &[]),
+            sns: ["DESIRABLE", "ACCEPTABLE", "CONSTRAINT"]
+                .map(|class| rec.counter_handle("negotiation.sns", &[("class", class)])),
+            outcome,
+            attempts: rec.counter_handle("negotiation.reservation.attempts", &[]),
+            memo_hits: rec.counter_handle("negotiation.commit.memo_hits", &[]),
+            refused,
+        }
+    }
+}
+
+/// The recorder of `ctx` with its negotiation handles.
+fn observed<'a>(ctx: &NegotiationContext<'a>) -> Option<(&'a Recorder, &'a Metrics)> {
+    ctx.recorder.map(|rec| (rec, rec.handles::<Metrics>()))
 }
 
 /// Open a stage span: a child of `parent` when a trace is active, a fresh
 /// root span when only the recorder is, `None` when observability is off.
-fn stage_span(
-    ctx: &NegotiationContext<'_>,
-    parent: Option<&Span>,
-    name: &'static str,
-) -> Option<Span> {
-    match (parent, ctx.recorder) {
-        (Some(p), _) => Some(p.child(name)),
-        (None, Some(rec)) => Some(rec.span(name)),
-        (None, None) => None,
-    }
+fn stage_span<'r>(
+    obs: Option<(&'r Recorder, &Metrics)>,
+    parent: Option<&Span<'r>>,
+    kind: fn(&Metrics) -> SpanKind,
+) -> Option<Span<'r>> {
+    let (rec, m) = obs?;
+    Some(match parent {
+        Some(p) => p.child_of(kind(m)),
+        None => rec.span_of(kind(m)),
+    })
 }
 
 /// Output of negotiation steps 1–4 (before resource commitment): either
@@ -245,11 +312,11 @@ fn stage_span(
 /// no-feasible-offer).
 pub enum Prepared {
     /// Steps 1–4 completed: the classified offers as plain data over their
-    /// engine — scored, and ordered as far as anybody has read — the trace
-    /// so far, and — when [`NegotiationContext::explain`] is set — the
-    /// decision log of those steps (pruning decisions, score
-    /// decomposition). Step 5 ([`commit_prepared`]) finishes the log with
-    /// refusals and the chosen rank.
+    /// engine — scored, and ordered as far as anybody has read — and the
+    /// trace so far. The decision log is always `None`: steps 1–4 are a
+    /// pure function of (catalog, client, document, profile), so their
+    /// half of an explanation is derived when one is asked for
+    /// ([`explain_attempts`]), never recorded here.
     Offers(RankedOffers, NegotiationTrace, Option<Box<DecisionLog>>),
     /// Negotiation ended before step 5.
     Early(Box<NegotiationOutcome>),
@@ -261,32 +328,28 @@ pub enum Prepared {
 /// advance negotiation
 /// ([`Session::submit_future`](crate::Session::submit_future)) — runs this
 /// and then walks the result. Returns the whole product scored as plain
-/// data ([`RankedOffers`]); nothing is sorted or materialized here beyond
-/// explain's top-k rows.
+/// data ([`RankedOffers`]); nothing is sorted or materialized here.
 pub fn prepare(
     ctx: &NegotiationContext<'_>,
     client: &ClientMachine,
     document: DocumentId,
     profile: &UserProfile,
 ) -> Result<Prepared, NegotiationError> {
-    prepare_under(ctx, None, client, document, profile)
+    prepare_under(ctx, None, client, document, profile, Network::reachable)
 }
 
 /// [`prepare`] with its stage spans parented under `parent` (the
-/// `negotiate` span) when tracing is active.
+/// `negotiate` span) when tracing is active, asking `reachable` whether a
+/// variant's server has a route to the client.
 fn prepare_under(
     ctx: &NegotiationContext<'_>,
     parent: Option<&Span>,
     client: &ClientMachine,
     document: DocumentId,
     profile: &UserProfile,
+    reachable: impl Fn(&Network, ClientId, ServerId) -> bool,
 ) -> Result<Prepared, NegotiationError> {
-    let mut log: Option<Box<DecisionLog>> = ctx.explain.then(Box::default);
-    let early = |status, local_offer, trace, log: Option<Box<DecisionLog>>| {
-        let decisions = log.map(|mut l| {
-            l.status = Some(status);
-            l
-        });
+    let early = |status, local_offer, trace| {
         Ok(Prepared::Early(Box::new(NegotiationOutcome {
             status,
             user_offer: None,
@@ -297,7 +360,7 @@ fn prepare_under(
             local_offer,
             commit_failures: Vec::new(),
             trace,
-            decisions,
+            decisions: None,
         })))
     };
     profile
@@ -307,15 +370,8 @@ fn prepare_under(
         .catalog
         .document(document)
         .ok_or(NegotiationError::UnknownDocument(document))?;
-
+    let obs = observed(ctx);
     let mut trace = NegotiationTrace::default();
-    if let Some(l) = log.as_deref_mut() {
-        l.durations_ms = doc
-            .monomedia()
-            .iter()
-            .map(|m| (m.id.0, m.duration_ms))
-            .collect();
-    }
 
     // ---- Step 1: static local negotiation -------------------------------
     // The machine must at least render the *worst acceptable* values — if it
@@ -325,18 +381,13 @@ fn prepare_under(
         if let Some(req) = profile.worst.for_kind(kind) {
             if client.check_local(&req).is_err() {
                 let local = clamp_spec(client, &profile.desired);
-                return early(
-                    NegotiationStatus::FailedWithLocalOffer,
-                    Some(local),
-                    trace,
-                    log,
-                );
+                return early(NegotiationStatus::FailedWithLocalOffer, Some(local), trace);
             }
         }
     }
 
     // ---- Step 2: static compatibility checking --------------------------
-    let span_enumerate = stage_span(ctx, parent, "enumerate");
+    let span_enumerate = stage_span(obs, parent, |m| m.enumerate);
     let per_mono_all = ctx
         .catalog
         .variants_of_document(document)
@@ -347,7 +398,7 @@ fn prepare_under(
             let feasible: Vec<&Variant> = variants
                 .into_iter()
                 .filter(|v| client.feasible(v))
-                .filter(|v| ctx.network.reachable(client.id, v.server))
+                .filter(|v| reachable(ctx.network, client.id, v.server))
                 .collect();
             (mono, feasible)
         })
@@ -377,7 +428,7 @@ fn prepare_under(
             if let Some(span) = span_enumerate {
                 span.end();
             }
-            return early(NegotiationStatus::FailedWithoutOffer, None, trace, log);
+            return early(NegotiationStatus::FailedWithoutOffer, None, trace);
         }
         Err(e @ EnumerationError::TooManyOffers { .. }) => {
             // An enumeration blow-up is a deployment configuration problem,
@@ -389,75 +440,122 @@ fn prepare_under(
     if let Some(span) = span_enumerate {
         span.end();
     }
-    if let Some(rec) = ctx.recorder {
-        rec.counter(
-            "negotiation.offers.enumerated",
-            trace.offers_enumerated as u64,
-        );
-        rec.observe(
-            "negotiation.feasible_variants",
-            trace.feasible_variants as f64,
-        );
+    if let Some((rec, m)) = obs {
+        rec.add(m.enumerated, trace.offers_enumerated as u64);
+        rec.record(m.feasible, trace.feasible_variants as f64);
     }
 
     // The prune span is opened even when pruning is disabled so that every
     // instrumented negotiation contributes to `span.prune.ms` (a near-zero
     // sample documents that the stage was skipped). Dominance is judged on
     // the materialized offers; what survives is a keep-mask over ranks.
-    let span_prune = stage_span(ctx, parent, "prune");
-    let keep: Option<Vec<bool>> =
-        if ctx.prune_dominated && crate::prune::importance_is_monotone(&profile.importance) {
-            let records = log.as_deref_mut().map(|l| &mut l.pruned);
-            let keep = crate::prune::keep_mask(&engine.offers(), records);
-            trace.offers_pruned = keep.iter().filter(|&&k| !k).count();
-            Some(keep)
-        } else {
-            None
-        };
+    let span_prune = stage_span(obs, parent, |m| m.prune);
+    let keep = prunes(ctx, profile).then(|| crate::prune::keep_mask(&engine.offers(), None));
+    trace.offers_pruned = keep.iter().flatten().filter(|&&k| !k).count();
     if let Some(span) = span_prune {
         span.end();
     }
-    if let Some(rec) = ctx.recorder {
-        rec.counter("negotiation.offers.pruned", trace.offers_pruned as u64);
+    if let Some((rec, m)) = obs {
+        rec.add(m.pruned, trace.offers_pruned as u64);
     }
 
     // Steps 3–4 proper, under a `classify` span: score the product (minus
-    // pruned ranks). Ordering is left to whoever reads the list — the
-    // walk, or explain's top-k rows just below.
-    let span_classify = stage_span(ctx, parent, "classify");
-    let mut ranked = RankedOffers::new(engine, keep.as_deref());
+    // pruned ranks). Ordering is left to whoever reads the list.
+    let span_classify = stage_span(obs, parent, |m| m.classify);
+    let ranked = RankedOffers::new(engine, keep.as_deref());
     if let Some(span) = span_classify {
         span.end();
     }
-    if let Some(rec) = ctx.recorder {
-        rec.counter("negotiation.offers.classified", ranked.len() as u64);
-        let (desirable, acceptable, constraint) = ranked.sns_census();
-        for (class, n) in [
-            ("DESIRABLE", desirable),
-            ("ACCEPTABLE", acceptable),
-            ("CONSTRAINT", constraint),
-        ] {
+    if let Some((rec, m)) = obs {
+        rec.add(m.classified, ranked.len() as u64);
+        for (c, n) in m.sns.iter().zip(ranked.sns_census()) {
             if n > 0 {
-                rec.counter_with("negotiation.sns", &[("class", class)], n);
+                rec.add(*c, n);
             }
         }
     }
-    if let Some(l) = log.as_deref_mut() {
-        l.feasible_variants = trace.feasible_variants as u64;
-        l.offers_enumerated = trace.offers_enumerated as u64;
-        l.record_scores(&mut ranked);
-    }
-    Ok(Prepared::Offers(ranked, trace, log))
+    Ok(Prepared::Offers(ranked, trace, None))
 }
 
-/// Emit the terminal `negotiation.outcome{status=…}` counter and trace
-/// point.
-fn emit_outcome(ctx: &NegotiationContext<'_>, outcome: &NegotiationOutcome) {
-    if let Some(rec) = ctx.recorder {
-        let status = outcome.status.to_string();
-        rec.counter_with("negotiation.outcome", &[("status", &status)], 1);
-        rec.trace_point("negotiation.outcome", &[("status", &status)]);
+/// Does dominance pruning apply to this negotiation?
+fn prunes(ctx: &NegotiationContext<'_>, profile: &UserProfile) -> bool {
+    ctx.prune_dominated && crate::prune::importance_is_monotone(&profile.importance)
+}
+
+/// The steps-1–4 half of a decision log, rebuilt from the classified list
+/// those steps produced: component durations, pruning victims, the
+/// variant and offer counts, and the score rows of the top
+/// [`EXPLAIN_TOP_K`](crate::explain::EXPLAIN_TOP_K) offers plus the chosen
+/// one (`log.chosen_rank`, a fact of the walk). The one function behind
+/// every decision log, whether it is asked for at once or long after.
+fn explain_prepared(
+    ctx: &NegotiationContext<'_>,
+    profile: &UserProfile,
+    ranked: &mut RankedOffers,
+    trace: &NegotiationTrace,
+    log: &mut DecisionLog,
+) {
+    log.durations_ms = ranked.engine().durations().collect();
+    if prunes(ctx, profile) {
+        crate::prune::keep_mask(&ranked.engine().offers(), Some(&mut log.pruned));
     }
+    log.feasible_variants = trace.feasible_variants as u64;
+    log.offers_enumerated = trace.offers_enumerated as u64;
+    log.record_scores(ranked);
+    if let Some(chosen) = log.chosen_rank {
+        log.mark_chosen(ranked, chosen as usize);
+    }
+}
+
+/// Complete the decision logs of a request's negotiation attempts from
+/// their live facts — each attempt's terminal `status`, `chosen_rank` and
+/// the `refusals` its walk recorded — by re-running steps 1–4 once for the
+/// request. They read only the catalog and the static topology, so the
+/// rebuilt half is what every attempt saw. The re-run counts nothing and
+/// traces nothing: no recorder, and a reachability check that leaves
+/// `net.path.rejections` alone. Callers that explain only a sample of
+/// their sessions (the broker's tail retention) call this for the
+/// sessions they keep.
+pub fn explain_attempts<'l>(
+    ctx: &NegotiationContext<'_>,
+    client: &ClientMachine,
+    document: DocumentId,
+    profile: &UserProfile,
+    logs: impl IntoIterator<Item = &'l mut DecisionLog>,
+) {
+    let quiet = NegotiationContext {
+        recorder: None,
+        ..*ctx
+    };
+    match prepare_under(&quiet, None, client, document, profile, Network::has_route) {
+        Ok(Prepared::Offers(mut ranked, trace, _)) => {
+            for log in logs {
+                explain_prepared(ctx, profile, &mut ranked, &trace, log);
+            }
+        }
+        _ => {
+            let Some(doc) = ctx.catalog.document(document) else {
+                return;
+            };
+            for log in logs {
+                log.durations_ms = doc
+                    .monomedia()
+                    .iter()
+                    .map(|m| (m.id.0, m.duration_ms))
+                    .collect();
+            }
+        }
+    }
+}
+
+/// Count the terminal `negotiation.outcome{status=…}` and mark it in the
+/// active trace. [`Session::submit`](crate::Session::submit) and
+/// [`commit_prepared`] do this themselves; a caller that ends a
+/// negotiation early on [`Prepared::Early`] calls it.
+pub fn record_outcome(rec: &Recorder, status: NegotiationStatus) {
+    let c = rec.handles::<Metrics>().outcome[status as usize];
+    rec.add(c, 1);
+    rec.trace_point_key(c.key(), None);
 }
 
 /// Run steps 1–5 for `client` requesting `document` under `profile` — the
@@ -474,21 +572,36 @@ pub(crate) fn negotiate_impl(
     document: DocumentId,
     profile: &UserProfile,
 ) -> Result<NegotiationOutcome, NegotiationError> {
-    let root = ctx.recorder.map(|rec| rec.span("negotiate"));
-    let result =
-        prepare_under(ctx, root.as_ref(), client, document, profile).map(
-            |prepared| match prepared {
-                Prepared::Early(outcome) => *outcome,
-                Prepared::Offers(ranked, trace, log) => {
-                    commit_walk(ctx, root.as_ref(), client, profile, ranked, trace, log)
-                }
-            },
-        );
+    let root = stage_span(observed(ctx), None, |m| m.negotiate);
+    let prepared = prepare_under(
+        ctx,
+        root.as_ref(),
+        client,
+        document,
+        profile,
+        Network::reachable,
+    );
+    let result = prepared.map(|prepared| match prepared {
+        Prepared::Early(mut outcome) => {
+            if ctx.explain {
+                let mut log = Box::new(DecisionLog {
+                    status: Some(outcome.status),
+                    ..DecisionLog::default()
+                });
+                explain_attempts(ctx, client, document, profile, [&mut *log]);
+                outcome.decisions = Some(log);
+            }
+            *outcome
+        }
+        Prepared::Offers(ranked, trace, log) => {
+            commit_walk(ctx, root.as_ref(), client, profile, ranked, trace, log)
+        }
+    });
     if let Some(span) = root {
         span.end();
     }
-    if let Ok(outcome) = &result {
-        emit_outcome(ctx, outcome);
+    if let (Ok(outcome), Some(rec)) = (&result, ctx.recorder) {
+        record_outcome(rec, outcome.status);
     }
     result
 }
@@ -496,8 +609,8 @@ pub(crate) fn negotiate_impl(
 /// Per-walk refusal census. A commit walk refuses dozens of offers for a
 /// handful of distinct reasons, and at fleet scale emitting one counter
 /// increment and one trace point per refused offer made the telemetry the
-/// dominant cost of the walk (B11). The census accumulates counts in a
-/// tiny first-occurrence-ordered vec and emits one
+/// dominant cost of the walk (B11). The census accumulates counts in
+/// first-occurrence order and emits one
 /// `negotiation.commit.refused{reason=}` counter delta and one trace
 /// point (value = count) per distinct reason at the end of the walk —
 /// identical counter totals, bounded trace volume. It counts *offers*;
@@ -507,14 +620,14 @@ pub(crate) fn negotiate_impl(
 struct RefusalCensus {
     attempts: u64,
     memo_hits: u64,
-    by_reason: Vec<(&'static str, u64)>,
+    by_reason: Vec<(RefusalKind, u64)>,
 }
 
 impl RefusalCensus {
     fn attempt(&mut self, refused: Option<&CommitFailure>) {
         self.attempts += 1;
         if let Some(reason) = refused {
-            let kind = reason.kind();
+            let kind = reason.refusal_kind();
             match self.by_reason.iter_mut().find(|(k, _)| *k == kind) {
                 Some((_, n)) => *n += 1,
                 None => self.by_reason.push((kind, 1)),
@@ -524,20 +637,17 @@ impl RefusalCensus {
 
     /// Emit the walk's totals (call inside the `commit` span so the trace
     /// points land under it).
-    fn emit(self, rec: &Recorder) {
+    fn emit(self, rec: &Recorder, m: &Metrics) {
         if self.attempts > 0 {
-            rec.counter("negotiation.reservation.attempts", self.attempts);
+            rec.add(m.attempts, self.attempts);
         }
         if self.memo_hits > 0 {
-            rec.counter("negotiation.commit.memo_hits", self.memo_hits);
+            rec.add(m.memo_hits, self.memo_hits);
         }
         for (kind, n) in self.by_reason {
-            rec.counter_with("negotiation.commit.refused", &[("reason", kind)], n);
-            rec.trace_point_value(
-                "negotiation.commit.refused",
-                &[("reason", kind)],
-                Some(n as f64),
-            );
+            let c = m.refused[kind as usize];
+            rec.add(c, n);
+            rec.trace_point_key(c.key(), Some(n as f64));
         }
     }
 }
@@ -551,10 +661,9 @@ impl RefusalCensus {
 /// chosen for components `0..=d` only. The walk therefore judges each such
 /// prefix once: `refused` remembers it, and a later offer sharing the
 /// prefix gets the identical [`CommitRefusal`] without asking a server or a
-/// link again. Capacity another thread frees mid-walk is seen by the
-/// session's next attempt (a new walk), not by this one; a success always
-/// performs the real reservations, so the memo can never over-commit or
-/// leak.
+/// link again. Nothing else touches the farm or the network while a walk
+/// runs, and a success always performs the real reservations, so the memo
+/// can never over-commit or leak.
 struct CommitWalk<'c, 'a> {
     ctx: &'c NegotiationContext<'a>,
     client: &'c ClientMachine,
@@ -634,8 +743,8 @@ impl<'c, 'a> CommitWalk<'c, 'a> {
 
     /// Emit the census of the `commit` span being closed; the memo stays.
     fn emit_census(&mut self) {
-        if let Some(rec) = self.ctx.recorder {
-            std::mem::take(&mut self.census).emit(rec);
+        if let Some((rec, m)) = observed(self.ctx) {
+            std::mem::take(&mut self.census).emit(rec, m);
         }
     }
 }
@@ -644,6 +753,9 @@ impl<'c, 'a> CommitWalk<'c, 'a> {
 /// (one [`WalkCursor`], ordering the list only as far as the walk gets)
 /// and commit the first that fits. An attempted offer's index is its
 /// classified position; only the offer that commits is materialized.
+/// `decisions` (or, with [`NegotiationContext::explain`], a fresh log)
+/// receives the walk's live facts; with `explain` the rest of the log is
+/// derived at once.
 fn commit_walk(
     ctx: &NegotiationContext<'_>,
     root: Option<&Span>,
@@ -651,11 +763,12 @@ fn commit_walk(
     profile: &UserProfile,
     mut ranked: RankedOffers,
     mut trace: NegotiationTrace,
-    mut decisions: Option<Box<DecisionLog>>,
+    decisions: Option<Box<DecisionLog>>,
 ) -> NegotiationOutcome {
     // One commit span covers the whole walk (step 5 as a stage); the
     // per-candidate refusal points inside it carry the verdicts.
-    let span_commit = stage_span(ctx, root, "commit");
+    let span_commit = stage_span(observed(ctx), root, |m| m.commit);
+    let mut decisions = decisions.or_else(|| ctx.explain.then(Box::default));
     let mut walk = CommitWalk::new(ctx, client, profile);
     let mut failures: Vec<(usize, CommitFailure)> = Vec::new();
     let mut committed: Option<(usize, ScoredOffer, SessionReservation)> = None;
@@ -687,10 +800,11 @@ fn commit_walk(
         None => NegotiationStatus::FailedTryLater,
     };
     if let Some(l) = decisions.as_deref_mut() {
-        if let Some((idx, ..)) = committed {
-            l.mark_chosen(&mut ranked, idx);
-        }
+        l.chosen_rank = committed.as_ref().map(|(idx, ..)| *idx as u64);
         l.status = Some(status);
+        if ctx.explain {
+            explain_prepared(ctx, profile, &mut ranked, &trace, l);
+        }
     }
     let (reserved_index, reserved_offer, reservation) = match committed {
         Some((idx, scored, reservation)) => (Some(idx), Some(scored), Some(reservation)),
@@ -725,9 +839,14 @@ fn commit_walk(
 /// variants is judged once per walk, against the capacity the walk started
 /// with: a refused prefix refuses every later offer that shares it without
 /// asking the server or link again, with the identical [`CommitRefusal`].
-/// Capacity freed by another thread mid-walk is seen by the session's next
-/// attempt, not this walk. A success always performs the real
-/// reservations, so the memo can never over-commit or leak.
+/// A success always performs the real reservations, so the memo can never
+/// over-commit or leak.
+///
+/// `decisions`, when given, receives the walk's live facts — every
+/// refusal, the chosen rank, the status — and nothing else; with
+/// [`NegotiationContext::explain`] set the walk starts a log if none was
+/// given and derives the rest of it at once, exactly as
+/// [`explain_attempts`] would later.
 ///
 /// A refused session's retry prepares again (the broker does not carry
 /// the list across attempts).
@@ -740,7 +859,9 @@ pub fn commit_prepared(
     decisions: Option<Box<DecisionLog>>,
 ) -> NegotiationOutcome {
     let outcome = commit_walk(ctx, None, client, profile, ordered, trace, decisions);
-    emit_outcome(ctx, &outcome);
+    if let Some(rec) = ctx.recorder {
+        record_outcome(rec, outcome.status);
+    }
     outcome
 }
 

@@ -19,9 +19,10 @@ use nod_mmdoc::prelude::*;
 use nod_netsim::{Network, Topology};
 use nod_qosneg::classify::reservation_order;
 use nod_qosneg::engine::{OfferEngine, OfferList, RankedOffers, WalkCursor, HEAD};
-use nod_qosneg::explain::EXPLAIN_TOP_K;
+use nod_qosneg::explain::{DecisionLog, EXPLAIN_TOP_K};
 use nod_qosneg::negotiate::{
-    commit_prepared, prepare, NegotiationContext, NegotiationOutcome, Prepared, StreamingMode,
+    commit_prepared, explain_attempts, prepare, NegotiationContext, NegotiationOutcome, Prepared,
+    StreamingMode,
 };
 use nod_qosneg::offer::enumerate_combinations;
 use nod_qosneg::profile::{tv_news_profile, MmQosSpec, UserProfile};
@@ -436,9 +437,20 @@ fn negotiation(
             .expect("valid request");
     }
     match prepare(&ctx, &client, DocumentId(doc), &profile).expect("valid request") {
-        Prepared::Early(outcome) => *outcome,
+        Prepared::Early(mut outcome) => {
+            if explain {
+                let mut log = DecisionLog {
+                    status: Some(outcome.status),
+                    ..DecisionLog::default()
+                };
+                explain_attempts(&ctx, &client, DocumentId(doc), &profile, [&mut log]);
+                outcome.decisions = Some(Box::new(log));
+            }
+            *outcome
+        }
         Prepared::Offers(ranked, trace, decisions) => {
-            assert_eq!(decisions.is_some(), explain);
+            // Steps 1–4 record nothing; the walk derives the log at once.
+            assert!(decisions.is_none());
             commit_prepared(&ctx, &client, &profile, ranked, trace, decisions)
         }
     }

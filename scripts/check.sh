@@ -31,6 +31,22 @@ echo "==> conformance oracle (run_oracle --cases \${NOD_ORACLE_CASES:-4096} --se
 cargo run -q --release -p nod-oracle --bin run_oracle -- \
     --cases "${NOD_ORACLE_CASES:-4096}" --seed 7 --explain-check
 
+# The reproduction is a fixed point too (gating): every E1–E11 / X1–X6
+# experiment binary must print exactly its captured results/<bin>.txt.
+echo "==> reproduction (e*/x* bins vs results/*.txt)"
+repro_tmp="$(mktemp -d)"
+for expected in results/*.txt; do
+    bin="$(basename "$expected" .txt)"
+    cargo run -q --release -p nod-bench --bin "$bin" < /dev/null > "$repro_tmp/$bin.txt"
+    if ! cmp -s "$expected" "$repro_tmp/$bin.txt"; then
+        echo "error: $bin no longer prints $expected:"
+        diff -u "$expected" "$repro_tmp/$bin.txt" | head -20 || true
+        rm -rf "$repro_tmp"
+        exit 1
+    fi
+done
+rm -rf "$repro_tmp"
+
 # Non-gating bench smoke: the fast-mode snapshot only has to *run* (panics
 # and build errors fail the check); the numbers themselves are not gated.
 # Includes the B11 telemetry smoke, whose tail-retention asserts gate
