@@ -5,9 +5,9 @@
 //! [`Network`](nod_netsim::Network) on a deterministic virtual-time event
 //! loop — arrivals, jittered retries of FAILEDTRYLATER refusals,
 //! departures that release held resources, and [`FaultPlan`] window
-//! edges. Per-session RNGs are pre-split from the config seed by session
-//! index and live session state sits in a recycled [`Slab`](crate::Slab)
-//! arena, so memory tracks the *peak concurrent* session count while the
+//! edges. Session `i`'s RNG is the `i`-th split of the config seed's
+//! stream, derived when it first arrives, and live session state sits in
+//! a recycled [`Slab`](crate::Slab) arena, so memory tracks the *peak concurrent* session count while the
 //! same seed, specs and fault plan replay the identical [`OutcomeEvent`]
 //! sequence bit for bit.
 //!
@@ -261,6 +261,11 @@ pub struct BrokerReport {
     /// the tail-retained session explanations and the retention totals.
     /// `None` when provenance was not requested.
     pub explains: Option<ExplainData>,
+    /// The first I/O error the attached journal ([`FleetSpec::journal`])
+    /// hit. The run itself is unaffected; the journal stopped writing its
+    /// file at that point, so it cannot be recovered from. `None` when the
+    /// journal wrote everything, or when none was attached.
+    pub journal_error: Option<String>,
 }
 
 /// What [`Broker::recover`] did: the resumed run's report plus where the
@@ -484,9 +489,9 @@ impl<'a> Broker<'a> {
     /// Determinism contract: the outcome log replays bit for bit for a
     /// given (seed, specs, faults) triple against the same pristine
     /// world — every event is handled on this one loop in (time,
-    /// schedule) order, and each session draws jitter from its own
-    /// pre-split RNG. An attached [`Recorder`](nod_obs::Recorder)'s
-    /// metric snapshot replays with it.
+    /// schedule) order, and each session draws jitter from its own RNG,
+    /// split from the seed by session index. An attached
+    /// [`Recorder`](nod_obs::Recorder)'s metric snapshot replays with it.
     pub fn drive(&self, fleet: &FleetSpec<'_>) -> BrokerReport {
         if let Some(journal) = fleet.journal {
             journal.begin(HeaderRecord {
@@ -577,7 +582,9 @@ impl<'a> Broker<'a> {
     /// stream that no longer fits is [`JournalError::RestoreFailed`], a
     /// regenerated outcome that differs from the journal is
     /// [`JournalError::ReplayDiverged`]. Either way every reservation the
-    /// resumed run made is released before the error is returned.
+    /// resumed run made is released before the error is returned. A
+    /// journal that fails to write during the resumed run is
+    /// [`JournalError::Io`].
     pub fn recover(&self, fleet: &FleetSpec<'_>) -> Result<RecoveryReport, JournalError> {
         let journal = fleet.journal.ok_or(JournalError::NoJournal)?;
         let parsed = journal.recover_state(HeaderRecord {
@@ -600,8 +607,10 @@ impl<'a> Broker<'a> {
         if let Some(span) = span {
             span.end();
         }
+        let report = report?;
+        journal.sync()?;
         Ok(RecoveryReport {
-            report: report?,
+            report,
             replayed_events,
             resumed_at_ms,
             suffix_starts_at_event,
@@ -634,14 +643,12 @@ impl<'a> Broker<'a> {
             }
         };
         let fault_edges = faults.edges_ms();
-        // Arrival consumption order: (arrival_ms, spec index) — exactly
-        // how the legacy single queue broke ties.
-        let mut order: Vec<(u32, u64)> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i as u32, s.arrival_ms))
-            .collect();
-        order.sort_unstable_by_key(|&(i, at_ms)| (at_ms, i));
+        // Arrival consumption order: spec indices by (arrival_ms, index)
+        // — exactly how the legacy single queue broke ties (the sort is
+        // stable).
+        let mut order: Vec<u32> = (0..specs.len() as u32).collect();
+        order.sort_by_key(|&i| specs[i as usize].arrival_ms);
+        let arrival = |ai: usize| order.get(ai).map(|&i| (i, specs[i as usize].arrival_ms));
 
         let (snap, replay) = match resume {
             Some(r) => (
@@ -667,22 +674,6 @@ impl<'a> Broker<'a> {
             }
         }
 
-        let mut master = StreamRng::new(self.config.seed);
-        // Per-session splits happen in spec order unconditionally, so a
-        // resumed run's post-snapshot arrivals draw the very streams the
-        // uninterrupted run would have; sessions already arrived by the
-        // snapshot carry their RNG state inside it instead.
-        let rngs: Vec<Option<StreamRng>> = match &snap {
-            None => specs.iter().map(|_| Some(master.split())).collect(),
-            Some(s) => specs
-                .iter()
-                .map(|sp| {
-                    let split = master.split();
-                    (sp.arrival_ms > s.at_ms).then_some(split)
-                })
-                .collect(),
-        };
-
         let slos = if fleet.slos.is_empty() {
             self.slos.clone()
         } else {
@@ -696,7 +687,7 @@ impl<'a> Broker<'a> {
             tracer,
             retention: fleet.retention,
             dynq,
-            rngs,
+            master: StreamRng::new(self.config.seed),
             live: Slab::new(),
             slots: vec![u32::MAX; specs.len()],
             results: vec![None; specs.len()],
@@ -710,7 +701,10 @@ impl<'a> Broker<'a> {
             faults_injected: 0,
             keeper: fleet.explain.map(TailKeeper::new),
             ledger: Vec::new(),
-            ledger_ix: vec![u32::MAX; specs.len()],
+            ledger_ix: match fleet.explain {
+                Some(_) => vec![u32::MAX; specs.len()],
+                None => Vec::new(),
+            },
             spare_attempts: Vec::new(),
             spare_log: None,
             journal: fleet.journal,
@@ -727,7 +721,7 @@ impl<'a> Broker<'a> {
             // folded into the restored fault state); the loop resumes
             // past them.
             fi = fault_edges.partition_point(|&e| e <= s.at_ms);
-            ai = order.partition_point(|&(_, at_ms)| at_ms <= s.at_ms);
+            ai = order.partition_point(|&i| specs[i as usize].arrival_ms <= s.at_ms);
             state.failed = state.restore(s, faults).err();
         }
         let mut end_ms = 0u64;
@@ -738,7 +732,7 @@ impl<'a> Broker<'a> {
             if let Some(&edge) = fault_edges.get(fi) {
                 t = t.min(edge);
             }
-            if let Some(&(_, at_ms)) = order.get(ai) {
+            if let Some((_, at_ms)) = arrival(ai) {
                 t = t.min(at_ms);
             }
             if let Some(at) = state.dynq.peek_time() {
@@ -762,7 +756,7 @@ impl<'a> Broker<'a> {
                 fi += 1;
                 state.fault_edge(faults, t);
             }
-            while let Some(&(i, at_ms)) = order.get(ai) {
+            while let Some((i, at_ms)) = arrival(ai) {
                 if at_ms != t {
                     break;
                 }
@@ -794,10 +788,8 @@ impl<'a> Broker<'a> {
             state.release_all(faults);
             return Err(err);
         }
+        let journal_error = state.journal.and_then(|j| j.sync().err());
         if let Some(journal) = state.journal {
-            journal
-                .sync()
-                .unwrap_or_else(|e| panic!("journal sync at run end failed: {e}"));
             if let Some(rec) = self.recorder {
                 rec.gauge("broker.journal.bytes", journal.stats().bytes as f64);
             }
@@ -884,6 +876,7 @@ impl<'a> Broker<'a> {
             latency: state.latency.snapshot(),
             slo_alerts,
             explains,
+            journal_error: journal_error.map(|e| e.to_string()),
         })
     }
 }
@@ -896,8 +889,10 @@ struct DriveLoop<'e, 'a> {
     tracer: Option<&'a Tracer>,
     retention: EventRetention,
     dynq: EventQueue<Ev>,
-    /// Pre-split per-session RNGs, taken into the slab at first arrival.
-    rngs: Vec<Option<StreamRng>>,
+    /// The seed's stream; session `i` draws from its `i`-th split, taken
+    /// into the slab at first arrival. A resumed run's live sessions carry
+    /// their RNG state in the snapshot instead.
+    master: StreamRng,
     live: Slab<LiveSession<'a>>,
     /// Spec index → slab slot (`u32::MAX` when not in flight).
     slots: Vec<u32>,
@@ -915,7 +910,7 @@ struct DriveLoop<'e, 'a> {
     /// Capacity ledger, one row per admission, in commit order.
     ledger: Vec<LedgerRow>,
     /// Spec index → ledger row (`u32::MAX` when never admitted), so the
-    /// departure handler can stamp `depart_ms`.
+    /// departure handler can stamp `depart_ms`. Empty unless explaining.
     ledger_ix: Vec<u32>,
     /// Emptied explain buffers of the last dropped session and of the last
     /// attempt, reused so explaining does not allocate them every time.
@@ -1181,10 +1176,9 @@ impl<'a> DriveLoop<'_, 'a> {
         let broker = self.broker;
         let spec = &self.specs[i];
         if self.slots[i] == u32::MAX {
-            let rng = self.rngs[i].take().expect("arrival consumed its RNG once");
             self.slots[i] = self.live.insert(LiveSession {
                 attempts: 0,
-                rng,
+                rng: self.master.split_nth(i as u64),
                 reservation: None,
                 pending_admit: None,
                 closed: false,

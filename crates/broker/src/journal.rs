@@ -40,10 +40,19 @@
 //! exhausted the engine simply goes live. The resumed run's outcome log
 //! is therefore byte-identical to the uninterrupted run's tail — the
 //! invariant the crash-recovery chaos harness gates on.
+//!
+//! # Write failures
+//!
+//! The first I/O error the backing file returns — on an append, a
+//! compaction, a flush or a sync — is kept, and from then on the journal
+//! leaves the file alone and carries on in memory. [`Journal::sync`]
+//! reports it, so a full disk ends a drive with
+//! [`BrokerReport::journal_error`](crate::BrokerReport::journal_error)
+//! set instead of a panic, and a recovery with [`JournalError::Io`].
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read as _, Write as _};
+use std::io::{self, BufWriter, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -678,6 +687,17 @@ struct Inner {
     /// log position of the next event.
     events_total: u64,
     stats: JournalStats,
+    /// The first write failure; once set, `file` is `None`.
+    error: Option<io::Error>,
+}
+
+impl Inner {
+    /// Keep a write failure on `path` and stop touching the file.
+    fn fail(&mut self, what: &str, path: &Path, e: io::Error) {
+        self.file = None;
+        let e = io::Error::new(e.kind(), format!("{what} {}: {e}", path.display()));
+        self.error.get_or_insert(e);
+    }
 }
 
 /// A write-ahead journal of broker session transitions.
@@ -720,6 +740,7 @@ impl Journal {
                 events_since_snapshot: 0,
                 events_total: 0,
                 stats: JournalStats::default(),
+                error: None,
             }),
         }
     }
@@ -773,13 +794,20 @@ impl Journal {
         self.lock().events_total
     }
 
-    /// Flush buffered appends to the backing file, if any.
+    /// Flush buffered appends to the backing file, if any. An error is
+    /// the first write failure the journal has met, now or earlier.
     pub fn sync(&self) -> Result<(), JournalError> {
         let mut inner = self.lock();
-        if let Some((_, w)) = inner.file.as_mut() {
-            w.flush()?;
+        if let Some((path, w)) = inner.file.as_mut() {
+            if let Err(e) = w.flush() {
+                let path = path.clone();
+                inner.fail("flush to", &path, e);
+            }
         }
-        Ok(())
+        match &inner.error {
+            None => Ok(()),
+            Some(e) => Err(JournalError::Io(io::Error::new(e.kind(), e.to_string()))),
+        }
     }
 
     /// Byte offsets just past each **event** record, in journal order —
@@ -805,8 +833,10 @@ impl Journal {
         frame.extend_from_slice(payload);
         inner.buf.extend_from_slice(&frame);
         if let Some((path, w)) = inner.file.as_mut() {
-            w.write_all(&frame)
-                .unwrap_or_else(|e| panic!("journal append to {} failed: {e}", path.display()));
+            if let Err(e) = w.write_all(&frame) {
+                let path = path.clone();
+                inner.fail("append to", &path, e);
+            }
         }
     }
 
@@ -873,17 +903,19 @@ impl Journal {
                     std::fs::rename(&tmp, &path)?;
                     Ok(BufWriter::new(OpenOptions::new().append(true).open(&path)?))
                 };
-                let w = rewrite().unwrap_or_else(|e| {
-                    panic!("journal compact at {} failed: {e}", path.display())
-                });
-                inner.file = Some((path, w));
+                match rewrite() {
+                    Ok(w) => inner.file = Some((path, w)),
+                    Err(e) => inner.fail("compaction of", &path, e),
+                }
             }
             inner.stats.compactions += 1;
         } else {
             Self::append_frame(&mut inner, &payload);
             if let Some((path, w)) = inner.file.as_mut() {
-                w.flush()
-                    .unwrap_or_else(|e| panic!("journal flush to {} failed: {e}", path.display()));
+                if let Err(e) = w.flush() {
+                    let path = path.clone();
+                    inner.fail("flush to", &path, e);
+                }
             }
         }
         inner.events_since_snapshot = 0;

@@ -1,6 +1,5 @@
 //! A farm of file servers, the negotiation's server-side resource pool.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use nod_mmdoc::ServerId;
@@ -11,11 +10,15 @@ use crate::server::{FileServer, ReservationId, ServerConfig};
 
 /// The set of server machines known to the QoS manager.
 ///
-/// Shared (`Arc`) across negotiation sessions; individual servers guard
-/// their own reservation tables.
+/// Server ids may be any `u64`s, sparse or not: the farm keeps its
+/// servers in one list sorted by id and finds one by binary search. An id
+/// the farm lacks is [`FarmError::NoSuchServer`]. Servers are shared
+/// (`Arc`) with clones of the farm and guard their own reservation
+/// tables.
 #[derive(Debug, Clone, Default)]
 pub struct ServerFarm {
-    servers: BTreeMap<ServerId, Arc<FileServer>>,
+    /// Ascending by id.
+    servers: Vec<(ServerId, Arc<FileServer>)>,
 }
 
 impl ServerFarm {
@@ -39,26 +42,29 @@ impl ServerFarm {
     /// Panics on a duplicate server id.
     pub fn add(&mut self, server: FileServer) {
         let id = server.id();
-        let prev = self.servers.insert(id, Arc::new(server));
-        assert!(prev.is_none(), "duplicate server {id}");
+        match self.servers.binary_search_by_key(&id, |&(id, _)| id) {
+            Ok(_) => panic!("duplicate server {id}"),
+            Err(at) => self.servers.insert(at, (id, Arc::new(server))),
+        }
     }
 
     /// Look up a server.
     pub fn server(&self, id: ServerId) -> Option<&Arc<FileServer>> {
-        self.servers.get(&id)
+        let at = self.servers.binary_search_by_key(&id, |&(id, _)| id);
+        at.ok().map(|at| &self.servers[at].1)
     }
 
     /// Attach an observability recorder to every server in the farm (see
     /// [`FileServer::set_recorder`]).
     pub fn set_recorder(&self, recorder: &Recorder) {
-        for server in self.servers.values() {
+        for (_, server) in &self.servers {
             server.set_recorder(recorder.clone());
         }
     }
 
     /// All server ids, ascending.
     pub fn ids(&self) -> Vec<ServerId> {
-        self.servers.keys().copied().collect()
+        self.servers.iter().map(|&(id, _)| id).collect()
     }
 
     /// Number of servers.
@@ -77,13 +83,13 @@ impl ServerFarm {
         id: ServerId,
         req: StreamRequirement,
     ) -> Result<ReservationId, FarmError> {
-        let server = self.servers.get(&id).ok_or(FarmError::NoSuchServer(id))?;
+        let server = self.server(id).ok_or(FarmError::NoSuchServer(id))?;
         server.try_reserve(req).map_err(FarmError::Admission)
     }
 
     /// Release a reservation on a specific server (idempotent).
     pub fn release(&self, id: ServerId, reservation: ReservationId) {
-        if let Some(server) = self.servers.get(&id) {
+        if let Some(server) = self.server(id) {
             server.release(reservation);
         }
     }
@@ -92,9 +98,9 @@ impl ServerFarm {
     pub fn violations(&self) -> Vec<(ServerId, Vec<ReservationId>)> {
         self.servers
             .iter()
-            .filter_map(|(&id, s)| {
+            .filter_map(|(id, s)| {
                 let v = s.violated_reservations();
-                (!v.is_empty()).then_some((id, v))
+                (!v.is_empty()).then_some((*id, v))
             })
             .collect()
     }
@@ -104,7 +110,7 @@ impl ServerFarm {
     /// to detect leaked reservations.
     pub fn usage(&self) -> FarmUsage {
         let mut usage = FarmUsage::default();
-        for server in self.servers.values() {
+        for (_, server) in &self.servers {
             usage.streams += server.active_streams();
             usage.round_us += server.used_round_us();
             usage.bps += server.used_bps();
@@ -118,8 +124,8 @@ impl ServerFarm {
             return 0.0;
         }
         self.servers
-            .values()
-            .map(|s| s.disk_utilization())
+            .iter()
+            .map(|(_, s)| s.disk_utilization())
             .sum::<f64>()
             / self.servers.len() as f64
     }
@@ -216,6 +222,42 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].0, ServerId(0));
         assert!(!v[0].1.is_empty());
+    }
+
+    #[test]
+    fn sparse_ids_stay_ascending_and_are_all_found() {
+        let sparse = [ServerId(900), ServerId(1 << 62), ServerId(3)];
+        let mut farm = ServerFarm::new();
+        for id in sparse {
+            farm.add(FileServer::new(id, ServerConfig::era_default()));
+        }
+        let ascending = vec![ServerId(3), ServerId(900), ServerId(1 << 62)];
+        assert_eq!(farm.ids(), ascending);
+        for id in sparse {
+            assert_eq!(farm.server(id).map(|s| s.id()), Some(id));
+            let r = farm.try_reserve(id, req(id.0)).unwrap();
+            farm.release(id, r);
+        }
+        for absent in [ServerId(0), ServerId(4), ServerId(901), ServerId(u64::MAX)] {
+            assert!(farm.server(absent).is_none());
+            assert_eq!(
+                farm.try_reserve(absent, req(1)).unwrap_err(),
+                FarmError::NoSuchServer(absent)
+            );
+            farm.release(absent, ReservationId(1));
+        }
+        // Violations come back in ascending server order too.
+        for &id in ascending.iter().rev() {
+            for i in 0..10 {
+                farm.try_reserve(id, req(i)).unwrap();
+            }
+            if id != ServerId(900) {
+                farm.server(id).unwrap().set_health(0.2);
+            }
+        }
+        let servers: Vec<_> = farm.violations().into_iter().map(|(id, _)| id).collect();
+        assert_eq!(servers, vec![ServerId(3), ServerId(1 << 62)]);
+        assert_eq!(farm.usage().streams, 30);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! A single file server with round-based admission control.
 
 use nod_simcore::sync::Mutex;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use nod_simcore::IntMap;
 use std::sync::OnceLock;
 
 use nod_mmdoc::ServerId;
@@ -11,7 +10,8 @@ use nod_obs::{Counter, Histogram, Recorder};
 use crate::admission::{AdmissionError, StreamRequirement};
 use crate::disk::DiskModel;
 
-/// Handle to a committed reservation.
+/// Handle to a committed reservation. A server issues them ascending
+/// from 1 and never reuses one, so a larger id is a newer reservation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReservationId(pub u64);
 
@@ -47,7 +47,10 @@ impl ServerConfig {
 
 #[derive(Debug)]
 struct ServerState {
-    reservations: BTreeMap<ReservationId, StreamRequirement>,
+    /// What each live reservation is charged: `(disk round µs, bits/s)`.
+    reservations: IntMap<ReservationId, (u64, u64)>,
+    /// The last reservation id issued.
+    last_id: u64,
     used_round_us: u64,
     used_bps: u64,
     /// Multiplier on effective capacity, `0.0..=1.0`. Below 1.0 the server
@@ -109,15 +112,13 @@ impl Metrics {
 
 /// A continuous-media file server.
 ///
-/// Thread-safe: negotiations for different clients may race on the same
-/// server; the reservation table is guarded by a [`nod_simcore::sync::Mutex`] and
-/// each `try_reserve` is an atomic admission-test-and-commit.
+/// The reservation table sits behind a lock, and each `try_reserve` is
+/// one admission-test-and-commit under it.
 #[derive(Debug)]
 pub struct FileServer {
     id: ServerId,
     config: ServerConfig,
     state: Mutex<ServerState>,
-    next_reservation: AtomicU64,
     /// Set-once observability hook; `None` keeps admission allocation-free.
     metrics: OnceLock<Metrics>,
 }
@@ -137,13 +138,13 @@ impl FileServer {
             id,
             config,
             state: Mutex::new(ServerState {
-                reservations: BTreeMap::new(),
+                reservations: IntMap::default(),
+                last_id: 0,
                 used_round_us: 0,
                 used_bps: 0,
                 health: 1.0,
                 admission_factor: 1.0,
             }),
-            next_reservation: AtomicU64::new(1),
             metrics: OnceLock::new(),
         }
     }
@@ -229,10 +230,11 @@ impl FileServer {
                 capacity_bps: cap_bps,
             });
         }
-        let id = ReservationId(self.next_reservation.fetch_add(1, Ordering::Relaxed));
+        st.last_id += 1;
+        let id = ReservationId(st.last_id);
         st.used_round_us += cost_us;
         st.used_bps += bps;
-        st.reservations.insert(id, req);
+        st.reservations.insert(id, (cost_us, bps));
         if let Some(m) = self.metrics.get() {
             m.verdict(m.accepted);
             let slack = cap_us.saturating_sub(st.used_round_us) as f64 / cap_us.max(1) as f64;
@@ -251,10 +253,9 @@ impl FileServer {
     /// idempotent so rollback paths can be sloppy about double-release).
     pub fn release(&self, id: ReservationId) {
         let mut st = self.state.lock();
-        if let Some(req) = st.reservations.remove(&id) {
-            let cost = self.round_cost_us(&req);
-            st.used_round_us = st.used_round_us.saturating_sub(cost);
-            st.used_bps = st.used_bps.saturating_sub(req.charged_bit_rate());
+        if let Some((cost_us, bps)) = st.reservations.remove(&id) {
+            st.used_round_us = st.used_round_us.saturating_sub(cost_us);
+            st.used_bps = st.used_bps.saturating_sub(bps);
         }
     }
 
@@ -331,15 +332,17 @@ impl FileServer {
         if st.used_round_us <= cap_us && st.used_bps <= cap_bps {
             return Vec::new();
         }
-        let mut victims = Vec::new();
+        let mut held: Vec<_> = st.reservations.iter().map(|(&id, &c)| (id, c)).collect();
+        held.sort_unstable_by_key(|&(id, _)| std::cmp::Reverse(id));
         let mut round = st.used_round_us;
         let mut bps = st.used_bps;
-        for (&id, req) in st.reservations.iter().rev() {
+        let mut victims = Vec::new();
+        for (id, (cost_us, charged_bps)) in held {
             if round <= cap_us && bps <= cap_bps {
                 break;
             }
-            round = round.saturating_sub(self.round_cost_us(req));
-            bps = bps.saturating_sub(req.charged_bit_rate());
+            round = round.saturating_sub(cost_us);
+            bps = bps.saturating_sub(charged_bps);
             victims.push(id);
         }
         victims
@@ -479,6 +482,27 @@ mod tests {
         // Recovery clears violations.
         s.set_health(1.0);
         assert!(s.violated_reservations().is_empty());
+    }
+
+    #[test]
+    fn violations_stay_newest_first_after_out_of_order_releases() {
+        let s = FileServer::new(ServerId(0), ServerConfig::era_default());
+        let mut live: Vec<_> = (0..12)
+            .map(|i| s.try_reserve(mpeg1_req(i, Guarantee::Guaranteed)).unwrap())
+            .collect();
+        for gone in [live[7], live[3], live[0]] {
+            s.release(gone);
+            live.retain(|&id| id != gone);
+        }
+        for i in 12..14 {
+            live.push(s.try_reserve(mpeg1_req(i, Guarantee::Guaranteed)).unwrap());
+        }
+        s.set_health(0.3);
+        let victims = s.violated_reservations();
+        assert!(!victims.is_empty() && victims.len() < live.len());
+        // The newest survivors, newest first, and nothing released.
+        let newest: Vec<_> = live.iter().rev().take(victims.len()).copied().collect();
+        assert_eq!(victims, newest);
     }
 
     #[test]

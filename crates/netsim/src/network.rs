@@ -1,8 +1,12 @@
 //! The network service: reservation, metrics, congestion injection.
+//!
+//! Ids: link state sits at the index of the topology's dense [`LinkId`]s,
+//! and a link id the topology lacks is inert — health 1.0, utilization 0,
+//! health changes ignored. [`NetReservationId`]s are issued ascending
+//! from 1 and never reused.
 
-use nod_simcore::sync::{Mutex, Sharded};
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use nod_simcore::sync::Mutex;
+use nod_simcore::IntMap;
 use std::sync::{Arc, OnceLock};
 
 use nod_mmdoc::{ClientId, ServerId};
@@ -76,11 +80,91 @@ impl std::error::Error for NetError {}
 /// the reservation table entry all hold the route itself, never a copy.
 type Route = Arc<[LinkId]>;
 
-#[derive(Debug, Default)]
+/// One link's live state.
+#[derive(Debug, Clone, Copy)]
+struct LinkState {
+    /// Nominal capacity scaled by `health`, bits/s.
+    capacity_bps: u64,
+    reserved_bps: u64,
+    health: f64,
+}
+
+/// Nominal capacity scaled by a health factor.
+fn scaled(nominal_bps: u64, health: f64) -> u64 {
+    (nominal_bps as f64 * health) as u64
+}
+
+#[derive(Debug)]
 struct NetState {
-    reserved_bps: BTreeMap<LinkId, u64>,
-    health: BTreeMap<LinkId, f64>,
-    reservations: BTreeMap<NetReservationId, (Route, u64)>,
+    /// Indexed by [`LinkId`]. Route links index it directly: every route
+    /// is built from the topology's own links.
+    links: Vec<LinkState>,
+    reservations: IntMap<NetReservationId, (Route, u64)>,
+    /// The last reservation id issued.
+    last_id: u64,
+    /// Memoized client↔server routes. The topology is immutable once the
+    /// network is built (link health scales capacity, never delay), so a
+    /// cached route can't go stale — Dijkstra runs once per pair instead
+    /// of once per reservation attempt. On a metro dumbbell the hub node
+    /// is incident to every link, which makes an uncached lookup
+    /// O(total links); without the memo, per-session cost grows with farm
+    /// size and a city-scale fleet spends most of its time re-routing the
+    /// same three-hop paths. Only endpoints the topology attached become
+    /// keys, so the integer hasher sees no outside-chosen ids.
+    routes: IntMap<(ClientId, ServerId), Route>,
+    /// Shortest-path trees by source node, filled on first use. A server
+    /// streams to many clients, so one Dijkstra per server answers every
+    /// client pair — without the tree, warming the pair cache costs one
+    /// Dijkstra per pair, which is quadratic in fleet size.
+    trees: IntMap<NodeId, RouteTree>,
+}
+
+impl NetState {
+    /// The state of `link`; `None` for an id the topology lacks.
+    fn link(&mut self, link: LinkId) -> Option<&mut LinkState> {
+        self.links.get_mut(usize::try_from(link.0).ok()?)
+    }
+
+    /// The memoized route, uncounted.
+    fn lookup(
+        &mut self,
+        topo: &Topology,
+        client: ClientId,
+        server: ServerId,
+    ) -> Result<Route, NetError> {
+        if let Some(links) = self.routes.get(&(client, server)) {
+            return Ok(Arc::clone(links));
+        }
+        let c = (topo.client_node(client)).ok_or(NetError::UnknownClient(client))?;
+        let s = (topo.server_node(server)).ok_or(NetError::UnknownServer(server))?;
+        let tree = self.trees.entry(s).or_insert_with(|| route_tree(topo, s));
+        let links = Route::from(tree.path_to(s, c).map_err(NetError::Unreachable)?);
+        // Only routable pairs are cached: failures stay cheap to compute
+        // and keep counting on every lookup.
+        self.routes.insert((client, server), Arc::clone(&links));
+        Ok(links)
+    }
+
+    /// Reserve `bps` on every link of `route`, or on none.
+    fn reserve(&mut self, route: Route, bps: u64) -> Result<NetReservationId, NetError> {
+        for &l in route.iter() {
+            let s = &self.links[l.0 as usize];
+            if s.reserved_bps + bps > s.capacity_bps {
+                return Err(NetError::InsufficientBandwidth {
+                    link: l,
+                    available_bps: s.capacity_bps.saturating_sub(s.reserved_bps),
+                    requested_bps: bps,
+                });
+            }
+        }
+        for &l in route.iter() {
+            self.links[l.0 as usize].reserved_bps += bps;
+        }
+        self.last_id += 1;
+        let id = NetReservationId(self.last_id);
+        self.reservations.insert(id, (route, bps));
+        Ok(id)
+    }
 }
 
 /// The network's metrics, resolved when the recorder is attached.
@@ -117,7 +201,14 @@ impl Metrics {
     }
 
     /// Count a reservation verdict and mark it in the active trace.
-    fn verdict(&self, c: Counter) {
+    fn verdict<T>(&self, result: &Result<T, NetError>) {
+        let c = match result {
+            Ok(_) => self.accepted,
+            Err(NetError::UnknownClient(_)) => self.unknown_client,
+            Err(NetError::UnknownServer(_)) => self.unknown_server,
+            Err(NetError::Unreachable(_)) => self.unreachable,
+            Err(NetError::InsufficientBandwidth { .. }) => self.bandwidth,
+        };
         self.rec.add(c, 1);
         self.rec.trace_point_key(c.key(), None);
     }
@@ -125,29 +216,12 @@ impl Metrics {
 
 /// The reservable network.
 ///
-/// Thread-safe: concurrent negotiations share one instance; a path
-/// reservation is atomic (all links or none) under the state lock.
+/// One lock guards the link state, the reservation table and the route
+/// memos; a path reservation is atomic (all links or none) under it.
 #[derive(Debug)]
 pub struct Network {
     topo: Topology,
     state: Mutex<NetState>,
-    /// Memoized client↔server routes. The topology is immutable once the
-    /// network is built (link health scales capacity, never delay), so a
-    /// cached route can't go stale — Dijkstra runs once per pair instead
-    /// of once per reservation attempt. On a metro dumbbell the hub node
-    /// is incident to every link, which makes an uncached lookup
-    /// O(total links); without the memo, per-session cost grows with farm
-    /// size and a city-scale fleet spends most of its time re-routing the
-    /// same three-hop paths. Sharded so clients negotiating from
-    /// different threads against one shared `Network` don't serialize on
-    /// one cache lock.
-    routes: Sharded<HashMap<(ClientId, ServerId), Route>>,
-    /// Shortest-path trees by source node, filled on first use. A server
-    /// streams to many clients, so one Dijkstra per server answers every
-    /// client pair — without the tree, warming the pair cache costs one
-    /// Dijkstra per pair, which is quadratic in fleet size.
-    trees: Sharded<HashMap<NodeId, Arc<RouteTree>>>,
-    next_id: AtomicU64,
     /// Set-once observability hook; `None` keeps reservation allocation-free.
     metrics: OnceLock<Metrics>,
 }
@@ -155,12 +229,22 @@ pub struct Network {
 impl Network {
     /// Wrap a topology.
     pub fn new(topo: Topology) -> Self {
+        let links = (topo.links().iter())
+            .map(|l| LinkState {
+                capacity_bps: scaled(l.capacity_bps, 1.0),
+                reserved_bps: 0,
+                health: 1.0,
+            })
+            .collect();
         Network {
             topo,
-            state: Mutex::new(NetState::default()),
-            routes: Sharded::new(16, HashMap::new),
-            trees: Sharded::new(16, HashMap::new),
-            next_id: AtomicU64::new(1),
+            state: Mutex::new(NetState {
+                links,
+                reservations: IntMap::default(),
+                last_id: 0,
+                routes: IntMap::default(),
+                trees: IntMap::default(),
+            }),
             metrics: OnceLock::new(),
         }
     }
@@ -180,82 +264,39 @@ impl Network {
         &self.topo
     }
 
-    fn endpoints(&self, client: ClientId, server: ServerId) -> Result<(NodeId, NodeId), NetError> {
-        let c = self
-            .topo
-            .client_node(client)
-            .ok_or(NetError::UnknownClient(client))?;
-        let s = self
-            .topo
-            .server_node(server)
-            .ok_or(NetError::UnknownServer(server))?;
-        Ok((c, s))
-    }
-
-    /// Which shard of the route memo holds the pair.
-    fn route_shard(client: ClientId, server: ServerId) -> u64 {
-        client.0.rotate_left(32) ^ server.0
-    }
-
     /// Is there a route between the pair? The same answer — and the same
     /// `net.path.rejections` counting — as `path(..).is_ok()`, without
     /// copying the route.
     pub fn reachable(&self, client: ClientId, server: ServerId) -> bool {
-        self.route(client, server).is_ok()
+        self.route(&mut self.state.lock(), client, server).is_ok()
     }
 
     /// [`Network::reachable`] without counting `net.path.rejections`: for
     /// re-deriving a decision whose lookups were counted when it was made.
     pub fn has_route(&self, client: ClientId, server: ServerId) -> bool {
-        self.lookup(client, server).is_ok()
+        let mut st = self.state.lock();
+        st.lookup(&self.topo, client, server).is_ok()
     }
 
     /// The route a client↔server stream would take.
     pub fn path(&self, client: ClientId, server: ServerId) -> Result<Vec<LinkId>, NetError> {
-        self.route(client, server).map(|links| links.to_vec())
+        let route = self.route(&mut self.state.lock(), client, server);
+        route.map(|links| links.to_vec())
     }
 
     /// The memoized route; an unroutable pair counts
     /// `net.path.rejections`.
-    fn route(&self, client: ClientId, server: ServerId) -> Result<Route, NetError> {
-        let result = self.lookup(client, server);
+    fn route(
+        &self,
+        st: &mut NetState,
+        client: ClientId,
+        server: ServerId,
+    ) -> Result<Route, NetError> {
+        let result = st.lookup(&self.topo, client, server);
         if let (Err(_), Some(m)) = (&result, self.metrics.get()) {
             m.rec.add(m.path_rejections, 1);
         }
         result
-    }
-
-    /// The memoized route, uncounted.
-    #[inline]
-    fn lookup(&self, client: ClientId, server: ServerId) -> Result<Route, NetError> {
-        let shard_key = Self::route_shard(client, server);
-        if let Some(links) = self.routes.lock_key(shard_key).get(&(client, server)) {
-            return Ok(Arc::clone(links));
-        }
-        let result = self.endpoints(client, server).and_then(|(c, s)| {
-            let tree = self
-                .trees
-                .lock_key(s.0)
-                .entry(s)
-                .or_insert_with(|| Arc::new(route_tree(&self.topo, s)))
-                .clone();
-            tree.path_to(s, c)
-                .map(Route::from)
-                .map_err(NetError::Unreachable)
-        });
-        // Only routable pairs are cached: failures stay cheap to compute
-        // and keep counting on every lookup.
-        if let Ok(links) = &result {
-            self.routes
-                .lock_key(shard_key)
-                .insert((client, server), Arc::clone(links));
-        }
-        result
-    }
-
-    fn link_capacity(&self, st: &NetState, link: LinkId) -> u64 {
-        let cap = self.topo.link(link).expect("known link").capacity_bps as f64;
-        (cap * st.health.get(&link).copied().unwrap_or(1.0)) as u64
     }
 
     /// Metrics along the current route at current load.
@@ -264,18 +305,16 @@ impl Network {
         client: ClientId,
         server: ServerId,
     ) -> Result<PathMetrics, NetError> {
-        let links = self.route(client, server)?;
-        let st = self.state.lock();
+        let mut st = self.state.lock();
+        let links = self.route(&mut st, client, server)?;
         let mut delay = 0u64;
         let mut bottleneck = u64::MAX;
         let mut max_util = 0.0f64;
         for &l in links.iter() {
-            let lk = self.topo.link(l).expect("route links exist");
-            delay += lk.delay_us;
-            let cap = self.link_capacity(&st, l);
-            let used = st.reserved_bps.get(&l).copied().unwrap_or(0);
-            bottleneck = bottleneck.min(cap.saturating_sub(used));
-            let util = used as f64 / cap.max(1) as f64;
+            delay += self.topo.links()[l.0 as usize].delay_us;
+            let s = &st.links[l.0 as usize];
+            bottleneck = bottleneck.min(s.capacity_bps.saturating_sub(s.reserved_bps));
+            let util = s.reserved_bps as f64 / s.capacity_bps.max(1) as f64;
             max_util = max_util.max(util);
         }
         if links.is_empty() {
@@ -319,48 +358,13 @@ impl Network {
         if let Some(m) = self.metrics.get() {
             m.rec.add(m.attempts, 1);
         }
-        let links = match self.route(client, server) {
-            Ok(links) => links,
-            Err(e) => {
-                self.count_rejection(&e);
-                return Err(e);
-            }
-        };
         let mut st = self.state.lock();
-        for &l in links.iter() {
-            let cap = self.link_capacity(&st, l);
-            let used = st.reserved_bps.get(&l).copied().unwrap_or(0);
-            if used + bps > cap {
-                let err = NetError::InsufficientBandwidth {
-                    link: l,
-                    available_bps: cap.saturating_sub(used),
-                    requested_bps: bps,
-                };
-                drop(st);
-                self.count_rejection(&err);
-                return Err(err);
-            }
-        }
-        for &l in links.iter() {
-            *st.reserved_bps.entry(l).or_insert(0) += bps;
-        }
-        let id = NetReservationId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        st.reservations.insert(id, (links, bps));
+        let result = (self.route(&mut st, client, server)).and_then(|links| st.reserve(links, bps));
+        drop(st);
         if let Some(m) = self.metrics.get() {
-            m.verdict(m.accepted);
+            m.verdict(&result);
         }
-        Ok(id)
-    }
-
-    fn count_rejection(&self, err: &NetError) {
-        if let Some(m) = self.metrics.get() {
-            m.verdict(match err {
-                NetError::UnknownClient(_) => m.unknown_client,
-                NetError::UnknownServer(_) => m.unknown_server,
-                NetError::Unreachable(_) => m.unreachable,
-                NetError::InsufficientBandwidth { .. } => m.bandwidth,
-            });
-        }
+        result
     }
 
     /// Release a reservation (idempotent).
@@ -368,9 +372,8 @@ impl Network {
         let mut st = self.state.lock();
         if let Some((links, bps)) = st.reservations.remove(&id) {
             for l in links.iter() {
-                if let Some(v) = st.reserved_bps.get_mut(l) {
-                    *v = v.saturating_sub(bps);
-                }
+                let s = &mut st.links[l.0 as usize];
+                s.reserved_bps = s.reserved_bps.saturating_sub(bps);
             }
         }
     }
@@ -384,48 +387,54 @@ impl Network {
     /// once per link it crosses) — the capacity-audit accessor the broker
     /// compares before and after a fully-drained run.
     pub fn total_reserved_bps(&self) -> u64 {
-        self.state.lock().reserved_bps.values().sum()
+        self.state.lock().links.iter().map(|s| s.reserved_bps).sum()
     }
 
     /// Current health factor of a link (1.0 unless degraded).
     pub fn link_health(&self, link: LinkId) -> f64 {
-        self.state.lock().health.get(&link).copied().unwrap_or(1.0)
+        self.state.lock().link(link).map_or(1.0, |s| s.health)
     }
 
     /// Reserved fraction of a link's nominal capacity.
     pub fn link_utilization(&self, link: LinkId) -> f64 {
-        let st = self.state.lock();
-        let cap = self.topo.link(link).map(|l| l.capacity_bps).unwrap_or(0);
-        st.reserved_bps.get(&link).copied().unwrap_or(0) as f64 / cap.max(1) as f64
+        let Some(l) = self.topo.link(link) else {
+            return 0.0;
+        };
+        let used = self.state.lock().link(link).map_or(0, |s| s.reserved_bps);
+        used as f64 / l.capacity_bps.max(1) as f64
     }
 
-    /// Inject congestion on one link: scale its effective capacity.
+    /// Inject congestion on one link: scale its effective capacity. An id
+    /// the topology lacks is ignored.
     ///
     /// # Panics
     /// Panics outside [0, 1].
     pub fn set_link_health(&self, link: LinkId, health: f64) {
         assert!((0.0..=1.0).contains(&health), "health must be in [0,1]");
-        self.state.lock().health.insert(link, health);
+        let Some(l) = self.topo.link(link) else {
+            return;
+        };
+        if let Some(s) = self.state.lock().link(link) {
+            s.health = health;
+            s.capacity_bps = scaled(l.capacity_bps, health);
+        }
     }
 
     /// Reservations crossing links whose reserved bandwidth now exceeds the
-    /// degraded capacity — the flows experiencing QoS violations.
+    /// degraded capacity — the flows experiencing QoS violations — in
+    /// ascending id order.
     pub fn violated_reservations(&self) -> Vec<NetReservationId> {
         let st = self.state.lock();
-        let congested: Vec<LinkId> = st
-            .reserved_bps
-            .iter()
-            .filter(|(&l, &used)| used > self.link_capacity(&st, l))
-            .map(|(&l, _)| l)
-            .collect();
-        if congested.is_empty() {
+        let congested = |s: &LinkState| s.reserved_bps > s.capacity_bps;
+        if !st.links.iter().any(congested) {
             return Vec::new();
         }
-        st.reservations
-            .iter()
-            .filter(|(_, (links, _))| links.iter().any(|l| congested.contains(l)))
+        let mut ids: Vec<NetReservationId> = (st.reservations.iter())
+            .filter(|(_, (links, _))| links.iter().any(|l| congested(&st.links[l.0 as usize])))
             .map(|(&id, _)| id)
-            .collect()
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 }
 
@@ -544,6 +553,88 @@ mod tests {
         assert_eq!(v, vec![r0]);
         net.set_link_health(access0, 1.0);
         assert!(net.violated_reservations().is_empty());
+    }
+
+    #[test]
+    fn violations_across_several_congested_links_list_ascending_ids() {
+        let net = Network::new(Topology::dumbbell(3, 2, 10_000_000, 155_000_000));
+        let reserve = |c, s, bps| net.try_reserve(ClientId(c), ServerId(s), bps).unwrap();
+        let r0 = reserve(0, 0, 6_000_000);
+        let _r1 = reserve(1, 0, 6_000_000);
+        let r2 = reserve(2, 1, 6_000_000);
+        let r3 = reserve(0, 1, 3_000_000);
+        let r4 = reserve(2, 0, 2_000_000);
+        // Degrade client 2's access link before client 0's: the list
+        // follows reservation ids, not the order links were congested.
+        for c in [2, 0] {
+            let access = net.path(ClientId(c), ServerId(0)).unwrap()[2];
+            net.set_link_health(access, 0.4);
+        }
+        assert_eq!(net.violated_reservations(), vec![r0, r2, r3, r4]);
+    }
+
+    #[test]
+    fn links_the_topology_lacks_are_inert() {
+        let net = dumbbell();
+        let known = net.topology().link_ids();
+        for ghost in [LinkId(known.len() as u64), LinkId(10_000), LinkId(u64::MAX)] {
+            assert_eq!(net.link_health(ghost), 1.0);
+            assert_eq!(net.link_utilization(ghost), 0.0);
+            net.set_link_health(ghost, 0.3);
+            assert_eq!(net.link_utilization(ghost), 0.0);
+        }
+        // No real link felt it: full capacity, no violations.
+        for &l in &known {
+            assert_eq!(net.link_health(l), 1.0);
+        }
+        net.try_reserve(ClientId(0), ServerId(0), 10_000_000)
+            .unwrap();
+        assert!(net.violated_reservations().is_empty());
+    }
+
+    #[test]
+    fn double_and_unknown_releases_are_no_ops() {
+        let net = dumbbell();
+        let a = net
+            .try_reserve(ClientId(0), ServerId(0), 1_000_000)
+            .unwrap();
+        let b = net
+            .try_reserve(ClientId(1), ServerId(1), 2_000_000)
+            .unwrap();
+        net.release(a);
+        net.release(a);
+        for ghost in [0, b.0 + 1, u64::MAX] {
+            net.release(NetReservationId(ghost));
+        }
+        assert_eq!(net.active_reservations(), 1);
+        assert_eq!(net.total_reserved_bps(), 3 * 2_000_000);
+        net.release(b);
+        assert_eq!(net.active_reservations(), 0);
+        assert_eq!(net.total_reserved_bps(), 0);
+    }
+
+    #[test]
+    fn total_reserved_bps_follows_interleaved_reserves_and_releases() {
+        // Every dumbbell route is three hops, so a flow counts 3×.
+        let net = dumbbell();
+        let a = net
+            .try_reserve(ClientId(0), ServerId(0), 1_000_000)
+            .unwrap();
+        assert_eq!(net.total_reserved_bps(), 3_000_000);
+        let b = net
+            .try_reserve(ClientId(1), ServerId(1), 2_000_000)
+            .unwrap();
+        assert_eq!(net.total_reserved_bps(), 9_000_000);
+        net.release(a);
+        assert_eq!(net.total_reserved_bps(), 6_000_000);
+        let c = net
+            .try_reserve(ClientId(0), ServerId(1), 4_000_000)
+            .unwrap();
+        assert_eq!(net.total_reserved_bps(), 18_000_000);
+        net.release(b);
+        assert_eq!(net.total_reserved_bps(), 12_000_000);
+        net.release(c);
+        assert_eq!(net.total_reserved_bps(), 0);
     }
 
     #[test]

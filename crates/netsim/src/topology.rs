@@ -39,11 +39,15 @@ pub struct Link {
 }
 
 /// The static network graph plus endpoint attachments.
+///
+/// Link ids are dense: [`Topology::add_link`] numbers links `0..n` in the
+/// order they are added, and a link lives at its id's index. An id at or
+/// past `n` names no link, and [`Topology::link`] answers it with `None`.
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
-    links: BTreeMap<LinkId, Link>,
+    /// Indexed by [`LinkId`].
+    links: Vec<Link>,
     adjacency: BTreeMap<NodeId, Vec<LinkId>>,
-    next_link: u64,
     servers: BTreeMap<ServerId, NodeId>,
     clients: BTreeMap<ClientId, NodeId>,
 }
@@ -60,24 +64,20 @@ impl Topology {
         self.adjacency.entry(node).or_default();
     }
 
-    /// Add a full-duplex link and return its id.
+    /// Add a full-duplex link and return its id, the next dense index.
     ///
     /// # Panics
     /// Panics on zero capacity or a self-loop.
     pub fn add_link(&mut self, a: NodeId, b: NodeId, capacity_bps: u64, delay_us: u64) -> LinkId {
         assert!(capacity_bps > 0, "link needs positive capacity");
         assert_ne!(a, b, "self-loop links are not allowed");
-        let id = LinkId(self.next_link);
-        self.next_link += 1;
-        self.links.insert(
-            id,
-            Link {
-                a,
-                b,
-                capacity_bps,
-                delay_us,
-            },
-        );
+        let id = LinkId(self.links.len() as u64);
+        self.links.push(Link {
+            a,
+            b,
+            capacity_bps,
+            delay_us,
+        });
         self.adjacency.entry(a).or_default().push(id);
         self.adjacency.entry(b).or_default().push(id);
         id
@@ -105,9 +105,14 @@ impl Topology {
         self.clients.get(&client).copied()
     }
 
-    /// Link parameters.
+    /// Every link, indexed by [`LinkId`].
+    pub fn links(&self) -> &[Link] {
+        &self.links
+    }
+
+    /// Link parameters; `None` for an id the topology lacks.
     pub fn link(&self, id: LinkId) -> Option<&Link> {
-        self.links.get(&id)
+        self.links.get(usize::try_from(id.0).ok()?)
     }
 
     /// Links incident to a node.
@@ -121,9 +126,10 @@ impl Topology {
     /// The far endpoint of `link` as seen from `from`.
     ///
     /// # Panics
-    /// Panics if `from` is not an endpoint of `link`.
+    /// Panics if `from` is not an endpoint of `link`, or `link` is not in
+    /// the topology.
     pub fn other_end(&self, link: LinkId, from: NodeId) -> NodeId {
-        let l = &self.links[&link];
+        let l = self.link(link).expect("link in the topology");
         if l.a == from {
             l.b
         } else if l.b == from {
@@ -133,9 +139,9 @@ impl Topology {
         }
     }
 
-    /// All link ids.
+    /// All link ids, ascending.
     pub fn link_ids(&self) -> Vec<LinkId> {
-        self.links.keys().copied().collect()
+        (0..self.links.len() as u64).map(LinkId).collect()
     }
 
     /// All node ids.

@@ -59,16 +59,9 @@ impl AdvanceBook {
                 (cfg.disk.round_capacity_us(cfg.round_us) as f64 * cfg.utilization_limit) as u64;
             servers.insert(id, IntervalLedger::new(capacity.max(1)));
         }
-        let mut links = BTreeMap::new();
-        for l in ctx.network.topology().link_ids() {
-            let cap = ctx
-                .network
-                .topology()
-                .link(l)
-                .expect("listed link exists")
-                .capacity_bps;
-            links.insert(l, IntervalLedger::new(cap));
-        }
+        let links = (ctx.network.topology().links().iter().enumerate())
+            .map(|(i, l)| (LinkId(i as u64), IntervalLedger::new(l.capacity_bps)))
+            .collect();
         AdvanceBook {
             servers,
             links,

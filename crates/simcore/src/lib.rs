@@ -26,6 +26,7 @@
 //! ```
 
 pub mod event;
+pub mod hash;
 pub mod json;
 pub mod ledger;
 pub mod rng;
@@ -34,6 +35,7 @@ pub mod sync;
 pub mod time;
 
 pub use event::{EventQueue, Scheduled};
+pub use hash::{IntHasher, IntMap};
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use ledger::{BookingId, IntervalLedger};
 pub use rng::{SplitMix64, StreamRng, ZipfSampler};

@@ -76,6 +76,18 @@ impl SplitMix64 {
         SplitMix64 { state, gamma }
     }
 
+    /// The child the `n`-th call of [`SplitMix64::split`] would return,
+    /// counting from 0, without advancing this generator. Each split
+    /// advances the parent by exactly two gamma steps, so this is O(1).
+    pub fn split_nth(&self, n: u64) -> SplitMix64 {
+        let skipped = n.wrapping_mul(2).wrapping_mul(self.gamma);
+        SplitMix64 {
+            state: self.state.wrapping_add(skipped),
+            gamma: self.gamma,
+        }
+        .split()
+    }
+
     /// Uniform `f64` in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
         // 53 top bits -> [0,1) with full double precision.
@@ -126,6 +138,14 @@ impl StreamRng {
     pub fn split(&mut self) -> StreamRng {
         StreamRng {
             inner: self.inner.split(),
+        }
+    }
+
+    /// The `n`-th child [`StreamRng::split`] would return, without
+    /// advancing this stream — see [`SplitMix64::split_nth`].
+    pub fn split_nth(&self, n: u64) -> StreamRng {
+        StreamRng {
+            inner: self.inner.split_nth(n),
         }
     }
 
@@ -343,6 +363,22 @@ mod tests {
         let mut p = parent1;
         let overlap = (0..64).filter(|_| c.next_u64() == p.next_u64()).count();
         assert_eq!(overlap, 0);
+    }
+
+    #[test]
+    fn split_nth_matches_sequential_splits() {
+        for seed in [0, 1, 12, 0x6272_6f6b, u64::MAX] {
+            let master = StreamRng::new(seed);
+            let mut sequential = master.clone();
+            for n in 0..10_000 {
+                let child = sequential.split();
+                assert_eq!(
+                    master.split_nth(n).state_parts(),
+                    child.state_parts(),
+                    "seed {seed} split {n}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -58,79 +58,6 @@ impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
     }
 }
 
-/// A value split across `N` independently locked shards so concurrent
-/// writers keyed by different ids rarely contend on the same lock.
-///
-/// Keys are spread with a Fibonacci multiplicative hash, so dense
-/// sequential ids (session numbers, server ids) land on distinct shards.
-/// The lock-order discipline is: hold at most one shard guard at a time;
-/// whole-structure walks ([`Sharded::fold`]) lock shards one after another
-/// in index order and never nest, so they cannot deadlock against keyed
-/// accessors.
-pub struct Sharded<T> {
-    shards: Vec<Mutex<T>>,
-}
-
-impl<T> Sharded<T> {
-    /// `shards` independent copies produced by `init` (one call per shard).
-    ///
-    /// # Panics
-    /// Panics on zero shards.
-    pub fn new(shards: usize, mut init: impl FnMut() -> T) -> Self {
-        assert!(shards > 0, "at least one shard required");
-        Sharded {
-            shards: (0..shards).map(|_| Mutex::new(init())).collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard index `key` maps to.
-    pub fn shard_for(&self, key: u64) -> usize {
-        // Fibonacci hashing: multiply by ⌊2^64/φ⌋ and keep the high bits.
-        let spread = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (spread >> 32) as usize % self.shards.len()
-    }
-
-    /// Lock the shard owning `key`.
-    pub fn lock_key(&self, key: u64) -> MutexGuard<'_, T> {
-        self.shards[self.shard_for(key)].lock()
-    }
-
-    /// Lock shard `index` directly.
-    ///
-    /// # Panics
-    /// Panics when `index` is out of range.
-    pub fn lock_shard(&self, index: usize) -> MutexGuard<'_, T> {
-        self.shards[index].lock()
-    }
-
-    /// Fold over every shard, locking each in index order (one at a time).
-    pub fn fold<A>(&self, init: A, mut f: impl FnMut(A, &mut T) -> A) -> A {
-        let mut acc = init;
-        for shard in &self.shards {
-            acc = f(acc, &mut shard.lock());
-        }
-        acc
-    }
-
-    /// Consume the structure, returning the shard values in index order.
-    pub fn into_inner(self) -> Vec<T> {
-        self.shards.into_iter().map(Mutex::into_inner).collect()
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for Sharded<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Sharded")
-            .field("shards", &self.shards.len())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,43 +68,6 @@ mod tests {
         *m.lock() += 41;
         assert_eq!(*m.lock(), 42);
         assert_eq!(m.into_inner(), 42);
-    }
-
-    #[test]
-    fn sharded_spreads_and_folds() {
-        let s: Sharded<Vec<u64>> = Sharded::new(4, Vec::new);
-        assert_eq!(s.shards(), 4);
-        for key in 0..64u64 {
-            s.lock_key(key).push(key);
-        }
-        // Dense keys land on more than one shard.
-        let populated = s.fold(0usize, |acc, v| acc + usize::from(!v.is_empty()));
-        assert!(populated > 1, "all keys hashed to one shard");
-        // Nothing lost, nothing duplicated.
-        let total = s.fold(0usize, |acc, v| acc + v.len());
-        assert_eq!(total, 64);
-        let mut all: Vec<u64> = s.into_inner().into_iter().flatten().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sharded_concurrent_pushes_are_consistent() {
-        let s = std::sync::Arc::new(Sharded::new(8, || 0u64));
-        let handles: Vec<_> = (0..8u64)
-            .map(|t| {
-                let s = s.clone();
-                std::thread::spawn(move || {
-                    for i in 0..1_000u64 {
-                        *s.lock_key(t * 1_000 + i) += 1;
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(s.fold(0u64, |acc, n| acc + *n), 8_000);
     }
 
     #[test]

@@ -156,6 +156,24 @@ while read -r workload expected; do
     echo "$workload $got"
 done < scripts/benchmark_digests.txt
 
+# Allocation ceiling (gating): the count-allocs build of the benchmark
+# counts heap allocations per negotiation over a smoke-size replay. The
+# count is deterministic, so growth past scripts/alloc_ceiling.txt — a
+# table that starts reallocating, a clone on the hot path — fails here;
+# lower the ceiling when a change saves allocations. Its own target dir
+# keeps the counting allocator out of the timed benchmark binary.
+echo "==> allocation ceiling (trace --workload fleet_steady --smoke, count-allocs)"
+ceiling="$(cat scripts/alloc_ceiling.txt)"
+allocs="$(cargo run --release --quiet --manifest-path benchmark/Cargo.toml \
+    --target-dir benchmark/target/count-allocs --features count-allocs -- \
+    trace --workload fleet_steady --smoke < /dev/null |
+    awk '$1 == "qosneg.allocs_per_negotiation" { print $2 }')"
+if ! awk -v got="$allocs" -v max="$ceiling" 'BEGIN { exit !(got != "" && got + 0 <= max + 0) }'; then
+    echo "error: qosneg.allocs_per_negotiation is '$allocs', above the ceiling $ceiling"
+    exit 1
+fi
+echo "qosneg.allocs_per_negotiation $allocs (ceiling $ceiling)"
+
 echo "==> line budget (scripts/loc_budget.sh)"
 scripts/loc_budget.sh
 

@@ -162,6 +162,29 @@ fn journaling_does_not_perturb_the_run() {
     assert_eq!(stats.compactions, 0, "compaction was off");
 }
 
+/// A durable journal on a device that refuses every write ends the drive
+/// normally, with the failure on the report and the run unchanged.
+#[test]
+#[cfg(target_os = "linux")]
+fn a_journal_on_a_full_disk_is_reported_not_a_panic() {
+    let config = chaos_config();
+    let (_, plain) = run_contended_with(&config, None);
+    // Compaction is off, so nothing ever tries to replace the device.
+    let journal = Journal::create("/dev/full", chaos_journal_cfg()).expect("/dev/full opens");
+    let (_, journaled) = run_contended_journaled(&config, None, &journal);
+    assert_eq!(
+        plain.events, journaled.events,
+        "a failing journal perturbed the run"
+    );
+    assert_eq!(plain.results, journaled.results);
+    assert_eq!(plain.journal_error, None);
+    let err = journaled
+        .journal_error
+        .expect("the write failure is reported");
+    assert!(err.contains("/dev/full"), "{err}");
+    assert!(matches!(journal.sync(), Err(JournalError::Io(_))));
+}
+
 #[test]
 fn chaos_cuts_recover_to_byte_identical_suffixes() {
     let (full, bytes) = full_run();
