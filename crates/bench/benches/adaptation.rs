@@ -11,7 +11,7 @@ use nod_mmdb::{Catalog, CorpusBuilder, CorpusParams};
 use nod_mmdoc::{ClientId, DocumentId, ServerId};
 use nod_netsim::{Network, Topology};
 use nod_qosneg::adapt::{adapt, AdaptationReason};
-use nod_qosneg::negotiate::{try_commit, NegotiationContext, NegotiationOutcome};
+use nod_qosneg::negotiate::{try_commit_refusal, NegotiationContext, NegotiationOutcome};
 use nod_qosneg::profile::tv_news_profile;
 use nod_qosneg::{
     ClassificationStrategy, CostModel, NegotiationRequest, QosError, Session, UserProfile,
@@ -97,7 +97,7 @@ fn main() {
                 .expect("an idle system always yields an alternate");
             // Switch back so every iteration starts from the same state:
             // recommit the original offer, then drop the alternate.
-            let back = try_commit(&cx, &client, &out.ordered_offers[idx].offer, u64::MAX)
+            let back = try_commit_refusal(&cx, &client, &out.ordered_offers[idx].offer, u64::MAX)
                 .expect("original offer recommits on an idle system");
             alternate.release(&w.farm, &w.network);
             current = back;

@@ -1,9 +1,11 @@
-//! B1/B2/B7 — classification kernels and scaling.
+//! B1/B2 — classification kernels and scaling.
 //!
 //! * B1: the SNS + OIF scoring kernel for a single offer;
 //! * B2: full classification (score + stable sort) over growing offer sets,
-//!   plus the four ordering strategies head-to-head;
-//! * B7: dominated-offer pruning as a pre-pass vs. classifying everything.
+//!   plus the four ordering strategies head-to-head.
+//!
+//! B7 (dominated-offer pruning as a pre-pass) is retired with pruning
+//! itself: it lost here and on the fleet (see EXPERIMENTS.md, B7).
 //!
 //! B5 (sequential vs. thread-fan-out scoring) is retired: the fan-out was
 //! 2–3× slower than the sequential loop at every size measured, so the
@@ -16,7 +18,6 @@ use nod_mmdoc::prelude::*;
 use nod_qosneg::classify::{classify, ClassificationStrategy, ScoredOffer};
 use nod_qosneg::offer::SystemOffer;
 use nod_qosneg::profile::{tv_news_profile, UserProfile};
-use nod_qosneg::prune::prune_dominated;
 use nod_qosneg::Money;
 
 fn offers(n: usize) -> Vec<SystemOffer> {
@@ -80,23 +81,6 @@ fn main() {
     ] {
         m.bench(&format!("b2_strategy/{label}"), || {
             classify(black_box(set.clone()), black_box(&p), strategy)
-        });
-    }
-
-    // B7: dominated-offer pruning as a pre-pass — prune cost vs the
-    // classification work it saves.
-    for n in [256usize, 1_024] {
-        let set = offers(n);
-        m.bench(&format!("b7_classify_full/{n}"), || {
-            classify(
-                black_box(set.clone()),
-                black_box(&p),
-                ClassificationStrategy::SnsThenOif,
-            )
-        });
-        m.bench(&format!("b7_prune_then_classify/{n}"), || {
-            let (survivors, _) = prune_dominated(black_box(set.clone()));
-            classify(survivors, black_box(&p), ClassificationStrategy::SnsThenOif)
         });
     }
 

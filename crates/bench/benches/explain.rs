@@ -109,7 +109,7 @@ fn main() {
         guarantee: Guarantee::Guaranteed,
         enumeration_cap: 2_000_000,
         jitter_buffer_ms: 2_000,
-        prune_dominated: true,
+        prune_dominated: false,
         streaming: StreamingMode::Auto,
         recorder: None,
         explain,

@@ -16,9 +16,8 @@
 //! - `--once` (the default): one overview — fate mix, retention stats,
 //!   and the headline refusal causes.
 //! - `--session N`: why session N succeeded or failed — per attempt, the
-//!   variants pruned (and by whom), the score decomposition of the
-//!   top-ranked offers, every commit refusal with its concrete shortfall,
-//!   plus settlement and adaptation history.
+//!   score decomposition of the top-ranked offers, every commit refusal
+//!   with its concrete shortfall, plus settlement and adaptation history.
 //! - `--timeline`: per-server reserved-bandwidth timelines over virtual
 //!   time, reconstructed from the capacity ledger.
 //! - `--refusals`: refusal causes ranked by the number of sessions
@@ -164,18 +163,6 @@ fn print_session(artifact: &ExplainArtifact, n: u64) {
             d.feasible_variants,
             d.offers_enumerated
         );
-        if !d.pruned.is_empty() {
-            println!("  pruned {} dominated offers:", d.pruned.len());
-            for p in &d.pruned {
-                println!(
-                    "    variants {:?} (${:.2}) dominated by {:?} (${:.2})",
-                    p.victim_variants,
-                    p.victim_cost.dollars(),
-                    p.dominator_variants,
-                    p.dominator_cost.dollars()
-                );
-            }
-        }
         if !d.scores.is_empty() {
             let mut t = Table::new(&[
                 "rank", "streams", "sns", "qos-imp", "oif", "cost-net", "cost-ser", "total",

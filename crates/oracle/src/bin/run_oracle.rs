@@ -13,7 +13,7 @@
 //!
 //! `--explain-check` additionally replays every divergence-free scenario
 //! with explanations enabled and asserts the decision log cites exactly
-//! the commit-refusal kinds, pruned-variant set, and winning-offer rank
+//! the commit-refusal kinds, score decomposition and winning-offer rank
 //! the paper-literal reference observes — and that the explained outcome
 //! equals the plain one field by field (status, reserved index and offer,
 //! refusal list, attempt count): observing does not change what is

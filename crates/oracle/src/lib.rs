@@ -4,7 +4,7 @@
 //!
 //! * [`mod@reference`] — a deliberately slow, paper-literal reference
 //!   negotiator implemented straight from the HPDC-5 steps 1–6, sharing no
-//!   engine/classify/prune code with `nod-qosneg`;
+//!   engine/classify/negotiate code with `nod-qosneg`;
 //! * [`scenario`] — a seeded scenario generator spanning the edge-case
 //!   envelope (zero-variant components, equal-OIF ties, NaN-adjacent
 //!   importances, cost-ceiling boundaries, capacity exactly-full) plus a
@@ -20,7 +20,7 @@
 //! `scripts/check.sh`); the library surface exists so regression tests can
 //! replay shrunk scenarios directly. [`explain_check`] extends the oracle
 //! to the observability channel: decision logs must cite exactly the
-//! refusal kinds, pruned-variant set, and winning-offer rank the
+//! refusal kinds, score decomposition and winning-offer rank the
 //! reference observes, and the explained outcome must equal the plain one
 //! (`run_oracle --explain-check`).
 

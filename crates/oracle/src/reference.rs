@@ -16,7 +16,7 @@
 //!   release.
 //!
 //! The module intentionally shares **no** code with
-//! `nod_qosneg::{engine, classify, prune, negotiate}` — only the paper's
+//! `nod_qosneg::{engine, classify, negotiate}` — only the paper's
 //! *model* functions (cost tables, importance curves, §6 mapping constants,
 //! startup estimate) and the world types themselves, which both sides must
 //! agree on by construction. Everything the optimized paths are allowed to
@@ -68,8 +68,6 @@ pub struct RefOffer {
     pub variant_ids: Vec<VariantId>,
     /// The serving server per variant, in the same order.
     pub servers: Vec<ServerId>,
-    /// The QoS values delivered, in the same order.
-    pub qos: Vec<MediaQos>,
     /// CostDoc (§7 formula (1)).
     pub cost: Money,
     /// QoS importance (§5.2.2 (a)).
@@ -349,7 +347,6 @@ fn score_offer(
     RefOffer {
         variant_ids: combo.iter().map(|v| v.id).collect(),
         servers: combo.iter().map(|v| v.server).collect(),
-        qos: combo.iter().map(|v| v.qos).collect(),
         cost,
         qos_importance,
         oif,

@@ -1,7 +1,7 @@
 //! Explanation conformance: a seeded sweep asserting that for every
 //! divergence-free scenario, the decision log names the same refusal
-//! kinds, the same pruned-variant set, and the same winning-offer rank as
-//! the paper-literal reference (ISSUE 9, satellite 3).
+//! kinds, the same score decomposition, and the same winning-offer rank
+//! as the paper-literal reference.
 
 use nod_oracle::diff::run_differential;
 use nod_oracle::explain_check::run_explain_crosscheck;

@@ -21,8 +21,8 @@ use crate::classify::{classify, ClassificationStrategy, ScoredOffer};
 use crate::engine::OfferList;
 use crate::money::Money;
 use crate::negotiate::{
-    try_commit, NegotiationContext, NegotiationError, NegotiationOutcome, NegotiationStatus,
-    NegotiationTrace, SessionReservation,
+    try_commit_refusal, NegotiationContext, NegotiationError, NegotiationOutcome,
+    NegotiationStatus, NegotiationTrace, SessionReservation,
 };
 use crate::offer::SystemOffer;
 use crate::profile::UserProfile;
@@ -139,7 +139,7 @@ pub(crate) fn negotiate_static_first_fit_impl(
         variants: chosen.into_iter().cloned().collect(),
         cost,
     };
-    let reservation = try_commit(ctx, client, &offer, profile.time.max_startup_ms);
+    let reservation = try_commit_refusal(ctx, client, &offer, profile.time.max_startup_ms).ok();
     Ok(outcome_for_offer(profile, offer, reservation, trace))
 }
 
@@ -206,7 +206,7 @@ pub(crate) fn negotiate_per_monomedia_impl(
         let mut reserved = None;
         for s in scored {
             trace.reservation_attempts += 1;
-            if let Some(r) = try_commit(ctx, client, &s.offer, profile.time.max_startup_ms) {
+            if let Ok(r) = try_commit_refusal(ctx, client, &s.offer, profile.time.max_startup_ms) {
                 reserved = Some((s, r));
                 break;
             }

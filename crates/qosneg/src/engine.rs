@@ -256,7 +256,7 @@ impl OfferEngine {
     /// materialize everything. Bit-identical to running
     /// [`classify`](crate::classify()) over the eagerly enumerated offers.
     pub fn classify_all(&self) -> Vec<ScoredOffer> {
-        let mut ranking = Ranking::score(self, None);
+        let mut ranking = Ranking::score(self);
         ranking.order_to(ranking.entries.len());
         self.materialize_all(&ranking.entries)
     }
@@ -347,7 +347,7 @@ impl OfferEngine {
     /// rest. Scores the product up front; each `next()` orders only as far
     /// as it has to.
     pub fn reservation_stream(&self) -> impl Iterator<Item = ScoredCombo> {
-        let mut ranking = Ranking::score(self, None);
+        let mut ranking = Ranking::score(self);
         let mut cursor = WalkCursor::default();
         std::iter::from_fn(move || ranking.advance(&mut cursor).map(|idx| ranking.entries[idx]))
     }
@@ -378,16 +378,13 @@ struct Ranking {
 
 impl Ranking {
     /// Score `engine`'s whole product in enumeration order with the
-    /// [`ScoredOffer::score`]-identical fold; `keep`, indexed by
-    /// enumeration rank, drops pruned offers first.
-    fn score(engine: &OfferEngine, keep: Option<&[bool]>) -> Ranking {
+    /// [`ScoredOffer::score`]-identical fold.
+    fn score(engine: &OfferEngine) -> Ranking {
         let mut entries = Vec::with_capacity(engine.total);
         let mut satisfying = 0;
         engine.for_each_combo(|combo| {
-            if keep.is_none_or(|k| k[combo.rank as usize]) {
-                satisfying += usize::from(combo.satisfies_request);
-                entries.push(combo);
-            }
+            satisfying += usize::from(combo.satisfies_request);
+            entries.push(combo);
         });
         Ranking {
             strategy: engine.strategy,
@@ -464,7 +461,7 @@ fn order_cmp(strategy: ClassificationStrategy, a: &ScoredCombo, b: &ScoredCombo)
 }
 
 /// The classified offer list as plain data over its engine: one
-/// [`ScoredCombo`] per (unpruned) offer, scored up front and ordered on
+/// [`ScoredCombo`] per offer, scored up front and ordered on
 /// demand (see the module docs). This is what
 /// [`prepare`](crate::negotiate::prepare) hands to step 5; an entry becomes
 /// a [`ScoredOffer`] only when it commits, or when somebody reads the list.
@@ -477,10 +474,9 @@ pub struct RankedOffers {
 }
 
 impl RankedOffers {
-    /// Score `engine`'s whole product; `keep`, indexed by enumeration rank,
-    /// drops pruned offers first. Nothing is ordered yet.
-    pub fn new(engine: OfferEngine, keep: Option<&[bool]>) -> RankedOffers {
-        let ranking = Ranking::score(&engine, keep);
+    /// Score `engine`'s whole product. Nothing is ordered yet.
+    pub fn new(engine: OfferEngine) -> RankedOffers {
+        let ranking = Ranking::score(&engine);
         RankedOffers { engine, ranking }
     }
 
@@ -710,7 +706,7 @@ mod tests {
             variant(1, 1, ColorDepth::Color, 25, 0),
             variant(2, 1, ColorDepth::Grey, 15, 1),
         ]);
-        let list = OfferList::ranked(RankedOffers::new(engine, None));
+        let list = OfferList::ranked(RankedOffers::new(engine));
         assert_eq!(list.len(), 2);
         assert!(!list.is_empty());
         assert!(!list.is_materialized());
@@ -734,7 +730,7 @@ mod tests {
                 .collect(),
         );
         let want = reference(&engine);
-        let mut ranked = RankedOffers::new(engine, None);
+        let mut ranked = RankedOffers::new(engine);
         for (i, expected) in want.iter().enumerate() {
             assert_eq!(
                 ranked.entry(i).rank,
@@ -753,7 +749,7 @@ mod tests {
                 .collect(),
         );
         let want = reference(&engine);
-        let mut ranked = RankedOffers::new(engine, None);
+        let mut ranked = RankedOffers::new(engine);
         assert_eq!(ranked.ranking.ordered, 0, "scoring orders nothing");
         ranked.entry(0);
         assert_eq!(ranked.ranking.ordered, HEAD);
@@ -773,7 +769,7 @@ mod tests {
             variant(3, 1, ColorDepth::Grey, 15, 1),
         ]);
         let want = reference(&engine);
-        let [d, a, c] = RankedOffers::new(engine, None).sns_census();
+        let [d, a, c] = RankedOffers::new(engine).sns_census();
         let count = |s: StaticNegotiationStatus| want.iter().filter(|o| o.sns == s).count() as u64;
         assert_eq!(d, count(StaticNegotiationStatus::Desirable));
         assert_eq!(a, count(StaticNegotiationStatus::Acceptable));

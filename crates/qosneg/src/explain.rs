@@ -6,8 +6,6 @@
 //! link refused the better one?". This module carries the load-bearing
 //! facts of each step in a [`DecisionLog`]:
 //!
-//! * which offers dominance pruning removed and the dominating pair that
-//!   killed each one ([`PruneRecord`]),
 //! * the score decomposition (QoS importance vs CostNet vs CostSer) for
 //!   the top-k classified offers plus the chosen one ([`ScoreRow`]),
 //! * every refused step-5 commit with the concrete shortfall — which
@@ -19,14 +17,15 @@
 //! Collection is opt-in via [`NegotiationContext::explain`]; the disabled
 //! path is a boolean check per walk and allocates nothing. Only the walk's
 //! live facts — refusals, the chosen rank, the status — are captured as it
-//! runs; the rest of a log (score rows, pruning victims, durations,
-//! counts) depends only on the catalog and the request, and is derived
-//! from them ([`explain_attempts`]) when a log is wanted — for the broker,
-//! only for the sessions its tail retention keeps. Logs are
-//! plain data with [`ToJson`]/[`FromJson`] impls, serialized as JSON lines
+//! runs; the rest of a log (score rows, durations, counts) depends only on
+//! the catalog and the request, and is derived from them
+//! ([`explain_attempts`]) when a log is wanted — for the broker, only for
+//! the sessions its tail retention keeps. Logs are plain data with
+//! [`ToJson`]/[`FromJson`] impls, serialized as JSON lines
 //! ([`ExplainArtifact`]) so a `--explain-out` artifact is diffable,
 //! byte-identical for the same seed, and queryable offline by the
-//! `nod_explain` CLI.
+//! `nod_explain` CLI. Parsing ignores keys a log no longer has, so an
+//! artifact written before a field was dropped still loads.
 //!
 //! [`NegotiationContext::explain`]: crate::negotiate::NegotiationContext::explain
 //! [`explain_attempts`]: crate::negotiate::explain_attempts
@@ -240,26 +239,6 @@ impl std::fmt::Display for Shortfall {
         }
     }
 }
-
-/// One offer removed by dominance pruning, with the pair that killed it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PruneRecord {
-    /// Variant ids of the pruned offer, in component order.
-    pub victim_variants: Vec<u64>,
-    /// Cost of the pruned offer.
-    pub victim_cost: Money,
-    /// Variant ids of the first dominating offer found.
-    pub dominator_variants: Vec<u64>,
-    /// Cost of the dominator (never more than the victim's).
-    pub dominator_cost: Money,
-}
-
-json_struct!(PruneRecord {
-    victim_variants,
-    victim_cost,
-    dominator_variants,
-    dominator_cost,
-});
 
 /// `(variant id, serving server)` per document component, in component
 /// order. Documents aggregate at most a handful of monomedia, so up to
@@ -503,8 +482,6 @@ pub struct DecisionLog {
     /// so score rows can be (re)decomposed after the fact. Inline
     /// ([`StreamList`]) for the same reason score rows are.
     pub durations_ms: StreamList,
-    /// Offers removed by dominance pruning, with their dominators.
-    pub pruned: Vec<PruneRecord>,
     /// Score decomposition of the top-[`EXPLAIN_TOP_K`] classified offers
     /// (plus the chosen offer when it ranks below the cut).
     pub scores: Vec<ScoreRow>,
@@ -524,7 +501,6 @@ json_struct!(DecisionLog {
     feasible_variants,
     offers_enumerated,
     durations_ms,
-    pruned,
     scores,
     refusals,
     chosen_rank,
@@ -820,12 +796,6 @@ mod tests {
                         feasible_variants: 4,
                         offers_enumerated: 8,
                         durations_ms: vec![(1, 60_000)].into(),
-                        pruned: vec![PruneRecord {
-                            victim_variants: vec![3],
-                            victim_cost: Money::from_millis(4_000),
-                            dominator_variants: vec![2],
-                            dominator_cost: Money::from_millis(3_000),
-                        }],
                         scores: vec![],
                         refusals: vec![
                             RefusalRecord {
@@ -885,6 +855,29 @@ mod tests {
         assert_eq!(art, back);
         // Serialization is deterministic.
         assert_eq!(text, back.to_jsonl());
+    }
+
+    #[test]
+    fn a_session_line_with_the_dropped_pruned_key_still_parses() {
+        // A session line as artifacts carried it while decision logs still
+        // had a `pruned` list: the key is ignored, everything else loads.
+        let line = r#"{"session":{"session":6,"arrival_ms":3108,"fate":"admitted","duration_ms":0,"attempts":[{"at_ms":3108,"decisions":{"feasible_variants":14,"offers_enumerated":96,"durations_ms":[[8,152000]],"pruned":[{"victim_variants":[3],"victim_cost":4000,"dominator_variants":[2],"dominator_cost":3000}],"scores":[{"rank":0,"streams":[[28,0]],"sns":"Acceptable","qos_importance":44.5,"oif":23.25,"cost_net":1104,"cost_ser":780,"cost_total":2134,"satisfies_request":true,"chosen":true}],"refusals":[],"chosen_rank":0,"status":"SUCCEEDED"}}],"settlement":null,"adaptations":[]}}"#;
+        let art = ExplainArtifact::from_jsonl(line).expect("the old line parses");
+        let [session] = art.sessions.as_slice() else {
+            panic!("one session line, got {:?}", art.sessions);
+        };
+        assert_eq!((session.session, session.arrival_ms), (6, 3108));
+        let d = &session.attempts[0].decisions;
+        assert_eq!((d.feasible_variants, d.offers_enumerated), (14, 96));
+        assert_eq!(d.durations_ms.as_slice(), [(8, 152_000)]);
+        assert_eq!(d.scores.len(), 1);
+        assert_eq!(d.scores[0].cost_total, Money::from_millis(2_134));
+        assert_eq!(d.chosen_rank, Some(0));
+        assert_eq!(d.status, Some(NegotiationStatus::Succeeded));
+        // Written back, the line simply no longer has the key.
+        let rewritten = art.to_jsonl();
+        assert!(!rewritten.contains("pruned"), "{rewritten}");
+        assert_eq!(ExplainArtifact::from_jsonl(&rewritten).unwrap(), art);
     }
 
     #[test]
@@ -952,7 +945,7 @@ mod tests {
             1_000,
         )
         .expect("engine builds");
-        let mut ranked = RankedOffers::new(engine, None);
+        let mut ranked = RankedOffers::new(engine);
         let mut log = DecisionLog::default();
         log.record_scores(&mut ranked);
         assert_eq!(log.scores.len(), EXPLAIN_TOP_K);

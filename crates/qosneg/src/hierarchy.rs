@@ -97,9 +97,9 @@ fn surcharged(price: Money, percent: u32) -> Money {
     Money::from_millis(price.millis() * (100 + percent as i64) / 100)
 }
 
-/// Negotiate at home, then across peers. `home` indexes `domains`; the
-/// client machine must be attached to the home network. This is the
-/// implementation behind [`crate::Session::submit_multidomain`].
+/// Negotiate at home, then across peers. `home` indexes `domains` (the
+/// caller, [`crate::Session::submit_multidomain`], rejects any other
+/// value); the client machine must be attached to the home network.
 pub(crate) fn negotiate_multidomain_impl(
     domains: &[Domain],
     home: usize,
@@ -108,8 +108,6 @@ pub(crate) fn negotiate_multidomain_impl(
     profile: &UserProfile,
     config: &MultiDomainConfig<'_>,
 ) -> Result<MultiDomainOutcome, NegotiationError> {
-    assert!(home < domains.len(), "home domain out of range");
-
     // Home attempt — the ordinary paper procedure.
     let home_domain = &domains[home];
     if home_domain.catalog.document(document).is_some() {

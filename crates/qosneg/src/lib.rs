@@ -58,10 +58,13 @@
 //! # Decision provenance
 //!
 //! Setting [`negotiate::NegotiationContext::explain`] records a
-//! [`explain::DecisionLog`] on every outcome: pruning decisions with
-//! their dominating pairs, score decomposition of the top-k offers,
-//! every refused commit with its concrete [`explain::Shortfall`], and
-//! the chosen offer's rank. See [`explain`].
+//! [`explain::DecisionLog`] on every outcome: score decomposition of the
+//! top-k offers, every refused commit with its concrete
+//! [`explain::Shortfall`], and the chosen offer's rank. See [`explain`].
+//!
+//! Step 5 walks the whole classified list: every enumerated offer stays
+//! in the fallback chain, as the paper's "ordered set of system offers"
+//! prescribes.
 
 pub mod adapt;
 pub mod baseline;
@@ -80,7 +83,6 @@ pub mod money;
 pub mod negotiate;
 pub mod offer;
 pub mod profile;
-pub mod prune;
 pub mod request;
 pub mod sns;
 pub mod startup;
@@ -92,8 +94,8 @@ pub use cost::{CostModel, CostTable};
 pub use engine::{OfferEngine, OfferList};
 pub use error::QosError;
 pub use explain::{
-    AdaptationRecord, DecisionLog, ExplainArtifact, ExplainData, ExplainMeta, PruneRecord,
-    RefusalRecord, ScoreRow, SessionExplain, Shortfall,
+    AdaptationRecord, DecisionLog, ExplainArtifact, ExplainData, ExplainMeta, RefusalRecord,
+    ScoreRow, SessionExplain, Shortfall,
 };
 pub use future::{AdvanceBook, AdvanceBookingId, FutureOutcome};
 pub use hierarchy::{Domain, MultiDomainConfig, MultiDomainOutcome};
@@ -106,6 +108,5 @@ pub use negotiate::{
 };
 pub use offer::{violated_components, OfferSet, SystemOffer, UserOffer};
 pub use profile::{MmQosSpec, TimeProfile, UserProfile};
-pub use prune::{dominates, importance_is_monotone, keep_mask, prune_dominated};
 pub use request::{NegotiationRequest, Procedure, RetryPolicy, Session};
 pub use sns::StaticNegotiationStatus;

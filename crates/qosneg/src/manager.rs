@@ -37,10 +37,6 @@ pub struct ManagerConfig {
     /// Delivery ratio a session experiences while its resources are
     /// violated (fraction of real-time; models congested components).
     pub degraded_delivery_ratio: f64,
-    /// Prune dominated offers before classification (optimization knob;
-    /// see `nod_qosneg::prune`). Off by default to keep the paper's exact
-    /// fallback semantics.
-    pub prune_dominated: bool,
     /// Observability hook shared by every negotiation, playout session and
     /// confirmation this manager drives. `None` (the default) makes all
     /// instrumentation a dead branch.
@@ -58,7 +54,6 @@ impl Default for ManagerConfig {
             guarantee: Guarantee::Guaranteed,
             enumeration_cap: 250_000,
             jitter_buffer_ms: 2_000,
-            prune_dominated: false,
             degraded_delivery_ratio: 0.3,
             recorder: None,
             explain: false,
@@ -151,7 +146,7 @@ impl QosManager {
             guarantee: self.config.guarantee,
             enumeration_cap: self.config.enumeration_cap,
             jitter_buffer_ms: self.config.jitter_buffer_ms,
-            prune_dominated: self.config.prune_dominated,
+            prune_dominated: false,
             streaming: crate::negotiate::StreamingMode::Auto,
             recorder: self.config.recorder.as_ref(),
             explain: self.config.explain,

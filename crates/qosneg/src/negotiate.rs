@@ -122,8 +122,6 @@ pub struct NegotiationTrace {
     pub offers_enumerated: usize,
     /// Offers whose reservation was attempted in step 5.
     pub reservation_attempts: usize,
-    /// Offers removed by dominance pruning (0 unless enabled).
-    pub offers_pruned: usize,
 }
 
 /// The negotiation result (the "negotiation results" of §4: a status and
@@ -204,12 +202,9 @@ pub struct NegotiationContext<'a> {
     /// Client jitter-buffer size (ms of media) — its preroll enters the
     /// startup-latency check of the time profile.
     pub jitter_buffer_ms: u64,
-    /// Prune dominated offers before classification (see
-    /// [`crate::prune`]). Only applied when the profile's importance is
-    /// monotone (the safety precondition). Pruning thins the step-5
-    /// fallback list: a dominated offer can occasionally be reservable when
-    /// its dominator is not, so the paper's exact fallback semantics keep
-    /// this off; it is an optimization knob for large catalogs.
+    /// Inert: kept only because `benchmark/` names it; delete in the next
+    /// benchmark PR. Step 5 walks every offer; nothing reads this.
+    #[doc(hidden)]
     pub prune_dominated: bool,
     /// Inert: kept only because `benchmark/` names it; delete in the next
     /// benchmark PR. Read by nothing.
@@ -232,12 +227,10 @@ pub struct NegotiationContext<'a> {
 struct Metrics {
     negotiate: SpanKind,
     enumerate: SpanKind,
-    prune: SpanKind,
     classify: SpanKind,
     commit: SpanKind,
     enumerated: Counter,
     feasible: Histogram,
-    pruned: Counter,
     classified: Counter,
     /// `negotiation.sns{class=…}`, indexed like [`StaticNegotiationStatus`].
     sns: [Counter; 3],
@@ -271,12 +264,10 @@ impl HandleSet for Metrics {
         Metrics {
             negotiate: rec.span_kind("negotiate"),
             enumerate: rec.span_kind("enumerate"),
-            prune: rec.span_kind("prune"),
             classify: rec.span_kind("classify"),
             commit: rec.span_kind("commit"),
             enumerated: rec.counter_handle("negotiation.offers.enumerated", &[]),
             feasible: rec.histogram_handle("negotiation.feasible_variants", &[]),
-            pruned: rec.counter_handle("negotiation.offers.pruned", &[]),
             classified: rec.counter_handle("negotiation.offers.classified", &[]),
             sns: ["DESIRABLE", "ACCEPTABLE", "CONSTRAINT"]
                 .map(|class| rec.counter_handle("negotiation.sns", &[("class", class)])),
@@ -445,24 +436,10 @@ fn prepare_under(
         rec.record(m.feasible, trace.feasible_variants as f64);
     }
 
-    // The prune span is opened even when pruning is disabled so that every
-    // instrumented negotiation contributes to `span.prune.ms` (a near-zero
-    // sample documents that the stage was skipped). Dominance is judged on
-    // the materialized offers; what survives is a keep-mask over ranks.
-    let span_prune = stage_span(obs, parent, |m| m.prune);
-    let keep = prunes(ctx, profile).then(|| crate::prune::keep_mask(&engine.offers(), None));
-    trace.offers_pruned = keep.iter().flatten().filter(|&&k| !k).count();
-    if let Some(span) = span_prune {
-        span.end();
-    }
-    if let Some((rec, m)) = obs {
-        rec.add(m.pruned, trace.offers_pruned as u64);
-    }
-
-    // Steps 3–4 proper, under a `classify` span: score the product (minus
-    // pruned ranks). Ordering is left to whoever reads the list.
+    // Steps 3–4 proper, under a `classify` span: score the product.
+    // Ordering is left to whoever reads the list.
     let span_classify = stage_span(obs, parent, |m| m.classify);
-    let ranked = RankedOffers::new(engine, keep.as_deref());
+    let ranked = RankedOffers::new(engine);
     if let Some(span) = span_classify {
         span.end();
     }
@@ -477,28 +454,14 @@ fn prepare_under(
     Ok(Prepared::Offers(ranked, trace, None))
 }
 
-/// Does dominance pruning apply to this negotiation?
-fn prunes(ctx: &NegotiationContext<'_>, profile: &UserProfile) -> bool {
-    ctx.prune_dominated && crate::prune::importance_is_monotone(&profile.importance)
-}
-
 /// The steps-1–4 half of a decision log, rebuilt from the classified list
-/// those steps produced: component durations, pruning victims, the
-/// variant and offer counts, and the score rows of the top
+/// those steps produced: component durations, the variant and offer
+/// counts, and the score rows of the top
 /// [`EXPLAIN_TOP_K`](crate::explain::EXPLAIN_TOP_K) offers plus the chosen
 /// one (`log.chosen_rank`, a fact of the walk). The one function behind
 /// every decision log, whether it is asked for at once or long after.
-fn explain_prepared(
-    ctx: &NegotiationContext<'_>,
-    profile: &UserProfile,
-    ranked: &mut RankedOffers,
-    trace: &NegotiationTrace,
-    log: &mut DecisionLog,
-) {
+fn explain_prepared(ranked: &mut RankedOffers, trace: &NegotiationTrace, log: &mut DecisionLog) {
     log.durations_ms = ranked.engine().durations().collect();
-    if prunes(ctx, profile) {
-        crate::prune::keep_mask(&ranked.engine().offers(), Some(&mut log.pruned));
-    }
     log.feasible_variants = trace.feasible_variants as u64;
     log.offers_enumerated = trace.offers_enumerated as u64;
     log.record_scores(ranked);
@@ -530,7 +493,7 @@ pub fn explain_attempts<'l>(
     match prepare_under(&quiet, None, client, document, profile, Network::has_route) {
         Ok(Prepared::Offers(mut ranked, trace, _)) => {
             for log in logs {
-                explain_prepared(ctx, profile, &mut ranked, &trace, log);
+                explain_prepared(&mut ranked, &trace, log);
             }
         }
         _ => {
@@ -563,8 +526,8 @@ pub fn record_outcome(rec: &Recorder, status: NegotiationStatus) {
 /// walk of [`commit_prepared`], under one root span.
 ///
 /// With a [`NegotiationContext::recorder`] attached, the whole call is
-/// timed as a `negotiate` span with `enumerate`/`prune`/`classify` and
-/// `commit` children, and the final status increments
+/// timed as a `negotiate` span with `enumerate`/`classify` and `commit`
+/// children, and the final status increments
 /// `negotiation.outcome{status=…}`.
 pub(crate) fn negotiate_impl(
     ctx: &NegotiationContext<'_>,
@@ -803,7 +766,7 @@ fn commit_walk(
         l.chosen_rank = committed.as_ref().map(|(idx, ..)| *idx as u64);
         l.status = Some(status);
         if ctx.explain {
-            explain_prepared(ctx, profile, &mut ranked, &trace, l);
+            explain_prepared(&mut ranked, &trace, l);
         }
     }
     let (reserved_index, reserved_offer, reservation) = match committed {
@@ -1000,36 +963,12 @@ impl Drop for PendingCommit<'_> {
     }
 }
 
-/// Two-phase commit of one system offer: reserve every stream on its server
-/// and its network path, rolling back everything on the first refusal.
-/// Offers whose estimated startup latency exceeds `max_startup_ms` (the
-/// time profile's delivery bound) are refused like any other failed
-/// reservation.
-pub fn try_commit(
-    ctx: &NegotiationContext<'_>,
-    client: &ClientMachine,
-    offer: &SystemOffer,
-    max_startup_ms: u64,
-) -> Option<SessionReservation> {
-    try_commit_diagnosed(ctx, client, offer, max_startup_ms).ok()
-}
-
-/// [`try_commit`] with the refusal reason on failure.
-pub fn try_commit_diagnosed(
-    ctx: &NegotiationContext<'_>,
-    client: &ClientMachine,
-    offer: &SystemOffer,
-    max_startup_ms: u64,
-) -> Result<SessionReservation, CommitFailure> {
-    try_commit_refusal(ctx, client, offer, max_startup_ms).map_err(|r| r.failure)
-}
-
 /// A refused commit with its concrete [`Shortfall`]: not just *which*
 /// resource said no, but requested vs available. Everything is stack data,
 /// so the diagnosed commit path stays allocation-free on refusal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommitRefusal {
-    /// The refusal category (what [`try_commit_diagnosed`] reports).
+    /// The refusal category (what an outcome's `commit_failures` lists).
     pub failure: CommitFailure,
     /// The quantitative shortfall behind it.
     pub shortfall: Shortfall,
@@ -1108,10 +1047,14 @@ fn net_shortfall(err: NetError, requested: u64) -> Shortfall {
     }
 }
 
-/// [`try_commit_diagnosed`] that also reports the concrete shortfall —
-/// which disk round / interface / link ran out, requested vs available.
-/// This is the commit primitive the decision-provenance layer records;
-/// the step-5 walks run the same two checks per offer, by reference.
+/// Two-phase commit of one system offer: reserve every stream on its server
+/// and its network path, rolling back everything on the first refusal.
+/// Offers whose estimated startup latency exceeds `max_startup_ms` (the
+/// time profile's delivery bound) are refused like any other failed
+/// reservation. A refusal reports its [`CommitFailure`] and the concrete
+/// shortfall — which disk round / interface / link ran out, requested vs
+/// available. The one public commit primitive; the step-5 walk runs the
+/// same two checks per offer, by reference.
 pub fn try_commit_refusal(
     ctx: &NegotiationContext<'_>,
     client: &ClientMachine,
@@ -1438,7 +1381,7 @@ mod tests {
             snap.counter_sum("negotiation.sns"),
             out.ordered_offers.len() as u64
         );
-        for stage in ["negotiate", "enumerate", "prune", "classify", "commit"] {
+        for stage in ["negotiate", "enumerate", "classify", "commit"] {
             assert!(
                 snap.histograms.contains_key(&format!("span.{stage}.ms")),
                 "missing span histogram for {stage}"

@@ -316,7 +316,8 @@ impl<'a> Session<'a> {
     /// peers with transit surcharge). An associated function because each
     /// domain owns its own farm/network — there is no single context to
     /// hold a session over. The request's strategy override, when set,
-    /// replaces the shared config's.
+    /// replaces the shared config's. A `home` that does not index
+    /// `domains` is [`QosError::InvalidRequest`].
     pub fn submit_multidomain(
         domains: &[Domain],
         home: usize,
@@ -327,6 +328,12 @@ impl<'a> Session<'a> {
             return Err(QosError::InvalidRequest(
                 "multi-domain negotiation supports only the smart procedure".into(),
             ));
+        }
+        if home >= domains.len() {
+            return Err(QosError::InvalidRequest(format!(
+                "home domain {home} out of range: {} domains",
+                domains.len()
+            )));
         }
         let mut cfg = *config;
         if let Some(strategy) = req.strategy {

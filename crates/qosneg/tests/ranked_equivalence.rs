@@ -5,8 +5,8 @@
 //! walk attempts `reservation_order(…)`'s indices in its order, every
 //! accessor of a list whose walk stopped early reads the same offers at
 //! the same positions (same SNS / satisfaction flags, same cost, OIF equal
-//! to the bit), and wide, duplicated, non-finite, pruned and explained
-//! requests are ordinary inputs to that one assertion. And explaining a
+//! to the bit), and wide, duplicated, non-finite and explained requests
+//! are ordinary inputs to that one assertion. And explaining a
 //! negotiation must record the list it walked without changing what the
 //! walk decides.
 
@@ -26,7 +26,6 @@ use nod_qosneg::negotiate::{
 };
 use nod_qosneg::offer::enumerate_combinations;
 use nod_qosneg::profile::{tv_news_profile, MmQosSpec, UserProfile};
-use nod_qosneg::prune::{importance_is_monotone, keep_mask, prune_dominated};
 use nod_qosneg::{
     classify, ClassificationStrategy, CostModel, Money, NegotiationRequest, ScoredOffer, Session,
     SystemOffer,
@@ -288,8 +287,7 @@ fn check_order(fresh: &RankedOffers, want: &[ScoredOffer], tag: &str) {
     }
 }
 
-/// Lazy order ≡ reference for `engine`, unpruned and (under a monotone
-/// profile) through the dominance keep-mask; returns the offers checked.
+/// Lazy order ≡ reference for `engine`; returns the offers checked.
 fn check_engine(
     engine: &OfferEngine,
     profile: &UserProfile,
@@ -297,7 +295,7 @@ fn check_engine(
     tag: &str,
 ) -> usize {
     let want = classify(engine.offers(), profile, strategy);
-    check_order(&RankedOffers::new(engine.clone(), None), &want, tag);
+    check_order(&RankedOffers::new(engine.clone()), &want, tag);
     assert_bit_identical(&engine.classify_all(), &want, tag);
     // The borrowing name of the same walk.
     let streamed: Vec<ScoredOffer> = (engine.reservation_stream())
@@ -307,19 +305,6 @@ fn check_engine(
         .map(|&idx| want[idx].clone())
         .collect();
     assert_bit_identical(&streamed, &attempted, &format!("{tag}: reservation_stream"));
-
-    if importance_is_monotone(&profile.importance) {
-        let keep = keep_mask(&engine.offers(), None);
-        let pruned = RankedOffers::new(engine.clone(), Some(&keep));
-        let (survivors, dropped) = prune_dominated(engine.offers());
-        assert_eq!(
-            pruned.len() + dropped,
-            engine.total(),
-            "{tag}: pruned count"
-        );
-        let want = classify(survivors, profile, strategy);
-        check_order(&pruned, &want, &format!("{tag} pruned"));
-    }
     want.len()
 }
 

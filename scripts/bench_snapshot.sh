@@ -5,7 +5,7 @@
 #
 # usage: scripts/bench_snapshot.sh [out.json]
 #
-# Runs the B4/B8 negotiation bench, the B1/B2/B7 classification bench, the
+# Runs the B4/B8 negotiation bench, the B1/B2 classification bench, the
 # B9 contended-broker bench, the B10 trace bench, the B11 fleet-telemetry
 # bench, the B12 city-scale fleet sweep, the B13 decision-provenance
 # bench and the B14 write-ahead-journal bench with NOD_BENCH_JSON_OUT set,

@@ -25,8 +25,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 # the seed; raise NOD_ORACLE_CASES locally for a deeper sweep.
 # --explain-check additionally replays each scenario with explanations on
 # and asserts the decision log cites exactly the refusal kinds, score
-# decomposition and pruning victims the reference observed, and that the
-# explained outcome equals the plain one field by field.
+# decomposition and winning-offer rank the reference observed, and that
+# the explained outcome equals the plain one field by field.
 echo "==> conformance oracle (run_oracle --cases \${NOD_ORACLE_CASES:-4096} --seed 7 --explain-check)"
 cargo run -q --release -p nod-oracle --bin run_oracle -- \
     --cases "${NOD_ORACLE_CASES:-4096}" --seed 7 --explain-check
@@ -174,8 +174,21 @@ if ! awk -v got="$allocs" -v max="$ceiling" 'BEGIN { exit !(got != "" && got + 0
 fi
 echo "qosneg.allocs_per_negotiation $allocs (ceiling $ceiling)"
 
-echo "==> line budget (scripts/loc_budget.sh)"
-scripts/loc_budget.sh
+# Line ceiling (gating): like the allocation ceiling, the workspace's
+# non-test line count may not grow past scripts/loc_ceiling.txt, so
+# deleted code cannot drift back unnoticed; a change that must grow the
+# code raises the ceiling in the same diff, visibly. Lower it when a
+# change deletes code.
+echo "==> line budget and ceiling (scripts/loc_budget.sh vs scripts/loc_ceiling.txt)"
+loc_report="$(scripts/loc_budget.sh)"
+echo "$loc_report"
+loc_ceiling="$(cat scripts/loc_ceiling.txt)"
+loc_src="$(awk '$1 == "workspace" { print $2 }' <<< "$loc_report")"
+if [ -z "$loc_src" ] || [ "$loc_src" -gt "$loc_ceiling" ]; then
+    echo "error: workspace non-test lines are '$loc_src', above the ceiling $loc_ceiling"
+    exit 1
+fi
+echo "workspace non-test lines $loc_src (ceiling $loc_ceiling)"
 
 # Nothing above may have touched the committed bench snapshot.
 echo "==> tree clean (git diff --quiet -- BENCH_negotiation.json)"

@@ -1,8 +1,8 @@
 //! Integration tests for the extension features (advance reservations,
-//! multi-domain negotiation, scenarios, pruning) through the public API.
+//! multi-domain negotiation, scenarios) through the public API.
 
 use news_on_demand::client::ClientMachine;
-use news_on_demand::cmfs::{Guarantee, ServerConfig, ServerFarm};
+use news_on_demand::cmfs::{FarmUsage, Guarantee, ServerConfig, ServerFarm};
 use news_on_demand::mmdb::{Catalog, CorpusBuilder, CorpusParams};
 use news_on_demand::mmdoc::{ClientId, DocumentId, ServerId};
 use news_on_demand::netsim::{Network, Topology};
@@ -11,7 +11,7 @@ use news_on_demand::qosneg::hierarchy::{Domain, MultiDomainConfig};
 use news_on_demand::qosneg::negotiate::NegotiationContext;
 use news_on_demand::qosneg::profile::tv_news_profile;
 use news_on_demand::qosneg::{
-    ClassificationStrategy, CostModel, NegotiationRequest, NegotiationStatus, Session,
+    ClassificationStrategy, CostModel, NegotiationRequest, NegotiationStatus, QosError, Session,
 };
 use news_on_demand::simcore::{SimTime, StreamRng};
 use news_on_demand::workload::scenario::presets;
@@ -90,40 +90,41 @@ fn advance_and_live_reservations_coexist() {
 }
 
 #[test]
-fn pruning_option_preserves_the_served_offer_on_an_idle_system() {
-    // On an idle system the first offer in classification order commits,
-    // and pruning never removes that offer — so results agree.
-    let mut total_pruned = 0usize;
+fn inert_prune_dominated_changes_nothing() {
+    // `NegotiationContext::prune_dominated` survives only as a name: step 5
+    // walks every offer whatever it says. Each side runs on its own fresh
+    // world, so the two outcomes and the capacity they leave behind must
+    // be identical.
+    let client = ClientMachine::era_workstation(ClientId(0));
+    let profile = tv_news_profile();
+    let request = NegotiationRequest::new(&client, DocumentId(1), &profile);
     for seed in 210..220 {
-        let w = world(seed);
-        let client = ClientMachine::era_workstation(ClientId(0));
-        let profile = tv_news_profile();
-        let request = NegotiationRequest::new(&client, DocumentId(1), &profile);
-        let full = Session::new(ctx(&w, false)).submit(&request).unwrap();
-        if let Some(r) = &full.reservation {
-            r.release(&w.farm, &w.network);
-        }
-        let pruned = Session::new(ctx(&w, true)).submit(&request).unwrap();
-        if let Some(r) = &pruned.reservation {
-            r.release(&w.farm, &w.network);
-        }
-        assert_eq!(full.status, pruned.status, "seed {seed}");
+        let run = |prune: bool| {
+            let w = world(seed);
+            let out = Session::new(ctx(&w, prune)).submit(&request).unwrap();
+            let held = (
+                w.farm.usage(),
+                w.network.active_reservations(),
+                w.network.total_reserved_bps(),
+            );
+            if let Some(r) = &out.reservation {
+                r.release(&w.farm, &w.network);
+            }
+            (out, held)
+        };
+        let (off, off_held) = run(false);
+        let (on, on_held) = run(true);
+        assert_eq!(off.status, on.status, "seed {seed}");
+        assert_eq!(off.reserved_index, on.reserved_index, "seed {seed}");
         assert_eq!(
-            full.user_offer.map(|o| o.cost),
-            pruned.user_offer.map(|o| o.cost),
-            "seed {seed}"
+            off.ordered_offers.len(),
+            on.ordered_offers.len(),
+            "seed {seed}: every offer stays in the fallback chain"
         );
-        assert_eq!(
-            pruned.ordered_offers.len() + pruned.trace.offers_pruned,
-            full.ordered_offers.len(),
-            "seed {seed}: pruning must account for every offer"
-        );
-        total_pruned += pruned.trace.offers_pruned;
+        assert_eq!(off.trace, on.trace, "seed {seed}");
+        assert_eq!(off.commit_failures, on.commit_failures, "seed {seed}");
+        assert_eq!(off_held, on_held, "seed {seed}: capacity afterwards");
     }
-    assert!(
-        total_pruned > 0,
-        "across ten corpora pruning should find dominated offers"
-    );
 }
 
 #[test]
@@ -166,6 +167,47 @@ fn multidomain_over_the_umbrella_api() {
         &domains[out.domain_index].farm,
         &domains[out.domain_index].network,
     );
+}
+
+#[test]
+fn multidomain_with_an_out_of_range_home_is_an_invalid_request() {
+    let mut rng = StreamRng::new(1);
+    let domains = vec![Domain {
+        name: "only".into(),
+        catalog: CorpusBuilder::new(CorpusParams {
+            documents: 4,
+            servers: (0..2).map(ServerId).collect(),
+            ..CorpusParams::default()
+        })
+        .build(&mut rng),
+        farm: ServerFarm::uniform(2, ServerConfig::era_default()),
+        network: Network::new(Topology::dumbbell(4, 2, 25_000_000, 155_000_000)),
+        gateway: ClientId(3),
+        transit_surcharge_percent: 0,
+    }];
+    let model = CostModel::era_default();
+    let config = MultiDomainConfig {
+        cost_model: &model,
+        strategy: ClassificationStrategy::SnsThenOif,
+        guarantee: Guarantee::Guaranteed,
+        enumeration_cap: 500_000,
+        jitter_buffer_ms: 2_000,
+    };
+    let client = ClientMachine::era_workstation(ClientId(0));
+    let result = Session::submit_multidomain(
+        &domains,
+        domains.len(),
+        &NegotiationRequest::new(&client, DocumentId(2), &tv_news_profile()),
+        &config,
+    );
+    assert!(
+        matches!(result, Err(QosError::InvalidRequest(_))),
+        "an out-of-range home is the caller's error, not a panic"
+    );
+    // Nothing was negotiated anywhere.
+    let d = &domains[0];
+    assert_eq!(d.farm.usage(), FarmUsage::default());
+    assert_eq!(d.network.active_reservations(), 0);
 }
 
 #[test]

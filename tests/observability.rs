@@ -69,7 +69,7 @@ fn manager_negotiation_emits_stage_spans_in_order() {
     assert_eq!(starts[0].parent, Some(0), "negotiate is a root span");
 
     // Every stage span is a child of the negotiate span, in pipeline order:
-    // enumerate → prune → classify → commit… (one commit per attempt).
+    // enumerate → classify → commit… (one commit per attempt).
     let children: Vec<&str> = starts
         .iter()
         .skip(1)
@@ -79,12 +79,12 @@ fn manager_negotiation_emits_stage_spans_in_order() {
         })
         .collect();
     assert!(
-        children.len() >= 4,
-        "expected 4+ stage spans, got {children:?}"
+        children.len() >= 3,
+        "expected 3+ stage spans, got {children:?}"
     );
-    assert_eq!(&children[..3], &["enumerate", "prune", "classify"]);
+    assert_eq!(&children[..2], &["enumerate", "classify"]);
     assert!(
-        children[3..].iter().all(|&n| n == "commit"),
+        children[2..].iter().all(|&n| n == "commit"),
         "after classify only commit attempts remain: {children:?}"
     );
 
@@ -176,13 +176,17 @@ fn workload_snapshot_has_stage_histograms_and_round_trips() {
         result.offered,
         "one outcome per offered session"
     );
-    for stage in ["negotiate", "enumerate", "prune", "classify", "commit"] {
+    for stage in ["negotiate", "enumerate", "classify", "commit"] {
         let hist = snap
             .histograms
             .get(&format!("span.{stage}.ms"))
             .unwrap_or_else(|| panic!("missing span.{stage}.ms histogram"));
         assert!(hist.count > 0, "span.{stage}.ms has samples");
     }
+    assert!(
+        !snap.histograms.contains_key("span.prune.ms"),
+        "there is no prune stage"
+    );
 
     // The exact JSON the `--metrics-out` flag writes must round-trip.
     let json = snap.to_json_pretty();
