@@ -16,13 +16,11 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use std::collections::HashMap;
-
 use nod_bench::micro::Micro;
 use nod_client::ClientMachine;
 use nod_cmfs::{Guarantee, ServerConfig, ServerFarm};
 use nod_mmdb::{Catalog, CorpusBuilder, CorpusParams};
-use nod_mmdoc::{ClientId, DocumentId, MonomediaId, ServerId, Variant};
+use nod_mmdoc::{ClientId, DocumentId, ServerId};
 use nod_netsim::{Network, Topology};
 use nod_obs::{MemorySink, Recorder};
 use nod_qosneg::classify::reservation_order;
@@ -275,35 +273,21 @@ fn main() {
     // the shared negotiation machinery (profile, feasibility, commit).
     let engine = {
         let document = w8.catalog.document(DocumentId(1)).unwrap();
-        let per_mono: Vec<(MonomediaId, Vec<&Variant>)> = w8
-            .catalog
-            .variants_of_document(DocumentId(1))
-            .unwrap()
-            .into_iter()
-            .map(|(mono, variants)| {
-                let feasible: Vec<&Variant> = variants
-                    .into_iter()
-                    .filter(|v| client.feasible(v))
-                    .filter(|v| w8.network.path(client.id, v.server).is_ok())
-                    .collect();
-                (mono, feasible)
-            })
-            .collect();
-        let durations: HashMap<MonomediaId, u64> = document
-            .monomedia()
-            .iter()
-            .map(|mm| (mm.id, mm.duration_ms))
-            .collect();
-        OfferEngine::build(
-            &per_mono,
-            &durations,
-            &tv_news_profile(),
+        let profile = tv_news_profile();
+        let mut builder = OfferEngine::builder(
+            &profile,
             &w8.cost,
             Guarantee::Guaranteed,
             ClassificationStrategy::SnsThenOif,
-            2_000_000,
-        )
-        .unwrap()
+            document.monomedia().len(),
+        );
+        for mm in document.monomedia() {
+            let stored = w8.catalog.variants_of(mm.id);
+            let feasible =
+                stored.filter(|v| client.feasible(v) && w8.network.has_route(client.id, v.server));
+            builder.component(mm.id, mm.duration_ms, feasible);
+        }
+        builder.finish(2_000_000).unwrap()
     };
     const ROUNDS: u64 = 32;
     let before = alloc_count();

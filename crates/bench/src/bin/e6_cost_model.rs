@@ -55,7 +55,7 @@ fn main() {
         let mut selections = Vec::new();
         for m in doc.monomedia() {
             // First stored variant of each component, as a concrete offer.
-            let v = world.catalog.variants_of(m.id)[0];
+            let v = (world.catalog.variants_of(m.id).next()).expect("every component is stored");
             selections.push((v, m.duration_ms));
             let (net, ser) = model.monomedia_cost(v, m.duration_ms, guarantee);
             total += net + ser;
@@ -89,7 +89,6 @@ fn main() {
             let v = world
                 .catalog
                 .variants_of(m.id)
-                .into_iter()
                 .min_by_key(|v| {
                     let (n, s) = model.monomedia_cost(v, m.duration_ms, Guarantee::Guaranteed);
                     n + s

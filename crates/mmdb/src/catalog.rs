@@ -144,16 +144,19 @@ impl Catalog {
         self.by_id.values().map(|&slot| &self.arena[slot])
     }
 
-    /// Stored variants of one monomedia, in insertion order.
-    pub fn variants_of(&self, mono: MonomediaId) -> Vec<&Variant> {
-        self.by_monomedia
-            .get(&mono)
-            .map(|slots| slots.iter().map(|&slot| &self.arena[slot]).collect())
-            .unwrap_or_default()
+    /// Stored variants of one monomedia, in insertion order, borrowed
+    /// straight from the arena: one map descent, no allocation. Step 2 of
+    /// the negotiation reads each document component through this.
+    pub fn variants_of(
+        &self,
+        mono: MonomediaId,
+    ) -> impl ExactSizeIterator<Item = &Variant> + Clone + '_ {
+        let slots = self.by_monomedia.get(&mono).map_or(&[][..], Vec::as_slice);
+        slots.iter().map(|&slot| &self.arena[slot])
     }
 
     /// Per-monomedia variant lists for a whole document, in the document's
-    /// component order — the negotiation procedure's enumeration input.
+    /// component order.
     pub fn variants_of_document(
         &self,
         doc: DocumentId,
@@ -165,7 +168,7 @@ impl Catalog {
         Ok(document
             .monomedia()
             .iter()
-            .map(|m| (m.id, self.variants_of(m.id)))
+            .map(|m| (m.id, self.variants_of(m.id).collect()))
             .collect())
     }
 
@@ -307,7 +310,7 @@ mod tests {
         assert_eq!(c.variant_count(), 3);
         assert_eq!(c.variants_of(MonomediaId(1)).len(), 2);
         assert_eq!(c.variants_of(MonomediaId(2)).len(), 1);
-        assert!(c.variants_of(MonomediaId(99)).is_empty());
+        assert_eq!(c.variants_of(MonomediaId(99)).len(), 0);
         assert_eq!(c.variants_on(ServerId(0)).len(), 2);
         assert_eq!(c.variants_on(ServerId(1)).len(), 1);
     }
@@ -338,7 +341,7 @@ mod tests {
         c.add_variant(video_variant(2, 0)).unwrap();
         let ids = |vs: Vec<&Variant>| vs.iter().map(|v| v.id.0).collect::<Vec<_>>();
         assert_eq!(ids(c.variants().collect()), [2, 5, 9]);
-        assert_eq!(ids(c.variants_of(MonomediaId(1))), [9, 2]);
+        assert_eq!(ids(c.variants_of(MonomediaId(1)).collect()), [9, 2]);
         assert_eq!(c.variant(VariantId(5)).unwrap().monomedia, MonomediaId(2));
         assert!(c.variant(VariantId(3)).is_none());
         let back = Catalog::from_json(&c.to_json().unwrap()).unwrap();

@@ -399,7 +399,7 @@ mod tests {
             assert!((3..=4).contains(&doc.monomedia().len()));
             for m in doc.monomedia() {
                 let variants = c.variants_of(m.id);
-                assert!(!variants.is_empty(), "{} has no variants", m.id);
+                assert_ne!(variants.len(), 0, "{} has no variants", m.id);
                 for v in variants {
                     assert!(v.validate().is_ok());
                     assert_eq!(v.qos.kind(), m.kind);

@@ -17,6 +17,6 @@ pub mod network;
 pub mod routing;
 pub mod topology;
 
-pub use network::{NetError, NetReservationId, Network, PathMetrics};
+pub use network::{NetError, NetReservationId, Network, PathMetrics, Reach};
 pub use routing::{route, RouteError};
 pub use topology::{LinkId, NodeId, Topology};

@@ -102,15 +102,18 @@ struct NetState {
     reservations: IntMap<NetReservationId, (Route, u64)>,
     /// The last reservation id issued.
     last_id: u64,
-    /// Memoized client↔server routes. The topology is immutable once the
-    /// network is built (link health scales capacity, never delay), so a
-    /// cached route can't go stale — Dijkstra runs once per pair instead
-    /// of once per reservation attempt. On a metro dumbbell the hub node
-    /// is incident to every link, which makes an uncached lookup
-    /// O(total links); without the memo, per-session cost grows with farm
-    /// size and a city-scale fleet spends most of its time re-routing the
-    /// same three-hop paths. Only endpoints the topology attached become
-    /// keys, so the integer hasher sees no outside-chosen ids.
+    /// Memoized client↔server routes, for the callers that need the links
+    /// themselves (`path`, `path_metrics`, `try_reserve`); a yes/no
+    /// reachability question never comes here ([`Labels`]). The topology
+    /// is immutable once the network is built (link health scales
+    /// capacity, never delay), so a cached route can't go stale — Dijkstra
+    /// runs once per pair instead of once per reservation attempt. On a
+    /// metro dumbbell the hub node is incident to every link, which makes
+    /// an uncached lookup O(total links); without the memo, per-session
+    /// cost grows with farm size and a city-scale fleet spends most of its
+    /// time re-routing the same three-hop paths. Only endpoints the
+    /// topology attached become keys, so the integer hasher sees no
+    /// outside-chosen ids.
     routes: IntMap<(ClientId, ServerId), Route>,
     /// Shortest-path trees by source node, filled on first use. A server
     /// streams to many clients, so one Dijkstra per server answers every
@@ -139,8 +142,8 @@ impl NetState {
         let s = (topo.server_node(server)).ok_or(NetError::UnknownServer(server))?;
         let tree = self.trees.entry(s).or_insert_with(|| route_tree(topo, s));
         let links = Route::from(tree.path_to(s, c).map_err(NetError::Unreachable)?);
-        // Only routable pairs are cached: failures stay cheap to compute
-        // and keep counting on every lookup.
+        // Only routable pairs are cached: a failure is one probe of the
+        // server's cached tree, and the callers count it on every lookup.
         self.routes.insert((client, server), Arc::clone(&links));
         Ok(links)
     }
@@ -164,6 +167,82 @@ impl NetState {
         let id = NetReservationId(self.last_id);
         self.reservations.insert(id, (route, bps));
         Ok(id)
+    }
+}
+
+/// Connected-component labels of the attached endpoints. Routing runs
+/// Dijkstra over the static undirected graph, which finds a route exactly
+/// when both endpoints lie in one connected component, so "is there a
+/// route?" is a label compare. An id the topology never attached has no
+/// label and reaches nothing.
+#[derive(Debug)]
+struct Labels {
+    clients: IntMap<ClientId, u32>,
+    servers: IntMap<ServerId, u32>,
+}
+
+impl Labels {
+    /// Union–find over the topology's links, once per network.
+    fn of(topo: &Topology) -> Labels {
+        let nodes = topo.node_ids();
+        // Every link endpoint and every attachment node is a registered
+        // node, so `index` answers every lookup below.
+        let index: IntMap<NodeId, u32> = (nodes.iter().enumerate())
+            .map(|(i, &n)| (n, i as u32))
+            .collect();
+        let mut parent: Vec<u32> = (0..nodes.len() as u32).collect();
+        fn root(parent: &mut [u32], mut i: u32) -> u32 {
+            while parent[i as usize] != i {
+                // Path halving: point at the grandparent on the way up.
+                let up = parent[parent[i as usize] as usize];
+                parent[i as usize] = up;
+                i = up;
+            }
+            i
+        }
+        for l in topo.links() {
+            let a = root(&mut parent, index[&l.a]);
+            let b = root(&mut parent, index[&l.b]);
+            parent[a as usize] = b;
+        }
+        let mut label = |node: NodeId| root(&mut parent, index[&node]);
+        let clients = topo.clients().map(|(c, n)| (c, label(n))).collect();
+        let servers = topo.servers().map(|(s, n)| (s, label(n))).collect();
+        Labels { clients, servers }
+    }
+}
+
+/// One client's side of [`Network::reachable`]: its component label,
+/// looked up once, against which each server is a label compare. Step 2
+/// of a negotiation asks it about every candidate variant's server.
+#[derive(Debug, Clone, Copy)]
+pub struct Reach<'n> {
+    network: &'n Network,
+    label: Option<u32>,
+    counted: bool,
+}
+
+impl Reach<'_> {
+    /// Is there a route from the client to `server`? The same answer as
+    /// `path(..).is_ok()`; a no counts `net.path.rejections` once, unless
+    /// this view is [`Reach::uncounted`].
+    #[inline]
+    pub fn server(&self, server: ServerId) -> bool {
+        let ok =
+            self.label.is_some() && self.network.labels.servers.get(&server) == self.label.as_ref();
+        if !ok && self.counted {
+            self.network.count_path_rejection();
+        }
+        ok
+    }
+
+    /// The same answers without counting `net.path.rejections`: for
+    /// re-deriving a decision whose lookups were counted when it was made.
+    pub fn uncounted(self) -> Self {
+        Reach {
+            counted: false,
+            ..self
+        }
     }
 }
 
@@ -217,17 +296,20 @@ impl Metrics {
 /// The reservable network.
 ///
 /// One lock guards the link state, the reservation table and the route
-/// memos; a path reservation is atomic (all links or none) under it.
+/// memos; a path reservation is atomic (all links or none) under it. The
+/// component labels are fixed at construction and read without it.
 #[derive(Debug)]
 pub struct Network {
     topo: Topology,
+    labels: Labels,
     state: Mutex<NetState>,
     /// Set-once observability hook; `None` keeps reservation allocation-free.
     metrics: OnceLock<Metrics>,
 }
 
 impl Network {
-    /// Wrap a topology.
+    /// Wrap a topology, labelling each attached client and server with
+    /// its connected component (O(links), once).
     pub fn new(topo: Topology) -> Self {
         let links = (topo.links().iter())
             .map(|l| LinkState {
@@ -237,6 +319,7 @@ impl Network {
             })
             .collect();
         Network {
+            labels: Labels::of(&topo),
             topo,
             state: Mutex::new(NetState {
                 links,
@@ -265,17 +348,34 @@ impl Network {
     }
 
     /// Is there a route between the pair? The same answer — and the same
-    /// `net.path.rejections` counting — as `path(..).is_ok()`, without
-    /// copying the route.
+    /// `net.path.rejections` count, one per no — as `path(..).is_ok()`,
+    /// answered by comparing the endpoints' component labels: no lock, no
+    /// route lookup. An unknown or unattached id reaches nothing.
     pub fn reachable(&self, client: ClientId, server: ServerId) -> bool {
-        self.route(&mut self.state.lock(), client, server).is_ok()
+        self.reach(client).server(server)
     }
 
     /// [`Network::reachable`] without counting `net.path.rejections`: for
     /// re-deriving a decision whose lookups were counted when it was made.
     pub fn has_route(&self, client: ClientId, server: ServerId) -> bool {
-        let mut st = self.state.lock();
-        st.lookup(&self.topo, client, server).is_ok()
+        self.reach(client).uncounted().server(server)
+    }
+
+    /// `client`'s side of [`Network::reachable`], for asking about many
+    /// servers with one client lookup.
+    pub fn reach(&self, client: ClientId) -> Reach<'_> {
+        Reach {
+            network: self,
+            label: self.labels.clients.get(&client).copied(),
+            counted: true,
+        }
+    }
+
+    /// Count one unroutable answer, when a recorder is attached.
+    fn count_path_rejection(&self) {
+        if let Some(m) = self.metrics.get() {
+            m.rec.add(m.path_rejections, 1);
+        }
     }
 
     /// The route a client↔server stream would take.
@@ -293,8 +393,8 @@ impl Network {
         server: ServerId,
     ) -> Result<Route, NetError> {
         let result = st.lookup(&self.topo, client, server);
-        if let (Err(_), Some(m)) = (&result, self.metrics.get()) {
-            m.rec.add(m.path_rejections, 1);
+        if result.is_err() {
+            self.count_path_rejection();
         }
         result
     }

@@ -105,6 +105,16 @@ impl Topology {
         self.clients.get(&client).copied()
     }
 
+    /// Every attached client and the node it hangs off, in id order.
+    pub fn clients(&self) -> impl Iterator<Item = (ClientId, NodeId)> + '_ {
+        self.clients.iter().map(|(&c, &n)| (c, n))
+    }
+
+    /// Every attached server and the node it hangs off, in id order.
+    pub fn servers(&self) -> impl Iterator<Item = (ServerId, NodeId)> + '_ {
+        self.servers.iter().map(|(&s, &n)| (s, n))
+    }
+
     /// Every link, indexed by [`LinkId`].
     pub fn links(&self) -> &[Link] {
         &self.links

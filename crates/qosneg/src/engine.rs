@@ -13,13 +13,16 @@
 //! * the SNS predicates (`desired.met_by`, `worst.met_by`) are per-variant
 //!   conjunctions, and the cost ceiling is a predicate on the sum.
 //!
-//! [`OfferEngine`] exploits that structure: it clones the per-component
-//! feasible variants once and precomputes each variant's partial scores
-//! (importance, `CostNet + CostSer` for its duration, SNS flags).
+//! [`OfferEngine`] exploits that structure. Step 2 feeds it each
+//! component's feasible variants as it finds them ([`EngineBuilder`]); it
+//! clones each one once into one flat variant array and precomputes its
+//! partial scores (importance, `CostNet + CostSer` for its duration, SNS
+//! flags) into a parallel score array, each component an offset, a length
+//! and a rank stride into both.
 //! [`RankedOffers`] then scores the whole product as plain data in one
-//! odometer pass (one small `Copy` [`ScoredCombo`] per offer, counting the
-//! offers that satisfy the request as it goes) and **orders it on demand**
-//! by the classification order — bit-identical to
+//! depth-first pass (one small `Copy` [`ScoredCombo`] per offer, counting
+//! the offers that satisfy the request as it goes) and **orders it on
+//! demand** by the classification order — bit-identical to
 //! [`classify`](crate::classify()) on the eagerly enumerated offers: the
 //! first ordering step puts the [`HEAD`] best entries in place (a
 //! selection plus a sort of that head, linear in the product), the next
@@ -31,16 +34,18 @@
 //! borrowed engine.
 //!
 //! Exactness: per-offer scores are combined from the precomputed partials
-//! in document component order with the same fold [`ScoredOffer::score`]
-//! uses, so OIF values are bit-identical; the order compares the strategy
-//! key with `total_cmp` and then the enumeration rank, so it is total —
-//! ties keep enumeration order, NaN and infinite importances sort where
+//! in document component order with the same left fold
+//! [`ScoredOffer::score`] uses — a combination's sums extend its prefix's,
+//! starting from `Sum`'s own neutral element — so OIF values are
+//! bit-identical; the order compares the strategy key with `total_cmp` and
+//! then the enumeration rank, so it is total — ties keep enumeration
+//! order, NaN and infinite importances sort where
 //! [`classify`](crate::classify()) puts them — and selecting a head of it
 //! yields exactly the full sort's prefix.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 use std::sync::{Mutex, OnceLock};
 
 use nod_cmfs::Guarantee;
@@ -85,13 +90,25 @@ impl VariantScore {
     }
 }
 
-/// One document component: the owned feasible variants plus their scores.
-#[derive(Debug, Clone)]
+/// One document component: where its feasible variants sit in the
+/// engine's flat arrays.
+#[derive(Debug, Clone, Copy)]
 struct Component {
     mono: MonomediaId,
     duration_ms: u64,
-    variants: Vec<Variant>,
-    scores: Vec<VariantScore>,
+    /// Index of its first variant in `variants` and `scores`.
+    start: usize,
+    /// How many feasible variants it has.
+    len: usize,
+    /// Lexicographic rank stride: the product of the later components'
+    /// lengths (the last component varies fastest).
+    stride: u64,
+}
+
+impl Component {
+    fn range(&self) -> Range<usize> {
+        self.start..self.start + self.len
+    }
 }
 
 /// One system offer as plain data, scored exactly as [`ScoredOffer::score`]
@@ -114,23 +131,135 @@ pub struct ScoredCombo {
     pub satisfies_request: bool,
 }
 
+/// The partial scores of a combination's first components.
+#[derive(Clone, Copy)]
+struct Prefix {
+    rank: u64,
+    cost: Money,
+    importance: f64,
+    desired: bool,
+    worst: bool,
+}
+
 /// The per-negotiation offer engine (see the module docs).
 #[derive(Debug, Clone)]
 pub struct OfferEngine {
+    /// Every component's feasible variants, component after component.
+    variants: Vec<Variant>,
+    /// Their partial scores, index for index.
+    scores: Vec<VariantScore>,
     components: Vec<Component>,
     strategy: ClassificationStrategy,
     copyright: Money,
     cost_per_dollar: f64,
     max_cost: Money,
     total: usize,
-    strides: Vec<u64>,
+}
+
+/// Step 2's output, assembled as step 2 runs: each document component in
+/// order with the feasible variants it keeps, each cloned and scored on
+/// arrival. [`EngineBuilder::finish`] then checks the product the way the
+/// eager enumeration would.
+pub struct EngineBuilder<'a> {
+    profile: &'a UserProfile,
+    cost_model: &'a CostModel,
+    guarantee: Guarantee,
+    engine: OfferEngine,
+}
+
+impl EngineBuilder<'_> {
+    /// Add the next document component and its feasible variants, cloning
+    /// each once and precomputing its partial scores.
+    pub fn component<'v>(
+        &mut self,
+        mono: MonomediaId,
+        duration_ms: u64,
+        feasible: impl Iterator<Item = &'v Variant>,
+    ) {
+        let engine = &mut self.engine;
+        let start = engine.variants.len();
+        let room = feasible.size_hint().1.unwrap_or(0);
+        engine.variants.reserve(room);
+        engine.scores.reserve(room);
+        for v in feasible {
+            let (net, ser) = self
+                .cost_model
+                .monomedia_cost(v, duration_ms, self.guarantee);
+            engine.scores.push(VariantScore {
+                importance: self.profile.importance.media_importance(&v.qos),
+                net,
+                ser,
+                meets_desired: self.profile.desired.met_by(&v.qos),
+                meets_worst: self.profile.worst.met_by(&v.qos),
+            });
+            engine.variants.push(v.clone());
+        }
+        engine.components.push(Component {
+            mono,
+            duration_ms,
+            start,
+            len: engine.variants.len() - start,
+            stride: 1,
+        });
+    }
+
+    /// Feasible variants added so far, over every component.
+    pub fn variants(&self) -> usize {
+        self.engine.variants.len()
+    }
+
+    /// The engine, or the eager enumeration's failure: the first component
+    /// without a feasible variant, or a product larger than `cap`.
+    pub fn finish(self, cap: usize) -> Result<OfferEngine, EnumerationError> {
+        let mut engine = self.engine;
+        if let Some(empty) = engine.components.iter().find(|c| c.len == 0) {
+            return Err(EnumerationError::NoFeasibleVariant(empty.mono));
+        }
+        let total = (engine.components.iter())
+            .try_fold(1usize, |acc, c| acc.checked_mul(c.len))
+            .filter(|&total| total <= cap)
+            .ok_or(EnumerationError::TooManyOffers { cap })?;
+        let mut stride = 1u64;
+        for c in engine.components.iter_mut().rev() {
+            c.stride = stride;
+            stride *= c.len as u64;
+        }
+        engine.total = total;
+        Ok(engine)
+    }
 }
 
 impl OfferEngine {
-    /// Build the engine over step 2's per-component feasible variants:
-    /// clone the variants, precompute every per-variant partial score.
-    /// Fails exactly like the eager enumeration (no feasible variant for a
-    /// component, or the product exceeds `cap`).
+    /// Start an engine for `profile`'s request: add the document's
+    /// components in order ([`EngineBuilder::component`]), then finish.
+    pub fn builder<'a>(
+        profile: &'a UserProfile,
+        cost_model: &'a CostModel,
+        guarantee: Guarantee,
+        strategy: ClassificationStrategy,
+        components: usize,
+    ) -> EngineBuilder<'a> {
+        EngineBuilder {
+            profile,
+            cost_model,
+            guarantee,
+            engine: OfferEngine {
+                variants: Vec::new(),
+                scores: Vec::new(),
+                components: Vec::with_capacity(components),
+                strategy,
+                copyright: cost_model.copyright,
+                cost_per_dollar: profile.importance.cost_per_dollar,
+                max_cost: profile.max_cost,
+                total: 0,
+            },
+        }
+    }
+
+    /// The engine over per-component variant lists and a duration map,
+    /// through [`OfferEngine::builder`]. Kept only because `benchmark/`
+    /// calls it; delete in the next benchmark PR.
+    #[doc(hidden)]
     #[allow(clippy::too_many_arguments)]
     pub fn build(
         per_mono: &[(MonomediaId, Vec<&Variant>)],
@@ -141,59 +270,12 @@ impl OfferEngine {
         strategy: ClassificationStrategy,
         cap: usize,
     ) -> Result<OfferEngine, EnumerationError> {
+        let mut builder = Self::builder(profile, cost_model, guarantee, strategy, per_mono.len());
         for (mono, variants) in per_mono {
-            if variants.is_empty() {
-                return Err(EnumerationError::NoFeasibleVariant(*mono));
-            }
+            let duration_ms = durations.get(mono).copied().unwrap_or(0);
+            builder.component(*mono, duration_ms, variants.iter().copied());
         }
-        let total: usize = per_mono
-            .iter()
-            .map(|(_, v)| v.len())
-            .try_fold(1usize, |acc, n| acc.checked_mul(n))
-            .ok_or(EnumerationError::TooManyOffers { cap })?;
-        if total > cap {
-            return Err(EnumerationError::TooManyOffers { cap });
-        }
-        let components: Vec<Component> = per_mono
-            .iter()
-            .map(|(mono, variants)| {
-                let duration_ms = durations.get(mono).copied().unwrap_or(0);
-                let scores: Vec<VariantScore> = variants
-                    .iter()
-                    .map(|v| {
-                        let importance = profile.importance.media_importance(&v.qos);
-                        let (net, ser) = cost_model.monomedia_cost(v, duration_ms, guarantee);
-                        VariantScore {
-                            importance,
-                            net,
-                            ser,
-                            meets_desired: profile.desired.met_by(&v.qos),
-                            meets_worst: profile.worst.met_by(&v.qos),
-                        }
-                    })
-                    .collect();
-                Component {
-                    mono: *mono,
-                    duration_ms,
-                    variants: variants.iter().map(|&v| v.clone()).collect(),
-                    scores,
-                }
-            })
-            .collect();
-        // Lexicographic rank strides: last component varies fastest.
-        let mut strides = vec![1u64; components.len()];
-        for c in (0..components.len().saturating_sub(1)).rev() {
-            strides[c] = strides[c + 1] * components[c + 1].variants.len() as u64;
-        }
-        Ok(OfferEngine {
-            components,
-            strategy,
-            copyright: cost_model.copyright,
-            cost_per_dollar: profile.importance.cost_per_dollar,
-            max_cost: profile.max_cost,
-            total,
-            strides,
-        })
+        builder.finish(cap)
     }
 
     /// Number of feasible system offers (the full product size).
@@ -222,7 +304,7 @@ impl OfferEngine {
     /// components `0..=component`: two ranks share the value exactly when
     /// they share that prefix.
     pub(crate) fn prefix(&self, rank: u64, component: usize) -> u64 {
-        rank / self.strides[component]
+        rank / self.components[component].stride
     }
 
     /// The chosen variants of the combination at enumeration `rank` with
@@ -235,14 +317,11 @@ impl OfferEngine {
         // One division per component: what is left of the rank after the
         // components before this one.
         let mut rest = rank;
-        self.strides
-            .iter()
-            .zip(&self.components)
-            .map(move |(&stride, comp)| {
-                let p = (rest / stride) as usize;
-                rest %= stride;
-                (&comp.variants[p], comp.scores[p].net, comp.scores[p].ser)
-            })
+        self.components.iter().map(move |comp| {
+            let i = comp.start + (rest / comp.stride) as usize;
+            rest %= comp.stride;
+            (&self.variants[i], self.scores[i].net, self.scores[i].ser)
+        })
     }
 
     /// Materialize every system offer in enumeration order.
@@ -266,63 +345,65 @@ impl OfferEngine {
     }
 
     /// Score every combination of the product, in enumeration (rank)
-    /// order, without materializing any of them.
+    /// order, without materializing any of them: a depth-first walk over
+    /// the components whose call stack is the odometer, each level
+    /// extending its prefix's partial sums by one variant.
     fn for_each_combo(&self, mut visit: impl FnMut(ScoredCombo)) {
-        let mut odo = vec![0usize; self.components.len()];
-        for row in 0..self.total {
-            if row > 0 {
-                for (slot, comp) in odo.iter_mut().zip(&self.components).rev() {
-                    *slot += 1;
-                    if *slot < comp.variants.len() {
-                        break;
-                    }
-                    *slot = 0;
-                }
-            }
-            visit(self.score_with(|c| odo[c]));
+        let empty = Prefix {
+            rank: 0,
+            cost: self.copyright,
+            // `Sum`'s neutral element, so every sum below is the exact
+            // left fold `qos_importance` computes.
+            importance: std::iter::empty::<f64>().sum(),
+            desired: true,
+            worst: true,
+        };
+        if self.components.is_empty() {
+            visit(self.combo(empty));
+        } else {
+            self.descend(0, empty, &mut visit);
         }
     }
 
-    /// Score the combination whose component `c` takes variant
-    /// `index_of(c)`, with the same fold the eager path uses, so the
-    /// resulting values are bit-identical to [`ScoredOffer::score`]'s.
-    fn score_with(&self, index_of: impl Fn(usize) -> usize) -> ScoredCombo {
-        let mut cost = self.copyright;
-        let mut all_des = true;
-        let mut all_wst = true;
-        let mut rank = 0u64;
-        // Identical fold to `qos_importance`: `iter().map(..).sum()` in
-        // document component order.
-        let qos_importance: f64 = self
-            .components
-            .iter()
-            .enumerate()
-            .map(|(c, comp)| {
-                let p = index_of(c);
-                let s = &comp.scores[p];
-                cost += s.cost();
-                all_des &= s.meets_desired;
-                all_wst &= s.meets_worst;
-                rank += p as u64 * self.strides[c];
-                s.importance
-            })
-            .sum();
-        let oif = qos_importance - self.cost_per_dollar * cost.dollars();
-        let within = cost <= self.max_cost;
-        let sns = if all_des && within {
+    /// Every combination extending `prefix` through components `c..`.
+    fn descend(&self, c: usize, prefix: Prefix, visit: &mut impl FnMut(ScoredCombo)) {
+        let comp = &self.components[c];
+        let last = c + 1 == self.components.len();
+        for (p, s) in self.scores[comp.range()].iter().enumerate() {
+            let next = Prefix {
+                rank: prefix.rank + p as u64 * comp.stride,
+                cost: prefix.cost + s.cost(),
+                importance: prefix.importance + s.importance,
+                desired: prefix.desired & s.meets_desired,
+                worst: prefix.worst & s.meets_worst,
+            };
+            if last {
+                visit(self.combo(next));
+            } else {
+                self.descend(c + 1, next, visit);
+            }
+        }
+    }
+
+    /// The scores of a whole combination, from its sums — the same
+    /// formulas [`ScoredOffer::score`] applies.
+    fn combo(&self, sums: Prefix) -> ScoredCombo {
+        let oif = sums.importance - self.cost_per_dollar * sums.cost.dollars();
+        let within = sums.cost <= self.max_cost;
+        let sns = if sums.desired && within {
             StaticNegotiationStatus::Desirable
-        } else if all_wst {
+        } else if sums.worst {
             StaticNegotiationStatus::Acceptable
         } else {
             StaticNegotiationStatus::Constraint
         };
         ScoredCombo {
-            rank,
-            cost,
-            qos_importance,
+            rank: sums.rank,
+            cost: sums.cost,
+            qos_importance: sums.importance,
             oif,
             sns,
-            satisfies_request: within && all_wst,
+            satisfies_request: within && sums.worst,
         }
     }
 
@@ -680,19 +761,12 @@ mod tests {
     }
 
     fn engine_over(variants: Vec<Variant>) -> OfferEngine {
-        let refs: Vec<&Variant> = variants.iter().collect();
-        let per_mono = vec![(MonomediaId(1), refs)];
-        let durations: HashMap<MonomediaId, u64> = [(MonomediaId(1), 60_000)].into();
-        OfferEngine::build(
-            &per_mono,
-            &durations,
-            &profile(),
-            &CostModel::era_default(),
-            Guarantee::Guaranteed,
-            ClassificationStrategy::SnsThenOif,
-            10_000,
-        )
-        .expect("engine builds")
+        let (profile, model) = (profile(), CostModel::era_default());
+        let strategy = ClassificationStrategy::SnsThenOif;
+        let mut builder =
+            OfferEngine::builder(&profile, &model, Guarantee::Guaranteed, strategy, 1);
+        builder.component(MonomediaId(1), 60_000, variants.iter());
+        builder.finish(10_000).expect("engine builds")
     }
 
     /// The paper-literal reference: classify the eagerly enumerated offers.
@@ -759,6 +833,43 @@ mod tests {
         assert_eq!(ranked.ranking.ordered, want.len());
         let got: Vec<ScoredOffer> = (0..want.len()).map(|i| ranked.materialize(i)).collect();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn finish_fails_like_the_eager_enumeration() {
+        let (profile, model) = (profile(), CostModel::era_default());
+        let strategy = ClassificationStrategy::SnsThenOif;
+        let three: Vec<Variant> = (1..=3)
+            .map(|id| variant(id, 1, ColorDepth::Color, 25, 0))
+            .collect();
+        let build = |lists: &[&[Variant]], cap| {
+            let mut b = OfferEngine::builder(&profile, &model, Guarantee::Guaranteed, strategy, 3);
+            for (c, list) in lists.iter().enumerate() {
+                b.component(MonomediaId(c as u64 + 1), 60_000, list.iter());
+            }
+            (b.variants(), b.finish(cap))
+        };
+        // The first empty component is reported, after every component
+        // has been read.
+        let (read, result) = build(&[&three, &[], &three, &[]], 100);
+        assert_eq!(read, 6);
+        assert_eq!(
+            result.unwrap_err(),
+            EnumerationError::NoFeasibleVariant(MonomediaId(2))
+        );
+        // A product of 27 fits a cap of 27, not one of 26.
+        let (_, result) = build(&[&three, &three, &three], 26);
+        assert_eq!(
+            result.unwrap_err(),
+            EnumerationError::TooManyOffers { cap: 26 }
+        );
+        let engine = build(&[&three, &three, &three], 27).1.expect("fits");
+        assert_eq!(engine.total(), 27);
+        // Ranks decode last-component-fastest into the flat arrays.
+        let ids: Vec<u64> = engine.streams_at(14).map(|(v, ..)| v.id.0).collect();
+        assert_eq!(ids, [2, 2, 3]);
+        assert_eq!(engine.prefix(14, 0), 1);
+        assert_eq!(engine.prefix(14, 1), 4);
     }
 
     #[test]

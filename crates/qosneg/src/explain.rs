@@ -935,16 +935,12 @@ mod tests {
             })
             .collect();
         let model = CostModel::era_default();
-        let engine = OfferEngine::build(
-            &[(MonomediaId(1), variants.iter().collect())],
-            &[(MonomediaId(1), 60_000)].into(),
-            &crate::profile::tv_news_profile(),
-            &model,
-            Guarantee::Guaranteed,
-            crate::ClassificationStrategy::SnsThenOif,
-            1_000,
-        )
-        .expect("engine builds");
+        let profile = crate::profile::tv_news_profile();
+        let strategy = crate::ClassificationStrategy::SnsThenOif;
+        let mut builder =
+            OfferEngine::builder(&profile, &model, Guarantee::Guaranteed, strategy, 1);
+        builder.component(MonomediaId(1), 60_000, variants.iter());
+        let engine = builder.finish(1_000).expect("engine builds");
         let mut ranked = RankedOffers::new(engine);
         let mut log = DecisionLog::default();
         log.record_scores(&mut ranked);

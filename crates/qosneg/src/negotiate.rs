@@ -7,8 +7,8 @@
 use nod_client::ClientMachine;
 use nod_cmfs::{AdmissionError, Guarantee, ReservationId, ServerFarm, StreamRequirement};
 use nod_mmdb::Catalog;
-use nod_mmdoc::{ClientId, DocumentId, MediaKind, MonomediaId, ServerId, Variant};
-use nod_netsim::{NetError, NetReservationId, Network};
+use nod_mmdoc::{DocumentId, MediaKind, ServerId, Variant};
+use nod_netsim::{NetError, NetReservationId, Network, Reach};
 use nod_obs::{Counter, HandleSet, Histogram, Recorder, Span, SpanKind};
 use std::collections::BTreeMap;
 
@@ -196,8 +196,8 @@ pub struct NegotiationContext<'a> {
     pub strategy: ClassificationStrategy,
     /// Service-guarantee class requested.
     pub guarantee: Guarantee,
-    /// Enumeration budget: [`OfferEngine::build`] refuses a document whose
-    /// offer product exceeds it.
+    /// Enumeration budget: [`EngineBuilder::finish`](crate::engine::EngineBuilder::finish)
+    /// refuses a document whose offer product exceeds it.
     pub enumeration_cap: usize,
     /// Client jitter-buffer size (ms of media) — its preroll enters the
     /// startup-latency check of the time profile.
@@ -326,11 +326,12 @@ pub fn prepare(
     document: DocumentId,
     profile: &UserProfile,
 ) -> Result<Prepared, NegotiationError> {
-    prepare_under(ctx, None, client, document, profile, Network::reachable)
+    let reach = ctx.network.reach(client.id);
+    prepare_under(ctx, None, client, document, profile, reach)
 }
 
 /// [`prepare`] with its stage spans parented under `parent` (the
-/// `negotiate` span) when tracing is active, asking `reachable` whether a
+/// `negotiate` span) when tracing is active, asking `reach` whether a
 /// variant's server has a route to the client.
 fn prepare_under(
     ctx: &NegotiationContext<'_>,
@@ -338,7 +339,7 @@ fn prepare_under(
     client: &ClientMachine,
     document: DocumentId,
     profile: &UserProfile,
-    reachable: impl Fn(&Network, ClientId, ServerId) -> bool,
+    reach: Reach<'_>,
 ) -> Result<Prepared, NegotiationError> {
     let early = |status, local_offer, trace| {
         Ok(Prepared::Early(Box::new(NegotiationOutcome {
@@ -378,42 +379,27 @@ fn prepare_under(
     }
 
     // ---- Step 2: static compatibility checking --------------------------
+    // One pass over the document: each component's stored variants read
+    // straight from the catalog, kept when the client can decode them and
+    // reach their server, and cloned into the engine as they are found,
+    // their partial scores (importance, CostNet + CostSer, SNS flags)
+    // precomputed on the way in — so step 3/4 scores each offer from those.
     let span_enumerate = stage_span(obs, parent, |m| m.enumerate);
-    let per_mono_all = ctx
-        .catalog
-        .variants_of_document(document)
-        .expect("document presence checked above");
-    let per_mono: Vec<(MonomediaId, Vec<&Variant>)> = per_mono_all
-        .into_iter()
-        .map(|(mono, variants)| {
-            let feasible: Vec<&Variant> = variants
-                .into_iter()
-                .filter(|v| client.feasible(v))
-                .filter(|v| reachable(ctx.network, client.id, v.server))
-                .collect();
-            (mono, feasible)
-        })
-        .collect();
-    trace.feasible_variants = per_mono.iter().map(|(_, v)| v.len()).sum();
-
-    // ---- Step 3/4: precompute scores, then score the product ------------
-    // The engine clones each feasible variant once and precomputes its
-    // partial scores (importance, CostNet + CostSer, SNS flags); per-offer
-    // scoring becomes an O(k) combine of those.
-    let durations: std::collections::HashMap<MonomediaId, u64> = doc
-        .monomedia()
-        .iter()
-        .map(|m| (m.id, m.duration_ms))
-        .collect();
-    let engine = match OfferEngine::build(
-        &per_mono,
-        &durations,
+    let components = doc.monomedia();
+    let mut builder = OfferEngine::builder(
         profile,
         ctx.cost_model,
         ctx.guarantee,
         ctx.strategy,
-        ctx.enumeration_cap,
-    ) {
+        components.len(),
+    );
+    for m in components {
+        let stored = ctx.catalog.variants_of(m.id);
+        let feasible = stored.filter(|v| client.feasible(v) && reach.server(v.server));
+        builder.component(m.id, m.duration_ms, feasible);
+    }
+    trace.feasible_variants = builder.variants();
+    let engine = match builder.finish(ctx.enumeration_cap) {
         Ok(engine) => engine,
         Err(EnumerationError::NoFeasibleVariant(_)) => {
             if let Some(span) = span_enumerate {
@@ -490,7 +476,8 @@ pub fn explain_attempts<'l>(
         recorder: None,
         ..*ctx
     };
-    match prepare_under(&quiet, None, client, document, profile, Network::has_route) {
+    let reach = ctx.network.reach(client.id).uncounted();
+    match prepare_under(&quiet, None, client, document, profile, reach) {
         Ok(Prepared::Offers(mut ranked, trace, _)) => {
             for log in logs {
                 explain_prepared(&mut ranked, &trace, log);
@@ -536,14 +523,8 @@ pub(crate) fn negotiate_impl(
     profile: &UserProfile,
 ) -> Result<NegotiationOutcome, NegotiationError> {
     let root = stage_span(observed(ctx), None, |m| m.negotiate);
-    let prepared = prepare_under(
-        ctx,
-        root.as_ref(),
-        client,
-        document,
-        profile,
-        Network::reachable,
-    );
+    let reach = ctx.network.reach(client.id);
+    let prepared = prepare_under(ctx, root.as_ref(), client, document, profile, reach);
     let result = prepared.map(|prepared| match prepared {
         Prepared::Early(mut outcome) => {
             if ctx.explain {

@@ -177,13 +177,10 @@ impl UserProfile {
         Ok(())
     }
 
-    /// The media kinds this profile expresses requirements for.
-    pub fn requested_kinds(&self) -> Vec<MediaKind> {
-        MediaKind::ALL
-            .iter()
-            .copied()
-            .filter(|&k| self.desired.for_kind(k).is_some())
-            .collect()
+    /// The media kinds this profile expresses requirements for, in
+    /// [`MediaKind::ALL`] order.
+    pub fn requested_kinds(&self) -> impl Iterator<Item = MediaKind> + '_ {
+        (MediaKind::ALL.iter().copied()).filter(|&k| self.desired.for_kind(k).is_some())
     }
 }
 
@@ -287,17 +284,15 @@ mod tests {
             Money::from_dollars(4),
         );
         assert!(p.validate().is_ok());
-        assert_eq!(p.requested_kinds(), vec![MediaKind::Video]);
+        assert!(p.requested_kinds().eq([MediaKind::Video]));
     }
 
     #[test]
     fn tv_news_profile_validates() {
         let p = tv_news_profile();
         assert!(p.validate().is_ok());
-        assert_eq!(
-            p.requested_kinds(),
-            vec![MediaKind::Video, MediaKind::Audio, MediaKind::Text]
-        );
+        let kinds = [MediaKind::Video, MediaKind::Audio, MediaKind::Text];
+        assert!(p.requested_kinds().eq(kinds));
     }
 
     #[test]

@@ -16,13 +16,14 @@ use nod_client::ClientMachine;
 use nod_cmfs::{Guarantee, ServerConfig, ServerFarm};
 use nod_mmdb::{Catalog, CorpusBuilder, CorpusParams};
 use nod_mmdoc::prelude::*;
-use nod_netsim::{Network, Topology};
+use nod_netsim::{route, Network, NodeId, Topology};
+use nod_obs::Recorder;
 use nod_qosneg::classify::reservation_order;
 use nod_qosneg::engine::{OfferEngine, OfferList, RankedOffers, WalkCursor, HEAD};
 use nod_qosneg::explain::{DecisionLog, EXPLAIN_TOP_K};
 use nod_qosneg::negotiate::{
-    commit_prepared, explain_attempts, prepare, NegotiationContext, NegotiationOutcome, Prepared,
-    StreamingMode,
+    commit_prepared, explain_attempts, prepare, NegotiationContext, NegotiationOutcome,
+    NegotiationStatus, NegotiationTrace, Prepared, StreamingMode,
 };
 use nod_qosneg::offer::enumerate_combinations;
 use nod_qosneg::profile::{tv_news_profile, MmQosSpec, UserProfile};
@@ -49,6 +50,13 @@ struct World {
 /// The equivalence corpus: catalog shape varies with the seed, from one
 /// variant per component to rich.
 fn world(seed: u64) -> World {
+    world_over(seed, |servers| {
+        Topology::dumbbell(4, servers, 25_000_000, 155_000_000)
+    })
+}
+
+/// The equivalence corpus over the network `topology(servers)` builds.
+fn world_over(seed: u64, topology: impl FnOnce(usize) -> Topology) -> World {
     let mut shape = StreamRng::new(seed ^ 0x5EED);
     let servers = 2 + shape.below(3) as usize;
     let vmin = 1 + shape.below(3) as usize;
@@ -68,7 +76,7 @@ fn world(seed: u64) -> World {
     World {
         catalog,
         farm: ServerFarm::uniform(servers, ServerConfig::era_default()),
-        network: Network::new(Topology::dumbbell(4, servers, 25_000_000, 155_000_000)),
+        network: Network::new(topology(servers)),
         cost: CostModel::era_default(),
     }
 }
@@ -98,32 +106,21 @@ fn catalog_engine(
     profile: &UserProfile,
     strategy: ClassificationStrategy,
 ) -> Option<OfferEngine> {
-    let per_mono: Vec<(MonomediaId, Vec<&Variant>)> = w
-        .catalog
-        .variants_of_document(doc)
-        .ok()?
-        .into_iter()
-        .map(|(mono, variants)| {
-            let feasible = variants
-                .into_iter()
-                .filter(|v| client.feasible(v) && w.network.reachable(client.id, v.server))
-                .collect();
-            (mono, feasible)
-        })
-        .collect();
-    let durations: HashMap<MonomediaId, u64> = (w.catalog.document(doc)?.monomedia().iter())
-        .map(|m| (m.id, m.duration_ms))
-        .collect();
-    OfferEngine::build(
-        &per_mono,
-        &durations,
+    let components = w.catalog.document(doc)?.monomedia();
+    let mut builder = OfferEngine::builder(
         profile,
         &w.cost,
         Guarantee::Guaranteed,
         strategy,
-        500_000,
-    )
-    .ok()
+        components.len(),
+    );
+    for m in components {
+        let stored = w.catalog.variants_of(m.id);
+        let feasible =
+            stored.filter(|v| client.feasible(v) && w.network.has_route(client.id, v.server));
+        builder.component(m.id, m.duration_ms, feasible);
+    }
+    builder.finish(500_000).ok()
 }
 
 fn video(id: u64, mono: u64, color: ColorDepth, fps: u32, server: u64) -> Variant {
@@ -159,17 +156,30 @@ fn built_engine(
     let durations: HashMap<MonomediaId, u64> =
         per_mono.iter().map(|(mono, _)| (*mono, 60_000)).collect();
     let cost_model = CostModel::era_default();
-    let engine = OfferEngine::build(
-        &per_mono,
-        &durations,
+    let mut builder = OfferEngine::builder(
         profile,
         &cost_model,
         Guarantee::Guaranteed,
         strategy,
-        500_000,
-    )
-    .expect("engine builds");
-    let literal: Vec<SystemOffer> = enumerate_combinations(&per_mono, usize::MAX)
+        per_mono.len(),
+    );
+    for (mono, variants) in &per_mono {
+        builder.component(*mono, durations[mono], variants.iter().copied());
+    }
+    let engine = builder.finish(500_000).expect("engine builds");
+    let literal = literal_offers(&per_mono, &durations, &cost_model);
+    assert_eq!(engine.offers(), literal, "enumeration order or pricing");
+    engine
+}
+
+/// The paper-literal enumeration: the nested product of the variant
+/// lists, each offer priced by formula (1).
+fn literal_offers(
+    per_mono: &[(MonomediaId, Vec<&Variant>)],
+    durations: &HashMap<MonomediaId, u64>,
+    cost_model: &CostModel,
+) -> Vec<SystemOffer> {
+    enumerate_combinations(per_mono, usize::MAX)
         .expect("non-empty components")
         .into_iter()
         .map(|combo| SystemOffer {
@@ -179,9 +189,7 @@ fn built_engine(
             ),
             variants: combo.into_iter().cloned().collect(),
         })
-        .collect();
-    assert_eq!(engine.offers(), literal, "enumeration order or pricing");
-    engine
+        .collect()
 }
 
 fn video_profile() -> UserProfile {
@@ -396,6 +404,129 @@ fn lazy_order_handles_wide_duplicated_nan_and_single_offer_products() {
             check_engine(&engine, profile, strategy, &format!("{name} {strategy:?}"));
         }
     }
+}
+
+/// Two islands and no link between them: clients 0–2 and the even servers
+/// on one, client 3 and the odd servers on the other.
+fn two_islands(servers: usize) -> Topology {
+    let mut t = Topology::new();
+    for (island, base) in [(0u64, 0u64), (1, 1_000)] {
+        let (access, core) = (NodeId(base), NodeId(base + 1));
+        t.add_link(access, core, 155_000_000, 2_000);
+        let clients: &[u64] = if island == 0 { &[0, 1, 2] } else { &[3] };
+        for &c in clients {
+            let node = NodeId(base + 10 + c);
+            t.add_link(node, access, 25_000_000, 500);
+            t.attach_client(ClientId(c), node);
+        }
+        for s in (island..servers as u64).step_by(2) {
+            let node = NodeId(base + 100 + s);
+            t.add_link(node, core, 155_000_000, 500);
+            t.attach_server(ServerId(s), node);
+        }
+    }
+    t
+}
+
+/// Step 2 over a partitioned network: `prepare` keeps exactly the
+/// decodable variants whose server the client can reach — counting one
+/// `net.path.rejections` per decodable variant it cannot — reports their
+/// number and the product's size in its trace, ends `FAILEDWITHOUTOFFER`
+/// when the cut leaves a component with nothing, and otherwise ranks and
+/// scores every offer exactly as `classify` does on the product filtered
+/// eagerly. The derived explanation reads the same step 2 and counts
+/// nothing.
+#[test]
+fn prepare_over_two_islands_keeps_exactly_the_reachable_variants() {
+    let profile = tv_news_profile();
+    let rejections = |rec: &Recorder| rec.snapshot().counter("net.path.rejections");
+    let (mut cut_off, mut thinned, mut offers) = (0usize, 0usize, 0usize);
+    for seed in 0..40u64 {
+        let w = world_over(seed, two_islands);
+        let rec = Recorder::new();
+        w.network.set_recorder(rec.clone());
+        for client in [0, 3].map(|c| ClientMachine::era_workstation(ClientId(c))) {
+            for doc in (1..=6u64).map(DocumentId) {
+                // Step 2 by hand, against Dijkstra itself: decodable,
+                // then routable.
+                let topo = w.network.topology();
+                let routable = |v: &&Variant| {
+                    let c = topo.client_node(client.id).expect("attached client");
+                    let s = topo.server_node(v.server).expect("attached server");
+                    route(topo, c, s).is_ok()
+                };
+                let (mut decodable, mut cut) = (0usize, false);
+                let per_mono: Vec<(MonomediaId, Vec<&Variant>)> = (w.catalog)
+                    .variants_of_document(doc)
+                    .expect("corpus document")
+                    .into_iter()
+                    .map(|(mono, stored)| {
+                        let ok: Vec<&Variant> =
+                            stored.into_iter().filter(|v| client.feasible(v)).collect();
+                        let kept: Vec<&Variant> = ok.iter().copied().filter(routable).collect();
+                        decodable += ok.len();
+                        cut |= !ok.is_empty() && kept.is_empty();
+                        (mono, kept)
+                    })
+                    .collect();
+                let feasible_variants: usize = per_mono.iter().map(|(_, vs)| vs.len()).sum();
+                let unreachable = (decodable - feasible_variants) as u64;
+                let document = w.catalog.document(doc).expect("corpus document");
+                let durations: HashMap<MonomediaId, u64> = (document.monomedia().iter())
+                    .map(|m| (m.id, m.duration_ms))
+                    .collect();
+                thinned += usize::from(unreachable > 0 && !cut);
+                cut_off += usize::from(cut);
+                for strategy in STRATEGIES {
+                    let tag = format!("seed {seed} client {} {doc} {strategy:?}", client.id);
+                    let ctx = ctx(&w, strategy);
+                    let before = rejections(&rec);
+                    let prepared = prepare(&ctx, &client, doc, &profile).expect("valid request");
+                    assert_eq!(
+                        rejections(&rec) - before,
+                        unreachable,
+                        "{tag}: one rejection per unreachable decodable variant"
+                    );
+                    let mut log = DecisionLog::default();
+                    explain_attempts(&ctx, &client, doc, &profile, [&mut log]);
+                    assert_eq!(
+                        rejections(&rec) - before,
+                        unreachable,
+                        "{tag}: explain counts"
+                    );
+                    match prepared {
+                        Prepared::Early(outcome) => {
+                            assert!(
+                                per_mono.iter().any(|(_, vs)| vs.is_empty()),
+                                "{tag}: early only when a component has nothing"
+                            );
+                            assert_eq!(outcome.status, NegotiationStatus::FailedWithoutOffer);
+                            assert_eq!(outcome.local_offer, None, "{tag}");
+                            let trace = NegotiationTrace {
+                                feasible_variants,
+                                ..NegotiationTrace::default()
+                            };
+                            assert_eq!(outcome.trace, trace, "{tag}: trace");
+                        }
+                        Prepared::Offers(ranked, trace, _) => {
+                            let literal = literal_offers(&per_mono, &durations, &w.cost);
+                            let want = classify(literal, &profile, strategy);
+                            assert_eq!(trace.feasible_variants, feasible_variants, "{tag}");
+                            assert_eq!(trace.offers_enumerated, want.len(), "{tag}");
+                            assert_eq!(trace.reservation_attempts, 0, "{tag}");
+                            assert_eq!(log.feasible_variants, feasible_variants as u64, "{tag}");
+                            assert_eq!(log.offers_enumerated, want.len() as u64, "{tag}");
+                            check_order(&ranked, &want, &tag);
+                            offers += want.len();
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(cut_off >= 20, "too few documents cut off: {cut_off}");
+    assert!(thinned >= 20, "too few documents thinned: {thinned}");
+    assert!(offers > 5_000, "coverage too thin: {offers} offers");
 }
 
 /// One negotiation on a fresh world — through `Session::submit` or

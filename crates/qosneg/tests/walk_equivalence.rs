@@ -822,8 +822,16 @@ fn a_first_offer_commit_costs_no_more_than_before() {
         "a walk that never refuses never consults the memo"
     );
 
-    // Allocations of the commit walk alone, nothing observing.
+    // Allocations of the commit walk alone, nothing observing. `prepare`
+    // answers reachability from component labels and routes nothing, so
+    // the routes are warmed first, as any earlier session on the same
+    // network would have left them.
     let w = World::new(article(&components), 4, ServerConfig::era_default());
+    for server in w.farm.ids() {
+        w.network
+            .path(client.id, server)
+            .expect("one connected network");
+    }
     let c = ctx(&w, strategy);
     let Prepared::Offers(ranked, trace, log) =
         prepare(&c, &client, DocumentId(1), &profile).expect("valid request")

@@ -47,6 +47,31 @@ for expected in results/*.txt; do
 done
 rm -rf "$repro_tmp"
 
+# The observed run is a fixed point too (gating): a contended run with
+# fault windows, retries and a choice period, every artifact channel on,
+# must print and write exactly what results/contended/ holds — counters,
+# Prometheus text, trace log and explain artifact, byte for byte. After a
+# change that is meant to move them, rerun this command with the outputs
+# pointed at results/contended/ and commit the diff.
+echo "==> observed run (run_contended vs results/contended/)"
+observed_tmp="$(mktemp -d)"
+if ! cargo run -q --release -p nod-bench --bin run_contended -- \
+    --sessions 64 --servers 1 --seed 9 --faults 3 --choice-period 300 --hold-ms 4000 \
+    --metrics-out "$observed_tmp/metrics.json" --prom-out "$observed_tmp/metrics.prom" \
+    --trace-out "$observed_tmp/trace.jsonl" --explain-out "$observed_tmp/explain.jsonl" \
+    < /dev/null > "$observed_tmp/stdout.txt" 2> "$observed_tmp.log"; then
+    cat "$observed_tmp.log"
+    rm -rf "$observed_tmp" "$observed_tmp.log"
+    exit 1
+fi
+if ! diff -r results/contended "$observed_tmp" > /dev/null; then
+    echo "error: run_contended no longer reproduces results/contended/:"
+    diff -r results/contended "$observed_tmp" | head -20 || true
+    rm -rf "$observed_tmp" "$observed_tmp.log"
+    exit 1
+fi
+rm -rf "$observed_tmp" "$observed_tmp.log"
+
 # Non-gating bench smoke: the fast-mode snapshot only has to *run* (panics
 # and build errors fail the check); the numbers themselves are not gated.
 # Includes the B11 telemetry smoke, whose tail-retention asserts gate
