@@ -78,8 +78,9 @@ fn main() {
         let w = world();
         let client = ClientMachine::era_workstation(ClientId(0));
         let cx = ctx(&w);
-        let out = negotiate(&cx, &client, DocumentId(1), &tv_news_profile()).unwrap();
+        let mut out = negotiate(&cx, &client, DocumentId(1), &tv_news_profile()).unwrap();
         let idx = out.reserved_index.expect("negotiation reserves");
+        let original = out.reserved_offer.clone().expect("negotiation reserves");
         let mut current = out.reservation.clone().unwrap();
         m.bench("b6_adaptation_switch", || {
             // Make-before-break: adapt() commits an alternate, then
@@ -87,7 +88,7 @@ fn main() {
             let adapted = adapt(
                 &cx,
                 &client,
-                black_box(&out.ordered_offers),
+                black_box(&mut out.ordered_offers),
                 idx,
                 &current,
                 AdaptationReason::UserRequest,
@@ -97,7 +98,7 @@ fn main() {
                 .expect("an idle system always yields an alternate");
             // Switch back so every iteration starts from the same state:
             // recommit the original offer, then drop the alternate.
-            let back = try_commit_refusal(&cx, &client, &out.ordered_offers[idx].offer, u64::MAX)
+            let back = try_commit_refusal(&cx, &client, &original.offer, u64::MAX)
                 .expect("original offer recommits on an idle system");
             alternate.release(&w.farm, &w.network);
             current = back;

@@ -73,9 +73,8 @@ fn main() {
         ] {
             let out = outcome.expect("valid request");
             tally.runs += 1;
-            if let (Some(idx), Some(_)) = (out.reserved_index, &out.reservation) {
+            if let (Some(offer), Some(_)) = (&out.reserved_offer, &out.reservation) {
                 tally.delivered += 1;
-                let offer = &out.ordered_offers[idx];
                 tally.cost_sum += offer.offer.cost;
                 tally.oif_sum += offer.oif;
                 if offer.offer.cost > profile.max_cost {

@@ -395,21 +395,16 @@ fn compare_path(
     }
 
     // Ordered-offer list (prefix beyond ORDERED_PREFIX).
-    let slice = outcome.ordered_offers.as_slice();
-    if slice.len() != reference.ordered.len() {
+    let mut ordered = outcome.ordered_offers.clone();
+    if ordered.len() != reference.ordered.len() {
         return diverge(format!(
             "ordered_offers len {} != reference {}",
-            slice.len(),
+            ordered.len(),
             reference.ordered.len()
         ));
     }
-    for (i, (got, want)) in slice
-        .iter()
-        .zip(reference.ordered.iter())
-        .take(ORDERED_PREFIX)
-        .enumerate()
-    {
-        if let Some(d) = scored_offer_mismatch(got, want) {
+    for (i, want) in reference.ordered.iter().take(ORDERED_PREFIX).enumerate() {
+        if let Some(d) = scored_offer_mismatch(&ordered.materialize(i), want) {
             return diverge(format!("ordered_offers[{i}]: {d}"));
         }
     }

@@ -87,7 +87,7 @@ fn adapt_is_make_before_break_under_exactly_full_capacity() {
         explain: false,
     };
     let session = Session::new(ctx);
-    let out = session
+    let mut out = session
         .submit(&NegotiationRequest::new(
             &built.client,
             built.document,
@@ -97,15 +97,18 @@ fn adapt_is_make_before_break_under_exactly_full_capacity() {
     assert_eq!(out.status, NegotiationStatus::Succeeded);
     let idx = out.reserved_index.expect("an offer was reserved");
     let reservation = out.reservation.as_ref().expect("reservation held");
-    let ordered = out.ordered_offers.as_slice();
-    assert_eq!(ordered.len(), 2, "duplicate variants give two offers");
+    assert_eq!(
+        out.ordered_offers.len(),
+        2,
+        "duplicate variants give two offers"
+    );
     let held_net = network.active_reservations();
     let held_bps = network.total_reserved_bps();
 
     let adapted = adapt(
         &ctx,
         &built.client,
-        ordered,
+        &mut out.ordered_offers,
         idx,
         reservation,
         AdaptationReason::ServerCongestion,
@@ -123,8 +126,8 @@ fn adapt_is_make_before_break_under_exactly_full_capacity() {
     // offer is gone, the very same alternate commits. A break-before-make
     // adapt would have taken this path implicitly — and reported a switch.
     reservation.release(&farm, &network);
-    let alternate = (1 - idx).min(ordered.len() - 1);
-    let re = try_commit_refusal(&ctx, &built.client, &ordered[alternate].offer, u64::MAX)
+    let alternate = out.ordered_offers.materialize(1 - idx);
+    let re = try_commit_refusal(&ctx, &built.client, &alternate.offer, u64::MAX)
         .expect("alternate fits once the current reservation is released");
     re.release(&farm, &network);
     assert_eq!(network.active_reservations(), 0);

@@ -8,12 +8,20 @@
 //! system offer is selected and the required resources are reserved, the
 //! QoS manager automatically performs a transition from the current system
 //! offer to the new one" — all without intervention by the user.
+//!
+//! [`adapt`] is therefore step 5 again, over the session's own
+//! [`RankedOffers`]: the same commit walk negotiation runs (the per-offer
+//! decode check, the refused-prefix memo, the [`CommitRefusal`]s behind
+//! an [`AdaptationRecord`]), from a fresh cursor, passing over the current
+//! offer and without the startup bound.
+//!
+//! [`CommitRefusal`]: crate::negotiate::CommitRefusal
 
 use nod_client::ClientMachine;
 
-use crate::classify::{reservation_order, ScoredOffer};
+use crate::engine::RankedOffers;
 use crate::explain::AdaptationRecord;
-use crate::negotiate::{try_commit_refusal, NegotiationContext, SessionReservation};
+use crate::negotiate::{CommitWalk, NegotiationContext, SessionReservation};
 
 /// Why adaptation was triggered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,8 +48,8 @@ impl AdaptationReason {
 /// The result of one adaptation attempt.
 #[derive(Debug)]
 pub struct AdaptationOutcome {
-    /// The newly reserved offer's index into the ordered offer list, if an
-    /// alternate was found.
+    /// The newly reserved offer's classified index into the session's
+    /// ordered offer list, if an alternate was found.
     pub new_index: Option<usize>,
     /// The new resources (present iff `new_index` is).
     pub reservation: Option<SessionReservation>,
@@ -66,6 +74,12 @@ impl AdaptationOutcome {
 /// ordered offers and, if an alternate commits, release the current
 /// offer's resources — **make-before-break**.
 ///
+/// The walk orders `ordered_offers` further as it goes and materializes
+/// nothing; read the new offer with [`RankedOffers::materialize`] at
+/// `new_index`. Each refused prefix is judged once, against the capacity
+/// the walk started with (the current reservation held). Counters: none
+/// beyond what the farm and network count themselves.
+///
 /// Holding the current reservation while shopping means a failed
 /// adaptation leaves the session exactly where it was (playing, degraded)
 /// instead of stranded without resources; the price is that an alternate
@@ -76,13 +90,11 @@ impl AdaptationOutcome {
 pub fn adapt(
     ctx: &NegotiationContext<'_>,
     client: &ClientMachine,
-    ordered_offers: &[ScoredOffer],
+    ordered_offers: &mut RankedOffers,
     current_index: usize,
     current_reservation: &SessionReservation,
     reason: AdaptationReason,
 ) -> AdaptationOutcome {
-    let order = reservation_order(ordered_offers);
-    let mut attempts = 0usize;
     // The make-before-break flag is structural: the release below happens
     // only after an alternate committed, and a failed adaptation keeps the
     // current reservation untouched. Either way the session never stands
@@ -96,38 +108,27 @@ pub fn adapt(
             make_before_break: true,
         })
     });
-    for idx in order {
-        if idx == current_index {
-            continue; // "except the current one (which is in difficulty)"
-        }
-        attempts += 1;
-        // Mid-session transitions are not bound by the startup deadline —
-        // the user is already watching; the switch is best-effort fast.
-        match try_commit_refusal(ctx, client, &ordered_offers[idx].offer, u64::MAX) {
-            Ok(reservation) => {
-                // Break the old offer only after the new one is committed.
-                current_reservation.release(ctx.farm, ctx.network);
-                if let Some(r) = record.as_deref_mut() {
-                    r.new_rank = Some(idx as u64);
-                }
-                return AdaptationOutcome {
-                    new_index: Some(idx),
-                    reservation: Some(reservation),
-                    attempts,
-                    reason,
-                    explain: record,
-                };
+    // Mid-session transitions are not bound by the startup deadline — the
+    // user is already watching; the switch is best-effort fast.
+    let mut walk = CommitWalk::new(ctx, client, u64::MAX);
+    // "except the current one (which is in difficulty)"
+    let (attempts, committed) =
+        walk.first_fit(ordered_offers, Some(current_index), |idx, refusal| {
+            if let Some(r) = record.as_deref_mut() {
+                r.attempts.push(refusal.record(idx));
             }
-            Err(refusal) => {
-                if let Some(r) = record.as_deref_mut() {
-                    r.attempts.push(refusal.record(idx));
-                }
-            }
+        });
+    let (new_index, reservation) = committed.unzip();
+    if let Some(idx) = new_index {
+        // Break the old offer only after the new one is committed.
+        current_reservation.release(ctx.farm, ctx.network);
+        if let Some(r) = record.as_deref_mut() {
+            r.new_rank = Some(idx as u64);
         }
     }
     AdaptationOutcome {
-        new_index: None,
-        reservation: None,
+        new_index,
+        reservation,
         attempts,
         reason,
         explain: record,
@@ -193,7 +194,7 @@ mod tests {
     fn adaptation_switches_to_an_alternate_offer() {
         let w = world(11);
         let client = nod_client::ClientMachine::era_workstation(ClientId(0));
-        let out = negotiate(&ctx(&w), &client, DocumentId(1), &tv_news_profile()).unwrap();
+        let mut out = negotiate(&ctx(&w), &client, DocumentId(1), &tv_news_profile()).unwrap();
         assert!(matches!(
             out.status,
             NegotiationStatus::Succeeded | NegotiationStatus::FailedWithOffer
@@ -208,7 +209,7 @@ mod tests {
         let adapted = adapt(
             &ctx(&w),
             &client,
-            &out.ordered_offers,
+            &mut out.ordered_offers,
             idx,
             res,
             AdaptationReason::ServerCongestion,
@@ -216,16 +217,17 @@ mod tests {
         // A dead server admits nothing: a switch can only land on an offer
         // avoiding the victim everywhere; and if no such offer exists the
         // adaptation must fail.
-        let avoiding_exists =
-            out.ordered_offers.iter().enumerate().any(|(i, s)| {
-                i != idx && s.offer.variants.iter().all(|v| v.server != victim_server)
-            });
+        let list = &mut out.ordered_offers;
+        let avoiding_exists = (0..list.len()).any(|i| {
+            i != idx
+                && (list.materialize(i).offer.variants.iter()).all(|v| v.server != victim_server)
+        });
         if !avoiding_exists {
             assert!(!adapted.switched());
         }
         if let Some(new_idx) = adapted.new_index {
             assert_ne!(new_idx, idx, "must not re-select the offer in difficulty");
-            let new_offer = &out.ordered_offers[new_idx].offer;
+            let new_offer = list.materialize(new_idx).offer;
             for v in &new_offer.variants {
                 assert_ne!(v.server, victim_server);
             }
@@ -243,7 +245,7 @@ mod tests {
     fn adaptation_fails_when_everything_is_congested() {
         let w = world(12);
         let client = nod_client::ClientMachine::era_workstation(ClientId(0));
-        let out = negotiate(&ctx(&w), &client, DocumentId(1), &tv_news_profile()).unwrap();
+        let mut out = negotiate(&ctx(&w), &client, DocumentId(1), &tv_news_profile()).unwrap();
         let idx = out.reserved_index.unwrap();
         let res = out.reservation.as_ref().unwrap();
         for s in w.farm.ids() {
@@ -252,7 +254,7 @@ mod tests {
         let adapted = adapt(
             &ctx(&w),
             &client,
-            &out.ordered_offers,
+            &mut out.ordered_offers,
             idx,
             res,
             AdaptationReason::ServerCongestion,
@@ -270,7 +272,7 @@ mod tests {
     fn user_renegotiation_reuses_the_same_machinery() {
         let w = world(13);
         let client = nod_client::ClientMachine::era_workstation(ClientId(0));
-        let out = negotiate(&ctx(&w), &client, DocumentId(2), &tv_news_profile()).unwrap();
+        let mut out = negotiate(&ctx(&w), &client, DocumentId(2), &tv_news_profile()).unwrap();
         let idx = out.reserved_index.unwrap();
         let res = out.reservation.as_ref().unwrap();
         // No congestion at all: a user-driven renegotiation still finds an
@@ -278,7 +280,7 @@ mod tests {
         let adapted = adapt(
             &ctx(&w),
             &client,
-            &out.ordered_offers,
+            &mut out.ordered_offers,
             idx,
             res,
             AdaptationReason::UserRequest,

@@ -17,76 +17,90 @@
 use nod_client::ClientMachine;
 use nod_mmdoc::{DocumentId, MonomediaId, Variant};
 
-use crate::classify::{classify, ClassificationStrategy, ScoredOffer};
-use crate::engine::OfferList;
-use crate::money::Money;
+use crate::classify::{classify, ScoredOffer};
+use crate::engine::{OfferEngine, RankedOffers};
 use crate::negotiate::{
     try_commit_refusal, NegotiationContext, NegotiationError, NegotiationOutcome,
     NegotiationStatus, NegotiationTrace, SessionReservation,
 };
 use crate::offer::SystemOffer;
 use crate::profile::UserProfile;
-use crate::sns::satisfies_request;
 
+/// One document component: its id, its duration, and the variants step 2
+/// keeps for it.
+type Component<'a> = (MonomediaId, u64, Vec<&'a Variant>);
+
+/// Step 2 for the baselines: each document component in order, keeping
+/// the variants the client can decode and reach (asking the network for a
+/// route, so each unreachable one counts a `net.path.rejections`).
 fn feasible_variants<'a>(
     ctx: &NegotiationContext<'a>,
     client: &ClientMachine,
     document: DocumentId,
-) -> Result<Vec<(MonomediaId, Vec<&'a Variant>)>, NegotiationError> {
-    let per_mono = ctx
-        .catalog
-        .variants_of_document(document)
-        .map_err(|_| NegotiationError::UnknownDocument(document))?;
-    Ok(per_mono
-        .into_iter()
-        .map(|(mono, variants)| {
-            let feasible: Vec<&Variant> = variants
-                .into_iter()
+) -> Result<Vec<Component<'a>>, NegotiationError> {
+    let doc =
+        (ctx.catalog.document(document)).ok_or(NegotiationError::UnknownDocument(document))?;
+    Ok(doc
+        .monomedia()
+        .iter()
+        .map(|m| {
+            let feasible: Vec<&Variant> = (ctx.catalog.variants_of(m.id))
                 .filter(|v| client.feasible(v))
                 .filter(|v| ctx.network.path(client.id, v.server).is_ok())
                 .collect();
-            (mono, feasible)
+            (m.id, m.duration_ms, feasible)
         })
         .collect())
 }
 
-fn durations(
+/// The one-offer list of `chosen` — one variant per component, with the
+/// component's id and duration — through the offer engine, so it is
+/// priced by formula (1), `copyright + Σ(net + ser)`, and scored like
+/// every other offer.
+fn one_offer<'v>(
     ctx: &NegotiationContext<'_>,
-    document: DocumentId,
-) -> std::collections::HashMap<MonomediaId, u64> {
-    ctx.catalog
-        .document(document)
-        .expect("checked")
-        .monomedia()
-        .iter()
-        .map(|m| (m.id, m.duration_ms))
-        .collect()
+    profile: &UserProfile,
+    chosen: impl ExactSizeIterator<Item = (MonomediaId, u64, &'v Variant)>,
+) -> RankedOffers {
+    let mut builder = OfferEngine::builder(
+        profile,
+        ctx.cost_model,
+        ctx.guarantee,
+        ctx.strategy,
+        chosen.len(),
+    );
+    for (mono, duration_ms, variant) in chosen {
+        builder.component(mono, duration_ms, std::iter::once(variant));
+    }
+    // Unreachable: every component has its one variant, a product of 1.
+    RankedOffers::new(
+        builder
+            .finish(1)
+            .expect("one variant per component is one offer"),
+    )
 }
 
+/// The outcome over a one-offer list: reserved or not, the offer's own
+/// SNS decides between SUCCEEDED and FAILEDWITHOFFER.
 fn outcome_for_offer(
-    profile: &UserProfile,
-    offer: SystemOffer,
+    list: RankedOffers,
+    scored: ScoredOffer,
     reservation: Option<SessionReservation>,
     trace: NegotiationTrace,
 ) -> NegotiationOutcome {
-    let scored = classify(vec![offer], profile, ClassificationStrategy::SnsThenOif);
-    let reserved = reservation.is_some();
-    let satisfies = scored[0].satisfies_request;
+    let status = match (&reservation, scored.satisfies_request) {
+        (Some(_), true) => NegotiationStatus::Succeeded,
+        (Some(_), false) => NegotiationStatus::FailedWithOffer,
+        (None, _) => NegotiationStatus::FailedTryLater,
+    };
+    let reserved = reservation.is_some().then_some(scored);
     NegotiationOutcome {
-        status: match (reserved, satisfies) {
-            (true, true) => NegotiationStatus::Succeeded,
-            (true, false) => NegotiationStatus::FailedWithOffer,
-            (false, _) => NegotiationStatus::FailedTryLater,
-        },
-        user_offer: reserved.then(|| scored[0].offer.to_user_offer()),
-        reserved_index: reserved.then_some(0),
+        user_offer: reserved.as_ref().map(|s| s.offer.to_user_offer()),
+        reserved_index: reserved.as_ref().map(|_| 0),
         reservation,
-        reserved_offer: reserved.then(|| scored[0].clone()),
-        ordered_offers: scored.into(),
-        local_offer: None,
-        commit_failures: Vec::new(),
-        trace,
-        decisions: None,
+        reserved_offer: reserved,
+        ordered_offers: list,
+        ..NegotiationOutcome::empty(status, trace)
     }
 }
 
@@ -104,43 +118,23 @@ pub(crate) fn negotiate_static_first_fit_impl(
         .map_err(NegotiationError::InvalidProfile)?;
     let per_mono = feasible_variants(ctx, client, document)?;
     let mut trace = NegotiationTrace {
-        feasible_variants: per_mono.iter().map(|(_, v)| v.len()).sum(),
+        feasible_variants: per_mono.iter().map(|(.., v)| v.len()).sum(),
         ..NegotiationTrace::default()
     };
-
-    let mut chosen: Vec<&Variant> = Vec::with_capacity(per_mono.len());
-    for (_, variants) in &per_mono {
-        match variants.first() {
-            Some(v) => chosen.push(v),
-            None => {
-                return Ok(NegotiationOutcome {
-                    status: NegotiationStatus::FailedWithoutOffer,
-                    user_offer: None,
-                    reserved_index: None,
-                    reservation: None,
-                    reserved_offer: None,
-                    ordered_offers: OfferList::default(),
-                    local_offer: None,
-                    commit_failures: Vec::new(),
-                    trace,
-                    decisions: None,
-                })
-            }
-        }
+    if per_mono.iter().any(|(.., v)| v.is_empty()) {
+        return Ok(NegotiationOutcome::empty(
+            NegotiationStatus::FailedWithoutOffer,
+            trace,
+        ));
     }
     trace.offers_enumerated = 1;
     trace.reservation_attempts = 1;
-    let durs = durations(ctx, document);
-    let cost = ctx.cost_model.document_cost(
-        chosen.iter().map(|v| (*v, durs[&v.monomedia])),
-        ctx.guarantee,
-    );
-    let offer = SystemOffer {
-        variants: chosen.into_iter().cloned().collect(),
-        cost,
-    };
-    let reservation = try_commit_refusal(ctx, client, &offer, profile.time.max_startup_ms).ok();
-    Ok(outcome_for_offer(profile, offer, reservation, trace))
+    let first = per_mono.iter().map(|&(mono, dur, ref v)| (mono, dur, v[0]));
+    let mut list = one_offer(ctx, profile, first);
+    let scored = list.materialize(0);
+    let reservation =
+        try_commit_refusal(ctx, client, &scored.offer, profile.time.max_startup_ms).ok();
+    Ok(outcome_for_offer(list, scored, reservation, trace))
 }
 
 /// Per-monomedia negotiation: optimize and commit each component in
@@ -162,9 +156,8 @@ pub(crate) fn negotiate_per_monomedia_impl(
         .validate()
         .map_err(NegotiationError::InvalidProfile)?;
     let per_mono = feasible_variants(ctx, client, document)?;
-    let durs = durations(ctx, document);
     let mut trace = NegotiationTrace {
-        feasible_variants: per_mono.iter().map(|(_, v)| v.len()).sum(),
+        feasible_variants: per_mono.iter().map(|(.., v)| v.len()).sum(),
         ..NegotiationTrace::default()
     };
 
@@ -175,26 +168,20 @@ pub(crate) fn negotiate_per_monomedia_impl(
         }
     };
 
-    for (mono, variants) in &per_mono {
+    for (_, duration_ms, variants) in &per_mono {
         if variants.is_empty() {
             release_all(&committed);
-            return Ok(NegotiationOutcome {
-                status: NegotiationStatus::FailedWithoutOffer,
-                user_offer: None,
-                reserved_index: None,
-                reservation: None,
-                reserved_offer: None,
-                ordered_offers: OfferList::default(),
-                local_offer: None,
-                commit_failures: Vec::new(),
+            return Ok(NegotiationOutcome::empty(
+                NegotiationStatus::FailedWithoutOffer,
                 trace,
-                decisions: None,
-            });
+            ));
         }
         let offers: Vec<SystemOffer> = variants
             .iter()
             .map(|v| {
-                let (net, ser) = ctx.cost_model.monomedia_cost(v, durs[mono], ctx.guarantee);
+                let (net, ser) = ctx
+                    .cost_model
+                    .monomedia_cost(v, *duration_ms, ctx.guarantee);
                 SystemOffer {
                     variants: vec![(*v).clone()],
                     cost: net + ser,
@@ -215,29 +202,20 @@ pub(crate) fn negotiate_per_monomedia_impl(
             Some(pair) => committed.push(pair),
             None => {
                 release_all(&committed);
-                return Ok(NegotiationOutcome {
-                    status: NegotiationStatus::FailedTryLater,
-                    user_offer: None,
-                    reserved_index: None,
-                    reservation: None,
-                    reserved_offer: None,
-                    ordered_offers: OfferList::default(),
-                    local_offer: None,
-                    commit_failures: Vec::new(),
+                return Ok(NegotiationOutcome::empty(
+                    NegotiationStatus::FailedTryLater,
                     trace,
-                    decisions: None,
-                });
+                ));
             }
         }
     }
 
-    // Assemble the document-level result from the independent commitments.
-    let variants: Vec<Variant> = committed
-        .iter()
-        .flat_map(|(s, _)| s.offer.variants.clone())
-        .collect();
-    let cost: Money =
-        ctx.cost_model.copyright + committed.iter().map(|(s, _)| s.offer.cost).sum::<Money>();
+    // Assemble the document-level result from the independent commitments:
+    // the committed variants as one offer, priced with the copyright once.
+    let chosen = (per_mono.iter().zip(&committed))
+        .map(|(&(mono, dur, _), (s, _))| (mono, dur, &s.offer.variants[0]));
+    let mut list = one_offer(ctx, profile, chosen);
+    let scored = list.materialize(0);
     let reservation = SessionReservation {
         servers: committed
             .iter()
@@ -248,26 +226,7 @@ pub(crate) fn negotiate_per_monomedia_impl(
             .flat_map(|(_, r)| r.network.clone())
             .collect(),
     };
-    let offer = SystemOffer { variants, cost };
-    let qos: Vec<&nod_mmdoc::MediaQos> = offer.qos_values().collect();
-    let satisfies = satisfies_request(profile, qos, offer.cost);
-    let scored = classify(vec![offer], profile, ClassificationStrategy::SnsThenOif);
-    Ok(NegotiationOutcome {
-        status: if satisfies {
-            NegotiationStatus::Succeeded
-        } else {
-            NegotiationStatus::FailedWithOffer
-        },
-        user_offer: Some(scored[0].offer.to_user_offer()),
-        reserved_index: Some(0),
-        reservation: Some(reservation),
-        reserved_offer: Some(scored[0].clone()),
-        ordered_offers: scored.into(),
-        local_offer: None,
-        commit_failures: Vec::new(),
-        trace,
-        decisions: None,
-    })
+    Ok(outcome_for_offer(list, scored, Some(reservation), trace))
 }
 
 #[cfg(test)]
@@ -277,7 +236,9 @@ mod tests {
     // external callers go through `Session::submit`.
     use super::negotiate_per_monomedia_impl as negotiate_per_monomedia;
     use super::negotiate_static_first_fit_impl as negotiate_static_first_fit;
+    use crate::classify::ClassificationStrategy;
     use crate::cost::CostModel;
+    use crate::money::Money;
     use crate::negotiate::negotiate_impl as negotiate;
     use crate::profile::tv_news_profile;
     use nod_cmfs::{Guarantee, ServerConfig, ServerFarm};
@@ -360,10 +321,9 @@ mod tests {
             if let Some(r) = &naive.reservation {
                 r.release(&w.farm, &w.network);
             }
-            if let (Some(si), Some(_)) = (smart.reserved_index, naive.reserved_index) {
+            if let (Some(s), Some(n)) = (&smart.reserved_offer, &naive.reserved_offer) {
                 comparisons += 1;
-                let s_oif = smart.ordered_offers[si].oif;
-                let n_oif = naive.ordered_offers[0].oif;
+                let (s_oif, n_oif) = (s.oif, n.oif);
                 assert!(
                     s_oif >= n_oif - 1e-9,
                     "seed {seed}: smart OIF {s_oif} < first-fit OIF {n_oif}"
@@ -391,7 +351,7 @@ mod tests {
             NegotiationStatus::Succeeded | NegotiationStatus::FailedWithOffer
         ));
         let doc = w.catalog.document(DocumentId(1)).unwrap();
-        let offer = &out.ordered_offers[0].offer;
+        let offer = &out.reserved_offer.as_ref().unwrap().offer;
         assert_eq!(offer.variants.len(), doc.monomedia().len());
         out.reservation.unwrap().release(&w.farm, &w.network);
         assert_eq!(w.network.active_reservations(), 0);
@@ -426,8 +386,8 @@ mod tests {
             profile.max_cost = Money::from_dollars(5);
             let atomic = negotiate(&ctx(&w), &client, DocumentId(1), &profile).unwrap();
             if atomic.status == NegotiationStatus::Succeeded {
-                let idx = atomic.reserved_index.unwrap();
-                assert!(atomic.ordered_offers[idx].offer.cost <= profile.max_cost);
+                let reserved = atomic.reserved_offer.as_ref().unwrap();
+                assert!(reserved.offer.cost <= profile.max_cost);
             }
             if let Some(r) = &atomic.reservation {
                 r.release(&w.farm, &w.network);

@@ -29,6 +29,18 @@ pub enum ConfirmationDecision {
     TimedOut,
 }
 
+impl ConfirmationDecision {
+    /// Stable label for the `decision` label of
+    /// `negotiation.confirmation`.
+    pub fn label(&self) -> &'static str {
+        match self {
+            ConfirmationDecision::Accepted => "accepted",
+            ConfirmationDecision::Rejected => "rejected",
+            ConfirmationDecision::TimedOut => "timed_out",
+        }
+    }
+}
+
 /// The `choicePeriod` timer armed when the offer window is displayed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConfirmationTimer {

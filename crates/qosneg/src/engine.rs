@@ -29,8 +29,10 @@
 //! sorts the rest. Step 5 walks it with a [`WalkCursor`] — satisfying
 //! offers in classified order, then the rest — so an attempted offer's
 //! index *is* its classified position, and an entry becomes a
-//! [`ScoredOffer`] only when it commits or somebody reads the list as a
-//! slice. [`OfferEngine::reservation_stream`] is the same walk over a
+//! [`ScoredOffer`] only when it commits or somebody materializes it by
+//! index. The same list is what a negotiation outcome, an advance booking
+//! and an active session keep, and adaptation walks it again with a fresh
+//! cursor. [`OfferEngine::reservation_stream`] is the same walk over a
 //! borrowed engine.
 //!
 //! Exactness: per-offer scores are combined from the precomputed partials
@@ -45,8 +47,7 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::ops::{Deref, Range};
-use std::sync::{Mutex, OnceLock};
+use std::ops::Range;
 
 use nod_cmfs::Guarantee;
 use nod_mmdoc::{MonomediaId, Variant};
@@ -337,11 +338,9 @@ impl OfferEngine {
     pub fn classify_all(&self) -> Vec<ScoredOffer> {
         let mut ranking = Ranking::score(self);
         ranking.order_to(ranking.entries.len());
-        self.materialize_all(&ranking.entries)
-    }
-
-    fn materialize_all(&self, entries: &[ScoredCombo]) -> Vec<ScoredOffer> {
-        entries.iter().map(|c| self.materialize(c)).collect()
+        (ranking.entries.iter())
+            .map(|c| self.materialize(c))
+            .collect()
     }
 
     /// Score every combination of the product, in enumeration (rank)
@@ -544,14 +543,40 @@ fn order_cmp(strategy: ClassificationStrategy, a: &ScoredCombo, b: &ScoredCombo)
 /// The classified offer list as plain data over its engine: one
 /// [`ScoredCombo`] per offer, scored up front and ordered on
 /// demand (see the module docs). This is what
-/// [`prepare`](crate::negotiate::prepare) hands to step 5; an entry becomes
-/// a [`ScoredOffer`] only when it commits, or when somebody reads the list.
+/// [`prepare`](crate::negotiate::prepare) hands to step 5, and what an
+/// outcome and an active session keep for adaptation; an entry becomes a
+/// [`ScoredOffer`] only when it commits, or when somebody materializes it.
 /// Every accessor orders as far as it needs first, so none ever returns an
 /// entry that is not in its classified position.
 #[derive(Debug, Clone)]
 pub struct RankedOffers {
     engine: OfferEngine,
     ranking: Ranking,
+}
+
+impl Default for RankedOffers {
+    /// The empty list, carried by an outcome that ranked no offers.
+    fn default() -> RankedOffers {
+        let strategy = ClassificationStrategy::SnsThenOif;
+        RankedOffers {
+            engine: OfferEngine {
+                variants: Vec::new(),
+                scores: Vec::new(),
+                components: Vec::new(),
+                strategy,
+                copyright: Money::ZERO,
+                cost_per_dollar: 0.0,
+                max_cost: Money::ZERO,
+                total: 0,
+            },
+            ranking: Ranking {
+                strategy,
+                entries: Vec::new(),
+                ordered: 0,
+                satisfying: 0,
+            },
+        }
+    }
 }
 
 impl RankedOffers {
@@ -585,7 +610,7 @@ impl RankedOffers {
     }
 
     /// The engine the entries' ranks decode against.
-    pub(crate) fn engine(&self) -> &OfferEngine {
+    pub fn engine(&self) -> &OfferEngine {
         &self.engine
     }
 
@@ -617,110 +642,6 @@ impl RankedOffers {
             census[entry.sns as usize] += 1;
         }
         census
-    }
-}
-
-/// The classified offer list of a [`crate::negotiate::NegotiationOutcome`]
-/// — **deferred** until somebody actually reads it (adaptation,
-/// diagnostics, the TUI). Step 5 walks plain [`RankedOffers`], ordering
-/// only as far as it gets; any slice access (via `Deref`) finishes the
-/// ordering and materializes every entry exactly once; `len()` is known
-/// without either.
-pub struct OfferList {
-    len: usize,
-    cells: OnceLock<Vec<ScoredOffer>>,
-    source: Mutex<Option<RankedOffers>>,
-}
-
-impl OfferList {
-    /// An already-materialized list.
-    pub fn from_vec(offers: Vec<ScoredOffer>) -> OfferList {
-        let len = offers.len();
-        let cells = OnceLock::new();
-        let _ = cells.set(offers);
-        OfferList {
-            len,
-            cells,
-            source: Mutex::new(None),
-        }
-    }
-
-    /// A deferred list over ranked entries; orders and materializes on
-    /// first access.
-    pub fn ranked(list: RankedOffers) -> OfferList {
-        OfferList {
-            len: list.len(),
-            cells: OnceLock::new(),
-            source: Mutex::new(Some(list)),
-        }
-    }
-
-    /// Number of classified offers (available without materializing).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Is the list empty?
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Has the full list been computed yet?
-    pub fn is_materialized(&self) -> bool {
-        self.cells.get().is_some()
-    }
-
-    /// The classified offers, materializing them on first call.
-    pub fn as_slice(&self) -> &[ScoredOffer] {
-        self.cells.get_or_init(|| {
-            let source = self.source.lock().expect("offer list lock").take();
-            let mut list = source.expect("deferred offer list carries its source");
-            list.ranking.order_to(list.len());
-            list.engine.materialize_all(&list.ranking.entries)
-        })
-    }
-
-    /// The classified offers by value (materializing if needed).
-    pub fn into_vec(self) -> Vec<ScoredOffer> {
-        self.as_slice();
-        self.cells.into_inner().expect("materialized above")
-    }
-}
-
-impl Deref for OfferList {
-    type Target = [ScoredOffer];
-    fn deref(&self) -> &[ScoredOffer] {
-        self.as_slice()
-    }
-}
-
-impl From<Vec<ScoredOffer>> for OfferList {
-    fn from(offers: Vec<ScoredOffer>) -> OfferList {
-        OfferList::from_vec(offers)
-    }
-}
-
-impl Default for OfferList {
-    fn default() -> OfferList {
-        OfferList::from_vec(Vec::new())
-    }
-}
-
-impl<'a> IntoIterator for &'a OfferList {
-    type Item = &'a ScoredOffer;
-    type IntoIter = std::slice::Iter<'a, ScoredOffer>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
-    }
-}
-
-impl std::fmt::Debug for OfferList {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if let Some(offers) = self.cells.get() {
-            f.debug_list().entries(offers).finish()
-        } else {
-            write!(f, "OfferList {{ len: {}, deferred }}", self.len)
-        }
     }
 }
 
@@ -772,24 +693,6 @@ mod tests {
     /// The paper-literal reference: classify the eagerly enumerated offers.
     fn reference(engine: &OfferEngine) -> Vec<ScoredOffer> {
         crate::classify::classify(engine.offers(), &profile(), engine.strategy)
-    }
-
-    #[test]
-    fn offer_list_defers_materialization_until_read() {
-        let engine = engine_over(vec![
-            variant(1, 1, ColorDepth::Color, 25, 0),
-            variant(2, 1, ColorDepth::Grey, 15, 1),
-        ]);
-        let list = OfferList::ranked(RankedOffers::new(engine));
-        assert_eq!(list.len(), 2);
-        assert!(!list.is_empty());
-        assert!(!list.is_materialized());
-        assert!(format!("{list:?}").contains("deferred"));
-        // First element access forces the full classification, once.
-        let first_oif = list[0].oif;
-        assert!(list.is_materialized());
-        assert_eq!(list.as_slice().len(), 2);
-        assert_eq!(list[0].oif, first_oif);
     }
 
     #[test]

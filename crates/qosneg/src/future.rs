@@ -22,7 +22,7 @@ use nod_netsim::LinkId;
 use nod_simcore::{BookingId, IntervalLedger, SimDuration, SimTime};
 
 use crate::classify::ScoredOffer;
-use crate::engine::{OfferList, WalkCursor};
+use crate::engine::{RankedOffers, WalkCursor};
 use crate::mapping::charged_bit_rate;
 use crate::negotiate::{
     prepare, NegotiationContext, NegotiationError, NegotiationStatus, NegotiationTrace, Prepared,
@@ -53,6 +53,7 @@ impl AdvanceBook {
     pub fn new(ctx: &NegotiationContext<'_>) -> Self {
         let mut servers = BTreeMap::new();
         for id in ctx.farm.ids() {
+            // Unreachable: `ids()` lists exactly the servers the farm holds.
             let server = ctx.farm.server(id).expect("listed server exists");
             let cfg = server.config();
             let capacity =
@@ -80,7 +81,10 @@ impl AdvanceBook {
         self.servers.get(&id).map(|l| l.available(start, end))
     }
 
-    /// Try to book every stream of an offer over `[start, end)`.
+    /// Try to book every stream of an offer over `[start, end)`. An offer
+    /// naming a server or a route link this book does not mirror (it was
+    /// built over a smaller deployment) is not bookable, like one that does
+    /// not fit: everything booked for it so far is cancelled.
     fn try_book_offer(
         &mut self,
         ctx: &NegotiationContext<'_>,
@@ -89,60 +93,13 @@ impl AdvanceBook {
         start: SimTime,
         end: SimTime,
     ) -> Option<AdvanceBookingId> {
-        let mut held: Vec<(LedgerRef, BookingId)> = Vec::new();
-        let rollback = |book: &mut AdvanceBook, held: &mut Vec<(LedgerRef, BookingId)>| {
-            for (lref, id) in held.drain(..) {
-                match lref {
-                    LedgerRef::Server(s) => {
-                        book.servers.get_mut(&s).expect("held ledger").cancel(id)
-                    }
-                    LedgerRef::Link(l) => book.links.get_mut(&l).expect("held ledger").cancel(id),
-                }
-            }
-        };
-
-        for variant in &offer.offer.variants {
-            // Server disk-round share over the window.
-            let server = match ctx.farm.server(variant.server) {
-                Some(s) => s,
-                None => {
-                    rollback(self, &mut held);
-                    return None;
-                }
-            };
-            let req = StreamRequirement::for_variant(variant, ctx.guarantee);
-            let round_cost = server.round_cost_us(&req);
-            if round_cost > 0 {
-                let ledger = self.servers.get_mut(&variant.server).expect("mirrored");
-                match ledger.try_book(start, end, round_cost) {
-                    Ok(id) => held.push((LedgerRef::Server(variant.server), id)),
-                    Err(_) => {
-                        rollback(self, &mut held);
-                        return None;
-                    }
-                }
-            }
-            // Link bandwidth along the current route.
-            if variant.blocks_per_second > 0 {
-                let bps = charged_bit_rate(variant, ctx.guarantee);
-                let path = match ctx.network.path(client.id, variant.server) {
-                    Ok(p) => p,
-                    Err(_) => {
-                        rollback(self, &mut held);
-                        return None;
-                    }
-                };
-                for link in path {
-                    let ledger = self.links.get_mut(&link).expect("mirrored");
-                    match ledger.try_book(start, end, bps) {
-                        Ok(id) => held.push((LedgerRef::Link(link), id)),
-                        Err(_) => {
-                            rollback(self, &mut held);
-                            return None;
-                        }
-                    }
-                }
-            }
+        let mut held = Vec::new();
+        if self
+            .book_streams(ctx, client, offer, start, end, &mut held)
+            .is_none()
+        {
+            self.cancel_held(held);
+            return None;
         }
         let id = AdvanceBookingId(self.next);
         self.next += 1;
@@ -150,17 +107,54 @@ impl AdvanceBook {
         Some(id)
     }
 
+    /// Book `offer`'s streams one by one into `held`; `None` at the first
+    /// stream that is unmirrored or does not fit.
+    fn book_streams(
+        &mut self,
+        ctx: &NegotiationContext<'_>,
+        client: &ClientMachine,
+        offer: &ScoredOffer,
+        start: SimTime,
+        end: SimTime,
+        held: &mut Vec<(LedgerRef, BookingId)>,
+    ) -> Option<()> {
+        for variant in &offer.offer.variants {
+            // Server disk-round share over the window.
+            let req = StreamRequirement::for_variant(variant, ctx.guarantee);
+            let round_cost = ctx.farm.server(variant.server)?.round_cost_us(&req);
+            if round_cost > 0 {
+                let ledger = self.servers.get_mut(&variant.server)?;
+                let id = ledger.try_book(start, end, round_cost).ok()?;
+                held.push((LedgerRef::Server(variant.server), id));
+            }
+            // Link bandwidth along the current route.
+            if variant.blocks_per_second > 0 {
+                let bps = charged_bit_rate(variant, ctx.guarantee);
+                for link in ctx.network.path(client.id, variant.server).ok()? {
+                    let id = self.links.get_mut(&link)?.try_book(start, end, bps).ok()?;
+                    held.push((LedgerRef::Link(link), id));
+                }
+            }
+        }
+        Some(())
+    }
+
+    /// Cancel every ledger booking in `held`.
+    fn cancel_held(&mut self, held: Vec<(LedgerRef, BookingId)>) {
+        for (lref, id) in held {
+            // Unreachable: a booking is only ever held on a ledger it was
+            // just taken from, and ledgers are never removed.
+            match lref {
+                LedgerRef::Server(s) => self.servers.get_mut(&s).expect("held ledger").cancel(id),
+                LedgerRef::Link(l) => self.links.get_mut(&l).expect("held ledger").cancel(id),
+            }
+        }
+    }
+
     /// Cancel an advance booking (idempotent).
     pub fn cancel(&mut self, id: AdvanceBookingId) {
         if let Some(held) = self.bookings.remove(&id) {
-            for (lref, bid) in held {
-                match lref {
-                    LedgerRef::Server(s) => {
-                        self.servers.get_mut(&s).expect("held ledger").cancel(bid)
-                    }
-                    LedgerRef::Link(l) => self.links.get_mut(&l).expect("held ledger").cancel(bid),
-                }
-            }
+            self.cancel_held(held);
         }
     }
 }
@@ -174,11 +168,12 @@ pub struct FutureOutcome {
     pub user_offer: Option<UserOffer>,
     /// The advance booking handle.
     pub booking: Option<AdvanceBookingId>,
-    /// Index of the booked offer in `ordered_offers`.
+    /// Classified index of the booked offer in `ordered_offers`.
     pub booked_index: Option<usize>,
-    /// The classified offers (for later adaptation / rebooking), deferred
-    /// like [`crate::negotiate::NegotiationOutcome::ordered_offers`].
-    pub ordered_offers: OfferList,
+    /// The classified offers (for later adaptation / rebooking), ordered as
+    /// far as the booking walk got, like
+    /// [`crate::negotiate::NegotiationOutcome::ordered_offers`].
+    pub ordered_offers: RankedOffers,
     /// Work counters.
     pub trace: NegotiationTrace,
 }
@@ -208,6 +203,7 @@ pub(crate) fn negotiate_future_impl(
         }
         Prepared::Offers(ordered, trace, _decisions) => (ordered, trace),
     };
+    // Unreachable: `prepare` returned offers, so the document exists.
     let duration_ms = ctx
         .catalog
         .document(document)
@@ -236,7 +232,7 @@ pub(crate) fn negotiate_future_impl(
         user_offer: booked.as_ref().map(|(_, s, _)| s.offer.to_user_offer()),
         booking: booked.as_ref().map(|&(_, _, booking)| booking),
         booked_index: booked.as_ref().map(|&(idx, _, _)| idx),
-        ordered_offers: OfferList::ranked(ordered),
+        ordered_offers: ordered,
         trace,
     })
 }
@@ -264,18 +260,28 @@ mod tests {
     }
 
     fn world(seed: u64) -> World {
+        world_of(seed, 3, 2)
+    }
+
+    /// `clients` clients and `servers` servers on a dumbbell.
+    fn world_of(seed: u64, clients: usize, servers: usize) -> World {
         let mut rng = StreamRng::new(seed);
         let catalog = CorpusBuilder::new(CorpusParams {
             documents: 4,
-            servers: (0..2).map(ServerId).collect(),
+            servers: (0..servers as u64).map(ServerId).collect(),
             duration_secs: (60, 90),
             ..CorpusParams::default()
         })
         .build(&mut rng);
         World {
             catalog,
-            farm: ServerFarm::uniform(2, ServerConfig::era_default()),
-            network: Network::new(Topology::dumbbell(3, 2, 25_000_000, 155_000_000)),
+            farm: ServerFarm::uniform(servers, ServerConfig::era_default()),
+            network: Network::new(Topology::dumbbell(
+                clients,
+                servers,
+                25_000_000,
+                155_000_000,
+            )),
             cost: CostModel::era_default(),
         }
     }
@@ -452,5 +458,52 @@ mod tests {
             })
             .sum();
         assert!(after < before, "booking must consume window headroom");
+    }
+
+    #[test]
+    fn a_book_over_a_smaller_deployment_passes_over_what_it_does_not_mirror() {
+        // The book mirrors two servers and the 3-client, 2-server
+        // dumbbell's six links. Against 4 clients and 3 servers, server 2
+        // has no ledger, and the route to server 1 runs over link 6, which
+        // has none either: such offers are not bookable, and the walk goes
+        // on to offers whose streams stay on server 0.
+        let mut book = AdvanceBook::new(&ctx(&world(7)));
+        let client = ClientMachine::era_workstation(ClientId(0));
+        let profile = tv_news_profile();
+        let (mut unmirrored, mut booked) = ([0usize; 2], 0usize);
+        for seed in 0..8 {
+            let w = world_of(seed, 4, 3);
+            for doc in 1..=4 {
+                let start = SimTime::from_secs(1_000 * seed);
+                let mut out = negotiate_future(
+                    &ctx(&w),
+                    &mut book,
+                    &client,
+                    DocumentId(doc),
+                    &profile,
+                    start,
+                )
+                .unwrap();
+                let list = &mut out.ordered_offers;
+                let walked: Vec<usize> = (list.reservation_order())
+                    .take(out.trace.reservation_attempts)
+                    .collect();
+                for idx in walked {
+                    let offer = list.materialize(idx).offer;
+                    let streams = offer.variants.iter().filter(|v| v.blocks_per_second > 0);
+                    let on = |s: u64| streams.clone().any(|v| v.server == ServerId(s));
+                    if Some(idx) == out.booked_index {
+                        assert!(!on(1) && !on(2), "seed {seed} doc {doc}: booked unmirrored");
+                    } else {
+                        unmirrored[0] += usize::from(on(1));
+                        unmirrored[1] += usize::from(on(2));
+                    }
+                }
+                booked += usize::from(out.booking.is_some());
+            }
+        }
+        assert!(unmirrored[0] > 0, "no offer routed over an unmirrored link");
+        assert!(unmirrored[1] > 0, "no offer on an unmirrored server");
+        assert!(booked > 0, "no offer on server 0 alone was booked");
     }
 }

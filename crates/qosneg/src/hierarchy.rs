@@ -157,12 +157,11 @@ pub(crate) fn negotiate_multidomain_impl(
             document,
             &foreign_profile,
         )?;
-        if let (Some(idx), Some(offer)) = (outcome.reserved_index, outcome.user_offer) {
-            let user_cost = surcharged(offer.cost, domain.transit_surcharge_percent);
+        if let Some(reserved) = &outcome.reserved_offer {
+            let user_cost = surcharged(reserved.offer.cost, domain.transit_surcharge_percent);
             // Re-evaluate the user-facing status against the *surcharged*
             // price and the original profile.
-            let qos: Vec<&nod_mmdoc::MediaQos> =
-                outcome.ordered_offers[idx].offer.qos_values().collect();
+            let qos: Vec<&nod_mmdoc::MediaQos> = reserved.offer.qos_values().collect();
             let status = if satisfies_request(profile, qos, user_cost) {
                 NegotiationStatus::Succeeded
             } else {
@@ -191,18 +190,7 @@ pub(crate) fn negotiate_multidomain_impl(
     Ok(MultiDomainOutcome {
         domain_index: home,
         remote: false,
-        outcome: NegotiationOutcome {
-            status,
-            user_offer: None,
-            reserved_index: None,
-            reservation: None,
-            reserved_offer: None,
-            ordered_offers: crate::engine::OfferList::default(),
-            local_offer: None,
-            commit_failures: Vec::new(),
-            trace: Default::default(),
-            decisions: None,
-        },
+        outcome: NegotiationOutcome::empty(status, Default::default()),
         user_cost: None,
     })
 }
@@ -293,8 +281,7 @@ mod tests {
         .unwrap();
         assert!(out.remote, "peer domain should take over");
         assert_eq!(out.domain_index, 1);
-        let reserved_idx = out.outcome.reserved_index.unwrap();
-        let base = out.outcome.ordered_offers[reserved_idx].offer.cost;
+        let base = out.outcome.reserved_offer.as_ref().unwrap().offer.cost;
         let charged = out.user_cost.unwrap();
         assert_eq!(charged, surcharged(base, 25), "25% transit surcharge");
         // A SUCCEEDED remote offer still respects the original ceiling.

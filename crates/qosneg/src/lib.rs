@@ -28,7 +28,7 @@
 //!
 //! The unified entry point is a [`NegotiationRequest`] — a builder
 //! bundling the document, profile, client, procedure, strategy,
-//! recorder, and retry/deadline policy — submitted
+//! recorder and explain flag — submitted
 //! through a [`Session`] facade:
 //!
 //! ```
@@ -91,7 +91,7 @@ pub use adapt::{AdaptationOutcome, AdaptationReason};
 pub use classify::{classify, ClassificationStrategy, ScoredOffer};
 pub use confirm::{ConfirmationDecision, ConfirmationTimer, PendingConfirmation};
 pub use cost::{CostModel, CostTable};
-pub use engine::{OfferEngine, OfferList};
+pub use engine::{OfferEngine, RankedOffers};
 pub use error::QosError;
 pub use explain::{
     AdaptationRecord, DecisionLog, ExplainArtifact, ExplainData, ExplainMeta, RefusalRecord,

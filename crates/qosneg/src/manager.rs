@@ -14,8 +14,9 @@ use nod_syncplay::{PlayoutSession, SessionState, Timeline};
 
 use crate::adapt::{adapt, AdaptationReason};
 use crate::classify::{ClassificationStrategy, ScoredOffer};
-use crate::confirm::{ConfirmationDecision, ConfirmationTimer, PendingConfirmation};
+use crate::confirm::{ConfirmationDecision, PendingConfirmation};
 use crate::cost::CostModel;
+use crate::engine::RankedOffers;
 use crate::error::QosError;
 use crate::negotiate::{
     negotiate_impl, NegotiationContext, NegotiationError, NegotiationOutcome, SessionReservation,
@@ -72,11 +73,12 @@ pub struct ActiveSession {
     pub playout: PlayoutSession,
     /// Committed resources.
     pub reservation: SessionReservation,
-    /// Index of the active offer in `ordered_offers`.
+    /// Classified index of the active offer in `ordered_offers`.
     pub offer_index: usize,
     /// The classified offers captured at negotiation time (the adaptation
-    /// candidate set).
-    pub ordered_offers: Vec<ScoredOffer>,
+    /// candidate set): the outcome's list, ordered as far as the walks
+    /// over it have got. [`RankedOffers::materialize`] reads an offer.
+    pub ordered_offers: RankedOffers,
     /// Adaptation verdicts collected over the session's lifetime (only
     /// populated when [`ManagerConfig::explain`] is set).
     pub adaptations: Vec<crate::explain::AdaptationRecord>,
@@ -199,8 +201,9 @@ impl QosManager {
             .reservation
             .expect("start_session requires a reserved offer");
         let offer_index = outcome.reserved_index.expect("reserved index present");
+        let offer = (outcome.reserved_offer.as_ref()).expect("reserved offer present");
         let timeline = self
-            .timeline_for(document, &outcome.ordered_offers[offer_index])
+            .timeline_for(document, offer)
             .expect("negotiated offer must produce a valid timeline");
         let mut playout = PlayoutSession::new(timeline, self.config.jitter_buffer_ms);
         if let Some(rec) = &self.config.recorder {
@@ -212,7 +215,7 @@ impl QosManager {
             playout,
             reservation,
             offer_index,
-            ordered_offers: outcome.ordered_offers.into_vec(),
+            ordered_offers: outcome.ordered_offers,
             adaptations: Vec::new(),
         }
     }
@@ -257,44 +260,7 @@ impl QosManager {
             return decision;
         }
         if let (Some(rec), Some(d)) = (self.config.recorder.as_ref(), decision) {
-            let label = match d {
-                ConfirmationDecision::Accepted => "accepted",
-                ConfirmationDecision::Rejected => "rejected",
-                ConfirmationDecision::TimedOut => "timed_out",
-            };
-            rec.counter_with("negotiation.confirmation", &[("decision", label)], 1);
-            if d == ConfirmationDecision::TimedOut {
-                rec.counter("negotiation.choice_timeout", 1);
-            }
-        }
-        decision
-    }
-
-    /// Resolve a step-6 confirmation ([`ConfirmationTimer::resolve`]) and
-    /// account for it: each decision increments
-    /// `negotiation.confirmation{decision=…}` and a choice-period expiry
-    /// additionally increments `negotiation.choice_timeout`.
-    ///
-    /// Stateless: the caller owns the reservation and must release it on
-    /// rejection/timeout itself — and every call re-counts, so a click
-    /// racing the expiry sweep yields two decisions over one reservation.
-    /// Prefer [`QosManager::begin_confirmation`] +
-    /// [`QosManager::resolve_pending`], which settle once and release
-    /// exactly once.
-    pub fn resolve_confirmation(
-        &self,
-        timer: &ConfirmationTimer,
-        at: SimTime,
-        action: Option<bool>,
-    ) -> Option<ConfirmationDecision> {
-        let decision = timer.resolve(at, action);
-        if let (Some(rec), Some(d)) = (self.config.recorder.as_ref(), decision) {
-            let label = match d {
-                ConfirmationDecision::Accepted => "accepted",
-                ConfirmationDecision::Rejected => "rejected",
-                ConfirmationDecision::TimedOut => "timed_out",
-            };
-            rec.counter_with("negotiation.confirmation", &[("decision", label)], 1);
+            rec.counter_with("negotiation.confirmation", &[("decision", d.label())], 1);
             if d == ConfirmationDecision::TimedOut {
                 rec.counter("negotiation.choice_timeout", 1);
             }
@@ -353,7 +319,7 @@ impl QosManager {
         let outcome = adapt(
             &self.context(),
             &session.client,
-            &session.ordered_offers,
+            &mut session.ordered_offers,
             session.offer_index,
             &session.reservation,
             reason,
@@ -366,8 +332,9 @@ impl QosManager {
                 session.playout.interrupt_for_transition();
                 session.offer_index = idx;
                 session.reservation = reservation;
+                let offer = session.ordered_offers.materialize(idx);
                 let timeline = self
-                    .timeline_for(session.document, &session.ordered_offers[idx])
+                    .timeline_for(session.document, &offer)
                     .expect("alternate offer must produce a valid timeline");
                 session.playout.resume_with(timeline);
                 true
@@ -390,15 +357,20 @@ impl QosManager {
         new_profile: &UserProfile,
     ) -> Result<crate::negotiate::NegotiationStatus, NegotiationError> {
         let outcome = self.negotiate(&session.client, session.document, new_profile)?;
-        match (outcome.reserved_index, outcome.reservation) {
-            (Some(idx), Some(reservation)) => {
+        let committed = (
+            outcome.reserved_index,
+            outcome.reservation,
+            outcome.reserved_offer,
+        );
+        match committed {
+            (Some(idx), Some(reservation), Some(offer)) => {
                 session.playout.interrupt_for_transition();
                 self.release(&session.reservation);
                 session.reservation = reservation;
-                session.ordered_offers = outcome.ordered_offers.into_vec();
+                session.ordered_offers = outcome.ordered_offers;
                 session.offer_index = idx;
                 let timeline = self
-                    .timeline_for(session.document, &session.ordered_offers[idx])
+                    .timeline_for(session.document, &offer)
                     .expect("renegotiated offer must produce a valid timeline");
                 session.playout.resume_with(timeline);
                 Ok(outcome.status)
@@ -484,25 +456,26 @@ mod tests {
             },
         );
         let client = ClientMachine::era_workstation(ClientId(0));
-        let out = m
-            .negotiate(&client, DocumentId(1), &tv_news_profile())
-            .unwrap();
-        let reservation = out.reservation.as_ref().unwrap().clone();
+        let profile = tv_news_profile();
 
         // User confirms one offer in time, lets a second one expire.
-        let timer = ConfirmationTimer::arm(SimTime::ZERO, 30_000);
+        let mut accepted = m.negotiate(&client, DocumentId(1), &profile).unwrap();
+        let mut lapsed = m.negotiate(&client, DocumentId(1), &profile).unwrap();
+        let mut pending = m.begin_confirmation(&mut accepted, SimTime::ZERO, 30_000);
         assert_eq!(
-            m.resolve_confirmation(&timer, SimTime::from_secs(5), Some(true)),
+            m.resolve_pending(&mut pending, SimTime::from_secs(5), Some(true)),
             Some(ConfirmationDecision::Accepted)
         );
+        m.release(&pending.take_reservation().expect("accepted"));
+        let mut pending = m.begin_confirmation(&mut lapsed, SimTime::ZERO, 30_000);
         assert_eq!(
-            m.resolve_confirmation(&timer, SimTime::from_secs(31), None),
+            m.resolve_pending(&mut pending, SimTime::from_secs(31), None),
             Some(ConfirmationDecision::TimedOut)
         );
-        m.release(&reservation);
+        assert_eq!(m.farm.usage().streams, 0);
 
         let snap = rec.snapshot();
-        assert_eq!(snap.counter_sum("negotiation.outcome"), 1);
+        assert_eq!(snap.counter_sum("negotiation.outcome"), 2);
         assert_eq!(
             snap.counter("negotiation.confirmation{decision=accepted}"),
             1

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 use crate::classify::{ClassificationStrategy, ScoredOffer};
 use crate::cost::CostModel;
-use crate::engine::{OfferEngine, OfferList, RankedOffers, WalkCursor};
+use crate::engine::{OfferEngine, RankedOffers, WalkCursor};
 use crate::explain::{DecisionLog, RefusalKind, RefusalRecord, Shortfall};
 use crate::mapping::{charged_bit_rate, map_requirements, path_supports};
 use crate::offer::{EnumerationError, SystemOffer, UserOffer};
@@ -137,17 +137,17 @@ pub struct NegotiationOutcome {
     pub reserved_index: Option<usize>,
     /// The committed resources (present when `user_offer` is).
     pub reservation: Option<SessionReservation>,
-    /// The reserved offer itself (a clone of
-    /// `ordered_offers[reserved_index]`) — present exactly when
-    /// `reserved_index` is. Reading it does *not* force a deferred
-    /// [`OfferList`] to materialize.
+    /// The reserved offer itself, materialized from `ordered_offers` at
+    /// `reserved_index` — present exactly when `reserved_index` is. Code
+    /// that needs the committed offer reads this, not the list.
     pub reserved_offer: Option<ScoredOffer>,
     /// The full classified offer list — kept because "during the active
     /// phase, if QoS violations occur the adaptation procedure makes use of
-    /// the whole set of feasible system offers" (§4). It is **deferred**:
-    /// the list exists logically (its `len()` is known) but its offers are
-    /// only materialized when first accessed as a slice.
-    pub ordered_offers: OfferList,
+    /// the whole set of feasible system offers" (§4). It is the list the
+    /// step-5 walk left, ordered as far as the walk got; its `len()` is
+    /// known, and [`RankedOffers::materialize`] builds an offer by index.
+    /// Empty when no offers were ranked (an early or baseline failure).
+    pub ordered_offers: RankedOffers,
     /// The clamped QoS returned on `FailedWithLocalOffer`.
     pub local_offer: Option<MmQosSpec>,
     /// Per-offer refusal reasons collected during step 5 (offer index into
@@ -159,6 +159,25 @@ pub struct NegotiationOutcome {
     /// set (or a log was handed to [`commit_prepared`]); boxed, so explain
     /// off does not widen the outcome.
     pub decisions: Option<Box<DecisionLog>>,
+}
+
+impl NegotiationOutcome {
+    /// An outcome that reserved nothing and carries no offer list: `status`
+    /// with the work counters so far.
+    pub(crate) fn empty(status: NegotiationStatus, trace: NegotiationTrace) -> NegotiationOutcome {
+        NegotiationOutcome {
+            status,
+            user_offer: None,
+            reserved_index: None,
+            reservation: None,
+            reserved_offer: None,
+            ordered_offers: RankedOffers::default(),
+            local_offer: None,
+            commit_failures: Vec::new(),
+            trace,
+            decisions: None,
+        }
+    }
 }
 
 /// Hard errors (misuse rather than negotiation failure).
@@ -343,16 +362,8 @@ fn prepare_under(
 ) -> Result<Prepared, NegotiationError> {
     let early = |status, local_offer, trace| {
         Ok(Prepared::Early(Box::new(NegotiationOutcome {
-            status,
-            user_offer: None,
-            reserved_index: None,
-            reservation: None,
-            reserved_offer: None,
-            ordered_offers: OfferList::default(),
             local_offer,
-            commit_failures: Vec::new(),
-            trace,
-            decisions: None,
+            ..NegotiationOutcome::empty(status, trace)
         })))
     };
     profile
@@ -597,7 +608,8 @@ impl RefusalCensus {
 }
 
 /// One step-5 walk: the attempt it makes per offer, and what it has
-/// learned so far.
+/// learned so far. Negotiation ([`commit_prepared`]) and adaptation
+/// ([`crate::adapt::adapt`]) both commit an ordered list through it.
 ///
 /// Every refused attempt rolls back completely ([`PendingCommit`]), so each
 /// attempt of a walk starts from the same farm and network state, and a
@@ -608,7 +620,7 @@ impl RefusalCensus {
 /// link again. Nothing else touches the farm or the network while a walk
 /// runs, and a success always performs the real reservations, so the memo
 /// can never over-commit or leak.
-struct CommitWalk<'c, 'a> {
+pub(crate) struct CommitWalk<'c, 'a> {
     ctx: &'c NegotiationContext<'a>,
     client: &'c ClientMachine,
     max_startup_ms: u64,
@@ -618,18 +630,47 @@ struct CommitWalk<'c, 'a> {
 }
 
 impl<'c, 'a> CommitWalk<'c, 'a> {
-    fn new(
+    /// A walk that refuses offers whose estimated startup exceeds
+    /// `max_startup_ms` (`u64::MAX`: no bound).
+    pub(crate) fn new(
         ctx: &'c NegotiationContext<'a>,
         client: &'c ClientMachine,
-        profile: &UserProfile,
+        max_startup_ms: u64,
     ) -> Self {
         CommitWalk {
             ctx,
             client,
-            max_startup_ms: profile.time.max_startup_ms,
+            max_startup_ms,
             refused: BTreeMap::new(),
             census: RefusalCensus::default(),
         }
+    }
+
+    /// Step 5 over `ranked` from a fresh [`WalkCursor`]: attempt its
+    /// offers in reservation order, passing over `skip`, and stop at the
+    /// first that commits — its classified index and reservation. Returns
+    /// how many offers were attempted with it; `refused` receives every
+    /// refusal with its offer's index, in walk order.
+    pub(crate) fn first_fit(
+        &mut self,
+        ranked: &mut RankedOffers,
+        skip: Option<usize>,
+        mut refused: impl FnMut(usize, CommitRefusal),
+    ) -> (usize, Option<(usize, SessionReservation)>) {
+        let mut attempts = 0;
+        let mut cursor = WalkCursor::default();
+        while let Some(idx) = ranked.next_attempt(&mut cursor) {
+            if Some(idx) == skip {
+                continue;
+            }
+            attempts += 1;
+            let rank = ranked.entry(idx).rank;
+            match self.attempt(ranked.engine(), rank) {
+                Ok(reservation) => return (attempts, Some((idx, reservation))),
+                Err(refusal) => refused(idx, refusal),
+            }
+        }
+        (attempts, None)
     }
 
     /// Try to commit the offer at enumeration `rank` of `engine`, by
@@ -713,26 +754,16 @@ fn commit_walk(
     // per-candidate refusal points inside it carry the verdicts.
     let span_commit = stage_span(observed(ctx), root, |m| m.commit);
     let mut decisions = decisions.or_else(|| ctx.explain.then(Box::default));
-    let mut walk = CommitWalk::new(ctx, client, profile);
+    let mut walk = CommitWalk::new(ctx, client, profile.time.max_startup_ms);
     let mut failures: Vec<(usize, CommitFailure)> = Vec::new();
-    let mut committed: Option<(usize, ScoredOffer, SessionReservation)> = None;
-    let mut cursor = WalkCursor::default();
-    while let Some(idx) = ranked.next_attempt(&mut cursor) {
-        trace.reservation_attempts += 1;
-        let rank = ranked.entry(idx).rank;
-        match walk.attempt(ranked.engine(), rank) {
-            Err(refusal) => {
-                if let Some(l) = decisions.as_deref_mut() {
-                    l.refusals.push(refusal.record(idx));
-                }
-                failures.push((idx, refusal.failure));
-            }
-            Ok(reservation) => {
-                committed = Some((idx, ranked.materialize(idx), reservation));
-                break;
-            }
+    let (attempts, committed) = walk.first_fit(&mut ranked, None, |idx, refusal| {
+        if let Some(l) = decisions.as_deref_mut() {
+            l.refusals.push(refusal.record(idx));
         }
-    }
+        failures.push((idx, refusal.failure));
+    });
+    trace.reservation_attempts += attempts;
+    let committed = committed.map(|(idx, reservation)| (idx, ranked.materialize(idx), reservation));
     walk.emit_census();
     if let Some(span) = span_commit {
         span.end();
@@ -760,7 +791,7 @@ fn commit_walk(
         reserved_index,
         reservation,
         reserved_offer,
-        ordered_offers: OfferList::ranked(ranked),
+        ordered_offers: ranked,
         local_offer: None,
         commit_failures: failures,
         trace,
@@ -779,7 +810,7 @@ fn commit_walk(
 ///
 /// Offers are attempted by reference and only the one that commits is
 /// materialized; the list is ordered only as far as the walk gets, and the
-/// outcome's `ordered_offers` keeps it deferred. Each prefix of chosen
+/// outcome's `ordered_offers` keeps it that way. Each prefix of chosen
 /// variants is judged once per walk, against the capacity the walk started
 /// with: a refused prefix refuses every later offer that shares it without
 /// asking the server or link again, with the identical [`CommitRefusal`].
@@ -1233,10 +1264,9 @@ mod tests {
         let client = ClientMachine::era_workstation(ClientId(0));
         let out = negotiate(&ctx(&w), &client, DocumentId(2), &tv_news_profile()).unwrap();
         if out.status == NegotiationStatus::Succeeded {
-            let idx = out.reserved_index.unwrap();
-            assert!(out.ordered_offers[idx].satisfies_request);
-            let offer = &out.ordered_offers[idx].offer;
-            assert!(offer.cost <= tv_news_profile().max_cost);
+            let reserved = out.reserved_offer.as_ref().unwrap();
+            assert!(reserved.satisfies_request);
+            assert!(reserved.offer.cost <= tv_news_profile().max_cost);
         }
     }
 

@@ -6,9 +6,8 @@
 //! `negotiate_multidomain` (hierarchical) and the two baselines. A
 //! [`NegotiationRequest`] now carries everything those signatures
 //! threaded positionally — client, document, profile, plus per-request
-//! overrides (strategy, recorder) and the retry/deadline
-//! policy the concurrent broker consumes — and a [`Session`] facade
-//! dispatches it:
+//! overrides (procedure, strategy, recorder, explain, advance-booking
+//! start) — and a [`Session`] facade dispatches it:
 //!
 //! ```
 //! use nod_qosneg::{NegotiationRequest, Session};
@@ -24,7 +23,9 @@
 //! ```
 //!
 //! The old free-function entry points have been removed; this facade is
-//! the only way in.
+//! the only way in. A submit makes exactly one attempt; retrying is the
+//! caller's business, and the broker retries by its own [`RetryPolicy`]
+//! (`BrokerConfig::retry`).
 
 use nod_client::ClientMachine;
 use nod_mmdoc::DocumentId;
@@ -55,7 +56,8 @@ pub enum Procedure {
 }
 
 /// Bounded exponential backoff with seeded jitter — how a caller (the
-/// broker above all) retries a FAILEDTRYLATER session.
+/// broker's `BrokerConfig::retry` above all) retries a FAILEDTRYLATER
+/// session.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts allowed, the first included. 1 means no retries.
@@ -151,10 +153,6 @@ pub struct NegotiationRequest<'a> {
     /// Request decision provenance ([`crate::DecisionLog`]) on the outcome
     /// even when the session's context has it off.
     pub explain: bool,
-    /// Retry/backoff/deadline policy. The synchronous [`Session::submit`]
-    /// makes exactly one attempt regardless; the broker interprets the
-    /// policy across virtual time.
-    pub retry: RetryPolicy,
     /// Advance-booking start instant ([`Session::submit_future`] requires
     /// it; [`Session::submit`] rejects a request carrying one, so a booking
     /// cannot silently run as a live negotiation).
@@ -172,7 +170,6 @@ impl<'a> NegotiationRequest<'a> {
             strategy: None,
             recorder: None,
             explain: false,
-            retry: RetryPolicy::NO_RETRY,
             start_at: None,
         }
     }
@@ -198,18 +195,6 @@ impl<'a> NegotiationRequest<'a> {
     /// Request decision provenance on the outcome.
     pub fn explain(mut self) -> Self {
         self.explain = true;
-        self
-    }
-
-    /// Set the retry policy.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Set the overall deadline, ms from the first attempt.
-    pub fn deadline_ms(mut self, deadline_ms: u64) -> Self {
-        self.retry.deadline_ms = Some(deadline_ms);
         self
     }
 

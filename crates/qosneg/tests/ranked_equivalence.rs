@@ -19,7 +19,7 @@ use nod_mmdoc::prelude::*;
 use nod_netsim::{route, Network, NodeId, Topology};
 use nod_obs::Recorder;
 use nod_qosneg::classify::reservation_order;
-use nod_qosneg::engine::{OfferEngine, OfferList, RankedOffers, WalkCursor, HEAD};
+use nod_qosneg::engine::{OfferEngine, RankedOffers, WalkCursor, HEAD};
 use nod_qosneg::explain::{DecisionLog, EXPLAIN_TOP_K};
 use nod_qosneg::negotiate::{
     commit_prepared, explain_attempts, prepare, NegotiationContext, NegotiationOutcome,
@@ -284,15 +284,15 @@ fn check_order(fresh: &RankedOffers, want: &[ScoredOffer], tag: &str) {
 
         // Step 5's order from a fresh cursor: satisfying offers first,
         // both halves classified.
-        let mut again = stopped.clone();
+        let mut again = stopped;
         let got: Vec<usize> = again.reservation_order().collect();
         assert_eq!(got, order, "{tag}: reservation order");
-
-        // What an outcome's `ordered_offers` reads after such a walk.
-        let list = OfferList::ranked(stopped);
-        assert_eq!(list.len(), want.len(), "{tag}");
-        assert_bit_identical(list.as_slice(), want, &format!("{tag}: as_slice"));
     }
+}
+
+/// Every offer of `list`, materialized in classified order.
+fn materialized(list: &mut RankedOffers) -> Vec<ScoredOffer> {
+    (0..list.len()).map(|i| list.materialize(i)).collect()
 }
 
 /// Lazy order ≡ reference for `engine`; returns the offers checked.
@@ -579,17 +579,18 @@ fn explain_records_the_walk_without_changing_it() {
         for doc in 1..=6u64 {
             for (choke, via_submit) in [(false, false), (true, false), (false, true), (true, true)]
             {
-                let plain = negotiation(seed, doc, via_submit, false, choke);
-                let explained = negotiation(seed, doc, via_submit, true, choke);
+                let mut plain = negotiation(seed, doc, via_submit, false, choke);
+                let mut explained = negotiation(seed, doc, via_submit, true, choke);
                 let tag = format!("seed {seed} doc {doc} choke {choke} submit {via_submit}");
                 assert_eq!(plain.status, explained.status, "{tag}: status");
                 assert_eq!(plain.reserved_index, explained.reserved_index, "{tag}");
                 assert_eq!(plain.reserved_offer, explained.reserved_offer, "{tag}");
                 assert_eq!(plain.commit_failures, explained.commit_failures, "{tag}");
                 assert_eq!(plain.trace, explained.trace, "{tag}: trace");
+                let ordered = materialized(&mut explained.ordered_offers);
                 assert_eq!(
-                    plain.ordered_offers.as_slice(),
-                    explained.ordered_offers.as_slice(),
+                    materialized(&mut plain.ordered_offers),
+                    ordered,
                     "{tag}: ordered offers"
                 );
                 assert!(plain.decisions.is_none(), "{tag}: explain off logs nothing");
@@ -600,7 +601,6 @@ fn explain_records_the_walk_without_changing_it() {
 
                 // The score rows are the first k entries of the list the
                 // walk used (plus the chosen offer when it ranks lower).
-                let ordered = explained.ordered_offers.as_slice();
                 let top = ordered.len().min(EXPLAIN_TOP_K);
                 for (rank, offer) in ordered[..top].iter().enumerate() {
                     let row = &log.scores[rank];

@@ -9,9 +9,16 @@
 //! ordered head and walks that outlast it (the ordering step in the middle
 //! of a walk must not cost it its memo).
 //!
+//! Adaptation is the same walk again: after the reserved offer's first
+//! server dies, `adapt` over the outcome's list must decide what the naive
+//! adaptation decides — the whole list materialized, every alternate but
+//! the current one asked about in reservation order, no startup bound —
+//! down to each refusal record and the capacity held afterwards.
+//!
 //! The counting tests then pin what the memo is for: a refused walk asks
 //! the farm once per distinct refused prefix, not once per offer, and a
-//! first-offer commit costs no more calls or allocations than before.
+//! first-offer commit costs no more calls or allocations than before; an
+//! adaptation likewise, and it never materializes the list it walks.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -22,11 +29,13 @@ use nod_mmdb::{Catalog, CorpusBuilder, CorpusParams};
 use nod_mmdoc::prelude::*;
 use nod_netsim::{Network, Topology};
 use nod_obs::Recorder;
+use nod_qosneg::adapt::{adapt, AdaptationReason};
+use nod_qosneg::classify::reservation_order;
 use nod_qosneg::engine::HEAD;
 use nod_qosneg::explain::{RefusalRecord, Shortfall};
 use nod_qosneg::negotiate::{
     commit_prepared, prepare, try_commit_refusal, CommitFailure, NegotiationContext,
-    NegotiationOutcome, NegotiationStatus, Prepared, StreamingMode,
+    NegotiationOutcome, NegotiationStatus, Prepared, SessionReservation, StreamingMode,
 };
 use nod_qosneg::profile::{tv_news_profile, MmQosSpec, UserProfile};
 use nod_qosneg::{
@@ -233,6 +242,12 @@ struct Coverage {
     memo_hits: u64,
     /// `Session::submit` walks that outlasted the ordered head.
     deep_walks: usize,
+    /// Adaptations run after a committed walk's first server died.
+    adaptations: usize,
+    /// Of those, the ones that switched to an alternate.
+    switches: usize,
+    /// Alternates the adaptations refused.
+    adapt_refusals: usize,
 }
 
 fn assert_outcome(out: &NegotiationOutcome, naive: &Naive, tag: &str) {
@@ -324,6 +339,110 @@ fn assert_walks_agree(
     let out = commit_prepared(&c, client, profile, ranked, trace, log);
     assert_outcome(&out, &naive, &format!("{tag} commit_prepared"));
     assert_eq!(w.capacity(), held, "{tag} commit_prepared: capacity");
+
+    assert_adaptations_agree(make, client, doc, profile, strategy, tag, coverage);
+}
+
+/// What the paper-literal adaptation decides over `offers`, the whole list
+/// materialized: every alternate but `current` asked about in reservation
+/// order with no startup bound, the first that commits kept and `held`
+/// released — make-before-break.
+struct NaiveAdaptation {
+    new_index: Option<usize>,
+    attempts: usize,
+    refusals: Vec<RefusalRecord>,
+}
+
+fn naive_adapt(
+    ctx: &NegotiationContext<'_>,
+    client: &ClientMachine,
+    offers: &[ScoredOffer],
+    current: usize,
+    held: &SessionReservation,
+) -> NaiveAdaptation {
+    let mut naive = NaiveAdaptation {
+        new_index: None,
+        attempts: 0,
+        refusals: Vec::new(),
+    };
+    for idx in reservation_order(offers) {
+        if idx == current {
+            continue;
+        }
+        naive.attempts += 1;
+        match try_commit_refusal(ctx, client, &offers[idx].offer, u64::MAX) {
+            Err(refusal) => naive.refusals.push(refusal.record(idx)),
+            Ok(_) => {
+                held.release(ctx.farm, ctx.network);
+                naive.new_index = Some(idx);
+                break;
+            }
+        }
+    }
+    naive
+}
+
+/// Negotiate through `Session::submit`, then kill the first server of the
+/// committed offer; `None` when nothing committed.
+fn negotiate_then_kill(
+    w: &World,
+    client: &ClientMachine,
+    doc: DocumentId,
+    profile: &UserProfile,
+    strategy: ClassificationStrategy,
+) -> Option<NegotiationOutcome> {
+    let out = Session::new(ctx(w, strategy))
+        .submit(&NegotiationRequest::new(client, doc, profile))
+        .expect("valid request");
+    let victim = out.reservation.as_ref()?.servers[0].0;
+    w.farm.server(victim).expect("in the farm").set_health(0.0);
+    Some(out)
+}
+
+/// `adapt` over the outcome's own list ≡ the naive adaptation over
+/// `classify_all()`, on identically built worlds.
+fn assert_adaptations_agree(
+    make: &dyn Fn() -> World,
+    client: &ClientMachine,
+    doc: DocumentId,
+    profile: &UserProfile,
+    strategy: ClassificationStrategy,
+    tag: &str,
+    coverage: &mut Coverage,
+) {
+    let w = make();
+    let Some(mut out) = negotiate_then_kill(&w, client, doc, profile, strategy) else {
+        return;
+    };
+    let current = out.reserved_index.expect("a reservation has an index");
+    let held = out.reservation.clone().expect("checked above");
+    let mut c = ctx(&w, strategy);
+    c.explain = true;
+    let reason = AdaptationReason::ServerCongestion;
+    let adapted = adapt(&c, client, &mut out.ordered_offers, current, &held, reason);
+
+    let naive_world = make();
+    let naive_out = negotiate_then_kill(&naive_world, client, doc, profile, strategy)
+        .expect("identical worlds commit identically");
+    let offers = naive_out.ordered_offers.engine().classify_all();
+    let naive_held = naive_out.reservation.as_ref().expect("checked above");
+    let naive_ctx = ctx(&naive_world, strategy);
+    let naive = naive_adapt(&naive_ctx, client, &offers, current, naive_held);
+
+    let tag = format!("{tag} adapt");
+    assert_eq!(adapted.new_index, naive.new_index, "{tag}: new index");
+    assert_eq!(adapted.attempts, naive.attempts, "{tag}: attempts");
+    let record = adapted.explain.expect("explain was on");
+    assert_eq!(record.attempts, naive.refusals, "{tag}: refusal records");
+    assert_eq!(
+        record.new_rank,
+        naive.new_index.map(|i| i as u64),
+        "{tag}: new rank"
+    );
+    assert_eq!(w.capacity(), naive_world.capacity(), "{tag}: capacity");
+    coverage.adaptations += 1;
+    coverage.switches += usize::from(adapted.new_index.is_some());
+    coverage.adapt_refusals += naive.refusals.len();
 }
 
 /// The streaming-equivalence corpus (catalog shape varies with the seed),
@@ -414,6 +533,21 @@ fn memoised_walk_equals_naive_walk_over_the_contended_corpus() {
         coverage.deep_walks >= 10,
         "no walk outlasted the ordered head: {} did",
         coverage.deep_walks
+    );
+    assert!(
+        coverage.adaptations >= 120,
+        "thin: {} adaptations",
+        coverage.adaptations
+    );
+    assert!(
+        coverage.switches >= 50,
+        "adaptation rarely found an alternate: {} times",
+        coverage.switches
+    );
+    assert!(
+        coverage.adapt_refusals >= 3_000,
+        "adaptation stopped contending: {} refused alternates",
+        coverage.adapt_refusals
     );
 }
 
@@ -598,6 +732,11 @@ fn exactly_full_farms_refuse_the_same_offers_for_the_same_numbers() {
     let c = check_scenario(&half_open, &roomy_client(), &video_profile(), "half open");
     assert!(c.refused_offers > 0, "offers on the full server are walked");
     assert_eq!(c.late_commits, 4, "and an offer on the open one commits");
+    // Then the open server dies: every alternate is refused at its first
+    // component, full or dead.
+    assert_eq!(c.adaptations, 4, "every committed walk adapts");
+    assert_eq!(c.switches, 0);
+    assert_eq!(c.adapt_refusals, 4 * 35);
 }
 
 #[test]
@@ -854,3 +993,95 @@ fn a_first_offer_commit_costs_no_more_than_before() {
 /// path lookup and per link reservation, the reservation tables' nodes,
 /// the user offer. (The shared routes took it to 8.)
 const PARENT_FIRST_OFFER_ALLOCATIONS: u64 = 14;
+
+#[test]
+fn adapting_asks_the_farm_once_per_refused_prefix_and_counts_nothing() {
+    // Server 0 exactly full, so the walk commits an offer whose first
+    // stream is on server 1 — which then dies. Its 35 alternates all start
+    // on server 0 or 1: four first variants, four questions.
+    let components = three_by_servers();
+    let w = World::new(article(&components), 4, small_farm(40));
+    w.fill(0, 40);
+    let (client, profile) = (roomy_client(), video_profile());
+    let rec = Recorder::new();
+    let mut c = ctx(&w, ClassificationStrategy::SnsThenOif);
+    c.recorder = Some(&rec);
+    w.farm.set_recorder(&rec);
+    let mut out = Session::new(c)
+        .submit(&NegotiationRequest::new(&client, DocumentId(1), &profile))
+        .expect("valid request");
+    let current = out.reserved_index.expect("an offer on server 1 commits");
+    let held = out.reservation.clone().expect("reserved");
+    assert_eq!(held.servers[0].0, ServerId(1));
+    w.farm
+        .server(ServerId(1))
+        .expect("in the farm")
+        .set_health(0.0);
+
+    let before = rec.snapshot();
+    let reason = AdaptationReason::ServerCongestion;
+    let adapted = adapt(&c, &client, &mut out.ordered_offers, current, &held, reason);
+    let after = rec.snapshot();
+    assert!(!adapted.switched());
+    assert_eq!(adapted.attempts, 35);
+    let asked = after.counter_sum("cmfs.admission") - before.counter_sum("cmfs.admission");
+    assert!(
+        asked < adapted.attempts as u64,
+        "{asked} admissions for {} alternates",
+        adapted.attempts
+    );
+    assert_eq!(asked, 4, "one admission call per first variant");
+    // Adaptation emits none of the walk's negotiation counters.
+    for name in [
+        "negotiation.reservation.attempts",
+        "negotiation.commit.refused",
+        "negotiation.commit.memo_hits",
+        "negotiation.outcome",
+    ] {
+        assert_eq!(after.counter_sum(name), before.counter_sum(name), "{name}");
+    }
+    held.release(&w.farm, &w.network);
+}
+
+#[test]
+fn adapting_a_wide_article_allocates_a_tenth_of_classifying_it() {
+    // The ten-component article above, 1 024 offers, on an idle farm: the
+    // best offer commits, then its first server dies and adaptation walks
+    // the list — without materializing it, which is what `classify_all`
+    // (the list the adaptation used to take) costs.
+    let mut components: Vec<Vec<Stream>> = (0..9)
+        .map(|_| vec![on(0, (0, ColorDepth::Grey, 10)), on(1, GREY)])
+        .collect();
+    components.push(vec![on(1, (0, ColorDepth::Grey, 10)), on(1, GREY)]);
+    let w = World::new(article(&components), 2, ServerConfig::era_default());
+    let (client, profile) = (roomy_client(), video_profile());
+    let c = ctx(&w, ClassificationStrategy::SnsThenOif);
+    let mut out = negotiate_then_kill(&w, &client, DocumentId(1), &profile, c.strategy)
+        .expect("an idle farm admits the best offer");
+    let current = out.reserved_index.expect("reserved");
+    let held = out.reservation.clone().expect("reserved");
+
+    let before = allocations();
+    let reason = AdaptationReason::ServerCongestion;
+    let adapted = adapt(&c, &client, &mut out.ordered_offers, current, &held, reason);
+    let adapting = allocations() - before;
+
+    let before = allocations();
+    let classified = out.ordered_offers.engine().classify_all();
+    let classifying = allocations() - before;
+    assert_eq!(classified.len(), 1024);
+    assert!(
+        adapted.attempts > 100,
+        "{} alternates tried",
+        adapted.attempts
+    );
+    assert!(
+        adapting * 10 < classifying,
+        "adapting allocated {adapting} times, classify_all {classifying}"
+    );
+    adapted
+        .reservation
+        .as_ref()
+        .unwrap_or(&held)
+        .release(&w.farm, &w.network);
+}

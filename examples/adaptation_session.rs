@@ -72,7 +72,7 @@ fn run(adaptation: bool) {
         let before = session.playout.stats().transitions;
         let live = manager.drive_session(&mut session, 500, adaptation);
         if session.playout.stats().transitions > before {
-            let new_offer = session.ordered_offers[session.offer_index]
+            let new_offer = (session.ordered_offers.materialize(session.offer_index))
                 .offer
                 .to_user_offer();
             println!(

@@ -83,8 +83,7 @@ fn main() {
             match timer.resolve(respond_at, action) {
                 Some(ConfirmationDecision::Accepted) => {
                     app.handle(UiEvent::Ok);
-                    let idx = outcome.reserved_index.unwrap();
-                    let cost = outcome.ordered_offers[idx].offer.cost;
+                    let cost = outcome.reserved_offer.as_ref().unwrap().offer.cost;
                     let mut session = manager.start_session(&machine, outcome, doc);
                     while manager.drive_session(&mut session, 500, true) {}
                     if session.playout.state() == SessionState::Completed {
