@@ -6,7 +6,7 @@
 //!     --sessions 10000
 //! ```
 //!
-//! Builds the B12 metro world (see [`nod_bench::MetroFleet`]), drives
+//! Builds the metro world (see [`nod_bench::MetroFleet`]), drives
 //! every session to a terminal fate, and prints sessions/sec, admission
 //! ratio, peak live sessions and peak RSS. Any leaked stream is fatal —
 //! the zero-leak audit the CI smoke gates on.

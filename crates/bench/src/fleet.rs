@@ -1,5 +1,4 @@
-//! The metro-scale fleet world behind bench B12 and the `run_fleet` CI
-//! smoke.
+//! The metro-scale fleet world behind `run_fleet` and its CI smoke.
 //!
 //! One deterministic builder produces a city-sized news-on-demand
 //! deployment — a catalog and server farm that both grow with the
@@ -7,13 +6,13 @@
 //! servers), a dumbbell topology with metro-grade access and backbone
 //! links fat enough that admission, not the network, is the bottleneck —
 //! plus a Poisson arrival schedule over a fixed pool of client machines.
-//! Per-document and per-server load are held constant across the sweep:
+//! Per-document and per-server load are held constant as the fleet grows:
 //! article popularity is a gentle zipf over the scaled catalog, so the
 //! hottest article's concurrent demand stays within what its 1–3
 //! replicas can serve at every scale. (A steep zipf over a fixed
 //! catalog would instead concentrate ~8% of all demand on one article,
 //! and since replicas cannot scale with the fleet, 100k+ sessions would
-//! collapse into a retry storm — the sweep would measure the hot-spot
+//! collapse into a retry storm — the run would measure the hot-spot
 //! pathology, not the engine.) What varies with `sessions` is engine-side
 //! scale only: live-session slab occupancy, event-queue depth, and the
 //! volume of prepare/commit work per wall-clock second.

@@ -7,7 +7,6 @@
 
 pub mod fleet;
 pub mod flush;
-pub mod micro;
 
 pub use fleet::MetroFleet;
 pub use flush::FlushGuard;
@@ -134,10 +133,8 @@ pub fn write_artifact(path: impl AsRef<std::path::Path>, contents: &str) -> std:
 /// The process's peak resident set size (VmHWM), in kilobytes.
 ///
 /// Linux-only (`/proc/self/status`); returns `None` elsewhere. The value
-/// is a process-lifetime high-water mark, so in a sweep that runs several
-/// scales in one process only increases are attributable to the scale
-/// that caused them — run the largest scale last or fork per scale when
-/// exact per-scale numbers matter.
+/// is a process-lifetime high-water mark, so it is one scale's reading
+/// only when the process drives one scale (as `run_fleet` does).
 pub fn peak_rss_kb() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;

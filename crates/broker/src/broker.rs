@@ -44,8 +44,8 @@ use nod_client::ClientMachine;
 use nod_cmfs::{Guarantee, StreamRequirement};
 use nod_mmdoc::{DocumentId, ServerId, VariantId};
 use nod_obs::{
-    interned_key, Counter, Histogram, HistogramSnapshot, Recorder, SloAlert, SloMonitor, SloSpec,
-    Span, TailKeeper, Tracer, ValueHistogram,
+    interned_key, Counter, Histogram, HistogramSnapshot, Recorder, SloAlert, SloMonitor, Span,
+    TailKeeper, Tracer, ValueHistogram,
 };
 use nod_qosneg::classify::ScoredOffer;
 use nod_qosneg::explain::{
@@ -74,13 +74,6 @@ use crate::windows::{FleetWindow, WindowAccumulator};
 pub struct BrokerConfig {
     /// Retry policy applied to FAILEDTRYLATER refusals.
     pub retry: RetryPolicy,
-    /// Accept a FAILEDWITHOFFER (degraded but reserved) outcome? When
-    /// `false` the broker releases the degraded reservation and counts
-    /// the session rejected.
-    pub accept_degraded: bool,
-    /// Session hold time when neither the spec nor the document supplies
-    /// one, ms.
-    pub default_hold_ms: u64,
     /// Seed for the per-session RNG family (backoff jitter).
     pub seed: u64,
     /// Upper bound of the user's decision window (the paper's
@@ -98,13 +91,11 @@ pub struct BrokerConfig {
 }
 
 impl BrokerConfig {
-    /// Plausible interactive defaults: era retry policy, degraded offers
-    /// accepted, 30 s default hold.
+    /// Plausible interactive defaults: era retry policy, instant
+    /// confirmation, no injected leak.
     pub fn era_default() -> Self {
         BrokerConfig {
             retry: RetryPolicy::era_default(),
-            accept_degraded: true,
-            default_hold_ms: 30_000,
             seed: 0x6272_6f6b,
             choice_period_ms: 0,
             inject_leak_at_ms: None,
@@ -124,8 +115,7 @@ pub struct SessionSpec<'a> {
     /// Arrival instant on the broker clock, ms.
     pub arrival_ms: u64,
     /// How long an admitted session holds its resources, ms. `None`
-    /// falls back to the document's total duration, then to
-    /// [`BrokerConfig::default_hold_ms`].
+    /// falls back to the document's total duration, then to 30 s.
     pub hold_ms: Option<u64>,
 }
 
@@ -140,8 +130,8 @@ pub enum SessionFate {
     /// FAILEDTRYLATER every time until the retry budget or deadline ran
     /// out — the contention casualty the paper's status is named for.
     Starved,
-    /// A terminal refusal (FAILEDWITHOUTOFFER, FAILEDWITHLOCALOFFER, a
-    /// non-transient FAILEDTRYLATER, or a declined degraded offer).
+    /// A terminal refusal (FAILEDWITHOUTOFFER, FAILEDWITHLOCALOFFER or a
+    /// non-transient FAILEDTRYLATER).
     Rejected,
     /// The negotiation itself failed (unknown document, invalid request).
     Errored,
@@ -254,8 +244,8 @@ pub struct BrokerReport {
     /// moments; log-bucketed p50/p90/p95/p99 (≤1% relative error at any
     /// session count, and mergeable across runs).
     pub latency: HistogramSnapshot,
-    /// SLO burn alerts fired during the run ([`FleetSpec::slos`] /
-    /// [`Broker::with_slos`]); empty when no objectives were configured.
+    /// SLO burn alerts fired during the run ([`FleetSpec::slos`]); empty
+    /// when no objectives were configured.
     pub slo_alerts: Vec<SloAlert>,
     /// Decision provenance ([`FleetSpec::explain`]): the capacity ledger,
     /// the tail-retained session explanations and the retention totals.
@@ -428,13 +418,16 @@ fn ms_to_us(ms: u64) -> u64 {
     ms.saturating_mul(1_000)
 }
 
+/// Session hold time when neither the spec nor the document supplies
+/// one, ms.
+const DEFAULT_HOLD_MS: u64 = 30_000;
+
 /// The broker: a [`Session`] facade plus contention policy.
 pub struct Broker<'a> {
     session: Session<'a>,
     config: BrokerConfig,
     recorder: Option<&'a Recorder>,
     metrics: Option<Metrics>,
-    slos: Vec<SloSpec>,
 }
 
 impl<'a> Broker<'a> {
@@ -446,19 +439,7 @@ impl<'a> Broker<'a> {
             metrics: ctx.recorder.map(Metrics::resolve),
             session: Session::new(ctx),
             config,
-            slos: Vec::new(),
         }
-    }
-
-    /// Monitor `slos` during [`Broker::drive`] (unless the
-    /// [`FleetSpec`] carries its own): every terminal session feeds an
-    /// [`SloMonitor`] on the virtual clock, burning windows and alerts
-    /// land in the recorder (`slo.window.burning`, `slo.alert`), the
-    /// first alert dumps the flight recorder, and every alert is
-    /// returned in [`BrokerReport::slo_alerts`].
-    pub fn with_slos(mut self, slos: Vec<SloSpec>) -> Self {
-        self.slos = slos;
-        self
     }
 
     /// The underlying negotiation session facade.
@@ -479,7 +460,7 @@ impl<'a> Broker<'a> {
                 .catalog
                 .document(spec.document)
                 .and_then(|d| d.total_duration_ms().ok())
-                .unwrap_or(self.config.default_hold_ms)
+                .unwrap_or(DEFAULT_HOLD_MS)
         })
     }
 
@@ -525,8 +506,11 @@ impl<'a> Broker<'a> {
         h.f64(r.jitter);
         h.u64(r.deadline_ms.is_some() as u64);
         h.u64(r.deadline_ms.unwrap_or(0));
-        h.u64(self.config.accept_degraded as u64);
-        h.u64(self.config.default_hold_ms);
+        // The accept-degraded flag (always on) and the default hold are
+        // constants now; both are still hashed, so a journal written while
+        // they were knobs keeps its hash.
+        h.u64(1);
+        h.u64(DEFAULT_HOLD_MS);
         h.u64(self.config.choice_period_ms);
         h.u64(self.config.inject_leak_at_ms.is_some() as u64);
         h.u64(self.config.inject_leak_at_ms.unwrap_or(0));
@@ -674,11 +658,6 @@ impl<'a> Broker<'a> {
             }
         }
 
-        let slos = if fleet.slos.is_empty() {
-            self.slos.clone()
-        } else {
-            fleet.slos.clone()
-        };
         let window_ms = fleet.effective_window_ms();
         let tracer = self.recorder.and_then(Recorder::tracer);
         let mut state = DriveLoop {
@@ -695,7 +674,7 @@ impl<'a> Broker<'a> {
             events: Vec::new(),
             win_acc: (window_ms > 0).then(|| WindowAccumulator::new(window_ms)),
             latency: ValueHistogram::new(),
-            slo: SloMonitor::new(slos),
+            slo: SloMonitor::new(fleet.slos.clone()),
             retries: 0,
             backoff_ms_total: 0,
             faults_injected: 0,
@@ -1269,15 +1248,8 @@ impl<'a> DriveLoop<'_, 'a> {
             NegotiationStatus::Succeeded => {
                 self.hold(i, now_ms, reservation, reserved_offer, false)
             }
-            NegotiationStatus::FailedWithOffer if broker.config.accept_degraded => {
-                self.hold(i, now_ms, reservation, reserved_offer, true)
-            }
             NegotiationStatus::FailedWithOffer => {
-                if let Some(res) = &reservation {
-                    broker.session.release(res);
-                }
-                self.finish(i, attempts, SessionFate::Rejected, None);
-                OutcomeKind::Rejected { status }
+                self.hold(i, now_ms, reservation, reserved_offer, true)
             }
             NegotiationStatus::FailedTryLater => {
                 self.try_later(i, now_ms, transient, reason, status)

@@ -83,7 +83,10 @@ impl<'a> FleetSpec<'a> {
         self
     }
 
-    /// Monitor `slos` on the virtual clock; alerts land in
+    /// Monitor `slos` on the virtual clock: every terminal session feeds
+    /// an [`SloMonitor`](nod_obs::SloMonitor), burning windows and alerts
+    /// land in the recorder (`slo.window.burning`, `slo.alert`), the first
+    /// alert dumps the flight recorder, and every alert is returned in
     /// [`BrokerReport::slo_alerts`](crate::BrokerReport).
     pub fn slos(mut self, slos: Vec<SloSpec>) -> Self {
         self.slos = slos;

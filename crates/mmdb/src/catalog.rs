@@ -172,11 +172,6 @@ impl Catalog {
             .collect())
     }
 
-    /// Variants stored on a given server (the server's content inventory).
-    pub fn variants_on(&self, server: ServerId) -> Vec<&Variant> {
-        self.variants().filter(|v| v.server == server).collect()
-    }
-
     /// Number of stored documents.
     pub fn document_count(&self) -> usize {
         self.documents.len()
@@ -311,8 +306,6 @@ mod tests {
         assert_eq!(c.variants_of(MonomediaId(1)).len(), 2);
         assert_eq!(c.variants_of(MonomediaId(2)).len(), 1);
         assert_eq!(c.variants_of(MonomediaId(99)).len(), 0);
-        assert_eq!(c.variants_on(ServerId(0)).len(), 2);
-        assert_eq!(c.variants_on(ServerId(1)).len(), 1);
     }
 
     #[test]

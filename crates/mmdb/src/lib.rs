@@ -13,8 +13,6 @@
 
 pub mod catalog;
 pub mod corpus;
-pub mod query;
 
 pub use catalog::{Catalog, CatalogError};
 pub use corpus::{CorpusBuilder, CorpusParams};
-pub use query::VariantQuery;

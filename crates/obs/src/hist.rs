@@ -4,8 +4,8 @@
 //! in bucket `ceil(log_γ |x|)` with `γ = (1+α)/(1−α)`, which bounds the
 //! relative error of any reported quantile by `α` (1%) regardless of how
 //! many samples stream through — and, unlike a reservoir, two histograms
-//! merge *exactly* by adding bucket counts, so sharded or multi-phase
-//! snapshots report the same quantiles the union stream would have.
+//! merge *exactly* by adding bucket counts, so multi-phase snapshots
+//! report the same quantiles the union stream would have.
 //! Negative values get their own mirrored bucket region and near-zero
 //! values a dedicated zero bucket, so signed metrics (deltas, slacks)
 //! summarize correctly.
@@ -169,38 +169,6 @@ impl LogHistogram {
         }
     }
 
-    /// Mean and second central moment computed from the bucket
-    /// representatives, walked in one canonical order (most-negative
-    /// magnitude down, zero, then positives ascending). Both figures carry
-    /// the buckets' ≤ [`RELATIVE_ERROR`] relative error, but — unlike
-    /// Welford moments combined with Chan's update — they depend only on
-    /// the bucket *multiset*, so any partition of a sample stream across
-    /// shards reproduces them bit for bit.
-    pub fn bucket_moments(&self) -> (f64, f64) {
-        let n = self.count();
-        if n == 0 {
-            return (0.0, 0.0);
-        }
-        let mut sum = 0.0f64;
-        for (i, c) in self.neg.iter().rev() {
-            sum += c as f64 * -Self::bucket_value(i);
-        }
-        for (i, c) in self.pos.iter() {
-            sum += c as f64 * Self::bucket_value(i);
-        }
-        let mean = sum / n as f64;
-        let mut m2 = self.zero as f64 * mean * mean;
-        for (i, c) in self.neg.iter().rev() {
-            let d = -Self::bucket_value(i) - mean;
-            m2 += c as f64 * d * d;
-        }
-        for (i, c) in self.pos.iter() {
-            let d = Self::bucket_value(i) - mean;
-            m2 += c as f64 * d * d;
-        }
-        (mean, m2)
-    }
-
     /// Export the sparse buckets (for snapshots).
     pub fn to_buckets(&self) -> LogBuckets {
         LogBuckets {
@@ -272,21 +240,6 @@ impl ValueHistogram {
         } else {
             self.stats.variance() * (n - 1) as f64
         };
-        self.summary(self.stats.mean(), m2)
-    }
-
-    /// [`ValueHistogram::snapshot`] with `mean`/`m2` derived from the log
-    /// buckets ([`LogHistogram::bucket_moments`]): they carry the buckets'
-    /// ≤ [`RELATIVE_ERROR`] relative error instead of being Welford-exact,
-    /// but depend only on the *multiset* of samples, never on their order —
-    /// what an order-independent (sharded) recorder reports.
-    pub fn bucket_snapshot(&self) -> HistogramSnapshot {
-        let (mean, m2) = self.log.bucket_moments();
-        self.summary(mean, m2)
-    }
-
-    fn summary(&self, mean: f64, m2: f64) -> HistogramSnapshot {
-        let n = self.stats.count();
         let min = self.stats.min().unwrap_or(0.0);
         let max = self.stats.max().unwrap_or(0.0);
         let q = |p: f64| {
@@ -298,7 +251,7 @@ impl ValueHistogram {
         };
         HistogramSnapshot {
             count: n,
-            mean,
+            mean: self.stats.mean(),
             m2,
             min,
             max,
@@ -423,66 +376,6 @@ mod tests {
             let mut right = a.clone();
             right.merge(&bc);
             assert_eq!(left, right, "case {case}: merge must be associative");
-        }
-    }
-
-    /// The order-independent summary's keystone: any split of a sample
-    /// stream, merged bucket by bucket, reproduces the same bucket-derived
-    /// moments bit for bit — and they match the exact summary on every
-    /// partition-independent field.
-    #[test]
-    fn bucket_snapshot_is_partition_independent() {
-        for case in 0..32u64 {
-            let mut rng = StreamRng::new(0x5A_4D ^ case);
-            let n = rng.range_u64(1, 600);
-            let samples: Vec<f64> = (0..n)
-                .map(|_| {
-                    if rng.chance(0.05) {
-                        0.0
-                    } else {
-                        let mag = 10f64.powf(rng.range_f64(-3.0, 4.0));
-                        if rng.chance(0.5) {
-                            -mag
-                        } else {
-                            mag
-                        }
-                    }
-                })
-                .collect();
-            let mut single = ValueHistogram::new();
-            let mut parts = vec![LogHistogram::new(); 7];
-            for &x in &samples {
-                single.record(x);
-                parts[rng.below(7) as usize].record(x);
-            }
-            let mut merged = LogHistogram::new();
-            for part in &parts {
-                merged.merge(part);
-            }
-            assert_eq!(
-                merged.bucket_moments(),
-                single.log.bucket_moments(),
-                "case {case}"
-            );
-            let (exact, sketched) = (single.snapshot(), single.bucket_snapshot());
-            assert_eq!(exact.count, sketched.count, "case {case}");
-            assert_eq!(exact.min, sketched.min, "case {case}");
-            assert_eq!(exact.max, sketched.max, "case {case}");
-            assert_eq!(exact.buckets, sketched.buckets, "case {case}");
-            assert_eq!(
-                (exact.p50, exact.p90, exact.p95, exact.p99),
-                (sketched.p50, sketched.p90, sketched.p95, sketched.p99),
-                "case {case}: quantiles are bucket-exact"
-            );
-            // The bucket-derived moments track the exact ones within the
-            // advertised relative error.
-            let tol = 3.0 * RELATIVE_ERROR * exact.max.abs().max(exact.min.abs());
-            assert!(
-                (sketched.mean - exact.mean).abs() <= tol.max(1e-9),
-                "case {case}: mean {} vs {}",
-                sketched.mean,
-                exact.mean
-            );
         }
     }
 }

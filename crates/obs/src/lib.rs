@@ -67,7 +67,7 @@ pub use hist::{LogBuckets, LogHistogram, ValueHistogram, RELATIVE_ERROR};
 pub use prom::to_prometheus_text;
 pub use recorder::{Counter, Gauge, HandleSet, Histogram, Recorder, Span, SpanKind};
 pub use retain::TailKeeper;
-pub use sink::{FileSink, MemorySink, ObsEvent, ObsSink, StderrSink};
+pub use sink::{MemorySink, ObsEvent, ObsSink};
 pub use slo::{default_fleet_slos, Objective, SloAlert, SloMonitor, SloSpec};
 pub use snapshot::{HistogramSnapshot, Snapshot};
 pub use trace::{
@@ -78,19 +78,12 @@ pub use trace::{
 /// is dropped at the recorder boundary.
 pub const DROPPED_SAMPLES: &str = "obs.dropped_samples";
 
-/// Flatten a metric name and label set into the canonical storage key.
+/// Flatten a metric name and label set into the canonical storage key,
+/// written into a caller-owned buffer (reused capacity).
 ///
 /// Labels are sorted by key so call-site order never splits a metric:
-/// `negotiation.outcome{status=SUCCEEDED}`.
-pub fn metric_key(name: &str, labels: &[(&str, &str)]) -> String {
-    let mut out = String::new();
-    write_metric_key(&mut out, name, labels);
-    out
-}
-
-/// [`metric_key`] writing into a caller-owned buffer (reused capacity).
-/// Up to four labels sort on the stack, so a warm buffer allocates
-/// nothing.
+/// `negotiation.outcome{status=SUCCEEDED}`. Up to four labels sort on the
+/// stack, so a warm buffer allocates nothing.
 fn write_metric_key(out: &mut String, name: &str, labels: &[(&str, &str)]) {
     out.push_str(name);
     if labels.is_empty() {
@@ -129,9 +122,9 @@ struct InternPool {
     scratch: String,
 }
 
-/// [`metric_key`] as a `&'static str`, through one process-wide pool: the
-/// first call per distinct key leaks one copy, every later call returns
-/// it without allocating. The key set is names × label values — bounded
+/// The canonical metric key as a `&'static str`, through one process-wide
+/// pool: the first call per distinct key leaks one copy, every later call
+/// returns it without allocating. The key set is names × label values — bounded
 /// by the topology (servers, links) and the label enums, not by how many
 /// sessions run. Metric handles and compact trace events carry these.
 pub fn interned_key(name: &str, labels: &[(&str, &str)]) -> &'static str {
@@ -152,6 +145,12 @@ pub fn interned_key(name: &str, labels: &[(&str, &str)]) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn metric_key(name: &str, labels: &[(&str, &str)]) -> String {
+        let mut out = String::new();
+        write_metric_key(&mut out, name, labels);
+        out
+    }
 
     #[test]
     fn metric_key_sorts_labels() {

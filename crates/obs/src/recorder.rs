@@ -147,8 +147,6 @@ struct Shared {
     counters: Slots<CounterSlot>,
     gauges: Slots<GaugeSlot>,
     hists: Slots<Mutex<ValueHistogram>>,
-    /// Order-independent folds ([`Recorder::sharded`]).
-    sharded: bool,
     sets: OnceLock<Box<SetNode>>,
     sink: Option<Arc<dyn ObsSink>>,
     /// Set-once causal tracer; absent on the vast majority of recorders.
@@ -188,34 +186,28 @@ impl Default for Recorder {
 impl Recorder {
     /// A recorder with no event sink (metrics only).
     pub fn new() -> Self {
-        Recorder::build(None, false)
+        Recorder::build(None)
     }
 
     /// A recorder that also streams every event to `sink`.
     pub fn with_sink(sink: Arc<dyn ObsSink>) -> Self {
-        Recorder::build(Some(sink), false)
+        Recorder::build(Some(sink))
     }
 
-    /// A recorder whose snapshot depends only on the *multiset* of writes,
-    /// not on their order or on which thread made them: counters sum,
-    /// gauges keep their running **max** (not the last write, which racing
-    /// writers make scheduler-dependent), and histogram `mean`/`m2` derive
-    /// from the log buckets ([`ValueHistogram::bucket_snapshot`]), carrying
-    /// their ≤ 1% relative error instead of being Welford-exact. The same
-    /// seed therefore yields a byte-identical snapshot at any thread count.
-    /// The argument is ignored: there is one table, whatever the writers.
+    /// Inert: an alias of [`Recorder::new`], kept only because
+    /// `benchmark/` names it; delete in the next benchmark change.
+    #[doc(hidden)]
     pub fn sharded(_shards: usize) -> Self {
-        Recorder::build(None, true)
+        Recorder::new()
     }
 
-    fn build(sink: Option<Arc<dyn ObsSink>>, sharded: bool) -> Self {
+    fn build(sink: Option<Arc<dyn ObsSink>>) -> Self {
         Recorder {
             shared: Arc::new(Shared {
                 registry: Mutex::new(Registry::default()),
                 counters: Slots::new(),
                 gauges: Slots::new(),
                 hists: Slots::new(),
-                sharded,
                 sets: OnceLock::new(),
                 sink,
                 tracer: OnceLock::new(),
@@ -413,9 +405,7 @@ impl Recorder {
         }
     }
 
-    /// Set a resolved gauge: the last write wins, or the running max on a
-    /// [`Recorder::sharded`] recorder, because "last" is
-    /// scheduler-dependent once writers race.
+    /// Set a resolved gauge: the last write wins.
     #[inline]
     pub fn set(&self, g: Gauge, value: f64) {
         if !value.is_finite() {
@@ -423,18 +413,7 @@ impl Recorder {
             return;
         }
         if let Some(slot) = self.shared.gauges.get(g.0) {
-            if self.shared.sharded {
-                let _ = slot
-                    .0
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
-                        Some(match bits {
-                            UNSET => value.to_bits(),
-                            _ => f64::from_bits(bits).max(value).to_bits(),
-                        })
-                    });
-            } else {
-                slot.0.store(value.to_bits(), Ordering::Relaxed);
-            }
+            slot.0.store(value.to_bits(), Ordering::Relaxed);
         }
         let key = || self.key_of(GAUGES, g.0).to_string();
         self.emit_with(|| ObsEvent::gauge(self.now_us(), key(), value));
@@ -531,8 +510,7 @@ impl Recorder {
     }
 
     /// Snapshot the full metric state (counters, gauges, histogram
-    /// summaries). Cheap enough to call between experiment phases. A
-    /// [`Recorder::sharded`] recorder reports its order-independent folds.
+    /// summaries). Cheap enough to call between experiment phases.
     pub fn snapshot(&self) -> Snapshot {
         let shared = &self.shared;
         let reg = shared.registry.lock();
@@ -561,17 +539,12 @@ impl Recorder {
             if hist.count() == 0 {
                 continue;
             }
-            let summary = if shared.sharded {
-                hist.bucket_snapshot()
-            } else {
-                hist.snapshot()
-            };
-            snap.histograms.insert(key.to_string(), summary);
+            snap.histograms.insert(key.to_string(), hist.snapshot());
         }
         snap
     }
 
-    /// Flush the sink, if any (no-op for in-memory and stderr sinks).
+    /// Flush the sink, if any (a no-op for the in-memory sink).
     pub fn flush(&self) {
         if let Some(sink) = &self.shared.sink {
             sink.flush();
@@ -906,33 +879,5 @@ mod tests {
         b.add(b.handles::<Pair>().misses, 1);
         assert_eq!(a.snapshot().counter("cache{result=hit}"), 2);
         assert_eq!(b.snapshot().counter_sum("cache{"), 1);
-    }
-
-    #[test]
-    fn sharded_matches_locked_on_order_independent_fields() {
-        let sharded = Recorder::sharded(8);
-        let rec = Recorder::new();
-        for r in [&sharded, &rec] {
-            for i in 0..256usize {
-                r.counter_with("fleet.sessions", &[("class", "tv")], 1);
-                r.observe("fleet.latency_ms", (i % 37 + 1) as f64);
-                r.gauge("fleet.load", (i % 11) as f64);
-            }
-        }
-        let (sharded, locked) = (sharded.snapshot(), rec.snapshot());
-        assert_eq!(sharded.counters, locked.counters);
-        // The sharded gauge is the max, the locked one the last write.
-        assert_eq!(sharded.gauges["fleet.load"], 10.0);
-        assert_eq!(locked.gauges["fleet.load"], (255 % 11) as f64);
-        let (s, l) = (
-            &sharded.histograms["fleet.latency_ms"],
-            &locked.histograms["fleet.latency_ms"],
-        );
-        assert_eq!(s.count, l.count);
-        assert_eq!(s.min, l.min);
-        assert_eq!(s.max, l.max);
-        assert_eq!(s.buckets, l.buckets);
-        assert_eq!((s.p50, s.p90, s.p95, s.p99), (l.p50, l.p90, l.p95, l.p99));
-        assert!((s.mean - l.mean).abs() <= 0.02 * l.max, "sketched mean");
     }
 }

@@ -1,9 +1,5 @@
 //! Structured event sinks (JSON lines).
 
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::Path;
-
 use nod_simcore::json::{from_str, to_string, JsonError};
 use nod_simcore::json_struct;
 use nod_simcore::sync::Mutex;
@@ -12,7 +8,7 @@ use nod_simcore::sync::Mutex;
 ///
 /// `kind` is one of `counter`, `gauge`, `observe`, `span_start`,
 /// `span_end`. `name` is the flattened metric key (labels inline, as
-/// produced by [`crate::metric_key`]) or the span name. Span events carry
+/// produced by the recorder) or the span name. Span events carry
 /// `span`/`parent` ids; `span_end` also carries the elapsed milliseconds
 /// in `value`.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,65 +137,6 @@ impl ObsSink for MemorySink {
     }
 }
 
-/// Writes one JSON line per event to stderr.
-#[derive(Debug, Default)]
-pub struct StderrSink;
-
-impl ObsSink for StderrSink {
-    fn emit(&self, event: &ObsEvent) {
-        eprintln!("{}", event.to_json_line());
-    }
-}
-
-/// Writes one JSON line per event to a file (buffered).
-#[derive(Debug)]
-pub struct FileSink {
-    writer: Mutex<BufWriter<File>>,
-}
-
-impl FileSink {
-    /// Create (truncate) `path` and write events to it, creating missing
-    /// parent directories. Errors name the offending path.
-    pub fn create(path: &Path) -> std::io::Result<Self> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(|e| {
-                    std::io::Error::new(
-                        e.kind(),
-                        format!("creating parent of {}: {e}", path.display()),
-                    )
-                })?;
-            }
-        }
-        let file = File::create(path).map_err(|e| {
-            std::io::Error::new(e.kind(), format!("creating {}: {e}", path.display()))
-        })?;
-        Ok(FileSink {
-            writer: Mutex::new(BufWriter::new(file)),
-        })
-    }
-}
-
-impl ObsSink for FileSink {
-    fn emit(&self, event: &ObsEvent) {
-        let mut w = self.writer.lock();
-        let _ = writeln!(w, "{}", event.to_json_line());
-    }
-
-    fn flush(&self) {
-        let _ = self.writer.lock().flush();
-    }
-}
-
-/// Flush on drop — explicitly, not via `BufWriter`'s best-effort drop —
-/// so a sink torn down by panic unwinding still lands its buffered lines
-/// on disk (the panic-abort harness in `nod-bench` relies on this).
-impl Drop for FileSink {
-    fn drop(&mut self) {
-        let _ = self.writer.get_mut().flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,22 +163,5 @@ mod tests {
         assert_eq!(sink.events().len(), 2);
         assert_eq!(sink.take().len(), 2);
         assert!(sink.events().is_empty());
-    }
-
-    #[test]
-    fn file_sink_writes_jsonl() {
-        let path = std::env::temp_dir().join("nod_obs_file_sink_test.jsonl");
-        let sink = FileSink::create(&path).unwrap();
-        sink.emit(&ObsEvent::counter(0, "x".into(), 1));
-        sink.emit(&ObsEvent::gauge(5, "g".into(), 1.5));
-        sink.flush();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(
-            ObsEvent::from_json_line(lines[1]).unwrap().name,
-            "g".to_string()
-        );
-        let _ = std::fs::remove_file(&path);
     }
 }

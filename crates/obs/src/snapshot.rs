@@ -98,8 +98,7 @@ impl HistogramSnapshot {
 ///
 /// Snapshots serialize to JSON ([`Snapshot::to_json_pretty`]) so experiment
 /// runs can persist their metrics next to their tables, and two snapshots
-/// can be diffed ([`Snapshot::counter_deltas`]) or merged
-/// ([`Snapshot::merge`], e.g. across parallel shards).
+/// can be merged ([`Snapshot::merge`], e.g. across runs).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     /// Monotone counters keyed by flattened metric name.
@@ -158,25 +157,6 @@ impl Snapshot {
                 .or_insert_with(|| h.clone());
         }
     }
-
-    /// Per-counter difference `self - other` (signed), for run-to-run
-    /// comparisons. Keys present in either side appear in the result.
-    ///
-    /// Computed in `i128` so the difference is exact for the full `u64`
-    /// counter range — the earlier `as i64` casts silently wrapped once a
-    /// counter crossed `i64::MAX`.
-    pub fn counter_deltas(&self, other: &Snapshot) -> BTreeMap<String, i128> {
-        let mut keys: Vec<&String> = self.counters.keys().collect();
-        keys.extend(other.counters.keys());
-        keys.sort();
-        keys.dedup();
-        keys.into_iter()
-            .map(|k| {
-                let d = self.counter(k) as i128 - other.counter(k) as i128;
-                (k.clone(), d)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -224,37 +204,6 @@ mod tests {
         rec.counter_with("o", &[("status", "B")], 3);
         rec.counter("other", 9);
         assert_eq!(rec.snapshot().counter_sum("o{"), 5);
-    }
-
-    #[test]
-    fn counter_deltas_signed() {
-        let rec_a = Recorder::new();
-        rec_a.counter("x", 5);
-        rec_a.counter("only_a", 1);
-        let rec_b = Recorder::new();
-        rec_b.counter("x", 2);
-        rec_b.counter("only_b", 4);
-        let d = rec_a.snapshot().counter_deltas(&rec_b.snapshot());
-        assert_eq!(d["x"], 3);
-        assert_eq!(d["only_a"], 1);
-        assert_eq!(d["only_b"], -4);
-    }
-
-    #[test]
-    fn counter_deltas_exact_near_u64_max() {
-        let rec_a = Recorder::new();
-        rec_a.counter("huge", u64::MAX);
-        let rec_b = Recorder::new();
-        rec_b.counter("huge", 1);
-        let a = rec_a.snapshot();
-        let b = rec_b.snapshot();
-        let d = a.counter_deltas(&b);
-        assert_eq!(d["huge"], u64::MAX as i128 - 1, "no silent wrap");
-        let d_rev = b.counter_deltas(&a);
-        assert_eq!(d_rev["huge"], -(u64::MAX as i128 - 1));
-        // The whole u64 range survives against an absent key too.
-        let d_abs = a.counter_deltas(&Snapshot::default());
-        assert_eq!(d_abs["huge"], u64::MAX as i128);
     }
 
     /// Randomized merge property: merging two snapshots matches recording

@@ -1,11 +1,11 @@
 //! The recorder's steady state: what a write costs once its key is known,
-//! that the handle and string-keyed paths are one metric, and that the one
-//! table folds racing writers order-independently.
+//! that a trace point off a live trace costs nothing, and that the handle
+//! and string-keyed paths are one metric.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use nod_obs::{Recorder, Snapshot, Tracer};
+use nod_obs::{Recorder, Tracer};
 
 thread_local! {
     /// Per-thread, so tests running in parallel do not count each other.
@@ -54,7 +54,7 @@ const LABELS: [&[(&str, &str)]; 4] = [
 
 #[test]
 fn steady_state_writes_do_not_allocate() {
-    let rec = Recorder::sharded(2);
+    let rec = Recorder::new();
     rec.set_sim_time_us(40);
     let write = |labels: &[(&str, &str)]| {
         rec.counter_with("c", labels, 1);
@@ -79,6 +79,22 @@ fn steady_state_writes_do_not_allocate() {
     assert_eq!(handles, 0, "handle writes");
     assert_eq!(allocations(|| rec.span("stage").end()), 0, "span by name");
     assert_eq!(allocations(|| rec.span_of(stage).end()), 0, "span by kind");
+}
+
+#[test]
+fn a_point_with_no_live_trace_does_not_allocate() {
+    // No tracer attached: the point returns before any formatting.
+    let rec = Recorder::new();
+    let point = |rec: &Recorder| rec.trace_point("negotiation.outcome", &[("status", "SUCCEEDED")]);
+    let calls = |rec: &Recorder| (0..1_000).for_each(|_| point(rec));
+    assert_eq!(allocations(|| calls(&rec)), 0, "no tracer");
+    // A tracer attached but no trace resumed on this thread: the state of
+    // every session-free call site.
+    let suspended = Recorder::new();
+    let tracer = Tracer::new();
+    suspended.set_tracer(tracer.clone());
+    assert_eq!(allocations(|| calls(&suspended)), 0, "no resumed trace");
+    assert!(tracer.drain().is_empty());
 }
 
 #[test]
@@ -128,43 +144,4 @@ fn handle_and_string_writes_are_one_metric() {
         by_name.snapshot().to_json_pretty(),
         by_handle.snapshot().to_json_pretty()
     );
-}
-
-/// Write one fixed multiset of metrics from `threads` racing workers (the
-/// split is by index, so the union does not depend on the thread count).
-fn sharded_run(threads: usize) -> Snapshot {
-    let rec = Recorder::sharded(threads);
-    rec.set_sim_time_us(0);
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let rec = rec.clone();
-            scope.spawn(move || {
-                let sessions = rec.counter_handle("fleet.sessions", &[("class", "tv")]);
-                for i in (t..256).step_by(threads) {
-                    rec.add(sessions, 1);
-                    rec.observe("fleet.latency_ms", (i % 37 + 1) as f64);
-                    rec.gauge("fleet.load", (i % 11) as f64);
-                    rec.span("fleet.stage").end();
-                }
-            });
-        }
-    });
-    rec.snapshot()
-}
-
-#[test]
-fn sharded_snapshots_are_identical_across_thread_counts() {
-    let one = sharded_run(1);
-    for threads in [2, 3, 8] {
-        assert_eq!(
-            one.to_json_pretty(),
-            sharded_run(threads).to_json_pretty(),
-            "{threads} threads"
-        );
-    }
-    assert_eq!(one.counter("fleet.sessions{class=tv}"), 256);
-    assert_eq!(one.histograms["fleet.latency_ms"].count, 256);
-    assert_eq!(one.histograms["span.fleet.stage.ms"].count, 256);
-    // Gauges fold by max, whatever order the writers ran in.
-    assert_eq!(one.gauges["fleet.load"], 10.0);
 }

@@ -64,11 +64,6 @@ impl CostTable {
             .unwrap_or(self.classes.len())
     }
 
-    /// Number of explicit classes.
-    pub fn class_count(&self) -> usize {
-        self.classes.len()
-    }
-
     /// The class boundaries.
     pub fn bounds(&self) -> Vec<u64> {
         self.classes.iter().map(|&(b, _)| b).collect()
@@ -211,7 +206,7 @@ mod tests {
         assert_eq!(t.class_of(64_000), 0); // inclusive upper bound
         assert_eq!(t.class_of(64_001), 1);
         assert_eq!(t.class_of(1_200_000), 3);
-        assert_eq!(t.class_of(99_000_000), t.class_count()); // overflow
+        assert_eq!(t.class_of(99_000_000), t.bounds().len()); // overflow
         assert_eq!(
             t.rate_per_second(99_000_000),
             Money::from_dollars_f64(0.125)

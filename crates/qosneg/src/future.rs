@@ -76,11 +76,6 @@ impl AdvanceBook {
         self.bookings.len()
     }
 
-    /// Headroom (µs of disk round) on a server over a window.
-    pub fn server_headroom(&self, id: ServerId, start: SimTime, end: SimTime) -> Option<u64> {
-        self.servers.get(&id).map(|l| l.available(start, end))
-    }
-
     /// Try to book every stream of an offer over `[start, end)`. An offer
     /// naming a server or a route link this book does not mirror (it was
     /// built over a smaller deployment) is not bookable, like one that does
@@ -420,44 +415,6 @@ mod tests {
         .unwrap();
         assert_eq!(out.status, NegotiationStatus::FailedWithLocalOffer);
         assert_eq!(book.bookings(), 0);
-    }
-
-    #[test]
-    fn server_headroom_reflects_bookings() {
-        let w = world(5);
-        let c = ctx(&w);
-        let mut book = AdvanceBook::new(&c);
-        let client = ClientMachine::era_workstation(ClientId(0));
-        let start = SimTime::from_secs(50);
-        let before: u64 = w
-            .farm
-            .ids()
-            .iter()
-            .map(|&s| {
-                book.server_headroom(s, start, start + SimDuration::from_secs(10))
-                    .unwrap()
-            })
-            .sum();
-        let out = negotiate_future(
-            &c,
-            &mut book,
-            &client,
-            DocumentId(1),
-            &tv_news_profile(),
-            start,
-        )
-        .unwrap();
-        assert!(out.booking.is_some());
-        let after: u64 = w
-            .farm
-            .ids()
-            .iter()
-            .map(|&s| {
-                book.server_headroom(s, start, start + SimDuration::from_secs(10))
-                    .unwrap()
-            })
-            .sum();
-        assert!(after < before, "booking must consume window headroom");
     }
 
     #[test]

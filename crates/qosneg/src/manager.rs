@@ -24,6 +24,10 @@ use crate::negotiate::{
 use crate::profile::UserProfile;
 use crate::request::{NegotiationRequest, Session};
 
+/// Delivery ratio a session experiences while its resources are violated
+/// (fraction of real-time; models congested components).
+const DEGRADED_DELIVERY_RATIO: f64 = 0.3;
+
 /// Tunables of the manager.
 #[derive(Debug, Clone)]
 pub struct ManagerConfig {
@@ -35,9 +39,6 @@ pub struct ManagerConfig {
     pub enumeration_cap: usize,
     /// Client jitter-buffer size handed to playout sessions (ms of media).
     pub jitter_buffer_ms: u64,
-    /// Delivery ratio a session experiences while its resources are
-    /// violated (fraction of real-time; models congested components).
-    pub degraded_delivery_ratio: f64,
     /// Observability hook shared by every negotiation, playout session and
     /// confirmation this manager drives. `None` (the default) makes all
     /// instrumentation a dead branch.
@@ -55,7 +56,6 @@ impl Default for ManagerConfig {
             guarantee: Guarantee::Guaranteed,
             enumeration_cap: 250_000,
             jitter_buffer_ms: 2_000,
-            degraded_delivery_ratio: 0.3,
             recorder: None,
             explain: false,
         }
@@ -304,7 +304,7 @@ impl QosManager {
     /// The delivery ratio the session currently experiences.
     pub fn delivery_ratio(&self, session: &ActiveSession) -> f64 {
         if self.session_violated(session) {
-            self.config.degraded_delivery_ratio
+            DEGRADED_DELIVERY_RATIO
         } else {
             1.0
         }

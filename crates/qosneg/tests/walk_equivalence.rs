@@ -18,7 +18,8 @@
 //! The counting tests then pin what the memo is for: a refused walk asks
 //! the farm once per distinct refused prefix, not once per offer, and a
 //! first-offer commit costs no more calls or allocations than before; an
-//! adaptation likewise, and it never materializes the list it walks.
+//! adaptation likewise, and it never materializes the list it walks. An
+//! explanation is paid for only when asked for.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -993,6 +994,28 @@ fn a_first_offer_commit_costs_no_more_than_before() {
 /// path lookup and per link reservation, the reservation tables' nodes,
 /// the user offer. (The shared routes took it to 8.)
 const PARENT_FIRST_OFFER_ALLOCATIONS: u64 = 14;
+
+#[test]
+fn explanations_allocate_only_behind_their_gate() {
+    let w = World::new(article(&three_by_servers()), 4, ServerConfig::era_default());
+    let (client, profile) = (roomy_client(), video_profile());
+    let negotiate = |explain: bool| {
+        let mut c = ctx(&w, ClassificationStrategy::SnsThenOif);
+        c.explain = explain;
+        let request = NegotiationRequest::new(&client, DocumentId(1), &profile);
+        let before = allocations();
+        let out = Session::new(c).submit(&request).expect("valid request");
+        let spent = allocations() - before;
+        assert_eq!(out.decisions.is_some(), explain, "decisions iff explain");
+        let held = out.reservation.as_ref().expect("an idle farm admits");
+        held.release(&w.farm, &w.network);
+        spent
+    };
+    negotiate(false); // warms the route memo
+    let (off, again, on) = (negotiate(false), negotiate(false), negotiate(true));
+    assert_eq!(off, again, "explain-off allocations are reproducible");
+    assert!(on > off, "explain on allocated {on} times, off {off}");
+}
 
 #[test]
 fn adapting_asks_the_farm_once_per_refused_prefix_and_counts_nothing() {

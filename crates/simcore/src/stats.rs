@@ -81,16 +81,6 @@ impl OnlineStats {
         (self.n > 0).then_some(self.max)
     }
 
-    /// Half-width of the ~95% confidence interval on the mean
-    /// (normal approximation; 0 with fewer than two observations).
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            1.96 * self.std_dev() / (self.n as f64).sqrt()
-        }
-    }
-
     /// Merge another accumulator into this one (parallel reduction).
     pub fn merge(&mut self, other: &OnlineStats) {
         if other.n == 0 {
@@ -230,21 +220,6 @@ impl Histogram {
     pub fn total(&self) -> u64 {
         self.underflow + self.overflow + self.bins.iter().sum::<u64>()
     }
-
-    /// `(low_edge, high_edge)` of bucket `i`.
-    pub fn bucket_bounds(&self, i: usize) -> (f64, f64) {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        (self.lo + w * i as f64, self.lo + w * (i + 1) as f64)
-    }
-}
-
-/// Ratio helper: fraction `num / den`, 0 when the denominator is 0.
-pub fn safe_ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
-    }
 }
 
 #[cfg(test)]
@@ -272,7 +247,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.variance(), 0.0);
         assert_eq!(s.min(), None);
-        assert_eq!(s.ci95_half_width(), 0.0);
     }
 
     #[test]
@@ -334,13 +308,5 @@ mod tests {
         assert_eq!(h.overflow(), 2);
         assert_eq!(h.counts(), &[2, 1, 0, 0, 1]);
         assert_eq!(h.total(), 7);
-        assert_eq!(h.bucket_bounds(0), (0.0, 2.0));
-        assert_eq!(h.bucket_bounds(4), (8.0, 10.0));
-    }
-
-    #[test]
-    fn ratio_helper() {
-        assert_eq!(safe_ratio(1, 4), 0.25);
-        assert_eq!(safe_ratio(3, 0), 0.0);
     }
 }

@@ -98,25 +98,6 @@ impl SyncState {
         }
         violations
     }
-
-    /// The resynchronization correction: pull every stream back to the
-    /// slowest one (the conservative [Lam 94] policy — skipping media is
-    /// visible; waiting is not). Returns the position everyone resumes
-    /// from.
-    pub fn resync_to_slowest(&mut self) -> Option<f64> {
-        let min = self
-            .positions_ms
-            .values()
-            .copied()
-            .fold(f64::INFINITY, f64::min);
-        if !min.is_finite() {
-            return None;
-        }
-        for v in self.positions_ms.values_mut() {
-            *v = min;
-        }
-        Some(min)
-    }
 }
 
 #[cfg(test)]
@@ -224,20 +205,5 @@ mod tests {
         // Past the end of the document, nothing is active.
         s.set_position(MonomediaId(2), MediaKind::Audio, 90_000.0);
         assert!(s.check(&t, 70_000).is_empty());
-    }
-
-    #[test]
-    fn resync_pulls_to_slowest() {
-        let t = av_timeline();
-        let mut s = SyncState::new();
-        s.set_position(MonomediaId(1), MediaKind::Video, 10_000.0);
-        s.set_position(MonomediaId(2), MediaKind::Audio, 10_500.0);
-        assert!(!s.check(&t, 10_000).is_empty());
-        let resumed = s.resync_to_slowest().unwrap();
-        assert_eq!(resumed, 10_000.0);
-        assert_eq!(s.position(MonomediaId(2)), Some(10_000.0));
-        assert!(s.check(&t, 10_000).is_empty());
-        // Empty state has nothing to resync.
-        assert_eq!(SyncState::new().resync_to_slowest(), None);
     }
 }

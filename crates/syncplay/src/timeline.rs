@@ -120,17 +120,6 @@ impl Timeline {
     pub fn demand_at(&self, t_ms: u64) -> u64 {
         self.active_at(t_ms).iter().map(|e| e.avg_bit_rate).sum()
     }
-
-    /// Peak aggregate demand over the presentation, sampled at entry
-    /// boundaries (demand only changes there).
-    pub fn peak_demand(&self) -> u64 {
-        self.entries
-            .iter()
-            .flat_map(|e| [e.start_ms, e.end_ms().saturating_sub(1)])
-            .map(|t| self.demand_at(t))
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -208,7 +197,6 @@ mod tests {
         let audio_bps = 8 * 8_000;
         assert_eq!(t.demand_at(0), video_bps + audio_bps);
         assert_eq!(t.demand_at(100_000), 0); // past the end
-        assert_eq!(t.peak_demand(), video_bps + audio_bps);
         assert_eq!(t.active_at(50_000).len(), 2);
     }
 

@@ -368,7 +368,7 @@ mod tests {
             ..ContendedConfig::default()
         };
         let run = || {
-            let rec = Recorder::sharded(8);
+            let rec = Recorder::new();
             let (result, report) = run_contended_with(&config, Some(&rec));
             (result, report, rec.snapshot().to_json_pretty())
         };

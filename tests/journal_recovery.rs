@@ -20,7 +20,11 @@
 //! The last two tests hand `Broker::recover` a world that is not the one
 //! the journal was written against — the one mismatch the header's spec
 //! hash cannot see — and require a typed error and an untouched world
-//! instead of a panic.
+//! instead of a panic. A journal-off run, counted by this file's
+//! allocator, allocates the same count every time.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use news_on_demand::broker::{
     Broker, BrokerConfig, BrokerReport, CapacitySnapshot, FleetSpec, Journal, JournalConfig,
@@ -38,6 +42,37 @@ use news_on_demand::simcore::StreamRng;
 use news_on_demand::workload::{
     recover_contended, run_contended_journaled, run_contended_with, ContendedConfig,
 };
+
+thread_local! {
+    /// Per-thread, so tests running in parallel do not count each other.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+// SAFETY: every method delegates verbatim to `System`; only the
+// thread-local counter is added, and it never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// A contended, faulted run with a real user choice period, so the
 /// journal carries retries, pending confirmations, departures and fault
@@ -160,6 +195,23 @@ fn journaling_does_not_perturb_the_run() {
         plain.events.len()
     );
     assert_eq!(stats.compactions, 0, "compaction was off");
+}
+
+#[test]
+fn a_journal_off_run_allocates_the_same_count_every_time() {
+    let config = chaos_config();
+    let run = || {
+        let before = ALLOCATIONS.with(Cell::get);
+        let (result, _) = run_contended_with(&config, None);
+        assert_eq!(result.leaked_streams, 0);
+        ALLOCATIONS.with(Cell::get) - before
+    };
+    run(); // warms process-wide pools
+    assert_eq!(
+        run(),
+        run(),
+        "a journal-off run left a conditional allocation"
+    );
 }
 
 /// A durable journal on a device that refuses every write ends the drive
