@@ -567,7 +567,10 @@ impl<'a> Broker<'a> {
     /// regenerated outcome that differs from the journal is
     /// [`JournalError::ReplayDiverged`]. Either way every reservation the
     /// resumed run made is released before the error is returned. A
-    /// journal that fails to write during the resumed run is
+    /// well-framed snapshot that names a session past the fleet, or
+    /// schedules a confirmation or departure for a session not in the state
+    /// it needs, is [`JournalError::Malformed`] before anything is
+    /// restored. A journal that fails to write during the resumed run is
     /// [`JournalError::Io`].
     pub fn recover(&self, fleet: &FleetSpec<'_>) -> Result<RecoveryReport, JournalError> {
         let journal = fleet.journal.ok_or(JournalError::NoJournal)?;
@@ -576,6 +579,9 @@ impl<'a> Broker<'a> {
             sessions: fleet.sessions.len() as u64,
             spec_hash: self.spec_hash(fleet),
         })?;
+        if let Some(snap) = &parsed.snapshot {
+            snap.check_sessions(fleet.sessions.len() as u64)?;
+        }
         let replayed_events = parsed.tail.len() as u64;
         let suffix_starts_at_event = parsed.events_before + replayed_events;
         let resumed_at_ms = parsed.snapshot.as_ref().map(|s| s.at_ms);

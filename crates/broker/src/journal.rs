@@ -624,6 +624,46 @@ impl SnapshotState {
         t.done()?;
         Ok(snap)
     }
+
+    /// Check that the snapshot is consistent with a fleet of `sessions`:
+    /// every session id names a spec, live sessions come in strictly
+    /// increasing id order (so none is live twice), and every pending
+    /// retry, confirmation or departure belongs to a live session with no
+    /// other event pending — a confirmation to one awaiting its admission.
+    /// A well-framed snapshot that fails this would index past the fleet or
+    /// fire an event at a session not in the state it needs.
+    pub(crate) fn check_sessions(&self, sessions: u64) -> Result<(), JournalError> {
+        let past = (self.results.iter().map(|r| r.session))
+            .chain(self.live.iter().map(|s| s.session))
+            .chain(self.dynq.iter().map(|e| e.session))
+            .any(|id| id >= sessions);
+        if past {
+            return Err(JournalError::Malformed(
+                "snapshot session id past the fleet",
+            ));
+        }
+        if self.live.windows(2).any(|w| w[0].session >= w[1].session) {
+            return Err(JournalError::Malformed(
+                "snapshot live sessions out of order",
+            ));
+        }
+        let mut pending = vec![false; self.live.len()];
+        for e in self.dynq.iter().filter(|e| e.kind <= 2) {
+            let fits = match self.live.binary_search_by_key(&e.session, |s| s.session) {
+                Ok(at) if !pending[at] => {
+                    pending[at] = true;
+                    e.kind != 1 || self.live[at].pending_admit > 0
+                }
+                _ => false,
+            };
+            if !fits {
+                return Err(JournalError::Malformed(
+                    "snapshot event for a session not in its state",
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -59,10 +59,12 @@ fn feasible_variants<'a>(
 /// every other offer.
 fn one_offer<'v>(
     ctx: &NegotiationContext<'_>,
+    client: &ClientMachine,
     profile: &UserProfile,
     chosen: impl ExactSizeIterator<Item = (MonomediaId, u64, &'v Variant)>,
 ) -> RankedOffers {
     let mut builder = OfferEngine::builder(
+        client,
         profile,
         ctx.cost_model,
         ctx.guarantee,
@@ -130,7 +132,7 @@ pub(crate) fn negotiate_static_first_fit_impl(
     trace.offers_enumerated = 1;
     trace.reservation_attempts = 1;
     let first = per_mono.iter().map(|&(mono, dur, ref v)| (mono, dur, v[0]));
-    let mut list = one_offer(ctx, profile, first);
+    let mut list = one_offer(ctx, client, profile, first);
     let scored = list.materialize(0);
     let reservation =
         try_commit_refusal(ctx, client, &scored.offer, profile.time.max_startup_ms).ok();
@@ -214,7 +216,7 @@ pub(crate) fn negotiate_per_monomedia_impl(
     // the committed variants as one offer, priced with the copyright once.
     let chosen = (per_mono.iter().zip(&committed))
         .map(|(&(mono, dur, _), (s, _))| (mono, dur, &s.offer.variants[0]));
-    let mut list = one_offer(ctx, profile, chosen);
+    let mut list = one_offer(ctx, client, profile, chosen);
     let scored = list.materialize(0);
     let reservation = SessionReservation {
         servers: committed

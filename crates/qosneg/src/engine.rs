@@ -17,8 +17,8 @@
 //! component's feasible variants as it finds them ([`EngineBuilder`]); it
 //! clones each one once into one flat variant array and precomputes its
 //! partial scores (importance, `CostNet + CostSer` for its duration, SNS
-//! flags) into a parallel score array, each component an offset, a length
-//! and a rank stride into both.
+//! flags, the client's decode cost) into a parallel score array, each
+//! component an offset, a length and a rank stride into both.
 //! [`RankedOffers`] then scores the whole product as plain data in one
 //! depth-first pass (one small `Copy` [`ScoredCombo`] per offer, counting
 //! the offers that satisfy the request as it goes) and **orders it on
@@ -39,16 +39,19 @@
 //! in document component order with the same left fold
 //! [`ScoredOffer::score`] uses — a combination's sums extend its prefix's,
 //! starting from `Sum`'s own neutral element — so OIF values are
-//! bit-identical; the order compares the strategy key with `total_cmp` and
-//! then the enumeration rank, so it is total — ties keep enumeration
-//! order, NaN and infinite importances sort where
-//! [`classify`](crate::classify()) puts them — and selecting a head of it
-//! yields exactly the full sort's prefix.
+//! bit-identical, and so is the decode verdict
+//! ([`ClientMachine::can_decode_concurrently`] sums the same costs the same
+//! way). The order compares plain integers — the SNS class, the
+//! order-preserving `u64` image of the float key that `total_cmp` compares
+//! (`total_key`), then the enumeration rank — so it is total: ties keep
+//! enumeration order, −0.0 sorts beside +0.0 and NaN and infinite
+//! importances sort where [`classify`](crate::classify()) puts them, and
+//! selecting a head of it yields exactly the full sort's prefix.
 
-use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::ops::Range;
 
+use nod_client::ClientMachine;
 use nod_cmfs::Guarantee;
 use nod_mmdoc::{MonomediaId, Variant};
 
@@ -83,6 +86,8 @@ struct VariantScore {
     meets_desired: bool,
     /// Does the variant meet the profile's *worst acceptable* spec?
     meets_worst: bool,
+    /// [`ClientMachine::decode_cost`] of the variant on the engine's client.
+    decode_cost: f64,
 }
 
 impl VariantScore {
@@ -130,6 +135,11 @@ pub struct ScoredCombo {
     pub sns: StaticNegotiationStatus,
     /// Worst-acceptable QoS met *and* within the cost ceiling.
     pub satisfies_request: bool,
+    /// The engine's client can decode every stream of the offer at once —
+    /// [`ClientMachine::can_decode_concurrently`]'s verdict, scored here
+    /// because it is static per (client, offer). Step 5 refuses an offer
+    /// without it before asking any server.
+    pub decodable: bool,
 }
 
 /// The partial scores of a combination's first components.
@@ -138,6 +148,7 @@ struct Prefix {
     rank: u64,
     cost: Money,
     importance: f64,
+    decode: f64,
     desired: bool,
     worst: bool,
 }
@@ -154,6 +165,8 @@ pub struct OfferEngine {
     copyright: Money,
     cost_per_dollar: f64,
     max_cost: Money,
+    /// The client's concurrent decode budget.
+    decode_budget: f64,
     total: usize,
 }
 
@@ -162,6 +175,7 @@ pub struct OfferEngine {
 /// arrival. [`EngineBuilder::finish`] then checks the product the way the
 /// eager enumeration would.
 pub struct EngineBuilder<'a> {
+    client: &'a ClientMachine,
     profile: &'a UserProfile,
     cost_model: &'a CostModel,
     guarantee: Guarantee,
@@ -192,6 +206,7 @@ impl EngineBuilder<'_> {
                 ser,
                 meets_desired: self.profile.desired.met_by(&v.qos),
                 meets_worst: self.profile.worst.met_by(&v.qos),
+                decode_cost: self.client.decode_cost(v),
             });
             engine.variants.push(v.clone());
         }
@@ -231,9 +246,11 @@ impl EngineBuilder<'_> {
 }
 
 impl OfferEngine {
-    /// Start an engine for `profile`'s request: add the document's
-    /// components in order ([`EngineBuilder::component`]), then finish.
+    /// Start an engine for `client`'s request under `profile`: add the
+    /// document's components in order ([`EngineBuilder::component`]), then
+    /// finish.
     pub fn builder<'a>(
+        client: &'a ClientMachine,
         profile: &'a UserProfile,
         cost_model: &'a CostModel,
         guarantee: Guarantee,
@@ -241,6 +258,7 @@ impl OfferEngine {
         components: usize,
     ) -> EngineBuilder<'a> {
         EngineBuilder {
+            client,
             profile,
             cost_model,
             guarantee,
@@ -252,14 +270,17 @@ impl OfferEngine {
                 copyright: cost_model.copyright,
                 cost_per_dollar: profile.importance.cost_per_dollar,
                 max_cost: profile.max_cost,
+                decode_budget: client.decode_budget,
                 total: 0,
             },
         }
     }
 
     /// The engine over per-component variant lists and a duration map,
-    /// through [`OfferEngine::builder`]. Kept only because `benchmark/`
-    /// calls it; delete in the next benchmark PR.
+    /// through [`OfferEngine::builder`] for a workstation with an unbounded
+    /// decode budget, so every offer counts as decodable. Kept only because
+    /// `benchmark/` calls it (and never walks the result); delete in the
+    /// next benchmark PR.
     #[doc(hidden)]
     #[allow(clippy::too_many_arguments)]
     pub fn build(
@@ -271,7 +292,14 @@ impl OfferEngine {
         strategy: ClassificationStrategy,
         cap: usize,
     ) -> Result<OfferEngine, EnumerationError> {
-        let mut builder = Self::builder(profile, cost_model, guarantee, strategy, per_mono.len());
+        let client = ClientMachine {
+            decode_budget: f64::INFINITY,
+            ..ClientMachine::era_workstation(nod_mmdoc::ClientId(0))
+        };
+        let components = per_mono.len();
+        let mut builder = Self::builder(
+            &client, profile, cost_model, guarantee, strategy, components,
+        );
         for (mono, variants) in per_mono {
             let duration_ms = durations.get(mono).copied().unwrap_or(0);
             builder.component(*mono, duration_ms, variants.iter().copied());
@@ -301,11 +329,32 @@ impl OfferEngine {
         (self.components.iter()).map(|c| (c.mono.0, c.duration_ms))
     }
 
-    /// Identifies the variants the combination at `rank` chooses for
-    /// components `0..=component`: two ranks share the value exactly when
-    /// they share that prefix.
-    pub(crate) fn prefix(&self, rank: u64, component: usize) -> u64 {
-        rank / self.components[component].stride
+    /// How many feasible variants component `component` has.
+    pub(crate) fn variants_of(&self, component: usize) -> usize {
+        self.components[component].len
+    }
+
+    /// How many distinct prefixes the components before the last one
+    /// have between them: `Σ_{d < last} Π_{i ≤ d} lenᵢ`.
+    pub(crate) fn inner_prefixes(&self) -> usize {
+        let inner = self.components.len().saturating_sub(1);
+        (self.components[..inner].iter())
+            .map(|c| self.total / c.stride as usize)
+            .sum()
+    }
+
+    /// The variant the combination at enumeration `rank` chooses for each
+    /// component, as an index into the component's feasible variants, in
+    /// document component order.
+    pub(crate) fn choices(&self, rank: u64) -> impl Iterator<Item = usize> + Clone + '_ {
+        // One division per component: what is left of the rank after the
+        // components before this one.
+        let mut rest = rank;
+        self.components.iter().map(move |comp| {
+            let choice = (rest / comp.stride) as usize;
+            rest %= comp.stride;
+            choice
+        })
     }
 
     /// The chosen variants of the combination at enumeration `rank` with
@@ -315,12 +364,8 @@ impl OfferEngine {
         &self,
         rank: u64,
     ) -> impl Iterator<Item = (&Variant, Money, Money)> + Clone {
-        // One division per component: what is left of the rank after the
-        // components before this one.
-        let mut rest = rank;
-        self.components.iter().map(move |comp| {
-            let i = comp.start + (rest / comp.stride) as usize;
-            rest %= comp.stride;
+        (self.components.iter().zip(self.choices(rank))).map(|(comp, choice)| {
+            let i = comp.start + choice;
             (&self.variants[i], self.scores[i].net, self.scores[i].ser)
         })
     }
@@ -352,8 +397,10 @@ impl OfferEngine {
             rank: 0,
             cost: self.copyright,
             // `Sum`'s neutral element, so every sum below is the exact
-            // left fold `qos_importance` computes.
+            // left fold `qos_importance` and `can_decode_concurrently`
+            // compute.
             importance: std::iter::empty::<f64>().sum(),
+            decode: std::iter::empty::<f64>().sum(),
             desired: true,
             worst: true,
         };
@@ -373,6 +420,7 @@ impl OfferEngine {
                 rank: prefix.rank + p as u64 * comp.stride,
                 cost: prefix.cost + s.cost(),
                 importance: prefix.importance + s.importance,
+                decode: prefix.decode + s.decode_cost,
                 desired: prefix.desired & s.meets_desired,
                 worst: prefix.worst & s.meets_worst,
             };
@@ -403,6 +451,7 @@ impl OfferEngine {
             oif,
             sns,
             satisfies_request: within && sums.worst,
+            decodable: sums.decode <= self.decode_budget,
         }
     }
 
@@ -485,17 +534,33 @@ impl Ranking {
     }
 
     /// The ordering step itself, out of line: a walk checks `order_to` once
-    /// per offer and takes this at most twice.
+    /// per offer and takes this at most twice. The strategy is picked once
+    /// here; the sort itself compares integer keys.
     #[cold]
     fn order_more(&mut self, n: usize) {
-        let strategy = self.strategy;
-        let cmp = |a: &ScoredCombo, b: &ScoredCombo| order_cmp(strategy, a, b);
+        match self.strategy {
+            ClassificationStrategy::SnsThenOif => {
+                self.order_by(n, |c| (c.sns as u8, !total_key(c.oif), c.rank));
+            }
+            ClassificationStrategy::OifOnly => self.order_by(n, |c| (!total_key(c.oif), c.rank)),
+            ClassificationStrategy::CostOnly => self.order_by(n, |c| (c.cost, c.rank)),
+            ClassificationStrategy::QosOnly => {
+                self.order_by(n, |c| (!total_key(c.qos_importance), c.rank));
+            }
+        }
+    }
+
+    /// Order by `key` — the strategy's key ending in the enumeration rank,
+    /// so ties keep enumeration order: a request within [`HEAD`] selects
+    /// and sorts that head, anything deeper sorts the rest.
+    #[inline]
+    fn order_by<K: Ord>(&mut self, n: usize, key: impl Fn(&ScoredCombo) -> K + Copy) {
         if n <= HEAD && HEAD < self.entries.len() {
-            self.entries.select_nth_unstable_by(HEAD - 1, cmp);
-            self.entries[..HEAD].sort_unstable_by(cmp);
+            self.entries.select_nth_unstable_by_key(HEAD - 1, key);
+            self.entries[..HEAD].sort_unstable_by_key(key);
             self.ordered = HEAD;
         } else {
-            self.entries[self.ordered..].sort_unstable_by(cmp);
+            self.entries[self.ordered..].sort_unstable_by_key(key);
             self.ordered = self.entries.len();
         }
     }
@@ -526,18 +591,14 @@ impl Ranking {
     }
 }
 
-/// The classification order on plain entries: `classify`'s strategy key,
-/// then the enumeration rank, so the order is total and ties keep
-/// enumeration order.
-fn order_cmp(strategy: ClassificationStrategy, a: &ScoredCombo, b: &ScoredCombo) -> Ordering {
-    let by_oif = |x: &ScoredCombo, y: &ScoredCombo| y.oif.total_cmp(&x.oif);
-    match strategy {
-        ClassificationStrategy::SnsThenOif => a.sns.cmp(&b.sns).then_with(|| by_oif(a, b)),
-        ClassificationStrategy::OifOnly => by_oif(a, b),
-        ClassificationStrategy::CostOnly => a.cost.cmp(&b.cost),
-        ClassificationStrategy::QosOnly => b.qos_importance.total_cmp(&a.qos_importance),
-    }
-    .then_with(|| a.rank.cmp(&b.rank))
+/// `x` as an unsigned integer in the order [`f64::total_cmp`] puts it:
+/// flipping every bit of a negative float reverses its magnitude order and
+/// puts it below every positive one, whose sign bit is set to lift it. So
+/// −NaN < −∞ < … < −0.0 < +0.0 < … < +∞ < +NaN, as `total_cmp` has it; a
+/// descending key is the complement.
+fn total_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
 }
 
 /// The classified offer list as plain data over its engine: one
@@ -567,6 +628,7 @@ impl Default for RankedOffers {
                 copyright: Money::ZERO,
                 cost_per_dollar: 0.0,
                 max_cost: Money::ZERO,
+                decode_budget: 0.0,
                 total: 0,
             },
             ranking: Ranking {
@@ -652,6 +714,10 @@ mod tests {
     use crate::profile::{MmQosSpec, UserProfile};
     use nod_mmdoc::prelude::*;
 
+    fn client() -> ClientMachine {
+        ClientMachine::era_workstation(ClientId(0))
+    }
+
     fn variant(id: u64, mono: u64, color: ColorDepth, fps: u32, server: u64) -> Variant {
         Variant {
             id: VariantId(id),
@@ -682,10 +748,16 @@ mod tests {
     }
 
     fn engine_over(variants: Vec<Variant>) -> OfferEngine {
-        let (profile, model) = (profile(), CostModel::era_default());
+        let (client, profile, model) = (client(), profile(), CostModel::era_default());
         let strategy = ClassificationStrategy::SnsThenOif;
-        let mut builder =
-            OfferEngine::builder(&profile, &model, Guarantee::Guaranteed, strategy, 1);
+        let mut builder = OfferEngine::builder(
+            &client,
+            &profile,
+            &model,
+            Guarantee::Guaranteed,
+            strategy,
+            1,
+        );
         builder.component(MonomediaId(1), 60_000, variants.iter());
         builder.finish(10_000).expect("engine builds")
     }
@@ -740,13 +812,14 @@ mod tests {
 
     #[test]
     fn finish_fails_like_the_eager_enumeration() {
-        let (profile, model) = (profile(), CostModel::era_default());
+        let (client, profile, model) = (client(), profile(), CostModel::era_default());
         let strategy = ClassificationStrategy::SnsThenOif;
         let three: Vec<Variant> = (1..=3)
             .map(|id| variant(id, 1, ColorDepth::Color, 25, 0))
             .collect();
         let build = |lists: &[&[Variant]], cap| {
-            let mut b = OfferEngine::builder(&profile, &model, Guarantee::Guaranteed, strategy, 3);
+            let guarantee = Guarantee::Guaranteed;
+            let mut b = OfferEngine::builder(&client, &profile, &model, guarantee, strategy, 3);
             for (c, list) in lists.iter().enumerate() {
                 b.component(MonomediaId(c as u64 + 1), 60_000, list.iter());
             }
@@ -771,8 +844,88 @@ mod tests {
         // Ranks decode last-component-fastest into the flat arrays.
         let ids: Vec<u64> = engine.streams_at(14).map(|(v, ..)| v.id.0).collect();
         assert_eq!(ids, [2, 2, 3]);
-        assert_eq!(engine.prefix(14, 0), 1);
-        assert_eq!(engine.prefix(14, 1), 4);
+        assert_eq!(engine.choices(14).collect::<Vec<_>>(), [1, 1, 2]);
+        // 3 prefixes of component 0 and 9 of components 0–1.
+        assert_eq!(engine.inner_prefixes(), 12);
+    }
+
+    #[test]
+    fn the_decode_flag_is_the_clients_verdict_on_the_whole_offer() {
+        let (profile, model) = (profile(), CostModel::era_default());
+        let strategy = ClassificationStrategy::SnsThenOif;
+        let lists: Vec<Vec<Variant>> = (0..3u64)
+            .map(|c| {
+                (0..3u64)
+                    .map(|v| {
+                        variant(
+                            c * 3 + v + 1,
+                            c + 1,
+                            ColorDepth::Color,
+                            10 + 7 * v as u32,
+                            0,
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut flagged = [0usize; 2];
+        for budget in [0.0, 1.0, 2.5, 4.0, 6.0, f64::INFINITY, f64::NAN] {
+            let mut client = client();
+            client.decode_budget = budget;
+            let mut b = OfferEngine::builder(
+                &client,
+                &profile,
+                &model,
+                Guarantee::Guaranteed,
+                strategy,
+                3,
+            );
+            for (c, list) in lists.iter().enumerate() {
+                b.component(MonomediaId(c as u64 + 1), 60_000, list.iter());
+            }
+            let engine = b.finish(100).expect("fits");
+            engine.for_each_combo(|combo| {
+                let streams = engine.streams_at(combo.rank).map(|(v, ..)| v);
+                assert_eq!(
+                    combo.decodable,
+                    client.can_decode_concurrently(streams),
+                    "budget {budget}, rank {}",
+                    combo.rank
+                );
+                flagged[usize::from(combo.decodable)] += 1;
+            });
+        }
+        assert!(flagged[0] > 0 && flagged[1] > 0, "{flagged:?}");
+    }
+
+    #[test]
+    fn total_key_orders_like_total_cmp() {
+        let nan = f64::NAN;
+        let values = [
+            -nan,
+            f64::NEG_INFINITY,
+            f64::MIN,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE / 4.0,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 4.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+            nan,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(
+                    total_key(a).cmp(&total_key(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
     }
 
     #[test]

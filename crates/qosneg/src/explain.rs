@@ -937,8 +937,15 @@ mod tests {
         let model = CostModel::era_default();
         let profile = crate::profile::tv_news_profile();
         let strategy = crate::ClassificationStrategy::SnsThenOif;
-        let mut builder =
-            OfferEngine::builder(&profile, &model, Guarantee::Guaranteed, strategy, 1);
+        let client = nod_client::ClientMachine::era_workstation(nod_mmdoc::ClientId(0));
+        let mut builder = OfferEngine::builder(
+            &client,
+            &profile,
+            &model,
+            Guarantee::Guaranteed,
+            strategy,
+            1,
+        );
         builder.component(MonomediaId(1), 60_000, variants.iter());
         let engine = builder.finish(1_000).expect("engine builds");
         let mut ranked = RankedOffers::new(engine);

@@ -10,11 +10,10 @@ use nod_mmdb::Catalog;
 use nod_mmdoc::{DocumentId, MediaKind, ServerId, Variant};
 use nod_netsim::{NetError, NetReservationId, Network, Reach};
 use nod_obs::{Counter, HandleSet, Histogram, Recorder, Span, SpanKind};
-use std::collections::BTreeMap;
 
 use crate::classify::{ClassificationStrategy, ScoredOffer};
 use crate::cost::CostModel;
-use crate::engine::{OfferEngine, RankedOffers, WalkCursor};
+use crate::engine::{OfferEngine, RankedOffers, ScoredCombo, WalkCursor};
 use crate::explain::{DecisionLog, RefusalKind, RefusalRecord, Shortfall};
 use crate::mapping::{charged_bit_rate, map_requirements, path_supports};
 use crate::offer::{EnumerationError, SystemOffer, UserOffer};
@@ -398,6 +397,7 @@ fn prepare_under(
     let span_enumerate = stage_span(obs, parent, |m| m.enumerate);
     let components = doc.monomedia();
     let mut builder = OfferEngine::builder(
+        client,
         profile,
         ctx.cost_model,
         ctx.guarantee,
@@ -624,8 +624,7 @@ pub(crate) struct CommitWalk<'c, 'a> {
     ctx: &'c NegotiationContext<'a>,
     client: &'c ClientMachine,
     max_startup_ms: u64,
-    /// `(d, engine.prefix(rank, d))` → the refusal at component `d`.
-    refused: BTreeMap<(usize, u64), CommitRefusal>,
+    refused: RefusedPrefixes,
     census: RefusalCensus,
 }
 
@@ -641,7 +640,7 @@ impl<'c, 'a> CommitWalk<'c, 'a> {
             ctx,
             client,
             max_startup_ms,
-            refused: BTreeMap::new(),
+            refused: RefusedPrefixes::default(),
             census: RefusalCensus::default(),
         }
     }
@@ -664,8 +663,8 @@ impl<'c, 'a> CommitWalk<'c, 'a> {
                 continue;
             }
             attempts += 1;
-            let rank = ranked.entry(idx).rank;
-            match self.attempt(ranked.engine(), rank) {
+            let entry = *ranked.entry(idx);
+            match self.attempt(ranked.engine(), &entry) {
                 Ok(reservation) => return (attempts, Some((idx, reservation))),
                 Err(refusal) => refused(idx, refusal),
             }
@@ -673,14 +672,14 @@ impl<'c, 'a> CommitWalk<'c, 'a> {
         (attempts, None)
     }
 
-    /// Try to commit the offer at enumeration `rank` of `engine`, by
-    /// reference: nothing is materialized here.
+    /// Try to commit the offer `entry` of `engine`, by reference: nothing
+    /// is materialized here.
     fn attempt(
         &mut self,
         engine: &OfferEngine,
-        rank: u64,
+        entry: &ScoredCombo,
     ) -> Result<SessionReservation, CommitRefusal> {
-        let result = self.judge(engine, rank);
+        let result = self.judge(engine, entry);
         if self.ctx.recorder.is_some() {
             self.census
                 .attempt(result.as_ref().err().map(|r| &r.failure));
@@ -688,48 +687,117 @@ impl<'c, 'a> CommitWalk<'c, 'a> {
         result
     }
 
-    /// The attempt proper: the per-offer decode check, then the memo, then
-    /// the servers and links.
+    /// The attempt proper: the decode verdict scored with the offer, then
+    /// the memo, then the servers and links.
     fn judge(
         &mut self,
         engine: &OfferEngine,
-        rank: u64,
+        entry: &ScoredCombo,
     ) -> Result<SessionReservation, CommitRefusal> {
-        let variants = engine.streams_at(rank).map(|(v, ..)| v);
-        check_decode_budget(self.client, variants.clone())?;
-        if let Some(refusal) = self.remembered(engine, rank) {
-            self.census.memo_hits += 1;
-            return Err(refusal);
+        if !entry.decodable {
+            return Err(decode_refusal());
         }
+        if let Some(refusal) = self.refused.get(engine, entry.rank) {
+            self.census.memo_hits += 1;
+            return Err(refusal.clone());
+        }
+        let variants = engine.streams_at(entry.rank).map(|(v, ..)| v);
         reserve_streams(self.ctx, self.client, variants, self.max_startup_ms).map_err(
             |(d, refusal)| {
                 // The last component's prefix is the whole offer, which
                 // no walk attempts twice.
                 if d + 1 < engine.components() {
-                    self.refused
-                        .insert((d, engine.prefix(rank, d)), refusal.clone());
+                    self.refused.insert(engine, entry.rank, d, refusal.clone());
                 }
                 refusal
             },
         )
     }
 
-    /// The refusal an earlier attempt of this walk drew for a prefix of the
-    /// offer at `rank`, if any (at most one prefix can have one: offers
-    /// sharing a refused prefix never reach past it).
-    fn remembered(&self, engine: &OfferEngine, rank: u64) -> Option<CommitRefusal> {
-        if self.refused.is_empty() {
-            return None;
-        }
-        (0..engine.components().saturating_sub(1))
-            .find_map(|d| self.refused.get(&(d, engine.prefix(rank, d))))
-            .cloned()
-    }
-
     /// Emit the census of the `commit` span being closed; the memo stays.
     fn emit_census(&mut self) {
         if let Some((rec, m)) = observed(self.ctx) {
             std::mem::take(&mut self.census).emit(rec, m);
+        }
+    }
+}
+
+/// A walk's refused prefixes, indexed by component and prefix from the
+/// engine's strides: a trie whose nodes are blocks of slots, one slot per
+/// feasible variant of a component, all in one arena. Block 0 holds
+/// component 0's variants; a slot that saw a refusal deeper down points at
+/// the block of the next component's variants under it. A lookup follows
+/// the offer's choices down from block 0 and stops at the first slot that
+/// is open (nothing refused under that prefix) or refused.
+///
+/// The arena is allocated on the first refusal, once, with room for every
+/// prefix the walk could ever refuse ([`OfferEngine::inner_prefixes`]) and
+/// without filling it: the first refusal writes the root block and one
+/// block per component on its path, later ones only the blocks they open,
+/// so a product of a thousand prefixes pays for the few it touches.
+///
+/// At most one prefix on an offer's path is ever refused: offers that
+/// share a refused prefix never reach past it, and a component that
+/// passed once passes on every later attempt of the walk. So a refused
+/// slot never needs a block under it, and a slot with a block is never
+/// refused.
+#[derive(Default)]
+struct RefusedPrefixes {
+    slots: Vec<PrefixSlot>,
+}
+
+#[derive(Clone)]
+enum PrefixSlot {
+    /// No attempt of the walk has been refused at or under this prefix.
+    Open,
+    /// Refused under this prefix: the next component's block starts here.
+    Deeper(u32),
+    /// Refused at this component: every offer sharing the prefix draws
+    /// this refusal.
+    Refused(CommitRefusal),
+}
+
+impl RefusedPrefixes {
+    /// The refusal remembered for a prefix of the offer at `rank`, if any.
+    fn get(&self, engine: &OfferEngine, rank: u64) -> Option<&CommitRefusal> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mut block = 0;
+        for choice in engine.choices(rank) {
+            match &self.slots[block + choice] {
+                PrefixSlot::Open => return None,
+                PrefixSlot::Refused(refusal) => return Some(refusal),
+                PrefixSlot::Deeper(next) => block = *next as usize,
+            }
+        }
+        None
+    }
+
+    /// Remember `refusal`, drawn at component `d` by the offer at `rank`
+    /// (`d` is not the last component).
+    fn insert(&mut self, engine: &OfferEngine, rank: u64, d: usize, refusal: CommitRefusal) {
+        if self.slots.is_empty() {
+            self.slots.reserve_exact(engine.inner_prefixes());
+            self.slots.resize(engine.variants_of(0), PrefixSlot::Open);
+        }
+        let mut block = 0;
+        for (k, choice) in engine.choices(rank).enumerate() {
+            let at = block + choice;
+            if k == d {
+                self.slots[at] = PrefixSlot::Refused(refusal);
+                return;
+            }
+            block = match self.slots[at] {
+                PrefixSlot::Deeper(next) => next as usize,
+                _ => {
+                    let next = self.slots.len();
+                    let len = engine.variants_of(k + 1);
+                    self.slots.resize(next + len, PrefixSlot::Open);
+                    self.slots[at] = PrefixSlot::Deeper(next as u32);
+                    next
+                }
+            };
         }
     }
 }
@@ -755,10 +823,15 @@ fn commit_walk(
     let span_commit = stage_span(observed(ctx), root, |m| m.commit);
     let mut decisions = decisions.or_else(|| ctx.explain.then(Box::default));
     let mut walk = CommitWalk::new(ctx, client, profile.time.max_startup_ms);
+    // Sized once, on the first refusal: the walk can refuse every offer.
+    let offers = ranked.len();
     let mut failures: Vec<(usize, CommitFailure)> = Vec::new();
     let (attempts, committed) = walk.first_fit(&mut ranked, None, |idx, refusal| {
         if let Some(l) = decisions.as_deref_mut() {
             l.refusals.push(refusal.record(idx));
+        }
+        if failures.capacity() == 0 {
+            failures.reserve_exact(offers);
         }
         failures.push((idx, refusal.failure));
     });
@@ -1066,32 +1139,28 @@ fn net_shortfall(err: NetError, requested: u64) -> Shortfall {
 /// reservation. A refusal reports its [`CommitFailure`] and the concrete
 /// shortfall — which disk round / interface / link ran out, requested vs
 /// available. The one public commit primitive; the step-5 walk runs the
-/// same two checks per offer, by reference.
+/// same two checks per offer, by reference, reading the decode verdict off
+/// [`ScoredCombo::decodable`].
 pub fn try_commit_refusal(
     ctx: &NegotiationContext<'_>,
     client: &ClientMachine,
     offer: &SystemOffer,
     max_startup_ms: u64,
 ) -> Result<SessionReservation, CommitRefusal> {
-    check_decode_budget(client, offer.variants.iter())?;
+    if !client.can_decode_concurrently(offer.variants.iter()) {
+        return Err(decode_refusal());
+    }
     reserve_streams(ctx, client, offer.variants.iter(), max_startup_ms)
         .map_err(|(_, refusal)| refusal)
 }
 
-/// Combination-level client check: the offer's streams must fit the
-/// machine's concurrent decode budget (per-variant decodability was
-/// step 2; this guards the whole configuration).
-fn check_decode_budget<'v>(
-    client: &ClientMachine,
-    variants: impl Iterator<Item = &'v Variant>,
-) -> Result<(), CommitRefusal> {
-    if client.can_decode_concurrently(variants) {
-        Ok(())
-    } else {
-        Err(CommitRefusal {
-            failure: CommitFailure::DecodeBudget,
-            shortfall: Shortfall::DecodeBudget,
-        })
+/// The refusal of an offer whose streams do not fit the client's
+/// concurrent decode budget (per-variant decodability was step 2; this
+/// guards the whole configuration).
+fn decode_refusal() -> CommitRefusal {
+    CommitRefusal {
+        failure: CommitFailure::DecodeBudget,
+        shortfall: Shortfall::DecodeBudget,
     }
 }
 

@@ -19,8 +19,9 @@ use nod_mmdoc::prelude::*;
 use nod_netsim::{route, Network, NodeId, Topology};
 use nod_obs::Recorder;
 use nod_qosneg::classify::reservation_order;
-use nod_qosneg::engine::{OfferEngine, RankedOffers, WalkCursor, HEAD};
+use nod_qosneg::engine::{OfferEngine, RankedOffers, ScoredCombo, WalkCursor, HEAD};
 use nod_qosneg::explain::{DecisionLog, EXPLAIN_TOP_K};
+use nod_qosneg::importance::PiecewiseLinear;
 use nod_qosneg::negotiate::{
     commit_prepared, explain_attempts, prepare, NegotiationContext, NegotiationOutcome,
     NegotiationStatus, NegotiationTrace, Prepared, StreamingMode,
@@ -108,6 +109,7 @@ fn catalog_engine(
 ) -> Option<OfferEngine> {
     let components = w.catalog.document(doc)?.monomedia();
     let mut builder = OfferEngine::builder(
+        client,
         profile,
         &w.cost,
         Guarantee::Guaranteed,
@@ -156,7 +158,9 @@ fn built_engine(
     let durations: HashMap<MonomediaId, u64> =
         per_mono.iter().map(|(mono, _)| (*mono, 60_000)).collect();
     let cost_model = CostModel::era_default();
+    let client = ClientMachine::era_workstation(ClientId(0));
     let mut builder = OfferEngine::builder(
+        &client,
         profile,
         &cost_model,
         Guarantee::Guaranteed,
@@ -404,6 +408,84 @@ fn lazy_order_handles_wide_duplicated_nan_and_single_offer_products() {
             check_engine(&engine, profile, strategy, &format!("{name} {strategy:?}"));
         }
     }
+}
+
+/// The integer classification order against `classify()`'s float order,
+/// on keys chosen to break a careless integer image: −0.0 beside +0.0,
+/// NaN with the sign bit set and clear, subnormals, ±∞, and long runs of
+/// equal keys at different ranks. The colour importance is the whole of a
+/// variant's importance (flat −0.0 curves add nothing) and a dollar costs
+/// nothing, so the palette reaches OIF and QoS importance unchanged for
+/// one component and as sums for two. A palette holding NaNs of both signs
+/// is ranked over one component only: which NaN the sum of two opposite
+/// NaNs yields is unspecified, so two computations of it need not agree.
+#[test]
+fn the_integer_order_matches_classify_on_adversarial_floats() {
+    assert!(size_of::<ScoredCombo>() <= 40);
+    let (nan, tiny, inf) = (f64::NAN, f64::MIN_POSITIVE / 4.0, f64::INFINITY);
+    assert!(tiny.is_subnormal());
+    let palettes = [
+        [-0.0, 0.0, tiny, -tiny],
+        [nan, -nan, inf, -inf],
+        [-0.0, -nan, inf, -tiny],
+        [0.0, nan, -inf, -0.0],
+    ];
+    let depths = [
+        ColorDepth::BlackWhite,
+        ColorDepth::Grey,
+        ColorDepth::Color,
+        ColorDepth::SuperColor,
+    ];
+    // Every depth twice, on two servers: equal keys at adjacent ranks.
+    let component = |c: u64| -> Vec<Variant> {
+        (depths.iter().enumerate())
+            .flat_map(|(k, &color)| {
+                (0..2u64).map(move |r| video(c * 8 + 2 * k as u64 + r + 1, c + 1, color, 25, r))
+            })
+            .collect()
+    };
+    let products = [vec![component(0)], vec![component(0), component(1)]];
+    let mut seen: Vec<u64> = Vec::new();
+    for strategy in STRATEGIES {
+        for palette in palettes {
+            let mut profile = video_profile();
+            profile.importance.color = palette;
+            profile.importance.frame_rate = PiecewiseLinear::new(vec![(1.0, -0.0)]);
+            profile.importance.resolution = PiecewiseLinear::new(vec![(1.0, -0.0)]);
+            profile.importance.cost_per_dollar = 0.0;
+            let both_nans = palette.iter().any(|x| x.is_nan() && x.is_sign_negative())
+                && palette.iter().any(|x| x.is_nan() && x.is_sign_positive());
+            for product in &products[..if both_nans { 1 } else { 2 }] {
+                let engine = built_engine(product, &profile, strategy);
+                let tag = format!("{palette:?} × {} {strategy:?}", product.len());
+                check_engine(&engine, &profile, strategy, &tag);
+                let mut ranked = RankedOffers::new(engine);
+                (ranked.entries().iter())
+                    .for_each(|e| seen.extend([e.oif.to_bits(), e.qos_importance.to_bits()]));
+            }
+        }
+    }
+    let sign = 1u64 << 63;
+    let cases = [
+        ("-0.0", (-0.0f64).to_bits()),
+        ("+0.0", 0.0f64.to_bits()),
+        ("+inf", inf.to_bits()),
+        ("-inf", (-inf).to_bits()),
+        ("subnormal", tiny.to_bits()),
+        ("-subnormal", (-tiny).to_bits()),
+    ];
+    for (name, bits) in cases {
+        assert!(seen.contains(&bits), "no {name} key was ordered");
+    }
+    let is_nan = |b: &u64| f64::from_bits(*b).is_nan();
+    assert!(
+        seen.iter().any(|b| is_nan(b) && b & sign == 0),
+        "no +NaN key"
+    );
+    assert!(
+        seen.iter().any(|b| is_nan(b) && b & sign != 0),
+        "no −NaN key"
+    );
 }
 
 /// Two islands and no link between them: clients 0–2 and the even servers

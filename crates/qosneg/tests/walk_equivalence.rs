@@ -933,6 +933,38 @@ fn a_refused_walk_asks_the_farm_once_per_distinct_first_variant() {
 }
 
 #[test]
+fn a_refused_walk_allocates_its_memo_and_its_failure_list_once() {
+    // The 36 refused offers above, refused at their first component: the
+    // walk allocates the memo's arena and the outcome's failure list, each
+    // once and at the first refusal, and nothing per refused offer. (The
+    // map memo and the one-push-at-a-time list took 6.) Routes are warmed
+    // first, as any earlier session on the same network would have left
+    // them.
+    let w = World::new(article(&three_by_servers()), 4, small_farm(3));
+    w.fill(0, 3);
+    w.fill(1, 3);
+    let client = roomy_client();
+    let profile = video_profile();
+    for server in w.farm.ids() {
+        w.network
+            .path(client.id, server)
+            .expect("one connected network");
+    }
+    let c = ctx(&w, ClassificationStrategy::SnsThenOif);
+    let Prepared::Offers(ranked, trace, log) =
+        prepare(&c, &client, DocumentId(1), &profile).expect("valid request")
+    else {
+        panic!("prepare ended early");
+    };
+    let before = allocations();
+    let out = commit_prepared(&c, &client, &profile, ranked, trace, log);
+    let spent = allocations() - before;
+    assert_eq!(out.commit_failures.len(), 36);
+    assert_eq!(out.commit_failures.capacity(), 36, "sized once");
+    assert_eq!(spent, 2, "a refused walk allocated {spent} times");
+}
+
+#[test]
 fn a_first_offer_commit_costs_no_more_than_before() {
     let components = three_by_servers();
     let client = roomy_client();

@@ -158,19 +158,20 @@ echo "==> benchmark unit tests (cargo test --manifest-path benchmark/Cargo.toml)
 cargo test --release --quiet --manifest-path benchmark/Cargo.toml
 
 # Outcome-digest pin (gating): a performance change must leave every
-# workload's seed-12 story unchanged. Minimum-length runs (~15 s in all)
-# print the same digest as a 25 s one; scripts/benchmark_digests.txt holds
-# the expected `<workload> <digest>` pairs.
-echo "==> benchmark digests (seed 12 vs scripts/benchmark_digests.txt)"
-while read -r workload expected; do
+# workload's story unchanged. Minimum-length runs (~15 s per seed) print
+# the same digest as a 25 s one; scripts/benchmark_digests.txt holds the
+# expected `<workload> <digest> [seed]` lines (seed 12 when omitted).
+echo "==> benchmark digests (seeds 12 and 47 vs scripts/benchmark_digests.txt)"
+while read -r workload expected seed; do
+    seed="${seed:-12}"
     got="$(cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
-        run --workload "$workload" --seed 12 --seconds 0 --trace 0 < /dev/null |
+        run --workload "$workload" --seed "$seed" --seconds 0 --trace 0 < /dev/null |
         sed -n 's/^row .*"outcome_digest":"\([^"]*\)".*/\1/p')"
     if [ "$got" != "$expected" ]; then
-        echo "error: $workload outcome_digest is '$got', expected $expected"
+        echo "error: $workload outcome_digest at seed $seed is '$got', expected $expected"
         exit 1
     fi
-    echo "$workload $got"
+    echo "$workload seed $seed $got"
 done < scripts/benchmark_digests.txt
 
 # Allocation ceiling (gating): the count-allocs build of the benchmark

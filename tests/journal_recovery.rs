@@ -20,14 +20,15 @@
 //! The last two tests hand `Broker::recover` a world that is not the one
 //! the journal was written against — the one mismatch the header's spec
 //! hash cannot see — and require a typed error and an untouched world
-//! instead of a panic. A journal-off run, counted by this file's
-//! allocator, allocates the same count every time.
+//! instead of a panic, and so must a well-framed snapshot whose session
+//! ids or pending events do not fit the fleet. A journal-off run, counted
+//! by this file's allocator, allocates the same count every time.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use news_on_demand::broker::{
-    Broker, BrokerConfig, BrokerReport, CapacitySnapshot, FleetSpec, Journal, JournalConfig,
+    crc32, Broker, BrokerConfig, BrokerReport, CapacitySnapshot, FleetSpec, Journal, JournalConfig,
     JournalError, OutcomeEvent, OutcomeKind, RecoveryReport, SessionSpec,
 };
 use news_on_demand::client::ClientMachine;
@@ -478,4 +479,146 @@ fn restoring_more_streams_than_the_farm_has_is_a_typed_error() {
     let (control, err) = recover_on_a_smaller_farm(80);
     assert!(control.resumed_at_ms.is_some(), "cut holds no snapshot");
     assert!(matches!(err, JournalError::RestoreFailed(_)), "{err}");
+}
+
+/// One snapshot record of a journal byte stream, located by walking its
+/// frames (`len u32, crc u32, payload`): where the frame starts and ends,
+/// and the byte offsets of what the test below rewrites.
+struct SnapshotFrame {
+    start: usize,
+    end: usize,
+    /// Offset of each finished session's id.
+    result_ids: Vec<usize>,
+    /// Per live session: its id, the offset of the id, and the offset of
+    /// its pending-admission byte.
+    live: Vec<(u64, usize, usize)>,
+    /// Per pending event: the offset of its kind byte (0 retry, 1 confirm,
+    /// 2 departure; the session id follows it) and its session.
+    events: Vec<(usize, u64)>,
+}
+
+/// Every snapshot record of `bytes`, decoded just far enough to find the
+/// session ids and pending-admission bytes in its payload.
+fn snapshot_frames(bytes: &[u8]) -> Vec<SnapshotFrame> {
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let mut frames = Vec::new();
+    let mut pos = 0;
+    while pos + 8 <= bytes.len() {
+        let (start, end) = (pos, pos + 8 + u32_at(pos));
+        pos = end;
+        // Record type 3 is a snapshot.
+        if end > bytes.len() || bytes[start + 8] != 3 {
+            continue;
+        }
+        // Six u64 counters, then the finished sessions (21 bytes each).
+        let mut at = start + 9 + 6 * 8;
+        let results = u32_at(at);
+        at += 4;
+        let result_ids = (0..results).map(|r| at + r * 21).collect();
+        at += results * 21;
+        // Live sessions: id, attempts, RNG, pending admit, closed,
+        // reserved, then their holds (53 bytes, a net flag and the
+        // bandwidth when the flag is set).
+        let mut live = Vec::new();
+        let sessions = u32_at(at);
+        at += 4;
+        for _ in 0..sessions {
+            live.push((u64_at(at), at, at + 28));
+            let holds = u32_at(at + 31);
+            at += 35;
+            for _ in 0..holds {
+                at += 54 + if bytes[at + 53] != 0 { 8 } else { 0 };
+            }
+        }
+        // Pending events: time, kind, session.
+        let count = u32_at(at);
+        at += 4;
+        let events = (0..count)
+            .map(|e| at + e * 17 + 8)
+            .map(|kind| (kind, u64_at(kind + 1)))
+            .collect();
+        assert_eq!(at + count * 17, end, "snapshot layout");
+        frames.push(SnapshotFrame {
+            start,
+            end,
+            result_ids,
+            live,
+            events,
+        });
+    }
+    frames
+}
+
+/// `bytes` cut after `frame`, with `patch` written at `at` and the frame's
+/// CRC recomputed, so the journal is well framed but says what the patch
+/// says.
+fn rewritten(bytes: &[u8], frame: &SnapshotFrame, at: usize, patch: &[u8]) -> Vec<u8> {
+    let mut out = bytes[..frame.end].to_vec();
+    out[at..at + patch.len()].copy_from_slice(patch);
+    let crc = crc32(&out[frame.start + 8..frame.end]);
+    out[frame.start + 4..frame.start + 8].copy_from_slice(&crc.to_le_bytes());
+    out
+}
+
+#[test]
+fn an_inconsistent_snapshot_is_a_typed_error_not_a_panic() {
+    let (_, bytes) = full_run();
+    let sessions = chaos_config().sessions as u64;
+    let frames = snapshot_frames(&bytes);
+    assert!(frames.len() >= 3, "cadence 64 must snapshot this run");
+    let malformed = |journal: Vec<u8>, what: &str| match recover_from(journal) {
+        Err(JournalError::Malformed(_)) => {}
+        other => panic!("{what}: expected a malformed-journal error, got {other:?}"),
+    };
+    // How many rewrites of each kind were refused: finished id, live id,
+    // confirmation, departure, second event.
+    let mut refused = [0; 5];
+    for frame in &frames {
+        // The cut itself, unpatched, recovers: the offsets are right.
+        let cut = recover_from(bytes[..frame.end].to_vec()).expect("a snapshot cut recovers");
+        assert!(cut.resumed_at_ms.is_some());
+        for &at in frame.result_ids.iter().take(1) {
+            let past = sessions.to_le_bytes();
+            malformed(rewritten(&bytes, frame, at, &past), "finished id");
+            refused[0] += 1;
+        }
+        for &(_, at, _) in frame.live.iter().take(1) {
+            malformed(
+                rewritten(&bytes, frame, at, &u64::MAX.to_le_bytes()),
+                "live id",
+            );
+            refused[1] += 1;
+        }
+        // A pending event turned into a confirmation for a session that
+        // awaits none, into a departure for a session that is not live, and
+        // into a second event for a session that has one.
+        let awaits = |session: u64| {
+            let (.., pending) = frame.live.iter().find(|(id, ..)| *id == session)?;
+            Some(bytes[*pending] != 0)
+        };
+        for &(kind, _) in (frame.events.iter())
+            .filter(|&&(_, session)| awaits(session) == Some(false))
+            .take(1)
+        {
+            malformed(rewritten(&bytes, frame, kind, &[1]), "confirm");
+            refused[2] += 1;
+        }
+        let gone = (0..sessions).find(|&id| awaits(id).is_none());
+        if let (Some(&(kind, ..)), Some(id)) = (frame.events.first(), gone) {
+            let mut patch = [2; 9];
+            patch[1..].copy_from_slice(&id.to_le_bytes());
+            malformed(rewritten(&bytes, frame, kind, &patch), "departure");
+            refused[3] += 1;
+        }
+        if let [(kind, _), (_, other), ..] = frame.events[..] {
+            let patch = other.to_le_bytes();
+            malformed(rewritten(&bytes, frame, kind + 1, &patch), "twice");
+            refused[4] += 1;
+        }
+    }
+    assert!(
+        refused.iter().all(|&n| n > 0),
+        "rewrites refused: {refused:?}"
+    );
 }
