@@ -42,7 +42,7 @@
 
 use nod_client::ClientMachine;
 use nod_cmfs::{Guarantee, StreamRequirement};
-use nod_mmdoc::{DocumentId, ServerId, VariantId};
+use nod_mmdoc::{DocumentId, Variant, VariantId};
 use nod_obs::{
     interned_key, Counter, Histogram, HistogramSnapshot, Recorder, SloAlert, SloMonitor, Span,
     TailKeeper, Tracer, ValueHistogram,
@@ -53,8 +53,8 @@ use nod_qosneg::explain::{
 };
 use nod_qosneg::mapping::charged_bit_rate;
 use nod_qosneg::negotiate::{
-    commit_prepared, explain_attempts, prepare, record_outcome, CommitFailure, NegotiationContext,
-    Prepared, SessionReservation,
+    commit_prepared, explain_attempts, prepare, record_outcome, reprepare, CommitFailure,
+    NegotiationContext, Prepared, SessionReservation,
 };
 use nod_qosneg::{NegotiationStatus, QosError, RetryPolicy, Session, UserProfile};
 use nod_simcore::{EventQueue, SimTime, StreamRng};
@@ -63,8 +63,8 @@ use crate::audit::CapacitySnapshot;
 use crate::fault::{Fault, FaultPlan};
 use crate::fleet::{EventRetention, FleetSpec};
 use crate::journal::{
-    HeaderRecord, Journal, JournalError, ParsedJournal, SnapEvent, SnapHold, SnapResult,
-    SnapSession, SnapshotState, SpecHasher,
+    event_hash, Fnv, HeaderRecord, Journal, JournalError, ParsedJournal, SnapEvent, SnapSession,
+    SnapshotState, PENDING_CONFIRM, PENDING_DEPARTURE, PENDING_LEAK, PENDING_RETRY,
 };
 use crate::slab::Slab;
 use crate::windows::{FleetWindow, WindowAccumulator};
@@ -283,11 +283,12 @@ pub struct RecoveryReport {
     pub torn_bytes: usize,
 }
 
-/// Journal replay state during recovery: the journaled post-snapshot
-/// events the engine must regenerate — each checked byte-equal and
-/// suppressed from the new report — before the run goes live.
+/// Journal replay state during recovery: the hashes of the journaled
+/// post-snapshot events the engine must regenerate — each checked equal
+/// and the outcome suppressed from the new report — before the run goes
+/// live.
 struct Replay {
-    tail: Vec<OutcomeEvent>,
+    tail: Vec<u64>,
     cursor: usize,
     /// Global outcome-log index of `tail[0]`.
     events_before: u64,
@@ -314,9 +315,14 @@ enum Ev {
 /// Live state of an in-flight session — slab-resident from first arrival
 /// until its resources drain.
 struct LiveSession<'a> {
+    /// Index into the spec slice.
+    session: u32,
     attempts: u32,
     rng: StreamRng,
     reservation: Option<SessionReservation>,
+    /// Classified index of the reserved offer on the session's prepared
+    /// list; meaningful while `reservation` is held.
+    offer: u32,
     /// Degraded flag of an admission awaiting user confirmation.
     pending_admit: Option<bool>,
     /// Latency recorded and session span closed.
@@ -328,10 +334,6 @@ struct LiveSession<'a> {
     /// Accumulating decision provenance ([`FleetSpec::explain`]): each
     /// attempt's live facts, completed only if the session is kept.
     explain: Option<SessionAcc>,
-    /// Re-reservation rows for the held streams, captured at commit time
-    /// — populated only when a journal is attached (empty `Vec`s never
-    /// allocate, keeping the journal-disabled path allocation-free).
-    holds: Vec<SnapHold>,
 }
 
 /// Per-session provenance accumulator, inline on the live session (an
@@ -363,8 +365,8 @@ fn refusal_reason(failures: &[(usize, CommitFailure)]) -> &'static str {
 }
 
 /// Every fate with its label, indexed by [`fate_index`] — which is also
-/// how a journal snapshot encodes a finished session's fate.
-const FATES: [(SessionFate, &str); 5] = [
+/// how a journal's terminal record encodes a session's fate.
+pub(crate) const FATES: [(SessionFate, &str); 5] = [
     (SessionFate::Admitted { degraded: false }, "admitted"),
     (
         SessionFate::Admitted { degraded: true },
@@ -375,7 +377,7 @@ const FATES: [(SessionFate, &str); 5] = [
     (SessionFate::Errored, "errored"),
 ];
 
-fn fate_index(fate: SessionFate) -> usize {
+pub(crate) fn fate_index(fate: SessionFate) -> usize {
     match fate {
         SessionFate::Admitted { degraded: false } => 0,
         SessionFate::Admitted { degraded: true } => 1,
@@ -403,6 +405,20 @@ impl Metrics {
                 .map(|(_, fate)| interned_key("session.outcome", &[("fate", fate)])),
         }
     }
+}
+
+/// The streams `offer` holds, each with the network bandwidth reserved
+/// for it: discrete media are delivered ahead of playout and hold none.
+fn held_streams(
+    offer: &ScoredOffer,
+    guarantee: Guarantee,
+) -> impl Iterator<Item = (&Variant, Option<u64>)> {
+    (offer.offer.variants.iter()).map(move |v| {
+        (
+            v,
+            (v.blocks_per_second > 0).then(|| charged_bit_rate(v, guarantee)),
+        )
+    })
 }
 
 /// ms → µs on the virtual clock. A virtual time near `u64::MAX` ms has no
@@ -490,7 +506,7 @@ impl<'a> Broker<'a> {
     /// and the fault plan. Recovery refuses a journal whose hash differs
     /// — a deterministic replay against a different fleet is garbage.
     fn spec_hash(&self, fleet: &FleetSpec<'_>) -> u64 {
-        let mut h = SpecHasher::new();
+        let mut h = Fnv::new();
         h.u64(self.config.seed);
         h.u64(fleet.sessions.len() as u64);
         for s in fleet.sessions {
@@ -553,25 +569,30 @@ impl<'a> Broker<'a> {
     /// torn tail (a record cut mid-write by the crash) is discarded.
     ///
     /// Recovery rebuilds the engine at the journal's last complete
-    /// snapshot — slab, held reservations, capacity ledgers, pending
-    /// confirmations/choice-period timers and retry queues — then
-    /// re-drives: every regenerated outcome is checked byte-equal to
-    /// the journaled suffix and suppressed, after which the run is live.
+    /// snapshot — the results settled before it, slab, held reservations
+    /// (each re-derived from the session's reserved offer index), capacity
+    /// ledgers, pending confirmations/choice-period timers and retry
+    /// queues — then re-drives: the hash of every regenerated outcome is
+    /// checked against the journaled suffix and the outcome suppressed,
+    /// after which the run is live.
     /// The returned report's `events` therefore hold only the outcomes
     /// after the journal's end; see [`RecoveryReport`] for where they
     /// sit in the global log.
     ///
     /// The spec hash does not cover the farm or the network, so a world
     /// that differs from the original is caught here instead: a held
-    /// stream that no longer fits is [`JournalError::RestoreFailed`], a
-    /// regenerated outcome that differs from the journal is
+    /// stream that no longer fits, or a reserved offer index the
+    /// re-prepared list does not have, is [`JournalError::RestoreFailed`];
+    /// a regenerated outcome that differs from the journal is
     /// [`JournalError::ReplayDiverged`]. Either way every reservation the
     /// resumed run made is released before the error is returned. A
-    /// well-framed snapshot that names a session past the fleet, or
-    /// schedules a confirmation or departure for a session not in the state
-    /// it needs, is [`JournalError::Malformed`] before anything is
-    /// restored. A journal that fails to write during the resumed run is
-    /// [`JournalError::Io`].
+    /// well-framed record that names a session past the fleet, carries an
+    /// unknown tag, or schedules a confirmation, departure or leak for a
+    /// session or config not in the state it needs, is
+    /// [`JournalError::Malformed`] before anything is restored; so is a
+    /// journal that leaves a session without a result, once the resumed
+    /// run drains. A journal that fails to write during the resumed run
+    /// is [`JournalError::Io`].
     pub fn recover(&self, fleet: &FleetSpec<'_>) -> Result<RecoveryReport, JournalError> {
         let journal = fleet.journal.ok_or(JournalError::NoJournal)?;
         let parsed = journal.recover_state(HeaderRecord {
@@ -579,9 +600,10 @@ impl<'a> Broker<'a> {
             sessions: fleet.sessions.len() as u64,
             spec_hash: self.spec_hash(fleet),
         })?;
-        if let Some(snap) = &parsed.snapshot {
-            snap.check_sessions(fleet.sessions.len() as u64)?;
-        }
+        parsed.check_sessions(
+            fleet.sessions.len() as u64,
+            self.config.inject_leak_at_ms.is_some(),
+        )?;
         let replayed_events = parsed.tail.len() as u64;
         let suffix_starts_at_event = parsed.events_before + replayed_events;
         let resumed_at_ms = parsed.snapshot.as_ref().map(|s| s.at_ms);
@@ -640,16 +662,17 @@ impl<'a> Broker<'a> {
         order.sort_by_key(|&i| specs[i as usize].arrival_ms);
         let arrival = |ai: usize| order.get(ai).map(|&i| (i, specs[i as usize].arrival_ms));
 
-        let (snap, replay) = match resume {
+        let (snap, settled, replay) = match resume {
             Some(r) => (
                 r.snapshot,
+                r.results,
                 (!r.tail.is_empty()).then_some(Replay {
                     tail: r.tail,
                     cursor: 0,
                     events_before: r.events_before,
                 }),
             ),
-            None => (None, None),
+            None => (None, Vec::new(), None),
         };
 
         let mut dynq: EventQueue<Ev> = EventQueue::new();
@@ -707,7 +730,7 @@ impl<'a> Broker<'a> {
             // past them.
             fi = fault_edges.partition_point(|&e| e <= s.at_ms);
             ai = order.partition_point(|&i| specs[i as usize].arrival_ms <= s.at_ms);
-            state.failed = state.restore(s, faults).err();
+            state.failed = state.restore(s, settled, faults).err();
         }
         let mut end_ms = 0u64;
         // A failed recovery stops at the end of the tick it failed in.
@@ -767,9 +790,15 @@ impl<'a> Broker<'a> {
             }
         }
         // Replay left over once the loop drains means the journal holds
-        // more events than the resumed run produced.
-        let failed = state.failed.take();
-        if let Some(err) = failed.or_else(|| state.replay.as_ref().map(Replay::diverged)) {
+        // more events than the resumed run produced; a session with no
+        // result means it lost a terminal record from before its snapshot.
+        let failed = (state.failed.take())
+            .or_else(|| state.replay.as_ref().map(Replay::diverged))
+            .or_else(|| {
+                let unsettled = state.results.iter().any(Option::is_none);
+                unsettled.then_some(JournalError::Malformed("a session never settled"))
+            });
+        if let Some(err) = failed {
             state.release_all(faults);
             return Err(err);
         }
@@ -921,13 +950,12 @@ impl<'a> DriveLoop<'_, 'a> {
             return;
         }
         // Recovery replay: the engine regenerates the journaled suffix.
-        // Each regenerated outcome must match the journal exactly (the
-        // determinism contract recovery rests on) and is suppressed — it
-        // was already journaled, windowed and reported by the crashed
-        // run. Past the journal's end the run is live again.
+        // Each regenerated outcome's hash must match the journaled one (the
+        // determinism contract recovery rests on) and the outcome is
+        // suppressed — it was already journaled, windowed and reported by
+        // the crashed run. Past the journal's end the run is live again.
         if let Some(rp) = self.replay.as_mut() {
-            let expect = &rp.tail[rp.cursor];
-            if expect.at_ms != at_ms || expect.session != session || expect.kind != kind {
+            if rp.tail[rp.cursor] != event_hash(at_ms, session, &kind) {
                 self.failed = Some(rp.diverged());
                 return;
             }
@@ -938,7 +966,14 @@ impl<'a> DriveLoop<'_, 'a> {
             return;
         }
         if let Some(journal) = self.journal {
-            if journal.append_event(at_ms, session, &kind) {
+            // The outcome that settles a session carries its result.
+            let result = match kind {
+                OutcomeKind::RetryScheduled { .. }
+                | OutcomeKind::Departed
+                | OutcomeKind::FaultEdge => None,
+                _ => self.results[session].as_ref(),
+            };
+            if journal.append_event(event_hash(at_ms, session, &kind), result) {
                 self.snapshot_due = true;
             }
             if let (Some(rec), Some(m)) = (self.broker.recorder, &self.broker.metrics) {
@@ -957,82 +992,89 @@ impl<'a> DriveLoop<'_, 'a> {
         }
     }
 
-    /// Rebuild the engine at a journal snapshot: finished results, the
-    /// live slab (with every held stream re-reserved against the fresh
-    /// world), pending events and counters. Re-reservation happens at
-    /// nominal health — live holds passed a commit-time capacity check,
-    /// so on the original pristine world they always fit; a world that
-    /// refuses one is [`JournalError::RestoreFailed`] — and the fault state
-    /// in force at the snapshot tick is applied afterwards. No fault edge
-    /// lies strictly between the last edge ≤ tick and the tick itself,
-    /// so reset-then-reapply recomputes exactly the state the crashed
-    /// run held, even when a window closed on the snapshot tick.
-    fn restore(&mut self, snap: &SnapshotState, faults: &FaultPlan) -> Result<(), JournalError> {
+    /// Rebuild the engine at a journal snapshot: the results `settled`
+    /// before it, the live slab, pending events and counters. A held
+    /// offer is re-derived by re-running steps 1–4 (they read only the
+    /// catalog and the static topology) and materializing the session's
+    /// offer index; an index the list does not have is
+    /// [`JournalError::RestoreFailed`], and so is a world that refuses a
+    /// stream. Re-reservation happens at nominal health — on the original
+    /// pristine world live holds always fit — and the fault state in force
+    /// at the snapshot tick is applied afterwards. No fault edge lies
+    /// strictly between the last edge ≤ tick and the tick itself, so
+    /// reset-then-reapply recomputes exactly the state the crashed run
+    /// held, even when a window closed on the snapshot tick.
+    fn restore(
+        &mut self,
+        snap: &SnapshotState,
+        settled: Vec<SessionResult>,
+        faults: &FaultPlan,
+    ) -> Result<(), JournalError> {
         let ctx = self.broker.session.context();
-        for r in &snap.results {
-            let i = r.session as usize;
-            self.results[i] = Some(SessionResult {
-                session: i,
-                fate: FATES
-                    .get(r.fate as usize)
-                    .map_or(SessionFate::Errored, |&(f, _)| f),
-                attempts: r.attempts,
-                admitted_at_ms: (r.admitted_at_ms != u64::MAX).then_some(r.admitted_at_ms),
-            });
+        for r in settled {
+            let i = r.session;
+            if self.results[i].replace(r).is_some() {
+                return Err(JournalError::Malformed("a session settled twice"));
+            }
         }
         for s in &snap.live {
             let i = s.session as usize;
             let slot = self.live.insert(LiveSession {
+                session: s.session,
                 attempts: s.attempts,
                 rng: StreamRng::from_state_parts(s.rng.0, s.rng.1),
-                reservation: s.reserved.then(|| SessionReservation {
-                    servers: Vec::with_capacity(s.holds.len()),
+                reservation: s.offer.map(|_| SessionReservation {
+                    servers: Vec::new(),
                     network: Vec::new(),
                 }),
-                // 0 = none, 1 = pending admit, 2 = pending degraded admit.
-                pending_admit: (s.pending_admit > 0).then_some(s.pending_admit > 1),
+                offer: s.offer.unwrap_or(0),
+                pending_admit: s.pending_admit,
                 closed: s.closed,
                 session_span: None,
                 backoff_span: None,
                 confirm_span: None,
                 explain: self.keeper.is_some().then(SessionAcc::default),
-                holds: s.holds.clone(),
             });
             self.slots[i] = slot;
-            // Re-reserve hold by hold into the slab-resident reservation,
-            // so a refusal partway leaves everything made so far where
-            // `release_all` finds it.
-            let Some(res) = self
-                .live
-                .get_mut(slot)
-                .and_then(|st| st.reservation.as_mut())
-            else {
+            let Some(index) = s.offer.map(|ix| ix as usize) else {
                 continue;
             };
-            for h in &s.holds {
-                let server = ServerId(h.server);
-                let rid = ctx.farm.try_reserve(server, h.req).map_err(|e| {
-                    JournalError::RestoreFailed(format!("session {i} on {server}: {e:?}"))
-                })?;
-                res.servers.push((server, rid));
-                if let Some(bps) = h.net_bps {
-                    let client = self.specs[i].client.id;
-                    let nid = ctx.network.try_reserve(client, server, bps).map_err(|e| {
-                        JournalError::RestoreFailed(format!("session {i} path to {server}: {e:?}"))
-                    })?;
+            let spec = &self.specs[i];
+            let failed = |what: String| JournalError::RestoreFailed(format!("session {i} {what}"));
+            let offer = match reprepare(ctx, spec.client, spec.document, spec.profile) {
+                Ok(Prepared::Offers(mut ranked, ..)) if index < ranked.len() => {
+                    ranked.materialize(index)
+                }
+                _ => return Err(failed(format!("has no offer {index} on its list"))),
+            };
+            // Re-reserve stream by stream into the slab-resident
+            // reservation, so a refusal partway leaves everything made so
+            // far where `release_all` finds it.
+            let res = (self.live.get_mut(slot))
+                .and_then(|st| st.reservation.as_mut())
+                .expect("a session with an offer index holds a reservation");
+            for (v, net_bps) in held_streams(&offer, ctx.guarantee) {
+                let req = StreamRequirement::for_variant(v, ctx.guarantee);
+                let rid = (ctx.farm.try_reserve(v.server, req))
+                    .map_err(|e| failed(format!("on {}: {e:?}", v.server)))?;
+                res.servers.push((v.server, rid));
+                if let Some(bps) = net_bps {
+                    let nid = (ctx.network.try_reserve(spec.client.id, v.server, bps))
+                        .map_err(|e| failed(format!("path to {}: {e:?}", v.server)))?;
                     res.network.push(nid);
                 }
             }
         }
         faults.apply_state_at(ctx.farm, ctx.network, snap.at_ms);
-        // Pending events, rescheduled in delivery order: fresh sequence
-        // numbers assigned in `(at, seq)` order reproduce the same-tick
-        // FIFO tie-break exactly.
+        // Pending events, rescheduled in the delivery order they decode in:
+        // fresh sequence numbers assigned in `(at, seq)` order reproduce
+        // the same-tick FIFO tie-break exactly.
         for e in &snap.dynq {
+            let i = e.session as usize;
             let ev = match e.kind {
-                0 => Ev::Retry(e.session as usize),
-                1 => Ev::Confirm(e.session as usize),
-                2 => Ev::Departure(e.session as usize),
+                PENDING_RETRY => Ev::Retry(i),
+                PENDING_CONFIRM => Ev::Confirm(i),
+                PENDING_DEPARTURE => Ev::Departure(i),
                 _ => Ev::InjectLeak,
             };
             self.dynq.schedule(SimTime::from_micros(e.at_us), ev);
@@ -1058,57 +1100,36 @@ impl<'a> DriveLoop<'_, 'a> {
         }
     }
 
-    /// Cut a checkpoint at the end of tick `at_ms` and append it to the
-    /// journal (compacting history past it, per its config).
+    /// Cut a checkpoint of the live engine at the end of tick `at_ms` and
+    /// append it to the journal (compacting history, per its config). It
+    /// walks the slab and the queue as they lie: decoding puts them in
+    /// order.
     fn write_snapshot(&mut self, at_ms: u64) {
         let Some(journal) = self.journal else { return };
-        let results = self
-            .results
-            .iter()
-            .flatten()
-            .map(|r| SnapResult {
-                session: r.session as u64,
-                fate: fate_index(r.fate) as u8,
-                attempts: r.attempts,
-                admitted_at_ms: r.admitted_at_ms.unwrap_or(u64::MAX),
-            })
-            .collect();
-        let mut live = Vec::with_capacity(self.live.len());
-        for i in 0..self.slots.len() {
-            if self.slots[i] == u32::MAX {
-                continue;
-            }
-            let st = self.session(i);
-            live.push(SnapSession {
-                session: i as u64,
+        let live = (self.live.iter())
+            .map(|st| SnapSession {
+                session: st.session,
                 attempts: st.attempts,
                 rng: st.rng.state_parts(),
-                pending_admit: st.pending_admit.map_or(0, |degraded| 1 + degraded as u8),
+                pending_admit: st.pending_admit,
                 closed: st.closed,
-                reserved: st.reservation.is_some(),
-                holds: st.holds.clone(),
-            });
-        }
-        let mut pending: Vec<(u64, u64, u8, u64)> = self
-            .dynq
-            .iter()
-            .map(|sch| {
-                let (kind, session) = match sch.event {
-                    Ev::Retry(i) => (0u8, i as u64),
-                    Ev::Confirm(i) => (1, i as u64),
-                    Ev::Departure(i) => (2, i as u64),
-                    Ev::InjectLeak => (3, 0),
-                };
-                (sch.at.as_micros(), sch.seq, kind, session)
+                offer: st.reservation.is_some().then_some(st.offer),
             })
             .collect();
-        pending.sort_unstable_by_key(|&(at, seq, _, _)| (at, seq));
-        let dynq = pending
-            .into_iter()
-            .map(|(at_us, _, kind, session)| SnapEvent {
-                at_us,
-                kind,
-                session,
+        let dynq = (self.dynq.iter())
+            .map(|sch| {
+                let (kind, session) = match sch.event {
+                    Ev::Retry(i) => (PENDING_RETRY, i as u32),
+                    Ev::Confirm(i) => (PENDING_CONFIRM, i as u32),
+                    Ev::Departure(i) => (PENDING_DEPARTURE, i as u32),
+                    Ev::InjectLeak => (PENDING_LEAK, 0),
+                };
+                SnapEvent {
+                    at_us: sch.at.as_micros(),
+                    seq: sch.seq,
+                    kind,
+                    session,
+                }
             })
             .collect();
         journal.append_snapshot(&SnapshotState {
@@ -1118,7 +1139,6 @@ impl<'a> DriveLoop<'_, 'a> {
             backoff_ms_total: self.backoff_ms_total,
             faults_injected: self.faults_injected,
             peak_live: self.peak_live as u64,
-            results,
             live,
             dynq,
         });
@@ -1162,9 +1182,11 @@ impl<'a> DriveLoop<'_, 'a> {
         let spec = &self.specs[i];
         if self.slots[i] == u32::MAX {
             self.slots[i] = self.live.insert(LiveSession {
+                session: i as u32,
                 attempts: 0,
                 rng: self.master.split_nth(i as u64),
                 reservation: None,
+                offer: 0,
                 pending_admit: None,
                 closed: false,
                 session_span: None,
@@ -1174,7 +1196,6 @@ impl<'a> DriveLoop<'_, 'a> {
                     attempts: std::mem::take(&mut self.spare_attempts),
                     settlement: None,
                 }),
-                holds: Vec::new(),
             });
             self.peak_live = self.peak_live.max(self.live.len());
         }
@@ -1196,7 +1217,7 @@ impl<'a> DriveLoop<'_, 'a> {
             ..*broker.session.context()
         };
         let mut facts = (self.keeper.is_some()).then(|| self.spare_log.take().unwrap_or_default());
-        let mut reserved_offer: Option<ScoredOffer> = None;
+        let mut reserved: Option<(usize, ScoredOffer)> = None;
         let outcome = match prepare(&ctx, spec.client, spec.document, spec.profile) {
             Err(err) => {
                 if let Some(a) = attempt_span {
@@ -1226,7 +1247,7 @@ impl<'a> DriveLoop<'_, 'a> {
                 let transient = out.commit_failures.is_empty()
                     || out.commit_failures.iter().any(|(_, f)| f.transient());
                 let reason = refusal_reason(&out.commit_failures);
-                reserved_offer = out.reserved_offer.take();
+                reserved = out.reserved_index.zip(out.reserved_offer.take());
                 (
                     out.status,
                     out.reservation,
@@ -1251,12 +1272,8 @@ impl<'a> DriveLoop<'_, 'a> {
             self.spare_log = Some(d);
         }
         let kind = match status {
-            NegotiationStatus::Succeeded => {
-                self.hold(i, now_ms, reservation, reserved_offer, false)
-            }
-            NegotiationStatus::FailedWithOffer => {
-                self.hold(i, now_ms, reservation, reserved_offer, true)
-            }
+            NegotiationStatus::Succeeded => self.hold(i, now_ms, reservation, reserved, false),
+            NegotiationStatus::FailedWithOffer => self.hold(i, now_ms, reservation, reserved, true),
             NegotiationStatus::FailedTryLater => {
                 self.try_later(i, now_ms, transient, reason, status)
             }
@@ -1271,35 +1288,28 @@ impl<'a> DriveLoop<'_, 'a> {
         self.close_out(i, now_ms);
     }
 
-    /// Keep the reservation a walk committed and admit the session. What
-    /// the offer holds is written down only for the channels that read it:
-    /// a capacity-ledger row (explain; `depart_ms` is stamped when the
-    /// session departs) and re-reservation rows (journal).
+    /// Keep the reservation a walk committed, with the classified index
+    /// of the offer it holds (all a journal snapshot needs to re-derive
+    /// it), and admit the session. With explain on, the offer's streams
+    /// become a capacity-ledger row (`depart_ms` is stamped when the
+    /// session departs).
     fn hold(
         &mut self,
         i: usize,
         now_ms: u64,
         reservation: Option<SessionReservation>,
-        offer: Option<ScoredOffer>,
+        reserved: Option<(usize, ScoredOffer)>,
         degraded: bool,
     ) -> OutcomeKind {
-        if let Some(offer) = offer.filter(|_| reservation.is_some()) {
-            let guarantee = self.broker.session.context().guarantee;
-            // Discrete media are delivered ahead of playout and hold no
-            // steady-state bandwidth — nothing to reserve on the network.
-            let streams = (offer.offer.variants.iter()).map(|v| {
-                (
-                    v,
-                    (v.blocks_per_second > 0).then(|| charged_bit_rate(v, guarantee)),
-                )
-            });
+        if let Some((index, offer)) = reserved.filter(|_| reservation.is_some()) {
             if self.keeper.is_some() {
+                let guarantee = self.broker.session.context().guarantee;
                 self.ledger_ix[i] = self.ledger.len() as u32;
                 self.ledger.push(LedgerRow {
                     session: i as u64,
                     admit_ms: now_ms,
                     depart_ms: now_ms,
-                    streams: (streams.clone())
+                    streams: held_streams(&offer, guarantee)
                         .map(|(v, bps)| StreamRow {
                             server: v.server.0,
                             bps: bps.unwrap_or(0),
@@ -1307,15 +1317,7 @@ impl<'a> DriveLoop<'_, 'a> {
                         .collect(),
                 });
             }
-            if self.journal.is_some() {
-                self.session(i).holds = streams
-                    .map(|(v, net_bps)| SnapHold {
-                        server: v.server.0,
-                        req: StreamRequirement::for_variant(v, guarantee),
-                        net_bps,
-                    })
-                    .collect();
-            }
+            self.session(i).offer = index as u32;
         }
         self.session(i).reservation = reservation;
         self.admit(i, now_ms, degraded)

@@ -1,54 +1,65 @@
-//! Write-ahead journal of session transitions — crash-safe negotiation.
+//! Write-ahead journal of session transitions — a broker run that outlives
+//! its process.
 //!
-//! The paper's procedure holds resources across long-lived protocol
-//! states (a reservation through *choicePeriod*, a pending confirmation,
-//! a retry backoff), and the broker's outcome log is already bit-exact
-//! for a given (seed, specs, faults) triple. This module makes that
-//! determinism durable: with [`FleetSpec::journal`](crate::FleetSpec)
-//! set, [`Broker::drive`](crate::Broker::drive) appends every outcome —
-//! admissions, retries, confirmations, departures, fault edges — to a
-//! CRC-framed [`Journal`] as it happens, cuts a full engine snapshot
-//! every [`JournalConfig::snapshot_every_events`] events, and (by
-//! default) compacts the log past the snapshot horizon.
+//! The paper's procedure holds resources across long-lived protocol states
+//! (a reservation through *choicePeriod*, a pending confirmation, a retry
+//! backoff), and a broker drive is a pure function of its (seed, specs,
+//! faults). The journal keeps only what a replay cannot re-derive: with
+//! [`FleetSpec::journal`](crate::FleetSpec) set,
+//! [`Broker::drive`](crate::Broker::drive) appends one CRC-framed record
+//! per outcome and cuts a snapshot of the live engine every
+//! [`JournalConfig::snapshot_every_events`] events.
 //!
-//! # Record framing
+//! # Records
 //!
-//! Every record is `[len: u32][crc32: u32][payload: len bytes]`, all
-//! little-endian; the CRC (IEEE, as in gzip) covers the payload only.
-//! The payload's first byte is the record type:
+//! Every record is `[len: u32][crc32: u32][payload]`, little-endian; the
+//! CRC (IEEE, as in gzip) covers the payload, whose first byte is the type:
 //!
-//! | type | record    | payload |
-//! |------|-----------|---------|
-//! | 1    | header    | magic `NODJ`, version, seed, session count, spec hash |
-//! | 2    | event     | `at_ms`, session, outcome kind + fields |
-//! | 3    | snapshot  | tick, global event count, counters, finished results, live sessions (RNG state, attempts, held streams), pending event queue |
+//! | type | record   | payload |
+//! |------|----------|---------|
+//! | 1    | header   | magic `NODJ`, version, seed, session count, spec hash |
+//! | 2    | event    | 64-bit hash of `at_ms`, session, outcome kind and fields |
+//! | 4    | terminal | the event's hash, then its session's result: id, fate, attempts, admission instant |
+//! | 3    | snapshot | tick, event count, counters, live sessions (id, attempts, RNG, pending admission, closed, reserved offer index), pending events |
 //!
-//! A torn tail — a partial record from a crash mid-write, or any CRC
-//! mismatch — truncates the journal at the last whole record; everything
-//! before it is trusted, everything after is discarded.
+//! The outcome that settles a session — an admission with no confirmation
+//! pending, a confirmation, starvation, a rejection, an error — is a
+//! terminal record, so each result is written once. A snapshot holds no
+//! finished result and no held stream: its size follows the live
+//! sessions. A torn tail — a partial record or a CRC mismatch — is cut at
+//! the last whole record.
 //!
 //! # Recovery
 //!
-//! [`Broker::recover`](crate::Broker::recover) validates the header
-//! against the fleet it is given (same seed, same specs, same fault plan
-//! — the spec hash catches a mismatched recovery attempt), rebuilds the
-//! engine at the last complete snapshot (re-reserving every held stream
-//! against the fresh farm/network at nominal health, then reapplying the
-//! fault state for the snapshot tick), and **re-drives deterministically**:
-//! each regenerated outcome is asserted byte-equal to the journaled
-//! suffix and suppressed from the new report, and once the journal is
-//! exhausted the engine simply goes live. The resumed run's outcome log
-//! is therefore byte-identical to the uninterrupted run's tail — the
-//! invariant the crash-recovery chaos harness gates on.
+//! [`Broker::recover`](crate::Broker::recover) checks the header against
+//! the fleet (the spec hash) and rebuilds the engine at the last snapshot:
+//! the results of the terminal records before it, and its live sessions.
+//! A held offer is re-derived, not read: steps 1–4 read only the catalog
+//! and the static topology, so re-running them and materializing the
+//! snapshot's offer index yields the committed offer, whose streams are
+//! re-reserved at nominal health before the snapshot tick's fault state is
+//! applied. The engine then re-drives: each regenerated outcome's hash must
+//! equal the journaled one and the outcome is suppressed; past the
+//! journal's end the run is live. Its outcome log is the uninterrupted
+//! run's tail, byte for byte.
 //!
-//! # Write failures
+//! # Compaction
 //!
-//! The first I/O error the backing file returns — on an append, a
-//! compaction, a flush or a sync — is kept, and from then on the journal
-//! leaves the file alone and carries on in memory. [`Journal::sync`]
-//! reports it, so a full disk ends a drive with
-//! [`BrokerReport::journal_error`](crate::BrokerReport::journal_error)
-//! set instead of a panic, and a recovery with [`JournalError::Io`].
+//! With [`JournalConfig::compact`], a snapshot rewrites the journal to
+//! header + terminal records + that snapshot once the bytes appended since
+//! the last rewrite are at least the bytes the rewrite keeps, and is
+//! appended otherwise: each rewrite is paid for by the appends before it.
+//!
+//! # Durability
+//!
+//! The journal survives a **process crash**, not a power loss. Appends go
+//! through a buffered writer flushed at snapshots, at the crash hook and by
+//! [`Journal::sync`]; nothing calls `fsync`, and a compaction's temp file +
+//! rename syncs neither the file nor its directory. The first write error
+//! is kept and the file left alone from then on: [`Journal::sync`] reports
+//! it, so a full disk ends a drive with
+//! [`BrokerReport::journal_error`](crate::BrokerReport::journal_error) set
+//! and a recovery with [`JournalError::Io`], not a panic.
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -56,19 +67,16 @@ use std::io::{self, BufWriter, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use nod_cmfs::{Guarantee, StreamRequirement};
-use nod_mmdoc::VariantId;
-use nod_qosneg::NegotiationStatus;
-
-use crate::broker::{OutcomeEvent, OutcomeKind};
+use crate::broker::{fate_index, OutcomeKind, SessionResult, FATES};
 
 /// Journal format version; bumped on any incompatible framing change.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 const MAGIC: [u8; 4] = *b"NODJ";
 
 const REC_HEADER: u8 = 1;
 const REC_EVENT: u8 = 2;
 const REC_SNAPSHOT: u8 = 3;
+const REC_TERMINAL: u8 = 4;
 
 /// Exit code of the deliberate mid-run crash hook
 /// ([`JournalConfig::crash_after_events`]) — distinguishable from a real
@@ -80,50 +88,65 @@ pub const CRASH_EXIT_CODE: i32 = 86;
 // workspace is dependency-free by design.
 // ---------------------------------------------------------------------
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic byte table, and
+/// `CRC_TABLES[k][b]` advances byte `b`'s CRC by `k` more zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
+            c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 * 7 {
+        let (k, b) = (i / 256 + 1, i % 256);
+        t[k][b] = (t[k - 1][b] >> 8) ^ t[0][(t[k - 1][b] & 0xFF) as usize];
+        i += 1;
+    }
+    t
 }
 
-/// CRC32 of `bytes` (IEEE polynomial, reflected, init/xorout `!0`).
+/// CRC32 of `bytes` (IEEE polynomial, reflected, init/xorout `!0`), eight
+/// bytes per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let v = u64::from_le_bytes(w.try_into().expect("8 bytes")) ^ c as u64;
+        c = (0..8).fold(0, |acc, k| acc ^ t[7 - k][(v >> (8 * k) & 0xFF) as usize]);
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
 
-/// FNV-1a over a byte stream — the spec-hash accumulator the header uses
-/// to refuse recovery against a different fleet.
-pub(crate) struct SpecHasher(u64);
+/// FNV-1a over a byte stream: the spec hash a header carries to refuse
+/// recovery against a different fleet, and the hash an event record
+/// carries for replay to compare against.
+pub(crate) struct Fnv(u64);
 
-impl SpecHasher {
+impl Fnv {
     pub(crate) fn new() -> Self {
-        SpecHasher(0xcbf2_9ce4_8422_2325)
+        Fnv(0xcbf2_9ce4_8422_2325)
     }
-    pub(crate) fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(0x100_0000_01b3);
         }
+    }
+    pub(crate) fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
     }
     pub(crate) fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
@@ -133,13 +156,33 @@ impl SpecHasher {
     }
 }
 
+/// The hash an event record carries: of `at_ms`, the session and the
+/// outcome kind with its fields.
+pub(crate) fn event_hash(at_ms: u64, session: usize, kind: &OutcomeKind) -> u64 {
+    let mut h = Fnv::new();
+    let (tag, a, b) = match kind {
+        OutcomeKind::Admitted { degraded, attempt } => (0, *degraded as u64, *attempt as u64),
+        OutcomeKind::RetryScheduled { at_ms, attempt } => (1, *at_ms, *attempt as u64),
+        OutcomeKind::Starved { attempts } => (2, *attempts as u64, 0),
+        OutcomeKind::Rejected { status } => (3, *status as u64, 0),
+        OutcomeKind::Errored { error } => {
+            h.bytes(error.as_bytes());
+            (4, error.len() as u64, 0)
+        }
+        OutcomeKind::Confirmed => (5, 0, 0),
+        OutcomeKind::Departed => (6, 0, 0),
+        OutcomeKind::FaultEdge => (7, 0, 0),
+    };
+    for v in [at_ms, session as u64, tag, a, b] {
+        h.u64(v);
+    }
+    h.finish()
+}
+
 // ---------------------------------------------------------------------
 // Little-endian encode/decode helpers.
 // ---------------------------------------------------------------------
 
-fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
@@ -156,30 +199,6 @@ impl<'a> Take<'a> {
     fn new(bytes: &'a [u8]) -> Self {
         Take { bytes, pos: 0 }
     }
-    fn u8(&mut self) -> Result<u8, JournalError> {
-        let b = *self
-            .bytes
-            .get(self.pos)
-            .ok_or(JournalError::Malformed("record payload short"))?;
-        self.pos += 1;
-        Ok(b)
-    }
-    fn u32(&mut self) -> Result<u32, JournalError> {
-        let s = self
-            .bytes
-            .get(self.pos..self.pos + 4)
-            .ok_or(JournalError::Malformed("record payload short"))?;
-        self.pos += 4;
-        Ok(u32::from_le_bytes(s.try_into().expect("4 bytes")))
-    }
-    fn u64(&mut self) -> Result<u64, JournalError> {
-        let s = self
-            .bytes
-            .get(self.pos..self.pos + 8)
-            .ok_or(JournalError::Malformed("record payload short"))?;
-        self.pos += 8;
-        Ok(u64::from_le_bytes(s.try_into().expect("8 bytes")))
-    }
     fn bytes(&mut self, n: usize) -> Result<&'a [u8], JournalError> {
         let s = self
             .bytes
@@ -187,6 +206,19 @@ impl<'a> Take<'a> {
             .ok_or(JournalError::Malformed("record payload short"))?;
         self.pos += n;
         Ok(s)
+    }
+    fn u8(&mut self) -> Result<u8, JournalError> {
+        Ok(self.bytes(1)?[0])
+    }
+    fn u32(&mut self) -> Result<u32, JournalError> {
+        Ok(u32::from_le_bytes(
+            self.bytes(4)?.try_into().expect("4 bytes"),
+        ))
+    }
+    fn u64(&mut self) -> Result<u64, JournalError> {
+        Ok(u64::from_le_bytes(
+            self.bytes(8)?.try_into().expect("8 bytes"),
+        ))
     }
     /// A `u32` record count, and how many records to reserve for it: no
     /// more than the bytes left could hold at `min_bytes` apiece, so a
@@ -240,8 +272,9 @@ pub enum JournalError {
         /// engine failed to reproduce.
         event: u64,
     },
-    /// A stream the snapshot held could not be re-reserved on the world
-    /// `recover` was handed; the text names the session and the refusal.
+    /// A stream the snapshot held could not be re-derived or re-reserved
+    /// on the world `recover` was handed; the text names the session and
+    /// the refusal.
     RestoreFailed(String),
 }
 
@@ -266,7 +299,7 @@ impl fmt::Display for JournalError {
                 "recovery replay diverged from the journal at outcome event {event}"
             ),
             JournalError::RestoreFailed(what) => {
-                write!(f, "recovery could not re-reserve a held stream: {what}")
+                write!(f, "recovery could not restore a held stream: {what}")
             }
         }
     }
@@ -293,15 +326,13 @@ pub(crate) struct HeaderRecord {
 }
 
 impl HeaderRecord {
-    fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(33);
-        put_u8(&mut p, REC_HEADER);
+    fn encode(&self, p: &mut Vec<u8>) {
+        p.push(REC_HEADER);
         p.extend_from_slice(&MAGIC);
-        put_u32(&mut p, VERSION);
-        put_u64(&mut p, self.seed);
-        put_u64(&mut p, self.sessions);
-        put_u64(&mut p, self.spec_hash);
-        p
+        put_u32(p, VERSION);
+        put_u64(p, self.seed);
+        put_u64(p, self.sessions);
+        put_u64(p, self.spec_hash);
     }
 
     fn decode(t: &mut Take<'_>) -> Result<Self, JournalError> {
@@ -322,151 +353,62 @@ impl HeaderRecord {
     }
 }
 
-fn encode_status(status: NegotiationStatus) -> u8 {
-    match status {
-        NegotiationStatus::Succeeded => 0,
-        NegotiationStatus::FailedWithOffer => 1,
-        NegotiationStatus::FailedTryLater => 2,
-        NegotiationStatus::FailedWithoutOffer => 3,
-        NegotiationStatus::FailedWithLocalOffer => 4,
-        // `NegotiationStatus` is non_exhaustive; a new status must get a
-        // tag here before it can be journaled.
-        _ => unreachable!("unjournalable negotiation status {status:?}"),
-    }
+/// A terminal record's result, in fixed width: session, fate (an index
+/// into [`FATES`]), attempts, admission instant (`u64::MAX` = never).
+fn encode_result(p: &mut Vec<u8>, r: &SessionResult) {
+    put_u32(p, r.session as u32);
+    p.push(fate_index(r.fate) as u8);
+    put_u32(p, r.attempts);
+    put_u64(p, r.admitted_at_ms.unwrap_or(u64::MAX));
 }
 
-fn decode_status(tag: u8) -> Result<NegotiationStatus, JournalError> {
-    Ok(match tag {
-        0 => NegotiationStatus::Succeeded,
-        1 => NegotiationStatus::FailedWithOffer,
-        2 => NegotiationStatus::FailedTryLater,
-        3 => NegotiationStatus::FailedWithoutOffer,
-        4 => NegotiationStatus::FailedWithLocalOffer,
-        _ => return Err(JournalError::Malformed("unknown negotiation status")),
+fn decode_result(t: &mut Take<'_>) -> Result<SessionResult, JournalError> {
+    Ok(SessionResult {
+        session: t.u32()? as usize,
+        fate: FATES
+            .get(t.u8()? as usize)
+            .ok_or(JournalError::Malformed("unknown session fate"))?
+            .0,
+        attempts: t.u32()?,
+        admitted_at_ms: Some(t.u64()?).filter(|&at| at != u64::MAX),
     })
-}
-
-fn encode_event(payload: &mut Vec<u8>, at_ms: u64, session: usize, kind: &OutcomeKind) {
-    put_u8(payload, REC_EVENT);
-    put_u64(payload, at_ms);
-    put_u64(payload, session as u64);
-    match kind {
-        OutcomeKind::Admitted { degraded, attempt } => {
-            put_u8(payload, 0);
-            put_u8(payload, *degraded as u8);
-            put_u32(payload, *attempt);
-        }
-        OutcomeKind::RetryScheduled { at_ms, attempt } => {
-            put_u8(payload, 1);
-            put_u64(payload, *at_ms);
-            put_u32(payload, *attempt);
-        }
-        OutcomeKind::Starved { attempts } => {
-            put_u8(payload, 2);
-            put_u32(payload, *attempts);
-        }
-        OutcomeKind::Rejected { status } => {
-            put_u8(payload, 3);
-            put_u8(payload, encode_status(*status));
-        }
-        OutcomeKind::Errored { error } => {
-            put_u8(payload, 4);
-            put_u32(payload, error.len() as u32);
-            payload.extend_from_slice(error.as_bytes());
-        }
-        OutcomeKind::Confirmed => put_u8(payload, 5),
-        OutcomeKind::Departed => put_u8(payload, 6),
-        OutcomeKind::FaultEdge => put_u8(payload, 7),
-    }
-}
-
-fn decode_event(t: &mut Take<'_>) -> Result<OutcomeEvent, JournalError> {
-    let at_ms = t.u64()?;
-    let session = t.u64()? as usize;
-    let kind = match t.u8()? {
-        0 => OutcomeKind::Admitted {
-            degraded: t.u8()? != 0,
-            attempt: t.u32()?,
-        },
-        1 => OutcomeKind::RetryScheduled {
-            at_ms: t.u64()?,
-            attempt: t.u32()?,
-        },
-        2 => OutcomeKind::Starved { attempts: t.u32()? },
-        3 => OutcomeKind::Rejected {
-            status: decode_status(t.u8()?)?,
-        },
-        4 => {
-            let len = t.u32()? as usize;
-            let bytes = t.bytes(len)?;
-            OutcomeKind::Errored {
-                error: String::from_utf8(bytes.to_vec())
-                    .map_err(|_| JournalError::Malformed("error text not UTF-8"))?,
-            }
-        }
-        5 => OutcomeKind::Confirmed,
-        6 => OutcomeKind::Departed,
-        7 => OutcomeKind::FaultEdge,
-        _ => return Err(JournalError::Malformed("unknown outcome kind")),
-    };
-    t.done()?;
-    Ok(OutcomeEvent {
-        at_ms,
-        session,
-        kind,
-    })
-}
-
-/// One held stream of a live session: enough to re-reserve it against a
-/// fresh farm/network on recovery. Captured at commit time, only when a
-/// journal is attached.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct SnapHold {
-    pub server: u64,
-    pub req: StreamRequirement,
-    /// Steady-state network bandwidth reserved along the client↔server
-    /// route; `None` for discrete media (delivered ahead of playout).
-    pub net_bps: Option<u64>,
-}
-
-/// A finished session inside a snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SnapResult {
-    pub session: u64,
-    /// 0 admitted, 1 admitted degraded, 2 starved, 3 rejected, 4 errored.
-    pub fate: u8,
-    pub attempts: u32,
-    /// `u64::MAX` = never admitted.
-    pub admitted_at_ms: u64,
 }
 
 /// A live (slab-resident) session inside a snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SnapSession {
-    pub session: u64,
+    pub session: u32,
     pub attempts: u32,
     /// Saved per-session RNG `(state, gamma)`.
     pub rng: (u64, u64),
-    /// 0 = none, 1 = pending non-degraded admit, 2 = pending degraded.
-    pub pending_admit: u8,
+    /// The degraded flag of an admission awaiting confirmation.
+    pub pending_admit: Option<bool>,
     pub closed: bool,
-    /// A reservation is held (possibly over zero streams).
-    pub reserved: bool,
-    pub holds: Vec<SnapHold>,
+    /// Classified index of the reserved offer, while a reservation is held.
+    pub offer: Option<u32>,
 }
 
-/// A pending dynamic-queue entry: `(at_us, kind, session)`, where kind
-/// is 0 retry, 1 confirm, 2 departure, 3 inject-leak.
+/// Pending-event kinds of a snapshot's queue.
+pub(crate) const PENDING_RETRY: u8 = 0;
+pub(crate) const PENDING_CONFIRM: u8 = 1;
+pub(crate) const PENDING_DEPARTURE: u8 = 2;
+pub(crate) const PENDING_LEAK: u8 = 3;
+
+/// A pending dynamic-queue entry: when it fires, its queue sequence
+/// number (the same-tick tie-break), its kind (a `PENDING_*` tag) and its
+/// session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SnapEvent {
     pub at_us: u64,
+    pub seq: u64,
     pub kind: u8,
-    pub session: u64,
+    pub session: u32,
 }
 
-/// A complete engine checkpoint, cut at a tick boundary: every event at
-/// `tick ≤ at_ms` is fully processed, every pending event is strictly
-/// later.
+/// A checkpoint of the live engine, cut at a tick boundary: every event
+/// at `tick ≤ at_ms` is fully processed, every pending event is strictly
+/// later. It is written in whatever order the slab and the queue hold it,
+/// and decoded into the order recovery rebuilds it in.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct SnapshotState {
     pub at_ms: u64,
@@ -477,71 +419,39 @@ pub(crate) struct SnapshotState {
     pub backoff_ms_total: u64,
     pub faults_injected: u64,
     pub peak_live: u64,
-    pub results: Vec<SnapResult>,
-    /// Live sessions in spec-index order.
+    /// Live sessions; decoded in spec-index order.
     pub live: Vec<SnapSession>,
-    /// Pending dynamic events in delivery `(at, seq)` order.
+    /// Pending dynamic events; decoded in delivery `(at, seq)` order.
     pub dynq: Vec<SnapEvent>,
 }
 
 impl SnapshotState {
-    fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(64 + 32 * (self.results.len() + self.live.len()));
-        put_u8(&mut p, REC_SNAPSHOT);
-        put_u64(&mut p, self.at_ms);
-        put_u64(&mut p, self.events_logged);
-        put_u64(&mut p, self.retries);
-        put_u64(&mut p, self.backoff_ms_total);
-        put_u64(&mut p, self.faults_injected);
-        put_u64(&mut p, self.peak_live);
-        put_u32(&mut p, self.results.len() as u32);
-        for r in &self.results {
-            put_u64(&mut p, r.session);
-            put_u8(&mut p, r.fate);
-            put_u32(&mut p, r.attempts);
-            put_u64(&mut p, r.admitted_at_ms);
-        }
-        put_u32(&mut p, self.live.len() as u32);
+    fn encode(&self, p: &mut Vec<u8>) {
+        p.reserve(57 + 30 * self.live.len() + 21 * self.dynq.len());
+        p.push(REC_SNAPSHOT);
+        put_u64(p, self.at_ms);
+        put_u64(p, self.events_logged);
+        put_u64(p, self.retries);
+        put_u64(p, self.backoff_ms_total);
+        put_u64(p, self.faults_injected);
+        put_u64(p, self.peak_live);
+        put_u32(p, self.live.len() as u32);
         for s in &self.live {
-            put_u64(&mut p, s.session);
-            put_u32(&mut p, s.attempts);
-            put_u64(&mut p, s.rng.0);
-            put_u64(&mut p, s.rng.1);
-            put_u8(&mut p, s.pending_admit);
-            put_u8(&mut p, s.closed as u8);
-            put_u8(&mut p, s.reserved as u8);
-            put_u32(&mut p, s.holds.len() as u32);
-            for h in &s.holds {
-                put_u64(&mut p, h.server);
-                put_u64(&mut p, h.req.variant.0);
-                put_u64(&mut p, h.req.max_bit_rate);
-                put_u64(&mut p, h.req.avg_bit_rate);
-                put_u64(&mut p, h.req.max_block_bytes);
-                put_u64(&mut p, h.req.avg_block_bytes);
-                put_u32(&mut p, h.req.blocks_per_second);
-                put_u8(
-                    &mut p,
-                    match h.req.guarantee {
-                        Guarantee::Guaranteed => 0,
-                        Guarantee::BestEffort => 1,
-                    },
-                );
-                match h.net_bps {
-                    Some(bps) => {
-                        put_u8(&mut p, 1);
-                        put_u64(&mut p, bps);
-                    }
-                    None => put_u8(&mut p, 0),
-                }
-            }
+            put_u32(p, s.session);
+            put_u32(p, s.attempts);
+            put_u64(p, s.rng.0);
+            put_u64(p, s.rng.1);
+            p.push(s.pending_admit.map_or(0, |degraded| 1 + degraded as u8));
+            p.push(s.closed as u8);
+            put_u32(p, s.offer.unwrap_or(u32::MAX));
         }
-        put_u32(&mut p, self.dynq.len() as u32);
+        put_u32(p, self.dynq.len() as u32);
         for e in &self.dynq {
-            put_u64(&mut p, e.at_us);
-            put_u8(&mut p, e.kind);
-            put_u64(&mut p, e.session);
+            put_u64(p, e.at_us);
+            put_u64(p, e.seq);
+            p.push(e.kind);
+            put_u32(p, e.session);
         }
-        p
     }
 
     fn decode(t: &mut Take<'_>) -> Result<Self, JournalError> {
@@ -554,115 +464,42 @@ impl SnapshotState {
             peak_live: t.u64()?,
             ..SnapshotState::default()
         };
-        // Smallest encodings: result 21 bytes, live session 35 (no holds),
-        // hold 54, pending event 17.
-        let (results, reserve) = t.count(21)?;
-        snap.results.reserve(reserve);
-        for _ in 0..results {
-            snap.results.push(SnapResult {
-                session: t.u64()?,
-                fate: t.u8()?,
-                attempts: t.u32()?,
-                admitted_at_ms: t.u64()?,
-            });
-        }
-        let (live, reserve) = t.count(35)?;
+        // Encodings: live session 30 bytes, pending event 21.
+        let (live, reserve) = t.count(30)?;
         snap.live.reserve(reserve);
         for _ in 0..live {
-            let session = t.u64()?;
-            let attempts = t.u32()?;
-            let rng = (t.u64()?, t.u64()?);
-            let pending_admit = t.u8()?;
-            let closed = t.u8()? != 0;
-            let reserved = t.u8()? != 0;
-            let (nholds, reserve) = t.count(54)?;
-            let mut holds = Vec::with_capacity(reserve);
-            for _ in 0..nholds {
-                let server = t.u64()?;
-                let req = StreamRequirement {
-                    variant: VariantId(t.u64()?),
-                    max_bit_rate: t.u64()?,
-                    avg_bit_rate: t.u64()?,
-                    max_block_bytes: t.u64()?,
-                    avg_block_bytes: t.u64()?,
-                    blocks_per_second: t.u32()?,
-                    guarantee: match t.u8()? {
-                        0 => Guarantee::Guaranteed,
-                        1 => Guarantee::BestEffort,
-                        _ => return Err(JournalError::Malformed("unknown guarantee")),
-                    },
-                };
-                let net_bps = match t.u8()? {
-                    0 => None,
-                    _ => Some(t.u64()?),
-                };
-                holds.push(SnapHold {
-                    server,
-                    req,
-                    net_bps,
-                });
-            }
             snap.live.push(SnapSession {
-                session,
-                attempts,
-                rng,
-                pending_admit,
-                closed,
-                reserved,
-                holds,
+                session: t.u32()?,
+                attempts: t.u32()?,
+                rng: (t.u64()?, t.u64()?),
+                pending_admit: match t.u8()? {
+                    0 => None,
+                    1 => Some(false),
+                    2 => Some(true),
+                    _ => return Err(JournalError::Malformed("unknown pending admission")),
+                },
+                closed: t.u8()? != 0,
+                offer: Some(t.u32()?).filter(|&v| v != u32::MAX),
             });
         }
-        let (dynq, reserve) = t.count(17)?;
+        let (dynq, reserve) = t.count(21)?;
         snap.dynq.reserve(reserve);
         for _ in 0..dynq {
-            snap.dynq.push(SnapEvent {
+            let e = SnapEvent {
                 at_us: t.u64()?,
+                seq: t.u64()?,
                 kind: t.u8()?,
-                session: t.u64()?,
-            });
+                session: t.u32()?,
+            };
+            if e.kind > PENDING_LEAK {
+                return Err(JournalError::Malformed("unknown pending event"));
+            }
+            snap.dynq.push(e);
         }
         t.done()?;
+        snap.live.sort_unstable_by_key(|s| s.session);
+        snap.dynq.sort_unstable_by_key(|e| (e.at_us, e.seq));
         Ok(snap)
-    }
-
-    /// Check that the snapshot is consistent with a fleet of `sessions`:
-    /// every session id names a spec, live sessions come in strictly
-    /// increasing id order (so none is live twice), and every pending
-    /// retry, confirmation or departure belongs to a live session with no
-    /// other event pending — a confirmation to one awaiting its admission.
-    /// A well-framed snapshot that fails this would index past the fleet or
-    /// fire an event at a session not in the state it needs.
-    pub(crate) fn check_sessions(&self, sessions: u64) -> Result<(), JournalError> {
-        let past = (self.results.iter().map(|r| r.session))
-            .chain(self.live.iter().map(|s| s.session))
-            .chain(self.dynq.iter().map(|e| e.session))
-            .any(|id| id >= sessions);
-        if past {
-            return Err(JournalError::Malformed(
-                "snapshot session id past the fleet",
-            ));
-        }
-        if self.live.windows(2).any(|w| w[0].session >= w[1].session) {
-            return Err(JournalError::Malformed(
-                "snapshot live sessions out of order",
-            ));
-        }
-        let mut pending = vec![false; self.live.len()];
-        for e in self.dynq.iter().filter(|e| e.kind <= 2) {
-            let fits = match self.live.binary_search_by_key(&e.session, |s| s.session) {
-                Ok(at) if !pending[at] => {
-                    pending[at] = true;
-                    e.kind != 1 || self.live[at].pending_admit > 0
-                }
-                _ => false,
-            };
-            if !fits {
-                return Err(JournalError::Malformed(
-                    "snapshot event for a session not in its state",
-                ));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -673,12 +510,13 @@ impl SnapshotState {
 /// Journal policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalConfig {
-    /// Cut a full engine snapshot after this many journaled events
+    /// Cut a snapshot of the live engine after this many journaled events
     /// (0 = never snapshot; recovery then replays from the beginning).
     pub snapshot_every_events: u64,
-    /// Drop everything before the newest snapshot when it is cut — the
-    /// journal stays bounded by one snapshot interval instead of growing
-    /// with the run.
+    /// At a snapshot, rewrite the journal to header + terminal records +
+    /// that snapshot once the appends since the last rewrite cover what
+    /// it keeps — the journal then grows with the finished sessions, not
+    /// with the events.
     pub compact: bool,
     /// Chaos hook: flush and `std::process::exit(`[`CRASH_EXIT_CODE`]`)`
     /// immediately after journaling the N-th event — a deliberate,
@@ -704,7 +542,8 @@ pub struct JournalStats {
     pub events_appended: u64,
     /// Snapshot records cut.
     pub snapshots: u64,
-    /// Compactions performed (each rewrote the log to header + snapshot).
+    /// Compactions performed (each rewrote the log to header + terminal
+    /// records + snapshot).
     pub compactions: u64,
     /// Current size of the journal, bytes.
     pub bytes: usize,
@@ -712,32 +551,131 @@ pub struct JournalStats {
 
 struct Inner {
     cfg: JournalConfig,
-    /// The full current journal contents. Kept in memory so parsing,
-    /// compaction and the chaos harness's byte-level truncation need no
-    /// re-reads; compaction keeps it bounded by one snapshot interval.
+    /// What the journal holds in memory: all of it when it has no file;
+    /// with a file, only what a compaction keeps — the header and the
+    /// terminal records — while the file holds the rest.
     buf: Vec<u8>,
-    /// Backing file, when the journal is durable. Appends are buffered;
-    /// flushed at snapshots, compactions, crash hooks and [`Journal::sync`].
-    file: Option<(PathBuf, BufWriter<File>)>,
-    /// Frame bytes of the header record — re-emitted on compaction.
-    header_frame: Vec<u8>,
+    /// The backing file, when the journal is durable.
+    path: Option<PathBuf>,
+    /// Buffered appends to `path`, flushed at snapshots, crash hooks and
+    /// [`Journal::sync`]; dropped at the first write failure.
+    writer: Option<BufWriter<File>>,
+    /// The journal's length, bytes.
+    len: usize,
+    /// Bytes of the header and of every terminal record.
+    kept_bytes: usize,
+    /// `len` after the last compaction (or the parse that resumed the
+    /// journal); the bytes past it were appended since.
+    compacted_len: usize,
     /// Events journaled since the last snapshot (or ever, before one).
     events_since_snapshot: u64,
     /// Events ever journaled, including compacted-away ones — the global
     /// log position of the next event.
     events_total: u64,
     stats: JournalStats,
-    /// The first write failure; once set, `file` is `None`.
+    /// The first write failure; once set, `writer` is `None`.
     error: Option<io::Error>,
 }
 
 impl Inner {
-    /// Keep a write failure on `path` and stop touching the file.
-    fn fail(&mut self, what: &str, path: &Path, e: io::Error) {
-        self.file = None;
-        let e = io::Error::new(e.kind(), format!("{what} {}: {e}", path.display()));
+    /// Keep a write failure and stop touching the file.
+    fn fail(&mut self, what: &str, e: io::Error) {
+        self.writer = None;
+        let path = self.path.as_deref().unwrap_or(Path::new("")).display();
+        let e = io::Error::new(e.kind(), format!("{what} {path}: {e}"));
         self.error.get_or_insert(e);
     }
+
+    /// Frame the payload `encode` writes onto the end of `buf`; returns
+    /// where the frame starts.
+    fn frame(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> usize {
+        let start = self.buf.len();
+        self.buf.extend_from_slice(&[0; 8]);
+        encode(&mut self.buf);
+        let len = (self.buf.len() - start - 8) as u32;
+        let crc = crc32(&self.buf[start + 8..]);
+        self.buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        self.buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+        start
+    }
+
+    /// Append the frame at `buf[start..]` to the journal, keeping it in
+    /// memory only if `kept` or there is no file.
+    fn append(&mut self, start: usize, kept: bool) {
+        if let Some(w) = self.writer.as_mut() {
+            if let Err(e) = w.write_all(&self.buf[start..]) {
+                self.fail("append to", e);
+            }
+        }
+        self.len += self.buf.len() - start;
+        if kept {
+            self.kept_bytes += self.buf.len() - start;
+        } else if self.path.is_some() {
+            self.buf.truncate(start);
+        }
+    }
+
+    fn flush(&mut self) {
+        if let Some(w) = self.writer.as_mut() {
+            if let Err(e) = w.flush() {
+                self.fail("flush to", e);
+            }
+        }
+    }
+
+    /// Rewrite the journal to its header and terminal records plus the
+    /// snapshot frame at `buf[snapshot..]` — atomically, via temp file +
+    /// rename, when durable.
+    fn compact(&mut self, snapshot: usize) {
+        let snapshot_len = self.buf.len() - snapshot;
+        if self.path.is_none() {
+            let mut kept = kept_frames(&self.buf[..snapshot], self.kept_bytes + snapshot_len);
+            kept.extend_from_slice(&self.buf[snapshot..]);
+            self.buf = kept;
+        } else if let Some(w) = self.writer.take() {
+            // `buf` is the whole rewrite. The appends still buffered go
+            // nowhere: the file they were headed for is being replaced.
+            let (old, _unwritten) = w.into_parts();
+            drop(old);
+            let path = self.path.clone().expect("a durable journal");
+            let tmp = path.with_extension("journal.tmp");
+            let buf = &self.buf;
+            let rewrite = || -> io::Result<BufWriter<File>> {
+                std::fs::write(&tmp, buf)?;
+                std::fs::rename(&tmp, &path)?;
+                Ok(BufWriter::new(OpenOptions::new().append(true).open(&path)?))
+            };
+            match rewrite() {
+                Ok(w) => self.writer = Some(w),
+                Err(e) => {
+                    let _ = std::fs::remove_file(&tmp);
+                    self.fail("compaction of", e);
+                }
+            }
+        }
+        self.len = self.kept_bytes + snapshot_len;
+        if self.path.is_some() {
+            self.buf.truncate(snapshot);
+        }
+        self.compacted_len = self.len;
+        self.stats.compactions += 1;
+    }
+}
+
+/// The header and terminal frames of `frames` — whole frames the journal
+/// wrote or parsed, so no CRC is checked — in a buffer of `capacity`.
+fn kept_frames(frames: &[u8], capacity: usize) -> Vec<u8> {
+    let mut kept = Vec::with_capacity(capacity);
+    let mut pos = 0;
+    while pos < frames.len() {
+        let len = u32::from_le_bytes(frames[pos..pos + 4].try_into().expect("4 bytes"));
+        let end = pos + 8 + len as usize;
+        if matches!(frames[pos + 8], REC_HEADER | REC_TERMINAL) {
+            kept.extend_from_slice(&frames[pos..end]);
+        }
+        pos = end;
+    }
+    kept
 }
 
 /// A write-ahead journal of broker session transitions.
@@ -755,9 +693,9 @@ impl fmt::Debug for Journal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let inner = self.lock();
         f.debug_struct("Journal")
-            .field("bytes", &inner.buf.len())
+            .field("bytes", &inner.len)
             .field("events_total", &inner.events_total)
-            .field("durable", &inner.file.is_some())
+            .field("durable", &inner.writer.is_some())
             .finish()
     }
 }
@@ -774,9 +712,12 @@ impl Journal {
         Journal {
             inner: Mutex::new(Inner {
                 cfg,
+                len: bytes.len(),
                 buf: bytes,
-                file: None,
-                header_frame: Vec::new(),
+                path: None,
+                writer: None,
+                kept_bytes: 0,
+                compacted_len: 0,
                 events_since_snapshot: 0,
                 events_total: 0,
                 stats: JournalStats::default(),
@@ -785,13 +726,21 @@ impl Journal {
         }
     }
 
+    /// A journal over `bytes` that appends to `file` at `path`.
+    fn durable(bytes: Vec<u8>, cfg: JournalConfig, path: PathBuf, file: File) -> Self {
+        let journal = Journal::from_bytes(bytes, cfg);
+        let mut inner = journal.lock();
+        inner.path = Some(path);
+        inner.writer = Some(BufWriter::new(file));
+        drop(inner);
+        journal
+    }
+
     /// Create (truncating) a durable journal at `path`.
     pub fn create(path: impl AsRef<Path>, cfg: JournalConfig) -> Result<Self, JournalError> {
         let path = path.as_ref().to_path_buf();
         let file = File::create(&path)?;
-        let journal = Journal::from_bytes(Vec::new(), cfg);
-        journal.lock().file = Some((path, BufWriter::new(file)));
-        Ok(journal)
+        Ok(Journal::durable(Vec::new(), cfg, path, file))
     }
 
     /// Open an existing durable journal at `path` for recovery; appends
@@ -801,30 +750,31 @@ impl Journal {
         let mut bytes = Vec::new();
         File::open(&path)?.read_to_end(&mut bytes)?;
         let file = OpenOptions::new().append(true).open(&path)?;
-        let journal = Journal::from_bytes(bytes, cfg);
-        journal.lock().file = Some((path, BufWriter::new(file)));
-        Ok(journal)
+        Ok(Journal::durable(bytes, cfg, path, file))
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// A copy of the journal's current contents.
+    /// A copy of the journal's current contents — read back from the file
+    /// when durable (empty if it cannot be read).
     pub fn bytes(&self) -> Vec<u8> {
-        self.lock().buf.clone()
-    }
-
-    /// True when nothing has ever been appended.
-    pub fn is_empty(&self) -> bool {
-        self.lock().buf.is_empty()
+        let mut inner = self.lock();
+        match inner.path.clone() {
+            Some(path) => {
+                inner.flush();
+                std::fs::read(path).unwrap_or_default()
+            }
+            None => inner.buf.clone(),
+        }
     }
 
     /// Life-so-far counters (events, snapshots, compactions, size).
     pub fn stats(&self) -> JournalStats {
         let inner = self.lock();
         let mut s = inner.stats;
-        s.bytes = inner.buf.len();
+        s.bytes = inner.len;
         s
     }
 
@@ -834,50 +784,33 @@ impl Journal {
         self.lock().events_total
     }
 
-    /// Flush buffered appends to the backing file, if any. An error is
-    /// the first write failure the journal has met, now or earlier.
+    /// Flush buffered appends to the backing file, if any — into the OS,
+    /// which is what survives a process crash; nothing is `fsync`ed, so a
+    /// power loss may still lose them. An error is the first write
+    /// failure the journal has met, now or earlier.
     pub fn sync(&self) -> Result<(), JournalError> {
         let mut inner = self.lock();
-        if let Some((path, w)) = inner.file.as_mut() {
-            if let Err(e) = w.flush() {
-                let path = path.clone();
-                inner.fail("flush to", &path, e);
-            }
-        }
+        inner.flush();
         match &inner.error {
             None => Ok(()),
             Some(e) => Err(JournalError::Io(io::Error::new(e.kind(), e.to_string()))),
         }
     }
 
-    /// Byte offsets just past each **event** record, in journal order —
-    /// the chaos harness's menu of whole-record crash points. (Offsets
-    /// past a compaction horizon index the *current* buffer.)
+    /// Byte offsets just past each event record, plain or terminal, in
+    /// [`bytes`](Journal::bytes) — the chaos harness's menu of
+    /// whole-record crash points.
     pub fn event_record_ends(&self) -> Vec<usize> {
-        let inner = self.lock();
+        let bytes = self.bytes();
         let mut ends = Vec::new();
         let mut pos = 0usize;
-        while let Some((payload, next)) = next_frame(&inner.buf, pos) {
-            if payload.first() == Some(&REC_EVENT) {
+        while let Some((payload, next)) = next_frame(&bytes, pos) {
+            if matches!(payload.first(), Some(&(REC_EVENT | REC_TERMINAL))) {
                 ends.push(next);
             }
             pos = next;
         }
         ends
-    }
-
-    fn append_frame(inner: &mut Inner, payload: &[u8]) {
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        put_u32(&mut frame, payload.len() as u32);
-        put_u32(&mut frame, crc32(payload));
-        frame.extend_from_slice(payload);
-        inner.buf.extend_from_slice(&frame);
-        if let Some((path, w)) = inner.file.as_mut() {
-            if let Err(e) = w.write_all(&frame) {
-                let path = path.clone();
-                inner.fail("append to", &path, e);
-            }
-        }
     }
 
     /// Start a fresh journal: write the header record.
@@ -888,22 +821,31 @@ impl Journal {
     pub(crate) fn begin(&self, header: HeaderRecord) {
         let mut inner = self.lock();
         assert!(
-            inner.buf.is_empty(),
+            inner.len == 0,
             "Journal::begin on a non-empty journal; use Broker::recover to resume"
         );
-        let payload = header.encode();
-        Self::append_frame(&mut inner, &payload);
-        inner.header_frame = inner.buf.clone();
+        let start = inner.frame(|p| header.encode(p));
+        inner.append(start, true);
     }
 
-    /// Append one outcome event. Returns `true` when the snapshot
-    /// cadence says the drive loop should cut a checkpoint at the next
-    /// tick boundary.
-    pub(crate) fn append_event(&self, at_ms: u64, session: usize, kind: &OutcomeKind) -> bool {
+    /// Append one outcome event by its [`event_hash`]; the event that
+    /// settles a session carries the session's `result`. Returns `true`
+    /// when the snapshot cadence says the drive loop should cut a
+    /// checkpoint at the next tick boundary.
+    pub(crate) fn append_event(&self, hash: u64, result: Option<&SessionResult>) -> bool {
         let mut inner = self.lock();
-        let mut payload = Vec::with_capacity(32);
-        encode_event(&mut payload, at_ms, session, kind);
-        Self::append_frame(&mut inner, &payload);
+        let start = inner.frame(|p| {
+            p.push(if result.is_some() {
+                REC_TERMINAL
+            } else {
+                REC_EVENT
+            });
+            put_u64(p, hash);
+            if let Some(r) = result {
+                encode_result(p, r);
+            }
+        });
+        inner.append(start, result.is_some());
         inner.events_since_snapshot += 1;
         inner.events_total += 1;
         inner.stats.events_appended += 1;
@@ -912,69 +854,43 @@ impl Journal {
             // journal (the buffered writer is flushed so the cut is at a
             // record boundary — torn writes are exercised separately by
             // byte-level truncation in the chaos harness).
-            if let Some((_, w)) = inner.file.as_mut() {
-                let _ = w.flush();
-            }
+            inner.flush();
             std::process::exit(CRASH_EXIT_CODE);
         }
         inner.cfg.snapshot_every_events > 0
             && inner.events_since_snapshot >= inner.cfg.snapshot_every_events
     }
 
-    /// Append a snapshot record; with [`JournalConfig::compact`] the log
-    /// is rewritten to `header + snapshot` (atomically, via temp file +
-    /// rename, when durable).
+    /// Append a snapshot record, or — with [`JournalConfig::compact`], once
+    /// the bytes appended since the last rewrite are at least the bytes a
+    /// rewrite keeps — rewrite the log to header + terminal records +
+    /// snapshot.
     pub(crate) fn append_snapshot(&self, snap: &SnapshotState) {
         let mut inner = self.lock();
-        let payload = snap.encode();
-        if inner.cfg.compact {
-            let mut frame = Vec::with_capacity(8 + payload.len());
-            put_u32(&mut frame, payload.len() as u32);
-            put_u32(&mut frame, crc32(&payload));
-            frame.extend_from_slice(&payload);
-            let mut compacted = inner.header_frame.clone();
-            compacted.extend_from_slice(&frame);
-            inner.buf = compacted;
-            if let Some((path, w)) = inner.file.take() {
-                drop(w); // discard buffered appends now folded into `buf`
-                let rewrite = || -> std::io::Result<BufWriter<File>> {
-                    let tmp = path.with_extension("journal.tmp");
-                    std::fs::write(&tmp, &inner.buf)?;
-                    std::fs::rename(&tmp, &path)?;
-                    Ok(BufWriter::new(OpenOptions::new().append(true).open(&path)?))
-                };
-                match rewrite() {
-                    Ok(w) => inner.file = Some((path, w)),
-                    Err(e) => inner.fail("compaction of", &path, e),
-                }
-            }
-            inner.stats.compactions += 1;
+        let start = inner.frame(|p| snap.encode(p));
+        let keeps = inner.kept_bytes + inner.buf.len() - start;
+        if inner.cfg.compact && inner.len - inner.compacted_len >= keeps {
+            inner.compact(start);
         } else {
-            Self::append_frame(&mut inner, &payload);
-            if let Some((path, w)) = inner.file.as_mut() {
-                if let Err(e) = w.flush() {
-                    let path = path.clone();
-                    inner.fail("flush to", &path, e);
-                }
-            }
+            inner.append(start, false);
+            inner.flush();
         }
         inner.events_since_snapshot = 0;
         inner.stats.snapshots += 1;
     }
 
     /// Parse for recovery: validate the header against `expect`, find the
-    /// last complete snapshot and the event suffix after it, truncate any
-    /// torn tail (in memory and on disk), and prime the append counters
-    /// so the resumed run continues the same log.
+    /// last complete snapshot, the results settled before it and the event
+    /// hashes after it, truncate any torn tail (in memory and on disk), and
+    /// prime the append counters so the resumed run continues the same log.
     pub(crate) fn recover_state(
         &self,
         expect: HeaderRecord,
     ) -> Result<ParsedJournal, JournalError> {
         let mut inner = self.lock();
-        let mut pos = 0usize;
         // Header first — a journal whose header never made it to disk is
         // unrecoverable (but the run never had any effects either).
-        let (payload, next) = next_frame(&inner.buf, pos).ok_or(JournalError::NoHeader)?;
+        let (payload, mut pos) = next_frame(&inner.buf, 0).ok_or(JournalError::NoHeader)?;
         let mut t = Take::new(payload);
         if t.u8()? != REC_HEADER {
             return Err(JournalError::NoHeader);
@@ -989,40 +905,54 @@ impl Journal {
                 fleet: expect.spec_hash,
             });
         }
-        inner.header_frame = inner.buf[..next].to_vec();
-        pos = next;
-
+        let mut kept_bytes = pos;
         let mut snapshot: Option<SnapshotState> = None;
-        let mut tail: Vec<OutcomeEvent> = Vec::new();
+        // Results settled before the last snapshot, and after it: replay
+        // regenerates the latter.
+        let mut results = Vec::new();
+        let mut settled_since = Vec::new();
+        let mut tail: Vec<u64> = Vec::new();
         while let Some((payload, next)) = next_frame(&inner.buf, pos) {
             let mut t = Take::new(payload);
             match t.u8()? {
-                REC_EVENT => tail.push(decode_event(&mut t)?),
+                REC_EVENT => tail.push(t.u64()?),
+                REC_TERMINAL => {
+                    tail.push(t.u64()?);
+                    settled_since.push(decode_result(&mut t)?);
+                    kept_bytes += next - pos;
+                }
                 REC_SNAPSHOT => {
                     snapshot = Some(SnapshotState::decode(&mut t)?);
+                    results.append(&mut settled_since);
                     tail.clear();
                 }
                 REC_HEADER => return Err(JournalError::Malformed("duplicate header")),
                 _ => return Err(JournalError::Malformed("unknown record type")),
             }
+            t.done()?;
             pos = next;
         }
         // Anything past `pos` is a torn write: a partial frame or a CRC
         // mismatch. Drop it — the crash interrupted that record.
         let torn_bytes = inner.buf.len() - pos;
-        if torn_bytes > 0 {
-            inner.buf.truncate(pos);
-            if let Some((path, w)) = inner.file.as_mut() {
-                w.flush()?;
-                w.get_ref().set_len(pos as u64)?;
-                let _ = path; // reopened handle not needed: append continues at the new end
-            }
+        inner.buf.truncate(pos);
+        if let Some(w) = inner.writer.as_mut().filter(|_| torn_bytes > 0) {
+            // Appends continue at the new end: the file is in append mode.
+            w.flush()?;
+            w.get_ref().set_len(pos as u64)?;
         }
-        let events_before = snapshot.as_ref().map(|s| s.events_logged).unwrap_or(0);
+        if inner.path.is_some() {
+            inner.buf = kept_frames(&inner.buf, kept_bytes);
+        }
+        inner.len = pos;
+        inner.kept_bytes = kept_bytes;
+        inner.compacted_len = pos;
+        let events_before = snapshot.as_ref().map_or(0, |s| s.events_logged);
         inner.events_total = events_before + tail.len() as u64;
         inner.events_since_snapshot = tail.len() as u64;
         Ok(ParsedJournal {
             snapshot,
+            results,
             tail,
             events_before,
             torn_bytes,
@@ -1031,15 +961,66 @@ impl Journal {
 }
 
 /// What [`Journal::recover_state`] found: the newest complete snapshot,
-/// the journaled events after it, and where in the global log they sit.
+/// the results settled before it, the hashes of the journaled events
+/// after it, and where in the global log they sit.
 #[derive(Debug)]
 pub(crate) struct ParsedJournal {
     pub snapshot: Option<SnapshotState>,
-    pub tail: Vec<OutcomeEvent>,
+    /// Results of the terminal records before `snapshot`, in log order.
+    pub results: Vec<SessionResult>,
+    /// [`event_hash`]es of the events after `snapshot`.
+    pub tail: Vec<u64>,
     /// Global index of the first `tail` event.
     pub events_before: u64,
     /// Bytes dropped off the end as a torn write.
     pub torn_bytes: usize,
+}
+
+impl ParsedJournal {
+    /// Check that the journal fits a fleet of `sessions`: every session id
+    /// names a spec, no session is live twice, every pending retry,
+    /// confirmation or departure belongs to a live session with no other
+    /// event pending — a confirmation to one awaiting its admission — and
+    /// a pending injected leak is one the config arms (`leak_armed`). A
+    /// well-framed journal that fails this would index past the fleet or
+    /// fire an event at a session not in the state it needs.
+    pub(crate) fn check_sessions(
+        &self,
+        sessions: u64,
+        leak_armed: bool,
+    ) -> Result<(), JournalError> {
+        let (live, dynq) = match &self.snapshot {
+            Some(snap) => (&snap.live[..], &snap.dynq[..]),
+            None => (&[][..], &[][..]),
+        };
+        let past = (self.results.iter().map(|r| r.session as u64))
+            .chain(live.iter().map(|s| s.session as u64))
+            .chain(dynq.iter().map(|e| e.session as u64))
+            .any(|id| id >= sessions);
+        if past {
+            return Err(JournalError::Malformed("session id past the fleet"));
+        }
+        if live.windows(2).any(|w| w[0].session == w[1].session) {
+            return Err(JournalError::Malformed("snapshot session live twice"));
+        }
+        let mut pending = vec![false; live.len()];
+        for e in dynq {
+            let fits = match live.binary_search_by_key(&e.session, |s| s.session) {
+                _ if e.kind == PENDING_LEAK => leak_armed,
+                Ok(at) if !pending[at] => {
+                    pending[at] = true;
+                    e.kind != PENDING_CONFIRM || live[at].pending_admit.is_some()
+                }
+                _ => false,
+            };
+            if !fits {
+                return Err(JournalError::Malformed(
+                    "snapshot event for a session not in its state",
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The next whole, CRC-valid frame at `pos`, or `None` at a torn tail or
@@ -1058,12 +1039,17 @@ fn next_frame(buf: &[u8], pos: usize) -> Option<(&[u8], usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::broker::{OutcomeEvent, SessionFate};
+    use nod_qosneg::NegotiationStatus;
 
     #[test]
     fn crc32_matches_the_ieee_check_value() {
         // The canonical CRC-32 check: crc32("123456789") = 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // Many eight-byte steps and a remainder (zlib's value).
+        let long: Vec<u8> = (0..4).flat_map(|_| 0..=255u8).chain(*b"tail").collect();
+        assert_eq!(crc32(&long), 0x361F_CFFF);
     }
 
     fn header() -> HeaderRecord {
@@ -1082,78 +1068,121 @@ mod tests {
         }
     }
 
-    fn sample_events() -> Vec<OutcomeEvent> {
+    /// Eight events; the ones that settle a session carry its result.
+    fn sample_events() -> Vec<(OutcomeEvent, Option<SessionResult>)> {
+        let settled = |session, fate, attempts, admitted_at_ms| {
+            Some(SessionResult {
+                session,
+                fate,
+                attempts,
+                admitted_at_ms,
+            })
+        };
+        let admitted = SessionFate::Admitted { degraded: false };
         vec![
-            event(
-                5,
-                0,
-                OutcomeKind::Admitted {
-                    degraded: false,
-                    attempt: 1,
-                },
+            (
+                event(
+                    5,
+                    0,
+                    OutcomeKind::Admitted {
+                        degraded: false,
+                        attempt: 1,
+                    },
+                ),
+                None,
             ),
-            event(
-                6,
-                1,
-                OutcomeKind::RetryScheduled {
-                    at_ms: 1_006,
-                    attempt: 1,
-                },
+            (
+                event(
+                    6,
+                    1,
+                    OutcomeKind::RetryScheduled {
+                        at_ms: 1_006,
+                        attempt: 1,
+                    },
+                ),
+                None,
             ),
-            event(7, usize::MAX, OutcomeKind::FaultEdge),
-            event(
-                8,
-                2,
-                OutcomeKind::Rejected {
-                    status: NegotiationStatus::FailedWithoutOffer,
-                },
+            (event(7, usize::MAX, OutcomeKind::FaultEdge), None),
+            (
+                event(
+                    8,
+                    2,
+                    OutcomeKind::Rejected {
+                        status: NegotiationStatus::FailedWithoutOffer,
+                    },
+                ),
+                settled(2, SessionFate::Rejected, 1, None),
             ),
-            event(
-                9,
-                3,
-                OutcomeKind::Errored {
-                    error: "unknown document 99".into(),
-                },
+            (
+                event(
+                    9,
+                    3,
+                    OutcomeKind::Errored {
+                        error: "unknown document 99".into(),
+                    },
+                ),
+                settled(3, SessionFate::Errored, 1, None),
             ),
-            event(10, 1, OutcomeKind::Starved { attempts: 6 }),
-            event(11, 0, OutcomeKind::Confirmed),
-            event(12, 0, OutcomeKind::Departed),
+            (
+                event(10, 1, OutcomeKind::Starved { attempts: 6 }),
+                settled(1, SessionFate::Starved, 6, None),
+            ),
+            (
+                event(11, 0, OutcomeKind::Confirmed),
+                settled(0, admitted, 1, Some(11)),
+            ),
+            (event(12, 0, OutcomeKind::Departed), None),
         ]
     }
 
-    #[test]
-    fn events_round_trip_through_the_frame_format() {
-        let j = Journal::in_memory(JournalConfig {
-            snapshot_every_events: 0,
-            ..JournalConfig::default()
-        });
-        j.begin(header());
-        for e in sample_events() {
-            j.append_event(e.at_ms, e.session, &e.kind);
+    fn append(j: &Journal, events: &[(OutcomeEvent, Option<SessionResult>)]) {
+        for (e, result) in events {
+            j.append_event(event_hash(e.at_ms, e.session, &e.kind), result.as_ref());
         }
+    }
+
+    fn hashes(events: &[(OutcomeEvent, Option<SessionResult>)]) -> Vec<u64> {
+        (events.iter())
+            .map(|(e, _)| event_hash(e.at_ms, e.session, &e.kind))
+            .collect()
+    }
+
+    fn results(events: &[(OutcomeEvent, Option<SessionResult>)]) -> Vec<SessionResult> {
+        events.iter().filter_map(|(_, r)| r.clone()).collect()
+    }
+
+    #[test]
+    fn event_records_are_seventeen_bytes_framed_and_hashes_tell_kinds_apart() {
+        let j = Journal::in_memory(JournalConfig::default());
+        j.begin(header());
+        let evs = sample_events();
+        append(&j, &evs);
+        let ends = j.event_record_ends();
+        assert_eq!(ends[1] - ends[0], 17);
+        let mut seen = hashes(&evs);
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), evs.len(), "two sample events hash alike");
         let parsed = j.recover_state(header()).expect("parses");
-        assert_eq!(parsed.tail, sample_events());
-        assert_eq!(parsed.events_before, 0);
-        assert_eq!(parsed.torn_bytes, 0);
-        assert!(parsed.snapshot.is_none());
+        assert_eq!(parsed.tail, hashes(&evs));
+        assert!(parsed.results.is_empty(), "no snapshot, nothing settled");
     }
 
     #[test]
     fn torn_tails_truncate_at_the_last_whole_record() {
         let j = Journal::in_memory(JournalConfig::default());
         j.begin(header());
-        for e in sample_events() {
-            j.append_event(e.at_ms, e.session, &e.kind);
-        }
+        let evs = sample_events();
+        append(&j, &evs);
         let bytes = j.bytes();
         let ends = j.event_record_ends();
-        assert_eq!(ends.len(), sample_events().len());
+        assert_eq!(ends.len(), evs.len());
         // Cut mid-record: between the 3rd and 4th record boundaries.
         let cut = ends[2] + 3;
         assert!(cut < ends[3]);
         let torn = Journal::from_bytes(bytes[..cut].to_vec(), JournalConfig::default());
         let parsed = torn.recover_state(header()).expect("parses");
-        assert_eq!(parsed.tail, sample_events()[..3]);
+        assert_eq!(parsed.tail, hashes(&evs[..3]));
         assert_eq!(parsed.torn_bytes, 3);
         // The torn bytes are dropped from the journal itself, so resumed
         // appends extend the valid prefix.
@@ -1164,9 +1193,8 @@ mod tests {
     fn corrupt_bytes_inside_a_record_also_truncate() {
         let j = Journal::in_memory(JournalConfig::default());
         j.begin(header());
-        for e in sample_events() {
-            j.append_event(e.at_ms, e.session, &e.kind);
-        }
+        let evs = sample_events();
+        append(&j, &evs);
         let mut bytes = j.bytes();
         let ends = j.event_record_ends();
         // Flip a payload byte of the 5th event record.
@@ -1174,7 +1202,7 @@ mod tests {
         let parsed = Journal::from_bytes(bytes, JournalConfig::default())
             .recover_state(header())
             .expect("parses");
-        assert_eq!(parsed.tail, sample_events()[..4]);
+        assert_eq!(parsed.tail, hashes(&evs[..4]));
         assert!(parsed.torn_bytes > 0);
     }
 
@@ -1207,6 +1235,21 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn a_version_one_header_is_refused() {
+        let j = Journal::in_memory(JournalConfig::default());
+        j.begin(header());
+        let mut bytes = j.bytes();
+        // Frame head (8), record type (1), magic (4), then the version.
+        bytes[13..17].copy_from_slice(&1u32.to_le_bytes());
+        let crc = crc32(&bytes[8..]);
+        bytes[4..8].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(
+            Journal::from_bytes(bytes, JournalConfig::default()).recover_state(header()),
+            Err(JournalError::BadVersion(1))
+        ));
+    }
+
     fn sample_snapshot(events_logged: u64) -> SnapshotState {
         SnapshotState {
             at_ms: 1_234,
@@ -1215,38 +1258,38 @@ mod tests {
             backoff_ms_total: 4_500,
             faults_injected: 1,
             peak_live: 5,
-            results: vec![SnapResult {
-                session: 0,
-                fate: 0,
-                attempts: 1,
-                admitted_at_ms: 5,
-            }],
-            live: vec![SnapSession {
-                session: 1,
-                attempts: 2,
-                rng: (0x1111, 0x2222 | 1),
-                pending_admit: 2,
-                closed: false,
-                reserved: true,
-                holds: vec![SnapHold {
-                    server: 0,
-                    req: StreamRequirement {
-                        variant: VariantId(9),
-                        max_bit_rate: 1_200_000,
-                        avg_bit_rate: 600_000,
-                        max_block_bytes: 6_000,
-                        avg_block_bytes: 3_000,
-                        blocks_per_second: 25,
-                        guarantee: Guarantee::Guaranteed,
-                    },
-                    net_bps: Some(1_200_000),
-                }],
-            }],
-            dynq: vec![SnapEvent {
-                at_us: 2_000_000,
-                kind: 1,
-                session: 1,
-            }],
+            live: vec![
+                SnapSession {
+                    session: 1,
+                    attempts: 2,
+                    rng: (0x1111, 0x2222 | 1),
+                    pending_admit: Some(true),
+                    closed: false,
+                    offer: Some(9),
+                },
+                SnapSession {
+                    session: 4,
+                    attempts: 1,
+                    rng: (0x3333, 0x4444 | 1),
+                    pending_admit: None,
+                    closed: false,
+                    offer: None,
+                },
+            ],
+            dynq: vec![
+                SnapEvent {
+                    at_us: 2_000_000,
+                    seq: 7,
+                    kind: PENDING_CONFIRM,
+                    session: 1,
+                },
+                SnapEvent {
+                    at_us: 2_000_000,
+                    seq: 9,
+                    kind: PENDING_RETRY,
+                    session: 4,
+                },
+            ],
         }
     }
 
@@ -1277,13 +1320,8 @@ mod tests {
 
     #[test]
     fn every_single_byte_mutation_of_a_snapshot_decodes_or_errors() {
-        let mut snap = sample_snapshot(5);
-        let discrete = SnapHold {
-            net_bps: None,
-            ..snap.live[0].holds[0]
-        };
-        snap.live[0].holds.push(discrete);
-        let payload = snap.encode();
+        let mut payload = Vec::new();
+        sample_snapshot(5).encode(&mut payload);
         for at in 1..payload.len() {
             for b in [0x00, 0x01, 0x7F, 0x80, 0xFF, payload[at] ^ 0x01] {
                 let mut mutated = payload.clone();
@@ -1295,6 +1333,18 @@ mod tests {
     }
 
     #[test]
+    fn snapshots_decode_in_the_order_recovery_rebuilds() {
+        let sorted = sample_snapshot(5);
+        let mut shuffled = sorted.clone();
+        shuffled.live.reverse();
+        shuffled.dynq.reverse();
+        let mut payload = Vec::new();
+        shuffled.encode(&mut payload);
+        let decoded = SnapshotState::decode(&mut Take::new(&payload[1..])).expect("decodes");
+        assert_eq!(decoded, sorted);
+    }
+
+    #[test]
     fn snapshots_round_trip_and_bound_the_replay_suffix() {
         let j = Journal::in_memory(JournalConfig {
             compact: false,
@@ -1302,73 +1352,80 @@ mod tests {
         });
         j.begin(header());
         let evs = sample_events();
-        for e in &evs[..5] {
-            j.append_event(e.at_ms, e.session, &e.kind);
-        }
+        append(&j, &evs[..5]);
         j.append_snapshot(&sample_snapshot(5));
-        for e in &evs[5..] {
-            j.append_event(e.at_ms, e.session, &e.kind);
-        }
+        append(&j, &evs[5..]);
         let parsed = j.recover_state(header()).expect("parses");
         assert_eq!(parsed.snapshot, Some(sample_snapshot(5)));
         assert_eq!(parsed.events_before, 5);
-        assert_eq!(parsed.tail, evs[5..]);
+        assert_eq!(parsed.tail, hashes(&evs[5..]));
+        // Only the results settled before the snapshot are folded.
+        assert_eq!(parsed.results, results(&evs[..5]));
     }
 
     #[test]
-    fn compaction_drops_history_but_preserves_recovery() {
-        let j = Journal::in_memory(JournalConfig {
-            compact: true,
-            ..JournalConfig::default()
-        });
+    fn compaction_keeps_terminal_records_and_pays_for_itself() {
+        let j = Journal::in_memory(JournalConfig::default());
         j.begin(header());
         let evs = sample_events();
-        // Enough history that the (larger) snapshot record still nets a
-        // shrink when it replaces it.
-        for _ in 0..20 {
-            for e in &evs[..5] {
-                j.append_event(e.at_ms, e.session, &e.kind);
+        let mut appended = j.bytes().len();
+        let mut rewritten = 0;
+        for round in 0..40u64 {
+            append(&j, &evs);
+            let before = j.bytes().len();
+            j.append_snapshot(&sample_snapshot(8 * (round + 1)));
+            let after = j.bytes().len();
+            if after < before {
+                rewritten += after;
+            } else {
+                appended += after - before;
             }
+            appended += evs.len() * 17 + results(&evs).len() * 17;
         }
-        let before = j.bytes().len();
-        j.append_snapshot(&sample_snapshot(100));
+        let stats = j.stats();
+        assert!(stats.compactions >= 2, "{stats:?}");
+        assert!(stats.compactions < stats.snapshots, "{stats:?}");
         assert!(
-            j.bytes().len() < before,
-            "compaction must shrink the journal"
+            rewritten <= appended,
+            "rewrites wrote {rewritten} B for {appended} B appended"
         );
-        for e in &evs[5..] {
-            j.append_event(e.at_ms, e.session, &e.kind);
-        }
+        // Every result survives compaction, in log order.
+        append(&j, &evs[..2]);
         let parsed = j.recover_state(header()).expect("parses");
-        assert_eq!(parsed.snapshot, Some(sample_snapshot(100)));
-        assert_eq!(parsed.events_before, 100);
-        assert_eq!(parsed.tail, evs[5..]);
-        assert_eq!(j.stats().compactions, 1);
+        assert_eq!(parsed.snapshot, Some(sample_snapshot(320)));
+        assert_eq!(parsed.events_before, 320);
+        assert_eq!(parsed.tail, hashes(&evs[..2]));
+        let all: Vec<SessionResult> = (0..40).flat_map(|_| results(&evs)).collect();
+        assert_eq!(parsed.results, all);
     }
 
     #[test]
-    fn durable_journals_survive_a_reopen() {
+    fn durable_journals_write_what_memory_holds_and_survive_a_reopen() {
         let dir = std::env::temp_dir().join(format!("nod_journal_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("j.journal");
-        {
-            let j = Journal::create(
-                &path,
-                JournalConfig {
-                    compact: false,
-                    ..JournalConfig::default()
-                },
-            )
-            .expect("create");
+        let evs = sample_events();
+        let durable = Journal::create(&path, JournalConfig::default()).expect("create");
+        let memory = Journal::in_memory(JournalConfig::default());
+        for j in [&durable, &memory] {
             j.begin(header());
-            for e in sample_events() {
-                j.append_event(e.at_ms, e.session, &e.kind);
+            for round in 0..4u64 {
+                append(j, &evs);
+                j.append_snapshot(&sample_snapshot(8 * (round + 1)));
             }
-            j.sync().expect("sync");
+            append(j, &evs);
         }
+        assert!(durable.stats().compactions > 0);
+        durable.sync().expect("sync");
+        assert_eq!(durable.stats(), memory.stats());
+        assert_eq!(std::fs::read(&path).expect("read"), memory.bytes());
+        assert!(!dir.join("j.journal.tmp").exists());
+        drop(durable);
         let j = Journal::open(&path, JournalConfig::default()).expect("open");
         let parsed = j.recover_state(header()).expect("parses");
-        assert_eq!(parsed.tail, sample_events());
+        assert_eq!(parsed.tail, hashes(&evs));
+        let all: Vec<SessionResult> = (0..4).flat_map(|_| results(&evs)).collect();
+        assert_eq!(parsed.results, all);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -22,10 +22,12 @@
 //!   admission brownouts, link blackouts and capacity drops — over timed
 //!   windows.
 //! - [`Journal`] is a CRC-framed write-ahead log of session transitions
-//!   appended from the drive loop ([`FleetSpec::journal`]), with periodic
-//!   engine snapshots and log compaction; [`Broker::recover`] rebuilds
-//!   the slab, ledgers, pending confirmations and retry queues from it
-//!   and resumes driving with a byte-identical outcome log.
+//!   appended from the drive loop ([`FleetSpec::journal`]) — one hash per
+//!   event, each result once — with periodic snapshots of the live engine
+//!   and amortised compaction; [`Broker::recover`] rebuilds the slab,
+//!   held offers, pending confirmations and retry queues from it and
+//!   resumes driving with a byte-identical outcome log. It survives a
+//!   process crash, not a power loss.
 //! - [`CapacitySnapshot`] audits release-on-failure end to end: after a
 //!   run drains, farm and network capacity must equal the pristine
 //!   baseline, else `broker.leaked_reservations` fires (and a debug

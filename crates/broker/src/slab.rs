@@ -82,6 +82,11 @@ impl<T> Slab<T> {
         self.entries.get_mut(slot as usize).and_then(Option::as_mut)
     }
 
+    /// The occupied entries, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.entries.iter().flatten()
+    }
+
     /// Free `slot` and return its value. Panics on a vacant slot — the
     /// broker's bookkeeping must never double-free a session.
     pub fn remove(&mut self, slot: u32) -> T {

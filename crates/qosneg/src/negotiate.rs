@@ -467,15 +467,31 @@ fn explain_prepared(ranked: &mut RankedOffers, trace: &NegotiationTrace, log: &m
     }
 }
 
+/// [`prepare`] re-run to re-derive what an earlier call already decided:
+/// steps 1–4 read only the catalog and the static topology, so the list
+/// is the one that call produced. The re-run counts nothing and traces
+/// nothing: no recorder, and a reachability check that leaves
+/// `net.path.rejections` alone.
+pub fn reprepare(
+    ctx: &NegotiationContext<'_>,
+    client: &ClientMachine,
+    document: DocumentId,
+    profile: &UserProfile,
+) -> Result<Prepared, NegotiationError> {
+    let quiet = NegotiationContext {
+        recorder: None,
+        ..*ctx
+    };
+    let reach = ctx.network.reach(client.id).uncounted();
+    prepare_under(&quiet, None, client, document, profile, reach)
+}
+
 /// Complete the decision logs of a request's negotiation attempts from
 /// their live facts — each attempt's terminal `status`, `chosen_rank` and
 /// the `refusals` its walk recorded — by re-running steps 1–4 once for the
-/// request. They read only the catalog and the static topology, so the
-/// rebuilt half is what every attempt saw. The re-run counts nothing and
-/// traces nothing: no recorder, and a reachability check that leaves
-/// `net.path.rejections` alone. Callers that explain only a sample of
-/// their sessions (the broker's tail retention) call this for the
-/// sessions they keep.
+/// request ([`reprepare`]), so the rebuilt half is what every attempt saw.
+/// Callers that explain only a sample of their sessions (the broker's tail
+/// retention) call this for the sessions they keep.
 pub fn explain_attempts<'l>(
     ctx: &NegotiationContext<'_>,
     client: &ClientMachine,
@@ -483,12 +499,7 @@ pub fn explain_attempts<'l>(
     profile: &UserProfile,
     logs: impl IntoIterator<Item = &'l mut DecisionLog>,
 ) {
-    let quiet = NegotiationContext {
-        recorder: None,
-        ..*ctx
-    };
-    let reach = ctx.network.reach(client.id).uncounted();
-    match prepare_under(&quiet, None, client, document, profile, reach) {
+    match reprepare(ctx, client, document, profile) {
         Ok(Prepared::Offers(mut ranked, trace, _)) => {
             for log in logs {
                 explain_prepared(&mut ranked, &trace, log);

@@ -126,23 +126,29 @@ grep -q "retained .* of .* finished" <<< "$explain_overview"
 # exit — any other code is a real failure), then resume from the journal
 # with the same workload flags. The --recover path re-runs the workload
 # uninterrupted in-process and exits non-zero unless the resumed outcome
-# log is the byte-identical suffix with zero leaked streams.
+# log is the byte-identical suffix with zero leaked streams. The 64-session
+# run crashes before its first snapshot; the 2000-session run cuts
+# snapshots at events 4096 and 8192 and compacts the file at each, so its
+# crash at event 6000 is recovered from a rewritten file.
 echo "==> kill-and-recover smoke (run_contended --journal --kill-at-event / --recover)"
-recover_flags=(--sessions 64 --servers 1 --seed 9 --faults 3 --choice-period 300
-    --journal "$smoke_tmp/run.nodj")
-set +e
-cargo run -q --release -p nod-bench --bin run_contended -- \
-    "${recover_flags[@]}" --kill-at-event 40 > /dev/null
-kill_status=$?
-set -e
-if [ "$kill_status" -ne 86 ]; then
-    echo "error: --kill-at-event exited with $kill_status, expected the chaos exit code 86"
-    exit 1
-fi
-test -s "$smoke_tmp/run.nodj"
-recover_out="$(cargo run -q --release -p nod-bench --bin run_contended -- \
-    "${recover_flags[@]}" --recover)"
-grep -q "recovery verified" <<< "$recover_out"
+for run in "64 40" "2000 6000"; do
+    read -r sessions kill_at <<< "$run"
+    recover_flags=(--sessions "$sessions" --servers 1 --seed 9 --faults 3 --choice-period 300
+        --journal "$smoke_tmp/run_$sessions.nodj")
+    set +e
+    cargo run -q --release -p nod-bench --bin run_contended -- \
+        "${recover_flags[@]}" --kill-at-event "$kill_at" > /dev/null
+    kill_status=$?
+    set -e
+    if [ "$kill_status" -ne 86 ]; then
+        echo "error: --kill-at-event $kill_at exited with $kill_status, expected the chaos exit code 86"
+        exit 1
+    fi
+    test -s "$smoke_tmp/run_$sessions.nodj"
+    recover_out="$(cargo run -q --release -p nod-bench --bin run_contended -- \
+        "${recover_flags[@]}" --recover)"
+    grep -q "recovery verified" <<< "$recover_out"
+done
 
 # Benchmark smoke (gating): `benchmark/` is a standalone package outside
 # the workspace, so nothing above compiles it — a qosneg/broker API change

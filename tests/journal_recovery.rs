@@ -17,12 +17,14 @@
 //!    post-recovery log, every session confirms at most once, departs at
 //!    most once, and reaches exactly one terminal fate.
 //!
-//! The last two tests hand `Broker::recover` a world that is not the one
-//! the journal was written against — the one mismatch the header's spec
-//! hash cannot see — and require a typed error and an untouched world
-//! instead of a panic, and so must a well-framed snapshot whose session
-//! ids or pending events do not fit the fleet. A journal-off run, counted
-//! by this file's allocator, allocates the same count every time.
+//! Two tests hand `Broker::recover` a world that is not the one the
+//! journal was written against — the one mismatch the header's spec hash
+//! cannot see — and require a typed error and an untouched world instead
+//! of a panic, and so must a well-framed snapshot or terminal record whose
+//! session ids, pending events or tags do not fit the fleet. An event
+//! record whose hash is flipped diverges at exactly its own event. A
+//! journal-off run, counted by this file's allocator, allocates the same
+//! count every time.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -331,6 +333,14 @@ fn sub_header_cuts_and_wrong_configs_are_refused() {
         recover_from(Vec::new()),
         Err(JournalError::NoHeader)
     ));
+    // A version-1 header: frame head (8), record type (1), magic (4), then
+    // the version, under the header's CRC.
+    let header_end = 8 + u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+    let mut v1 = bytes[..header_end].to_vec();
+    v1[13..17].copy_from_slice(&1u32.to_le_bytes());
+    let crc = crc32(&v1[8..]);
+    v1[4..8].copy_from_slice(&crc.to_le_bytes());
+    assert!(matches!(recover_from(v1), Err(JournalError::BadVersion(1))));
     // A journal from a different world (other seed) must be refused
     // before any state is touched.
     let other = ContendedConfig {
@@ -365,6 +375,36 @@ fn compacted_journals_stay_bounded_and_recoverable() {
     let rec = recover_contended(&config, None, &rec_journal).expect("compacted journal recovers");
     assert_recovery(&full, &rec, usize::MAX);
     assert!(rec.resumed_at_ms.is_some(), "compaction implies a snapshot");
+}
+
+/// Recovery re-derives each held stream from the session's reserved offer
+/// index. On two servers behind 4 Mbit/s client links, the links bind, so a
+/// restored offer other than the committed one holds other capacity and
+/// changes which later sessions fit: every snapshot cut of that run, cut
+/// every 8 events, must still resume to the byte-identical suffix.
+#[test]
+fn link_bound_snapshot_cuts_restore_the_committed_offers() {
+    let config = ContendedConfig {
+        servers: 2,
+        access_bps: 4_000_000,
+        ..chaos_config()
+    };
+    let cfg = JournalConfig {
+        snapshot_every_events: 8,
+        ..chaos_journal_cfg()
+    };
+    let journal = Journal::in_memory(cfg);
+    let (_, full) = run_contended_journaled(&config, None, &journal);
+    assert!(full.retries > 0, "the links must contend");
+    let bytes = journal.bytes();
+    let frames = snapshot_frames(&bytes);
+    assert!(frames.len() >= 16, "only {} snapshots", frames.len());
+    for frame in &frames {
+        let cut = Journal::from_bytes(bytes[..frame.end].to_vec(), cfg);
+        let rec = recover_contended(&config, None, &cut)
+            .unwrap_or_else(|e| panic!("recovery from the snapshot at {} failed: {e}", frame.end));
+        assert_recovery(&full, &rec, frame.end);
+    }
 }
 
 /// A hand-built world whose farm size the test controls: the catalog,
@@ -466,8 +506,9 @@ fn replay_against_a_smaller_farm_is_a_typed_error() {
     let (control, err) = recover_on_a_smaller_farm(20);
     assert_eq!(control.resumed_at_ms, None, "cut holds a snapshot");
     assert_eq!(control.replayed_events, 21);
+    // The same event the format that compared whole outcomes reported.
     assert!(
-        matches!(err, JournalError::ReplayDiverged { event } if event <= 20),
+        matches!(err, JournalError::ReplayDiverged { event: 0 }),
         "{err}"
     );
 }
@@ -481,84 +522,103 @@ fn restoring_more_streams_than_the_farm_has_is_a_typed_error() {
     assert!(matches!(err, JournalError::RestoreFailed(_)), "{err}");
 }
 
-/// One snapshot record of a journal byte stream, located by walking its
-/// frames (`len u32, crc u32, payload`): where the frame starts and ends,
-/// and the byte offsets of what the test below rewrites.
-struct SnapshotFrame {
-    start: usize,
-    end: usize,
-    /// Offset of each finished session's id.
-    result_ids: Vec<usize>,
-    /// Per live session: its id, the offset of the id, and the offset of
-    /// its pending-admission byte.
-    live: Vec<(u64, usize, usize)>,
-    /// Per pending event: the offset of its kind byte (0 retry, 1 confirm,
-    /// 2 departure; the session id follows it) and its session.
-    events: Vec<(usize, u64)>,
-}
-
-/// Every snapshot record of `bytes`, decoded just far enough to find the
-/// session ids and pending-admission bytes in its payload.
-fn snapshot_frames(bytes: &[u8]) -> Vec<SnapshotFrame> {
-    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+/// Every frame of a journal byte stream (`len u32, crc u32, payload`):
+/// where it starts and ends, and its record type.
+fn frames(bytes: &[u8]) -> Vec<(usize, usize, u8)> {
     let mut frames = Vec::new();
     let mut pos = 0;
-    while pos + 8 <= bytes.len() {
-        let (start, end) = (pos, pos + 8 + u32_at(pos));
+    while pos + 9 <= bytes.len() {
+        let end = pos + 8 + u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        if end > bytes.len() {
+            break;
+        }
+        frames.push((pos, end, bytes[pos + 8]));
         pos = end;
-        // Record type 3 is a snapshot.
-        if end > bytes.len() || bytes[start + 8] != 3 {
-            continue;
-        }
-        // Six u64 counters, then the finished sessions (21 bytes each).
-        let mut at = start + 9 + 6 * 8;
-        let results = u32_at(at);
-        at += 4;
-        let result_ids = (0..results).map(|r| at + r * 21).collect();
-        at += results * 21;
-        // Live sessions: id, attempts, RNG, pending admit, closed,
-        // reserved, then their holds (53 bytes, a net flag and the
-        // bandwidth when the flag is set).
-        let mut live = Vec::new();
-        let sessions = u32_at(at);
-        at += 4;
-        for _ in 0..sessions {
-            live.push((u64_at(at), at, at + 28));
-            let holds = u32_at(at + 31);
-            at += 35;
-            for _ in 0..holds {
-                at += 54 + if bytes[at + 53] != 0 { 8 } else { 0 };
-            }
-        }
-        // Pending events: time, kind, session.
-        let count = u32_at(at);
-        at += 4;
-        let events = (0..count)
-            .map(|e| at + e * 17 + 8)
-            .map(|kind| (kind, u64_at(kind + 1)))
-            .collect();
-        assert_eq!(at + count * 17, end, "snapshot layout");
-        frames.push(SnapshotFrame {
-            start,
-            end,
-            result_ids,
-            live,
-            events,
-        });
     }
     frames
 }
 
-/// `bytes` cut after `frame`, with `patch` written at `at` and the frame's
-/// CRC recomputed, so the journal is well framed but says what the patch
-/// says.
+/// One snapshot record of a journal byte stream, located by walking its
+/// frames: where the frame starts and ends, and the byte offsets of what
+/// the tests below rewrite.
+struct SnapshotFrame {
+    start: usize,
+    end: usize,
+    /// Per terminal record before the snapshot: the offset of its session
+    /// id (its fate byte follows the id).
+    result_ids: Vec<usize>,
+    /// Per live session: its id, the offset of the id, and the offset of
+    /// its pending-admission byte.
+    live: Vec<(u32, usize, usize)>,
+    /// Per pending event: the offset of its kind byte (0 retry, 1 confirm,
+    /// 2 departure, 3 injected leak; the session id follows it) and its
+    /// session.
+    events: Vec<(usize, u32)>,
+}
+
+/// Every snapshot record of `bytes`, decoded just far enough to find the
+/// session ids, pending-admission bytes and pending-event kinds in its
+/// payload, and the terminal records before it.
+fn snapshot_frames(bytes: &[u8]) -> Vec<SnapshotFrame> {
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    let mut snapshots = Vec::new();
+    let mut result_ids = Vec::new();
+    for (start, end, kind) in frames(bytes) {
+        if kind == 4 {
+            // A terminal record: frame head, type, event hash, session id.
+            result_ids.push(start + 8 + 1 + 8);
+        }
+        if kind != 3 {
+            continue;
+        }
+        // Six u64 counters, then the live sessions: id, attempts, RNG,
+        // pending admission, closed, offer index (30 bytes each).
+        let mut at = start + 9 + 6 * 8;
+        let sessions = u32_at(at) as usize;
+        at += 4;
+        let live = (0..sessions)
+            .map(|k| at + k * 30)
+            .map(|id| (u32_at(id), id, id + 24))
+            .collect();
+        at += sessions * 30;
+        // Pending events: time, queue sequence number, kind, session.
+        let count = u32_at(at) as usize;
+        at += 4;
+        let events = (0..count)
+            .map(|e| at + e * 21 + 16)
+            .map(|kind| (kind, u32_at(kind + 1)))
+            .collect();
+        assert_eq!(at + count * 21, end, "snapshot layout");
+        snapshots.push(SnapshotFrame {
+            start,
+            end,
+            result_ids: result_ids.clone(),
+            live,
+            events,
+        });
+    }
+    snapshots
+}
+
+/// `bytes` cut after `frame`, with `patch` written at `at` and the CRC of
+/// the frame the patch lands in recomputed, so the journal is well framed
+/// but says what the patch says.
 fn rewritten(bytes: &[u8], frame: &SnapshotFrame, at: usize, patch: &[u8]) -> Vec<u8> {
     let mut out = bytes[..frame.end].to_vec();
     out[at..at + patch.len()].copy_from_slice(patch);
-    let crc = crc32(&out[frame.start + 8..frame.end]);
-    out[frame.start + 4..frame.start + 8].copy_from_slice(&crc.to_le_bytes());
+    let (start, end, _) = (frames(&out).into_iter())
+        .find(|&(start, end, _)| start + 8 < at && at < end)
+        .expect("the patch lands in a payload");
+    let crc = crc32(&out[start + 8..end]);
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
     out
+}
+
+fn assert_malformed(journal: Vec<u8>, what: &str) {
+    match recover_from(journal) {
+        Err(JournalError::Malformed(_)) => {}
+        other => panic!("{what}: expected a malformed-journal error, got {other:?}"),
+    }
 }
 
 #[test]
@@ -567,10 +627,6 @@ fn an_inconsistent_snapshot_is_a_typed_error_not_a_panic() {
     let sessions = chaos_config().sessions as u64;
     let frames = snapshot_frames(&bytes);
     assert!(frames.len() >= 3, "cadence 64 must snapshot this run");
-    let malformed = |journal: Vec<u8>, what: &str| match recover_from(journal) {
-        Err(JournalError::Malformed(_)) => {}
-        other => panic!("{what}: expected a malformed-journal error, got {other:?}"),
-    };
     // How many rewrites of each kind were refused: finished id, live id,
     // confirmation, departure, second event.
     let mut refused = [0; 5];
@@ -579,13 +635,19 @@ fn an_inconsistent_snapshot_is_a_typed_error_not_a_panic() {
         let cut = recover_from(bytes[..frame.end].to_vec()).expect("a snapshot cut recovers");
         assert!(cut.resumed_at_ms.is_some());
         for &at in frame.result_ids.iter().take(1) {
-            let past = sessions.to_le_bytes();
-            malformed(rewritten(&bytes, frame, at, &past), "finished id");
+            let past = (sessions as u32).to_le_bytes();
+            assert_malformed(rewritten(&bytes, frame, at, &past), "finished id");
+            // A terminal record dropped whole leaves the journal well
+            // framed and its session without a result.
+            let start = at - 17;
+            let end = start + 34;
+            let dropped = [&bytes[..start], &bytes[end..frame.end]].concat();
+            assert_malformed(dropped, "dropped terminal record");
             refused[0] += 1;
         }
         for &(_, at, _) in frame.live.iter().take(1) {
-            malformed(
-                rewritten(&bytes, frame, at, &u64::MAX.to_le_bytes()),
+            assert_malformed(
+                rewritten(&bytes, frame, at, &u32::MAX.to_le_bytes()),
                 "live id",
             );
             refused[1] += 1;
@@ -593,7 +655,7 @@ fn an_inconsistent_snapshot_is_a_typed_error_not_a_panic() {
         // A pending event turned into a confirmation for a session that
         // awaits none, into a departure for a session that is not live, and
         // into a second event for a session that has one.
-        let awaits = |session: u64| {
+        let awaits = |session: u32| {
             let (.., pending) = frame.live.iter().find(|(id, ..)| *id == session)?;
             Some(bytes[*pending] != 0)
         };
@@ -601,19 +663,19 @@ fn an_inconsistent_snapshot_is_a_typed_error_not_a_panic() {
             .filter(|&&(_, session)| awaits(session) == Some(false))
             .take(1)
         {
-            malformed(rewritten(&bytes, frame, kind, &[1]), "confirm");
+            assert_malformed(rewritten(&bytes, frame, kind, &[1]), "confirm");
             refused[2] += 1;
         }
-        let gone = (0..sessions).find(|&id| awaits(id).is_none());
+        let gone = (0..sessions as u32).find(|&id| awaits(id).is_none());
         if let (Some(&(kind, ..)), Some(id)) = (frame.events.first(), gone) {
-            let mut patch = [2; 9];
+            let mut patch = [2; 5];
             patch[1..].copy_from_slice(&id.to_le_bytes());
-            malformed(rewritten(&bytes, frame, kind, &patch), "departure");
+            assert_malformed(rewritten(&bytes, frame, kind, &patch), "departure");
             refused[3] += 1;
         }
         if let [(kind, _), (_, other), ..] = frame.events[..] {
             let patch = other.to_le_bytes();
-            malformed(rewritten(&bytes, frame, kind + 1, &patch), "twice");
+            assert_malformed(rewritten(&bytes, frame, kind + 1, &patch), "twice");
             refused[4] += 1;
         }
     }
@@ -621,4 +683,93 @@ fn an_inconsistent_snapshot_is_a_typed_error_not_a_panic() {
         refused.iter().all(|&n| n > 0),
         "rewrites refused: {refused:?}"
     );
+}
+
+/// An unknown tag is refused where it is decoded, not read as the nearest
+/// known one: a pending-event kind past the injected leak, a fate past
+/// `Errored`, a pending admission past "degraded", and a pending injected
+/// leak in a run whose config arms none (a contended run never arms one).
+#[test]
+fn unknown_snapshot_and_terminal_tags_are_malformed() {
+    let (_, bytes) = full_run();
+    let frames = snapshot_frames(&bytes);
+    // Which rewrites were refused: event kind, fate, pending admission,
+    // unarmed leak.
+    let mut refused = [0; 4];
+    for frame in &frames {
+        if let Some(&(kind, _)) = frame.events.first() {
+            assert_malformed(rewritten(&bytes, frame, kind, &[4]), "event kind 4");
+            assert_malformed(rewritten(&bytes, frame, kind, &[3]), "unarmed leak");
+            refused[0] += 1;
+            refused[3] += 1;
+        }
+        if let Some(&at) = frame.result_ids.last() {
+            assert_malformed(rewritten(&bytes, frame, at + 4, &[5]), "fate 5");
+            refused[1] += 1;
+        }
+        if let Some(&(.., pending)) = frame.live.first() {
+            assert_malformed(rewritten(&bytes, frame, pending, &[3]), "pending admit 3");
+            refused[2] += 1;
+        }
+    }
+    assert!(
+        refused.iter().all(|&n| n > 0),
+        "rewrites refused: {refused:?}"
+    );
+}
+
+/// A live session's offer index names an offer on the list its re-run of
+/// steps 1–4 rebuilds; an index past that list is a typed restore
+/// failure, not a panic.
+#[test]
+fn an_offer_index_past_the_re_prepared_list_is_a_restore_failure() {
+    let (_, bytes) = full_run();
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    let mut refused = 0;
+    for frame in &snapshot_frames(&bytes) {
+        // The offer index is the last field of a 30-byte live session.
+        let held = (frame.live.iter()).find(|&&(_, id, _)| u32_at(id + 26) != u32::MAX);
+        if let Some(&(_, id, _)) = held {
+            let past = (u32::MAX - 1).to_le_bytes();
+            match recover_from(rewritten(&bytes, frame, id + 26, &past)) {
+                Err(JournalError::RestoreFailed(_)) => refused += 1,
+                other => panic!("expected a restore failure, got {other:?}"),
+            }
+        }
+    }
+    assert!(refused > 0, "no snapshot holds an offer");
+}
+
+/// Replay compares one hash per event: a hash that no longer matches its
+/// regenerated outcome is a divergence at exactly that event's global
+/// index, wherever after the last snapshot it sits.
+#[test]
+fn a_flipped_event_hash_diverges_at_exactly_its_event() {
+    let (full, bytes) = full_run();
+    let last = snapshot_frames(&bytes).pop().expect("a snapshot");
+    // The event records, plain (2) or terminal (4), in global log order.
+    let events: Vec<usize> = (frames(&bytes).into_iter())
+        .filter(|&(.., kind)| kind == 2 || kind == 4)
+        .map(|(start, ..)| start)
+        .collect();
+    assert_eq!(events.len(), full.events.len());
+    let first_after = events.partition_point(|&start| start < last.start);
+    let after = events.len() - first_after;
+    assert!(after >= 4, "the tail after the last snapshot is too short");
+    let whole = SnapshotFrame {
+        end: bytes.len(),
+        ..last
+    };
+    for k in [0, 1, after / 2, after - 1] {
+        let event = first_after + k;
+        // The hash follows the frame head and the type byte.
+        let hash_at = events[event] + 9;
+        let flipped = [bytes[hash_at] ^ 0x5A];
+        match recover_from(rewritten(&bytes, &whole, hash_at, &flipped)) {
+            Err(JournalError::ReplayDiverged { event: at }) => {
+                assert_eq!(at, event as u64, "flip in record {event}")
+            }
+            other => panic!("flip in record {event}: expected a divergence, got {other:?}"),
+        }
+    }
 }
