@@ -34,7 +34,7 @@ fn main() {
         ]);
         for m in doc.monomedia() {
             let variants = world.catalog.variants_of(m.id);
-            let formats: Vec<String> = variants.clone().map(|v| v.format.to_string()).collect();
+            let formats: Vec<String> = variants.iter().map(|v| v.format.to_string()).collect();
             t.row(&[
                 m.title.clone(),
                 m.kind.to_string(),

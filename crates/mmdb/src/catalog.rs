@@ -1,8 +1,9 @@
 //! The variant catalog: documents, variants, locations and block stats.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use nod_mmdoc::prelude::*;
+use nod_simcore::hash::IntMap;
 
 /// Errors raised by catalog operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,21 +58,75 @@ impl std::error::Error for CatalogError {}
 
 /// The in-memory metadata catalog.
 ///
-/// `BTreeMap`s keep iteration deterministic, which keeps every experiment
-/// that enumerates the catalog reproducible. Variants themselves sit in a
-/// dense arena: the negotiation's per-document lookup then costs one map
-/// descent per component instead of one per variant.
+/// Step 2 of every negotiation reads all stored variants of every
+/// component of one document, so the layout serves that read:
+///
+/// - each document owns one block of variants, in which each monomedia it
+///   registered has one contiguous run, in the order its variants were
+///   added;
+/// - one probe of a document's id finds the document and the run of each
+///   of its components ([`Catalog::document_variants`]), and one probe of
+///   a monomedia's id finds its run ([`Catalog::variants_of`]).
+///
+/// Builders add a document, then its variants, then the next document, so
+/// a variant lands at the end of its block, and the previous block is
+/// trimmed to its length when the next document arrives: a stored block
+/// carries no growth slack. A variant added to an earlier run of a block
+/// shifts the later runs of that block only. The id-ordered views —
+/// [`Catalog::variant`], [`Catalog::variants`], [`Catalog::documents`] —
+/// are off that path: a variant id is found by bisecting an id-sorted
+/// index, and documents are sorted when asked for.
+///
+/// The id probes hash with [`IntMap`]'s unkeyed hasher. That needs no
+/// flooding resistance here: only whoever builds the catalog chooses the
+/// ids that are inserted, and a requester's id is only looked up.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    documents: BTreeMap<DocumentId, Document>,
-    /// The variants, in insertion order; the indexes below point in here.
-    arena: Vec<Variant>,
-    /// Index: variant id → arena slot (id-ordered iteration and lookup).
-    by_id: BTreeMap<VariantId, usize>,
-    /// Index: monomedia → arena slots of the variants representing it.
-    by_monomedia: BTreeMap<MonomediaId, Vec<usize>>,
-    /// Index: monomedia → owning document.
-    owner: BTreeMap<MonomediaId, DocumentId>,
+    /// Documents, in insertion order.
+    documents: Vec<Entry>,
+    /// Index: document id → position in `documents`.
+    by_document: IntMap<DocumentId, u32>,
+    /// Each document's components' run indexes, document after document.
+    component_runs: Vec<u32>,
+    /// One run per registered monomedia; the runs one document registered
+    /// are adjacent, in its component order.
+    runs: Vec<Run>,
+    /// Index: monomedia → its run.
+    by_monomedia: IntMap<MonomediaId, u32>,
+    /// `(variant id, run, offset in the run)`, sorted by id.
+    by_id: Vec<(VariantId, u32, u32)>,
+}
+
+/// A stored document, where its components' runs are listed, and the
+/// block holding the runs it registered.
+#[derive(Debug, Clone)]
+struct Entry {
+    document: Document,
+    /// The document's first entry in `Catalog::component_runs`.
+    first_run: u32,
+    /// The variants of the runs this document registered, run after run.
+    variants: Vec<Variant>,
+}
+
+/// One monomedia's variants: `documents[doc].variants[start..start + len]`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    doc: u32,
+    start: u32,
+    len: u32,
+    /// The monomedia's medium, which each of its variants must share.
+    kind: MediaKind,
+}
+
+impl Run {
+    fn slots(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// A catalog position as the compact index type.
+fn index(n: usize) -> u32 {
+    u32::try_from(n).expect("a catalog holds fewer than 2^32 entries")
 }
 
 impl Catalog {
@@ -81,78 +136,131 @@ impl Catalog {
     }
 
     /// Register a document and index its monomedia.
+    ///
+    /// A monomedia another document already registered keeps its stored
+    /// variants, which both documents then read; its medium is the new
+    /// document's.
     pub fn add_document(&mut self, doc: Document) -> Result<(), CatalogError> {
-        if self.documents.contains_key(&doc.id) {
+        if self.by_document.contains_key(&doc.id) {
             return Err(CatalogError::DuplicateDocument(doc.id));
         }
-        for m in doc.monomedia() {
-            self.owner.insert(m.id, doc.id);
-            self.by_monomedia.entry(m.id).or_default();
+        if let Some(previous) = self.documents.last_mut() {
+            previous.variants.shrink_to_fit();
         }
-        self.documents.insert(doc.id, doc);
+        let at = index(self.documents.len());
+        let first_run = index(self.component_runs.len());
+        for m in doc.monomedia() {
+            let runs = &mut self.runs;
+            let r = *self.by_monomedia.entry(m.id).or_insert_with(|| {
+                runs.push(Run {
+                    doc: at,
+                    start: 0,
+                    len: 0,
+                    kind: m.kind,
+                });
+                index(runs.len() - 1)
+            });
+            self.runs[r as usize].kind = m.kind;
+            self.component_runs.push(r);
+        }
+        self.by_document.insert(doc.id, at);
+        self.documents.push(Entry {
+            document: doc,
+            first_run,
+            variants: Vec::new(),
+        });
         Ok(())
     }
 
     /// Register a stored variant of an already-registered monomedia.
     pub fn add_variant(&mut self, variant: Variant) -> Result<(), CatalogError> {
-        if self.by_id.contains_key(&variant.id) {
-            return Err(CatalogError::DuplicateVariant(variant.id));
-        }
+        let at = match self.by_id.last() {
+            None => 0,
+            Some(&(last, ..)) if last < variant.id => self.by_id.len(),
+            Some(_) => match self.by_id.binary_search_by_key(&variant.id, |e| e.0) {
+                Ok(_) => return Err(CatalogError::DuplicateVariant(variant.id)),
+                Err(at) => at,
+            },
+        };
         variant.validate().map_err(CatalogError::InvalidVariant)?;
-        let owner = *self
-            .owner
+        let r = *self
+            .by_monomedia
             .get(&variant.monomedia)
             .ok_or(CatalogError::UnknownMonomedia(variant.monomedia))?;
-        let doc = &self.documents[&owner];
-        let mono = doc
-            .component(variant.monomedia)
-            .expect("owner index is consistent");
-        if mono.kind != variant.qos.kind() {
+        let run = &mut self.runs[r as usize];
+        if run.kind != variant.qos.kind() {
             return Err(CatalogError::MediaMismatch {
                 variant: variant.id,
-                expected: mono.kind,
+                expected: run.kind,
                 got: variant.qos.kind(),
             });
         }
-        let slot = self.arena.len();
-        self.by_monomedia
-            .entry(variant.monomedia)
-            .or_default()
-            .push(slot);
-        self.by_id.insert(variant.id, slot);
-        self.arena.push(variant);
+        self.by_id.insert(at, (variant.id, r, run.len));
+        let block = &mut self.documents[run.doc as usize].variants;
+        block.insert(run.slots().end, variant);
+        run.len += 1;
+        let doc = run.doc;
+        let later = self.runs[r as usize + 1..].iter_mut();
+        later
+            .take_while(|l| l.doc == doc)
+            .for_each(|l| l.start += 1);
         Ok(())
     }
 
-    /// Look up a document.
+    /// Look up a document: one probe.
     pub fn document(&self, id: DocumentId) -> Option<&Document> {
-        self.documents.get(&id)
+        let &at = self.by_document.get(&id)?;
+        Some(&self.documents[at as usize].document)
+    }
+
+    /// A document and, in its component order, each component's stored
+    /// variants in insertion order: one probe of the document's id, then
+    /// plain indexing, no allocation. Step 2 of the negotiation reads a
+    /// requested document through this.
+    pub fn document_variants(
+        &self,
+        id: DocumentId,
+    ) -> Option<(
+        &Document,
+        impl ExactSizeIterator<Item = &[Variant]> + Clone + '_,
+    )> {
+        let &at = self.by_document.get(&id)?;
+        let entry = &self.documents[at as usize];
+        let first = entry.first_run as usize;
+        let runs = &self.component_runs[first..first + entry.document.monomedia().len()];
+        let variants = runs.iter().map(|&r| self.run(r));
+        Some((&entry.document, variants))
+    }
+
+    fn run(&self, r: u32) -> &[Variant] {
+        let run = self.runs[r as usize];
+        &self.documents[run.doc as usize].variants[run.slots()]
     }
 
     /// Look up a variant.
     pub fn variant(&self, id: VariantId) -> Option<&Variant> {
-        self.by_id.get(&id).map(|&slot| &self.arena[slot])
+        let at = self.by_id.binary_search_by_key(&id, |e| e.0).ok()?;
+        let (_, r, offset) = self.by_id[at];
+        Some(&self.run(r)[offset as usize])
     }
 
     /// All documents, in id order.
     pub fn documents(&self) -> impl Iterator<Item = &Document> {
-        self.documents.values()
+        let mut docs: Vec<&Document> = self.documents.iter().map(|e| &e.document).collect();
+        docs.sort_unstable_by_key(|d| d.id);
+        docs.into_iter()
     }
 
     /// All variants, in id order.
     pub fn variants(&self) -> impl Iterator<Item = &Variant> {
-        self.by_id.values().map(|&slot| &self.arena[slot])
+        (self.by_id.iter()).map(|&(_, r, offset)| &self.run(r)[offset as usize])
     }
 
-    /// Stored variants of one monomedia, in insertion order, borrowed
-    /// straight from the arena: one map descent, no allocation. Step 2 of
-    /// the negotiation reads each document component through this.
-    pub fn variants_of(
-        &self,
-        mono: MonomediaId,
-    ) -> impl ExactSizeIterator<Item = &Variant> + Clone + '_ {
-        let slots = self.by_monomedia.get(&mono).map_or(&[][..], Vec::as_slice);
-        slots.iter().map(|&slot| &self.arena[slot])
+    /// Stored variants of one monomedia, in insertion order: one probe.
+    pub fn variants_of(&self, mono: MonomediaId) -> &[Variant] {
+        self.by_monomedia
+            .get(&mono)
+            .map_or(&[][..], |&r| self.run(r))
     }
 
     /// Per-monomedia variant lists for a whole document, in the document's
@@ -161,14 +269,11 @@ impl Catalog {
         &self,
         doc: DocumentId,
     ) -> Result<Vec<(MonomediaId, Vec<&Variant>)>, CatalogError> {
-        let document = self
-            .documents
-            .get(&doc)
+        let (document, runs) = self
+            .document_variants(doc)
             .ok_or(CatalogError::NoSuchDocument(doc))?;
-        Ok(document
-            .monomedia()
-            .iter()
-            .map(|m| (m.id, self.variants_of(m.id).collect()))
+        Ok((document.monomedia().iter().zip(runs))
+            .map(|(m, run)| (m.id, run.iter().collect()))
             .collect())
     }
 
@@ -179,15 +284,20 @@ impl Catalog {
 
     /// Number of stored variants.
     pub fn variant_count(&self) -> usize {
-        self.arena.len()
+        self.by_id.len()
     }
 
     /// Serialize to a JSON string. Only the documents and variants are
     /// persisted; the indexes are derived data and are rebuilt on load.
+    /// Variants are written run after run, each in insertion order, so a
+    /// reload keeps every monomedia's order.
     pub fn to_json(&self) -> Result<String, CatalogError> {
         use nod_simcore::json::{Json, ToJson};
-        let docs: Vec<Json> = self.documents.values().map(|d| d.to_json()).collect();
-        let vars: Vec<Json> = self.variants().map(|v| v.to_json()).collect();
+        let docs: Vec<Json> = self.documents().map(|d| d.to_json()).collect();
+        let vars: Vec<Json> = (0..index(self.runs.len()))
+            .flat_map(|r| self.run(r))
+            .map(|v| v.to_json())
+            .collect();
         let obj = Json::Obj(vec![
             ("documents".to_string(), Json::Arr(docs)),
             ("variants".to_string(), Json::Arr(vars)),
@@ -227,7 +337,7 @@ impl Catalog {
     /// Aggregate statistics per medium: `(variant count, total bytes)`.
     pub fn media_inventory(&self) -> HashMap<MediaKind, (usize, u64)> {
         let mut inv: HashMap<MediaKind, (usize, u64)> = HashMap::new();
-        for v in &self.arena {
+        for v in self.variants() {
             let e = inv.entry(v.qos.kind()).or_insert((0, 0));
             e.0 += 1;
             e.1 += v.file_bytes;
@@ -334,11 +444,42 @@ mod tests {
         c.add_variant(video_variant(2, 0)).unwrap();
         let ids = |vs: Vec<&Variant>| vs.iter().map(|v| v.id.0).collect::<Vec<_>>();
         assert_eq!(ids(c.variants().collect()), [2, 5, 9]);
-        assert_eq!(ids(c.variants_of(MonomediaId(1)).collect()), [9, 2]);
+        assert_eq!(ids(c.variants_of(MonomediaId(1)).iter().collect()), [9, 2]);
         assert_eq!(c.variant(VariantId(5)).unwrap().monomedia, MonomediaId(2));
         assert!(c.variant(VariantId(3)).is_none());
         let back = Catalog::from_json(&c.to_json().unwrap()).unwrap();
         assert_eq!(ids(back.variants().collect()), [2, 5, 9]);
+        assert_eq!(
+            ids(back.variants_of(MonomediaId(1)).iter().collect()),
+            [9, 2]
+        );
+    }
+
+    #[test]
+    fn a_monomedia_two_documents_register_is_read_by_both() {
+        let mut c = populated();
+        let reprint = Document::multimedia(
+            DocumentId(2),
+            "reprint",
+            vec![Monomedia::new(MonomediaId(2), MediaKind::Audio, "sound").with_duration_secs(60)],
+            vec![],
+            vec![],
+        );
+        c.add_document(reprint).unwrap();
+        c.add_variant(video_variant(4, 0)).unwrap();
+        let mut french = audio_variant(5);
+        french.qos = MediaQos::Audio(AudioQos {
+            quality: AudioQuality::Cd,
+            language: Language::French,
+        });
+        c.add_variant(french).unwrap();
+        let ids = |d| {
+            let per = c.variants_of_document(DocumentId(d)).unwrap();
+            let ids = |vs: &Vec<&Variant>| vs.iter().map(|v| v.id.0).collect::<Vec<_>>();
+            per.iter().map(|(_, vs)| ids(vs)).collect::<Vec<_>>()
+        };
+        assert_eq!(ids(1), [vec![1, 2, 4], vec![3, 5]]);
+        assert_eq!(ids(2), [vec![3, 5]]);
     }
 
     #[test]

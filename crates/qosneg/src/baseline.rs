@@ -44,7 +44,7 @@ fn feasible_variants<'a>(
         .monomedia()
         .iter()
         .map(|m| {
-            let feasible: Vec<&Variant> = (ctx.catalog.variants_of(m.id))
+            let feasible: Vec<&Variant> = (ctx.catalog.variants_of(m.id).iter())
                 .filter(|v| client.feasible(v))
                 .filter(|v| ctx.network.path(client.id, v.server).is_ok())
                 .collect();
@@ -69,6 +69,7 @@ fn one_offer<'v>(
         ctx.cost_model,
         ctx.guarantee,
         ctx.strategy,
+        chosen.len(),
         chosen.len(),
     );
     for (mono, duration_ms, variant) in chosen {

@@ -193,9 +193,6 @@ impl EngineBuilder<'_> {
     ) {
         let engine = &mut self.engine;
         let start = engine.variants.len();
-        let room = feasible.size_hint().1.unwrap_or(0);
-        engine.variants.reserve(room);
-        engine.scores.reserve(room);
         for v in feasible {
             let (net, ser) = self
                 .cost_model
@@ -248,7 +245,9 @@ impl EngineBuilder<'_> {
 impl OfferEngine {
     /// Start an engine for `client`'s request under `profile`: add the
     /// document's components in order ([`EngineBuilder::component`]), then
-    /// finish.
+    /// finish. `components` and `variants` size the engine once: the
+    /// document's component count and a bound on the variants its
+    /// components will add (step 2 passes the document's stored count).
     pub fn builder<'a>(
         client: &'a ClientMachine,
         profile: &'a UserProfile,
@@ -256,6 +255,7 @@ impl OfferEngine {
         guarantee: Guarantee,
         strategy: ClassificationStrategy,
         components: usize,
+        variants: usize,
     ) -> EngineBuilder<'a> {
         EngineBuilder {
             client,
@@ -263,8 +263,8 @@ impl OfferEngine {
             cost_model,
             guarantee,
             engine: OfferEngine {
-                variants: Vec::new(),
-                scores: Vec::new(),
+                variants: Vec::with_capacity(variants),
+                scores: Vec::with_capacity(variants),
                 components: Vec::with_capacity(components),
                 strategy,
                 copyright: cost_model.copyright,
@@ -296,9 +296,15 @@ impl OfferEngine {
             decode_budget: f64::INFINITY,
             ..ClientMachine::era_workstation(nod_mmdoc::ClientId(0))
         };
-        let components = per_mono.len();
+        let variants = per_mono.iter().map(|(_, vs)| vs.len()).sum();
         let mut builder = Self::builder(
-            &client, profile, cost_model, guarantee, strategy, components,
+            &client,
+            profile,
+            cost_model,
+            guarantee,
+            strategy,
+            per_mono.len(),
+            variants,
         );
         for (mono, variants) in per_mono {
             let duration_ms = durations.get(mono).copied().unwrap_or(0);
@@ -757,6 +763,7 @@ mod tests {
             Guarantee::Guaranteed,
             strategy,
             1,
+            variants.len(),
         );
         builder.component(MonomediaId(1), 60_000, variants.iter());
         builder.finish(10_000).expect("engine builds")
@@ -819,7 +826,9 @@ mod tests {
             .collect();
         let build = |lists: &[&[Variant]], cap| {
             let guarantee = Guarantee::Guaranteed;
-            let mut b = OfferEngine::builder(&client, &profile, &model, guarantee, strategy, 3);
+            let stored = lists.iter().map(|l| l.len()).sum();
+            let mut b =
+                OfferEngine::builder(&client, &profile, &model, guarantee, strategy, 3, stored);
             for (c, list) in lists.iter().enumerate() {
                 b.component(MonomediaId(c as u64 + 1), 60_000, list.iter());
             }
@@ -879,6 +888,7 @@ mod tests {
                 Guarantee::Guaranteed,
                 strategy,
                 3,
+                lists.iter().map(Vec::len).sum(),
             );
             for (c, list) in lists.iter().enumerate() {
                 b.component(MonomediaId(c as u64 + 1), 60_000, list.iter());

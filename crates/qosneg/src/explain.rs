@@ -945,6 +945,7 @@ mod tests {
             Guarantee::Guaranteed,
             strategy,
             1,
+            variants.len(),
         );
         builder.component(MonomediaId(1), 60_000, variants.iter());
         let engine = builder.finish(1_000).expect("engine builds");

@@ -368,9 +368,9 @@ fn prepare_under(
     profile
         .validate()
         .map_err(NegotiationError::InvalidProfile)?;
-    let doc = ctx
+    let (doc, stored) = ctx
         .catalog
-        .document(document)
+        .document_variants(document)
         .ok_or(NegotiationError::UnknownDocument(document))?;
     let obs = observed(ctx);
     let mut trace = NegotiationTrace::default();
@@ -389,11 +389,13 @@ fn prepare_under(
     }
 
     // ---- Step 2: static compatibility checking --------------------------
-    // One pass over the document: each component's stored variants read
-    // straight from the catalog, kept when the client can decode them and
-    // reach their server, and cloned into the engine as they are found,
-    // their partial scores (importance, CostNet + CostSer, SNS flags)
-    // precomputed on the way in — so step 3/4 scores each offer from those.
+    // One pass over the document: the probe above found each component's
+    // stored variants as one contiguous run of the catalog. A variant is
+    // kept when the client can decode it and reach its server, and cloned
+    // into the engine as it is found, its partial scores (importance,
+    // CostNet + CostSer, SNS flags) precomputed on the way in — so step
+    // 3/4 scores each offer from those. The engine is sized once, for every
+    // stored variant of the document.
     let span_enumerate = stage_span(obs, parent, |m| m.enumerate);
     let components = doc.monomedia();
     let mut builder = OfferEngine::builder(
@@ -403,10 +405,10 @@ fn prepare_under(
         ctx.guarantee,
         ctx.strategy,
         components.len(),
+        stored.clone().map(<[Variant]>::len).sum(),
     );
-    for m in components {
-        let stored = ctx.catalog.variants_of(m.id);
-        let feasible = stored.filter(|v| client.feasible(v) && reach.server(v.server));
+    for (m, stored) in components.iter().zip(stored) {
+        let feasible = (stored.iter()).filter(|v| client.feasible(v) && reach.server(v.server));
         builder.component(m.id, m.duration_ms, feasible);
     }
     trace.feasible_variants = builder.variants();

@@ -115,9 +115,12 @@ fn catalog_engine(
         Guarantee::Guaranteed,
         strategy,
         components.len(),
+        (components.iter())
+            .map(|m| w.catalog.variants_of(m.id).len())
+            .sum(),
     );
     for m in components {
-        let stored = w.catalog.variants_of(m.id);
+        let stored = w.catalog.variants_of(m.id).iter();
         let feasible =
             stored.filter(|v| client.feasible(v) && w.network.has_route(client.id, v.server));
         builder.component(m.id, m.duration_ms, feasible);
@@ -166,6 +169,7 @@ fn built_engine(
         Guarantee::Guaranteed,
         strategy,
         per_mono.len(),
+        components.iter().map(Vec::len).sum(),
     );
     for (mono, variants) in &per_mono {
         builder.component(*mono, durations[mono], variants.iter().copied());
