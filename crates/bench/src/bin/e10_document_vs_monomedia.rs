@@ -8,11 +8,10 @@
 
 use nod_bench::{f3, standard_world, Table};
 use nod_client::ClientMachine;
-use nod_cmfs::Guarantee;
 use nod_mmdoc::{ClientId, DocumentId};
-use nod_qosneg::negotiate::{NegotiationContext, NegotiationStatus};
+use nod_qosneg::negotiate::NegotiationStatus;
 use nod_qosneg::profile::tv_news_profile;
-use nod_qosneg::{ClassificationStrategy, Money, NegotiationRequest, Procedure, Session};
+use nod_qosneg::{Money, NegotiationRequest, Procedure, Session};
 
 struct Tally {
     runs: u64,
@@ -47,22 +46,7 @@ fn main() {
     for seed in 0..40u64 {
         let world = standard_world(seed, 6, 3, 4);
         let client = ClientMachine::era_workstation(ClientId(0));
-        let ctx = NegotiationContext {
-            catalog: &world.catalog,
-            farm: &world.farm,
-            network: &world.network,
-            cost_model: &world.cost,
-            strategy: ClassificationStrategy::SnsThenOif,
-            guarantee: Guarantee::Guaranteed,
-            enumeration_cap: 500_000,
-            jitter_buffer_ms: 2_000,
-            prune_dominated: false,
-            streaming: nod_qosneg::negotiate::StreamingMode::Auto,
-            recorder: None,
-            explain: false,
-        };
-
-        let session = Session::new(ctx);
+        let session = Session::new(world.context());
         let request = NegotiationRequest::new(&client, DocumentId(1), &profile);
         for (tally, outcome) in [
             (&mut atomic, session.submit(&request)),

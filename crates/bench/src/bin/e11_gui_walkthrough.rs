@@ -8,32 +8,15 @@
 
 use nod_bench::standard_world;
 use nod_client::ClientMachine;
-use nod_cmfs::Guarantee;
 use nod_mmdoc::{ClientId, DocumentId};
-use nod_qosneg::negotiate::NegotiationContext;
 use nod_qosneg::profile::tv_news_profile;
-use nod_qosneg::{ClassificationStrategy, ConfirmationTimer, Money, NegotiationRequest, Session};
-use nod_simcore::SimTime;
+use nod_qosneg::{Effect, Input, Lifecycle, Money, NegotiationRequest, Session};
 use nod_tui::{ProfileManagerApp, UiEvent, UiState};
 
 fn main() {
     println!("E11 — QoS GUI walkthrough (paper §8, Figures 3-7)\n");
     let world = standard_world(5, 6, 3, 4);
     let client = ClientMachine::era_workstation(ClientId(0));
-    let ctx = NegotiationContext {
-        catalog: &world.catalog,
-        farm: &world.farm,
-        network: &world.network,
-        cost_model: &world.cost,
-        strategy: ClassificationStrategy::SnsThenOif,
-        guarantee: Guarantee::Guaranteed,
-        enumeration_cap: 500_000,
-        jitter_buffer_ms: 2_000,
-        prune_dominated: false,
-        streaming: nod_qosneg::negotiate::StreamingMode::Auto,
-        recorder: None,
-        explain: false,
-    };
 
     let mut economy = tv_news_profile();
     economy.name = "economy".into();
@@ -45,8 +28,8 @@ fn main() {
 
     // The user presses OK on the default profile.
     app.handle(UiEvent::Ok);
-    let session = Session::new(ctx);
-    let out = session
+    let session = Session::new(world.context());
+    let mut out = session
         .submit(&NegotiationRequest::new(
             &client,
             DocumentId(1),
@@ -64,14 +47,19 @@ fn main() {
     });
 
     println!("-- Figures 6/7: information window (offer held, timer armed) --");
-    let timer = ConfirmationTimer::arm(SimTime::ZERO, tv_news_profile().time.choice_period_ms);
-    let remaining = timer.deadline().since(SimTime::from_secs(5)).as_millis();
-    println!("{}", app.render(Some(remaining)));
+    let choice_period_ms = tv_news_profile().time.choice_period_ms;
+    let mut offer = Lifecycle::offered(&mut out, 0, choice_period_ms);
+    println!("{}", app.render(Some(choice_period_ms - 5_000)));
 
-    // The user accepts within the choice period.
+    // The user accepts 5 s in, within the choice period.
     app.handle(UiEvent::Ok);
+    let ok = offer.step(Input::Decide {
+        accept: true,
+        at_ms: 5_000,
+    });
+    assert!(matches!(ok, Effect::Admit));
     println!("offer accepted — presentation starts; resources stay committed.\n");
-    if let Some(r) = out.reservation {
+    if let Effect::Release(r) = offer.step(Input::Depart) {
         r.release(&world.farm, &world.network);
     }
 

@@ -11,11 +11,10 @@
 
 use nod_bench::{standard_world, Table};
 use nod_client::{ClientMachine, DecoderRegistry};
-use nod_cmfs::Guarantee;
 use nod_mmdoc::{ClientId, ColorDepth, DocumentId};
-use nod_qosneg::negotiate::{NegotiationContext, NegotiationStatus};
+use nod_qosneg::negotiate::NegotiationStatus;
 use nod_qosneg::profile::tv_news_profile;
-use nod_qosneg::{ClassificationStrategy, Money, NegotiationRequest, Session};
+use nod_qosneg::{Money, NegotiationRequest, Session};
 
 fn main() {
     println!("E7 — negotiation status coverage matrix (paper §4)\n");
@@ -33,21 +32,7 @@ fn main() {
          setup: &dyn Fn(&nod_bench::World) -> (ClientMachine, nod_qosneg::UserProfile)| {
             let world = standard_world(99, 8, 3, 4);
             let (client, profile) = setup(&world);
-            let ctx = NegotiationContext {
-                catalog: &world.catalog,
-                farm: &world.farm,
-                network: &world.network,
-                cost_model: &world.cost,
-                strategy: ClassificationStrategy::SnsThenOif,
-                guarantee: Guarantee::Guaranteed,
-                enumeration_cap: 500_000,
-                jitter_buffer_ms: 2_000,
-                prune_dominated: false,
-                streaming: nod_qosneg::negotiate::StreamingMode::Auto,
-                recorder: None,
-                explain: false,
-            };
-            let out = Session::new(ctx)
+            let out = Session::new(world.context())
                 .submit(&NegotiationRequest::new(&client, DocumentId(1), &profile))
                 .expect("valid request");
             let ok = out.status == expected;

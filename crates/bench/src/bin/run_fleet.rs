@@ -13,11 +13,8 @@
 
 use nod_bench::{write_artifact, MetroFleet};
 use nod_broker::{Broker, BrokerConfig, EventRetention, FleetSpec, Journal, JournalConfig};
-use nod_cmfs::Guarantee;
 use nod_obs::RetentionPolicy;
 use nod_qosneg::explain::{ExplainArtifact, ExplainMeta};
-use nod_qosneg::negotiate::{NegotiationContext, StreamingMode};
-use nod_qosneg::ClassificationStrategy;
 
 fn usage() -> ! {
     eprintln!(
@@ -33,23 +30,6 @@ fn parse<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str
             eprintln!("error: {flag} needs a value");
             usage()
         }
-    }
-}
-
-fn ctx(fleet: &MetroFleet) -> NegotiationContext<'_> {
-    NegotiationContext {
-        catalog: &fleet.catalog,
-        farm: &fleet.farm,
-        network: &fleet.network,
-        cost_model: &fleet.cost,
-        strategy: ClassificationStrategy::SnsThenOif,
-        guarantee: Guarantee::Guaranteed,
-        enumeration_cap: 500_000,
-        jitter_buffer_ms: 2_000,
-        prune_dominated: false,
-        streaming: StreamingMode::Auto,
-        recorder: None,
-        explain: false,
     }
 }
 
@@ -78,7 +58,8 @@ fn main() {
         seed
     );
 
-    let broker = Broker::new(ctx(&fleet), BrokerConfig::era_default());
+    let ctx = nod_bench::context(&fleet.catalog, &fleet.farm, &fleet.network, &fleet.cost);
+    let broker = Broker::new(ctx, BrokerConfig::era_default());
     let policy = RetentionPolicy::default();
     let journal = journal_path.as_ref().map(|p| {
         Journal::create(p, JournalConfig::default()).unwrap_or_else(|e| {

@@ -9,31 +9,17 @@
 
 use nod_bench::{standard_world, Table};
 use nod_client::ClientMachine;
-use nod_cmfs::Guarantee;
 use nod_mmdoc::{ClientId, DocumentId};
 use nod_qosneg::future::AdvanceBook;
-use nod_qosneg::negotiate::{NegotiationContext, NegotiationStatus};
+use nod_qosneg::negotiate::NegotiationStatus;
 use nod_qosneg::profile::tv_news_profile;
-use nod_qosneg::{ClassificationStrategy, NegotiationRequest, Session};
+use nod_qosneg::{NegotiationRequest, Session};
 use nod_simcore::SimTime;
 
 fn main() {
     println!("X2 — advance (future) reservations over an evening schedule\n");
     let world = standard_world(8, 8, 3, 6);
-    let ctx = NegotiationContext {
-        catalog: &world.catalog,
-        farm: &world.farm,
-        network: &world.network,
-        cost_model: &world.cost,
-        strategy: ClassificationStrategy::SnsThenOif,
-        guarantee: Guarantee::Guaranteed,
-        enumeration_cap: 500_000,
-        jitter_buffer_ms: 2_000,
-        prune_dominated: false,
-        streaming: nod_qosneg::negotiate::StreamingMode::Auto,
-        recorder: None,
-        explain: false,
-    };
+    let ctx = world.context();
     let session = Session::new(ctx);
     let mut book = AdvanceBook::new(&ctx);
     let profile = tv_news_profile();

@@ -11,11 +11,12 @@ pub mod flush;
 pub use fleet::MetroFleet;
 pub use flush::FlushGuard;
 
-use nod_cmfs::{ServerConfig, ServerFarm};
+use nod_cmfs::{Guarantee, ServerConfig, ServerFarm};
 use nod_mmdb::{Catalog, CorpusBuilder, CorpusParams};
 use nod_mmdoc::ServerId;
 use nod_netsim::{Network, Topology};
-use nod_qosneg::CostModel;
+use nod_qosneg::negotiate::{NegotiationContext, StreamingMode};
+use nod_qosneg::{ClassificationStrategy, CostModel};
 use nod_simcore::StreamRng;
 
 /// A fixed-width text table printer.
@@ -85,6 +86,38 @@ pub struct World {
     pub network: Network,
     /// The pricing model.
     pub cost: CostModel,
+}
+
+impl World {
+    /// [`context`] over this world.
+    pub fn context(&self) -> NegotiationContext<'_> {
+        context(&self.catalog, &self.farm, &self.network, &self.cost)
+    }
+}
+
+/// The experiments' negotiation context over a world's parts: SNS-then-OIF
+/// ordering, guaranteed service, a 500 000-offer enumeration cap, a 2 s
+/// jitter buffer, nothing recorded.
+pub fn context<'a>(
+    catalog: &'a Catalog,
+    farm: &'a ServerFarm,
+    network: &'a Network,
+    cost_model: &'a CostModel,
+) -> NegotiationContext<'a> {
+    NegotiationContext {
+        catalog,
+        farm,
+        network,
+        cost_model,
+        strategy: ClassificationStrategy::SnsThenOif,
+        guarantee: Guarantee::Guaranteed,
+        enumeration_cap: 500_000,
+        jitter_buffer_ms: 2_000,
+        prune_dominated: false,
+        streaming: StreamingMode::Auto,
+        recorder: None,
+        explain: false,
+    }
 }
 
 /// Build a deterministic experiment world.

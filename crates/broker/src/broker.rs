@@ -3,32 +3,24 @@
 //! [`Broker::drive`] is the engine: it drives a [`FleetSpec`]'s sessions
 //! against one shared [`ServerFarm`](nod_cmfs::ServerFarm) +
 //! [`Network`](nod_netsim::Network) on a deterministic virtual-time event
-//! loop — arrivals, jittered retries of FAILEDTRYLATER refusals,
-//! departures that release held resources, and [`FaultPlan`] window
-//! edges. Session `i`'s RNG is the `i`-th split of the config seed's
-//! stream, derived when it first arrives, and live session state sits in
-//! a recycled [`Slab`](crate::Slab) arena, so memory tracks the *peak concurrent* session count while the
+//! loop of arrivals, retries, confirmations, departures and [`FaultPlan`]
+//! window edges. Each session's policy is its
+//! [`Lifecycle`](nod_qosneg::Lifecycle): the loop feeds it each attempt's
+//! outcome, the simulated user's OK and the departure, and performs the
+//! effect it returns — schedule a retry or a confirmation, start the
+//! hold, release, settle. What the fleet adds sits beside it in a
+//! recycled [`Slab`](crate::Slab) entry (the session's RNG, the `i`-th
+//! split of the config seed's stream; its trace spans; its explain
+//! facts), so memory tracks the *peak concurrent* session count while the
 //! same seed, specs and fault plan replay the identical [`OutcomeEvent`]
 //! sequence bit for bit.
 //!
 //! Every attempt, retries included, runs negotiation steps 1–4
 //! ([`prepare`]) and then the step-5 commit walk ([`commit_prepared`])
-//! back to back on the one event loop, in exact event order. `prepare`
-//! reads only the catalog and static topology and scores the whole offer
-//! product as plain data; the commit walk — the only part that touches
-//! live farm/network capacity — orders that list as far as it gets, tries
-//! offers by reference and materializes the one that commits. Under
-//! contention most walks refuse every offer, so the walk asks each
-//! question once: each prefix of chosen variants is judged once per walk
-//! against the capacity the walk started with, and a refused prefix
-//! refuses every later offer sharing it with the identical reason and
-//! shortfall. Nothing else runs while a walk does; a success always
-//! performs the real reservations, so the memo can never over-commit or
-//! leak. The outcome log, the refusal diagnostics and the explain rows are
-//! what a walk that re-asked every offer would have produced
+//! back to back on the one event loop, in exact event order — the walk
+//! [`Session::submit`] runs under one `negotiate` span, each refused
+//! prefix judged once against the capacity the walk started with
 //! (`tests/broker_contention.rs` pins one overloaded seed).
-//! [`Session::submit`] is the same `prepare` and the same walk under one
-//! `negotiate` span.
 //!
 //! With [`FleetSpec::explain`] set, every attempt records its live facts
 //! (status, chosen rank, refusals with their shortfalls); the broker keeps
@@ -56,15 +48,18 @@ use nod_qosneg::negotiate::{
     commit_prepared, explain_attempts, prepare, record_outcome, reprepare, CommitFailure,
     NegotiationContext, Prepared, SessionReservation,
 };
-use nod_qosneg::{NegotiationStatus, QosError, RetryPolicy, Session, UserProfile};
+use nod_qosneg::{
+    Attempt, Effect, Input, Lifecycle, NegotiationStatus, Phase, QosError, Reserved, RetryPolicy,
+    Rules, Session, SessionFate, UserProfile,
+};
 use nod_simcore::{EventQueue, SimTime, StreamRng};
 
 use crate::audit::CapacitySnapshot;
 use crate::fault::{Fault, FaultPlan};
 use crate::fleet::{EventRetention, FleetSpec};
 use crate::journal::{
-    event_hash, Fnv, HeaderRecord, Journal, JournalError, ParsedJournal, SnapEvent, SnapSession,
-    SnapshotState, PENDING_CONFIRM, PENDING_DEPARTURE, PENDING_LEAK, PENDING_RETRY,
+    event_hash, Fnv, HeaderRecord, Journal, JournalError, ParsedJournal, SnapEvent, SnapPhase,
+    SnapSession, SnapshotState, PENDING_CONFIRM, PENDING_DEPARTURE, PENDING_LEAK, PENDING_RETRY,
 };
 use crate::slab::Slab;
 use crate::windows::{FleetWindow, WindowAccumulator};
@@ -117,24 +112,6 @@ pub struct SessionSpec<'a> {
     /// How long an admitted session holds its resources, ms. `None`
     /// falls back to the document's total duration, then to 30 s.
     pub hold_ms: Option<u64>,
-}
-
-/// How a session ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SessionFate {
-    /// Resources committed (possibly below the requested QoS).
-    Admitted {
-        /// `true` when admission came from a FAILEDWITHOFFER outcome.
-        degraded: bool,
-    },
-    /// FAILEDTRYLATER every time until the retry budget or deadline ran
-    /// out — the contention casualty the paper's status is named for.
-    Starved,
-    /// A terminal refusal (FAILEDWITHOUTOFFER, FAILEDWITHLOCALOFFER or a
-    /// non-transient FAILEDTRYLATER).
-    Rejected,
-    /// The negotiation itself failed (unknown document, invalid request).
-    Errored,
 }
 
 /// Per-session summary, indexed like the input spec slice.
@@ -313,24 +290,17 @@ enum Ev {
 }
 
 /// Live state of an in-flight session — slab-resident from first arrival
-/// until its resources drain.
+/// until its resources drain: the session's [`Lifecycle`], which holds its
+/// reservation and offer index, plus what the fleet adds to it.
 struct LiveSession<'a> {
     /// Index into the spec slice.
     session: u32,
-    attempts: u32,
     rng: StreamRng,
-    reservation: Option<SessionReservation>,
-    /// Classified index of the reserved offer on the session's prepared
-    /// list; meaningful while `reservation` is held.
-    offer: u32,
-    /// Degraded flag of an admission awaiting user confirmation.
-    pending_admit: Option<bool>,
-    /// Latency recorded and session span closed.
-    closed: bool,
-    /// Open trace spans (only when a tracer is attached).
+    lifecycle: Lifecycle<SessionReservation>,
+    /// Open trace spans (only when a tracer is attached): the session's,
+    /// and the backoff or confirmation it is waiting through.
     session_span: Option<Span<'a>>,
-    backoff_span: Option<Span<'a>>,
-    confirm_span: Option<Span<'a>>,
+    wait_span: Option<Span<'a>>,
     /// Accumulating decision provenance ([`FleetSpec::explain`]): each
     /// attempt's live facts, completed only if the session is kept.
     explain: Option<SessionAcc>,
@@ -378,13 +348,7 @@ pub(crate) const FATES: [(SessionFate, &str); 5] = [
 ];
 
 pub(crate) fn fate_index(fate: SessionFate) -> usize {
-    match fate {
-        SessionFate::Admitted { degraded: false } => 0,
-        SessionFate::Admitted { degraded: true } => 1,
-        SessionFate::Starved => 2,
-        SessionFate::Rejected => 3,
-        SessionFate::Errored => 4,
-    }
+    (FATES.iter().position(|&(f, _)| f == fate)).expect("every fate is listed")
 }
 
 /// The broker's per-session metric handles and trace keys, resolved when
@@ -469,17 +433,6 @@ impl<'a> Broker<'a> {
         }
     }
 
-    fn hold_ms(&self, spec: &SessionSpec<'_>) -> u64 {
-        spec.hold_ms.unwrap_or_else(|| {
-            self.session
-                .context()
-                .catalog
-                .document(spec.document)
-                .and_then(|d| d.total_duration_ms().ok())
-                .unwrap_or(DEFAULT_HOLD_MS)
-        })
-    }
-
     /// Drive every session of `fleet` to a terminal fate on the virtual
     /// clock and return the full [`BrokerReport`].
     ///
@@ -534,25 +487,16 @@ impl<'a> Broker<'a> {
             for w in &plan.windows {
                 h.u64(w.from_ms);
                 h.u64(w.until_ms);
-                match w.fault {
-                    Fault::ServerCrash { server } => {
-                        h.u64(0);
-                        h.u64(server.0);
-                    }
-                    Fault::ServerSlowAdmission { server, factor } => {
-                        h.u64(1);
-                        h.u64(server.0);
-                        h.f64(factor);
-                    }
-                    Fault::LinkBlackout { link } => {
-                        h.u64(2);
-                        h.u64(link.0);
-                    }
-                    Fault::LinkCapacityDrop { link, health } => {
-                        h.u64(3);
-                        h.u64(link.0);
-                        h.f64(health);
-                    }
+                let (tag, target, level) = match w.fault {
+                    Fault::ServerCrash { server } => (0, server.0, None),
+                    Fault::ServerSlowAdmission { server, factor } => (1, server.0, Some(factor)),
+                    Fault::LinkBlackout { link } => (2, link.0, None),
+                    Fault::LinkCapacityDrop { link, health } => (3, link.0, Some(health)),
+                };
+                h.u64(tag);
+                h.u64(target);
+                if let Some(level) = level {
+                    h.f64(level);
                 }
             }
         }
@@ -646,14 +590,8 @@ impl<'a> Broker<'a> {
         // the end-of-run audit still checks against the pristine world.
         let before = CapacitySnapshot::capture(ctx.farm, ctx.network);
 
-        let none_plan;
-        let faults = match fleet.faults {
-            Some(plan) => plan,
-            None => {
-                none_plan = FaultPlan::none();
-                &none_plan
-            }
-        };
+        let none_plan = FaultPlan::none();
+        let faults = fleet.faults.unwrap_or(&none_plan);
         let fault_edges = faults.edges_ms();
         // Arrival consumption order: spec indices by (arrival_ms, index)
         // — exactly how the legacy single queue broke ties (the sort is
@@ -709,10 +647,9 @@ impl<'a> Broker<'a> {
             faults_injected: 0,
             keeper: fleet.explain.map(TailKeeper::new),
             ledger: Vec::new(),
-            ledger_ix: match fleet.explain {
-                Some(_) => vec![u32::MAX; specs.len()],
-                None => Vec::new(),
-            },
+            ledger_ix: fleet
+                .explain
+                .map_or(Vec::new(), |_| vec![u32::MAX; specs.len()]),
             spare_attempts: Vec::new(),
             spare_log: None,
             journal: fleet.journal,
@@ -736,19 +673,16 @@ impl<'a> Broker<'a> {
         // A failed recovery stops at the end of the tick it failed in.
         while state.failed.is_none() {
             // The next tick: the earliest head of the three streams.
-            let mut t = u64::MAX;
-            if let Some(&edge) = fault_edges.get(fi) {
-                t = t.min(edge);
-            }
-            if let Some((_, at_ms)) = arrival(ai) {
-                t = t.min(at_ms);
-            }
-            if let Some(at) = state.dynq.peek_time() {
-                t = t.min(at.as_millis());
-            }
-            if t == u64::MAX {
+            let heads = [
+                fault_edges.get(fi).copied(),
+                arrival(ai).map(|(_, at_ms)| at_ms),
+                state.dynq.peek_time().map(SimTime::as_millis),
+            ];
+            // Done when every stream is empty; an edge at `u64::MAX` ms
+            // never fires.
+            let Some(t) = heads.into_iter().flatten().min().filter(|&t| t < u64::MAX) else {
                 break;
-            }
+            };
             end_ms = end_ms.max(t);
             if let Some(rec) = self.recorder {
                 // One clock store per tick — every event in the batch
@@ -838,11 +772,7 @@ impl<'a> Broker<'a> {
         }
         let [admitted_in_full, degraded, starved, rejected, errored] = by_fate;
         let admitted = admitted_in_full + degraded;
-        let admission_ratio = if specs.is_empty() {
-            0.0
-        } else {
-            admitted as f64 / specs.len() as f64
-        };
+        let admission_ratio = admitted as f64 / specs.len().max(1) as f64;
         if let Some(rec) = self.recorder {
             rec.counter("broker.retries", state.retries);
             rec.counter("broker.backoff_ms", state.backoff_ms_total);
@@ -1017,55 +947,6 @@ impl<'a> DriveLoop<'_, 'a> {
                 return Err(JournalError::Malformed("a session settled twice"));
             }
         }
-        for s in &snap.live {
-            let i = s.session as usize;
-            let slot = self.live.insert(LiveSession {
-                session: s.session,
-                attempts: s.attempts,
-                rng: StreamRng::from_state_parts(s.rng.0, s.rng.1),
-                reservation: s.offer.map(|_| SessionReservation {
-                    servers: Vec::new(),
-                    network: Vec::new(),
-                }),
-                offer: s.offer.unwrap_or(0),
-                pending_admit: s.pending_admit,
-                closed: s.closed,
-                session_span: None,
-                backoff_span: None,
-                confirm_span: None,
-                explain: self.keeper.is_some().then(SessionAcc::default),
-            });
-            self.slots[i] = slot;
-            let Some(index) = s.offer.map(|ix| ix as usize) else {
-                continue;
-            };
-            let spec = &self.specs[i];
-            let failed = |what: String| JournalError::RestoreFailed(format!("session {i} {what}"));
-            let offer = match reprepare(ctx, spec.client, spec.document, spec.profile) {
-                Ok(Prepared::Offers(mut ranked, ..)) if index < ranked.len() => {
-                    ranked.materialize(index)
-                }
-                _ => return Err(failed(format!("has no offer {index} on its list"))),
-            };
-            // Re-reserve stream by stream into the slab-resident
-            // reservation, so a refusal partway leaves everything made so
-            // far where `release_all` finds it.
-            let res = (self.live.get_mut(slot))
-                .and_then(|st| st.reservation.as_mut())
-                .expect("a session with an offer index holds a reservation");
-            for (v, net_bps) in held_streams(&offer, ctx.guarantee) {
-                let req = StreamRequirement::for_variant(v, ctx.guarantee);
-                let rid = (ctx.farm.try_reserve(v.server, req))
-                    .map_err(|e| failed(format!("on {}: {e:?}", v.server)))?;
-                res.servers.push((v.server, rid));
-                if let Some(bps) = net_bps {
-                    let nid = (ctx.network.try_reserve(spec.client.id, v.server, bps))
-                        .map_err(|e| failed(format!("path to {}: {e:?}", v.server)))?;
-                    res.network.push(nid);
-                }
-            }
-        }
-        faults.apply_state_at(ctx.farm, ctx.network, snap.at_ms);
         // Pending events, rescheduled in the delivery order they decode in:
         // fresh sequence numbers assigned in `(at, seq)` order reproduce
         // the same-tick FIFO tie-break exactly.
@@ -1079,6 +960,70 @@ impl<'a> DriveLoop<'_, 'a> {
             };
             self.dynq.schedule(SimTime::from_micros(e.at_us), ev);
         }
+        for s in &snap.live {
+            let i = s.session as usize;
+            let reserved = |offer, degraded| Reserved {
+                reservation: SessionReservation::default(),
+                offer,
+                degraded,
+            };
+            // Only a held session has settled. The snapshot keeps no
+            // confirmation deadline: the pending OK, which the simulated
+            // user always makes in time, is the only decision to come.
+            let phase = match (s.phase, self.results[i].as_ref().map(|r| r.fate)) {
+                (SnapPhase::BackingOff, None) => Phase::Negotiating,
+                (SnapPhase::Awaiting { degraded, offer }, None) => Phase::Awaiting {
+                    deadline_ms: u64::MAX,
+                    reserved: reserved(offer, degraded),
+                },
+                (SnapPhase::Held { offer }, Some(SessionFate::Admitted { degraded })) => {
+                    Phase::Held(reserved(offer, degraded))
+                }
+                _ => {
+                    return Err(JournalError::Malformed(
+                        "live session disagrees with its result",
+                    ))
+                }
+            };
+            let slot = self.live.insert(LiveSession {
+                session: s.session,
+                rng: StreamRng::from_state_parts(s.rng.0, s.rng.1),
+                lifecycle: Lifecycle::restore(s.attempts, phase),
+                session_span: None,
+                wait_span: None,
+                explain: self.keeper.is_some().then(SessionAcc::default),
+            });
+            self.slots[i] = slot;
+            let st = self.live.get_mut(slot).expect("just inserted");
+            let Some(held) = st.lifecycle.reserved_mut() else {
+                continue;
+            };
+            let index = held.offer as usize;
+            let spec = &self.specs[i];
+            let failed = |what: String| JournalError::RestoreFailed(format!("session {i} {what}"));
+            let offer = match reprepare(ctx, spec.client, spec.document, spec.profile) {
+                Ok(Prepared::Offers(mut ranked, ..)) if index < ranked.len() => {
+                    ranked.materialize(index)
+                }
+                _ => return Err(failed(format!("has no offer {index} on its list"))),
+            };
+            // Re-reserve stream by stream into the slab-resident
+            // reservation, so a refusal partway leaves everything made so
+            // far where `release_all` finds it.
+            let res = &mut held.reservation;
+            for (v, net_bps) in held_streams(&offer, ctx.guarantee) {
+                let req = StreamRequirement::for_variant(v, ctx.guarantee);
+                let rid = (ctx.farm.try_reserve(v.server, req))
+                    .map_err(|e| failed(format!("on {}: {e:?}", v.server)))?;
+                res.servers.push((v.server, rid));
+                if let Some(bps) = net_bps {
+                    let nid = (ctx.network.try_reserve(spec.client.id, v.server, bps))
+                        .map_err(|e| failed(format!("path to {}: {e:?}", v.server)))?;
+                    res.network.push(nid);
+                }
+            }
+        }
+        faults.apply_state_at(ctx.farm, ctx.network, snap.at_ms);
         self.peak_live = snap.peak_live as usize;
         self.retries = snap.retries;
         self.backoff_ms_total = snap.backoff_ms_total;
@@ -1094,8 +1039,8 @@ impl<'a> DriveLoop<'_, 'a> {
         let ctx = broker.session.context();
         faults.apply_state_at(ctx.farm, ctx.network, u64::MAX);
         for &slot in &self.slots {
-            if let Some(res) = self.live.get_mut(slot).and_then(|st| st.reservation.take()) {
-                broker.session.release(&res);
+            if let Some(held) = self.live.get(slot).and_then(|st| st.lifecycle.reserved()) {
+                broker.session.release(&held.reservation);
             }
         }
     }
@@ -1109,11 +1054,19 @@ impl<'a> DriveLoop<'_, 'a> {
         let live = (self.live.iter())
             .map(|st| SnapSession {
                 session: st.session,
-                attempts: st.attempts,
+                attempts: st.lifecycle.attempts(),
                 rng: st.rng.state_parts(),
-                pending_admit: st.pending_admit,
-                closed: st.closed,
-                offer: st.reservation.is_some().then_some(st.offer),
+                phase: match st.lifecycle.phase() {
+                    Phase::Negotiating => SnapPhase::BackingOff,
+                    Phase::Awaiting { reserved, .. } => SnapPhase::Awaiting {
+                        degraded: reserved.degraded,
+                        offer: reserved.offer,
+                    },
+                    Phase::Held(reserved) => SnapPhase::Held {
+                        offer: reserved.offer,
+                    },
+                    Phase::Done(_) => unreachable!("a settled session holding nothing is not live"),
+                },
             })
             .collect();
         let dynq = (self.dynq.iter())
@@ -1166,32 +1119,18 @@ impl<'a> DriveLoop<'_, 'a> {
             .expect("a spec index whose slot is not u32::MAX is in the slab")
     }
 
-    fn finish(&mut self, i: usize, attempts: u32, fate: SessionFate, admitted_at_ms: Option<u64>) {
-        debug_assert!(self.results[i].is_none(), "session {i} finished twice");
-        self.results[i] = Some(SessionResult {
-            session: i,
-            fate,
-            attempts,
-            admitted_at_ms,
-        });
-    }
-
-    /// One negotiation attempt (arrival or retry) for session `i`.
+    /// One negotiation attempt (arrival or retry) for session `i`: steps
+    /// 1–5, then the lifecycle's verdict on them.
     fn attempt(&mut self, i: usize, now_ms: u64) {
         let broker = self.broker;
         let spec = &self.specs[i];
         if self.slots[i] == u32::MAX {
             self.slots[i] = self.live.insert(LiveSession {
                 session: i as u32,
-                attempts: 0,
                 rng: self.master.split_nth(i as u64),
-                reservation: None,
-                offer: 0,
-                pending_admit: None,
-                closed: false,
+                lifecycle: Lifecycle::default(),
                 session_span: None,
-                backoff_span: None,
-                confirm_span: None,
+                wait_span: None,
                 explain: self.keeper.is_some().then(|| SessionAcc {
                     attempts: std::mem::take(&mut self.spare_attempts),
                     settlement: None,
@@ -1200,12 +1139,10 @@ impl<'a> DriveLoop<'_, 'a> {
             self.peak_live = self.peak_live.max(self.live.len());
         }
         let st = self.session(i);
-        st.attempts += 1;
-        let attempts = st.attempts;
         if st.session_span.is_none() {
             st.session_span = broker.recorder.and_then(|r| r.trace_span("session"));
         }
-        if let Some(b) = st.backoff_span.take() {
+        if let Some(b) = st.wait_span.take() {
             b.end();
         }
         let attempt_span = broker.recorder.and_then(|r| r.trace_span("attempt"));
@@ -1216,51 +1153,63 @@ impl<'a> DriveLoop<'_, 'a> {
             explain: false,
             ..*broker.session.context()
         };
-        let mut facts = (self.keeper.is_some()).then(|| self.spare_log.take().unwrap_or_default());
-        let mut reserved: Option<(usize, ScoredOffer)> = None;
-        let outcome = match prepare(&ctx, spec.client, spec.document, spec.profile) {
-            Err(err) => {
-                if let Some(a) = attempt_span {
-                    a.end();
-                }
-                self.finish(i, attempts, SessionFate::Errored, None);
-                // Stringified as `Session::submit` would have returned it.
-                let error = QosError::from(err).to_string();
-                self.record(now_ms, i, OutcomeKind::Errored { error });
-                self.close_out(i, now_ms);
-                return;
-            }
-            Ok(Prepared::Early(out)) => {
+        let explaining = self.keeper.is_some();
+        let mut facts = explaining.then(|| self.spare_log.take().unwrap_or_default());
+        // The negotiation's outcome, and what a FAILEDTRYLATER waits for.
+        let negotiated = match prepare(&ctx, spec.client, spec.document, spec.profile) {
+            // Stringified as `Session::submit` would have returned it.
+            Err(err) => Err(QosError::from(err).to_string()),
+            Ok(Prepared::Early(mut out)) => {
                 // The fused negotiate path would have emitted the
                 // terminal outcome itself; the split path does it here.
+                // An early status is a refusal no retry can change.
                 if let Some(rec) = broker.recorder {
                     record_outcome(rec, out.status);
                 }
                 if let Some(log) = facts.as_deref_mut() {
                     log.status = Some(out.status);
                 }
-                (out.status, None, false, "other", facts)
+                out.decisions = facts;
+                Ok((*out, "other"))
             }
             Ok(Prepared::Offers(ordered, trace, _)) => {
-                let mut out =
-                    commit_prepared(&ctx, spec.client, spec.profile, ordered, trace, facts);
-                let transient = out.commit_failures.is_empty()
-                    || out.commit_failures.iter().any(|(_, f)| f.transient());
+                let out = commit_prepared(&ctx, spec.client, spec.profile, ordered, trace, facts);
+                if let Some(offer) = out.reserved_offer.as_ref().filter(|_| explaining) {
+                    // The committed offer's streams become a capacity-ledger
+                    // row; `depart_ms` is stamped when the session departs.
+                    self.ledger_ix[i] = self.ledger.len() as u32;
+                    self.ledger.push(LedgerRow {
+                        session: i as u64,
+                        admit_ms: now_ms,
+                        depart_ms: now_ms,
+                        streams: held_streams(offer, ctx.guarantee)
+                            .map(|(v, bps)| StreamRow {
+                                server: v.server.0,
+                                bps: bps.unwrap_or(0),
+                            })
+                            .collect(),
+                    });
+                }
                 let reason = refusal_reason(&out.commit_failures);
-                reserved = out.reserved_index.zip(out.reserved_offer.take());
-                (
-                    out.status,
-                    out.reservation,
-                    transient,
-                    reason,
-                    out.decisions,
-                )
+                Ok((out, reason))
+            }
+        };
+        // The attempt, and the outcome a terminal refusal logs.
+        let (outcome, refusal, reason, decisions) = match negotiated {
+            Err(error) => (
+                Attempt::Errored,
+                OutcomeKind::Errored { error },
+                "other",
+                None,
+            ),
+            Ok((mut out, reason)) => {
+                let refusal = OutcomeKind::Rejected { status: out.status };
+                (Attempt::of(&mut out), refusal, reason, out.decisions)
             }
         };
         if let Some(a) = attempt_span {
             a.end();
         }
-        let (status, reservation, transient, reason, decisions) = outcome;
         if let Some(mut d) = decisions {
             if let Some(acc) = self.session(i).explain.as_mut() {
                 let decisions = std::mem::take(&mut *d);
@@ -1271,200 +1220,128 @@ impl<'a> DriveLoop<'_, 'a> {
             }
             self.spare_log = Some(d);
         }
-        let kind = match status {
-            NegotiationStatus::Succeeded => self.hold(i, now_ms, reservation, reserved, false),
-            NegotiationStatus::FailedWithOffer => self.hold(i, now_ms, reservation, reserved, true),
-            NegotiationStatus::FailedTryLater => {
-                self.try_later(i, now_ms, transient, reason, status)
+        let config = &broker.config;
+        let st = self.session(i);
+        let rules = Rules {
+            retry: config.retry,
+            choice_period_ms: config.choice_period_ms,
+            at_ms: now_ms,
+            arrived_ms: spec.arrival_ms,
+            rng: &mut st.rng,
+        };
+        let effect = st.lifecycle.step(Input::Attempt(outcome, rules));
+        let attempt = st.lifecycle.attempts();
+        let admitted = |degraded| OutcomeKind::Admitted { degraded, attempt };
+        let (kind, settled) = match effect {
+            Effect::Retry { at_ms, backoff_ms } => {
+                self.retries += 1;
+                self.backoff_ms_total += backoff_ms;
+                if let Some(rec) = broker.recorder {
+                    // The backoff span stays open until the retry fires;
+                    // the reason point (recorded while it is innermost) is
+                    // what wait-time attribution splits backoff by.
+                    if let Some(span) = rec.trace_span("backoff") {
+                        rec.trace_point("backoff.reason", &[("reason", reason)]);
+                        self.session(i).wait_span = Some(span);
+                    }
+                }
+                self.dynq
+                    .schedule(SimTime::from_millis(at_ms), Ev::Retry(i));
+                let kind = OutcomeKind::RetryScheduled { at_ms, attempt };
+                (kind, None)
             }
-            _ => {
-                // FailedWithoutOffer, FailedWithLocalOffer and any future
-                // status: terminal, nothing reserved.
-                self.finish(i, attempts, SessionFate::Rejected, None);
-                OutcomeKind::Rejected { status }
+            Effect::Confirm | Effect::Admit => {
+                let degraded = st.lifecycle.reserved().is_some_and(|r| r.degraded);
+                // The paper's choicePeriod: resources stay reserved while
+                // the simulated user deliberates, for a think time drawn
+                // inside the period; without one, the hold starts now.
+                let awaiting = effect == Effect::Confirm;
+                let mut delay = 0;
+                if awaiting {
+                    st.wait_span = broker.recorder.and_then(|r| r.trace_span("confirm"));
+                    delay = st.rng.range_u64(1, config.choice_period_ms);
+                }
+                if let Some(acc) = st.explain.as_mut() {
+                    acc.settlement = Some(Settlement {
+                        admitted_at_ms: now_ms,
+                        choice_delay_ms: delay,
+                        confirmed: !awaiting,
+                    });
+                }
+                if awaiting {
+                    let at = SimTime::from_millis(now_ms + delay);
+                    self.dynq.schedule(at, Ev::Confirm(i));
+                } else {
+                    self.hold(i, now_ms);
+                }
+                let fate = SessionFate::Admitted { degraded };
+                (admitted(degraded), (!awaiting).then_some(fate))
+            }
+            Effect::Settle(fate) => {
+                let kind = match fate {
+                    SessionFate::Admitted { degraded } => admitted(degraded),
+                    SessionFate::Starved => OutcomeKind::Starved { attempts: attempt },
+                    SessionFate::Rejected | SessionFate::Errored => refusal,
+                };
+                (kind, Some(fate))
+            }
+            Effect::None | Effect::Release(_) | Effect::TimedOut(_) => {
+                unreachable!("an arriving or retrying session takes its attempt")
             }
         };
-        self.record(now_ms, i, kind);
-        self.close_out(i, now_ms);
+        self.emit(i, now_ms, kind, settled);
     }
 
-    /// Keep the reservation a walk committed, with the classified index
-    /// of the offer it holds (all a journal snapshot needs to re-derive
-    /// it), and admit the session. With explain on, the offer's streams
-    /// become a capacity-ledger row (`depart_ms` is stamped when the
-    /// session departs).
-    fn hold(
-        &mut self,
-        i: usize,
-        now_ms: u64,
-        reservation: Option<SessionReservation>,
-        reserved: Option<(usize, ScoredOffer)>,
-        degraded: bool,
-    ) -> OutcomeKind {
-        if let Some((index, offer)) = reserved.filter(|_| reservation.is_some()) {
-            if self.keeper.is_some() {
-                let guarantee = self.broker.session.context().guarantee;
-                self.ledger_ix[i] = self.ledger.len() as u32;
-                self.ledger.push(LedgerRow {
-                    session: i as u64,
-                    admit_ms: now_ms,
-                    depart_ms: now_ms,
-                    streams: held_streams(&offer, guarantee)
-                        .map(|(v, bps)| StreamRow {
-                            server: v.server.0,
-                            bps: bps.unwrap_or(0),
-                        })
-                        .collect(),
-                });
-            }
-            self.session(i).offer = index as u32;
-        }
-        self.session(i).reservation = reservation;
-        self.admit(i, now_ms, degraded)
-    }
-
-    fn admit(&mut self, i: usize, now_ms: u64, degraded: bool) -> OutcomeKind {
-        let broker = self.broker;
-        let st = self.session(i);
-        let attempts = st.attempts;
-        if st.reservation.is_some() && broker.config.choice_period_ms > 0 {
-            // The paper's choicePeriod: resources stay reserved while the
-            // user deliberates; the session turns terminal at Confirm.
-            st.pending_admit = Some(degraded);
-            st.confirm_span = broker.recorder.and_then(|r| r.trace_span("confirm"));
-            let delay = st.rng.range_u64(1, broker.config.choice_period_ms);
-            if let Some(acc) = st.explain.as_mut() {
-                acc.settlement = Some(Settlement {
-                    admitted_at_ms: now_ms,
-                    choice_delay_ms: delay,
-                    confirmed: false,
-                });
-            }
-            self.dynq
-                .schedule(SimTime::from_millis(now_ms + delay), Ev::Confirm(i));
-            return OutcomeKind::Admitted {
-                degraded,
-                attempt: attempts,
-            };
-        }
-        if st.reservation.is_some() {
-            if let Some(acc) = st.explain.as_mut() {
-                acc.settlement = Some(Settlement {
-                    admitted_at_ms: now_ms,
-                    choice_delay_ms: 0,
-                    confirmed: true,
-                });
-            }
-            let hold = broker.hold_ms(&self.specs[i]).max(1);
-            self.dynq
-                .schedule(SimTime::from_millis(now_ms + hold), Ev::Departure(i));
-        }
-        self.finish(
-            i,
-            attempts,
-            SessionFate::Admitted { degraded },
-            Some(now_ms),
-        );
-        OutcomeKind::Admitted {
-            degraded,
-            attempt: attempts,
-        }
-    }
-
-    fn try_later(
-        &mut self,
-        i: usize,
-        now_ms: u64,
-        transient: bool,
-        reason: &'static str,
-        status: NegotiationStatus,
-    ) -> OutcomeKind {
-        let broker = self.broker;
-        let policy = &broker.config.retry;
-        if !transient {
-            // Every refusal was load-independent (decode budget, startup
-            // bound): waiting cannot help.
-            let attempts = self.session(i).attempts;
-            self.finish(i, attempts, SessionFate::Rejected, None);
-            return OutcomeKind::Rejected { status };
-        }
-        let attempts = self.session(i).attempts;
-        if attempts >= policy.max_attempts {
-            self.finish(i, attempts, SessionFate::Starved, None);
-            return OutcomeKind::Starved { attempts };
-        }
-        let backoff = policy.backoff_ms(attempts, &mut self.session(i).rng).max(1);
-        let fire_ms = now_ms + backoff;
-        if let Some(deadline) = policy.deadline_ms {
-            // The deadline is exclusive (see `RetryPolicy::deadline_ms`):
-            // a retry firing exactly `deadline` ms after arrival is
-            // already past the give-up instant, so `>=`, not `>`.
-            if fire_ms.saturating_sub(self.specs[i].arrival_ms) >= deadline {
-                self.finish(i, attempts, SessionFate::Starved, None);
-                return OutcomeKind::Starved { attempts };
-            }
-        }
-        self.retries += 1;
-        self.backoff_ms_total += backoff;
-        if let Some(rec) = broker.recorder {
-            // The backoff span stays open until the retry fires; the
-            // reason point (recorded while it is innermost) is what
-            // wait-time attribution splits backoff by.
-            if let Some(span) = rec.trace_span("backoff") {
-                rec.trace_point("backoff.reason", &[("reason", reason)]);
-                self.session(i).backoff_span = Some(span);
-            }
-        }
-        self.dynq
-            .schedule(SimTime::from_millis(fire_ms), Ev::Retry(i));
-        OutcomeKind::RetryScheduled {
-            at_ms: fire_ms,
-            attempt: attempts,
-        }
+    /// Start an admitted session's hold: its departure is due after the
+    /// spec's hold time, else the document's duration, else 30 s.
+    fn hold(&mut self, i: usize, now_ms: u64) {
+        let spec = &self.specs[i];
+        let hold_ms = spec.hold_ms.unwrap_or_else(|| {
+            let catalog = self.broker.session.context().catalog;
+            (catalog
+                .document(spec.document)
+                .and_then(|d| d.total_duration_ms().ok()))
+            .unwrap_or(DEFAULT_HOLD_MS)
+        });
+        let at = SimTime::from_millis(now_ms + hold_ms.max(1));
+        self.dynq.schedule(at, Ev::Departure(i));
     }
 
     fn confirm(&mut self, i: usize, now_ms: u64) {
         let broker = self.broker;
         let st = self.session(i);
-        let degraded = st
-            .pending_admit
-            .take()
-            .expect("Confirm fired without a pending admission");
+        // The simulated user's think time was drawn inside the choice
+        // period, so the OK is always in time.
+        let decide = Input::Decide {
+            accept: true,
+            at_ms: now_ms,
+        };
+        let Effect::Admit = st.lifecycle.step(decide) else {
+            unreachable!("session {i} confirms in time, while awaiting")
+        };
+        let degraded = st.lifecycle.reserved().is_some_and(|r| r.degraded);
         if let Some(rec) = broker.recorder {
             rec.trace_point("confirm.decision", &[("decision", "accepted")]);
         }
-        if let Some(c) = st.confirm_span.take() {
+        if let Some(c) = st.wait_span.take() {
             c.end();
         }
-        if let Some(acc) = st.explain.as_mut() {
-            if let Some(s) = acc.settlement.as_mut() {
-                s.confirmed = true;
-            }
+        if let Some(s) = st.explain.as_mut().and_then(|acc| acc.settlement.as_mut()) {
+            s.confirmed = true;
         }
-        let attempts = st.attempts;
-        if st.reservation.is_some() {
-            let hold = broker.hold_ms(&self.specs[i]).max(1);
-            self.dynq
-                .schedule(SimTime::from_millis(now_ms + hold), Ev::Departure(i));
-        }
-        self.finish(
-            i,
-            attempts,
-            SessionFate::Admitted { degraded },
-            Some(now_ms),
-        );
-        self.record(now_ms, i, OutcomeKind::Confirmed);
-        self.close_out(i, now_ms);
+        self.hold(i, now_ms);
+        let fate = SessionFate::Admitted { degraded };
+        self.emit(i, now_ms, OutcomeKind::Confirmed, Some(fate));
     }
 
     fn departure(&mut self, i: usize, now_ms: u64) {
-        if let Some(res) = self.session(i).reservation.take() {
-            self.broker.session.release(&res);
-        }
-        // An admitted session is closed by the time it departs; its slab
-        // slot — the last thing keeping it live — is recycled here.
-        let st = self.live.remove(self.slots[i]);
-        debug_assert!(st.closed, "session {i} departed before closing");
+        let Effect::Release(res) = self.session(i).lifecycle.step(Input::Depart) else {
+            unreachable!("session {i} departs only while held")
+        };
+        self.broker.session.release(&res);
+        // A held session is settled and closed out; its slab slot — the
+        // last thing keeping it live — is recycled here.
+        self.live.remove(self.slots[i]);
         self.slots[i] = u32::MAX;
         if let Some(&ix) = self.ledger_ix.get(i) {
             if ix != u32::MAX {
@@ -1512,40 +1389,44 @@ impl<'a> DriveLoop<'_, 'a> {
         }
     }
 
-    /// Terminal close-out: record latency once, close the session's
-    /// trace span (outcome point first, while it is still the innermost
-    /// open span), feed the SLO monitor and the tail sampler, and — when
-    /// nothing is held — recycle the slab slot.
-    fn close_out(&mut self, i: usize, now_ms: u64) {
-        let broker = self.broker;
-        let slot = self.slots[i];
-        let Some(st) = self.live.get_mut(slot) else {
-            return;
+    /// Log outcome `kind` of session `i`; when it settles the session with
+    /// a fate, close it out too. The result is written first — the
+    /// journal's terminal record carries it — then latency is recorded,
+    /// the session's trace span closed (outcome point first, while it is
+    /// still the innermost open span), the SLO monitor and the tail
+    /// sampler fed, and — when nothing is held — the slab slot recycled.
+    fn emit(&mut self, i: usize, now_ms: u64, kind: OutcomeKind, settled: Option<SessionFate>) {
+        let Some(fate) = settled else {
+            return self.record(now_ms, i, kind);
         };
-        if st.closed || self.results[i].is_none() {
-            return;
-        }
-        st.closed = true;
-        let result = self.results[i].as_ref().expect("just checked");
-        let total_ms = now_ms.saturating_sub(self.specs[i].arrival_ms);
+        let broker = self.broker;
+        let arrival_ms = self.specs[i].arrival_ms;
+        let attempts = self.session(i).lifecycle.attempts();
+        let admitted_at_ms = matches!(fate, SessionFate::Admitted { .. }).then_some(now_ms);
+        self.results[i] = Some(SessionResult {
+            session: i,
+            fate,
+            attempts,
+            admitted_at_ms,
+        });
+        self.record(now_ms, i, kind);
+        let slot = self.slots[i];
+        let st = (self.live.get_mut(slot)).expect("a settling session is live");
+        let total_ms = now_ms.saturating_sub(arrival_ms);
         if let (Some(rec), Some(m)) = (broker.recorder, &broker.metrics) {
             rec.record(m.session_ms, total_ms as f64);
-            rec.trace_point_key(m.session_outcome[fate_index(result.fate)], None);
+            rec.trace_point_key(m.session_outcome[fate_index(fate)], None);
         }
         if let Some(span) = st.session_span.take() {
             span.end();
         }
-        let failed = !matches!(result.fate, SessionFate::Admitted { .. });
-        let latency_ms = result
-            .admitted_at_ms
-            .map(|at| at.saturating_sub(self.specs[i].arrival_ms) as f64);
-        let attempts = result.attempts as u64;
-        let fate = FATES[fate_index(result.fate)].1;
-        let holds = st.reservation.is_some();
+        let failed = !matches!(fate, SessionFate::Admitted { .. });
+        let latency_ms = admitted_at_ms.map(|at| at.saturating_sub(arrival_ms) as f64);
+        let holds = st.lifecycle.reserved().is_some();
         let mut acc = st.explain.take();
         self.latency.record(total_ms as f64);
         self.slo
-            .on_session(broker.recorder, now_ms, latency_ms, failed, attempts);
+            .on_session(broker.recorder, now_ms, latency_ms, failed, attempts as u64);
         // Tail sampling: with a retention policy attached the tracer
         // keeps failures, the top-k slowest and the seeded baseline, and
         // drops the rest now.
@@ -1553,13 +1434,12 @@ impl<'a> DriveLoop<'_, 'a> {
             t.finish_session(i as u64, failed, ms_to_us(total_ms));
         }
         if let Some(keeper) = self.keeper.as_mut() {
-            let arrival_ms = self.specs[i].arrival_ms;
             keeper.finish_with(i as u64, failed, ms_to_us(total_ms), || {
                 let acc = acc.take().unwrap_or_default();
                 SessionExplain {
                     session: i as u64,
                     arrival_ms,
-                    fate: fate.to_string(),
+                    fate: FATES[fate_index(fate)].1.to_string(),
                     duration_ms: total_ms,
                     attempts: acc.attempts,
                     settlement: acc.settlement,

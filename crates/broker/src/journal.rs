@@ -381,11 +381,21 @@ pub(crate) struct SnapSession {
     pub attempts: u32,
     /// Saved per-session RNG `(state, gamma)`.
     pub rng: (u64, u64),
-    /// The degraded flag of an admission awaiting confirmation.
-    pub pending_admit: Option<bool>,
-    pub closed: bool,
-    /// Classified index of the reserved offer, while a reservation is held.
-    pub offer: Option<u32>,
+    pub phase: SnapPhase,
+}
+
+/// A live session's lifecycle phase, as a snapshot stores it. At a tick
+/// boundary a live session is backing off, awaiting its confirmation or
+/// held. Three bytes encode it — a pending admission (0 none, 1 in full,
+/// 2 degraded), a closed flag and the reserved offer's index (`u32::MAX`
+/// for none) — and a combination naming no phase is malformed. The phase's
+/// instant is its pending event's; its reservation is re-derived from the
+/// offer index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SnapPhase {
+    BackingOff,
+    Awaiting { degraded: bool, offer: u32 },
+    Held { offer: u32 },
 }
 
 /// Pending-event kinds of a snapshot's queue.
@@ -441,9 +451,13 @@ impl SnapshotState {
             put_u32(p, s.attempts);
             put_u64(p, s.rng.0);
             put_u64(p, s.rng.1);
-            p.push(s.pending_admit.map_or(0, |degraded| 1 + degraded as u8));
-            p.push(s.closed as u8);
-            put_u32(p, s.offer.unwrap_or(u32::MAX));
+            let (pending, closed, offer) = match s.phase {
+                SnapPhase::BackingOff => (0, 0, u32::MAX),
+                SnapPhase::Awaiting { degraded, offer } => (1 + degraded as u8, 0, offer),
+                SnapPhase::Held { offer } => (0, 1, offer),
+            };
+            p.extend_from_slice(&[pending, closed]);
+            put_u32(p, offer);
         }
         put_u32(p, self.dynq.len() as u32);
         for e in &self.dynq {
@@ -472,14 +486,16 @@ impl SnapshotState {
                 session: t.u32()?,
                 attempts: t.u32()?,
                 rng: (t.u64()?, t.u64()?),
-                pending_admit: match t.u8()? {
-                    0 => None,
-                    1 => Some(false),
-                    2 => Some(true),
-                    _ => return Err(JournalError::Malformed("unknown pending admission")),
+                phase: match (t.u8()?, t.u8()?, Some(t.u32()?).filter(|&v| v != u32::MAX)) {
+                    (3.., ..) => return Err(JournalError::Malformed("unknown pending admission")),
+                    (0, 0, None) => SnapPhase::BackingOff,
+                    (pending @ (1 | 2), 0, Some(offer)) => SnapPhase::Awaiting {
+                        degraded: pending == 2,
+                        offer,
+                    },
+                    (0, 1, Some(offer)) => SnapPhase::Held { offer },
+                    _ => return Err(JournalError::Malformed("snapshot session in no phase")),
                 },
-                closed: t.u8()? != 0,
-                offer: Some(t.u32()?).filter(|&v| v != u32::MAX),
             });
         }
         let (dynq, reserve) = t.count(21)?;
@@ -978,12 +994,13 @@ pub(crate) struct ParsedJournal {
 
 impl ParsedJournal {
     /// Check that the journal fits a fleet of `sessions`: every session id
-    /// names a spec, no session is live twice, every pending retry,
-    /// confirmation or departure belongs to a live session with no other
-    /// event pending — a confirmation to one awaiting its admission — and
-    /// a pending injected leak is one the config arms (`leak_armed`). A
-    /// well-framed journal that fails this would index past the fleet or
-    /// fire an event at a session not in the state it needs.
+    /// names a spec, no session is live twice, every live session has
+    /// exactly one pending event and it is the input its phase waits for —
+    /// a retry while backing off, a confirmation while awaiting, a
+    /// departure while held — and a pending injected leak is one the
+    /// config arms (`leak_armed`). A well-framed journal that fails this
+    /// would index past the fleet or fire an event at a session not in the
+    /// phase it needs.
     pub(crate) fn check_sessions(
         &self,
         sessions: u64,
@@ -1009,15 +1026,26 @@ impl ParsedJournal {
                 _ if e.kind == PENDING_LEAK => leak_armed,
                 Ok(at) if !pending[at] => {
                     pending[at] = true;
-                    e.kind != PENDING_CONFIRM || live[at].pending_admit.is_some()
+                    // The one input the session's phase waits for.
+                    let waits_for = match live[at].phase {
+                        SnapPhase::BackingOff => PENDING_RETRY,
+                        SnapPhase::Awaiting { .. } => PENDING_CONFIRM,
+                        SnapPhase::Held { .. } => PENDING_DEPARTURE,
+                    };
+                    e.kind == waits_for
                 }
                 _ => false,
             };
             if !fits {
                 return Err(JournalError::Malformed(
-                    "snapshot event for a session not in its state",
+                    "snapshot event for a session not in its phase",
                 ));
             }
+        }
+        if pending.contains(&false) {
+            return Err(JournalError::Malformed(
+                "live session with no pending event",
+            ));
         }
         Ok(())
     }
@@ -1039,8 +1067,9 @@ fn next_frame(buf: &[u8], pos: usize) -> Option<(&[u8], usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::broker::{OutcomeEvent, SessionFate};
+    use crate::broker::OutcomeEvent;
     use nod_qosneg::NegotiationStatus;
+    use nod_qosneg::SessionFate;
 
     #[test]
     fn crc32_matches_the_ieee_check_value() {
@@ -1263,17 +1292,16 @@ mod tests {
                     session: 1,
                     attempts: 2,
                     rng: (0x1111, 0x2222 | 1),
-                    pending_admit: Some(true),
-                    closed: false,
-                    offer: Some(9),
+                    phase: SnapPhase::Awaiting {
+                        degraded: true,
+                        offer: 9,
+                    },
                 },
                 SnapSession {
                     session: 4,
                     attempts: 1,
                     rng: (0x3333, 0x4444 | 1),
-                    pending_admit: None,
-                    closed: false,
-                    offer: None,
+                    phase: SnapPhase::BackingOff,
                 },
             ],
             dynq: vec![

@@ -49,11 +49,12 @@ mod windows;
 
 pub use audit::CapacitySnapshot;
 pub use broker::{
-    Broker, BrokerConfig, BrokerReport, OutcomeEvent, OutcomeKind, RecoveryReport, SessionFate,
-    SessionResult, SessionSpec,
+    Broker, BrokerConfig, BrokerReport, OutcomeEvent, OutcomeKind, RecoveryReport, SessionResult,
+    SessionSpec,
 };
 pub use fault::{Fault, FaultPlan, FaultWindow};
 pub use fleet::{EventRetention, FleetSpec};
 pub use journal::{crc32, Journal, JournalConfig, JournalError, JournalStats, CRASH_EXIT_CODE};
+pub use nod_qosneg::SessionFate;
 pub use slab::Slab;
 pub use windows::{fleet_windows, FleetWindow, WindowAccumulator};

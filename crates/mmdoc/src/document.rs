@@ -189,14 +189,6 @@ impl Document {
         }
     }
 
-    /// The spatial layout (empty for monomedia documents).
-    pub fn spatial_layout(&self) -> &[SpatialRegion] {
-        match &self.content {
-            DocumentContent::Mono(_) => &[],
-            DocumentContent::Multi(mm) => &mm.spatial,
-        }
-    }
-
     /// Resolve the document's playout schedule: absolute start offset (ms)
     /// of every component.
     pub fn schedule(&self) -> Result<HashMap<MonomediaId, u64>, ScheduleError> {

@@ -24,7 +24,6 @@ use std::collections::BTreeMap;
 use nod_obs::Recorder;
 use nod_oracle::diff::run_differential;
 use nod_oracle::explain_check::run_explain_crosscheck;
-use nod_oracle::reference::{reference_negotiate, RefContext};
 use nod_oracle::scenario::Scenario;
 use nod_oracle::shrink::shrink;
 
@@ -130,17 +129,7 @@ fn main() {
 fn tally(scenario: &Scenario, tally: &mut BTreeMap<String, u64>) {
     let built = scenario.build();
     let (farm, network) = built.make_world();
-    let ctx = RefContext {
-        catalog: &built.catalog,
-        farm: &farm,
-        network: &network,
-        cost_model: &built.cost_model,
-        strategy: scenario.strategy,
-        guarantee: scenario.guarantee,
-        enumeration_cap: 250_000,
-        jitter_buffer_ms: scenario.jitter_buffer_ms,
-    };
-    let key = match reference_negotiate(&ctx, &built.client, built.document, &built.profile) {
+    let key = match built.reference(&farm, &network) {
         Err(e) => format!("error:{e:?}"),
         Ok(out) => {
             let refused = out.refusals.len();

@@ -5,8 +5,9 @@
 //! scenario's pre-existing load), because reservations are stateful and a
 //! run must never observe another run's leftovers. The reference outcome
 //! is the ground truth; every optimized path — `Session::submit`, the
-//! owned `QosManager`, and a single-session broker schedule — must match
-//! it on:
+//! owned `QosManager`, a single-session broker schedule, and, when the
+//! offer is reserved under a choice period, step 6 through the session
+//! [`Lifecycle`] — must match it on:
 //!
 //! * negotiation status and reserved-offer identity (variants, CostDoc,
 //!   SNS, OIF bits, satisfaction flag) and its classified index;
@@ -17,19 +18,21 @@
 //! * CostDoc re-derived from the §7 cost model against the reserved
 //!   offer's stored cost; and
 //! * the capacity ledger — identical while the reservation is held, and
-//!   identical to the pre-negotiation baseline after release.
+//!   identical to the pre-negotiation baseline after release;
+//! * step 6's decision, against [`RefConfirmation`], under the same seeded
+//!   user actions.
 
 use nod_broker::{Broker, BrokerConfig, FleetSpec, SessionFate, SessionSpec};
 use nod_cmfs::ServerFarm;
 use nod_mmdoc::ServerId;
 use nod_netsim::Network;
-use nod_qosneg::negotiate::{NegotiationContext, StreamingMode};
 use nod_qosneg::{
-    ClassificationStrategy, ManagerConfig, Money, NegotiationOutcome, NegotiationRequest, QosError,
-    QosManager, ScoredOffer, Session,
+    Lifecycle, ManagerConfig, Money, NegotiationOutcome, NegotiationRequest, QosError, QosManager,
+    ScoredOffer, Session, SessionReservation,
 };
+use nod_simcore::StreamRng;
 
-use crate::reference::{reference_negotiate, RefContext, RefError, RefOutcome, RefRefusal};
+use crate::reference::{RefConfirmation, RefError, RefOutcome, RefRefusal};
 use crate::scenario::{BuiltScenario, Scenario};
 
 /// Ordered-offer entries compared in full; longer lists compare this
@@ -104,17 +107,7 @@ pub fn run_differential(scenario: &Scenario) -> Result<(), Box<Divergence>> {
     // ---- Ground truth -------------------------------------------------
     let (ref_farm, ref_network) = built.make_world();
     let baseline = Ledger::capture(&ref_farm, &ref_network, scenario.servers);
-    let ref_ctx = RefContext {
-        catalog: &built.catalog,
-        farm: &ref_farm,
-        network: &ref_network,
-        cost_model: &built.cost_model,
-        strategy: scenario.strategy,
-        guarantee: scenario.guarantee,
-        enumeration_cap: 250_000,
-        jitter_buffer_ms: scenario.jitter_buffer_ms,
-    };
-    let reference = reference_negotiate(&ref_ctx, &built.client, built.document, &built.profile);
+    let mut reference = built.reference(&ref_farm, &ref_network);
 
     // CostDoc self-check: the reference's own reserved cost must re-derive
     // from the §7 model (guards the oracle itself against drift).
@@ -140,21 +133,7 @@ pub fn run_differential(scenario: &Scenario) -> Result<(), Box<Divergence>> {
     {
         let path = "session";
         let (farm, network) = built.make_world();
-        let ctx = NegotiationContext {
-            catalog: &built.catalog,
-            farm: &farm,
-            network: &network,
-            cost_model: &built.cost_model,
-            strategy: scenario.strategy,
-            guarantee: scenario.guarantee,
-            enumeration_cap: 250_000,
-            jitter_buffer_ms: scenario.jitter_buffer_ms,
-            prune_dominated: false,
-            streaming: StreamingMode::Auto,
-            recorder: None,
-            explain: false,
-        };
-        let session = Session::new(ctx);
+        let session = Session::new(built.context(&farm, &network));
         let request = NegotiationRequest::new(&built.client, built.document, &built.profile);
         let outcome = session.submit(&request);
         compare_path(
@@ -174,7 +153,7 @@ pub fn run_differential(scenario: &Scenario) -> Result<(), Box<Divergence>> {
         }
     }
 
-    // ---- The owned-manager entry point --------------------------------
+    // ---- The owned-manager entry point, then step 6 --------------------
     {
         let (farm, network) = built.make_world();
         let manager = QosManager::new(
@@ -190,9 +169,8 @@ pub fn run_differential(scenario: &Scenario) -> Result<(), Box<Divergence>> {
             },
         );
         let request = NegotiationRequest::new(&built.client, built.document, &built.profile);
-        let outcome = manager.submit(&request);
-        let session = manager.session();
-        let mgr_network = session.context().network;
+        let mut outcome = manager.submit(&request);
+        let mgr_network = manager.network();
         compare_path(
             scenario,
             &built,
@@ -204,10 +182,20 @@ pub fn run_differential(scenario: &Scenario) -> Result<(), Box<Divergence>> {
             mgr_network,
             "manager",
         )?;
-        if let Ok(out) = &outcome {
-            if let Some(res) = &out.reservation {
-                manager.release(res);
+        // Under a choice period, the reserved offer goes through step 6
+        // against `RefConfirmation`, which ends with both released.
+        let held = reference.as_mut().ok().and_then(|r| r.reservation.take());
+        match (&mut outcome, held.filter(|_| scenario.choice_period_ms > 0)) {
+            (Ok(out), Some(held)) => {
+                check_confirmation(&built, &manager, out, held, (&ref_farm, &ref_network))
+                    .map_err(|detail| diverge("confirmation", detail))?;
             }
+            (Ok(out), _) => {
+                if let Some(res) = &out.reservation {
+                    manager.release(res);
+                }
+            }
+            (Err(_), _) => {}
         }
         let after = Ledger::capture(&farm, mgr_network, scenario.servers);
         if after != baseline {
@@ -221,22 +209,8 @@ pub fn run_differential(scenario: &Scenario) -> Result<(), Box<Divergence>> {
     // ---- Single-session broker schedule --------------------------------
     {
         let (farm, network) = built.make_world();
-        let ctx = NegotiationContext {
-            catalog: &built.catalog,
-            farm: &farm,
-            network: &network,
-            cost_model: &built.cost_model,
-            strategy: scenario.strategy,
-            guarantee: scenario.guarantee,
-            enumeration_cap: 250_000,
-            jitter_buffer_ms: scenario.jitter_buffer_ms,
-            prune_dominated: false,
-            streaming: StreamingMode::Auto,
-            recorder: None,
-            explain: false,
-        };
         let broker = Broker::new(
-            ctx,
+            built.context(&farm, &network),
             BrokerConfig {
                 retry: nod_qosneg::RetryPolicy::NO_RETRY,
                 ..BrokerConfig::era_default()
@@ -277,6 +251,64 @@ pub fn run_differential(scenario: &Scenario) -> Result<(), Box<Divergence>> {
     }
 
     Ok(())
+}
+
+/// Step 6 on two worlds holding the same reserved offer: the reference's,
+/// where a [`RefConfirmation`] holds it as `held`, and `manager`'s, where
+/// it steps the [`Lifecycle`] of `outcome`. Both take the same seeded user actions —
+/// the first at a random instant of the choice period, at its deadline or
+/// one past it, then two replays, then the expiry sweep past the deadline
+/// — and must agree after each on the settled decision and the ledger; a
+/// replay settles nothing. An acceptance is then released on both sides.
+fn check_confirmation(
+    built: &BuiltScenario,
+    manager: &QosManager,
+    outcome: &mut NegotiationOutcome,
+    held: SessionReservation,
+    (ref_farm, ref_network): (&ServerFarm, &Network),
+) -> Result<(), String> {
+    let (servers, deadline) = (built.scenario.servers, built.scenario.choice_period_ms);
+    let same_ledgers = |when: &str| {
+        let got = Ledger::capture(manager.farm(), manager.network(), servers);
+        let want = Ledger::capture(ref_farm, ref_network, servers);
+        (got == want)
+            .then_some(())
+            .ok_or(format!("{when}: ledger {got:?} != reference {want:?}"))
+    };
+    let mut reference = RefConfirmation::arm(0, deadline, held);
+    let mut offer = Lifecycle::offered(outcome, 0, deadline);
+    let mut rng = StreamRng::new(built.scenario.seed ^ 0x0053_5445_5036);
+    let mut settled = None;
+    for step in 0..4 {
+        let at = match rng.below(3) {
+            _ if step == 3 => deadline + 1,
+            0 => rng.range_u64(0, deadline),
+            1 => deadline,
+            _ => deadline + 1,
+        };
+        let action = (*rng.choose(&[Some(true), Some(false), None])).filter(|_| step < 3);
+        let want = reference.resolve(at, action, ref_farm, ref_network);
+        let acted = format!("step {step}, {action:?} at {at} ms (deadline {deadline})");
+        if let Some(decision) = manager.confirm(&mut offer, at, action) {
+            if let Some(first) = settled {
+                return Err(format!("{acted}: {decision:?} after {first:?} settled"));
+            }
+            settled = Some(decision);
+        }
+        if settled != want {
+            return Err(format!(
+                "{acted}: decision {settled:?} != reference {want:?}"
+            ));
+        }
+        same_ledgers(&acted)?;
+    }
+    if let Some(accepted) = reference.take_reservation() {
+        accepted.release(ref_farm, ref_network);
+    }
+    if let Some(accepted) = offer.reserved() {
+        manager.release(&accepted.reservation);
+    }
+    same_ledgers("released")
 }
 
 /// The broker fate the reference outcome predicts for a lone,
@@ -487,14 +519,4 @@ fn recompute_cost(built: &BuiltScenario, variant_ids: &[nod_mmdoc::VariantId]) -
         cost += ser;
     }
     cost
-}
-
-/// A strategy's short name for logs.
-pub fn strategy_name(s: ClassificationStrategy) -> &'static str {
-    match s {
-        ClassificationStrategy::SnsThenOif => "sns-then-oif",
-        ClassificationStrategy::OifOnly => "oif-only",
-        ClassificationStrategy::CostOnly => "cost-only",
-        ClassificationStrategy::QosOnly => "qos-only",
-    }
 }

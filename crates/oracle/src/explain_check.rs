@@ -22,11 +22,11 @@
 //! Any violation is a [`Divergence`] on the `explain` path, shrinkable
 //! like any other.
 
-use nod_qosneg::negotiate::{NegotiationContext, NegotiationOutcome, StreamingMode};
+use nod_qosneg::negotiate::{NegotiationContext, NegotiationOutcome};
 use nod_qosneg::{NegotiationRequest, Session};
 
 use crate::diff::Divergence;
-use crate::reference::{reference_negotiate, RefContext, RefOutcome};
+use crate::reference::RefOutcome;
 use crate::scenario::Scenario;
 
 /// Replay `scenario` with explanations on and cross-check the decision
@@ -44,37 +44,16 @@ pub fn run_explain_crosscheck(scenario: &Scenario) -> Result<(), Box<Divergence>
 
     // Ground truth, on its own world.
     let (ref_farm, ref_network) = built.make_world();
-    let ref_ctx = RefContext {
-        catalog: &built.catalog,
-        farm: &ref_farm,
-        network: &ref_network,
-        cost_model: &built.cost_model,
-        strategy: scenario.strategy,
-        guarantee: scenario.guarantee,
-        enumeration_cap: 250_000,
-        jitter_buffer_ms: scenario.jitter_buffer_ms,
+    let reference = match built.reference(&ref_farm, &ref_network) {
+        Ok(out) => out,
+        // Hard request errors carry no decision log on either side.
+        Err(_) => return Ok(()),
     };
-    let reference =
-        match reference_negotiate(&ref_ctx, &built.client, built.document, &built.profile) {
-            Ok(out) => out,
-            // Hard request errors carry no decision log on either side.
-            Err(_) => return Ok(()),
-        };
 
     let (farm, network) = built.make_world();
     let ctx = NegotiationContext {
-        catalog: &built.catalog,
-        farm: &farm,
-        network: &network,
-        cost_model: &built.cost_model,
-        strategy: scenario.strategy,
-        guarantee: scenario.guarantee,
-        enumeration_cap: 250_000,
-        jitter_buffer_ms: scenario.jitter_buffer_ms,
-        prune_dominated: false,
-        streaming: StreamingMode::Auto,
-        recorder: None,
         explain: true,
+        ..built.context(&farm, &network)
     };
     let session = Session::new(ctx);
     let request = NegotiationRequest::new(&built.client, built.document, &built.profile);

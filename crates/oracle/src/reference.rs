@@ -33,10 +33,10 @@ use nod_qosneg::mapping::{charged_bit_rate, map_requirements, path_supports};
 use nod_qosneg::profile::{MmQosSpec, UserProfile};
 use nod_qosneg::sns::StaticNegotiationStatus;
 use nod_qosneg::startup::{estimate_startup_ms, preroll_ms};
-use nod_qosneg::ClassificationStrategy;
 use nod_qosneg::Money;
 use nod_qosneg::NegotiationStatus;
 use nod_qosneg::SessionReservation;
+use nod_qosneg::{ClassificationStrategy, ConfirmationDecision};
 
 /// The shared system state the reference negotiation runs against — its
 /// own context type so the oracle does not depend on
@@ -512,18 +512,7 @@ pub struct RefConfirmation {
     /// The deadline, ms on the caller's clock.
     pub deadline_ms: u64,
     reservation: Option<SessionReservation>,
-    decision: Option<RefDecision>,
-}
-
-/// What became of a reference confirmation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RefDecision {
-    /// Confirmed in time: the session starts (resources kept).
-    Accepted,
-    /// Cancelled in time: resources released.
-    Rejected,
-    /// The choice period lapsed: resources released.
-    TimedOut,
+    decision: Option<ConfirmationDecision>,
 }
 
 impl RefConfirmation {
@@ -547,21 +536,21 @@ impl RefConfirmation {
         action: Option<bool>,
         farm: &ServerFarm,
         network: &Network,
-    ) -> Option<RefDecision> {
+    ) -> Option<ConfirmationDecision> {
         if let Some(done) = self.decision {
             return Some(done);
         }
         let decision = if at_ms > self.deadline_ms {
-            RefDecision::TimedOut
+            ConfirmationDecision::TimedOut
         } else {
             match action {
-                Some(true) => RefDecision::Accepted,
-                Some(false) => RefDecision::Rejected,
+                Some(true) => ConfirmationDecision::Accepted,
+                Some(false) => ConfirmationDecision::Rejected,
                 None => return None,
             }
         };
         self.decision = Some(decision);
-        if decision != RefDecision::Accepted {
+        if decision != ConfirmationDecision::Accepted {
             if let Some(res) = self.reservation.take() {
                 res.release(farm, network);
             }
@@ -572,13 +561,8 @@ impl RefConfirmation {
     /// Hand the reservation to an accepted session (once).
     pub fn take_reservation(&mut self) -> Option<SessionReservation> {
         match self.decision {
-            Some(RefDecision::Accepted) => self.reservation.take(),
+            Some(ConfirmationDecision::Accepted) => self.reservation.take(),
             _ => None,
         }
-    }
-
-    /// Is the reservation still held by the pending confirmation?
-    pub fn holds_resources(&self) -> bool {
-        self.reservation.is_some()
     }
 }

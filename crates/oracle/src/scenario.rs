@@ -14,7 +14,7 @@
 //! cost, and capacity loaded to exactly-full.
 
 use nod_client::ClientMachine;
-use nod_cmfs::{Guarantee, ServerConfig, ServerFarm, StreamRequirement};
+use nod_cmfs::{Guarantee, ServerConfig, ServerFarm};
 use nod_mmdb::Catalog;
 use nod_mmdoc::ClientId;
 use nod_mmdoc::{
@@ -24,11 +24,14 @@ use nod_mmdoc::{
 };
 use nod_netsim::{Network, Topology};
 use nod_qosneg::cost::CostModel;
+use nod_qosneg::negotiate::{NegotiationContext, StreamingMode};
 use nod_qosneg::profile::{MmQosSpec, TimeProfile, UserProfile};
 use nod_qosneg::ClassificationStrategy;
 use nod_qosneg::ImportanceProfile;
 use nod_qosneg::Money;
 use nod_simcore::StreamRng;
+
+use crate::reference::{reference_negotiate, RefContext, RefError, RefOutcome};
 
 /// Which era client machine runs the negotiation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -562,13 +565,42 @@ impl BuiltScenario {
         (farm, network)
     }
 
-    /// Pre-reserve `streams` concurrent streams of `req` on every server
-    /// (test helper for capacity-exhaustion repros).
-    pub fn preload_streams(&self, farm: &ServerFarm, req: &StreamRequirement, streams: usize) {
-        for id in 0..self.scenario.servers {
-            for _ in 0..streams {
-                let _ = farm.try_reserve(ServerId(id as u64), *req);
-            }
+    /// The paper-literal reference's steps 1–5 for this scenario's
+    /// request, over one of its worlds.
+    pub fn reference(&self, farm: &ServerFarm, network: &Network) -> Result<RefOutcome, RefError> {
+        let ctx = RefContext {
+            catalog: &self.catalog,
+            farm,
+            network,
+            cost_model: &self.cost_model,
+            strategy: self.scenario.strategy,
+            guarantee: self.scenario.guarantee,
+            enumeration_cap: 250_000,
+            jitter_buffer_ms: self.scenario.jitter_buffer_ms,
+        };
+        reference_negotiate(&ctx, &self.client, self.document, &self.profile)
+    }
+
+    /// The optimized paths' negotiation context over a world of this
+    /// scenario, with explanations off.
+    pub fn context<'a>(
+        &'a self,
+        farm: &'a ServerFarm,
+        network: &'a Network,
+    ) -> NegotiationContext<'a> {
+        NegotiationContext {
+            catalog: &self.catalog,
+            farm,
+            network,
+            cost_model: &self.cost_model,
+            strategy: self.scenario.strategy,
+            guarantee: self.scenario.guarantee,
+            enumeration_cap: 250_000,
+            jitter_buffer_ms: self.scenario.jitter_buffer_ms,
+            prune_dominated: false,
+            streaming: StreamingMode::Auto,
+            recorder: None,
+            explain: false,
         }
     }
 }

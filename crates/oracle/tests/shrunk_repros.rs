@@ -110,7 +110,6 @@ fn adapt_is_make_before_break_under_exactly_full_capacity() {
         &built.client,
         &mut out.ordered_offers,
         idx,
-        reservation,
         AdaptationReason::ServerCongestion,
     );
     assert!(

@@ -71,8 +71,10 @@ impl AdaptationOutcome {
 }
 
 /// Run the adaptation procedure: re-execute step 5 over the remaining
-/// ordered offers and, if an alternate commits, release the current
-/// offer's resources — **make-before-break**.
+/// ordered offers while the current offer stays reserved —
+/// **make-before-break**. The caller releases the current offer's
+/// resources once an alternate committed: the session
+/// [`Lifecycle`](crate::Lifecycle)'s switch hands them back.
 ///
 /// The walk orders `ordered_offers` further as it goes and materializes
 /// nothing; read the new offer with [`RankedOffers::materialize`] at
@@ -92,13 +94,12 @@ pub fn adapt(
     client: &ClientMachine,
     ordered_offers: &mut RankedOffers,
     current_index: usize,
-    current_reservation: &SessionReservation,
     reason: AdaptationReason,
 ) -> AdaptationOutcome {
-    // The make-before-break flag is structural: the release below happens
-    // only after an alternate committed, and a failed adaptation keeps the
-    // current reservation untouched. Either way the session never stands
-    // without resources, so the record reports `true` unconditionally.
+    // The make-before-break flag is structural: the walk runs with the
+    // current reservation held, and nothing here releases it, so the
+    // session never stands without resources and the record reports
+    // `true` unconditionally.
     let mut record: Option<Box<AdaptationRecord>> = ctx.explain.then(|| {
         Box::new(AdaptationRecord {
             reason: reason.label().to_string(),
@@ -119,12 +120,8 @@ pub fn adapt(
             }
         });
     let (new_index, reservation) = committed.unzip();
-    if let Some(idx) = new_index {
-        // Break the old offer only after the new one is committed.
-        current_reservation.release(ctx.farm, ctx.network);
-        if let Some(r) = record.as_deref_mut() {
-            r.new_rank = Some(idx as u64);
-        }
+    if let Some(r) = record.as_deref_mut() {
+        r.new_rank = new_index.map(|idx| idx as u64);
     }
     AdaptationOutcome {
         new_index,
@@ -211,7 +208,6 @@ mod tests {
             &client,
             &mut out.ordered_offers,
             idx,
-            res,
             AdaptationReason::ServerCongestion,
         );
         // A dead server admits nothing: a switch can only land on an offer
@@ -232,12 +228,12 @@ mod tests {
                 assert_ne!(v.server, victim_server);
             }
         }
+        // The original resources stay held either way; a switch adds the
+        // alternate's.
         if let Some(r) = adapted.reservation {
             r.release(&w.farm, &w.network);
-        } else {
-            // Failed adaptation kept the original resources.
-            res.release(&w.farm, &w.network);
         }
+        res.release(&w.farm, &w.network);
         assert_eq!(w.network.active_reservations(), 0);
     }
 
@@ -256,7 +252,6 @@ mod tests {
             &client,
             &mut out.ordered_offers,
             idx,
-            res,
             AdaptationReason::ServerCongestion,
         );
         assert!(!adapted.switched());
@@ -282,7 +277,6 @@ mod tests {
             &client,
             &mut out.ordered_offers,
             idx,
-            res,
             AdaptationReason::UserRequest,
         );
         assert_eq!(adapted.reason, AdaptationReason::UserRequest);
@@ -292,5 +286,7 @@ mod tests {
         if let Some(r) = adapted.reservation {
             r.release(&w.farm, &w.network);
         }
+        res.release(&w.farm, &w.network);
+        assert_eq!(w.network.active_reservations(), 0);
     }
 }

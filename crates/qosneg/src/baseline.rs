@@ -30,19 +30,22 @@ use crate::profile::UserProfile;
 /// keeps for it.
 type Component<'a> = (MonomediaId, u64, Vec<&'a Variant>);
 
-/// Step 2 for the baselines: each document component in order, keeping
-/// the variants the client can decode and reach (asking the network for a
-/// route, so each unreachable one counts a `net.path.rejections`).
+/// Steps 1–2 for the baselines: validate `profile`, then take each
+/// document component in order, keeping the variants the client can
+/// decode and reach (asking the network for a route, so each unreachable
+/// one counts a `net.path.rejections`), and a trace counting them.
 fn feasible_variants<'a>(
     ctx: &NegotiationContext<'a>,
     client: &ClientMachine,
     document: DocumentId,
-) -> Result<Vec<Component<'a>>, NegotiationError> {
+    profile: &UserProfile,
+) -> Result<(Vec<Component<'a>>, NegotiationTrace), NegotiationError> {
+    profile
+        .validate()
+        .map_err(NegotiationError::InvalidProfile)?;
     let doc =
         (ctx.catalog.document(document)).ok_or(NegotiationError::UnknownDocument(document))?;
-    Ok(doc
-        .monomedia()
-        .iter()
+    let per_mono: Vec<Component<'a>> = (doc.monomedia().iter())
         .map(|m| {
             let feasible: Vec<&Variant> = (ctx.catalog.variants_of(m.id).iter())
                 .filter(|v| client.feasible(v))
@@ -50,7 +53,12 @@ fn feasible_variants<'a>(
                 .collect();
             (m.id, m.duration_ms, feasible)
         })
-        .collect())
+        .collect();
+    let trace = NegotiationTrace {
+        feasible_variants: per_mono.iter().map(|(.., v)| v.len()).sum(),
+        ..NegotiationTrace::default()
+    };
+    Ok((per_mono, trace))
 }
 
 /// The one-offer list of `chosen` — one variant per component, with the
@@ -116,14 +124,7 @@ pub(crate) fn negotiate_static_first_fit_impl(
     document: DocumentId,
     profile: &UserProfile,
 ) -> Result<NegotiationOutcome, NegotiationError> {
-    profile
-        .validate()
-        .map_err(NegotiationError::InvalidProfile)?;
-    let per_mono = feasible_variants(ctx, client, document)?;
-    let mut trace = NegotiationTrace {
-        feasible_variants: per_mono.iter().map(|(.., v)| v.len()).sum(),
-        ..NegotiationTrace::default()
-    };
+    let (per_mono, mut trace) = feasible_variants(ctx, client, document, profile)?;
     if per_mono.iter().any(|(.., v)| v.is_empty()) {
         return Ok(NegotiationOutcome::empty(
             NegotiationStatus::FailedWithoutOffer,
@@ -155,14 +156,7 @@ pub(crate) fn negotiate_per_monomedia_impl(
     document: DocumentId,
     profile: &UserProfile,
 ) -> Result<NegotiationOutcome, NegotiationError> {
-    profile
-        .validate()
-        .map_err(NegotiationError::InvalidProfile)?;
-    let per_mono = feasible_variants(ctx, client, document)?;
-    let mut trace = NegotiationTrace {
-        feasible_variants: per_mono.iter().map(|(.., v)| v.len()).sum(),
-        ..NegotiationTrace::default()
-    };
+    let (per_mono, mut trace) = feasible_variants(ctx, client, document, profile)?;
 
     let mut committed: Vec<(ScoredOffer, SessionReservation)> = Vec::new();
     let release_all = |committed: &[(ScoredOffer, SessionReservation)]| {

@@ -16,7 +16,8 @@
 //! 5. **Resource commitment** — two-phase reservation against the
 //!    [`nod_cmfs::ServerFarm`] and [`nod_netsim::Network`], walking the
 //!    ordered offers;
-//! 6. **User confirmation** ([`confirm`]) — the `choicePeriod` timer.
+//! 6. **User confirmation** ([`lifecycle`]) — the `choicePeriod` timer, one
+//!    phase of the session lifecycle both the manager and the broker step.
 //!
 //! Supporting models: [`mapping`] (§6 user-QoS → network-QoS),
 //! [`cost`] (§7 throughput-class cost tables and formula (1)),
@@ -69,7 +70,6 @@
 pub mod adapt;
 pub mod baseline;
 pub mod classify;
-pub mod confirm;
 pub mod cost;
 pub mod engine;
 pub mod error;
@@ -77,6 +77,7 @@ pub mod explain;
 pub mod future;
 pub mod hierarchy;
 pub mod importance;
+pub mod lifecycle;
 pub mod manager;
 pub mod mapping;
 pub mod money;
@@ -89,7 +90,6 @@ pub mod startup;
 
 pub use adapt::{AdaptationOutcome, AdaptationReason};
 pub use classify::{classify, ClassificationStrategy, ScoredOffer};
-pub use confirm::{ConfirmationDecision, ConfirmationTimer, PendingConfirmation};
 pub use cost::{CostModel, CostTable};
 pub use engine::{OfferEngine, RankedOffers};
 pub use error::QosError;
@@ -100,6 +100,9 @@ pub use explain::{
 pub use future::{AdvanceBook, AdvanceBookingId, FutureOutcome};
 pub use hierarchy::{Domain, MultiDomainConfig, MultiDomainOutcome};
 pub use importance::ImportanceProfile;
+pub use lifecycle::{
+    Attempt, ConfirmationDecision, Effect, Input, Lifecycle, Phase, Reserved, Rules, SessionFate,
+};
 pub use manager::{ManagerConfig, QosManager};
 pub use mapping::{map_requirements, NetworkQosSpec};
 pub use money::Money;

@@ -9,15 +9,14 @@ use nod_mmdb::Catalog;
 use nod_mmdoc::{DocumentId, MonomediaId, Variant};
 use nod_netsim::Network;
 use nod_obs::Recorder;
-use nod_simcore::SimTime;
 use nod_syncplay::{PlayoutSession, SessionState, Timeline};
 
 use crate::adapt::{adapt, AdaptationReason};
 use crate::classify::{ClassificationStrategy, ScoredOffer};
-use crate::confirm::{ConfirmationDecision, PendingConfirmation};
 use crate::cost::CostModel;
 use crate::engine::RankedOffers;
 use crate::error::QosError;
+use crate::lifecycle::{ConfirmationDecision, Effect, Input, Lifecycle, Phase};
 use crate::negotiate::{
     negotiate_impl, NegotiationContext, NegotiationError, NegotiationOutcome, SessionReservation,
 };
@@ -26,7 +25,7 @@ use crate::request::{NegotiationRequest, Session};
 
 /// Delivery ratio a session experiences while its resources are violated
 /// (fraction of real-time; models congested components).
-const DEGRADED_DELIVERY_RATIO: f64 = 0.3;
+const DEGRADED_RATIO: f64 = 0.3;
 
 /// Tunables of the manager.
 #[derive(Debug, Clone)]
@@ -71,10 +70,10 @@ pub struct ActiveSession {
     pub document: DocumentId,
     /// The playout engine.
     pub playout: PlayoutSession,
-    /// Committed resources.
-    pub reservation: SessionReservation,
-    /// Classified index of the active offer in `ordered_offers`.
-    pub offer_index: usize,
+    /// The session's lifecycle: held while playing — its committed
+    /// resources and the active offer's classified index in
+    /// `ordered_offers` — and done once playout ends.
+    pub lifecycle: Lifecycle<SessionReservation>,
     /// The classified offers captured at negotiation time (the adaptation
     /// candidate set): the outcome's list, ordered as far as the walks
     /// over it have got. [`RankedOffers::materialize`] reads an offer.
@@ -112,11 +111,6 @@ impl QosManager {
         }
     }
 
-    /// The metadata catalog.
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
-    }
-
     /// The server farm.
     pub fn farm(&self) -> &ServerFarm {
         &self.farm
@@ -125,16 +119,6 @@ impl QosManager {
     /// The network.
     pub fn network(&self) -> &Network {
         &self.network
-    }
-
-    /// The pricing model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost_model
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ManagerConfig {
-        &self.config
     }
 
     /// The negotiation context view of this manager.
@@ -155,17 +139,12 @@ impl QosManager {
         }
     }
 
-    /// A [`Session`] facade over this manager's context — the unified
-    /// entry point for [`NegotiationRequest`]s.
-    pub fn session(&self) -> Session<'_> {
-        Session::new(self.context())
-    }
-
-    /// Submit a [`NegotiationRequest`] (the unified API): dispatches to
-    /// the smart procedure or a baseline per the request's
-    /// [`crate::Procedure`], with the request's overrides applied.
+    /// Submit a [`NegotiationRequest`] through a [`Session`] over this
+    /// manager's context (the unified API): dispatches to the smart
+    /// procedure or a baseline per the request's [`crate::Procedure`],
+    /// with the request's overrides applied.
     pub fn submit(&self, request: &NegotiationRequest<'_>) -> Result<NegotiationOutcome, QosError> {
-        self.session().submit(request)
+        Session::new(self.context()).submit(request)
     }
 
     /// Run the negotiation procedure (steps 1–5). Convenience for a
@@ -185,8 +164,9 @@ impl QosManager {
         reservation.release(&self.farm, &self.network);
     }
 
-    /// Step 6 accepted: turn a successful negotiation outcome into an
-    /// active playout session.
+    /// Step 6 accepted at once: turn a successful negotiation outcome into
+    /// an active playout session ([`Lifecycle::offered`] with no choice
+    /// period, then [`QosManager::play`]).
     ///
     /// # Panics
     /// Panics if the outcome carries no reservation (negotiation failed) —
@@ -194,13 +174,29 @@ impl QosManager {
     pub fn start_session(
         &self,
         client: &ClientMachine,
-        outcome: NegotiationOutcome,
+        mut outcome: NegotiationOutcome,
         document: DocumentId,
     ) -> ActiveSession {
-        let reservation = outcome
-            .reservation
-            .expect("start_session requires a reserved offer");
-        let offer_index = outcome.reserved_index.expect("reserved index present");
+        let lifecycle = Lifecycle::offered(&mut outcome, 0, 0);
+        self.play(client, outcome, document, lifecycle)
+    }
+
+    /// Start playing the offer `lifecycle` holds — `outcome`'s, accepted.
+    ///
+    /// # Panics
+    /// Panics unless `lifecycle` holds `outcome`'s reserved offer — a
+    /// misuse, not a runtime condition.
+    pub fn play(
+        &self,
+        client: &ClientMachine,
+        outcome: NegotiationOutcome,
+        document: DocumentId,
+        lifecycle: Lifecycle<SessionReservation>,
+    ) -> ActiveSession {
+        assert!(
+            matches!(lifecycle.phase(), Phase::Held { .. }),
+            "play requires a held offer"
+        );
         let offer = (outcome.reserved_offer.as_ref()).expect("reserved offer present");
         let timeline = self
             .timeline_for(document, offer)
@@ -213,59 +209,52 @@ impl QosManager {
             client: client.clone(),
             document,
             playout,
-            reservation,
-            offer_index,
+            lifecycle,
             ordered_offers: outcome.ordered_offers,
             adaptations: Vec::new(),
         }
     }
 
-    /// Arm a step-6 confirmation over a successful outcome's reservation:
-    /// the returned [`PendingConfirmation`] owns the reserved resources
-    /// through the choice period. Resolve it with
-    /// [`QosManager::resolve_pending`]; an unconfirmed rejection or timeout
-    /// releases the reservation exactly once.
-    ///
-    /// # Panics
-    /// Panics if the outcome carries no reservation (negotiation failed) —
-    /// a misuse, not a runtime condition.
-    pub fn begin_confirmation(
+    /// Step 6: step an awaiting `lifecycle` ([`Lifecycle::offered`]) with
+    /// the user's OK (`Some(true)`) or CANCEL (`Some(false)`), or with the
+    /// choice-period expiry (`None`), at `at_ms`. A cancelled or lapsed
+    /// offer is released here. Returns the decision the step settled and
+    /// counts it — `negotiation.confirmation{decision=…}`, plus
+    /// `negotiation.choice_timeout` on a timeout; `None` when nothing
+    /// settled: the offer is still in time, or was settled before.
+    pub fn confirm(
         &self,
-        outcome: &mut NegotiationOutcome,
-        now: SimTime,
-        choice_period_ms: u64,
-    ) -> PendingConfirmation {
-        let reservation = outcome
-            .reservation
-            .take()
-            .expect("begin_confirmation requires a reserved offer");
-        PendingConfirmation::arm(now, choice_period_ms, reservation)
-    }
-
-    /// Resolve a step-6 confirmation with exactly-once resource handling
-    /// ([`PendingConfirmation::resolve`]) and account for it: the first
-    /// settlement increments `negotiation.confirmation{decision=…}` (plus
-    /// `negotiation.choice_timeout` on expiry) and, for rejection or
-    /// timeout, releases the held reservation. Replays return the settled
-    /// decision without counting or releasing again.
-    pub fn resolve_pending(
-        &self,
-        pending: &mut PendingConfirmation,
-        at: SimTime,
+        lifecycle: &mut Lifecycle<SessionReservation>,
+        at_ms: u64,
         action: Option<bool>,
     ) -> Option<ConfirmationDecision> {
-        let already_settled = pending.decision().is_some();
-        let decision = pending.resolve(at, action, &self.farm, &self.network);
-        if already_settled {
-            return decision;
-        }
-        if let (Some(rec), Some(d)) = (self.config.recorder.as_ref(), decision) {
-            rec.counter_with("negotiation.confirmation", &[("decision", d.label())], 1);
-            if d == ConfirmationDecision::TimedOut {
+        let input = match action {
+            Some(accept) => Input::Decide { accept, at_ms },
+            None => Input::Expire { at_ms },
+        };
+        let decision = match lifecycle.step(input) {
+            Effect::Admit => ConfirmationDecision::Accepted,
+            Effect::Release(reservation) => {
+                self.release(&reservation);
+                ConfirmationDecision::Rejected
+            }
+            Effect::TimedOut(reservation) => {
+                self.release(&reservation);
+                ConfirmationDecision::TimedOut
+            }
+            _ => return None,
+        };
+        if let Some(rec) = &self.config.recorder {
+            rec.counter_with(
+                "negotiation.confirmation",
+                &[("decision", decision.label())],
+                1,
+            );
+            if decision == ConfirmationDecision::TimedOut {
                 rec.counter("negotiation.choice_timeout", 1);
             }
         }
-        decision
+        Some(decision)
     }
 
     fn timeline_for(&self, document: DocumentId, offer: &ScoredOffer) -> Result<Timeline, String> {
@@ -285,29 +274,14 @@ impl QosManager {
     /// Is any of this session's committed resources currently violated by
     /// server or network congestion?
     pub fn session_violated(&self, session: &ActiveSession) -> bool {
-        let farm_violations = self.farm.violations();
-        for (server, victims) in &farm_violations {
-            for &(s, id) in &session.reservation.servers {
-                if s == *server && victims.contains(&id) {
-                    return true;
-                }
-            }
-        }
-        let net_violations = self.network.violated_reservations();
-        session
-            .reservation
-            .network
-            .iter()
-            .any(|id| net_violations.contains(id))
-    }
-
-    /// The delivery ratio the session currently experiences.
-    pub fn delivery_ratio(&self, session: &ActiveSession) -> f64 {
-        if self.session_violated(session) {
-            DEGRADED_DELIVERY_RATIO
-        } else {
-            1.0
-        }
+        let Some(held) = session.lifecycle.reserved() else {
+            return false;
+        };
+        let (servers, links) = (self.farm.violations(), self.network.violated_reservations());
+        let res = &held.reservation;
+        (res.servers.iter())
+            .any(|(s, id)| servers.iter().any(|(v, ids)| v == s && ids.contains(id)))
+            || res.network.iter().any(|id| links.contains(id))
     }
 
     /// Run the adaptation procedure on a degraded session
@@ -316,12 +290,14 @@ impl QosManager {
     /// returned; if no alternate offer can be reserved the session keeps
     /// playing its current (degraded) offer and `false` is returned.
     pub fn adapt_session(&self, session: &mut ActiveSession, reason: AdaptationReason) -> bool {
+        let Some(held) = session.lifecycle.reserved() else {
+            return false;
+        };
         let outcome = adapt(
             &self.context(),
             &session.client,
             &mut session.ordered_offers,
-            session.offer_index,
-            &session.reservation,
+            held.offer as usize,
             reason,
         );
         if let Some(record) = outcome.explain {
@@ -329,14 +305,8 @@ impl QosManager {
         }
         match (outcome.new_index, outcome.reservation) {
             (Some(idx), Some(reservation)) => {
-                session.playout.interrupt_for_transition();
-                session.offer_index = idx;
-                session.reservation = reservation;
                 let offer = session.ordered_offers.materialize(idx);
-                let timeline = self
-                    .timeline_for(session.document, &offer)
-                    .expect("alternate offer must produce a valid timeline");
-                session.playout.resume_with(timeline);
+                self.switch(session, idx, reservation, &offer);
                 true
             }
             _ => false,
@@ -362,27 +332,41 @@ impl QosManager {
             outcome.reservation,
             outcome.reserved_offer,
         );
-        match committed {
-            (Some(idx), Some(reservation), Some(offer)) => {
-                session.playout.interrupt_for_transition();
-                self.release(&session.reservation);
-                session.reservation = reservation;
-                session.ordered_offers = outcome.ordered_offers;
-                session.offer_index = idx;
-                let timeline = self
-                    .timeline_for(session.document, &offer)
-                    .expect("renegotiated offer must produce a valid timeline");
-                session.playout.resume_with(timeline);
-                Ok(outcome.status)
-            }
-            _ => Ok(outcome.status),
+        if let (Some(idx), Some(reservation), Some(offer)) = committed {
+            session.ordered_offers = outcome.ordered_offers;
+            self.switch(session, idx, reservation, &offer);
         }
+        Ok(outcome.status)
+    }
+
+    /// Make-before-break, once the alternate `offer` (classified index
+    /// `index`) is reserved: the lifecycle switches to it and the old
+    /// reservation is released; playout restarts on it where it stopped.
+    fn switch(
+        &self,
+        session: &mut ActiveSession,
+        index: usize,
+        reservation: SessionReservation,
+        offer: &ScoredOffer,
+    ) {
+        session.playout.interrupt_for_transition();
+        let switch = Input::Switch {
+            reservation,
+            offer: index as u32,
+        };
+        if let Effect::Release(old) = session.lifecycle.step(switch) {
+            self.release(&old);
+        }
+        let timeline = self
+            .timeline_for(session.document, offer)
+            .expect("alternate offer must produce a valid timeline");
+        session.playout.resume_with(timeline);
     }
 
     /// Drive a session forward by `dt_ms` of wall time. When the session is
     /// degraded and `adaptation_enabled`, the adaptation procedure runs
-    /// first. Terminal sessions release their resources and return `false`
-    /// (nothing left to drive).
+    /// first. A session whose playout ends departs, releasing its
+    /// resources, and `false` is returned (nothing left to drive).
     pub fn drive_session(
         &self,
         session: &mut ActiveSession,
@@ -398,11 +382,14 @@ impl QosManager {
             // limping on its current offer; it retries on later ticks.
             self.adapt_session(session, AdaptationReason::ServerCongestion);
         }
-        let ratio = self.delivery_ratio(session);
+        let violated = self.session_violated(session);
+        let ratio = if violated { DEGRADED_RATIO } else { 1.0 };
         session.playout.advance(dt_ms, ratio);
         match session.playout.state() {
             SessionState::Completed | SessionState::Aborted => {
-                self.release(&session.reservation);
+                if let Effect::Release(reservation) = session.lifecycle.step(Input::Depart) {
+                    self.release(&reservation);
+                }
                 false
             }
             _ => true,
@@ -461,15 +448,15 @@ mod tests {
         // User confirms one offer in time, lets a second one expire.
         let mut accepted = m.negotiate(&client, DocumentId(1), &profile).unwrap();
         let mut lapsed = m.negotiate(&client, DocumentId(1), &profile).unwrap();
-        let mut pending = m.begin_confirmation(&mut accepted, SimTime::ZERO, 30_000);
+        let mut offer = Lifecycle::offered(&mut accepted, 0, 30_000);
         assert_eq!(
-            m.resolve_pending(&mut pending, SimTime::from_secs(5), Some(true)),
+            m.confirm(&mut offer, 5_000, Some(true)),
             Some(ConfirmationDecision::Accepted)
         );
-        m.release(&pending.take_reservation().expect("accepted"));
-        let mut pending = m.begin_confirmation(&mut lapsed, SimTime::ZERO, 30_000);
+        m.release(&offer.reserved().expect("accepted").reservation);
+        let mut offer = Lifecycle::offered(&mut lapsed, 0, 30_000);
         assert_eq!(
-            m.resolve_pending(&mut pending, SimTime::from_secs(31), None),
+            m.confirm(&mut offer, 31_000, None),
             Some(ConfirmationDecision::TimedOut)
         );
         assert_eq!(m.farm.usage().streams, 0);
@@ -488,7 +475,7 @@ mod tests {
     }
 
     #[test]
-    fn pending_confirmation_timeout_releases_once_and_counts_once() {
+    fn choice_timeout_releases_once_and_counts_once() {
         let rec = Recorder::new();
         let m = manager_with(
             27,
@@ -501,39 +488,31 @@ mod tests {
         let mut out = m
             .negotiate(&client, DocumentId(1), &tv_news_profile())
             .unwrap();
-        assert!(out.reservation.is_some());
         let held_streams = m.farm.usage().streams;
-        let held_net = m.network.active_reservations();
         assert!(held_streams > 0);
 
-        let mut pending = m.begin_confirmation(&mut out, SimTime::ZERO, 30_000);
-        assert!(out.reservation.is_none(), "pending owns the reservation");
+        let mut offer = Lifecycle::offered(&mut out, 0, 30_000);
+        assert!(out.reservation.is_none(), "the lifecycle holds it");
 
         // Sweep exactly at the deadline: still confirmable, still held.
-        assert_eq!(
-            m.resolve_pending(&mut pending, SimTime::from_secs(30), None),
-            None
-        );
+        assert_eq!(m.confirm(&mut offer, 30_000, None), None);
         assert_eq!(m.farm.usage().streams, held_streams);
 
         // One tick later the expiry settles it and releases everything.
         assert_eq!(
-            m.resolve_pending(&mut pending, SimTime::from_millis(30_001), None),
+            m.confirm(&mut offer, 30_001, None),
             Some(ConfirmationDecision::TimedOut)
         );
         assert_eq!(m.farm.usage().streams, 0);
         assert_eq!(m.network.active_reservations(), 0);
 
-        // The user's click lands after the race is lost: the settled
-        // timeout replays, nothing is re-counted, nothing is re-released.
-        assert_eq!(
-            m.resolve_pending(&mut pending, SimTime::from_millis(30_001), Some(true)),
-            Some(ConfirmationDecision::TimedOut)
-        );
-        assert!(pending.take_reservation().is_none());
+        // The user's click lands after the race is lost: nothing settles
+        // again, nothing is re-counted, nothing is re-released.
+        assert_eq!(m.confirm(&mut offer, 30_001, Some(true)), None);
+        assert!(offer.reserved().is_none());
+        assert_eq!(offer.phase(), &Phase::Done(crate::SessionFate::Rejected));
         assert_eq!(m.farm.usage().streams, 0);
         assert_eq!(m.network.active_reservations(), 0);
-        let _ = held_net;
 
         let snap = rec.snapshot();
         assert_eq!(
@@ -544,7 +523,7 @@ mod tests {
     }
 
     #[test]
-    fn pending_confirmation_accept_keeps_resources_for_start() {
+    fn accepted_confirmation_keeps_resources_for_play() {
         let m = manager(27);
         let client = ClientMachine::era_workstation(ClientId(0));
         let mut out = m
@@ -552,22 +531,18 @@ mod tests {
             .unwrap();
         let held_streams = m.farm.usage().streams;
 
-        let mut pending = m.begin_confirmation(&mut out, SimTime::ZERO, 30_000);
+        let mut offer = Lifecycle::offered(&mut out, 0, 30_000);
         // Accept exactly on the boundary tick (still inside the period).
         assert_eq!(
-            m.resolve_pending(&mut pending, SimTime::from_secs(30), Some(true)),
+            m.confirm(&mut offer, 30_000, Some(true)),
             Some(ConfirmationDecision::Accepted)
         );
         assert_eq!(m.farm.usage().streams, held_streams);
         // A late expiry sweep cannot claw the accepted resources back.
-        assert_eq!(
-            m.resolve_pending(&mut pending, SimTime::from_secs(31), None),
-            Some(ConfirmationDecision::Accepted)
-        );
+        assert_eq!(m.confirm(&mut offer, 31_000, None), None);
         assert_eq!(m.farm.usage().streams, held_streams);
 
-        out.reservation = Some(pending.take_reservation().expect("accepted"));
-        let mut session = m.start_session(&client, out, DocumentId(1));
+        let mut session = m.play(&client, out, DocumentId(1), offer);
         while m.drive_session(&mut session, 5_000, false) {}
         assert_eq!(m.farm.usage().streams, 0);
         assert_eq!(m.network.active_reservations(), 0);
@@ -609,7 +584,13 @@ mod tests {
             m.drive_session(&mut session, 500, true);
         }
         // Congest the serving server.
-        let victim = session.reservation.servers[0].0;
+        let victim = session
+            .lifecycle
+            .reserved()
+            .expect("held")
+            .reservation
+            .servers[0]
+            .0;
         m.farm().server(victim).unwrap().set_health(0.0);
         let mut steps = 0;
         while m.drive_session(&mut session, 500, true) {
@@ -636,7 +617,13 @@ mod tests {
         for _ in 0..10 {
             m.drive_session(&mut session, 500, false);
         }
-        let victim = session.reservation.servers[0].0;
+        let victim = session
+            .lifecycle
+            .reserved()
+            .expect("held")
+            .reservation
+            .servers[0]
+            .0;
         m.farm().server(victim).unwrap().set_health(0.0);
         let mut steps = 0;
         while m.drive_session(&mut session, 500, false) && steps < 2_000 {

@@ -1,8 +1,9 @@
 //! The negotiation procedure (paper §4, steps 1–5).
 //!
-//! Step 6 (user confirmation) lives in [`crate::confirm`] because it is
-//! driven by wall-clock interaction; everything up to resource commitment
-//! is a pure function of the shared system state and runs here.
+//! Step 6 (user confirmation) is a phase of the session
+//! [`Lifecycle`](crate::Lifecycle) because it is driven by the user's
+//! clock; everything up to resource commitment is a pure function of the
+//! shared system state and runs here.
 
 use nod_client::ClientMachine;
 use nod_cmfs::{AdmissionError, Guarantee, ReservationId, ServerFarm, StreamRequirement};
@@ -92,7 +93,7 @@ impl nod_simcore::json::FromJson for NegotiationStatus {
 }
 
 /// The resources committed for one accepted system offer.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionReservation {
     /// Per-stream server reservations.
     pub servers: Vec<(ServerId, ReservationId)>,

@@ -420,7 +420,12 @@ fn assert_adaptations_agree(
     let mut c = ctx(&w, strategy);
     c.explain = true;
     let reason = AdaptationReason::ServerCongestion;
-    let adapted = adapt(&c, client, &mut out.ordered_offers, current, &held, reason);
+    let adapted = adapt(&c, client, &mut out.ordered_offers, current, reason);
+    if adapted.switched() {
+        // Make-before-break's second half, which the session lifecycle's
+        // switch performs.
+        held.release(&w.farm, &w.network);
+    }
 
     let naive_world = make();
     let naive_out = negotiate_then_kill(&naive_world, client, doc, profile, strategy)
@@ -1075,7 +1080,7 @@ fn adapting_asks_the_farm_once_per_refused_prefix_and_counts_nothing() {
 
     let before = rec.snapshot();
     let reason = AdaptationReason::ServerCongestion;
-    let adapted = adapt(&c, &client, &mut out.ordered_offers, current, &held, reason);
+    let adapted = adapt(&c, &client, &mut out.ordered_offers, current, reason);
     let after = rec.snapshot();
     assert!(!adapted.switched());
     assert_eq!(adapted.attempts, 35);
@@ -1118,7 +1123,7 @@ fn adapting_a_wide_article_allocates_a_tenth_of_classifying_it() {
 
     let before = allocations();
     let reason = AdaptationReason::ServerCongestion;
-    let adapted = adapt(&c, &client, &mut out.ordered_offers, current, &held, reason);
+    let adapted = adapt(&c, &client, &mut out.ordered_offers, current, reason);
     let adapting = allocations() - before;
 
     let before = allocations();
@@ -1134,9 +1139,8 @@ fn adapting_a_wide_article_allocates_a_tenth_of_classifying_it() {
         adapting * 10 < classifying,
         "adapting allocated {adapting} times, classify_all {classifying}"
     );
-    adapted
-        .reservation
-        .as_ref()
-        .unwrap_or(&held)
-        .release(&w.farm, &w.network);
+    if let Some(alternate) = &adapted.reservation {
+        alternate.release(&w.farm, &w.network);
+    }
+    held.release(&w.farm, &w.network);
 }

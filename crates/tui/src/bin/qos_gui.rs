@@ -23,7 +23,8 @@ use nod_mmdoc::{ClientId, DocumentId, ServerId};
 use nod_netsim::{Network, Topology};
 use nod_qosneg::manager::{ManagerConfig, QosManager};
 use nod_qosneg::profile::tv_news_profile;
-use nod_qosneg::{CostModel, Money, SessionReservation};
+use nod_qosneg::SessionReservation;
+use nod_qosneg::{ConfirmationDecision, CostModel, Effect, Input, Lifecycle, Money};
 use nod_simcore::StreamRng;
 use nod_tui::{windows, ProfileManagerApp, UiAction, UiEvent, UiState};
 
@@ -31,7 +32,8 @@ struct App {
     manager: QosManager,
     client: ClientMachine,
     gui: ProfileManagerApp,
-    held: Option<SessionReservation>,
+    /// The offer on screen, awaiting the user (step 6).
+    offer: Option<Lifecycle<SessionReservation>>,
     document: DocumentId,
 }
 
@@ -62,16 +64,27 @@ impl App {
             manager,
             client: ClientMachine::era_workstation(ClientId(0)),
             gui: ProfileManagerApp::new(vec![tv_news_profile(), economy, premium]),
-            held: None,
+            offer: None,
             document: DocumentId(1),
         }
     }
 
-    fn release_held(&mut self) {
-        if let Some(r) = self.held.take() {
+    /// Settle the offer on screen, if any, with the user's OK
+    /// (`Some(true)`), CANCEL (`Some(false)`) or the choice-period expiry
+    /// (`None`). Playout is elided, so an accepted presentation departs at
+    /// once; each reservation is released once.
+    fn settle(&mut self, action: Option<bool>) -> Option<ConfirmationDecision> {
+        let mut offer = self.offer.take()?;
+        // No clock here: a click is in time and the expiry is late.
+        let at_ms = if action.is_some() { 0 } else { u64::MAX };
+        let decision = self.manager.confirm(&mut offer, at_ms, action);
+        if let Effect::Release(r) = offer.step(Input::Depart) {
             self.manager.release(&r);
+        }
+        if decision.is_some_and(|d| d != ConfirmationDecision::Accepted) {
             println!("(resources released)");
         }
+        decision
     }
 
     fn dispatch(&mut self, action: UiAction) {
@@ -83,9 +96,10 @@ impl App {
                     self.document, p.name
                 );
                 match self.manager.negotiate(&self.client, self.document, &p) {
-                    Ok(outcome) => {
-                        self.release_held();
-                        self.held = outcome.reservation;
+                    Ok(mut outcome) => {
+                        self.settle(Some(false));
+                        let period = p.time.choice_period_ms;
+                        self.offer = Some(Lifecycle::offered(&mut outcome, 0, period));
                         let violated = outcome
                             .user_offer
                             .as_ref()
@@ -101,7 +115,7 @@ impl App {
                 }
             }
             UiAction::AcceptOffer => {
-                if self.held.take().is_some() {
+                if self.settle(Some(true)) == Some(ConfirmationDecision::Accepted) {
                     println!("offer accepted — the presentation would start now.");
                     println!("(simulated playout elided; see examples/quickstart.rs)");
                 } else {
@@ -109,7 +123,7 @@ impl App {
                 }
             }
             UiAction::ReleaseOffer { timed_out } => {
-                self.release_held();
+                self.settle((!timed_out).then_some(false));
                 if timed_out {
                     println!("choicePeriod expired — session aborted.");
                 }
@@ -174,7 +188,7 @@ impl App {
             ),
             "example" => print!("{}", windows::show_example(self.gui.selected_profile())),
             "exit" => {
-                self.release_held();
+                self.settle(Some(false));
                 self.gui.handle(UiEvent::Exit);
                 return false;
             }

@@ -54,7 +54,8 @@ fn run(adaptation: bool) {
     println!("initial offer: {offer}");
 
     let mut session = manager.start_session(&client, outcome, DocumentId(1));
-    let victim = session.reservation.servers[0].0;
+    let held = (session.lifecycle.reserved()).expect("a started session holds its offer");
+    let victim = held.reservation.servers[0].0;
 
     let mut step = 0u32;
     loop {
@@ -72,7 +73,8 @@ fn run(adaptation: bool) {
         let before = session.playout.stats().transitions;
         let live = manager.drive_session(&mut session, 500, adaptation);
         if session.playout.stats().transitions > before {
-            let new_offer = (session.ordered_offers.materialize(session.offer_index))
+            let held = (session.lifecycle.reserved()).expect("a switched session holds its offer");
+            let new_offer = (session.ordered_offers.materialize(held.offer as usize))
                 .offer
                 .to_user_offer();
             println!(

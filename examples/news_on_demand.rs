@@ -15,8 +15,8 @@ use news_on_demand::mmdb::{CorpusBuilder, CorpusParams};
 use news_on_demand::mmdoc::{ClientId, DocumentId, ServerId};
 use news_on_demand::netsim::{Network, Topology};
 use news_on_demand::qosneg::manager::{ManagerConfig, QosManager};
-use news_on_demand::qosneg::{ConfirmationDecision, ConfirmationTimer, CostModel};
-use news_on_demand::simcore::{SimTime, StreamRng};
+use news_on_demand::qosneg::{ConfirmationDecision, CostModel, Lifecycle};
+use news_on_demand::simcore::StreamRng;
 use news_on_demand::syncplay::SessionState;
 use news_on_demand::tui::{ProfileManagerApp, UiEvent};
 use news_on_demand::workload::UserPopulation;
@@ -54,7 +54,7 @@ fn main() {
         // Drive the GUI: select profile, press OK.
         let mut app = ProfileManagerApp::new(vec![profile.clone()]);
         app.handle(UiEvent::Ok);
-        let outcome = manager
+        let mut outcome = manager
             .negotiate(&machine, doc, &profile)
             .expect("valid request");
         app.handle(UiEvent::NegotiationResult {
@@ -72,19 +72,18 @@ fn main() {
         }
 
         // The confirmation timer: user 3 walks away and times out.
-        if let Some(ref reservation) = outcome.reservation {
-            let reservation = reservation.clone();
-            let timer = ConfirmationTimer::arm(SimTime::ZERO, profile.time.choice_period_ms);
+        if outcome.reservation.is_some() {
+            let mut offer = Lifecycle::offered(&mut outcome, 0, profile.time.choice_period_ms);
             let (respond_at, action) = if user == 3 {
-                (SimTime::from_secs(45), None) // lapses
+                (45_000, None) // lapses
             } else {
-                (SimTime::from_secs(5), Some(true))
+                (5_000, Some(true))
             };
-            match timer.resolve(respond_at, action) {
+            match manager.confirm(&mut offer, respond_at, action) {
                 Some(ConfirmationDecision::Accepted) => {
                     app.handle(UiEvent::Ok);
                     let cost = outcome.reserved_offer.as_ref().unwrap().offer.cost;
-                    let mut session = manager.start_session(&machine, outcome, doc);
+                    let mut session = manager.play(&machine, outcome, doc, offer);
                     while manager.drive_session(&mut session, 500, true) {}
                     if session.playout.state() == SessionState::Completed {
                         carried += 1;
@@ -98,13 +97,9 @@ fn main() {
                 }
                 Some(ConfirmationDecision::TimedOut) => {
                     app.handle(UiEvent::ChoiceTimeout);
-                    manager.release(&reservation);
                     println!("   choicePeriod expired — session aborted, resources released");
                 }
-                other => {
-                    manager.release(&reservation);
-                    println!("   confirmation outcome {other:?} — resources released");
-                }
+                other => unreachable!("the scripted user accepts or walks away: {other:?}"),
             }
         }
         println!();

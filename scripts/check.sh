@@ -13,6 +13,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+# The GUI app's end-to-end test: its binary needs the `app` feature, which
+# the workspace run above leaves off.
+echo "==> qos_gui end to end (cargo test -p nod-tui --features app --test qos_gui)"
+cargo test -q -p nod-tui --features app --test qos_gui
+
 # Rustdoc (gating): intra-doc links to items a refactor removed rot
 # silently otherwise.
 echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
@@ -20,7 +25,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 # Conformance oracle (gating): replay seeded scenarios through the
 # paper-literal reference negotiator and every optimized execution path
-# (session / manager / broker). Any divergence prints a
+# (session / manager / broker), and, under a choice period, step 6 of the
+# session lifecycle against the reference's confirmation machine on seeded
+# user actions (the "confirmation" path). Any divergence prints a
 # shrunk, ready-to-paste repro test and fails the gate. Deterministic in
 # the seed; raise NOD_ORACLE_CASES locally for a deeper sweep.
 # --explain-check additionally replays each scenario with explanations on

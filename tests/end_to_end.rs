@@ -8,10 +8,8 @@ use news_on_demand::mmdoc::{ClientId, DocumentId, ServerId};
 use news_on_demand::netsim::{Network, Topology};
 use news_on_demand::qosneg::manager::{ManagerConfig, QosManager};
 use news_on_demand::qosneg::profile::tv_news_profile;
-use news_on_demand::qosneg::{
-    ConfirmationDecision, ConfirmationTimer, CostModel, NegotiationStatus,
-};
-use news_on_demand::simcore::{SimTime, StreamRng};
+use news_on_demand::qosneg::{ConfirmationDecision, CostModel, Lifecycle, NegotiationStatus};
+use news_on_demand::simcore::StreamRng;
 use news_on_demand::syncplay::SessionState;
 use news_on_demand::tui::{ProfileManagerApp, UiAction, UiEvent, UiState};
 
@@ -39,7 +37,7 @@ fn manager(seed: u64) -> QosManager {
 fn lifecycle_negotiate_confirm_play() {
     let m = manager(100);
     let client = ClientMachine::era_workstation(ClientId(0));
-    let out = m
+    let mut out = m
         .negotiate(&client, DocumentId(1), &tv_news_profile())
         .unwrap();
     assert!(matches!(
@@ -47,12 +45,12 @@ fn lifecycle_negotiate_confirm_play() {
         NegotiationStatus::Succeeded | NegotiationStatus::FailedWithOffer
     ));
     // Confirmation inside the choice period.
-    let timer = ConfirmationTimer::arm(SimTime::ZERO, 30_000);
+    let mut offer = Lifecycle::offered(&mut out, 0, 30_000);
     assert_eq!(
-        timer.resolve(SimTime::from_secs(3), Some(true)),
+        m.confirm(&mut offer, 3_000, Some(true)),
         Some(ConfirmationDecision::Accepted)
     );
-    let mut session = m.start_session(&client, out, DocumentId(1));
+    let mut session = m.play(&client, out, DocumentId(1), offer);
     while m.drive_session(&mut session, 500, true) {}
     assert_eq!(session.playout.state(), SessionState::Completed);
     assert_eq!(m.network().active_reservations(), 0);
@@ -63,17 +61,18 @@ fn lifecycle_negotiate_confirm_play() {
 fn confirmation_timeout_releases_resources() {
     let m = manager(101);
     let client = ClientMachine::era_workstation(ClientId(1));
-    let out = m
+    let mut out = m
         .negotiate(&client, DocumentId(2), &tv_news_profile())
         .unwrap();
-    let reservation = out.reservation.expect("offer reserved");
+    assert!(out.reservation.is_some(), "offer reserved");
     assert!(m.network().active_reservations() > 0);
-    let timer = ConfirmationTimer::arm(SimTime::ZERO, 30_000);
+    let mut offer = Lifecycle::offered(&mut out, 0, 30_000);
+    // An OK one second past the choice period is a timeout, and the
+    // manager releases the offer.
     assert_eq!(
-        timer.resolve(SimTime::from_secs(31), Some(true)),
+        m.confirm(&mut offer, 31_000, Some(true)),
         Some(ConfirmationDecision::TimedOut)
     );
-    m.release(&reservation);
     assert_eq!(m.network().active_reservations(), 0);
 }
 
@@ -90,7 +89,13 @@ fn adaptation_survives_server_failure_and_preserves_position() {
     }
     let position_before = session.playout.position_ms();
     assert!(position_before > 0.0);
-    let victim = session.reservation.servers[0].0;
+    let victim = session
+        .lifecycle
+        .reserved()
+        .expect("held")
+        .reservation
+        .servers[0]
+        .0;
     m.farm().server(victim).unwrap().set_health(0.0);
     // Drive until the session either transitions or aborts.
     let mut steps = 0;

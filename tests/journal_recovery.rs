@@ -628,8 +628,9 @@ fn an_inconsistent_snapshot_is_a_typed_error_not_a_panic() {
     let frames = snapshot_frames(&bytes);
     assert!(frames.len() >= 3, "cadence 64 must snapshot this run");
     // How many rewrites of each kind were refused: finished id, live id,
-    // confirmation, departure, second event.
-    let mut refused = [0; 5];
+    // confirmation, departure, second event, retry of a held session,
+    // departure of a backing-off one, closed with a pending admission.
+    let mut refused = [0; 8];
     for frame in &frames {
         // The cut itself, unpatched, recovers: the offsets are right.
         let cut = recover_from(bytes[..frame.end].to_vec()).expect("a snapshot cut recovers");
@@ -677,6 +678,37 @@ fn an_inconsistent_snapshot_is_a_typed_error_not_a_panic() {
             let patch = other.to_le_bytes();
             assert_malformed(rewritten(&bytes, frame, kind + 1, &patch), "twice");
             refused[4] += 1;
+        }
+        // A live session's phase, from its pending-admission and closed
+        // bytes: 1 awaiting, 2 held, 0 backing off.
+        let phase = |session: u32| {
+            let (.., pending) = frame.live.iter().find(|(id, ..)| *id == session)?;
+            Some(match (bytes[*pending], bytes[*pending + 1]) {
+                (0, 0) => 0,
+                (_, 0) => 1,
+                _ => 2,
+            })
+        };
+        // The pending event of a held session turned into a retry, and that
+        // of a backing-off session into a departure.
+        for (from, patch, what, case) in [(2, 0, "held retry", 5), (0, 2, "backoff departure", 6)] {
+            let of = (frame.events.iter()).find(|&&(_, session)| phase(session) == Some(from));
+            if let Some(&(kind, _)) = of {
+                assert_malformed(rewritten(&bytes, frame, kind, &[patch]), what);
+                refused[case] += 1;
+            }
+        }
+        // A held session marked as awaiting its admission too, or an
+        // awaiting one marked closed: closed with a pending admission.
+        let reserved = (frame.live.iter()).find(|&&(id, ..)| phase(id) != Some(0));
+        if let Some(&(id, _, pending)) = reserved {
+            let at = if phase(id) == Some(2) {
+                pending
+            } else {
+                pending + 1
+            };
+            assert_malformed(rewritten(&bytes, frame, at, &[1]), "closed, pending");
+            refused[7] += 1;
         }
     }
     assert!(
