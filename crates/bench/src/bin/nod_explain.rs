@@ -192,12 +192,15 @@ fn print_session(artifact: &ExplainArtifact, n: u64) {
         }
         for r in &d.refusals {
             let server = r
-                .server
+                .server()
                 .map(|s| format!(" on server {s}"))
                 .unwrap_or_default();
             println!(
                 "  refused offer {} ({}){}: {}",
-                r.rank, r.kind, server, r.shortfall
+                r.rank(),
+                r.kind(),
+                server,
+                r.shortfall()
             );
         }
         match d.chosen_rank {
@@ -248,7 +251,7 @@ fn print_timeline(artifact: &ExplainArtifact) {
     // Sweep admit/depart edges into per-server reserved-bandwidth steps.
     let mut edges: BTreeMap<u64, BTreeMap<u64, i64>> = BTreeMap::new();
     for row in &artifact.ledger {
-        for stream in &row.streams {
+        for stream in row.streams() {
             *edges
                 .entry(row.admit_ms)
                 .or_default()
@@ -267,7 +270,7 @@ fn print_timeline(artifact: &ExplainArtifact) {
         let mut ids: Vec<u64> = artifact
             .ledger
             .iter()
-            .flat_map(|r| r.streams.iter().map(|s| s.server))
+            .flat_map(|r| r.streams().iter().map(|s| s.server))
             .collect();
         ids.sort_unstable();
         ids.dedup();
@@ -332,7 +335,7 @@ fn session_refusal_kinds(se: &SessionExplain) -> Vec<String> {
     let mut kinds: Vec<String> = se
         .attempts
         .iter()
-        .flat_map(|a| a.decisions.refusals.iter().map(|r| r.kind.to_string()))
+        .flat_map(|a| a.decisions.refusals.iter().map(|r| r.kind().to_string()))
         .collect();
     kinds.sort();
     kinds.dedup();

@@ -12,7 +12,9 @@
 //! the zero-leak audit the CI smoke gates on.
 
 use nod_bench::{write_artifact, MetroFleet};
-use nod_broker::{Broker, BrokerConfig, EventRetention, FleetSpec, Journal, JournalConfig};
+use nod_broker::{
+    complete_explains, Broker, BrokerConfig, EventRetention, FleetSpec, Journal, JournalConfig,
+};
 use nod_obs::RetentionPolicy;
 use nod_qosneg::explain::{ExplainArtifact, ExplainMeta};
 
@@ -106,7 +108,15 @@ fn main() {
     );
 
     if let Some(path) = &explain_out {
-        let data = report.explains.clone().expect("explain was requested");
+        let mut data = report.explains.expect("explain was requested");
+        let t = std::time::Instant::now();
+        complete_explains(&ctx, &specs, &mut data);
+        eprintln!(
+            "explain completion: {} ledger rows and {} retained sessions in {:.2?}",
+            data.ledger.len(),
+            data.sessions.len(),
+            t.elapsed()
+        );
         let artifact = ExplainArtifact::new(
             ExplainMeta {
                 source: "run_fleet".to_string(),

@@ -9,10 +9,11 @@
 //! (negotiation commit, broker bookkeeping, fault-window races).
 
 use nod_cmfs::{FarmUsage, ServerFarm};
+use nod_mmdoc::VariantId;
 use nod_netsim::Network;
 
 /// Committed capacity across the farm and the network at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CapacitySnapshot {
     /// Farm-side usage (streams, disk round time, interface bandwidth).
     pub farm: FarmUsage,
@@ -20,6 +21,11 @@ pub struct CapacitySnapshot {
     pub net_reservations: usize,
     /// Total reserved link bandwidth, bps.
     pub net_reserved_bps: u64,
+    /// Per server, in the farm's (ascending id) order, the variant each of
+    /// its active streams serves, ascending.
+    pub server_streams: Vec<Vec<VariantId>>,
+    /// Reserved bandwidth per link, bps, indexed by link id.
+    pub link_reserved_bps: Vec<u64>,
 }
 
 impl CapacitySnapshot {
@@ -29,6 +35,13 @@ impl CapacitySnapshot {
             farm: farm.usage(),
             net_reservations: network.active_reservations(),
             net_reserved_bps: network.total_reserved_bps(),
+            server_streams: (farm.ids().into_iter())
+                .map(|id| {
+                    farm.server(id)
+                        .map_or(Vec::new(), |s| s.reserved_variants())
+                })
+                .collect(),
+            link_reserved_bps: network.reserved_bps(),
         }
     }
 
@@ -53,7 +66,8 @@ mod tests {
         let farm = ServerFarm::uniform(1, ServerConfig::era_default());
         let network = Network::new(Topology::dumbbell(1, 1, 25_000_000, 155_000_000));
         let before = CapacitySnapshot::capture(&farm, &network);
-        assert_eq!(before, CapacitySnapshot::default());
+        assert_eq!(before.farm, FarmUsage::default());
+        assert_eq!((before.net_reservations, before.net_reserved_bps), (0, 0));
 
         let id = farm
             .try_reserve(

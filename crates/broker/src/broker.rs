@@ -24,13 +24,14 @@
 //!
 //! With [`FleetSpec::explain`] set, every attempt records its live facts
 //! (status, chosen rank, refusals with their shortfalls); the broker keeps
-//! the full capacity ledger (who held which streams, from when to when)
-//! and tail-retains per-session explanations under the same policy trace
-//! retention uses; only the retained sessions' attempts are completed into
-//! full [`DecisionLog`](nod_qosneg::DecisionLog)s, when the run ends
-//! ([`explain_attempts`]), so [`BrokerReport::explains`] — and any
-//! `--explain-out` artifact written from it — replays byte for byte with
-//! the outcome log.
+//! the full capacity ledger (who held which offer, from when to when) and
+//! tail-retains per-session explanations under the same policy trace
+//! retention uses. [`BrokerReport::explains`] holds only those facts:
+//! steps 1–4 are pure, so [`complete_explains`] derives the rest — each
+//! held offer's streams and each retained attempt's full
+//! [`DecisionLog`](nod_qosneg::DecisionLog) — when an artifact is written,
+//! and the `--explain-out` artifact replays byte for byte with the
+//! outcome log.
 
 use nod_client::ClientMachine;
 use nod_cmfs::{Guarantee, StreamRequirement};
@@ -41,7 +42,8 @@ use nod_obs::{
 };
 use nod_qosneg::classify::ScoredOffer;
 use nod_qosneg::explain::{
-    AttemptExplain, DecisionLog, ExplainData, LedgerRow, SessionExplain, Settlement, StreamRow,
+    AttemptExplain, DecisionLog, ExplainData, Held, LedgerRow, SessionExplain, Settlement,
+    StreamRow,
 };
 use nod_qosneg::mapping::charged_bit_rate;
 use nod_qosneg::negotiate::{
@@ -225,8 +227,10 @@ pub struct BrokerReport {
     /// when no objectives were configured.
     pub slo_alerts: Vec<SloAlert>,
     /// Decision provenance ([`FleetSpec::explain`]): the capacity ledger,
-    /// the tail-retained session explanations and the retention totals.
-    /// `None` when provenance was not requested.
+    /// the tail-retained session explanations and the retention totals,
+    /// as live facts — each row names its held offer, each attempt its
+    /// refusals, chosen rank and status; [`complete_explains`] derives the
+    /// rest. `None` when provenance was not requested.
     pub explains: Option<ExplainData>,
     /// The first I/O error the attached journal ([`FleetSpec::journal`])
     /// hit. The run itself is unaffected; the journal stopped writing its
@@ -258,6 +262,9 @@ pub struct RecoveryReport {
     /// Bytes discarded off the journal's end as a torn (mid-record)
     /// crash write.
     pub torn_bytes: usize,
+    /// What the restore re-reserved: the capacity held once the snapshot's
+    /// sessions were rebuilt, before the resumed run's first event.
+    pub restored: CapacitySnapshot,
 }
 
 /// Journal replay state during recovery: the hashes of the journaled
@@ -452,6 +459,7 @@ impl<'a> Broker<'a> {
         }
         self.drive_from(fleet, None)
             .unwrap_or_else(|e| unreachable!("a fresh drive replays no journal: {e}"))
+            .0
     }
 
     /// The fleet-identity hash a journal header carries: seed, per-spec
@@ -563,7 +571,7 @@ impl<'a> Broker<'a> {
         if let Some(span) = span {
             span.end();
         }
-        let report = report?;
+        let (report, restored) = report?;
         journal.sync()?;
         Ok(RecoveryReport {
             report,
@@ -571,6 +579,7 @@ impl<'a> Broker<'a> {
             resumed_at_ms,
             suffix_starts_at_event,
             torn_bytes,
+            restored,
         })
     }
 
@@ -578,12 +587,13 @@ impl<'a> Broker<'a> {
     /// (resumed from a snapshot + replay tail): one virtual-time event
     /// loop over three merged, individually-sorted event streams — fault
     /// edges, arrivals, and runtime-scheduled events — processing each
-    /// tick as a batch. Only a resumed run can fail.
+    /// tick as a batch. Only a resumed run can fail; it also returns the
+    /// capacity its restore left held.
     fn drive_from(
         &self,
         fleet: &FleetSpec<'_>,
         resume: Option<ParsedJournal>,
-    ) -> Result<BrokerReport, JournalError> {
+    ) -> Result<(BrokerReport, CapacitySnapshot), JournalError> {
         let specs = fleet.sessions;
         let ctx = self.session.context();
         // Captured before a resumed run re-reserves its held streams, so
@@ -669,6 +679,10 @@ impl<'a> Broker<'a> {
             ai = order.partition_point(|&i| specs[i as usize].arrival_ms <= s.at_ms);
             state.failed = state.restore(s, settled, faults).err();
         }
+        let restored = match snap {
+            Some(_) => CapacitySnapshot::capture(ctx.farm, ctx.network),
+            None => before.clone(),
+        };
         let mut end_ms = 0u64;
         // A failed recovery stops at the end of the tick it failed in.
         while state.failed.is_none() {
@@ -783,23 +797,13 @@ impl<'a> Broker<'a> {
         let slo_alerts = state.slo.finish(self.recorder, end_ms).to_vec();
         let explains = state.keeper.map(|keeper| {
             let (items, stats) = keeper.drain();
-            // Only the retained sessions' attempts are completed from their
-            // live facts into full decision logs.
-            let sessions = (items.into_iter())
-                .map(|(_, mut s)| {
-                    let spec = &specs[s.session as usize];
-                    let logs = s.attempts.iter_mut().map(|a| &mut a.decisions);
-                    explain_attempts(ctx, spec.client, spec.document, spec.profile, logs);
-                    s
-                })
-                .collect();
             ExplainData {
                 ledger: state.ledger,
-                sessions,
+                sessions: items.into_iter().map(|(_, s)| s).collect(),
                 stats,
             }
         });
-        Ok(BrokerReport {
+        let report = BrokerReport {
             results,
             events: state.events,
             windows: state
@@ -821,7 +825,55 @@ impl<'a> Broker<'a> {
             slo_alerts,
             explains,
             journal_error: journal_error.map(|e| e.to_string()),
-        })
+        };
+        Ok((report, restored))
+    }
+}
+
+/// Complete `data`, the explanations a drive of `specs` reported, into
+/// what an artifact carries: each ledger row's streams, from its held
+/// offer, and each retained attempt's full decision log
+/// ([`explain_attempts`]). Steps 1–4 are pure in the catalog and the
+/// static topology, so re-running them on `ctx` rebuilds the lists the
+/// drive saw; this costs one prepare per admitted session, plus one per
+/// retained one, paid only by whoever writes the artifact.
+pub fn complete_explains(
+    ctx: &NegotiationContext<'_>,
+    specs: &[SessionSpec<'_>],
+    data: &mut ExplainData,
+) {
+    for row in &mut data.ledger {
+        let Held::Offer(index) = row.held else {
+            continue;
+        };
+        let offer = held_offer(ctx, &specs[row.session as usize], index)
+            .expect("steps 1-4 rebuild the list an admission reserved from");
+        let streams = held_streams(&offer, ctx.guarantee).map(|(v, bps)| StreamRow {
+            server: v.server.0,
+            bps: bps.unwrap_or(0),
+        });
+        row.held = Held::Streams(streams.collect());
+    }
+    for s in &mut data.sessions {
+        let spec = &specs[s.session as usize];
+        let logs = s.attempts.iter_mut().map(|a| &mut a.decisions);
+        explain_attempts(ctx, spec.client, spec.document, spec.profile, logs);
+    }
+}
+
+/// The offer at classified `index` of the list steps 1–4 rebuild for
+/// `spec` — the offer a session that reserved that index committed —
+/// or `None` when the list is shorter.
+fn held_offer(
+    ctx: &NegotiationContext<'_>,
+    spec: &SessionSpec<'_>,
+    index: u32,
+) -> Option<ScoredOffer> {
+    match reprepare(ctx, spec.client, spec.document, spec.profile) {
+        Ok(Prepared::Offers(mut ranked, ..)) if (index as usize) < ranked.len() => {
+            Some(ranked.materialize(index as usize))
+        }
+        _ => None,
     }
 }
 
@@ -998,15 +1050,11 @@ impl<'a> DriveLoop<'_, 'a> {
             let Some(held) = st.lifecycle.reserved_mut() else {
                 continue;
             };
-            let index = held.offer as usize;
+            let index = held.offer;
             let spec = &self.specs[i];
             let failed = |what: String| JournalError::RestoreFailed(format!("session {i} {what}"));
-            let offer = match reprepare(ctx, spec.client, spec.document, spec.profile) {
-                Ok(Prepared::Offers(mut ranked, ..)) if index < ranked.len() => {
-                    ranked.materialize(index)
-                }
-                _ => return Err(failed(format!("has no offer {index} on its list"))),
-            };
+            let offer = held_offer(ctx, spec, index)
+                .ok_or_else(|| failed(format!("has no offer {index} on its list")))?;
             // Re-reserve stream by stream into the slab-resident
             // reservation, so a refusal partway leaves everything made so
             // far where `release_all` finds it.
@@ -1174,20 +1222,15 @@ impl<'a> DriveLoop<'_, 'a> {
             }
             Ok(Prepared::Offers(ordered, trace, _)) => {
                 let out = commit_prepared(&ctx, spec.client, spec.profile, ordered, trace, facts);
-                if let Some(offer) = out.reserved_offer.as_ref().filter(|_| explaining) {
-                    // The committed offer's streams become a capacity-ledger
-                    // row; `depart_ms` is stamped when the session departs.
+                if let Some(index) = out.reserved_index.filter(|_| explaining) {
+                    // The committed offer becomes a capacity-ledger row;
+                    // `depart_ms` is stamped when the session departs.
                     self.ledger_ix[i] = self.ledger.len() as u32;
                     self.ledger.push(LedgerRow {
                         session: i as u64,
                         admit_ms: now_ms,
                         depart_ms: now_ms,
-                        streams: held_streams(offer, ctx.guarantee)
-                            .map(|(v, bps)| StreamRow {
-                                server: v.server.0,
-                                bps: bps.unwrap_or(0),
-                            })
-                            .collect(),
+                        held: Held::Offer(index as u32),
                     });
                 }
                 let reason = refusal_reason(&out.commit_failures);
@@ -1211,13 +1254,24 @@ impl<'a> DriveLoop<'_, 'a> {
             a.end();
         }
         if let Some(mut d) = decisions {
+            // The attempt keeps its facts, its refusals at their exact
+            // count; the log goes back to the spare, its buffer cleared.
             if let Some(acc) = self.session(i).explain.as_mut() {
-                let decisions = std::mem::take(&mut *d);
                 acc.attempts.push(AttemptExplain {
                     at_ms: now_ms,
-                    decisions,
+                    decisions: DecisionLog {
+                        refusals: d.refusals.to_vec(),
+                        chosen_rank: d.chosen_rank,
+                        status: d.status,
+                        ..DecisionLog::default()
+                    },
                 });
             }
+            d.refusals.clear();
+            *d = DecisionLog {
+                refusals: std::mem::take(&mut d.refusals),
+                ..DecisionLog::default()
+            };
             self.spare_log = Some(d);
         }
         let config = &broker.config;
@@ -1435,7 +1489,8 @@ impl<'a> DriveLoop<'_, 'a> {
         }
         if let Some(keeper) = self.keeper.as_mut() {
             keeper.finish_with(i as u64, failed, ms_to_us(total_ms), || {
-                let acc = acc.take().unwrap_or_default();
+                let mut acc = acc.take().unwrap_or_default();
+                acc.attempts.shrink_to_fit();
                 SessionExplain {
                     session: i as u64,
                     arrival_ms,

@@ -21,8 +21,11 @@ use nod_simcore::StreamRng;
 /// One kind of injected degradation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Fault {
-    /// The server is down: health 0, every admission refused and every
-    /// committed stream on it in violation.
+    /// The server is down: health 0, so it refuses every admission, and
+    /// [`FileServer::violated_reservations`](nod_cmfs::FileServer::violated_reservations)
+    /// lists its committed streams. The broker does nothing more: no
+    /// session on it is marked, counted or adapted, and each plays out its
+    /// hold as if served (ROADMAP item 1(c)).
     ServerCrash {
         /// The crashed server.
         server: ServerId,

@@ -49,6 +49,9 @@
 //! header + terminal records + that snapshot once the bytes appended since
 //! the last rewrite are at least the bytes the rewrite keeps, and is
 //! appended otherwise: each rewrite is paid for by the appends before it.
+//! An in-memory journal slides the kept frames down inside its one
+//! buffer; a durable one holds no frame in memory but the one being
+//! written, and copies the kept frames from the file it replaces.
 //!
 //! # Durability
 //!
@@ -63,7 +66,7 @@
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Read as _, Write as _};
+use std::io::{self, BufRead, BufReader, BufWriter, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -568,8 +571,8 @@ pub struct JournalStats {
 struct Inner {
     cfg: JournalConfig,
     /// What the journal holds in memory: all of it when it has no file;
-    /// with a file, only what a compaction keeps — the header and the
-    /// terminal records — while the file holds the rest.
+    /// with a file, only the frame being written, while the file holds
+    /// the journal.
     buf: Vec<u8>,
     /// The backing file, when the journal is durable.
     path: Option<PathBuf>,
@@ -615,8 +618,9 @@ impl Inner {
         start
     }
 
-    /// Append the frame at `buf[start..]` to the journal, keeping it in
-    /// memory only if `kept` or there is no file.
+    /// Append the frame at `buf[start..]` to the journal; `kept` when a
+    /// compaction keeps it. Only a journal without a file keeps it in
+    /// memory.
     fn append(&mut self, start: usize, kept: bool) {
         if let Some(w) = self.writer.as_mut() {
             if let Err(e) = w.write_all(&self.buf[start..]) {
@@ -626,7 +630,8 @@ impl Inner {
         self.len += self.buf.len() - start;
         if kept {
             self.kept_bytes += self.buf.len() - start;
-        } else if self.path.is_some() {
+        }
+        if self.path.is_some() {
             self.buf.truncate(start);
         }
     }
@@ -640,24 +645,29 @@ impl Inner {
     }
 
     /// Rewrite the journal to its header and terminal records plus the
-    /// snapshot frame at `buf[snapshot..]` — atomically, via temp file +
-    /// rename, when durable.
+    /// snapshot frame at `buf[snapshot..]`: in place in memory, or — when
+    /// durable — by copying the kept frames from the file into a temp
+    /// file renamed over it.
     fn compact(&mut self, snapshot: usize) {
         let snapshot_len = self.buf.len() - snapshot;
         if self.path.is_none() {
-            let mut kept = kept_frames(&self.buf[..snapshot], self.kept_bytes + snapshot_len);
-            kept.extend_from_slice(&self.buf[snapshot..]);
-            self.buf = kept;
+            let kept = keep_frames_in_place(&mut self.buf[..snapshot]);
+            self.buf.copy_within(snapshot.., kept);
+            self.buf.truncate(kept + snapshot_len);
         } else if let Some(w) = self.writer.take() {
-            // `buf` is the whole rewrite. The appends still buffered go
-            // nowhere: the file they were headed for is being replaced.
-            let (old, _unwritten) = w.into_parts();
-            drop(old);
-            let path = self.path.clone().expect("a durable journal");
+            let path = self
+                .path
+                .clone()
+                .expect("a journal with a writer has a file");
             let tmp = path.with_extension("journal.tmp");
-            let buf = &self.buf;
+            let frame = &self.buf[snapshot..];
             let rewrite = || -> io::Result<BufWriter<File>> {
-                std::fs::write(&tmp, buf)?;
+                // The file must hold every appended frame before it is read.
+                drop(w.into_inner().map_err(io::IntoInnerError::into_error)?);
+                let mut out = BufWriter::new(File::create(&tmp)?);
+                copy_kept_frames(&mut BufReader::new(File::open(&path)?), &mut out)?;
+                out.write_all(frame)?;
+                drop(out.into_inner().map_err(io::IntoInnerError::into_error)?);
                 std::fs::rename(&tmp, &path)?;
                 Ok(BufWriter::new(OpenOptions::new().append(true).open(&path)?))
             };
@@ -669,29 +679,55 @@ impl Inner {
                 }
             }
         }
-        self.len = self.kept_bytes + snapshot_len;
         if self.path.is_some() {
             self.buf.truncate(snapshot);
         }
+        self.len = self.kept_bytes + snapshot_len;
         self.compacted_len = self.len;
         self.stats.compactions += 1;
     }
 }
 
-/// The header and terminal frames of `frames` — whole frames the journal
-/// wrote or parsed, so no CRC is checked — in a buffer of `capacity`.
-fn kept_frames(frames: &[u8], capacity: usize) -> Vec<u8> {
-    let mut kept = Vec::with_capacity(capacity);
-    let mut pos = 0;
-    while pos < frames.len() {
-        let len = u32::from_le_bytes(frames[pos..pos + 4].try_into().expect("4 bytes"));
-        let end = pos + 8 + len as usize;
-        if matches!(frames[pos + 8], REC_HEADER | REC_TERMINAL) {
-            kept.extend_from_slice(&frames[pos..end]);
+/// Slide the header and terminal frames of `frames` — whole frames the
+/// journal wrote or parsed, so no CRC is checked — down to its start, in
+/// order; returns the bytes they take.
+fn keep_frames_in_place(frames: &mut [u8]) -> usize {
+    let (mut read, mut kept) = (0, 0);
+    while read < frames.len() {
+        let len = u32::from_le_bytes(frames[read..read + 4].try_into().expect("4 bytes"));
+        let end = read + 8 + len as usize;
+        if matches!(frames[read + 8], REC_HEADER | REC_TERMINAL) {
+            frames.copy_within(read..end, kept);
+            kept += end - read;
         }
-        pos = end;
+        read = end;
     }
     kept
+}
+
+/// Copy the header and terminal frames of the journal file `from` to
+/// `to`, in order, reading the rest past: nothing but the current frame
+/// is held.
+fn copy_kept_frames(from: &mut BufReader<File>, to: &mut impl io::Write) -> io::Result<()> {
+    let mut frame = Vec::new();
+    while !from.fill_buf()?.is_empty() {
+        let mut head = [0u8; 9];
+        from.read_exact(&mut head)?;
+        let len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes")) as usize;
+        if len == 0 {
+            return Err(io::Error::new(io::ErrorKind::InvalidData, "empty frame"));
+        }
+        if matches!(head[8], REC_HEADER | REC_TERMINAL) {
+            frame.clear();
+            frame.extend_from_slice(&head);
+            frame.resize(8 + len, 0);
+            from.read_exact(&mut frame[9..])?;
+            to.write_all(&frame)?;
+        } else {
+            from.seek_relative(len as i64 - 1)?;
+        }
+    }
+    Ok(())
 }
 
 /// A write-ahead journal of broker session transitions.
@@ -773,17 +809,23 @@ impl Journal {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// A copy of the journal's current contents — read back from the file
-    /// when durable (empty if it cannot be read).
-    pub fn bytes(&self) -> Vec<u8> {
+    /// `f` of the journal's current contents: the buffer where it lies,
+    /// or the file read back when durable (empty if it cannot be read).
+    fn with_bytes<T>(&self, f: impl FnOnce(&[u8]) -> T) -> T {
         let mut inner = self.lock();
         match inner.path.clone() {
             Some(path) => {
                 inner.flush();
-                std::fs::read(path).unwrap_or_default()
+                f(&std::fs::read(path).unwrap_or_default())
             }
-            None => inner.buf.clone(),
+            None => f(&inner.buf),
         }
+    }
+
+    /// A copy of the journal's current contents — read back from the file
+    /// when durable (empty if it cannot be read).
+    pub fn bytes(&self) -> Vec<u8> {
+        self.with_bytes(<[u8]>::to_vec)
     }
 
     /// Life-so-far counters (events, snapshots, compactions, size).
@@ -815,18 +857,20 @@ impl Journal {
 
     /// Byte offsets just past each event record, plain or terminal, in
     /// [`bytes`](Journal::bytes) — the chaos harness's menu of
-    /// whole-record crash points.
+    /// whole-record crash points. An in-memory journal is scanned where
+    /// it lies, with no copy.
     pub fn event_record_ends(&self) -> Vec<usize> {
-        let bytes = self.bytes();
-        let mut ends = Vec::new();
-        let mut pos = 0usize;
-        while let Some((payload, next)) = next_frame(&bytes, pos) {
-            if matches!(payload.first(), Some(&(REC_EVENT | REC_TERMINAL))) {
-                ends.push(next);
+        self.with_bytes(|bytes| {
+            let mut ends = Vec::new();
+            let mut pos = 0usize;
+            while let Some((payload, next)) = next_frame(bytes, pos) {
+                if matches!(payload.first(), Some(&(REC_EVENT | REC_TERMINAL))) {
+                    ends.push(next);
+                }
+                pos = next;
             }
-            pos = next;
-        }
-        ends
+            ends
+        })
     }
 
     /// Start a fresh journal: write the header record.
@@ -958,7 +1002,8 @@ impl Journal {
             w.get_ref().set_len(pos as u64)?;
         }
         if inner.path.is_some() {
-            inner.buf = kept_frames(&inner.buf, kept_bytes);
+            // The file holds the journal from here on.
+            inner.buf = Vec::new();
         }
         inner.len = pos;
         inner.kept_bytes = kept_bytes;

@@ -28,6 +28,9 @@
 //!   held offers, pending confirmations and retry queues from it and
 //!   resumes driving with a byte-identical outcome log. It survives a
 //!   process crash, not a power loss.
+//! - With [`FleetSpec::explain`] a drive reports the live facts of its
+//!   decisions; [`complete_explains`] derives the rest when an artifact
+//!   is written.
 //! - [`CapacitySnapshot`] audits release-on-failure end to end: after a
 //!   run drains, farm and network capacity must equal the pristine
 //!   baseline, else `broker.leaked_reservations` fires (and a debug
@@ -49,8 +52,8 @@ mod windows;
 
 pub use audit::CapacitySnapshot;
 pub use broker::{
-    Broker, BrokerConfig, BrokerReport, OutcomeEvent, OutcomeKind, RecoveryReport, SessionResult,
-    SessionSpec,
+    complete_explains, Broker, BrokerConfig, BrokerReport, OutcomeEvent, OutcomeKind,
+    RecoveryReport, SessionResult, SessionSpec,
 };
 pub use fault::{Fault, FaultPlan, FaultWindow};
 pub use fleet::{EventRetention, FleetSpec};

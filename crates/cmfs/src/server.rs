@@ -4,7 +4,7 @@ use nod_simcore::sync::Mutex;
 use nod_simcore::IntMap;
 use std::sync::OnceLock;
 
-use nod_mmdoc::ServerId;
+use nod_mmdoc::{ServerId, VariantId};
 use nod_obs::{Counter, Histogram, Recorder};
 
 use crate::admission::{AdmissionError, StreamRequirement};
@@ -47,8 +47,9 @@ impl ServerConfig {
 
 #[derive(Debug)]
 struct ServerState {
-    /// What each live reservation is charged: `(disk round µs, bits/s)`.
-    reservations: IntMap<ReservationId, (u64, u64)>,
+    /// What each live reservation is charged, `(disk round µs, bits/s)`,
+    /// and the variant it streams.
+    reservations: IntMap<ReservationId, (u64, u64, VariantId)>,
     /// The last reservation id issued.
     last_id: u64,
     used_round_us: u64,
@@ -234,7 +235,7 @@ impl FileServer {
         let id = ReservationId(st.last_id);
         st.used_round_us += cost_us;
         st.used_bps += bps;
-        st.reservations.insert(id, (cost_us, bps));
+        st.reservations.insert(id, (cost_us, bps, req.variant));
         if let Some(m) = self.metrics.get() {
             m.verdict(m.accepted);
             let slack = cap_us.saturating_sub(st.used_round_us) as f64 / cap_us.max(1) as f64;
@@ -253,7 +254,7 @@ impl FileServer {
     /// idempotent so rollback paths can be sloppy about double-release).
     pub fn release(&self, id: ReservationId) {
         let mut st = self.state.lock();
-        if let Some((cost_us, bps)) = st.reservations.remove(&id) {
+        if let Some((cost_us, bps, _)) = st.reservations.remove(&id) {
             st.used_round_us = st.used_round_us.saturating_sub(cost_us);
             st.used_bps = st.used_bps.saturating_sub(bps);
         }
@@ -262,6 +263,14 @@ impl FileServer {
     /// Number of active reservations.
     pub fn active_streams(&self) -> usize {
         self.state.lock().reservations.len()
+    }
+
+    /// The variant each active reservation streams, ascending.
+    pub fn reserved_variants(&self) -> Vec<VariantId> {
+        let st = self.state.lock();
+        let mut variants: Vec<VariantId> = st.reservations.values().map(|r| r.2).collect();
+        variants.sort_unstable();
+        variants
     }
 
     /// Fraction of disk round capacity currently reserved (at full health).
@@ -332,7 +341,9 @@ impl FileServer {
         if st.used_round_us <= cap_us && st.used_bps <= cap_bps {
             return Vec::new();
         }
-        let mut held: Vec<_> = st.reservations.iter().map(|(&id, &c)| (id, c)).collect();
+        let mut held: Vec<_> = (st.reservations.iter())
+            .map(|(&id, &(cost_us, bps, _))| (id, (cost_us, bps)))
+            .collect();
         held.sort_unstable_by_key(|&(id, _)| std::cmp::Reverse(id));
         let mut round = st.used_round_us;
         let mut bps = st.used_bps;

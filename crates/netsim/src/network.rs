@@ -490,6 +490,16 @@ impl Network {
         self.state.lock().links.iter().map(|s| s.reserved_bps).sum()
     }
 
+    /// Reserved bandwidth of every link, bits/s, indexed by [`LinkId`].
+    pub fn reserved_bps(&self) -> Vec<u64> {
+        self.state
+            .lock()
+            .links
+            .iter()
+            .map(|s| s.reserved_bps)
+            .collect()
+    }
+
     /// Current health factor of a link (1.0 unless degraded).
     pub fn link_health(&self, link: LinkId) -> f64 {
         self.state.lock().link(link).map_or(1.0, |s| s.health)

@@ -127,7 +127,7 @@ fn check_refusals(
     let got: Vec<(u64, &str)> = decisions
         .refusals
         .iter()
-        .map(|r| (r.rank, r.kind.as_str()))
+        .map(|r| (r.rank(), r.kind().as_str()))
         .collect();
     let want: Vec<(u64, &str)> = reference
         .refusals

@@ -19,8 +19,11 @@
 //! live facts — refusals, the chosen rank, the status — are captured as it
 //! runs; the rest of a log (score rows, durations, counts) depends only on
 //! the catalog and the request, and is derived from them
-//! ([`explain_attempts`]) when a log is wanted — for the broker, only for
-//! the sessions its tail retention keeps. Logs are plain data with
+//! ([`explain_attempts`]) when a log is wanted. A broker drive keeps only
+//! live facts, down to each capacity-ledger row, which names its held
+//! offer ([`Held::Offer`]) instead of listing its streams; the broker
+//! derives the rest for the sessions its tail retention keeps, and the
+//! streams of every row, when an artifact is written. Logs are plain data with
 //! [`ToJson`]/[`FromJson`] impls, serialized as JSON lines
 //! ([`ExplainArtifact`]) so a `--explain-out` artifact is diffable,
 //! byte-identical for the same seed, and queryable offline by the
@@ -240,79 +243,66 @@ impl std::fmt::Display for Shortfall {
     }
 }
 
-/// `(variant id, serving server)` per document component, in component
-/// order. Documents aggregate at most a handful of monomedia, so up to
-/// four pairs live inline and recording a score row allocates nothing;
-/// wider documents spill to the heap. Serializes exactly like a plain
-/// list of pairs, and the two representations never alias: a list is
-/// inline iff it fits, so derived equality is structural equality.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StreamList {
-    /// At most four components, stored inline.
-    Inline(u8, [(u64, u64); 4]),
-    /// Five or more components.
-    Spilled(Vec<(u64, u64)>),
-}
-
-impl StreamList {
-    /// The pairs as a slice, in component order.
-    pub fn as_slice(&self) -> &[(u64, u64)] {
+impl Shortfall {
+    /// The variant's index and its quantities in field order, zero-padded:
+    /// how a [`RefusalRecord`] stores it.
+    fn pack(self) -> (u8, [u64; 3]) {
         match self {
-            StreamList::Inline(len, buf) => &buf[..*len as usize],
-            StreamList::Spilled(v) => v,
+            Shortfall::None => (0, [0; 3]),
+            Shortfall::DecodeBudget => (1, [0; 3]),
+            Shortfall::PathQos => (2, [0; 3]),
+            Shortfall::Startup {
+                estimated_ms,
+                limit_ms,
+            } => (3, [estimated_ms, limit_ms, 0]),
+            Shortfall::Disk {
+                used_us,
+                requested_us,
+                capacity_us,
+            } => (4, [used_us, requested_us, capacity_us]),
+            Shortfall::Interface {
+                used_bps,
+                requested_bps,
+                capacity_bps,
+            } => (5, [used_bps, requested_bps, capacity_bps]),
+            Shortfall::StreamLimit { limit } => (6, [limit, 0, 0]),
+            Shortfall::AdmissionPaused => (7, [0; 3]),
+            Shortfall::Link {
+                link,
+                requested_bps,
+                available_bps,
+            } => (8, [link, requested_bps, available_bps]),
         }
     }
-}
 
-impl Default for StreamList {
-    fn default() -> Self {
-        StreamList::Inline(0, [(0, 0); 4])
-    }
-}
-
-impl std::ops::Deref for StreamList {
-    type Target = [(u64, u64)];
-
-    fn deref(&self) -> &[(u64, u64)] {
-        self.as_slice()
-    }
-}
-
-impl FromIterator<(u64, u64)> for StreamList {
-    fn from_iter<I: IntoIterator<Item = (u64, u64)>>(iter: I) -> Self {
-        let mut buf = [(0u64, 0u64); 4];
-        let mut len = 0usize;
-        let mut it = iter.into_iter();
-        for pair in it.by_ref() {
-            if len == buf.len() {
-                let mut v = Vec::with_capacity(buf.len() * 2);
-                v.extend_from_slice(&buf);
-                v.push(pair);
-                v.extend(it);
-                return StreamList::Spilled(v);
-            }
-            buf[len] = pair;
-            len += 1;
+    /// The shortfall [`Shortfall::pack`] gave `(variant, q)` for.
+    fn unpack(variant: u8, q: [u64; 3]) -> Shortfall {
+        match variant {
+            0 => Shortfall::None,
+            1 => Shortfall::DecodeBudget,
+            2 => Shortfall::PathQos,
+            3 => Shortfall::Startup {
+                estimated_ms: q[0],
+                limit_ms: q[1],
+            },
+            4 => Shortfall::Disk {
+                used_us: q[0],
+                requested_us: q[1],
+                capacity_us: q[2],
+            },
+            5 => Shortfall::Interface {
+                used_bps: q[0],
+                requested_bps: q[1],
+                capacity_bps: q[2],
+            },
+            6 => Shortfall::StreamLimit { limit: q[0] },
+            7 => Shortfall::AdmissionPaused,
+            _ => Shortfall::Link {
+                link: q[0],
+                requested_bps: q[1],
+                available_bps: q[2],
+            },
         }
-        StreamList::Inline(len as u8, buf)
-    }
-}
-
-impl From<Vec<(u64, u64)>> for StreamList {
-    fn from(v: Vec<(u64, u64)>) -> Self {
-        v.into_iter().collect()
-    }
-}
-
-impl ToJson for StreamList {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.as_slice().iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl FromJson for StreamList {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Vec::<(u64, u64)>::from_json(v)?.into())
     }
 }
 
@@ -322,8 +312,9 @@ impl FromJson for StreamList {
 pub struct ScoreRow {
     /// Rank in the classified list (0 = best).
     pub rank: u64,
-    /// The offer's streams, inline ([`StreamList`]).
-    pub streams: StreamList,
+    /// The offer's streams: `(variant id, serving server)` per document
+    /// component, in component order.
+    pub streams: Vec<(u64, u64)>,
     /// Static negotiation status (DESIRABLE / ACCEPTABLE / CONSTRAINT).
     pub sns: StaticNegotiationStatus,
     /// QoS importance component (before cost subtraction).
@@ -449,27 +440,84 @@ impl FromJson for RefusalKind {
     }
 }
 
-/// One refused step-5 (or adaptation) commit.
-#[derive(Debug, Clone, PartialEq)]
+/// One refused step-5 (or adaptation) commit, in 40 bytes: a retained
+/// run keeps tens of thousands of them. The shortfall is stored as its
+/// variant and up to three quantities, and a missing server as
+/// `u64::MAX`; the accessors give back the values [`RefusalRecord::new`]
+/// was handed.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefusalRecord {
-    /// Rank of the refused offer in the classified list.
-    pub rank: u64,
-    /// Stable refusal kind ([`CommitFailure::kind`] as an enum).
-    ///
-    /// [`CommitFailure::kind`]: crate::negotiate::CommitFailure::kind
-    pub kind: RefusalKind,
-    /// The refusing server, when one is implicated.
-    pub server: Option<u64>,
-    /// The concrete shortfall.
-    pub shortfall: Shortfall,
+    rank: u32,
+    kind: RefusalKind,
+    shortfall_variant: u8,
+    server: u64,
+    quantities: [u64; 3],
 }
 
-json_struct!(RefusalRecord {
-    rank,
-    kind,
-    server,
-    shortfall,
-});
+impl RefusalRecord {
+    /// The refusal of the offer at classified `rank` ([`CommitFailure::kind`]
+    /// as `kind`), with the refusing server, when one is implicated, and
+    /// the concrete shortfall. Ranks are bounded by the enumeration cap,
+    /// far below `u32::MAX`.
+    ///
+    /// [`CommitFailure::kind`]: crate::negotiate::CommitFailure::kind
+    pub fn new(rank: u64, kind: RefusalKind, server: Option<u64>, shortfall: Shortfall) -> Self {
+        let (shortfall_variant, quantities) = shortfall.pack();
+        RefusalRecord {
+            rank: u32::try_from(rank).expect("a classified rank fits in u32"),
+            kind,
+            shortfall_variant,
+            server: server.unwrap_or(u64::MAX),
+            quantities,
+        }
+    }
+
+    /// Rank of the refused offer in the classified list.
+    pub fn rank(&self) -> u64 {
+        self.rank as u64
+    }
+
+    /// Stable refusal kind.
+    pub fn kind(&self) -> RefusalKind {
+        self.kind
+    }
+
+    /// The refusing server, when one is implicated.
+    pub fn server(&self) -> Option<u64> {
+        Some(self.server).filter(|&s| s != u64::MAX)
+    }
+
+    /// The concrete shortfall.
+    pub fn shortfall(&self) -> Shortfall {
+        Shortfall::unpack(self.shortfall_variant, self.quantities)
+    }
+}
+
+impl ToJson for RefusalRecord {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("rank".to_string(), self.rank().to_json()),
+            ("kind".to_string(), self.kind.to_json()),
+            ("server".to_string(), self.server().to_json()),
+            ("shortfall".to_string(), self.shortfall().to_json()),
+        ])
+    }
+}
+
+impl FromJson for RefusalRecord {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let rank = u64::from_json(v.field("rank")?)?;
+        if rank > u32::MAX as u64 {
+            return Err(JsonError(format!("RefusalRecord.rank {rank} out of range")));
+        }
+        Ok(RefusalRecord::new(
+            rank,
+            RefusalKind::from_json(v.field("kind")?)?,
+            Option::<u64>::from_json(v.field("server")?)?,
+            Shortfall::from_json(v.field("shortfall")?)?,
+        ))
+    }
+}
 
 /// The per-negotiation decision log: what each paper step decided and why.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -479,9 +527,8 @@ pub struct DecisionLog {
     /// System offers enumerated in step 3/4.
     pub offers_enumerated: u64,
     /// `(monomedia id, duration_ms)` of the document's components — kept
-    /// so score rows can be (re)decomposed after the fact. Inline
-    /// ([`StreamList`]) for the same reason score rows are.
-    pub durations_ms: StreamList,
+    /// so score rows can be (re)decomposed after the fact.
+    pub durations_ms: Vec<(u64, u64)>,
     /// Score decomposition of the top-[`EXPLAIN_TOP_K`] classified offers
     /// (plus the chosen offer when it ranks below the cut).
     pub scores: Vec<ScoreRow>,
@@ -627,6 +674,17 @@ pub struct StreamRow {
 
 json_struct!(StreamRow { server, bps });
 
+/// What an admission held.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Held {
+    /// The reserved offer's classified index on the session's list, which
+    /// is all a drive records: steps 1–4 are pure, so the streams are
+    /// derived from it when an artifact is written.
+    Offer(u32),
+    /// The reserved streams.
+    Streams(Vec<StreamRow>),
+}
+
 /// One admission in the capacity ledger: who held what, from when to
 /// when. Unlike [`SessionExplain`] (tail-retained), the ledger keeps
 /// **every** admitted session — it is what lets `nod_explain` rebuild
@@ -640,16 +698,51 @@ pub struct LedgerRow {
     /// Departure instant, ms (equal to `admit_ms` when the run ended
     /// before the session departed).
     pub depart_ms: u64,
-    /// The reserved streams.
-    pub streams: Vec<StreamRow>,
+    /// What the session held: its streams in an artifact, its offer's
+    /// index in a drive's report. Serialized under the `streams` key, or
+    /// `offer` for a row not yet derived.
+    pub held: Held,
 }
 
-json_struct!(LedgerRow {
-    session,
-    admit_ms,
-    depart_ms,
-    streams,
-});
+impl LedgerRow {
+    /// The reserved streams; none while the row names only its offer.
+    pub fn streams(&self) -> &[StreamRow] {
+        match &self.held {
+            Held::Streams(streams) => streams,
+            Held::Offer(_) => &[],
+        }
+    }
+}
+
+impl ToJson for LedgerRow {
+    fn to_json(&self) -> Json {
+        let held = match &self.held {
+            Held::Streams(streams) => ("streams", streams.to_json()),
+            Held::Offer(index) => ("offer", index.to_json()),
+        };
+        Json::Obj(vec![
+            ("session".to_string(), self.session.to_json()),
+            ("admit_ms".to_string(), self.admit_ms.to_json()),
+            ("depart_ms".to_string(), self.depart_ms.to_json()),
+            (held.0.to_string(), held.1),
+        ])
+    }
+}
+
+impl FromJson for LedgerRow {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let held = match v.get("streams") {
+            Some(streams) => Held::Streams(Vec::from_json(streams)?),
+            None => Held::Offer(u32::from_json(v.field("offer")?)?),
+        };
+        Ok(LedgerRow {
+            session: u64::from_json(v.field("session")?)?,
+            admit_ms: u64::from_json(v.field("admit_ms")?)?,
+            depart_ms: u64::from_json(v.field("depart_ms")?)?,
+            held,
+        })
+    }
+}
 
 /// Artifact header: where the artifact came from and how it was sampled.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -776,15 +869,23 @@ mod tests {
                 sample_every: 64,
                 sample_seed: 0,
             },
-            ledger: vec![LedgerRow {
-                session: 1,
-                admit_ms: 10,
-                depart_ms: 4_010,
-                streams: vec![StreamRow {
-                    server: 0,
-                    bps: 1_200_000,
-                }],
-            }],
+            ledger: vec![
+                LedgerRow {
+                    session: 1,
+                    admit_ms: 10,
+                    depart_ms: 4_010,
+                    held: Held::Streams(vec![StreamRow {
+                        server: 0,
+                        bps: 1_200_000,
+                    }]),
+                },
+                LedgerRow {
+                    session: 2,
+                    admit_ms: 20,
+                    depart_ms: 20,
+                    held: Held::Offer(3),
+                },
+            ],
             sessions: vec![SessionExplain {
                 session: 1,
                 arrival_ms: 10,
@@ -795,29 +896,29 @@ mod tests {
                     decisions: DecisionLog {
                         feasible_variants: 4,
                         offers_enumerated: 8,
-                        durations_ms: vec![(1, 60_000)].into(),
+                        durations_ms: vec![(1, 60_000)],
                         scores: vec![],
                         refusals: vec![
-                            RefusalRecord {
-                                rank: 0,
-                                kind: RefusalKind::Server,
-                                server: Some(0),
-                                shortfall: Shortfall::Disk {
+                            RefusalRecord::new(
+                                0,
+                                RefusalKind::Server,
+                                Some(0),
+                                Shortfall::Disk {
                                     used_us: 900,
                                     requested_us: 200,
                                     capacity_us: 1_000,
                                 },
-                            },
-                            RefusalRecord {
-                                rank: 1,
-                                kind: RefusalKind::Network,
-                                server: Some(1),
-                                shortfall: Shortfall::Link {
+                            ),
+                            RefusalRecord::new(
+                                1,
+                                RefusalKind::Network,
+                                Some(1),
+                                Shortfall::Link {
                                     link: 4,
                                     requested_bps: 1_200_000,
                                     available_bps: 300_000,
                                 },
-                            },
+                            ),
                         ],
                         chosen_rank: Some(2),
                         status: Some(NegotiationStatus::Succeeded),
@@ -908,10 +1009,24 @@ mod tests {
                 available_bps: 8,
             },
         ];
-        for s in cases {
+        assert!(std::mem::size_of::<RefusalRecord>() <= 40);
+        for (rank, s) in cases.into_iter().enumerate() {
             let back = Shortfall::from_json(&s.to_json()).unwrap();
             assert_eq!(s, back);
             assert!(!s.to_string().is_empty());
+            // A refusal record gives back what it was handed.
+            let server = (rank % 2 == 0).then_some(rank as u64);
+            let record = RefusalRecord::new(rank as u64, RefusalKind::Server, server, s);
+            assert_eq!(
+                (
+                    record.rank(),
+                    record.kind(),
+                    record.server(),
+                    record.shortfall()
+                ),
+                (rank as u64, RefusalKind::Server, server, s)
+            );
+            assert_eq!(RefusalRecord::from_json(&record.to_json()).unwrap(), record);
         }
     }
 

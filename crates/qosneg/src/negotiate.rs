@@ -1087,12 +1087,12 @@ impl CommitRefusal {
     /// Render as a [`RefusalRecord`] for the offer at classified-list rank
     /// `rank`.
     pub fn record(&self, rank: usize) -> RefusalRecord {
-        RefusalRecord {
-            rank: rank as u64,
-            kind: self.failure.refusal_kind(),
-            server: self.server().map(|s| s.0),
-            shortfall: self.shortfall,
-        }
+        RefusalRecord::new(
+            rank as u64,
+            self.failure.refusal_kind(),
+            self.server().map(|s| s.0),
+            self.shortfall,
+        )
     }
 }
 

@@ -293,7 +293,7 @@ fn assert_walks_agree(
     coverage.walks += 1;
     coverage.refused_offers += naive.failures.len();
     coverage.link_refusals += (naive.refusals.iter())
-        .filter(|r| matches!(r.shortfall, Shortfall::Link { .. }))
+        .filter(|r| matches!(r.shortfall(), Shortfall::Link { .. }))
         .count();
     coverage.late_commits += usize::from(naive.reserved.is_some() && !naive.failures.is_empty());
 

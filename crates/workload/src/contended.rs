@@ -10,8 +10,8 @@
 //! always — that the drained system leaks zero capacity.
 
 use nod_broker::{
-    Broker, BrokerConfig, BrokerReport, FaultPlan, FleetSpec, Journal, JournalError,
-    RecoveryReport, SessionSpec,
+    complete_explains, Broker, BrokerConfig, BrokerReport, FaultPlan, FleetSpec, Journal,
+    JournalError, RecoveryReport, SessionSpec,
 };
 use nod_client::ClientMachine;
 use nod_cmfs::{Guarantee, ServerConfig, ServerFarm};
@@ -67,7 +67,8 @@ pub struct ContendedConfig {
     /// Decision-provenance retention (see [`FleetSpec::explain`]).
     /// `None` (the default) records nothing and allocates nothing;
     /// `Some(policy)` makes [`BrokerReport::explains`] carry the
-    /// capacity ledger and the tail-retained per-session explanations.
+    /// capacity ledger and the tail-retained per-session explanations,
+    /// completed ([`complete_explains`]) before the run returns.
     pub explain: Option<RetentionPolicy>,
 }
 
@@ -249,6 +250,19 @@ impl ContendedWorld {
         fleet
     }
 
+    /// Complete `report`'s explanations against this world, as the
+    /// artifact writers that read them need.
+    fn complete(
+        &self,
+        config: &ContendedConfig,
+        specs: &[SessionSpec<'_>],
+        report: &mut BrokerReport,
+    ) {
+        if let Some(data) = report.explains.as_mut() {
+            complete_explains(&self.ctx(config, None), specs, data);
+        }
+    }
+
     fn broker_config(&self, config: &ContendedConfig) -> BrokerConfig {
         BrokerConfig {
             retry: config.retry,
@@ -272,7 +286,8 @@ pub fn run_contended_with(
 
     let broker = Broker::new(world.ctx(config, recorder), world.broker_config(config));
     let fleet = world.fleet(config, &specs, &faults);
-    let report = broker.drive(&fleet);
+    let mut report = broker.drive(&fleet);
+    world.complete(config, &specs, &mut report);
     let result = summarize(config, &report);
     (result, report)
 }
@@ -291,7 +306,8 @@ pub fn run_contended_journaled(
 
     let broker = Broker::new(world.ctx(config, recorder), world.broker_config(config));
     let fleet = world.fleet(config, &specs, &faults).journal(journal);
-    let report = broker.drive(&fleet);
+    let mut report = broker.drive(&fleet);
+    world.complete(config, &specs, &mut report);
     let result = summarize(config, &report);
     (result, report)
 }
@@ -316,7 +332,9 @@ pub fn recover_contended(
 
     let broker = Broker::new(world.ctx(config, recorder), world.broker_config(config));
     let fleet = world.fleet(config, &specs, &faults).journal(journal);
-    broker.recover(&fleet)
+    let mut rec = broker.recover(&fleet)?;
+    world.complete(config, &specs, &mut rec.report);
+    Ok(rec)
 }
 
 fn summarize(config: &ContendedConfig, report: &BrokerReport) -> ContendedResult {
@@ -464,7 +482,7 @@ mod tests {
         assert!(data
             .ledger
             .iter()
-            .all(|row| row.depart_ms > row.admit_ms && !row.streams.is_empty()));
+            .all(|row| row.depart_ms > row.admit_ms && !row.streams().is_empty()));
     }
 
     #[test]

@@ -205,6 +205,22 @@ if ! awk -v got="$allocs" -v max="$ceiling" 'BEGIN { exit !(got != "" && got + 0
 fi
 echo "qosneg.allocs_per_negotiation $allocs (ceiling $ceiling)"
 
+# Heap ceiling (gating): tests/heap_peak.rs drives a seeded, contended,
+# faulted fleet with every channel on (recorder, tracer, explain, an
+# in-memory journal, SLO windows, the full outcome log) under an allocator
+# that tracks live bytes, and prints their high-water mark. The number is
+# deterministic, so bytes a change gives back to an observed drive fail
+# here; lower scripts/heap_ceiling.txt when a change saves bytes.
+echo "==> heap ceiling (cargo test --test heap_peak vs scripts/heap_ceiling.txt)"
+heap_ceiling="$(cat scripts/heap_ceiling.txt)"
+heap_peak="$(cargo test -q --test heap_peak -- --nocapture 2> /dev/null |
+    awk '$1 == "heap.peak_bytes" { print $2 }')"
+if [ -z "$heap_peak" ] || [ "$heap_peak" -gt "$heap_ceiling" ]; then
+    echo "error: heap.peak_bytes is '$heap_peak', above the ceiling $heap_ceiling"
+    exit 1
+fi
+echo "heap.peak_bytes $heap_peak (ceiling $heap_ceiling)"
+
 # Line ceiling (gating): like the allocation ceiling, the workspace's
 # non-test line count may not grow past scripts/loc_ceiling.txt, so
 # deleted code cannot drift back unnoticed; a change that must grow the

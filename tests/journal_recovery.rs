@@ -22,9 +22,13 @@
 //! cannot see — and require a typed error and an untouched world instead
 //! of a panic, and so must a well-framed snapshot or terminal record whose
 //! session ids, pending events or tags do not fit the fleet. An event
-//! record whose hash is flipped diverges at exactly its own event. A
-//! journal-off run, counted by this file's allocator, allocates the same
-//! count every time.
+//! record whose hash is flipped diverges at exactly its own event. Right
+//! after a restore, every server holds the streams and every link the
+//! bandwidth that the uninterrupted run's capacity ledger says were held
+//! at the snapshot tick. A journal-off run, counted by this file's
+//! allocator, allocates the same count every time; scanning an in-memory
+//! journal and compacting it allocate no copy of it, and in-place
+//! compaction writes the bytes the two-buffer rewrite it replaced wrote.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -38,9 +42,12 @@ use news_on_demand::cmfs::{Guarantee, ServerConfig, ServerFarm};
 use news_on_demand::mmdb::{Catalog, CorpusBuilder, CorpusParams};
 use news_on_demand::mmdoc::{ClientId, DocumentId, ServerId};
 use news_on_demand::netsim::{Network, Topology};
-use news_on_demand::qosneg::negotiate::{NegotiationContext, StreamingMode};
+use news_on_demand::obs::RetentionPolicy;
+use news_on_demand::qosneg::explain::Held;
+use news_on_demand::qosneg::mapping::charged_bit_rate;
+use news_on_demand::qosneg::negotiate::{reprepare, NegotiationContext, Prepared, StreamingMode};
 use news_on_demand::qosneg::profile::tv_news_profile;
-use news_on_demand::qosneg::{ClassificationStrategy, CostModel};
+use news_on_demand::qosneg::{ClassificationStrategy, CostModel, UserProfile};
 use news_on_demand::simcore::StreamRng;
 use news_on_demand::workload::{
     recover_contended, run_contended_journaled, run_contended_with, ContendedConfig,
@@ -49,6 +56,9 @@ use news_on_demand::workload::{
 thread_local! {
     /// Per-thread, so tests running in parallel do not count each other.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes of fresh allocations, growth in place (`realloc`) aside: a
+    /// copy of a buffer is one.
+    static FRESH_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct CountingAlloc;
@@ -58,6 +68,7 @@ struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        let _ = FRESH_BYTES.try_with(|n| n.set(n.get() + layout.size() as u64));
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -418,6 +429,11 @@ struct World {
 }
 
 fn world(max_streams: usize) -> World {
+    world_with(max_streams, 25_000_000)
+}
+
+/// [`world`] with client access links of `access_bps`.
+fn world_with(max_streams: usize, access_bps: u64) -> World {
     let catalog = CorpusBuilder::new(CorpusParams {
         documents: 8,
         servers: (0..2).map(ServerId).collect(),
@@ -431,7 +447,7 @@ fn world(max_streams: usize) -> World {
     World {
         catalog,
         farm: ServerFarm::uniform(2, server),
-        network: Network::new(Topology::dumbbell(4, 2, 25_000_000, 155_000_000)),
+        network: Network::new(Topology::dumbbell(4, 2, access_bps, 155_000_000)),
         cost: CostModel::era_default(),
     }
 }
@@ -454,25 +470,35 @@ fn broker(w: &World) -> Broker<'_> {
     Broker::new(ctx, BrokerConfig::era_default())
 }
 
+/// The four client machines of the hand-built world.
+fn clients() -> Vec<ClientMachine> {
+    (0..4)
+        .map(|i| ClientMachine::era_workstation(ClientId(i)))
+        .collect()
+}
+
+/// 48 sessions over the hand-built world's clients and documents, one
+/// every 250 ms, each holding for 8 s.
+fn specs<'a>(clients: &'a [ClientMachine], profile: &'a UserProfile) -> Vec<SessionSpec<'a>> {
+    (0..48u64)
+        .map(|i| SessionSpec {
+            client: &clients[(i % 4) as usize],
+            document: DocumentId(i % 8 + 1),
+            profile,
+            arrival_ms: i * 250,
+            hold_ms: Some(8_000),
+        })
+        .collect()
+}
+
 /// Journal a contended run on a 16-stream farm, cut the journal at the
 /// end of event record `cut_after_event`, and recover the same fleet —
 /// first against an identical fresh world (the positive control), then
 /// against a 1-stream farm. Returns the control's report and the second
 /// recovery's error, after checking that it left its world untouched.
 fn recover_on_a_smaller_farm(cut_after_event: usize) -> (RecoveryReport, JournalError) {
-    let clients: Vec<ClientMachine> = (0..4)
-        .map(|i| ClientMachine::era_workstation(ClientId(i)))
-        .collect();
-    let profile = tv_news_profile();
-    let specs: Vec<SessionSpec<'_>> = (0..48u64)
-        .map(|i| SessionSpec {
-            client: &clients[(i % 4) as usize],
-            document: DocumentId(i % 8 + 1),
-            profile: &profile,
-            arrival_ms: i * 250,
-            hold_ms: Some(8_000),
-        })
-        .collect();
+    let (clients, profile) = (clients(), tv_news_profile());
+    let specs = specs(&clients, &profile);
     let original = world(16);
     let journal = Journal::in_memory(chaos_journal_cfg());
     let full = broker(&original).drive(&FleetSpec::new(&specs).journal(&journal));
@@ -804,4 +830,203 @@ fn a_flipped_event_hash_diverges_at_exactly_its_event() {
             other => panic!("flip in record {event}: expected a divergence, got {other:?}"),
         }
     }
+}
+
+/// Recovery re-derives each held stream from the session's offer index.
+/// Right after the restore, each server must hold exactly the streams, and
+/// each link the bandwidth, that the uninterrupted run held at the
+/// snapshot tick: its capacity ledger names the sessions admitted by then
+/// and not yet departed, and the offer each committed, whose streams steps
+/// 1–4 rebuild. On two servers behind 4 Mbit/s client links, a restored
+/// offer other than the committed one shows at every snapshot holding one.
+#[test]
+fn restored_capacity_is_what_the_run_held_at_each_snapshot() {
+    let (clients, profile) = (clients(), tv_news_profile());
+    let specs = specs(&clients, &profile);
+    let cfg = JournalConfig {
+        snapshot_every_events: 8,
+        ..chaos_journal_cfg()
+    };
+    let original = world_with(16, 4_000_000);
+    let journal = Journal::in_memory(cfg);
+    let drive = broker(&original);
+    let fleet = FleetSpec::new(&specs)
+        .journal(&journal)
+        .explain(RetentionPolicy::default());
+    let full = drive.drive(&fleet);
+    assert!(full.retries > 0, "the links must contend");
+    let ledger = full.explains.expect("explain was requested").ledger;
+    let ctx = drive.session().context();
+    let bytes = journal.bytes();
+    let mut holding = 0;
+    for frame in snapshot_frames(&bytes) {
+        // The snapshot's tick is its first field, after the type byte.
+        let at = frame.start + 9;
+        let at_ms = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let mut servers = vec![Vec::new(); 2];
+        let mut links = vec![0u64; original.network.topology().link_ids().len()];
+        for row in (ledger.iter()).filter(|r| r.admit_ms <= at_ms && at_ms < r.depart_ms) {
+            let Held::Offer(index) = row.held else {
+                panic!("a drive's ledger row names its offer")
+            };
+            let spec = &specs[row.session as usize];
+            let Ok(Prepared::Offers(mut ranked, ..)) =
+                reprepare(ctx, spec.client, spec.document, spec.profile)
+            else {
+                panic!("session {} was admitted from a list", row.session)
+            };
+            for v in ranked.materialize(index as usize).offer.variants {
+                servers[v.server.0 as usize].push(v.id);
+                if v.blocks_per_second > 0 {
+                    let bps = charged_bit_rate(&v, ctx.guarantee);
+                    let path = original.network.path(spec.client.id, v.server);
+                    for link in path.expect("a committed stream has a route") {
+                        links[link.0 as usize] += bps;
+                    }
+                }
+            }
+        }
+        servers.iter_mut().for_each(|held| held.sort_unstable());
+        let fresh = world_with(16, 4_000_000);
+        let cut = Journal::from_bytes(bytes[..frame.end].to_vec(), cfg);
+        let rec = (broker(&fresh).recover(&FleetSpec::new(&specs).journal(&cut)))
+            .unwrap_or_else(|e| panic!("recovery from the snapshot at {at_ms} ms failed: {e}"));
+        assert_eq!(
+            (
+                &rec.restored.server_streams,
+                &rec.restored.link_reserved_bps
+            ),
+            (&servers, &links),
+            "capacity restored from the snapshot at {at_ms} ms"
+        );
+        holding += usize::from(servers.iter().any(|held| !held.is_empty()));
+    }
+    assert!(holding >= 8, "only {holding} snapshots hold an offer");
+}
+
+/// Scanning an in-memory journal for its record ends reads the buffer
+/// where it lies: nothing the journal's size is allocated.
+#[test]
+fn scanning_record_ends_copies_no_journal() {
+    let (full, bytes) = full_run();
+    let journal = Journal::from_bytes(bytes.clone(), chaos_journal_cfg());
+    let before = FRESH_BYTES.with(Cell::get);
+    let ends = journal.event_record_ends();
+    let fresh = FRESH_BYTES.with(Cell::get) - before;
+    assert_eq!(ends.len(), full.events.len());
+    assert!(
+        fresh < bytes.len() as u64,
+        "scanning {} journal bytes allocated {fresh} fresh bytes",
+        bytes.len()
+    );
+}
+
+/// An in-memory journal compacts inside its one buffer: a compacting
+/// drive makes exactly the fresh allocations of the same drive that never
+/// compacts, though it rewrites its journal again and again.
+#[test]
+fn in_memory_compaction_allocates_no_copy_of_the_journal() {
+    let (clients, profile) = (clients(), tv_news_profile());
+    let specs = specs(&clients, &profile);
+    let w = world(16);
+    let drive = |compact| {
+        let journal = Journal::in_memory(JournalConfig {
+            snapshot_every_events: 8,
+            compact,
+            crash_after_events: None,
+        });
+        let fleet = FleetSpec::new(&specs).journal(&journal);
+        let before = FRESH_BYTES.with(Cell::get);
+        let report = broker(&w).drive(&fleet);
+        assert_eq!(report.leaked_streams, 0);
+        drop(report);
+        (
+            FRESH_BYTES.with(Cell::get) - before,
+            journal.stats().compactions,
+        )
+    };
+    drive(true); // fills the route memo both measured drives then share
+    let (compacting, compactions) = drive(true);
+    let (appending, none) = drive(false);
+    assert!(compactions >= 4, "only {compactions} compactions");
+    assert_eq!(none, 0);
+    assert_eq!(
+        compacting, appending,
+        "{compactions} compactions allocated fresh bytes"
+    );
+}
+
+/// The compaction the journal did before it compacted in place, kept as
+/// the reference: `appended`'s frames go one by one onto a journal holding
+/// `start`, and a snapshot that the rule says compacts gathers the header
+/// and terminal frames into a fresh buffer, followed by the snapshot.
+fn two_buffer_compaction(start: &[u8], appended: &[u8]) -> Vec<u8> {
+    let kept = |bytes: &[u8]| -> Vec<u8> {
+        (frames(bytes).into_iter())
+            .filter(|&(.., kind)| kind == 1 || kind == 4)
+            .flat_map(|(from, to, _)| bytes[from..to].to_vec())
+            .collect()
+    };
+    let mut journal = start.to_vec();
+    let mut kept_bytes = kept(start).len();
+    let mut compacted_len = journal.len();
+    for (from, to, kind) in frames(appended) {
+        let frame = &appended[from..to];
+        if kind == 3 && journal.len() - compacted_len >= kept_bytes + frame.len() {
+            journal = kept(&journal);
+            journal.extend_from_slice(frame);
+            compacted_len = journal.len();
+            continue;
+        }
+        if kind == 1 || kind == 4 {
+            kept_bytes += frame.len();
+        }
+        journal.extend_from_slice(frame);
+    }
+    journal
+}
+
+/// Seeded snapshot cadences, each run fresh and resumed from seeded crash
+/// points: the compacted journal is, byte for byte, what the two-buffer
+/// rewrite makes of the same appends.
+#[test]
+fn in_place_compaction_writes_what_the_two_buffer_rewrite_wrote() {
+    let config = chaos_config();
+    let mut rng = StreamRng::new(0x5EED_C0DE);
+    let mut compactions = 0;
+    for _ in 0..6 {
+        let every = 2 + rng.below(96);
+        let cfg = |compact| JournalConfig {
+            snapshot_every_events: every,
+            compact,
+            crash_after_events: None,
+        };
+        let appending = Journal::in_memory(cfg(false));
+        run_contended_journaled(&config, None, &appending);
+        let compacting = Journal::in_memory(cfg(true));
+        run_contended_journaled(&config, None, &compacting);
+        compactions += compacting.stats().compactions;
+        let history = appending.bytes();
+        assert_eq!(
+            compacting.bytes(),
+            two_buffer_compaction(&[], &history),
+            "a fresh run snapshotting every {every} events"
+        );
+        let ends = appending.event_record_ends();
+        for _ in 0..3 {
+            let cut = ends[rng.below(ends.len() as u64) as usize];
+            let resumed = |compact| {
+                let journal = Journal::from_bytes(history[..cut].to_vec(), cfg(compact));
+                recover_contended(&config, None, &journal).expect("the cut recovers");
+                journal.bytes()
+            };
+            let (compacted, appended) = (resumed(true), resumed(false));
+            assert_eq!(
+                compacted,
+                two_buffer_compaction(&history[..cut], &appended[cut..]),
+                "resumed at byte {cut}, snapshotting every {every} events"
+            );
+        }
+    }
+    assert!(compactions >= 6, "only {compactions} compactions");
 }
