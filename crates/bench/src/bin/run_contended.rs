@@ -35,7 +35,7 @@
 //! resumed outcome log is the byte-identical suffix of an uninterrupted
 //! in-process rerun, and completes the journal.
 
-use nod_bench::{write_artifact, FlushGuard};
+use nod_bench::{write_artifact, write_artifact_with, FlushGuard};
 use nod_broker::{fleet_windows, Journal, JournalConfig};
 use nod_obs::{analyze, default_fleet_slos, to_prometheus_text, Recorder, RetentionPolicy, Tracer};
 use nod_qosneg::explain::{ExplainArtifact, ExplainMeta};
@@ -334,7 +334,7 @@ fn main() {
             },
             data,
         );
-        if let Err(e) = write_artifact(path, &artifact.to_jsonl()) {
+        if let Err(e) = write_artifact_with(path, |out| artifact.write_jsonl(out)) {
             eprintln!("error: cannot write explain artifact: {e}");
             std::process::exit(1);
         }

@@ -11,7 +11,7 @@
 //! ratio, peak live sessions and peak RSS. Any leaked stream is fatal —
 //! the zero-leak audit the CI smoke gates on.
 
-use nod_bench::{write_artifact, MetroFleet};
+use nod_bench::{write_artifact_with, MetroFleet};
 use nod_broker::{
     complete_explains, Broker, BrokerConfig, EventRetention, FleetSpec, Journal, JournalConfig,
 };
@@ -128,7 +128,7 @@ fn main() {
             },
             data,
         );
-        if let Err(e) = write_artifact(path, &artifact.to_jsonl()) {
+        if let Err(e) = write_artifact_with(path, |out| artifact.write_jsonl(out)) {
             eprintln!("error: cannot write explain artifact: {e}");
             std::process::exit(1);
         }

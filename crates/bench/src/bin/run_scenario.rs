@@ -23,7 +23,7 @@
 //! span-tree summary to stderr. For per-session traces use the
 //! `run_contended` bin, whose broker assigns one trace per session.
 
-use nod_bench::{f3, write_artifact, Table};
+use nod_bench::{f3, write_artifact, write_artifact_with, Table};
 use nod_obs::{analyze, to_prometheus_text, Recorder, RetentionPolicy, Tracer};
 use nod_qosneg::explain::{ExplainArtifact, ExplainData, ExplainMeta};
 use nod_workload::scenario::{presets, Scenario};
@@ -278,7 +278,7 @@ fn main() {
             },
             explains,
         );
-        if let Err(e) = write_artifact(path, &artifact.to_jsonl()) {
+        if let Err(e) = write_artifact_with(path, |out| artifact.write_jsonl(out)) {
             eprintln!("error: cannot write explain artifact: {e}");
             std::process::exit(1);
         }

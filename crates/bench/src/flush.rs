@@ -13,13 +13,13 @@
 /// Runs a flush closure on drop — including the drop that happens while
 /// a panic unwinds — unless [`disarm`](Self::disarm)ed first.
 pub struct FlushGuard {
-    hook: Option<Box<dyn FnOnce() + Send>>,
+    hook: Option<Box<dyn FnOnce()>>,
 }
 
 impl FlushGuard {
     /// Arm a guard with the flush action to run if the scope unwinds
     /// (or otherwise exits) before [`disarm`](Self::disarm) is called.
-    pub fn new(hook: impl FnOnce() + Send + 'static) -> Self {
+    pub fn new(hook: impl FnOnce() + 'static) -> Self {
         FlushGuard {
             hook: Some(Box::new(hook)),
         }
@@ -51,23 +51,23 @@ impl std::fmt::Debug for FlushGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     #[test]
     fn flushes_on_panic_unwind() {
-        let flushed = Arc::new(AtomicUsize::new(0));
+        let flushed = Rc::new(Cell::new(0));
         let seen = flushed.clone();
         let result = catch_unwind(AssertUnwindSafe(|| {
             let _guard = FlushGuard::new(move || {
-                seen.fetch_add(1, Ordering::SeqCst);
+                seen.set(seen.get() + 1);
             });
             panic!("mid-run failure");
         }));
         assert!(result.is_err());
         assert_eq!(
-            flushed.load(Ordering::SeqCst),
+            flushed.get(),
             1,
             "the guard must flush while the panic unwinds"
         );
@@ -75,24 +75,24 @@ mod tests {
 
     #[test]
     fn disarm_suppresses_the_flush() {
-        let flushed = Arc::new(AtomicUsize::new(0));
+        let flushed = Rc::new(Cell::new(0));
         let seen = flushed.clone();
         {
             let mut guard = FlushGuard::new(move || {
-                seen.fetch_add(1, Ordering::SeqCst);
+                seen.set(seen.get() + 1);
             });
             guard.disarm();
         }
-        assert_eq!(flushed.load(Ordering::SeqCst), 0);
+        assert_eq!(flushed.get(), 0);
     }
 
     #[test]
     fn plain_drop_flushes_once() {
-        let flushed = Arc::new(AtomicUsize::new(0));
+        let flushed = Rc::new(Cell::new(0));
         let seen = flushed.clone();
         drop(FlushGuard::new(move || {
-            seen.fetch_add(1, Ordering::SeqCst);
+            seen.set(seen.get() + 1);
         }));
-        assert_eq!(flushed.load(Ordering::SeqCst), 1);
+        assert_eq!(flushed.get(), 1);
     }
 }

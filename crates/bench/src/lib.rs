@@ -11,6 +11,10 @@ pub mod flush;
 pub use fleet::MetroFleet;
 pub use flush::FlushGuard;
 
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
+use std::path::Path;
+
 use nod_cmfs::{Guarantee, ServerConfig, ServerFarm};
 use nod_mmdb::{Catalog, CorpusBuilder, CorpusParams};
 use nod_mmdoc::ServerId;
@@ -147,20 +151,30 @@ pub fn standard_world(seed: u64, documents: usize, servers: usize, clients: usiz
 /// Every `--*-out` flag funnels through here so `--trace-out
 /// out/run7/trace.jsonl` works on a fresh checkout; errors name the
 /// offending path.
-pub fn write_artifact(path: impl AsRef<std::path::Path>, contents: &str) -> std::io::Result<()> {
+pub fn write_artifact(path: impl AsRef<Path>, contents: &str) -> io::Result<()> {
+    write_artifact_with(path, |out| out.write_all(contents.as_bytes()))
+}
+
+/// [`write_artifact`] with the contents streamed by `write` through a
+/// buffered file, for an artifact too large to build as one string.
+pub fn write_artifact_with(
+    path: impl AsRef<Path>,
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> io::Result<()> {
     let path = path.as_ref();
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent).map_err(|e| {
-                std::io::Error::new(
+                io::Error::new(
                     e.kind(),
                     format!("creating parent of {}: {e}", path.display()),
                 )
             })?;
         }
     }
-    std::fs::write(path, contents)
-        .map_err(|e| std::io::Error::new(e.kind(), format!("writing {}: {e}", path.display())))
+    let named = |e: io::Error| io::Error::new(e.kind(), format!("writing {}: {e}", path.display()));
+    let mut out = BufWriter::new(File::create(path).map_err(named)?);
+    write(&mut out).and_then(|()| out.flush()).map_err(named)
 }
 
 /// The process's peak resident set size (VmHWM), in kilobytes.

@@ -64,11 +64,11 @@
 //! [`BrokerReport::journal_error`](crate::BrokerReport::journal_error) set
 //! and a recovery with [`JournalError::Io`], not a panic.
 
+use std::cell::RefCell;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, BufWriter, Read as _, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use crate::broker::{fate_index, OutcomeKind, SessionResult, FATES};
 
@@ -738,12 +738,12 @@ fn copy_kept_frames(from: &mut BufReader<File>, to: &mut impl io::Write) -> io::
 /// after a crash. Interior-mutable so the borrowed `FleetSpec` stays
 /// `Clone`; the broker only ever appends from its one event loop.
 pub struct Journal {
-    inner: Mutex<Inner>,
+    inner: RefCell<Inner>,
 }
 
 impl fmt::Debug for Journal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.lock();
+        let inner = self.inner.borrow();
         f.debug_struct("Journal")
             .field("bytes", &inner.len)
             .field("events_total", &inner.events_total)
@@ -762,7 +762,7 @@ impl Journal {
     /// replays a truncated (crashed) journal without touching disk.
     pub fn from_bytes(bytes: Vec<u8>, cfg: JournalConfig) -> Self {
         Journal {
-            inner: Mutex::new(Inner {
+            inner: RefCell::new(Inner {
                 cfg,
                 len: bytes.len(),
                 buf: bytes,
@@ -780,11 +780,10 @@ impl Journal {
 
     /// A journal over `bytes` that appends to `file` at `path`.
     fn durable(bytes: Vec<u8>, cfg: JournalConfig, path: PathBuf, file: File) -> Self {
-        let journal = Journal::from_bytes(bytes, cfg);
-        let mut inner = journal.lock();
+        let mut journal = Journal::from_bytes(bytes, cfg);
+        let inner = journal.inner.get_mut();
         inner.path = Some(path);
         inner.writer = Some(BufWriter::new(file));
-        drop(inner);
         journal
     }
 
@@ -805,14 +804,10 @@ impl Journal {
         Ok(Journal::durable(bytes, cfg, path, file))
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// `f` of the journal's current contents: the buffer where it lies,
     /// or the file read back when durable (empty if it cannot be read).
     fn with_bytes<T>(&self, f: impl FnOnce(&[u8]) -> T) -> T {
-        let mut inner = self.lock();
+        let mut inner = self.inner.borrow_mut();
         match inner.path.clone() {
             Some(path) => {
                 inner.flush();
@@ -830,7 +825,7 @@ impl Journal {
 
     /// Life-so-far counters (events, snapshots, compactions, size).
     pub fn stats(&self) -> JournalStats {
-        let inner = self.lock();
+        let inner = self.inner.borrow();
         let mut s = inner.stats;
         s.bytes = inner.len;
         s
@@ -839,7 +834,7 @@ impl Journal {
     /// Events ever journaled, including compacted-away history — the
     /// global log position the next appended event will take.
     pub(crate) fn events_total(&self) -> u64 {
-        self.lock().events_total
+        self.inner.borrow().events_total
     }
 
     /// Flush buffered appends to the backing file, if any — into the OS,
@@ -847,7 +842,7 @@ impl Journal {
     /// power loss may still lose them. An error is the first write
     /// failure the journal has met, now or earlier.
     pub fn sync(&self) -> Result<(), JournalError> {
-        let mut inner = self.lock();
+        let mut inner = self.inner.borrow_mut();
         inner.flush();
         match &inner.error {
             None => Ok(()),
@@ -879,7 +874,7 @@ impl Journal {
     /// Panics if the journal already has contents — resuming an existing
     /// journal goes through [`Broker::recover`](crate::Broker::recover).
     pub(crate) fn begin(&self, header: HeaderRecord) {
-        let mut inner = self.lock();
+        let mut inner = self.inner.borrow_mut();
         assert!(
             inner.len == 0,
             "Journal::begin on a non-empty journal; use Broker::recover to resume"
@@ -893,7 +888,7 @@ impl Journal {
     /// when the snapshot cadence says the drive loop should cut a
     /// checkpoint at the next tick boundary.
     pub(crate) fn append_event(&self, hash: u64, result: Option<&SessionResult>) -> bool {
-        let mut inner = self.lock();
+        let mut inner = self.inner.borrow_mut();
         let start = inner.frame(|p| {
             p.push(if result.is_some() {
                 REC_TERMINAL
@@ -926,7 +921,7 @@ impl Journal {
     /// rewrite keeps — rewrite the log to header + terminal records +
     /// snapshot.
     pub(crate) fn append_snapshot(&self, snap: &SnapshotState) {
-        let mut inner = self.lock();
+        let mut inner = self.inner.borrow_mut();
         let start = inner.frame(|p| snap.encode(p));
         let keeps = inner.kept_bytes + inner.buf.len() - start;
         if inner.cfg.compact && inner.len - inner.compacted_len >= keeps {
@@ -947,7 +942,7 @@ impl Journal {
         &self,
         expect: HeaderRecord,
     ) -> Result<ParsedJournal, JournalError> {
-        let mut inner = self.lock();
+        let mut inner = self.inner.borrow_mut();
         // Header first — a journal whose header never made it to disk is
         // unrecoverable (but the run never had any effects either).
         let (payload, mut pos) = next_frame(&inner.buf, 0).ok_or(JournalError::NoHeader)?;

@@ -1,7 +1,5 @@
 //! A farm of file servers, the negotiation's server-side resource pool.
 
-use std::sync::Arc;
-
 use nod_mmdoc::ServerId;
 use nod_obs::Recorder;
 
@@ -12,13 +10,12 @@ use crate::server::{FileServer, ReservationId, ServerConfig};
 ///
 /// Server ids may be any `u64`s, sparse or not: the farm keeps its
 /// servers in one list sorted by id and finds one by binary search. An id
-/// the farm lacks is [`FarmError::NoSuchServer`]. Servers are shared
-/// (`Arc`) with clones of the farm and guard their own reservation
-/// tables.
-#[derive(Debug, Clone, Default)]
+/// the farm lacks is [`FarmError::NoSuchServer`]. The farm owns its
+/// servers; each keeps its own reservation table.
+#[derive(Debug, Default)]
 pub struct ServerFarm {
     /// Ascending by id.
-    servers: Vec<(ServerId, Arc<FileServer>)>,
+    servers: Vec<(ServerId, FileServer)>,
 }
 
 impl ServerFarm {
@@ -44,12 +41,12 @@ impl ServerFarm {
         let id = server.id();
         match self.servers.binary_search_by_key(&id, |&(id, _)| id) {
             Ok(_) => panic!("duplicate server {id}"),
-            Err(at) => self.servers.insert(at, (id, Arc::new(server))),
+            Err(at) => self.servers.insert(at, (id, server)),
         }
     }
 
     /// Look up a server.
-    pub fn server(&self, id: ServerId) -> Option<&Arc<FileServer>> {
+    pub fn server(&self, id: ServerId) -> Option<&FileServer> {
         let at = self.servers.binary_search_by_key(&id, |&(id, _)| id);
         at.ok().map(|at| &self.servers[at].1)
     }

@@ -1,8 +1,7 @@
 //! A single file server with round-based admission control.
 
-use nod_simcore::sync::Mutex;
 use nod_simcore::IntMap;
-use std::sync::OnceLock;
+use std::cell::{OnceCell, RefCell};
 
 use nod_mmdoc::{ServerId, VariantId};
 use nod_obs::{Counter, Histogram, Recorder};
@@ -113,15 +112,15 @@ impl Metrics {
 
 /// A continuous-media file server.
 ///
-/// The reservation table sits behind a lock, and each `try_reserve` is
-/// one admission-test-and-commit under it.
+/// Single-threaded: the reservation table is a `RefCell`, so every method
+/// takes `&self` and each `try_reserve` is one admission test and commit.
 #[derive(Debug)]
 pub struct FileServer {
     id: ServerId,
     config: ServerConfig,
-    state: Mutex<ServerState>,
+    state: RefCell<ServerState>,
     /// Set-once observability hook; `None` keeps admission allocation-free.
-    metrics: OnceLock<Metrics>,
+    metrics: OnceCell<Metrics>,
 }
 
 impl FileServer {
@@ -138,7 +137,7 @@ impl FileServer {
         FileServer {
             id,
             config,
-            state: Mutex::new(ServerState {
+            state: RefCell::new(ServerState {
                 reservations: IntMap::default(),
                 last_id: 0,
                 used_round_us: 0,
@@ -146,7 +145,7 @@ impl FileServer {
                 health: 1.0,
                 admission_factor: 1.0,
             }),
-            metrics: OnceLock::new(),
+            metrics: OnceCell::new(),
         }
     }
 
@@ -197,7 +196,7 @@ impl FileServer {
     /// size (peak for guaranteed, average for best-effort) plus the
     /// interface bandwidth test against the charged bit rate.
     pub fn try_reserve(&self, req: StreamRequirement) -> Result<ReservationId, AdmissionError> {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         if st.admission_factor <= 0.0 {
             self.count_rejection(|m| m.paused);
             return Err(AdmissionError::AdmissionPaused);
@@ -253,7 +252,7 @@ impl FileServer {
     /// Release a reservation. Unknown ids are ignored (release is
     /// idempotent so rollback paths can be sloppy about double-release).
     pub fn release(&self, id: ReservationId) {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         if let Some((cost_us, bps, _)) = st.reservations.remove(&id) {
             st.used_round_us = st.used_round_us.saturating_sub(cost_us);
             st.used_bps = st.used_bps.saturating_sub(bps);
@@ -262,12 +261,12 @@ impl FileServer {
 
     /// Number of active reservations.
     pub fn active_streams(&self) -> usize {
-        self.state.lock().reservations.len()
+        self.state.borrow().reservations.len()
     }
 
     /// The variant each active reservation streams, ascending.
     pub fn reserved_variants(&self) -> Vec<VariantId> {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         let mut variants: Vec<VariantId> = st.reservations.values().map(|r| r.2).collect();
         variants.sort_unstable();
         variants
@@ -275,13 +274,13 @@ impl FileServer {
 
     /// Fraction of disk round capacity currently reserved (at full health).
     pub fn disk_utilization(&self) -> f64 {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         st.used_round_us as f64 / self.capacity_round_us(1.0).max(1) as f64
     }
 
     /// Fraction of interface bandwidth currently reserved (at full health).
     pub fn interface_utilization(&self) -> f64 {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         st.used_bps as f64 / self.capacity_bps(1.0).max(1) as f64
     }
 
@@ -291,12 +290,12 @@ impl FileServer {
     /// Panics outside [0, 1].
     pub fn set_health(&self, health: f64) {
         assert!((0.0..=1.0).contains(&health), "health must be in [0,1]");
-        self.state.lock().health = health;
+        self.state.borrow_mut().health = health;
     }
 
     /// Current health factor.
     pub fn health(&self) -> f64 {
-        self.state.lock().health
+        self.state.borrow().health
     }
 
     /// Throttle *new* admissions to `factor` ∈ [0, 1] of capacity without
@@ -311,23 +310,23 @@ impl FileServer {
             (0.0..=1.0).contains(&factor),
             "admission factor must be in [0,1]"
         );
-        self.state.lock().admission_factor = factor;
+        self.state.borrow_mut().admission_factor = factor;
     }
 
     /// Current admission throttle.
     pub fn admission_factor(&self) -> f64 {
-        self.state.lock().admission_factor
+        self.state.borrow().admission_factor
     }
 
     /// Disk round time currently reserved, µs (capacity-audit accessor).
     pub fn used_round_us(&self) -> u64 {
-        self.state.lock().used_round_us
+        self.state.borrow().used_round_us
     }
 
     /// Interface bandwidth currently reserved, bits/s (capacity-audit
     /// accessor).
     pub fn used_bps(&self) -> u64 {
-        self.state.lock().used_bps
+        self.state.borrow().used_bps
     }
 
     /// Reservations that no longer fit the degraded capacity — the streams
@@ -335,7 +334,7 @@ impl FileServer {
     /// server protects its oldest commitments), mirroring how an overloaded
     /// round schedule drops the most recently admitted work first.
     pub fn violated_reservations(&self) -> Vec<ReservationId> {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         let cap_us = self.capacity_round_us(st.health);
         let cap_bps = self.capacity_bps(st.health);
         if st.used_round_us <= cap_us && st.used_bps <= cap_bps {
@@ -575,26 +574,17 @@ mod tests {
 
     #[test]
     fn concurrent_reservations_are_consistent() {
-        use std::sync::Arc;
-        let s = Arc::new(FileServer::new(ServerId(0), ServerConfig::era_default()));
-        let handles: Vec<_> = (0..8)
-            .map(|t| {
-                let s = Arc::clone(&s);
-                std::thread::spawn(move || {
-                    let mut ok = 0u32;
-                    for i in 0..50 {
-                        if s.try_reserve(mpeg1_req(t * 100 + i, Guarantee::Guaranteed))
-                            .is_ok()
-                        {
-                            ok += 1;
-                        }
-                    }
-                    ok
-                })
-            })
-            .collect();
-        let total: u32 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(total as usize, s.active_streams());
+        // Eight clients' request streams, interleaved round-robin the way
+        // the single drive loop serves them.
+        let s = FileServer::new(ServerId(0), ServerConfig::era_default());
+        let mut granted = 0usize;
+        for i in 0..50 {
+            for t in 0..8 {
+                let req = mpeg1_req(t * 100 + i, Guarantee::Guaranteed);
+                granted += usize::from(s.try_reserve(req).is_ok());
+            }
+        }
+        assert_eq!(granted, s.active_streams());
         // Post-condition: never over capacity.
         assert!(s.disk_utilization() <= 1.0 + 1e-9);
     }

@@ -22,7 +22,7 @@
 //!    layers only, so every crate in the workspace can afford to link it.
 //! 2. **Free when absent** — instrumented code holds an
 //!    `Option<&Recorder>` / `Option<Recorder>`; the disabled path is a
-//!    `None` check, no allocation, no locking. The same holds one level
+//!    `None` check and no allocation. The same holds one level
 //!    up: a recorder without a tracer attached never pays for tracing.
 //! 3. **Panic-free boundary** — the underlying
 //!    [`OnlineStats::push`](nod_simcore::OnlineStats::push) asserts finite
@@ -39,9 +39,9 @@
 //!
 //! ```
 //! use nod_obs::{MemorySink, Recorder};
-//! use std::sync::Arc;
+//! use std::rc::Rc;
 //!
-//! let sink = Arc::new(MemorySink::new());
+//! let sink = Rc::new(MemorySink::new());
 //! let rec = Recorder::with_sink(sink.clone());
 //! rec.counter_with("negotiation.outcome", &[("status", "SUCCEEDED")], 1);
 //! let span = rec.span("negotiate");
@@ -114,32 +114,36 @@ fn write_metric_key(out: &mut String, name: &str, labels: &[(&str, &str)]) {
     out.push('}');
 }
 
-/// The process-wide pool behind [`interned_key`], with the scratch
-/// buffer keys are flattened into before the lookup.
+/// The pool behind [`interned_key`], with the scratch buffer keys are
+/// flattened into before the lookup.
 #[derive(Default)]
 struct InternPool {
     keys: std::collections::HashSet<&'static str>,
     scratch: String,
 }
 
-/// The canonical metric key as a `&'static str`, through one process-wide
-/// pool: the first call per distinct key leaks one copy, every later call
-/// returns it without allocating. The key set is names × label values — bounded
-/// by the topology (servers, links) and the label enums, not by how many
+thread_local! {
+    /// Per thread: interned keys are leaked `&'static str`s, so a key
+    /// handed out on one thread stays valid on every other.
+    static POOL: std::cell::RefCell<InternPool> = Default::default();
+}
+
+/// The canonical metric key as a `&'static str`, through one pool: the
+/// first call per distinct key leaks one copy, every later call returns it
+/// without allocating. The key set is names × label values — bounded by
+/// the topology (servers, links) and the label enums, not by how many
 /// sessions run. Metric handles and compact trace events carry these.
 pub fn interned_key(name: &str, labels: &[(&str, &str)]) -> &'static str {
-    static POOL: std::sync::OnceLock<nod_simcore::sync::Mutex<InternPool>> =
-        std::sync::OnceLock::new();
-    let mut pool = POOL.get_or_init(Default::default).lock();
-    let pool = &mut *pool;
-    pool.scratch.clear();
-    write_metric_key(&mut pool.scratch, name, labels);
-    if let Some(&key) = pool.keys.get(pool.scratch.as_str()) {
-        return key;
-    }
-    let key: &'static str = Box::leak(pool.scratch.clone().into_boxed_str());
-    pool.keys.insert(key);
-    key
+    POOL.with_borrow_mut(|pool| {
+        pool.scratch.clear();
+        write_metric_key(&mut pool.scratch, name, labels);
+        if let Some(&key) = pool.keys.get(pool.scratch.as_str()) {
+            return key;
+        }
+        let key: &'static str = Box::leak(pool.scratch.clone().into_boxed_str());
+        pool.keys.insert(key);
+        key
+    })
 }
 
 #[cfg(test)]

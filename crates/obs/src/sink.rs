@@ -1,8 +1,9 @@
 //! Structured event sinks (JSON lines).
 
+use std::cell::RefCell;
+
 use nod_simcore::json::{from_str, to_string, JsonError};
 use nod_simcore::json_struct;
-use nod_simcore::sync::Mutex;
 
 /// One observability event, serializable as a single JSON line.
 ///
@@ -99,8 +100,8 @@ impl ObsEvent {
 /// A destination for observability events.
 ///
 /// Implementations must be cheap and non-blocking in spirit: the recorder
-/// calls `emit` while holding no internal lock, but from hot paths.
-pub trait ObsSink: Send + Sync {
+/// calls `emit` from hot paths, holding no borrow of its own state.
+pub trait ObsSink {
     /// Consume one event.
     fn emit(&self, event: &ObsEvent);
 
@@ -111,7 +112,7 @@ pub trait ObsSink: Send + Sync {
 /// Collects events in memory; the test and integration workhorse.
 #[derive(Debug, Default)]
 pub struct MemorySink {
-    events: Mutex<Vec<ObsEvent>>,
+    events: RefCell<Vec<ObsEvent>>,
 }
 
 impl MemorySink {
@@ -122,18 +123,18 @@ impl MemorySink {
 
     /// A copy of all events seen so far.
     pub fn events(&self) -> Vec<ObsEvent> {
-        self.events.lock().clone()
+        self.events.borrow().clone()
     }
 
     /// Drain the collected events.
     pub fn take(&self) -> Vec<ObsEvent> {
-        std::mem::take(&mut *self.events.lock())
+        self.events.take()
     }
 }
 
 impl ObsSink for MemorySink {
     fn emit(&self, event: &ObsEvent) {
-        self.events.lock().push(event.clone());
+        self.events.borrow_mut().push(event.clone());
     }
 }
 

@@ -5,9 +5,9 @@
 //! produces: admission latency, session failure ratio, and retry-budget
 //! consumption. Evaluation is windowed on the *virtual* clock (tumbling
 //! windows of `window_ms`), so a seeded run burns, alerts and recovers at
-//! exactly the same virtual instants on every replay and at every thread
-//! count — the monitor is fed from the broker's deterministic per-session
-//! close-out, never from wall time.
+//! exactly the same virtual instants on every replay — the monitor is fed
+//! from the broker's deterministic per-session close-out, never from wall
+//! time.
 //!
 //! When an objective stays out of bounds for `burn_windows` consecutive
 //! windows the monitor emits an [`SloAlert`]: a `slo.alert{slo=...}`

@@ -15,38 +15,35 @@
 //!
 //! Mechanics:
 //!
-//! - Events are buffered on a **per-thread** active-trace buffer (a
-//!   thread-local `Vec`), so emission takes no lock. A buffered event is a
-//!   small `Copy` record — a kind tag, an interned `&'static str` name,
-//!   the ids and the value — and becomes a [`TraceEvent`] only when the
-//!   trace is drained or a flight dump is cut. The shared per-trace store
-//!   (hashed by trace id) is only touched at `resume`/`suspend`
-//!   boundaries — once per broker event, not once per trace event. The
-//!   same protocol holds for callers that negotiate from several OS
-//!   threads, because a session's trace is owned by exactly one thread at
-//!   a time.
-//! - Sequence numbers are assigned per trace at flush time, so a trace's
-//!   events totally order even though sessions interleave. A deterministic
-//!   run (same seed, specs, faults) therefore serializes to a
-//!   byte-identical JSONL log.
-//! - Every flushed event also feeds a bounded ring buffer — the **flight
-//!   recorder** — which [`Tracer::trigger_flight_dump`] snapshots (and
+//! - The active trace lives inside the tracer, and events are written
+//!   straight into it. An event is a small `Copy` record — a kind tag, an
+//!   interned `&'static str` name, the ids and the value — and becomes a
+//!   [`TraceEvent`] only when the trace is drained or a flight dump is
+//!   cut. `resume` takes the trace's state out of the per-trace map
+//!   (hashed by trace id) and `suspend` puts it back, so the map is
+//!   touched once per broker event, not once per trace event.
+//! - Sequence numbers are assigned per trace as events arrive, so a
+//!   trace's events totally order even though sessions interleave. A
+//!   deterministic run (same seed, specs, faults) therefore serializes to
+//!   a byte-identical JSONL log.
+//! - Every event also feeds a bounded ring buffer — the **flight
+//!   recorder**, fed with the active trace's events at `suspend` — which
+//!   [`Tracer::trigger_flight_dump`] snapshots (and
 //!   prints to stderr) when an invariant breaks, e.g. the broker's
 //!   capacity audit detecting a leaked reservation. The dump holds the
 //!   last N events before the failure, which is usually exactly the
 //!   window that explains it.
 //!
-//! Events emitted while *no* trace is resumed on the current thread are
-//! dropped: every recorded event belongs to exactly one session tree,
-//! which is what makes [`crate::analyze`]'s reconstruction total.
+//! Events emitted while *no* trace is resumed are dropped: every recorded
+//! event belongs to exactly one session tree, which is what makes
+//! [`crate::analyze`]'s reconstruction total.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use nod_simcore::json::{from_str, to_string, JsonError};
-use nod_simcore::sync::Mutex;
 
 use crate::retain::TailKeeper;
 
@@ -63,7 +60,7 @@ pub const FLIGHT_CAPACITY: usize = 256;
 /// carries the elapsed milliseconds in `value` and `detail = "dropped"`
 /// when the span was dropped without an explicit end. For points, `span`
 /// is the enclosing span and `name` is a flattened metric-style key (e.g.
-/// `cmfs.admission{result=disk,server=s0}`). Events are buffered in a
+/// `cmfs.admission{result=disk,server=s0}`). Events are stored in a
 /// compact form and built only when a trace is drained or dumped.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
@@ -132,7 +129,7 @@ fn jsonl(events: &[TraceEvent]) -> String {
     events.iter().map(|e| e.to_json_line() + "\n").collect()
 }
 
-/// What a buffered event is.
+/// What a stored event is.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Kind {
     SpanStart,
@@ -142,7 +139,7 @@ enum Kind {
     Point,
 }
 
-/// One buffered trace event: `Copy`, owning nothing. The trace id and the
+/// One stored trace event: `Copy`, owning nothing. The trace id and the
 /// sequence number are implied by where it is stored.
 #[derive(Debug, Clone, Copy)]
 struct Record {
@@ -196,7 +193,7 @@ impl Hasher for IdHasher {
     }
 }
 
-/// Per-trace state while its session is suspended.
+/// Per-trace state: its events and its ambient span stack.
 #[derive(Debug, Default)]
 struct TraceState {
     events: Vec<Record>,
@@ -208,13 +205,37 @@ struct TraceState {
     stack: Vec<u64>,
 }
 
+/// The resumed trace, out of [`Store::traces`] until it is suspended.
+struct Active {
+    trace: u64,
+    state: TraceState,
+    /// The first seq the flight ring has not been fed yet.
+    unflown: u64,
+}
+
+impl Active {
+    /// Append `record`, numbering it; under tail sampling a trace past its
+    /// in-flight cap counts the event instead of keeping it (seqs stay
+    /// contiguous because they are assigned only to kept events).
+    fn push(&mut self, record: Record, sampling: &mut Option<(RetentionPolicy, TailKeeper<()>)>) {
+        if let Some((policy, keeper)) = sampling {
+            if self.state.events.len() >= policy.max_events_per_trace {
+                keeper.truncated(1);
+                return;
+            }
+        }
+        self.state.events.push(record);
+        self.state.next_seq += 1;
+    }
+}
+
 /// The flight ring holds `(trace, seq)` keys, not events: recording stays
 /// allocation- and copy-free, and the dump (cold path) resolves the keys
 /// against the per-trace stores.
 struct Flight {
     /// Contiguous `(trace, seq range)` segments, oldest first. Storing
-    /// ranges instead of individual seqs makes the hot-path feed O(1)
-    /// per flush; only the dump (cold path) expands them.
+    /// ranges instead of individual seqs makes the feed O(1) per
+    /// suspend; only the dump (cold path) expands them.
     ring: VecDeque<(u64, std::ops::Range<u64>)>,
     /// Total events across all segments, kept `<= capacity`.
     len: usize,
@@ -223,7 +244,7 @@ struct Flight {
 }
 
 impl Flight {
-    /// Record that `seqs` of `trace` were flushed, trimming the oldest
+    /// Record that `seqs` of `trace` were written, trimming the oldest
     /// entries past capacity.
     fn push_range(&mut self, trace: u64, seqs: std::ops::Range<u64>) {
         let n = (seqs.end - seqs.start) as usize;
@@ -254,7 +275,7 @@ impl Flight {
 /// The decision is made per session *at session end* (tail-based: the
 /// whole trace was buffered, so retained sessions are complete), and it is
 /// deterministic — a function of the session's outcome, duration, trace id
-/// and the policy seed, never of thread scheduling:
+/// and the policy seed, never of the order sessions finish in:
 ///
 /// - every **failed** session is retained (100% of the interesting tail);
 /// - the **`top_k` slowest** sessions by duration are retained, with ties
@@ -323,14 +344,17 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Everything behind the tracer's one lock: the per-trace stores and the
-/// flight ring over them.
+/// Everything a tracer holds: the per-trace stores, the active trace, the
+/// flight ring over them and the tail sampler.
 struct Store {
     traces: HashMap<u64, TraceState, BuildHasherDefault<IdHasher>>,
+    active: Option<Active>,
     flight: Flight,
     /// Emptied states of dropped traces, reused by new ones, so a sampled
     /// fleet does not allocate per session.
     spare: Vec<TraceState>,
+    /// Tail-based retention; `None` (the default) retains everything.
+    sampling: Option<(RetentionPolicy, TailKeeper<()>)>,
 }
 
 /// Most states [`Store::spare`] keeps, and the largest event buffer it
@@ -344,6 +368,21 @@ impl Store {
     fn state(&mut self, trace: u64) -> &mut TraceState {
         let spare = &mut self.spare;
         (self.traces.entry(trace)).or_insert_with(|| spare.pop().unwrap_or_default())
+    }
+
+    /// Put the active trace back into the map, feeding the flight ring
+    /// the events written since it was resumed. No-op when none is.
+    fn suspend(&mut self) {
+        let Some(Active {
+            trace,
+            state,
+            unflown,
+        }) = self.active.take()
+        else {
+            return;
+        };
+        self.flight.push_range(trace, unflown..state.next_seq);
+        self.traces.insert(trace, state);
     }
 
     /// Forget `trace`, keeping its emptied buffers for the next one.
@@ -360,39 +399,17 @@ impl Store {
     }
 }
 
-struct TracerShared {
-    store: Mutex<Store>,
-    /// Tail-based retention; `None` (the default) retains everything.
-    sampling: Option<(RetentionPolicy, Mutex<TailKeeper<()>>)>,
-}
-
-/// The active trace of the current thread: events buffer here lock-free
-/// until the next `suspend`.
-struct ActiveTrace {
-    /// Identity of the owning tracer (`Arc` pointer), so two tracers in
-    /// one process never cross-contaminate.
-    tracer: usize,
-    trace: u64,
-    stack: Vec<u64>,
-    buf: Vec<Record>,
-}
-
-thread_local! {
-    static ACTIVE: RefCell<Option<ActiveTrace>> = const { RefCell::new(None) };
-    /// Emptied buffer kept from the last suspend so steady-state
-    /// resume/suspend cycles do not allocate.
-    static SPARE_BUF: RefCell<Vec<Record>> = const { RefCell::new(Vec::new()) };
-}
-
 /// A shared handle to the per-session trace store and flight recorder.
 ///
 /// Attach one to a [`Recorder`](crate::Recorder) with
 /// [`Recorder::set_tracer`](crate::Recorder::set_tracer); drivers then
 /// call [`Tracer::resume`]/[`Tracer::suspend`] around per-session work and
 /// [`Tracer::drain`] (or [`Tracer::to_jsonl`]) at the end of the run.
+/// Clones share one store, active trace included; two tracers share
+/// neither.
 #[derive(Clone)]
 pub struct Tracer {
-    shared: Arc<TracerShared>,
+    store: Rc<RefCell<Store>>,
 }
 
 impl std::fmt::Debug for Tracer {
@@ -427,92 +444,47 @@ impl Tracer {
 
     fn build(flight_capacity: usize, sampling: Option<RetentionPolicy>) -> Self {
         Tracer {
-            shared: Arc::new(TracerShared {
-                store: Mutex::new(Store {
-                    traces: HashMap::default(),
-                    flight: Flight {
-                        ring: VecDeque::new(),
-                        len: 0,
-                        capacity: flight_capacity.max(1),
-                        dump: None,
-                    },
-                    spare: Vec::new(),
-                }),
-                sampling: sampling.map(|policy| (policy, Mutex::new(TailKeeper::new(policy)))),
-            }),
+            store: Rc::new(RefCell::new(Store {
+                traces: HashMap::default(),
+                active: None,
+                flight: Flight {
+                    ring: VecDeque::new(),
+                    len: 0,
+                    capacity: flight_capacity.max(1),
+                    dump: None,
+                },
+                spare: Vec::new(),
+                sampling: sampling.map(|policy| (policy, TailKeeper::new(policy))),
+            })),
         }
     }
 
     /// The tail sampler's decision totals (`None` without sampling).
     pub fn retention_stats(&self) -> Option<RetentionStats> {
-        Some(self.shared.sampling.as_ref()?.1.lock().stats())
+        Some(self.store.borrow().sampling.as_ref()?.1.stats())
     }
 
-    fn id(&self) -> usize {
-        Arc::as_ptr(&self.shared) as usize
-    }
-
-    /// Make `trace` the active trace of the current thread, restoring its
-    /// span stack. Any previously active trace is suspended first.
+    /// Make `trace` the active trace, restoring its span stack. Any
+    /// previously active trace is suspended first.
     pub fn resume(&self, trace: TraceId) {
-        self.suspend();
-        let mut store = self.shared.store.lock();
-        let stack = std::mem::take(&mut store.state(trace).stack);
-        drop(store);
-        let buf = SPARE_BUF.with(|b| std::mem::take(&mut *b.borrow_mut()));
-        ACTIVE.with(|a| {
-            *a.borrow_mut() = Some(ActiveTrace {
-                tracer: self.id(),
-                trace,
-                stack,
-                buf,
-            });
+        let mut store = self.store.borrow_mut();
+        store.suspend();
+        let state = match store.traces.remove(&trace) {
+            Some(state) => state,
+            None => store.spare.pop().unwrap_or_default(),
+        };
+        store.active = Some(Active {
+            trace,
+            unflown: state.next_seq,
+            state,
         });
     }
 
-    /// Deactivate the current thread's trace (if it belongs to this
-    /// tracer): flush its buffered events to the shared store — assigning
-    /// sequence numbers and feeding the flight recorder — and save its
-    /// span stack. No-op when nothing is active.
+    /// Deactivate the active trace: feed its new events to the flight
+    /// recorder and keep its span stack for the next resume. No-op when
+    /// nothing is active.
     pub fn suspend(&self) {
-        let active = ACTIVE.with(|a| {
-            let mut slot = a.borrow_mut();
-            match &*slot {
-                Some(at) if at.tracer == self.id() => slot.take(),
-                _ => None,
-            }
-        });
-        let Some(active) = active else { return };
-        let mut buf = active.buf;
-        {
-            let mut store = self.shared.store.lock();
-            let store = &mut *store;
-            let st = store.state(active.trace);
-            st.stack = active.stack;
-            // Under tail sampling the in-flight buffer is bounded: events
-            // past the per-trace cap are counted and discarded (seqs stay
-            // contiguous because they are assigned only to kept events).
-            if let Some((policy, keeper)) = &self.shared.sampling {
-                let allowed = policy.max_events_per_trace.saturating_sub(st.events.len());
-                if buf.len() > allowed {
-                    keeper.lock().truncated((buf.len() - allowed) as u64);
-                    buf.truncate(allowed);
-                }
-            }
-            let first_seq = st.next_seq;
-            st.next_seq += buf.len() as u64;
-            st.events.append(&mut buf);
-            let seqs = first_seq..st.next_seq;
-            store.flight.push_range(active.trace, seqs);
-        }
-        // `append` left the buffer empty with its capacity intact — keep
-        // it for the next resume on this thread.
-        SPARE_BUF.with(|b| {
-            let mut spare = b.borrow_mut();
-            if buf.capacity() > spare.capacity() {
-                *spare = buf;
-            }
-        });
+        self.store.borrow_mut().suspend();
     }
 
     /// Report a session's end to the tail sampler: `trace` is retained or
@@ -520,25 +492,28 @@ impl Tracer {
     /// top-k slowest by `duration_us` kept, baseline hash sample kept,
     /// rest dropped now — possibly evicting a previously slow trace that
     /// `duration_us` just outranked). A no-op without sampling, so default
-    /// tracers retain every event exactly as before. Flushes the calling
-    /// thread's buffer first, so the decision covers the whole session.
+    /// tracers retain every event exactly as before. Suspends the active
+    /// trace first, so the decision covers the whole session.
     pub fn finish_session(&self, trace: TraceId, failed: bool, duration_us: u64) {
-        let Some(s) = &self.shared.sampling else {
+        let mut store = self.store.borrow_mut();
+        let Some((_, keeper)) = &mut store.sampling else {
             return;
         };
-        self.suspend();
-        if let Some(t) = s.1.lock().finish_with(trace, failed, duration_us, || ()) {
-            self.shared.store.lock().drop_trace(t);
+        let mut kept = false;
+        let evicted = keeper.finish_with(trace, failed, duration_us, || kept = true);
+        store.suspend();
+        if let Some(t) = evicted {
+            store.drop_trace(t);
+        }
+        // A retained trace is complete: it keeps no spare capacity.
+        if let Some(st) = store.traces.get_mut(&trace).filter(|_| kept) {
+            st.events.shrink_to_fit();
         }
     }
 
-    /// The trace active on the current thread, if it belongs to this
-    /// tracer.
+    /// The active trace, if any.
     pub fn active(&self) -> Option<TraceId> {
-        ACTIVE.with(|a| match &*a.borrow() {
-            Some(at) if at.tracer == self.id() => Some(at.trace),
-            _ => None,
-        })
+        self.store.borrow().active.as_ref().map(|at| at.trace)
     }
 
     /// Record a span start into the active trace. Returns the trace id
@@ -551,33 +526,32 @@ impl Tracer {
         span: u64,
         parent: u64,
     ) -> Option<TraceId> {
-        ACTIVE.with(|a| {
-            let mut slot = a.borrow_mut();
-            let at = match &mut *slot {
-                Some(at) if at.tracer == self.id() => at,
-                _ => return None,
-            };
-            let parent = if parent != 0 {
-                parent
-            } else {
-                at.stack.last().copied().unwrap_or(0)
-            };
-            at.buf.push(Record {
-                kind: Kind::SpanStart,
-                t_us,
-                name,
-                span,
-                parent,
-                value: None,
-            });
-            at.stack.push(span);
-            Some(at.trace)
-        })
+        let mut store = self.store.borrow_mut();
+        let Store {
+            active, sampling, ..
+        } = &mut *store;
+        let at = active.as_mut()?;
+        let parent = if parent != 0 {
+            parent
+        } else {
+            at.state.stack.last().copied().unwrap_or(0)
+        };
+        let record = Record {
+            kind: Kind::SpanStart,
+            t_us,
+            name,
+            span,
+            parent,
+            value: None,
+        };
+        at.push(record, sampling);
+        at.state.stack.push(span);
+        Some(at.trace)
     }
 
-    /// Record a span end. When the span's trace is not the one active on
-    /// this thread (a handle that outlived its resume window), the event
-    /// is appended to the owning trace directly.
+    /// Record a span end. When the span's trace is not the active one (a
+    /// handle that outlived its resume window), the event is appended to
+    /// the owning trace directly.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn span_end(
         &self,
@@ -601,23 +575,14 @@ impl Tracer {
             parent,
             value: Some(ms),
         };
-        let buffered = ACTIVE.with(|a| {
-            let mut slot = a.borrow_mut();
-            match &mut *slot {
-                Some(at) if at.tracer == self.id() && at.trace == trace => {
-                    at.stack.retain(|&s| s != span);
-                    at.buf.push(record);
-                    true
-                }
-                _ => false,
-            }
-        });
-        if buffered {
+        let mut store = self.store.borrow_mut();
+        let store = &mut *store;
+        if let Some(at) = store.active.as_mut().filter(|at| at.trace == trace) {
+            at.state.stack.retain(|&s| s != span);
+            at.push(record, &mut store.sampling);
             return;
         }
         // Out-of-window end: append straight to the owning trace.
-        let mut store = self.shared.store.lock();
-        let store = &mut *store;
         let st = store.state(trace);
         st.stack.retain(|&s| s != span);
         st.events.push(record);
@@ -628,38 +593,41 @@ impl Tracer {
 
     /// Record a point under the innermost open span of the active trace.
     /// Dropped when no trace is active or no span is open (a point must
-    /// belong to a tree). The name is resolved lazily so inactive threads
-    /// pay one thread-local check and nothing else.
+    /// belong to a tree). The name is resolved lazily so an inactive
+    /// tracer pays one check and nothing else.
     pub(crate) fn point(&self, t_us: u64, name: impl FnOnce() -> &'static str, value: Option<f64>) {
-        ACTIVE.with(|a| {
-            let mut slot = a.borrow_mut();
-            let at = match &mut *slot {
-                Some(at) if at.tracer == self.id() => at,
-                _ => return,
-            };
-            let Some(&enclosing) = at.stack.last() else {
-                return;
-            };
-            at.buf.push(Record {
-                kind: Kind::Point,
-                t_us,
-                name: name(),
-                span: enclosing,
-                parent: 0,
-                value,
-            });
-        });
+        let mut store = self.store.borrow_mut();
+        let Store {
+            active: Some(at),
+            sampling,
+            ..
+        } = &mut *store
+        else {
+            return;
+        };
+        let Some(&enclosing) = at.state.stack.last() else {
+            return;
+        };
+        let record = Record {
+            kind: Kind::Point,
+            t_us,
+            name: name(),
+            span: enclosing,
+            parent: 0,
+            value,
+        };
+        at.push(record, sampling);
     }
 
-    /// Snapshot the flight-recorder ring (the last N flushed events) under
+    /// Snapshot the flight-recorder ring (the last N written events) under
     /// `reason`, keep it for [`Tracer::take_flight_dump`], and print it to
     /// stderr — callers trigger this right *before* a `debug_assert` so
-    /// the evidence survives the panic. The current thread's active buffer
-    /// is flushed first so the freshest events are included. Only the
-    /// first trigger is kept (the first failure is the informative one).
+    /// the evidence survives the panic. The active trace is suspended
+    /// first so the freshest events are included. Only the first trigger
+    /// is kept (the first failure is the informative one).
     pub fn trigger_flight_dump(&self, reason: &str) {
-        self.suspend();
-        let mut store = self.shared.store.lock();
+        let mut store = self.store.borrow_mut();
+        store.suspend();
         let Store { traces, flight, .. } = &mut *store;
         if flight.dump.is_some() {
             return;
@@ -692,15 +660,16 @@ impl Tracer {
     /// Take the flight dump captured by the first
     /// [`Tracer::trigger_flight_dump`], if any.
     pub fn take_flight_dump(&self) -> Option<FlightDump> {
-        self.shared.store.lock().flight.dump.take()
+        self.store.borrow_mut().flight.dump.take()
     }
 
     /// All recorded events, ordered by `(trace, seq)` — the canonical log
-    /// order, byte-stable for deterministic runs. Flushes the current
-    /// thread's active trace first; other threads must have suspended.
+    /// order, byte-stable for deterministic runs. Suspends the active
+    /// trace first.
     pub fn drain(&self) -> Vec<TraceEvent> {
-        self.suspend();
-        let traces = &mut self.shared.store.lock().traces;
+        let mut store = self.store.borrow_mut();
+        store.suspend();
+        let traces = &mut store.traces;
         let mut ids: Vec<u64> = traces.keys().copied().collect();
         ids.sort_unstable();
         let mut out = Vec::new();

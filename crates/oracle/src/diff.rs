@@ -158,7 +158,7 @@ pub fn run_differential(scenario: &Scenario) -> Result<(), Box<Divergence>> {
         let (farm, network) = built.make_world();
         let manager = QosManager::new(
             built.catalog.clone(),
-            farm.clone(),
+            farm,
             network,
             built.cost_model.clone(),
             ManagerConfig {
@@ -170,7 +170,7 @@ pub fn run_differential(scenario: &Scenario) -> Result<(), Box<Divergence>> {
         );
         let request = NegotiationRequest::new(&built.client, built.document, &built.profile);
         let mut outcome = manager.submit(&request);
-        let mgr_network = manager.network();
+        let (mgr_farm, mgr_network) = (manager.farm(), manager.network());
         compare_path(
             scenario,
             &built,
@@ -178,7 +178,7 @@ pub fn run_differential(scenario: &Scenario) -> Result<(), Box<Divergence>> {
             &ref_held,
             &baseline,
             &outcome,
-            &farm,
+            mgr_farm,
             mgr_network,
             "manager",
         )?;
@@ -197,7 +197,7 @@ pub fn run_differential(scenario: &Scenario) -> Result<(), Box<Divergence>> {
             }
             (Err(_), _) => {}
         }
-        let after = Ledger::capture(&farm, mgr_network, scenario.servers);
+        let after = Ledger::capture(mgr_farm, mgr_network, scenario.servers);
         if after != baseline {
             return Err(diverge(
                 "manager",

@@ -33,6 +33,8 @@
 //! [`NegotiationContext::explain`]: crate::negotiate::NegotiationContext::explain
 //! [`explain_attempts`]: crate::negotiate::explain_attempts
 
+use std::io::{self, Write};
+
 use nod_obs::RetentionStats;
 use nod_simcore::json::{FromJson, Json, JsonError, ToJson};
 use nod_simcore::json_struct;
@@ -808,24 +810,30 @@ impl ExplainArtifact {
         }
     }
 
-    /// Serialize as JSON lines: one `meta` line, one `ledger` line per
+    /// Write as JSON lines: one `meta` line, one `ledger` line per
     /// admission, one `session` line per retained explanation, one final
-    /// `stats` line. Fully deterministic for a given artifact.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+    /// `stats` line. Fully deterministic for a given artifact; no more
+    /// than one line is built at a time.
+    pub fn write_jsonl(&self, out: &mut impl Write) -> io::Result<()> {
         let mut line = |tag: &str, v: Json| {
-            out.push_str(&Json::Obj(vec![(tag.to_string(), v)]).to_string_compact());
-            out.push('\n');
+            let line = Json::Obj(vec![(tag.to_string(), v)]).to_string_compact();
+            writeln!(out, "{line}")
         };
-        line("meta", self.meta.to_json());
+        line("meta", self.meta.to_json())?;
         for row in &self.ledger {
-            line("ledger", row.to_json());
+            line("ledger", row.to_json())?;
         }
         for s in &self.sessions {
-            line("session", s.to_json());
+            line("session", s.to_json())?;
         }
-        line("stats", self.stats.to_json());
-        out
+        line("stats", self.stats.to_json())
+    }
+
+    /// [`ExplainArtifact::write_jsonl`] into one `String`.
+    pub fn to_jsonl(&self) -> String {
+        let mut out = Vec::new();
+        self.write_jsonl(&mut out).expect("a Vec takes every write");
+        String::from_utf8(out).expect("JSON text is UTF-8")
     }
 
     /// Parse a JSON-lines artifact produced by [`ExplainArtifact::to_jsonl`].

@@ -31,7 +31,6 @@ pub mod json;
 pub mod ledger;
 pub mod rng;
 pub mod stats;
-pub mod sync;
 pub mod time;
 
 pub use event::{EventQueue, Scheduled};

@@ -10,6 +10,24 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Single-writer gate: one thread drives a world, so non-test code under
+# crates/*/src holds no lock, atomic, OnceLock, Arc or unsafe Send/Sync
+# impl, and no thread_local! but the intern pool's. A test module runs
+# from a column-0 `#[cfg(test)]` to the end of its file, as in
+# scripts/loc_budget.sh.
+echo "==> single-writer gate (no locks, atomics, OnceLock, Arc in crates/*/src)"
+relocked="$(find crates/*/src -name '*.rs' | sort | xargs awk '
+    FNR == 1 { in_test = 0 }
+    /^#\[cfg\(test\)\]/ { in_test = 1 }
+    in_test { next }
+    /Mutex|RwLock|Atomic[A-Z]|OnceLock|Arc<|Arc::|unsafe impl (Send|Sync)/ { print FILENAME ":" FNR ": " $0 }
+    /thread_local!/ && (FILENAME != "crates/obs/src/lib.rs" || ++pools > 1) { print FILENAME ":" FNR ": " $0 }')"
+if [ -n "$relocked" ]; then
+    echo "error: shared-state machinery in single-threaded code:"
+    echo "$relocked"
+    exit 1
+fi
+
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 

@@ -3,7 +3,7 @@
 //! counters account for every request, and the snapshot that `run_scenario
 //! --metrics-out` writes round-trips through JSON.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use news_on_demand::client::ClientMachine;
 use news_on_demand::cmfs::{ServerConfig, ServerFarm};
@@ -47,7 +47,7 @@ fn manager(seed: u64, recorder: Recorder) -> QosManager {
 
 #[test]
 fn manager_negotiation_emits_stage_spans_in_order() {
-    let sink = Arc::new(MemorySink::new());
+    let sink = Rc::new(MemorySink::new());
     let recorder = Recorder::with_sink(sink.clone());
     let m = manager(41, recorder);
     let client = ClientMachine::era_workstation(ClientId(0));
