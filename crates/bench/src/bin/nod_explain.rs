@@ -251,7 +251,7 @@ fn print_timeline(artifact: &ExplainArtifact) {
     // Sweep admit/depart edges into per-server reserved-bandwidth steps.
     let mut edges: BTreeMap<u64, BTreeMap<u64, i64>> = BTreeMap::new();
     for row in &artifact.ledger {
-        for stream in row.streams() {
+        for stream in &row.streams {
             *edges
                 .entry(row.admit_ms)
                 .or_default()
@@ -270,7 +270,7 @@ fn print_timeline(artifact: &ExplainArtifact) {
         let mut ids: Vec<u64> = artifact
             .ledger
             .iter()
-            .flat_map(|r| r.streams().iter().map(|s| s.server))
+            .flat_map(|r| r.streams.iter().map(|s| s.server))
             .collect();
         ids.sort_unstable();
         ids.dedup();

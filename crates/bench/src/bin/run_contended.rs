@@ -38,9 +38,10 @@
 use nod_bench::{write_artifact, write_artifact_with, FlushGuard};
 use nod_broker::{fleet_windows, Journal, JournalConfig};
 use nod_obs::{analyze, default_fleet_slos, to_prometheus_text, Recorder, RetentionPolicy, Tracer};
-use nod_qosneg::explain::{ExplainArtifact, ExplainMeta};
+use nod_qosneg::explain::ExplainMeta;
 use nod_workload::{
-    recover_contended, run_contended_journaled, run_contended_with, ContendedConfig,
+    recover_contended, run_contended_journaled, run_contended_with, write_contended_explains,
+    ContendedConfig,
 };
 
 fn usage() -> ! {
@@ -151,7 +152,7 @@ fn main() {
         // config: the resumed log must be its byte-identical suffix.
         let (_, full) = run_contended_with(&config, None);
         let at = rec.suffix_starts_at_event as usize;
-        if at > full.events.len() || rec.report.events != full.events[at..] {
+        if at > full.events.len() || !rec.report.events.iter().eq(full.events.iter().skip(at)) {
             eprintln!("error: resumed outcome log diverges from the uninterrupted run");
             std::process::exit(1);
         }
@@ -306,7 +307,7 @@ fn main() {
             eprintln!("error: cannot create {}: {e}", dir.display());
             std::process::exit(1);
         }
-        let windows = fleet_windows(&report.events, window_ms);
+        let windows = fleet_windows(report.events.iter(), window_ms);
         for (i, w) in windows.iter().enumerate() {
             let path = dir.join(format!("window_{i:04}.prom"));
             if let Err(e) = write_artifact(&path, &w.to_prometheus_text()) {
@@ -322,26 +323,26 @@ fn main() {
     }
     if let Some(path) = &explain_out {
         let policy = config.explain.expect("set when --explain-out is given");
-        let data = report.explains.clone().expect("explain was requested");
-        let artifact = ExplainArtifact::new(
-            ExplainMeta {
-                source: "run_contended".to_string(),
-                seed: config.seed,
-                sessions: config.sessions as u64,
-                top_k: policy.top_k as u64,
-                sample_every: policy.sample_every,
-                sample_seed: policy.seed,
-            },
-            data,
-        );
-        if let Err(e) = write_artifact_with(path, |out| artifact.write_jsonl(out)) {
+        let meta = ExplainMeta {
+            source: "run_contended".to_string(),
+            seed: config.seed,
+            sessions: config.sessions as u64,
+            top_k: policy.top_k as u64,
+            sample_every: policy.sample_every,
+            sample_seed: policy.seed,
+        };
+        let written = write_artifact_with(path, |out| {
+            write_contended_explains(&config, &report, &meta, out)
+        });
+        if let Err(e) = written {
             eprintln!("error: cannot write explain artifact: {e}");
             std::process::exit(1);
         }
+        let data = report.explains.as_ref().expect("explain was requested");
         eprintln!(
             "explain artifact ({} ledger rows, {} retained sessions) written to {path}",
-            artifact.ledger.len(),
-            artifact.sessions.len()
+            data.ledger.len(),
+            data.sessions.len()
         );
     }
 }

@@ -13,10 +13,10 @@
 
 use nod_bench::{write_artifact_with, MetroFleet};
 use nod_broker::{
-    complete_explains, Broker, BrokerConfig, EventRetention, FleetSpec, Journal, JournalConfig,
+    write_explains, Broker, BrokerConfig, EventRetention, FleetSpec, Journal, JournalConfig,
 };
 use nod_obs::RetentionPolicy;
-use nod_qosneg::explain::{ExplainArtifact, ExplainMeta};
+use nod_qosneg::explain::ExplainMeta;
 
 fn usage() -> ! {
     eprintln!(
@@ -108,34 +108,28 @@ fn main() {
     );
 
     if let Some(path) = &explain_out {
-        let mut data = report.explains.expect("explain was requested");
+        let meta = ExplainMeta {
+            source: "run_fleet".to_string(),
+            seed,
+            sessions: sessions as u64,
+            top_k: policy.top_k as u64,
+            sample_every: policy.sample_every,
+            sample_seed: policy.seed,
+        };
         let t = std::time::Instant::now();
-        complete_explains(&ctx, &specs, &mut data);
-        eprintln!(
-            "explain completion: {} ledger rows and {} retained sessions in {:.2?}",
-            data.ledger.len(),
-            data.sessions.len(),
-            t.elapsed()
-        );
-        let artifact = ExplainArtifact::new(
-            ExplainMeta {
-                source: "run_fleet".to_string(),
-                seed,
-                sessions: sessions as u64,
-                top_k: policy.top_k as u64,
-                sample_every: policy.sample_every,
-                sample_seed: policy.seed,
-            },
-            data,
-        );
-        if let Err(e) = write_artifact_with(path, |out| artifact.write_jsonl(out)) {
+        let written = write_artifact_with(path, |out| {
+            write_explains(&ctx, &specs, &report, &meta, out)
+        });
+        if let Err(e) = written {
             eprintln!("error: cannot write explain artifact: {e}");
             std::process::exit(1);
         }
+        let data = report.explains.as_ref().expect("explain was requested");
         eprintln!(
-            "explain artifact ({} ledger rows, {} retained sessions) written to {path}",
-            artifact.ledger.len(),
-            artifact.sessions.len()
+            "explain artifact ({} ledger rows, {} retained sessions) completed and written to {path} in {:.2?}",
+            data.ledger.len(),
+            data.sessions.len(),
+            t.elapsed()
         );
     }
 }

@@ -24,17 +24,21 @@
 //!
 //! With [`FleetSpec::explain`] set, every attempt records its live facts
 //! (status, chosen rank, refusals with their shortfalls); the broker keeps
-//! the full capacity ledger (who held which offer, from when to when) and
-//! tail-retains per-session explanations under the same policy trace
-//! retention uses. [`BrokerReport::explains`] holds only those facts:
-//! steps 1–4 are pure, so [`complete_explains`] derives the rest — each
-//! held offer's streams and each retained attempt's full
-//! [`DecisionLog`](nod_qosneg::DecisionLog) — when an artifact is written,
-//! and the `--explain-out` artifact replays byte for byte with the
-//! outcome log.
+//! the full capacity ledger, one [`LedgerEntry`] per commit (who committed
+//! which offer, when), and tail-retains per-session explanations under the
+//! same policy trace retention uses. [`BrokerReport::explains`] holds only
+//! those facts: steps 1–4 are pure and a hold's length is fixed by its
+//! spec, so [`write_explains`] derives the rest — each row's departure and
+//! streams ([`ledger_rows`]) and each retained attempt's full
+//! [`DecisionLog`](nod_qosneg::DecisionLog) — as it writes each line, and
+//! the `--explain-out` artifact replays byte for byte with the outcome
+//! log.
+
+use std::io::{self, Write};
 
 use nod_client::ClientMachine;
 use nod_cmfs::{Guarantee, StreamRequirement};
+use nod_mmdb::Catalog;
 use nod_mmdoc::{DocumentId, Variant, VariantId};
 use nod_obs::{
     interned_key, Counter, Histogram, HistogramSnapshot, Recorder, SloAlert, SloMonitor, Span,
@@ -42,8 +46,8 @@ use nod_obs::{
 };
 use nod_qosneg::classify::ScoredOffer;
 use nod_qosneg::explain::{
-    AttemptExplain, DecisionLog, ExplainData, Held, LedgerRow, SessionExplain, Settlement,
-    StreamRow,
+    write_jsonl, AttemptExplain, DecisionLog, ExplainData, ExplainMeta, LedgerRow, SessionExplain,
+    Settlement, StreamRow,
 };
 use nod_qosneg::mapping::charged_bit_rate;
 use nod_qosneg::negotiate::{
@@ -63,6 +67,7 @@ use crate::journal::{
     event_hash, Fnv, HeaderRecord, Journal, JournalError, ParsedJournal, SnapEvent, SnapPhase,
     SnapSession, SnapshotState, PENDING_CONFIRM, PENDING_DEPARTURE, PENDING_LEAK, PENDING_RETRY,
 };
+use crate::log::{session_id, OutcomeLog};
 use crate::slab::Slab;
 use crate::windows::{FleetWindow, WindowAccumulator};
 
@@ -129,6 +134,20 @@ pub struct SessionResult {
     pub admitted_at_ms: Option<u64>,
 }
 
+/// A drive's capacity-ledger entry: the one commit of a session, in 16
+/// bytes — what cannot be re-derived. The departure follows from the
+/// session's admission instant and its hold, the streams from the offer
+/// index ([`ledger_rows`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LedgerEntry {
+    /// Index into the spec slice.
+    pub session: u32,
+    /// The committed offer's classified index on the session's list.
+    pub offer: u32,
+    /// The commit instant, ms.
+    pub admit_ms: u64,
+}
+
 /// One entry in the chronological outcome log — the replay unit: two
 /// runs with identical seed/specs/faults produce identical event vectors.
 #[derive(Debug, Clone, PartialEq)]
@@ -187,10 +206,10 @@ pub enum OutcomeKind {
 pub struct BrokerReport {
     /// Per-session results, in spec order.
     pub results: Vec<SessionResult>,
-    /// Chronological outcome log (the replay unit). Empty when the
-    /// [`FleetSpec`]'s retention policy drops it
+    /// Chronological outcome log (the replay unit), packed. Empty when
+    /// the [`FleetSpec`]'s retention policy drops it
     /// ([`EventRetention::WindowsOnly`] / [`EventRetention::CountsOnly`]).
-    pub events: Vec<OutcomeEvent>,
+    pub events: OutcomeLog,
     /// Tumbling fleet-window rows ([`FleetSpec::windows`]); empty when no
     /// window cadence was configured.
     pub windows: Vec<FleetWindow>,
@@ -228,10 +247,11 @@ pub struct BrokerReport {
     pub slo_alerts: Vec<SloAlert>,
     /// Decision provenance ([`FleetSpec::explain`]): the capacity ledger,
     /// the tail-retained session explanations and the retention totals,
-    /// as live facts — each row names its held offer, each attempt its
-    /// refusals, chosen rank and status; [`complete_explains`] derives the
-    /// rest. `None` when provenance was not requested.
-    pub explains: Option<ExplainData>,
+    /// as live facts — each ledger entry names its session, offer and
+    /// commit instant, each attempt its refusals, chosen rank and status;
+    /// [`write_explains`] derives the rest. `None` when provenance was not
+    /// requested.
+    pub explains: Option<ExplainData<LedgerEntry>>,
     /// The first I/O error the attached journal ([`FleetSpec::journal`])
     /// hit. The run itself is unaffected; the journal stopped writing its
     /// file at that point, so it cannot be recovered from. `None` when the
@@ -409,6 +429,18 @@ fn ms_to_us(ms: u64) -> u64 {
 /// one, ms.
 const DEFAULT_HOLD_MS: u64 = 30_000;
 
+/// When a session whose hold starts at `start_ms` departs: after the
+/// spec's hold time, else the document's duration, else 30 s, and at
+/// least 1 ms later.
+fn departure_ms(catalog: &Catalog, spec: &SessionSpec<'_>, start_ms: u64) -> u64 {
+    let hold_ms = spec.hold_ms.unwrap_or_else(|| {
+        (catalog.document(spec.document))
+            .and_then(|d| d.total_duration_ms().ok())
+            .unwrap_or(DEFAULT_HOLD_MS)
+    });
+    start_ms + hold_ms.max(1)
+}
+
 /// The broker: a [`Session`] facade plus contention policy.
 pub struct Broker<'a> {
     session: Session<'a>,
@@ -449,6 +481,11 @@ impl<'a> Broker<'a> {
     /// schedule) order, and each session draws jitter from its own RNG,
     /// split from the seed by session index. An attached
     /// [`Recorder`](nod_obs::Recorder)'s metric snapshot replays with it.
+    ///
+    /// # Panics
+    /// Panics with [`SessionIdOverflow`](crate::SessionIdOverflow) when the
+    /// fleet has more than `u32::MAX` sessions: a session's id is a `u32`
+    /// below the fault-edge sentinel, and a drive never truncates one.
     pub fn drive(&self, fleet: &FleetSpec<'_>) -> BrokerReport {
         if let Some(journal) = fleet.journal {
             journal.begin(HeaderRecord {
@@ -595,6 +632,8 @@ impl<'a> Broker<'a> {
         resume: Option<ParsedJournal>,
     ) -> Result<(BrokerReport, CapacitySnapshot), JournalError> {
         let specs = fleet.sessions;
+        // Every session id the drive keeps is a `u32`.
+        session_id(specs.len().saturating_sub(1)).unwrap_or_else(|e| panic!("{e}"));
         let ctx = self.session.context();
         // Captured before a resumed run re-reserves its held streams, so
         // the end-of-run audit still checks against the pristine world.
@@ -648,7 +687,7 @@ impl<'a> Broker<'a> {
             slots: vec![u32::MAX; specs.len()],
             results: vec![None; specs.len()],
             peak_live: 0,
-            events: Vec::new(),
+            events: OutcomeLog::default(),
             win_acc: (window_ms > 0).then(|| WindowAccumulator::new(window_ms)),
             latency: ValueHistogram::new(),
             slo: SloMonitor::new(fleet.slos.clone()),
@@ -657,9 +696,6 @@ impl<'a> Broker<'a> {
             faults_injected: 0,
             keeper: fleet.explain.map(TailKeeper::new),
             ledger: Vec::new(),
-            ledger_ix: fleet
-                .explain
-                .map_or(Vec::new(), |_| vec![u32::MAX; specs.len()]),
             spare_attempts: Vec::new(),
             spare_log: None,
             journal: fleet.journal,
@@ -797,12 +833,14 @@ impl<'a> Broker<'a> {
         let slo_alerts = state.slo.finish(self.recorder, end_ms).to_vec();
         let explains = state.keeper.map(|keeper| {
             let (items, stats) = keeper.drain();
+            state.ledger.shrink_to_fit();
             ExplainData {
                 ledger: state.ledger,
                 sessions: items.into_iter().map(|(_, s)| s).collect(),
                 stats,
             }
         });
+        state.events.shrink_to_fit();
         let report = BrokerReport {
             results,
             events: state.events,
@@ -830,35 +868,70 @@ impl<'a> Broker<'a> {
     }
 }
 
-/// Complete `data`, the explanations a drive of `specs` reported, into
-/// what an artifact carries: each ledger row's streams, from its held
-/// offer, and each retained attempt's full decision log
-/// ([`explain_attempts`]). Steps 1–4 are pure in the catalog and the
-/// static topology, so re-running them on `ctx` rebuilds the lists the
-/// drive saw; this costs one prepare per admitted session, plus one per
-/// retained one, paid only by whoever writes the artifact.
-pub fn complete_explains(
-    ctx: &NegotiationContext<'_>,
-    specs: &[SessionSpec<'_>],
-    data: &mut ExplainData,
-) {
-    for row in &mut data.ledger {
-        let Held::Offer(index) = row.held else {
-            continue;
+/// The capacity-ledger rows of `report`, the report of a drive of
+/// `specs`, each derived as it is reached. Steps 1–4 are pure in the
+/// catalog and the static topology, so re-running them on `ctx` rebuilds
+/// the list an entry's offer index points into, and the offer's streams
+/// follow; a session holds what it committed from its admission until
+/// the departure the drive scheduled, and a commit that never became a
+/// held session departs at its commit instant. Costs one prepare per row. Empty
+/// when the drive did not explain.
+pub fn ledger_rows<'r>(
+    ctx: &'r NegotiationContext<'r>,
+    specs: &'r [SessionSpec<'r>],
+    report: &'r BrokerReport,
+) -> impl Iterator<Item = LedgerRow> + 'r {
+    let ledger = report.explains.as_ref().map_or(&[][..], |d| &d.ledger[..]);
+    ledger.iter().map(move |entry| {
+        let i = entry.session as usize;
+        let spec = &specs[i];
+        let depart_ms = match report.results[i] {
+            SessionResult {
+                fate: SessionFate::Admitted { .. },
+                admitted_at_ms: Some(start_ms),
+                ..
+            } => departure_ms(ctx.catalog, spec, start_ms),
+            _ => entry.admit_ms,
         };
-        let offer = held_offer(ctx, &specs[row.session as usize], index)
+        let offer = held_offer(ctx, spec, entry.offer)
             .expect("steps 1-4 rebuild the list an admission reserved from");
         let streams = held_streams(&offer, ctx.guarantee).map(|(v, bps)| StreamRow {
             server: v.server.0,
             bps: bps.unwrap_or(0),
         });
-        row.held = Held::Streams(streams.collect());
-    }
-    for s in &mut data.sessions {
+        LedgerRow {
+            session: i as u64,
+            admit_ms: entry.admit_ms,
+            depart_ms,
+            streams: streams.collect(),
+        }
+    })
+}
+
+/// Write the `--explain-out` artifact of `report`, the report of a drive
+/// of `specs`, under `meta`: every ledger row ([`ledger_rows`]) and every
+/// retained session, its attempts completed into full decision logs
+/// ([`explain_attempts`], one prepare per attempt), each derived only when
+/// its line is written, so the writer holds one at a time. A drive that
+/// did not explain writes an artifact with no rows.
+pub fn write_explains(
+    ctx: &NegotiationContext<'_>,
+    specs: &[SessionSpec<'_>],
+    report: &BrokerReport,
+    meta: &ExplainMeta,
+    out: &mut impl Write,
+) -> io::Result<()> {
+    let no_data = ExplainData::default();
+    let data = report.explains.as_ref().unwrap_or(&no_data);
+    let sessions = data.sessions.iter().map(|s| {
+        let mut s = s.clone();
         let spec = &specs[s.session as usize];
         let logs = s.attempts.iter_mut().map(|a| &mut a.decisions);
         explain_attempts(ctx, spec.client, spec.document, spec.profile, logs);
-    }
+        s
+    });
+    let rows = ledger_rows(ctx, specs, report);
+    write_jsonl(out, meta, rows, sessions, &data.stats)
 }
 
 /// The offer at classified `index` of the list steps 1–4 rebuild for
@@ -894,7 +967,7 @@ struct DriveLoop<'e, 'a> {
     slots: Vec<u32>,
     results: Vec<Option<SessionResult>>,
     peak_live: usize,
-    events: Vec<OutcomeEvent>,
+    events: OutcomeLog,
     win_acc: Option<WindowAccumulator>,
     latency: ValueHistogram,
     slo: SloMonitor,
@@ -903,11 +976,8 @@ struct DriveLoop<'e, 'a> {
     faults_injected: u64,
     /// Tail-retained session explanations ([`FleetSpec::explain`]).
     keeper: Option<TailKeeper<SessionExplain>>,
-    /// Capacity ledger, one row per admission, in commit order.
-    ledger: Vec<LedgerRow>,
-    /// Spec index → ledger row (`u32::MAX` when never admitted), so the
-    /// departure handler can stamp `depart_ms`. Empty unless explaining.
-    ledger_ix: Vec<u32>,
+    /// Capacity ledger, one entry per commit, in commit order.
+    ledger: Vec<LedgerEntry>,
     /// Emptied explain buffers of the last dropped session and of the last
     /// attempt, reused so explaining does not allocate them every time.
     spare_attempts: Vec<AttemptExplain>,
@@ -966,11 +1036,12 @@ impl<'a> DriveLoop<'_, 'a> {
             acc.push(at_ms, &kind);
         }
         if self.retention == EventRetention::Full {
-            self.events.push(OutcomeEvent {
+            let event = OutcomeEvent {
                 at_ms,
                 session,
                 kind,
-            });
+            };
+            (self.events.push(event)).expect("the drive checked its fleet fits u32 ids");
         }
     }
 
@@ -1223,14 +1294,11 @@ impl<'a> DriveLoop<'_, 'a> {
             Ok(Prepared::Offers(ordered, trace, _)) => {
                 let out = commit_prepared(&ctx, spec.client, spec.profile, ordered, trace, facts);
                 if let Some(index) = out.reserved_index.filter(|_| explaining) {
-                    // The committed offer becomes a capacity-ledger row;
-                    // `depart_ms` is stamped when the session departs.
-                    self.ledger_ix[i] = self.ledger.len() as u32;
-                    self.ledger.push(LedgerRow {
-                        session: i as u64,
+                    // The committed offer becomes a capacity-ledger entry.
+                    self.ledger.push(LedgerEntry {
+                        session: i as u32,
+                        offer: index as u32,
                         admit_ms: now_ms,
-                        depart_ms: now_ms,
-                        held: Held::Offer(index as u32),
                     });
                 }
                 let reason = refusal_reason(&out.commit_failures);
@@ -1346,19 +1414,13 @@ impl<'a> DriveLoop<'_, 'a> {
         self.emit(i, now_ms, kind, settled);
     }
 
-    /// Start an admitted session's hold: its departure is due after the
-    /// spec's hold time, else the document's duration, else 30 s.
+    /// Start an admitted session's hold: its departure is scheduled
+    /// ([`departure_ms`]).
     fn hold(&mut self, i: usize, now_ms: u64) {
-        let spec = &self.specs[i];
-        let hold_ms = spec.hold_ms.unwrap_or_else(|| {
-            let catalog = self.broker.session.context().catalog;
-            (catalog
-                .document(spec.document)
-                .and_then(|d| d.total_duration_ms().ok()))
-            .unwrap_or(DEFAULT_HOLD_MS)
-        });
-        let at = SimTime::from_millis(now_ms + hold_ms.max(1));
-        self.dynq.schedule(at, Ev::Departure(i));
+        let catalog = self.broker.session.context().catalog;
+        let at = departure_ms(catalog, &self.specs[i], now_ms);
+        self.dynq
+            .schedule(SimTime::from_millis(at), Ev::Departure(i));
     }
 
     fn confirm(&mut self, i: usize, now_ms: u64) {
@@ -1397,11 +1459,6 @@ impl<'a> DriveLoop<'_, 'a> {
         // last thing keeping it live — is recycled here.
         self.live.remove(self.slots[i]);
         self.slots[i] = u32::MAX;
-        if let Some(&ix) = self.ledger_ix.get(i) {
-            if ix != u32::MAX {
-                self.ledger[ix as usize].depart_ms = now_ms;
-            }
-        }
         self.record(now_ms, i, OutcomeKind::Departed);
     }
 
@@ -1516,7 +1573,12 @@ impl<'a> DriveLoop<'_, 'a> {
 
 #[cfg(test)]
 mod tests {
-    use super::ms_to_us;
+    use super::{ms_to_us, LedgerEntry};
+
+    #[test]
+    fn a_ledger_entry_is_16_bytes() {
+        assert!(std::mem::size_of::<LedgerEntry>() <= 16);
+    }
 
     #[test]
     fn ms_to_us_is_exact_in_range() {

@@ -15,7 +15,7 @@ use crate::journal::Journal;
 /// How much of the chronological outcome log a run keeps.
 ///
 /// The outcome log is the broker's replay unit, but at 10⁶ sessions the
-/// full log is hundreds of MB; most fleet-scale callers only need the
+/// full log is tens of MB even packed; most fleet-scale callers only need the
 /// aggregate report or the tumbling [`FleetWindow`](crate::FleetWindow)
 /// rows, both of which fold the log streamingly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

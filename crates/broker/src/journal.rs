@@ -853,18 +853,23 @@ impl Journal {
     /// Byte offsets just past each event record, plain or terminal, in
     /// [`bytes`](Journal::bytes) — the chaos harness's menu of
     /// whole-record crash points. An in-memory journal is scanned where
-    /// it lies, with no copy.
+    /// it lies, with no copy: once to count the records, once to fill one
+    /// allocation of exactly that length.
     pub fn event_record_ends(&self) -> Vec<usize> {
         self.with_bytes(|bytes| {
-            let mut ends = Vec::new();
-            let mut pos = 0usize;
-            while let Some((payload, next)) = next_frame(bytes, pos) {
-                if matches!(payload.first(), Some(&(REC_EVENT | REC_TERMINAL))) {
-                    ends.push(next);
-                }
-                pos = next;
-            }
-            ends
+            let ends = || {
+                let mut pos = 0usize;
+                std::iter::from_fn(move || {
+                    let (payload, next) = next_frame(bytes, pos)?;
+                    pos = next;
+                    Some((payload.first().copied(), next))
+                })
+                .filter(|&(tag, _)| matches!(tag, Some(REC_EVENT | REC_TERMINAL)))
+                .map(|(_, next)| next)
+            };
+            let mut out = Vec::with_capacity(ends().count());
+            out.extend(ends());
+            out
         })
     }
 

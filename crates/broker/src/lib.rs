@@ -29,8 +29,8 @@
 //!   resumes driving with a byte-identical outcome log. It survives a
 //!   process crash, not a power loss.
 //! - With [`FleetSpec::explain`] a drive reports the live facts of its
-//!   decisions; [`complete_explains`] derives the rest when an artifact
-//!   is written.
+//!   decisions; [`write_explains`] derives the rest line by line as it
+//!   writes the artifact.
 //! - [`CapacitySnapshot`] audits release-on-failure end to end: after a
 //!   run drains, farm and network capacity must equal the pristine
 //!   baseline, else `broker.leaked_reservations` fires (and a debug
@@ -47,17 +47,19 @@ mod broker;
 mod fault;
 mod fleet;
 mod journal;
+mod log;
 mod slab;
 mod windows;
 
 pub use audit::CapacitySnapshot;
 pub use broker::{
-    complete_explains, Broker, BrokerConfig, BrokerReport, OutcomeEvent, OutcomeKind,
-    RecoveryReport, SessionResult, SessionSpec,
+    ledger_rows, write_explains, Broker, BrokerConfig, BrokerReport, LedgerEntry, OutcomeEvent,
+    OutcomeKind, RecoveryReport, SessionResult, SessionSpec,
 };
 pub use fault::{Fault, FaultPlan, FaultWindow};
 pub use fleet::{EventRetention, FleetSpec};
 pub use journal::{crc32, Journal, JournalConfig, JournalError, JournalStats, CRASH_EXIT_CODE};
+pub use log::{OutcomeLog, SessionIdOverflow};
 pub use nod_qosneg::SessionFate;
 pub use slab::Slab;
 pub use windows::{fleet_windows, FleetWindow, WindowAccumulator};

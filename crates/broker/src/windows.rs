@@ -74,7 +74,7 @@ impl FleetWindow {
 /// Streaming fold of a chronological outcome log into tumbling
 /// [`FleetWindow`] rows.
 ///
-/// At fleet scale the raw log can be hundreds of MB, so the broker's
+/// At fleet scale the raw log runs to tens of MB, so the broker's
 /// [`EventRetention::WindowsOnly`](crate::EventRetention) mode feeds
 /// events through this accumulator *as they happen* and never stores
 /// them. A window is finalized (its `active_at_end` fixed) the moment
@@ -148,11 +148,15 @@ impl WindowAccumulator {
 }
 
 /// Fold `events` (a [`BrokerReport`](crate::BrokerReport)'s log, in
-/// chronological order) into tumbling windows of `window_ms`. Windows
+/// chronological order, as [`OutcomeLog::iter`](crate::OutcomeLog::iter)
+/// gives it) into tumbling windows of `window_ms`. Windows
 /// cover the log's full span contiguously — quiet windows appear as zero
 /// rows so a renderer can play them back at a fixed cadence. An empty
 /// log yields no windows; `window_ms` is clamped to at least 1.
-pub fn fleet_windows(events: &[OutcomeEvent], window_ms: u64) -> Vec<FleetWindow> {
+pub fn fleet_windows(
+    events: impl IntoIterator<Item = OutcomeEvent>,
+    window_ms: u64,
+) -> Vec<FleetWindow> {
     let mut acc = WindowAccumulator::new(window_ms);
     for ev in events {
         acc.push(ev.at_ms, &ev.kind);
@@ -175,7 +179,7 @@ mod tests {
 
     #[test]
     fn empty_log_yields_no_windows() {
-        assert!(fleet_windows(&[], 1_000).is_empty());
+        assert!(fleet_windows([], 1_000).is_empty());
     }
 
     #[test]
@@ -215,7 +219,7 @@ mod tests {
             ev(2_500, 0, OutcomeKind::Departed),
             ev(2_600, 3, OutcomeKind::Starved { attempts: 5 }),
         ];
-        let w = fleet_windows(&events, 1_000);
+        let w = fleet_windows(events, 1_000);
         assert_eq!(w.len(), 3);
         assert_eq!((w[0].start_ms, w[0].end_ms), (0, 1_000));
         assert_eq!(w[0].admitted, 1);
@@ -274,7 +278,7 @@ mod tests {
         for e in &events {
             acc.push(e.at_ms, &e.kind);
         }
-        assert_eq!(acc.finish(), fleet_windows(&events, 1_000));
+        assert_eq!(acc.finish(), fleet_windows(events.clone(), 1_000));
     }
 
     #[test]
@@ -290,7 +294,7 @@ mod tests {
             ),
             ev(5_500, 0, OutcomeKind::Departed),
         ];
-        let w = fleet_windows(&events, 1_000);
+        let w = fleet_windows(events, 1_000);
         assert_eq!(w.len(), 6);
         assert!(w[1..5].iter().all(|w| w.terminals() == 0 && w.retries == 0));
         assert!(w[1..5].iter().all(|w| w.active_at_end == 1));

@@ -39,10 +39,11 @@
 //! [`crate::analyze`]'s reconstruction total.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
+use nod_simcore::hash::IntMap;
 use nod_simcore::json::{from_str, to_string, JsonError};
 
 use crate::retain::TailKeeper;
@@ -129,50 +130,115 @@ fn jsonl(events: &[TraceEvent]) -> String {
     events.iter().map(|e| e.to_json_line() + "\n").collect()
 }
 
-/// What a stored event is.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Kind {
-    SpanStart,
-    SpanEnd,
-    /// A `span_end` reached by dropping the span.
-    SpanDropped,
-    Point,
-}
+// What a stored event is: the low two bits of [`Record::tag`].
+const SPAN_START: u32 = 0;
+const SPAN_END: u32 = 1;
+/// A `span_end` reached by dropping the span.
+const SPAN_DROPPED: u32 = 2;
+const POINT: u32 = 3;
+const KIND_MASK: u32 = 0b11;
+// The flags above the kind, and the shift of the name index above them.
+const HAS_VALUE: u32 = 1 << 2;
+/// The parent is in [`Store::wide_parents`].
+const WIDE_PARENT: u32 = 1 << 3;
+const NAME_SHIFT: u32 = 4;
 
-/// One stored trace event: `Copy`, owning nothing. The trace id and the
-/// sequence number are implied by where it is stored.
+/// One stored trace event in 32 bytes: `Copy`, owning nothing. The trace
+/// id and the sequence number are implied by where it is stored, the name
+/// is an index into the tracer's [`Names`], and a parent id too wide for
+/// `parent` is kept in [`Store::wide_parents`].
 #[derive(Debug, Clone, Copy)]
 struct Record {
-    kind: Kind,
     t_us: u64,
-    /// Span name or point key.
-    name: &'static str,
     span: u64,
-    parent: u64,
-    value: Option<f64>,
+    /// The value's bits, when [`HAS_VALUE`] is set.
+    value: u64,
+    /// The parent span id; `u32::MAX` when it is too wide to fit.
+    parent: u32,
+    /// Name index, flags and kind.
+    tag: u32,
 }
 
 impl Record {
-    fn event(&self, trace: u64, seq: u64) -> TraceEvent {
-        let (kind, detail) = match self.kind {
-            Kind::SpanStart => ("span_start", ""),
-            Kind::SpanEnd => ("span_end", ""),
-            Kind::SpanDropped => ("span_end", "dropped"),
-            Kind::Point => ("point", ""),
+    /// The record of one event, and its parent when that does not fit.
+    fn new(
+        kind: u32,
+        t_us: u64,
+        name: u32,
+        span: u64,
+        parent: u64,
+        value: Option<f64>,
+    ) -> (Record, Option<u64>) {
+        let mut tag = name << NAME_SHIFT | kind;
+        if value.is_some() {
+            tag |= HAS_VALUE;
+        }
+        let narrow = u32::try_from(parent).ok().filter(|&p| p != u32::MAX);
+        if narrow.is_none() {
+            tag |= WIDE_PARENT;
+        }
+        let record = Record {
+            t_us,
+            span,
+            value: value.map_or(0, f64::to_bits),
+            parent: narrow.unwrap_or(u32::MAX),
+            tag,
+        };
+        (record, narrow.is_none().then_some(parent))
+    }
+
+    /// The event this record stores as event `seq` of `trace`.
+    fn event(&self, names: &Names, wide_parents: &WideParents, trace: u64, seq: u64) -> TraceEvent {
+        let (kind, detail) = match self.tag & KIND_MASK {
+            SPAN_START => ("span_start", ""),
+            SPAN_END => ("span_end", ""),
+            SPAN_DROPPED => ("span_end", "dropped"),
+            _ => ("point", ""),
+        };
+        let parent = match self.tag & WIDE_PARENT {
+            0 => u64::from(self.parent),
+            _ => wide_parents[&(trace, seq)],
         };
         TraceEvent {
             trace,
             seq,
             t_us: self.t_us,
             kind: kind.to_string(),
-            name: self.name.to_string(),
+            name: names.list[(self.tag >> NAME_SHIFT) as usize].to_string(),
             span: self.span,
-            parent: self.parent,
+            parent,
             detail: detail.to_string(),
-            value: self.value,
+            value: (self.tag & HAS_VALUE != 0).then(|| f64::from_bits(self.value)),
         }
     }
 }
+
+/// The span and point names a tracer has stored, each once, by index.
+#[derive(Default)]
+struct Names {
+    list: Vec<&'static str>,
+    /// `(address, length)` of a name → its index.
+    index: IntMap<(u64, u64), u32>,
+}
+
+impl Names {
+    /// The index of `name`, assigned on its first use.
+    fn index(&mut self, name: &'static str) -> u32 {
+        let list = &mut self.list;
+        let key = (name.as_ptr() as u64, name.len() as u64);
+        *self.index.entry(key).or_insert_with(|| {
+            let ix = u32::try_from(list.len())
+                .ok()
+                .filter(|&ix| ix < u32::MAX >> NAME_SHIFT)
+                .expect("fewer than 2^28 distinct trace names");
+            list.push(name);
+            ix
+        })
+    }
+}
+
+/// Parent ids too wide for [`Record::parent`], by `(trace, seq)`.
+type WideParents = BTreeMap<(u64, u64), u64>;
 
 /// Hashes a trace id with one multiply: ids are dense session numbers
 /// chosen by the caller, not adversarial input.
@@ -205,6 +271,24 @@ struct TraceState {
     stack: Vec<u64>,
 }
 
+impl TraceState {
+    /// Append `record` as event `next_seq` of `trace`, its parent into
+    /// `wide_parents` when it is too wide for the record.
+    fn push(
+        &mut self,
+        record: Record,
+        wide: Option<u64>,
+        trace: u64,
+        wide_parents: &mut WideParents,
+    ) {
+        if let Some(parent) = wide {
+            wide_parents.insert((trace, self.next_seq), parent);
+        }
+        self.events.push(record);
+        self.next_seq += 1;
+    }
+}
+
 /// The resumed trace, out of [`Store::traces`] until it is suspended.
 struct Active {
     trace: u64,
@@ -217,15 +301,19 @@ impl Active {
     /// Append `record`, numbering it; under tail sampling a trace past its
     /// in-flight cap counts the event instead of keeping it (seqs stay
     /// contiguous because they are assigned only to kept events).
-    fn push(&mut self, record: Record, sampling: &mut Option<(RetentionPolicy, TailKeeper<()>)>) {
+    fn push(
+        &mut self,
+        (record, wide): (Record, Option<u64>),
+        sampling: &mut Option<(RetentionPolicy, TailKeeper<()>)>,
+        wide_parents: &mut WideParents,
+    ) {
         if let Some((policy, keeper)) = sampling {
             if self.state.events.len() >= policy.max_events_per_trace {
                 keeper.truncated(1);
                 return;
             }
         }
-        self.state.events.push(record);
-        self.state.next_seq += 1;
+        (self.state).push(record, wide, self.trace, wide_parents);
     }
 }
 
@@ -355,6 +443,10 @@ struct Store {
     spare: Vec<TraceState>,
     /// Tail-based retention; `None` (the default) retains everything.
     sampling: Option<(RetentionPolicy, TailKeeper<()>)>,
+    names: Names,
+    /// The parents no [`Record`] holds; empty unless span ids pass
+    /// `u32::MAX`.
+    wide_parents: WideParents,
 }
 
 /// Most states [`Store::spare`] keeps, and the largest event buffer it
@@ -364,12 +456,6 @@ const SPARE_STATES: usize = 64;
 const SPARE_EVENTS: usize = 32;
 
 impl Store {
-    /// The state of `trace`, created (or recycled) on first use.
-    fn state(&mut self, trace: u64) -> &mut TraceState {
-        let spare = &mut self.spare;
-        (self.traces.entry(trace)).or_insert_with(|| spare.pop().unwrap_or_default())
-    }
-
     /// Put the active trace back into the map, feeding the flight ring
     /// the events written since it was resumed. No-op when none is.
     fn suspend(&mut self) {
@@ -390,6 +476,9 @@ impl Store {
         let Some(mut st) = self.traces.remove(&trace) else {
             return;
         };
+        if !self.wide_parents.is_empty() {
+            self.wide_parents.retain(|&(t, _), _| t != trace);
+        }
         if self.spare.len() < SPARE_STATES && st.events.capacity() <= SPARE_EVENTS {
             st.events.clear();
             st.stack.clear();
@@ -455,6 +544,8 @@ impl Tracer {
                 },
                 spare: Vec::new(),
                 sampling: sampling.map(|policy| (policy, TailKeeper::new(policy))),
+                names: Names::default(),
+                wide_parents: WideParents::new(),
             })),
         }
     }
@@ -528,7 +619,11 @@ impl Tracer {
     ) -> Option<TraceId> {
         let mut store = self.store.borrow_mut();
         let Store {
-            active, sampling, ..
+            active,
+            sampling,
+            names,
+            wide_parents,
+            ..
         } = &mut *store;
         let at = active.as_mut()?;
         let parent = if parent != 0 {
@@ -536,15 +631,8 @@ impl Tracer {
         } else {
             at.state.stack.last().copied().unwrap_or(0)
         };
-        let record = Record {
-            kind: Kind::SpanStart,
-            t_us,
-            name,
-            span,
-            parent,
-            value: None,
-        };
-        at.push(record, sampling);
+        let record = Record::new(SPAN_START, t_us, names.index(name), span, parent, None);
+        at.push(record, sampling, wide_parents);
         at.state.stack.push(span);
         Some(at.trace)
     }
@@ -563,30 +651,20 @@ impl Tracer {
         dropped: bool,
         trace: TraceId,
     ) {
-        let record = Record {
-            kind: if dropped {
-                Kind::SpanDropped
-            } else {
-                Kind::SpanEnd
-            },
-            t_us,
-            name,
-            span,
-            parent,
-            value: Some(ms),
-        };
+        let kind = if dropped { SPAN_DROPPED } else { SPAN_END };
         let mut store = self.store.borrow_mut();
         let store = &mut *store;
+        let record = Record::new(kind, t_us, store.names.index(name), span, parent, Some(ms));
         if let Some(at) = store.active.as_mut().filter(|at| at.trace == trace) {
             at.state.stack.retain(|&s| s != span);
-            at.push(record, &mut store.sampling);
+            at.push(record, &mut store.sampling, &mut store.wide_parents);
             return;
         }
         // Out-of-window end: append straight to the owning trace.
-        let st = store.state(trace);
+        let spare = &mut store.spare;
+        let st = (store.traces.entry(trace)).or_insert_with(|| spare.pop().unwrap_or_default());
         st.stack.retain(|&s| s != span);
-        st.events.push(record);
-        st.next_seq += 1;
+        st.push(record.0, record.1, trace, &mut store.wide_parents);
         let seqs = st.next_seq - 1..st.next_seq;
         store.flight.push_range(trace, seqs);
     }
@@ -600,6 +678,8 @@ impl Tracer {
         let Store {
             active: Some(at),
             sampling,
+            names,
+            wide_parents,
             ..
         } = &mut *store
         else {
@@ -608,15 +688,8 @@ impl Tracer {
         let Some(&enclosing) = at.state.stack.last() else {
             return;
         };
-        let record = Record {
-            kind: Kind::Point,
-            t_us,
-            name: name(),
-            span: enclosing,
-            parent: 0,
-            value,
-        };
-        at.push(record, sampling);
+        let record = Record::new(POINT, t_us, names.index(name()), enclosing, 0, value);
+        at.push(record, sampling, wide_parents);
     }
 
     /// Snapshot the flight-recorder ring (the last N written events) under
@@ -628,7 +701,13 @@ impl Tracer {
     pub fn trigger_flight_dump(&self, reason: &str) {
         let mut store = self.store.borrow_mut();
         store.suspend();
-        let Store { traces, flight, .. } = &mut *store;
+        let Store {
+            traces,
+            flight,
+            names,
+            wide_parents,
+            ..
+        } = &mut *store;
         if flight.dump.is_some() {
             return;
         }
@@ -643,7 +722,7 @@ impl Tracer {
                     let record = st
                         .events
                         .get(usize::try_from(seq.checked_sub(st.drained)?).ok()?)?;
-                    Some(record.event(trace, seq))
+                    Some(record.event(names, wide_parents, trace, seq))
                 })
                 .collect(),
         };
@@ -669,16 +748,25 @@ impl Tracer {
     pub fn drain(&self) -> Vec<TraceEvent> {
         let mut store = self.store.borrow_mut();
         store.suspend();
-        let traces = &mut store.traces;
+        let Store {
+            traces,
+            names,
+            wide_parents,
+            ..
+        } = &mut *store;
         let mut ids: Vec<u64> = traces.keys().copied().collect();
         ids.sort_unstable();
         let mut out = Vec::new();
         for trace in ids {
             let st = traces.get_mut(&trace).expect("id listed from the map");
             let first = st.drained;
-            out.extend((st.events.drain(..).zip(first..)).map(|(r, seq)| r.event(trace, seq)));
+            out.extend(
+                (st.events.drain(..).zip(first..))
+                    .map(|(r, seq)| r.event(names, wide_parents, trace, seq)),
+            );
             st.drained = st.next_seq;
         }
+        wide_parents.clear();
         out
     }
 
@@ -721,6 +809,90 @@ mod tests {
         };
         let line = e.to_json_line();
         assert_eq!(TraceEvent::from_json_line(&line).unwrap(), e);
+    }
+
+    #[test]
+    fn a_stored_record_is_32_bytes() {
+        assert!(std::mem::size_of::<Record>() <= 32);
+    }
+
+    #[test]
+    fn wide_ids_and_every_value_round_trip_exactly() {
+        let wide = u32::MAX as u64;
+        let values = [
+            None,
+            Some(f64::NAN),
+            Some(f64::from_bits(f64::NAN.to_bits() ^ 0xdead)),
+            Some(f64::INFINITY),
+            Some(f64::NEG_INFINITY),
+            Some(-0.0),
+            Some(2.5),
+        ];
+        let t = Tracer::new();
+        t.resume(wide + 9);
+        t.span_start(u64::MAX, "root", wide + 1, 0);
+        t.span_start(7, "child", u64::MAX, wide + 1);
+        t.span_start(8, "sentinel", 3, wide);
+        for (i, &value) in values.iter().enumerate() {
+            t.point(i as u64, || "p", value);
+        }
+        t.span_end(9, "sentinel", 3, wide, f64::NAN, false, wide + 9);
+        t.span_end(
+            10,
+            "child",
+            u64::MAX,
+            wide + 1,
+            f64::INFINITY,
+            true,
+            wide + 9,
+        );
+        t.suspend();
+        // An end outside its resume window goes to its trace directly.
+        t.span_end(11, "root", wide + 1, 0, -0.0, false, wide + 9);
+        let dump_before_drain = {
+            t.trigger_flight_dump("check");
+            t.take_flight_dump().expect("dumped").events
+        };
+        let events = t.drain();
+        assert_eq!(events.len(), 3 + values.len() + 3);
+        assert_eq!(dump_before_drain.len(), events.len());
+        let ids = |e: &TraceEvent| (e.trace, e.t_us, e.kind.clone(), e.span, e.parent);
+        let root = events.iter().find(|e| e.name == "root").unwrap();
+        assert_eq!(
+            ids(root),
+            (wide + 9, u64::MAX, "span_start".into(), wide + 1, 0)
+        );
+        let child = events.iter().find(|e| e.name == "child").unwrap();
+        assert_eq!((child.span, child.parent), (u64::MAX, wide + 1));
+        let sentinel = events.iter().find(|e| e.name == "sentinel").unwrap();
+        assert_eq!((sentinel.span, sentinel.parent), (3, wide));
+        let points: Vec<&TraceEvent> = events.iter().filter(|e| e.kind == "point").collect();
+        for (p, want) in points.iter().zip(values) {
+            assert_eq!(p.value.map(f64::to_bits), want.map(f64::to_bits));
+            assert_eq!((p.span, p.parent), (3, 0), "the innermost open span");
+        }
+        let ends: Vec<(u64, u64, Option<u64>, &str)> = (events.iter())
+            .filter(|e| e.kind == "span_end")
+            .map(|e| {
+                (
+                    e.span,
+                    e.parent,
+                    e.value.map(f64::to_bits),
+                    e.detail.as_str(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            ends,
+            [
+                (3, wide, Some(f64::NAN.to_bits()), ""),
+                (u64::MAX, wide + 1, Some(f64::INFINITY.to_bits()), "dropped"),
+                (wide + 1, 0, Some((-0.0f64).to_bits()), ""),
+            ]
+        );
+        for (a, b) in dump_before_drain.iter().zip(&events) {
+            assert_eq!(a.to_json_line(), b.to_json_line());
+        }
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //! runs; the rest of a log (score rows, durations, counts) depends only on
 //! the catalog and the request, and is derived from them
 //! ([`explain_attempts`]) when a log is wanted. A broker drive keeps only
-//! live facts, down to each capacity-ledger row, which names its held
-//! offer ([`Held::Offer`]) instead of listing its streams; the broker
-//! derives the rest for the sessions its tail retention keeps, and the
-//! streams of every row, when an artifact is written. Logs are plain data with
+//! live facts, down to its capacity ledger, which records per admission
+//! the session, the held offer's index and the commit instant; the broker
+//! derives each [`LedgerRow`] and completes each retained session as
+//! [`write_jsonl`] reaches it. Logs are plain data with
 //! [`ToJson`]/[`FromJson`] impls, serialized as JSON lines
 //! ([`ExplainArtifact`]) so a `--explain-out` artifact is diffable,
 //! byte-identical for the same seed, and queryable offline by the
@@ -33,6 +33,7 @@
 //! [`NegotiationContext::explain`]: crate::negotiate::NegotiationContext::explain
 //! [`explain_attempts`]: crate::negotiate::explain_attempts
 
+use std::borrow::Borrow;
 use std::io::{self, Write};
 
 use nod_obs::RetentionStats;
@@ -676,75 +677,31 @@ pub struct StreamRow {
 
 json_struct!(StreamRow { server, bps });
 
-/// What an admission held.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Held {
-    /// The reserved offer's classified index on the session's list, which
-    /// is all a drive records: steps 1–4 are pure, so the streams are
-    /// derived from it when an artifact is written.
-    Offer(u32),
-    /// The reserved streams.
-    Streams(Vec<StreamRow>),
-}
-
 /// One admission in the capacity ledger: who held what, from when to
 /// when. Unlike [`SessionExplain`] (tail-retained), the ledger keeps
 /// **every** admitted session — it is what lets `nod_explain` rebuild
-/// per-resource utilization timelines over virtual time.
+/// per-resource utilization timelines over virtual time. A broker drive
+/// records less per admission and derives these rows when it writes an
+/// artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LedgerRow {
     /// Session index.
     pub session: u64,
     /// Admission (resource commit) instant, ms.
     pub admit_ms: u64,
-    /// Departure instant, ms (equal to `admit_ms` when the run ended
-    /// before the session departed).
+    /// Departure instant, ms (equal to `admit_ms` when the session never
+    /// held what it committed).
     pub depart_ms: u64,
-    /// What the session held: its streams in an artifact, its offer's
-    /// index in a drive's report. Serialized under the `streams` key, or
-    /// `offer` for a row not yet derived.
-    pub held: Held,
+    /// The reserved streams.
+    pub streams: Vec<StreamRow>,
 }
 
-impl LedgerRow {
-    /// The reserved streams; none while the row names only its offer.
-    pub fn streams(&self) -> &[StreamRow] {
-        match &self.held {
-            Held::Streams(streams) => streams,
-            Held::Offer(_) => &[],
-        }
-    }
-}
-
-impl ToJson for LedgerRow {
-    fn to_json(&self) -> Json {
-        let held = match &self.held {
-            Held::Streams(streams) => ("streams", streams.to_json()),
-            Held::Offer(index) => ("offer", index.to_json()),
-        };
-        Json::Obj(vec![
-            ("session".to_string(), self.session.to_json()),
-            ("admit_ms".to_string(), self.admit_ms.to_json()),
-            ("depart_ms".to_string(), self.depart_ms.to_json()),
-            (held.0.to_string(), held.1),
-        ])
-    }
-}
-
-impl FromJson for LedgerRow {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let held = match v.get("streams") {
-            Some(streams) => Held::Streams(Vec::from_json(streams)?),
-            None => Held::Offer(u32::from_json(v.field("offer")?)?),
-        };
-        Ok(LedgerRow {
-            session: u64::from_json(v.field("session")?)?,
-            admit_ms: u64::from_json(v.field("admit_ms")?)?,
-            depart_ms: u64::from_json(v.field("depart_ms")?)?,
-            held,
-        })
-    }
-}
+json_struct!(LedgerRow {
+    session,
+    admit_ms,
+    depart_ms,
+    streams,
+});
 
 /// Artifact header: where the artifact came from and how it was sampled.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -774,15 +731,26 @@ json_struct!(ExplainMeta {
 
 /// What a run hands back before the artifact header is known: the ledger,
 /// the tail-retained session explanations (sorted by session id) and the
-/// retention totals.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ExplainData {
-    /// Capacity ledger, one row per admitted session.
-    pub ledger: Vec<LedgerRow>,
+/// retention totals. A broker drive's ledger holds its own compact
+/// entries (`L`) instead of [`LedgerRow`]s.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExplainData<L = LedgerRow> {
+    /// Capacity ledger, one entry per admitted session.
+    pub ledger: Vec<L>,
     /// Retained per-session explanations, ascending session id.
     pub sessions: Vec<SessionExplain>,
     /// Tail-retention totals.
     pub stats: RetentionStats,
+}
+
+impl<L> Default for ExplainData<L> {
+    fn default() -> Self {
+        ExplainData {
+            ledger: Vec::new(),
+            sessions: Vec::new(),
+            stats: RetentionStats::default(),
+        }
+    }
 }
 
 /// A complete `--explain-out` artifact: meta + ledger + sessions + stats,
@@ -799,6 +767,31 @@ pub struct ExplainArtifact {
     pub stats: RetentionStats,
 }
 
+/// Write an artifact as JSON lines: one `meta` line, one `ledger` line per
+/// admission, one `session` line per retained explanation, one final
+/// `stats` line. Each row and session is taken from its iterator only when
+/// its line is written, so a writer that derives them holds one at a time.
+pub fn write_jsonl<R: Borrow<LedgerRow>, S: Borrow<SessionExplain>>(
+    out: &mut impl Write,
+    meta: &ExplainMeta,
+    ledger: impl IntoIterator<Item = R>,
+    sessions: impl IntoIterator<Item = S>,
+    stats: &RetentionStats,
+) -> io::Result<()> {
+    let mut line = |tag: &str, v: Json| {
+        let line = Json::Obj(vec![(tag.to_string(), v)]).to_string_compact();
+        writeln!(out, "{line}")
+    };
+    line("meta", meta.to_json())?;
+    for row in ledger {
+        line("ledger", row.borrow().to_json())?;
+    }
+    for s in sessions {
+        line("session", s.borrow().to_json())?;
+    }
+    line("stats", stats.to_json())
+}
+
 impl ExplainArtifact {
     /// Assemble an artifact from a run's data and its header.
     pub fn new(meta: ExplainMeta, data: ExplainData) -> Self {
@@ -810,33 +803,13 @@ impl ExplainArtifact {
         }
     }
 
-    /// Write as JSON lines: one `meta` line, one `ledger` line per
-    /// admission, one `session` line per retained explanation, one final
-    /// `stats` line. Fully deterministic for a given artifact; no more
-    /// than one line is built at a time.
+    /// Write as JSON lines ([`write_jsonl`]). Fully deterministic for a
+    /// given artifact.
     pub fn write_jsonl(&self, out: &mut impl Write) -> io::Result<()> {
-        let mut line = |tag: &str, v: Json| {
-            let line = Json::Obj(vec![(tag.to_string(), v)]).to_string_compact();
-            writeln!(out, "{line}")
-        };
-        line("meta", self.meta.to_json())?;
-        for row in &self.ledger {
-            line("ledger", row.to_json())?;
-        }
-        for s in &self.sessions {
-            line("session", s.to_json())?;
-        }
-        line("stats", self.stats.to_json())
+        write_jsonl(out, &self.meta, &self.ledger, &self.sessions, &self.stats)
     }
 
-    /// [`ExplainArtifact::write_jsonl`] into one `String`.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = Vec::new();
-        self.write_jsonl(&mut out).expect("a Vec takes every write");
-        String::from_utf8(out).expect("JSON text is UTF-8")
-    }
-
-    /// Parse a JSON-lines artifact produced by [`ExplainArtifact::to_jsonl`].
+    /// Parse a JSON-lines artifact produced by [`write_jsonl`].
     pub fn from_jsonl(text: &str) -> Result<Self, JsonError> {
         let mut art = ExplainArtifact::default();
         for (n, raw) in text.lines().enumerate() {
@@ -867,6 +840,13 @@ mod tests {
     use nod_cmfs::Guarantee;
     use nod_mmdoc::prelude::*;
 
+    /// `art` as JSON lines.
+    fn to_jsonl(art: &ExplainArtifact) -> String {
+        let mut out = Vec::new();
+        art.write_jsonl(&mut out).expect("a Vec takes every write");
+        String::from_utf8(out).expect("JSON text is UTF-8")
+    }
+
     fn sample_artifact() -> ExplainArtifact {
         ExplainArtifact {
             meta: ExplainMeta {
@@ -882,16 +862,16 @@ mod tests {
                     session: 1,
                     admit_ms: 10,
                     depart_ms: 4_010,
-                    held: Held::Streams(vec![StreamRow {
+                    streams: vec![StreamRow {
                         server: 0,
                         bps: 1_200_000,
-                    }]),
+                    }],
                 },
                 LedgerRow {
                     session: 2,
                     admit_ms: 20,
                     depart_ms: 20,
-                    held: Held::Offer(3),
+                    streams: Vec::new(),
                 },
             ],
             sessions: vec![SessionExplain {
@@ -959,11 +939,11 @@ mod tests {
     #[test]
     fn artifact_round_trips_through_jsonl() {
         let art = sample_artifact();
-        let text = art.to_jsonl();
+        let text = to_jsonl(&art);
         let back = ExplainArtifact::from_jsonl(&text).unwrap();
         assert_eq!(art, back);
         // Serialization is deterministic.
-        assert_eq!(text, back.to_jsonl());
+        assert_eq!(text, to_jsonl(&back));
     }
 
     #[test]
@@ -984,7 +964,7 @@ mod tests {
         assert_eq!(d.chosen_rank, Some(0));
         assert_eq!(d.status, Some(NegotiationStatus::Succeeded));
         // Written back, the line simply no longer has the key.
-        let rewritten = art.to_jsonl();
+        let rewritten = to_jsonl(&art);
         assert!(!rewritten.contains("pruned"), "{rewritten}");
         assert_eq!(ExplainArtifact::from_jsonl(&rewritten).unwrap(), art);
     }

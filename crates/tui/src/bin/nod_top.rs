@@ -70,7 +70,7 @@ fn main() {
     }
 
     let (result, report) = run_contended_with(&config, None);
-    let rows: Vec<TopRow> = fleet_windows(&report.events, window_ms)
+    let rows: Vec<TopRow> = fleet_windows(report.events.iter(), window_ms)
         .iter()
         .map(|w| TopRow {
             start_ms: w.start_ms,

@@ -13,9 +13,7 @@ use nod_mmdb::{Catalog, CorpusBuilder, CorpusParams};
 use nod_mmdoc::{ClientId, DocumentId, ServerId};
 use nod_netsim::{Network, Topology};
 use nod_obs::{Recorder, RetentionPolicy, TailKeeper};
-use nod_qosneg::explain::{
-    AttemptExplain, ExplainData, Held, LedgerRow, SessionExplain, StreamRow,
-};
+use nod_qosneg::explain::{AttemptExplain, ExplainData, LedgerRow, SessionExplain, StreamRow};
 use nod_qosneg::mapping::charged_bit_rate;
 use nod_qosneg::negotiate::{NegotiationContext, NegotiationStatus, StreamingMode};
 use nod_qosneg::{
@@ -360,21 +358,19 @@ fn run_blocking_impl(
                                 session: n,
                                 admit_ms: now_ms,
                                 depart_ms: now_ms + duration_ms,
-                                held: Held::Streams(
-                                    reserved
-                                        .offer
-                                        .variants
-                                        .iter()
-                                        .map(|v| StreamRow {
-                                            server: v.server.0,
-                                            bps: if v.blocks_per_second > 0 {
-                                                charged_bit_rate(v, config.guarantee)
-                                            } else {
-                                                0
-                                            },
-                                        })
-                                        .collect(),
-                                ),
+                                streams: reserved
+                                    .offer
+                                    .variants
+                                    .iter()
+                                    .map(|v| StreamRow {
+                                        server: v.server.0,
+                                        bps: if v.blocks_per_second > 0 {
+                                            charged_bit_rate(v, config.guarantee)
+                                        } else {
+                                            0
+                                        },
+                                    })
+                                    .collect(),
                             });
                         }
                     }

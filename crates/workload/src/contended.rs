@@ -9,8 +9,10 @@
 //! experiment measures admission ratio, starvation, retry volume and —
 //! always — that the drained system leaks zero capacity.
 
+use std::io::{self, Write};
+
 use nod_broker::{
-    complete_explains, Broker, BrokerConfig, BrokerReport, FaultPlan, FleetSpec, Journal,
+    write_explains, Broker, BrokerConfig, BrokerReport, FaultPlan, FleetSpec, Journal,
     JournalError, RecoveryReport, SessionSpec,
 };
 use nod_client::ClientMachine;
@@ -19,6 +21,7 @@ use nod_mmdb::{Catalog, CorpusBuilder, CorpusParams};
 use nod_mmdoc::{ClientId, DocumentId, ServerId};
 use nod_netsim::{Network, Topology};
 use nod_obs::{Recorder, RetentionPolicy, SloSpec};
+use nod_qosneg::explain::ExplainMeta;
 use nod_qosneg::negotiate::{NegotiationContext, StreamingMode};
 use nod_qosneg::{ClassificationStrategy, CostModel, RetryPolicy, UserProfile};
 use nod_simcore::StreamRng;
@@ -67,8 +70,9 @@ pub struct ContendedConfig {
     /// Decision-provenance retention (see [`FleetSpec::explain`]).
     /// `None` (the default) records nothing and allocates nothing;
     /// `Some(policy)` makes [`BrokerReport::explains`] carry the
-    /// capacity ledger and the tail-retained per-session explanations,
-    /// completed ([`complete_explains`]) before the run returns.
+    /// capacity ledger and the tail-retained per-session explanations as
+    /// the drive's live facts; [`write_contended_explains`] writes the
+    /// artifact.
     pub explain: Option<RetentionPolicy>,
 }
 
@@ -250,19 +254,6 @@ impl ContendedWorld {
         fleet
     }
 
-    /// Complete `report`'s explanations against this world, as the
-    /// artifact writers that read them need.
-    fn complete(
-        &self,
-        config: &ContendedConfig,
-        specs: &[SessionSpec<'_>],
-        report: &mut BrokerReport,
-    ) {
-        if let Some(data) = report.explains.as_mut() {
-            complete_explains(&self.ctx(config, None), specs, data);
-        }
-    }
-
     fn broker_config(&self, config: &ContendedConfig) -> BrokerConfig {
         BrokerConfig {
             retry: config.retry,
@@ -286,10 +277,25 @@ pub fn run_contended_with(
 
     let broker = Broker::new(world.ctx(config, recorder), world.broker_config(config));
     let fleet = world.fleet(config, &specs, &faults);
-    let mut report = broker.drive(&fleet);
-    world.complete(config, &specs, &mut report);
+    let report = broker.drive(&fleet);
     let result = summarize(config, &report);
     (result, report)
+}
+
+/// Write the `--explain-out` artifact of `report`, the report of a
+/// [`run_contended_with`] or [`run_contended_journaled`] run of `config`,
+/// under `meta` ([`write_explains`]). The run's world is rebuilt from
+/// `config` — steps 1–4 read only its catalog and topology — and each
+/// line is derived as it is written.
+pub fn write_contended_explains(
+    config: &ContendedConfig,
+    report: &BrokerReport,
+    meta: &ExplainMeta,
+    out: &mut impl Write,
+) -> io::Result<()> {
+    let (world, _) = build_world(config, None);
+    let specs = world.specs(config);
+    write_explains(&world.ctx(config, None), &specs, report, meta, out)
 }
 
 /// [`run_contended_with`], journaling every session transition to
@@ -306,8 +312,7 @@ pub fn run_contended_journaled(
 
     let broker = Broker::new(world.ctx(config, recorder), world.broker_config(config));
     let fleet = world.fleet(config, &specs, &faults).journal(journal);
-    let mut report = broker.drive(&fleet);
-    world.complete(config, &specs, &mut report);
+    let report = broker.drive(&fleet);
     let result = summarize(config, &report);
     (result, report)
 }
@@ -332,9 +337,7 @@ pub fn recover_contended(
 
     let broker = Broker::new(world.ctx(config, recorder), world.broker_config(config));
     let fleet = world.fleet(config, &specs, &faults).journal(journal);
-    let mut rec = broker.recover(&fleet)?;
-    world.complete(config, &specs, &mut rec.report);
-    Ok(rec)
+    broker.recover(&fleet)
 }
 
 fn summarize(config: &ContendedConfig, report: &BrokerReport) -> ContendedResult {
@@ -401,9 +404,24 @@ mod tests {
         assert_eq!(sa, sb, "metric snapshot differs between same-seed runs");
     }
 
+    /// The artifact of `report`, a run of `config`, as JSON lines.
+    fn artifact_text(config: &ContendedConfig, report: &BrokerReport) -> String {
+        let policy = config.explain.expect("explain was requested");
+        let meta = ExplainMeta {
+            source: "test".into(),
+            seed: config.seed,
+            sessions: config.sessions as u64,
+            top_k: policy.top_k as u64,
+            sample_every: policy.sample_every,
+            sample_seed: policy.seed,
+        };
+        let mut out = Vec::new();
+        write_contended_explains(config, report, &meta, &mut out).expect("a Vec takes every write");
+        String::from_utf8(out).expect("JSON text is UTF-8")
+    }
+
     #[test]
     fn explain_artifacts_are_byte_identical_for_the_same_seed() {
-        use nod_qosneg::explain::{ExplainArtifact, ExplainMeta};
         let config = ContendedConfig {
             seed: 23,
             sessions: 48,
@@ -414,23 +432,7 @@ mod tests {
             explain: Some(RetentionPolicy::default()),
             ..ContendedConfig::default()
         };
-        let artifact = || {
-            let (_, report) = run_contended_with(&config, None);
-            let data = report.explains.expect("explain was requested");
-            let policy = config.explain.unwrap();
-            ExplainArtifact::new(
-                ExplainMeta {
-                    source: "test".into(),
-                    seed: config.seed,
-                    sessions: config.sessions as u64,
-                    top_k: policy.top_k as u64,
-                    sample_every: policy.sample_every,
-                    sample_seed: policy.seed,
-                },
-                data,
-            )
-            .to_jsonl()
-        };
+        let artifact = || artifact_text(&config, &run_contended_with(&config, None).1);
         let a1 = artifact();
         let a2 = artifact();
         assert!(
@@ -446,6 +448,7 @@ mod tests {
 
     #[test]
     fn explain_retains_every_failure_with_refusal_shortfalls() {
+        use nod_qosneg::explain::ExplainArtifact;
         let config = ContendedConfig {
             seed: 5,
             sessions: 32,
@@ -457,6 +460,7 @@ mod tests {
             ..ContendedConfig::default()
         };
         let (result, report) = run_contended_with(&config, None);
+        let art = ExplainArtifact::from_jsonl(&artifact_text(&config, &report)).expect("parses");
         let data = report.explains.expect("explain was requested");
         let failed = config.sessions - result.admitted;
         assert!(failed > 0, "run must actually refuse sessions");
@@ -479,10 +483,11 @@ mod tests {
         );
         // Ledger rows cover exactly the admitted sessions.
         assert_eq!(data.ledger.len(), result.admitted);
-        assert!(data
+        assert_eq!(art.ledger.len(), result.admitted);
+        assert!(art
             .ledger
             .iter()
-            .all(|row| row.depart_ms > row.admit_ms && !row.streams().is_empty()));
+            .all(|row| row.depart_ms > row.admit_ms && !row.streams.is_empty()));
     }
 
     #[test]

@@ -22,8 +22,8 @@ pub use blocking::{
     NegotiatorKind,
 };
 pub use contended::{
-    recover_contended, run_contended, run_contended_journaled, run_contended_with, ContendedConfig,
-    ContendedResult,
+    recover_contended, run_contended, run_contended_journaled, run_contended_with,
+    write_contended_explains, ContendedConfig, ContendedResult,
 };
 pub use population::{UserClass, UserPopulation};
 pub use scenario::Scenario;

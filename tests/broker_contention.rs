@@ -5,7 +5,8 @@
 //! injection must replay bit-for-bit under the same seed.
 
 use news_on_demand::broker::{
-    Broker, BrokerConfig, EventRetention, FleetSpec, OutcomeKind, SessionFate, SessionSpec,
+    ledger_rows, Broker, BrokerConfig, EventRetention, FaultPlan, FleetSpec, OutcomeKind,
+    SessionFate, SessionSpec,
 };
 use news_on_demand::client::ClientMachine;
 use news_on_demand::cmfs::{Guarantee, ServerConfig, ServerFarm};
@@ -177,7 +178,7 @@ fn sixty_four_sessions_contend_for_a_thirty_two_stream_farm() {
         report.admitted
     );
     // Terminal refusals all carry a paper status.
-    for e in &report.events {
+    for e in report.events.iter() {
         if let OutcomeKind::Rejected { status } = &e.kind {
             assert!(
                 matches!(
@@ -481,7 +482,7 @@ fn windows_only_retention_folds_the_log_it_drops() {
     assert!(lean.events.is_empty(), "WindowsOnly drops the raw log");
     assert_eq!(
         lean.windows,
-        news_on_demand::broker::fleet_windows(&full.events, 1_000),
+        news_on_demand::broker::fleet_windows(full.events.iter(), 1_000),
         "streamed windows must equal the post-hoc fold"
     );
     assert_eq!(lean.windows, full.windows);
@@ -592,7 +593,8 @@ fn overload_story_is_unchanged_by_how_the_walk_asks() {
     // records: the numbers below were recorded from the commit whose walk
     // re-asked every offer.
     use news_on_demand::obs::RetentionPolicy;
-    use news_on_demand::qosneg::explain::{ExplainArtifact, ExplainMeta};
+    use news_on_demand::qosneg::explain::ExplainMeta;
+    use news_on_demand::workload::write_contended_explains;
     let policy = RetentionPolicy::default();
     let config = ContendedConfig {
         seed: 1996,
@@ -608,18 +610,17 @@ fn overload_story_is_unchanged_by_how_the_walk_asks() {
     let (result, report) = run_contended_with(&config, None);
     assert_eq!(result.leaked_streams, 0);
     let log = format!("{:?}", report.events);
-    let artifact = ExplainArtifact::new(
-        ExplainMeta {
-            source: "test".into(),
-            seed: config.seed,
-            sessions: config.sessions as u64,
-            top_k: policy.top_k as u64,
-            sample_every: policy.sample_every,
-            sample_seed: policy.seed,
-        },
-        report.explains.expect("explain was requested"),
-    )
-    .to_jsonl();
+    let meta = ExplainMeta {
+        source: "test".into(),
+        seed: config.seed,
+        sessions: config.sessions as u64,
+        top_k: policy.top_k as u64,
+        sample_every: policy.sample_every,
+        sample_seed: policy.seed,
+    };
+    let mut artifact = Vec::new();
+    write_contended_explains(&config, &report, &meta, &mut artifact).expect("writes");
+    let artifact = String::from_utf8(artifact).expect("JSON text is UTF-8");
     // Pinned from that commit, seed 1996.
     assert_eq!(
         (result.admitted, result.starved, result.retries),
@@ -638,5 +639,93 @@ fn overload_story_is_unchanged_by_how_the_walk_asks() {
         (artifact.len(), fnv1a(artifact.as_bytes())),
         (760_566, 0x86ea_761d_128e_f391),
         "explain artifact"
+    );
+}
+
+/// A drive's capacity ledger keeps only each commit's session, offer and
+/// instant; the rows derived from it must say what the outcome log says.
+/// Over seeded fleets — choice periods (the commit precedes the admission
+/// the hold starts at), retries, fault windows, holds from the spec or
+/// from the document — every derived row's `admit_ms` is its session's
+/// commit instant and its `depart_ms` that session's `Departed` instant,
+/// and every session the log admits has exactly one row.
+#[test]
+fn derived_ledger_rows_match_the_outcome_log() {
+    use news_on_demand::obs::RetentionPolicy;
+    let clients = clients();
+    let profile = tv_news_profile();
+    let mut rng = StreamRng::new(0x001E_D6E5);
+    let (mut choice_periods, mut retried, mut faulted) = (0, 0, 0);
+    for case in 0..24 {
+        let w = world(100 + case);
+        let sessions = 16 + rng.below(48) as usize;
+        let gap_ms = 50 + rng.below(400);
+        let fixed_hold = rng.below(2) == 0;
+        let specs: Vec<SessionSpec> = (0..sessions)
+            .map(|i| SessionSpec {
+                client: &clients[i % clients.len()],
+                document: DocumentId(1 + rng.below(8)),
+                profile: &profile,
+                arrival_ms: i as u64 * gap_ms,
+                hold_ms: fixed_hold.then(|| 1_000 + rng.below(20_000)),
+            })
+            .collect();
+        let windows = rng.below(4) as usize;
+        let faults = FaultPlan::seeded(
+            &mut rng,
+            &w.farm.ids(),
+            &w.network.topology().link_ids(),
+            sessions as u64 * gap_ms + 20_000,
+            windows,
+        );
+        let choice_period_ms = [0, 1 + rng.below(900)][rng.below(2) as usize];
+        choice_periods += usize::from(choice_period_ms > 0);
+        let config = BrokerConfig {
+            seed: case,
+            choice_period_ms,
+            ..BrokerConfig::era_default()
+        };
+        let broker = Broker::new(ctx(&w), config);
+        let fleet = FleetSpec::new(&specs)
+            .faults(&faults)
+            .explain(RetentionPolicy::default());
+        let report = broker.drive(&fleet);
+        assert_eq!(report.leaked_streams, 0);
+        let (mut admitted_at, mut departed_at) = (vec![None; sessions], vec![None; sessions]);
+        for e in report.events.iter() {
+            match e.kind {
+                OutcomeKind::Admitted { .. } => admitted_at[e.session] = Some(e.at_ms),
+                OutcomeKind::Departed => departed_at[e.session] = Some(e.at_ms),
+                _ => {}
+            }
+        }
+        let rows: Vec<_> = ledger_rows(broker.session().context(), &specs, &report).collect();
+        let mut rowed = vec![0; sessions];
+        for row in &rows {
+            let i = row.session as usize;
+            rowed[i] += 1;
+            assert_eq!(
+                Some(row.admit_ms),
+                admitted_at[i],
+                "case {case}: session {i} commit"
+            );
+            assert_eq!(
+                Some(row.depart_ms),
+                departed_at[i],
+                "case {case}: session {i} departure"
+            );
+            assert!(!row.streams.is_empty());
+        }
+        let admitted: Vec<usize> = admitted_at
+            .iter()
+            .map(|a| usize::from(a.is_some()))
+            .collect();
+        assert_eq!(rowed, admitted, "case {case}: one row per admitted session");
+        retried += usize::from(report.retries > 0);
+        faulted += usize::from(report.faults_injected > 0);
+    }
+    assert!(
+        choice_periods >= 6 && retried >= 6 && faulted >= 6,
+        "{choice_periods} cases had a choice period, {retried} retries, {faulted} faults"
     );
 }

@@ -34,8 +34,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use news_on_demand::broker::{
-    crc32, Broker, BrokerConfig, BrokerReport, CapacitySnapshot, FleetSpec, Journal, JournalConfig,
-    JournalError, OutcomeEvent, OutcomeKind, RecoveryReport, SessionSpec,
+    crc32, ledger_rows, Broker, BrokerConfig, BrokerReport, CapacitySnapshot, FleetSpec, Journal,
+    JournalConfig, JournalError, OutcomeEvent, OutcomeKind, RecoveryReport, SessionSpec,
 };
 use news_on_demand::client::ClientMachine;
 use news_on_demand::cmfs::{Guarantee, ServerConfig, ServerFarm};
@@ -43,7 +43,6 @@ use news_on_demand::mmdb::{Catalog, CorpusBuilder, CorpusParams};
 use news_on_demand::mmdoc::{ClientId, DocumentId, ServerId};
 use news_on_demand::netsim::{Network, Topology};
 use news_on_demand::obs::RetentionPolicy;
-use news_on_demand::qosneg::explain::Held;
 use news_on_demand::qosneg::mapping::charged_bit_rate;
 use news_on_demand::qosneg::negotiate::{reprepare, NegotiationContext, Prepared, StreamingMode};
 use news_on_demand::qosneg::profile::tv_news_profile;
@@ -130,7 +129,7 @@ fn recover_from(bytes: Vec<u8>) -> Result<RecoveryReport, JournalError> {
 }
 
 /// Gate 3: exactly-once settlement over one combined outcome log.
-fn assert_exactly_once(sessions: usize, combined: &[&OutcomeEvent]) {
+fn assert_exactly_once(sessions: usize, combined: &[OutcomeEvent]) {
     let mut confirmed = vec![0u32; sessions];
     let mut departed = vec![0u32; sessions];
     let mut terminal = vec![0u32; sessions];
@@ -164,9 +163,10 @@ fn assert_recovery(full: &BrokerReport, rec: &RecoveryReport, cut: usize) {
         "cut {cut}: suffix start {at} past the full log ({})",
         full.events.len()
     );
+    let full_events: Vec<OutcomeEvent> = full.events.iter().collect();
     assert_eq!(
-        rec.report.events,
-        &full.events[at..],
+        rec.report.events.iter().collect::<Vec<_>>(),
+        full_events[at..],
         "cut {cut}: resumed outcome log is not the byte-identical suffix"
     );
     assert_eq!(
@@ -182,8 +182,7 @@ fn assert_recovery(full: &BrokerReport, rec: &RecoveryReport, cut: usize) {
         rec.report.leaked_streams, 0,
         "cut {cut}: recovered run leaked reservations"
     );
-    let combined: Vec<&OutcomeEvent> = full.events[..at]
-        .iter()
+    let combined: Vec<OutcomeEvent> = (full_events.into_iter().take(at))
         .chain(rec.report.events.iter())
         .collect();
     assert_exactly_once(full.results.len(), &combined);
@@ -855,8 +854,17 @@ fn restored_capacity_is_what_the_run_held_at_each_snapshot() {
         .explain(RetentionPolicy::default());
     let full = drive.drive(&fleet);
     assert!(full.retries > 0, "the links must contend");
-    let ledger = full.explains.expect("explain was requested").ledger;
     let ctx = drive.session().context();
+    let ledger = &full
+        .explains
+        .as_ref()
+        .expect("explain was requested")
+        .ledger;
+    // Each commit with the instants its derived row holds it between.
+    let held: Vec<_> = (ledger.iter())
+        .zip(ledger_rows(ctx, &specs, &full))
+        .map(|(entry, row)| (entry.session, entry.offer, row.admit_ms, row.depart_ms))
+        .collect();
     let bytes = journal.bytes();
     let mut holding = 0;
     for frame in snapshot_frames(&bytes) {
@@ -865,15 +873,12 @@ fn restored_capacity_is_what_the_run_held_at_each_snapshot() {
         let at_ms = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
         let mut servers = vec![Vec::new(); 2];
         let mut links = vec![0u64; original.network.topology().link_ids().len()];
-        for row in (ledger.iter()).filter(|r| r.admit_ms <= at_ms && at_ms < r.depart_ms) {
-            let Held::Offer(index) = row.held else {
-                panic!("a drive's ledger row names its offer")
-            };
-            let spec = &specs[row.session as usize];
+        for &(session, index, ..) in (held.iter()).filter(|h| h.2 <= at_ms && at_ms < h.3) {
+            let spec = &specs[session as usize];
             let Ok(Prepared::Offers(mut ranked, ..)) =
                 reprepare(ctx, spec.client, spec.document, spec.profile)
             else {
-                panic!("session {} was admitted from a list", row.session)
+                panic!("session {session} was admitted from a list")
             };
             for v in ranked.materialize(index as usize).offer.variants {
                 servers[v.server.0 as usize].push(v.id);
@@ -918,6 +923,24 @@ fn scanning_record_ends_copies_no_journal() {
         fresh < bytes.len() as u64,
         "scanning {} journal bytes allocated {fresh} fresh bytes",
         bytes.len()
+    );
+}
+
+/// The record ends are counted before they are stored: scanning makes one
+/// allocation, of exactly one `usize` per event record.
+#[test]
+fn record_ends_are_one_allocation_of_their_exact_length() {
+    let (full, bytes) = full_run();
+    let journal = Journal::from_bytes(bytes, chaos_journal_cfg());
+    let (allocations, fresh) = (ALLOCATIONS.with(Cell::get), FRESH_BYTES.with(Cell::get));
+    let ends = journal.event_record_ends();
+    let allocations = ALLOCATIONS.with(Cell::get) - allocations;
+    let fresh = FRESH_BYTES.with(Cell::get) - fresh;
+    assert_eq!(ends.len(), full.events.len());
+    assert_eq!(ends.capacity(), ends.len());
+    assert_eq!(
+        (allocations, fresh),
+        (1, (std::mem::size_of::<usize>() * ends.len()) as u64)
     );
 }
 
