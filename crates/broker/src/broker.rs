@@ -44,19 +44,18 @@ use nod_obs::{
     interned_key, Counter, Histogram, HistogramSnapshot, Recorder, SloAlert, SloMonitor, Span,
     TailKeeper, Tracer, ValueHistogram,
 };
-use nod_qosneg::classify::ScoredOffer;
 use nod_qosneg::explain::{
-    write_jsonl, AttemptExplain, DecisionLog, ExplainData, ExplainMeta, LedgerRow, SessionExplain,
-    Settlement, StreamRow,
+    write_jsonl, AttemptExplain, DecisionLog, ExplainData, ExplainMeta, LedgerRow, RefusalKind,
+    RefusalRecord, SessionExplain, Settlement, StreamRow,
 };
 use nod_qosneg::mapping::charged_bit_rate;
 use nod_qosneg::negotiate::{
-    commit_prepared, explain_attempts, prepare, record_outcome, reprepare, CommitFailure,
-    NegotiationContext, Prepared, SessionReservation,
+    commit_prepared, explain_attempts, prepare, record_outcome, reprepare, NegotiationContext,
+    Prepared, SessionReservation,
 };
 use nod_qosneg::{
-    Attempt, Effect, Input, Lifecycle, NegotiationStatus, Phase, QosError, Reserved, RetryPolicy,
-    Rules, Session, SessionFate, UserProfile,
+    Attempt, Effect, Input, Lifecycle, NegotiationStatus, OfferEngine, Phase, QosError,
+    RankedOffers, Reserved, RetryPolicy, Rules, Session, SessionFate, UserProfile,
 };
 use nod_simcore::{EventQueue, SimTime, StreamRng};
 
@@ -341,16 +340,16 @@ struct SessionAcc {
     settlement: Option<Settlement>,
 }
 
-/// Classify a FAILEDTRYLATER's commit failures by what the session will
-/// be waiting *for* — the label wait-time attribution splits backoff by.
-fn refusal_reason(failures: &[(usize, CommitFailure)]) -> &'static str {
+/// Classify a FAILEDTRYLATER's refusals by what the session will be
+/// waiting *for* — the label wait-time attribution splits backoff by.
+fn refusal_reason(refusals: &[RefusalRecord]) -> &'static str {
     let mut server = false;
     let mut network = false;
-    for (_, f) in failures {
-        match f {
-            CommitFailure::Server { .. } => server = true,
-            CommitFailure::Network { .. } | CommitFailure::PathQos { .. } => network = true,
-            CommitFailure::DecodeBudget | CommitFailure::Startup { .. } => {}
+    for r in refusals {
+        match r.kind() {
+            RefusalKind::Server => server = true,
+            RefusalKind::Network | RefusalKind::PathQos => network = true,
+            RefusalKind::DecodeBudget | RefusalKind::Startup => {}
         }
     }
     match (server, network) {
@@ -398,13 +397,15 @@ impl Metrics {
     }
 }
 
-/// The streams `offer` holds, each with the network bandwidth reserved
-/// for it: discrete media are delivered ahead of playout and hold none.
+/// The streams of the offer at enumeration `rank` of `engine`, read by
+/// reference, each with the network bandwidth reserved for it: discrete
+/// media are delivered ahead of playout and hold none.
 fn held_streams(
-    offer: &ScoredOffer,
+    engine: &OfferEngine,
+    rank: u64,
     guarantee: Guarantee,
 ) -> impl Iterator<Item = (&Variant, Option<u64>)> {
-    (offer.offer.variants.iter()).map(move |v| {
+    engine.streams_at(rank).map(move |(v, ..)| {
         (
             v,
             (v.blocks_per_second > 0).then(|| charged_bit_rate(v, guarantee)),
@@ -697,7 +698,6 @@ impl<'a> Broker<'a> {
             keeper: fleet.explain.map(TailKeeper::new),
             ledger: Vec::new(),
             spare_attempts: Vec::new(),
-            spare_log: None,
             journal: fleet.journal,
             snapshot_due: false,
             replay,
@@ -893,12 +893,13 @@ pub fn ledger_rows<'r>(
             } => departure_ms(ctx.catalog, spec, start_ms),
             _ => entry.admit_ms,
         };
-        let offer = held_offer(ctx, spec, entry.offer)
+        let (ranked, rank) = held_offer(ctx, spec, entry.offer)
             .expect("steps 1-4 rebuild the list an admission reserved from");
-        let streams = held_streams(&offer, ctx.guarantee).map(|(v, bps)| StreamRow {
-            server: v.server.0,
-            bps: bps.unwrap_or(0),
-        });
+        let streams =
+            held_streams(ranked.engine(), rank, ctx.guarantee).map(|(v, bps)| StreamRow {
+                server: v.server.0,
+                bps: bps.unwrap_or(0),
+            });
         LedgerRow {
             session: i as u64,
             admit_ms: entry.admit_ms,
@@ -934,17 +935,18 @@ pub fn write_explains(
     write_jsonl(out, meta, rows, sessions, &data.stats)
 }
 
-/// The offer at classified `index` of the list steps 1–4 rebuild for
-/// `spec` — the offer a session that reserved that index committed —
-/// or `None` when the list is shorter.
+/// The list steps 1–4 rebuild for `spec` with the enumeration rank of
+/// its offer at classified `index` — the offer a session that reserved
+/// that index committed — or `None` when the list is shorter.
 fn held_offer(
     ctx: &NegotiationContext<'_>,
     spec: &SessionSpec<'_>,
     index: u32,
-) -> Option<ScoredOffer> {
+) -> Option<(RankedOffers, u64)> {
     match reprepare(ctx, spec.client, spec.document, spec.profile) {
         Ok(Prepared::Offers(mut ranked, ..)) if (index as usize) < ranked.len() => {
-            Some(ranked.materialize(index as usize))
+            let rank = ranked.entry(index as usize).rank;
+            Some((ranked, rank))
         }
         _ => None,
     }
@@ -978,10 +980,9 @@ struct DriveLoop<'e, 'a> {
     keeper: Option<TailKeeper<SessionExplain>>,
     /// Capacity ledger, one entry per commit, in commit order.
     ledger: Vec<LedgerEntry>,
-    /// Emptied explain buffers of the last dropped session and of the last
-    /// attempt, reused so explaining does not allocate them every time.
+    /// The emptied attempt buffer of the last dropped session, reused so
+    /// explaining does not allocate one for every session.
     spare_attempts: Vec<AttemptExplain>,
-    spare_log: Option<Box<DecisionLog>>,
     /// The write-ahead journal ([`FleetSpec::journal`]), when attached.
     journal: Option<&'e Journal>,
     /// The journal's snapshot cadence fired; cut one at this tick's end.
@@ -1124,13 +1125,13 @@ impl<'a> DriveLoop<'_, 'a> {
             let index = held.offer;
             let spec = &self.specs[i];
             let failed = |what: String| JournalError::RestoreFailed(format!("session {i} {what}"));
-            let offer = held_offer(ctx, spec, index)
+            let (ranked, rank) = held_offer(ctx, spec, index)
                 .ok_or_else(|| failed(format!("has no offer {index} on its list")))?;
             // Re-reserve stream by stream into the slab-resident
             // reservation, so a refusal partway leaves everything made so
             // far where `release_all` finds it.
             let res = &mut held.reservation;
-            for (v, net_bps) in held_streams(&offer, ctx.guarantee) {
+            for (v, net_bps) in held_streams(ranked.engine(), rank, ctx.guarantee) {
                 let req = StreamRequirement::for_variant(v, ctx.guarantee);
                 let rid = (ctx.farm.try_reserve(v.server, req))
                     .map_err(|e| failed(format!("on {}: {e:?}", v.server)))?;
@@ -1273,26 +1274,21 @@ impl<'a> DriveLoop<'_, 'a> {
             ..*broker.session.context()
         };
         let explaining = self.keeper.is_some();
-        let mut facts = explaining.then(|| self.spare_log.take().unwrap_or_default());
         // The negotiation's outcome, and what a FAILEDTRYLATER waits for.
         let negotiated = match prepare(&ctx, spec.client, spec.document, spec.profile) {
             // Stringified as `Session::submit` would have returned it.
             Err(err) => Err(QosError::from(err).to_string()),
-            Ok(Prepared::Early(mut out)) => {
+            Ok(Prepared::Early(out)) => {
                 // The fused negotiate path would have emitted the
                 // terminal outcome itself; the split path does it here.
                 // An early status is a refusal no retry can change.
                 if let Some(rec) = broker.recorder {
                     record_outcome(rec, out.status);
                 }
-                if let Some(log) = facts.as_deref_mut() {
-                    log.status = Some(out.status);
-                }
-                out.decisions = facts;
                 Ok((*out, "other"))
             }
             Ok(Prepared::Offers(ordered, trace, _)) => {
-                let out = commit_prepared(&ctx, spec.client, spec.profile, ordered, trace, facts);
+                let out = commit_prepared(&ctx, spec.client, spec.profile, ordered, trace, None);
                 if let Some(index) = out.reserved_index.filter(|_| explaining) {
                     // The committed offer becomes a capacity-ledger entry.
                     self.ledger.push(LedgerEntry {
@@ -1301,7 +1297,7 @@ impl<'a> DriveLoop<'_, 'a> {
                         admit_ms: now_ms,
                     });
                 }
-                let reason = refusal_reason(&out.commit_failures);
+                let reason = refusal_reason(&out.refusals);
                 Ok((out, reason))
             }
         };
@@ -1315,32 +1311,27 @@ impl<'a> DriveLoop<'_, 'a> {
             ),
             Ok((mut out, reason)) => {
                 let refusal = OutcomeKind::Rejected { status: out.status };
-                (Attempt::of(&mut out), refusal, reason, out.decisions)
+                // The attempt's live facts, its refusals at their exact
+                // count.
+                let facts = explaining.then(|| DecisionLog {
+                    refusals: out.refusals.to_vec(),
+                    chosen_rank: out.reserved_index.map(|idx| idx as u64),
+                    status: Some(out.status),
+                    ..DecisionLog::default()
+                });
+                (Attempt::of(&mut out), refusal, reason, facts)
             }
         };
         if let Some(a) = attempt_span {
             a.end();
         }
-        if let Some(mut d) = decisions {
-            // The attempt keeps its facts, its refusals at their exact
-            // count; the log goes back to the spare, its buffer cleared.
+        if let Some(decisions) = decisions {
             if let Some(acc) = self.session(i).explain.as_mut() {
                 acc.attempts.push(AttemptExplain {
                     at_ms: now_ms,
-                    decisions: DecisionLog {
-                        refusals: d.refusals.to_vec(),
-                        chosen_rank: d.chosen_rank,
-                        status: d.status,
-                        ..DecisionLog::default()
-                    },
+                    decisions,
                 });
             }
-            d.refusals.clear();
-            *d = DecisionLog {
-                refusals: std::mem::take(&mut d.refusals),
-                ..DecisionLog::default()
-            };
-            self.spare_log = Some(d);
         }
         let config = &broker.config;
         let st = self.session(i);

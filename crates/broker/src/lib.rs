@@ -9,11 +9,12 @@
 //!   to a million — against one shared farm + network on a deterministic
 //!   virtual-time event loop, interpreting each request's
 //!   [`RetryPolicy`](nod_qosneg::RetryPolicy) — FAILEDTRYLATER refusals
-//!   whose commit failures are load-dependent
-//!   ([`CommitFailure::transient`](nod_qosneg::CommitFailure::transient))
-//!   back off exponentially with seeded jitter and try again; admitted
-//!   sessions hold resources for their document's duration and release
-//!   them on departure, which is exactly what lets later retries succeed.
+//!   that depended on load (the `transient` flag
+//!   [`Attempt::of`](nod_qosneg::Attempt::of) reads off the walk's
+//!   refusal records) back off exponentially with seeded jitter and try
+//!   again; admitted sessions hold resources for their document's
+//!   duration and release them on departure, which is exactly what lets
+//!   later retries succeed.
 //!   Every attempt runs steps 1–5 on that one loop in exact event order
 //!   — same seed, same outcome log. Live state sits in a recycled
 //!   [`Slab`] arena sized by *peak concurrency*, not total volume, and

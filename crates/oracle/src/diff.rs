@@ -328,7 +328,9 @@ fn expected_fate(reference: &Result<RefOutcome, RefError>) -> SessionFate {
                     || out.refusals.iter().any(|(_, r)| {
                         matches!(
                             r,
-                            RefRefusal::Server | RefRefusal::Network | RefRefusal::PathQos
+                            RefRefusal::Server { .. }
+                                | RefRefusal::Network { .. }
+                                | RefRefusal::PathQos { .. }
                         )
                     });
                 if transient {
@@ -441,20 +443,16 @@ fn compare_path(
         }
     }
 
-    // Step-5 refusal log.
-    let got_failures: Vec<(usize, &'static str)> = outcome
-        .commit_failures
-        .iter()
-        .map(|(i, f)| (*i, f.kind()))
+    // Step-5 refusal log: who refused each offer, and why.
+    let got_refusals: Vec<(u64, &'static str, Option<u64>)> = (outcome.refusals.iter())
+        .map(|r| (r.rank(), r.kind().as_str(), r.server()))
         .collect();
-    let want_failures: Vec<(usize, &'static str)> = reference
-        .refusals
-        .iter()
-        .map(|(i, r)| (*i, r.kind()))
+    let want_refusals: Vec<(u64, &'static str, Option<u64>)> = (reference.refusals.iter())
+        .map(|(i, r)| (*i as u64, r.kind(), r.server().map(|s| s.0)))
         .collect();
-    if got_failures != want_failures {
+    if got_refusals != want_refusals {
         return diverge(format!(
-            "commit failures {got_failures:?} != reference {want_failures:?}"
+            "refusals {got_refusals:?} != reference {want_refusals:?}"
         ));
     }
 

@@ -7,8 +7,9 @@
 //! it replays the negotiation with `explain` enabled and asserts that the
 //! resulting [`DecisionLog`](nod_qosneg::explain::DecisionLog):
 //!
-//! * names the same commit-refusal kinds, offer by offer, in the same
-//!   attempt order as the reference's step-5 refusal log;
+//! * names the same commit-refusal kinds and refusing servers, offer by
+//!   offer, in the same attempt order as the reference's step-5 refusal
+//!   log;
 //! * reports the reference's winning-offer rank as `chosen_rank`;
 //! * decomposes scores consistently — each recorded row cites the
 //!   reference offer at its rank (variants, servers, SNS, bit-exact
@@ -16,8 +17,7 @@
 //!   (+ copyright) sum reproduces CostDoc;
 //! * and that explaining changed nothing: the explained outcome equals the
 //!   plain one (same walk, explain off, fresh world) on status, reserved
-//!   index and offer, the `(index, CommitFailure)` list and the attempt
-//!   count.
+//!   index and offer, the refusal records and the attempt count.
 //!
 //! Any violation is a [`Divergence`] on the `explain` path, shrinkable
 //! like any other.
@@ -103,7 +103,7 @@ fn check_same_outcome(
             ("status", format!("{:?}", o.status)),
             ("reserved_index", format!("{:?}", o.reserved_index)),
             ("reserved_offer", format!("{:?}", o.reserved_offer)),
-            ("commit_failures", format!("{:?}", o.commit_failures)),
+            ("refusals", format!("{:?}", o.refusals)),
             (
                 "reservation_attempts",
                 o.trace.reservation_attempts.to_string(),
@@ -119,20 +119,17 @@ fn check_same_outcome(
 }
 
 /// The log's refusal citations must be the reference's step-5 refusal
-/// log, `(rank, kind)` for `(classified index, kind)`, in attempt order.
+/// log, `(rank, kind, server)` for `(classified index, kind, server)`, in
+/// attempt order.
 fn check_refusals(
     decisions: &nod_qosneg::explain::DecisionLog,
     reference: &RefOutcome,
 ) -> Result<(), String> {
-    let got: Vec<(u64, &str)> = decisions
-        .refusals
-        .iter()
-        .map(|r| (r.rank(), r.kind().as_str()))
+    let got: Vec<(u64, &str, Option<u64>)> = (decisions.refusals.iter())
+        .map(|r| (r.rank(), r.kind().as_str(), r.server()))
         .collect();
-    let want: Vec<(u64, &str)> = reference
-        .refusals
-        .iter()
-        .map(|(i, r)| (*i as u64, r.kind()))
+    let want: Vec<(u64, &str, Option<u64>)> = (reference.refusals.iter())
+        .map(|(i, r)| (*i as u64, r.kind(), r.server().map(|s| s.0)))
         .collect();
     if got != want {
         return Err(format!("refusal citations {got:?} != reference {want:?}"));

@@ -83,31 +83,50 @@ pub struct RefOffer {
     pub enumeration_index: usize,
 }
 
-/// Why one step-5 commitment attempt was refused (mirrors the pipeline's
-/// diagnostic kinds by label only).
+/// Why one step-5 commitment attempt was refused, and who refused it
+/// (mirrors the pipeline's refusal kinds by label, and its server).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefRefusal {
     /// Concurrent decode budget exceeded.
     DecodeBudget,
-    /// No path, or path metrics violate the §6 constants.
-    PathQos,
+    /// No path to `server`, or its metrics violate the §6 constants.
+    PathQos {
+        /// The stream's server.
+        server: ServerId,
+    },
     /// Startup estimate exceeds the time profile.
     Startup,
-    /// Server admission refused.
-    Server,
-    /// Network bandwidth reservation refused.
-    Network,
+    /// `server` refused admission.
+    Server {
+        /// The refusing server.
+        server: ServerId,
+    },
+    /// The path to `server` could not carry the stream's bandwidth.
+    Network {
+        /// The stream's server.
+        server: ServerId,
+    },
 }
 
 impl RefRefusal {
-    /// The pipeline's `CommitFailure::kind()` label for this refusal.
+    /// The pipeline's `RefusalKind` label for this refusal.
     pub fn kind(&self) -> &'static str {
         match self {
             RefRefusal::DecodeBudget => "decode_budget",
-            RefRefusal::PathQos => "path_qos",
+            RefRefusal::PathQos { .. } => "path_qos",
             RefRefusal::Startup => "startup",
-            RefRefusal::Server => "server",
-            RefRefusal::Network => "network",
+            RefRefusal::Server { .. } => "server",
+            RefRefusal::Network { .. } => "network",
+        }
+    }
+
+    /// The implicated server, when the refusal names one.
+    pub fn server(&self) -> Option<ServerId> {
+        match *self {
+            RefRefusal::PathQos { server }
+            | RefRefusal::Server { server }
+            | RefRefusal::Network { server } => Some(server),
+            RefRefusal::DecodeBudget | RefRefusal::Startup => None,
         }
     }
 }
@@ -429,7 +448,7 @@ fn sequential_commit(
         let metrics = match ctx.network.path_metrics(client.id, v.server) {
             Ok(m) if path_supports(&spec, &m) => m,
             _ => {
-                failure = Some(RefRefusal::PathQos);
+                failure = Some(RefRefusal::PathQos { server: v.server });
                 break 'commit;
             }
         };
@@ -451,7 +470,7 @@ fn sequential_commit(
         match ctx.farm.try_reserve(v.server, req) {
             Ok(id) => held_servers.push((v.server, id)),
             Err(_) => {
-                failure = Some(RefRefusal::Server);
+                failure = Some(RefRefusal::Server { server: v.server });
                 break 'commit;
             }
         }
@@ -461,7 +480,7 @@ fn sequential_commit(
             match ctx.network.try_reserve(client.id, v.server, bps) {
                 Ok(id) => held_nets.push(id),
                 Err(_) => {
-                    failure = Some(RefRefusal::Network);
+                    failure = Some(RefRefusal::Network { server: v.server });
                     break 'commit;
                 }
             }

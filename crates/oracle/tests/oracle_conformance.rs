@@ -88,7 +88,7 @@ fn shrinker_reduces_a_seeded_scenario_to_two_by_two() {
             Ok(out) => out
                 .refusals
                 .iter()
-                .any(|(_, r)| matches!(r, RefRefusal::Server | RefRefusal::Network)),
+                .any(|(_, r)| matches!(r, RefRefusal::Server { .. } | RefRefusal::Network { .. })),
             Err(_) => false,
         }
     };

@@ -11,11 +11,11 @@
 //!
 //! [`adapt`] is therefore step 5 again, over the session's own
 //! [`RankedOffers`]: the same commit walk negotiation runs (the per-offer
-//! decode check, the refused-prefix memo, the [`CommitRefusal`]s behind
-//! an [`AdaptationRecord`]), from a fresh cursor, passing over the current
-//! offer and without the startup bound.
+//! decode check, the refused-prefix memo, the [`RefusalRecord`]s an
+//! [`AdaptationRecord`] keeps), from a fresh cursor, passing over the
+//! current offer and without the startup bound.
 //!
-//! [`CommitRefusal`]: crate::negotiate::CommitRefusal
+//! [`RefusalRecord`]: crate::explain::RefusalRecord
 
 use nod_client::ClientMachine;
 
@@ -113,12 +113,11 @@ pub fn adapt(
     // user is already watching; the switch is best-effort fast.
     let mut walk = CommitWalk::new(ctx, client, u64::MAX);
     // "except the current one (which is in difficulty)"
-    let (attempts, committed) =
-        walk.first_fit(ordered_offers, Some(current_index), |idx, refusal| {
-            if let Some(r) = record.as_deref_mut() {
-                r.attempts.push(refusal.record(idx));
-            }
-        });
+    let (attempts, committed) = walk.first_fit(ordered_offers, Some(current_index), |refusal| {
+        if let Some(r) = record.as_deref_mut() {
+            r.attempts.push(refusal);
+        }
+    });
     let (new_index, reservation) = committed.unzip();
     if let Some(r) = record.as_deref_mut() {
         r.new_rank = new_index.map(|idx| idx as u64);

@@ -363,13 +363,11 @@ impl OfferEngine {
         })
     }
 
-    /// The chosen variants of the combination at enumeration `rank` with
-    /// their `(CostNetᵢ, CostSerᵢ)`, decoded from the strides, in document
-    /// component order.
-    pub(crate) fn streams_at(
-        &self,
-        rank: u64,
-    ) -> impl Iterator<Item = (&Variant, Money, Money)> + Clone {
+    /// The chosen variants of the combination at enumeration `rank` (a
+    /// [`ScoredCombo::rank`]) with their `(CostNetᵢ, CostSerᵢ)`, decoded
+    /// from the strides, in document component order: an offer's streams
+    /// read by reference, nothing materialized.
+    pub fn streams_at(&self, rank: u64) -> impl Iterator<Item = (&Variant, Money, Money)> + Clone {
         (self.components.iter().zip(self.choices(rank))).map(|(comp, choice)| {
             let i = comp.start + choice;
             (&self.variants[i], self.scores[i].net, self.scores[i].ser)

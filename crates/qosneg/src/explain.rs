@@ -413,6 +413,20 @@ impl RefusalKind {
             RefusalKind::Network => "network",
         }
     }
+
+    /// Would retrying the same offer later plausibly succeed?
+    ///
+    /// Server, network and path-QoS refusals depend on current load —
+    /// they are what FAILEDTRYLATER's "try later" refers to, and release
+    /// of other sessions' resources can clear them. Decode-budget and
+    /// startup refusals are static properties of the client and the
+    /// route; waiting does not change them.
+    pub fn transient(self) -> bool {
+        match self {
+            RefusalKind::Server | RefusalKind::Network | RefusalKind::PathQos => true,
+            RefusalKind::DecodeBudget | RefusalKind::Startup => false,
+        }
+    }
 }
 
 impl std::fmt::Display for RefusalKind {
@@ -443,11 +457,13 @@ impl FromJson for RefusalKind {
     }
 }
 
-/// One refused step-5 (or adaptation) commit, in 40 bytes: a retained
-/// run keeps tens of thousands of them. The shortfall is stored as its
-/// variant and up to three quantities, and a missing server as
-/// `u64::MAX`; the accessors give back the values [`RefusalRecord::new`]
-/// was handed.
+/// One refused step-5 (or adaptation) commit, in 40 bytes: which offer,
+/// what kind of resource said no, the server when one is implicated, and
+/// the concrete shortfall. The walk's only description of a refusal, from
+/// the commit attempt to the artifact line; a retained run keeps tens of
+/// thousands of them. The shortfall is stored as its variant and up to
+/// three quantities, and a missing server as `u64::MAX`; the accessors
+/// give back the values [`RefusalRecord::new`] was handed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefusalRecord {
     rank: u32,
@@ -458,20 +474,28 @@ pub struct RefusalRecord {
 }
 
 impl RefusalRecord {
-    /// The refusal of the offer at classified `rank` ([`CommitFailure::kind`]
-    /// as `kind`), with the refusing server, when one is implicated, and
-    /// the concrete shortfall. Ranks are bounded by the enumeration cap,
-    /// far below `u32::MAX`.
-    ///
-    /// [`CommitFailure::kind`]: crate::negotiate::CommitFailure::kind
+    /// The refusal of the offer at classified `rank`, of `kind`, with the
+    /// refusing server, when one is implicated, and the concrete
+    /// shortfall. Ranks are bounded by the enumeration cap, far below
+    /// `u32::MAX`.
     pub fn new(rank: u64, kind: RefusalKind, server: Option<u64>, shortfall: Shortfall) -> Self {
         let (shortfall_variant, quantities) = shortfall.pack();
         RefusalRecord {
-            rank: u32::try_from(rank).expect("a classified rank fits in u32"),
+            rank: 0,
             kind,
             shortfall_variant,
             server: server.unwrap_or(u64::MAX),
             quantities,
+        }
+        .at_rank(rank)
+    }
+
+    /// The same refusal, cited for the offer at classified `rank`: a
+    /// refused prefix refuses every offer that shares it alike.
+    pub fn at_rank(self, rank: u64) -> Self {
+        RefusalRecord {
+            rank: u32::try_from(rank).expect("a classified rank fits in u32"),
+            ..self
         }
     }
 
@@ -493,6 +517,18 @@ impl RefusalRecord {
     /// The concrete shortfall.
     pub fn shortfall(&self) -> Shortfall {
         Shortfall::unpack(self.shortfall_variant, self.quantities)
+    }
+}
+
+/// The kind, the server when one is implicated, and the shortfall:
+/// `server refusal at srv2: disk round 980+40 µs > 1000 µs`.
+impl std::fmt::Display for RefusalRecord {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} refusal", self.kind)?;
+        if let Some(server) = self.server() {
+            write!(f, " at {}", nod_mmdoc::ServerId(server))?;
+        }
+        write!(f, ": {}", self.shortfall())
     }
 }
 
@@ -1015,6 +1051,68 @@ mod tests {
                 (rank as u64, RefusalKind::Server, server, s)
             );
             assert_eq!(RefusalRecord::from_json(&record.to_json()).unwrap(), record);
+        }
+    }
+
+    #[test]
+    fn transient_follows_load_dependence() {
+        // Load-dependent refusals can clear as other sessions release;
+        // the client's decode budget and the route's startup cannot.
+        let cases = [
+            (RefusalKind::Server, true),
+            (RefusalKind::Network, true),
+            (RefusalKind::PathQos, true),
+            (RefusalKind::DecodeBudget, false),
+            (RefusalKind::Startup, false),
+        ];
+        for (kind, transient) in cases {
+            assert_eq!(kind.transient(), transient, "{kind}");
+        }
+    }
+
+    #[test]
+    fn a_record_renders_its_kind_server_and_shortfall() {
+        let disk = Shortfall::Disk {
+            used_us: 980,
+            requested_us: 40,
+            capacity_us: 1000,
+        };
+        let link = Shortfall::Link {
+            link: 3,
+            requested_bps: 7,
+            available_bps: 2,
+        };
+        let startup = Shortfall::Startup {
+            estimated_ms: 900,
+            limit_ms: 500,
+        };
+        let cases = [
+            (
+                RefusalRecord::new(0, RefusalKind::Server, Some(2), disk),
+                "server refusal at srv2: disk round 980+40 µs > 1000 µs",
+            ),
+            (
+                RefusalRecord::new(1, RefusalKind::Network, Some(4), link),
+                "network refusal at srv4: link 3: requested 7 bps, 2 bps available",
+            ),
+            (
+                RefusalRecord::new(2, RefusalKind::PathQos, Some(0), Shortfall::PathQos),
+                "path_qos refusal at srv0: path QoS out of bounds or unroutable",
+            ),
+            (
+                RefusalRecord::new(3, RefusalKind::Startup, None, startup),
+                "startup refusal: startup 900 ms > 500 ms bound",
+            ),
+            (
+                RefusalRecord::new(4, RefusalKind::DecodeBudget, None, Shortfall::DecodeBudget),
+                "decode_budget refusal: client decode budget exceeded",
+            ),
+        ];
+        for (record, text) in cases {
+            assert_eq!(record.to_string(), text);
+            // The rank is the offer's, not part of the reason.
+            assert_eq!(record.at_rank(9).to_string(), text);
+            assert_eq!(record.at_rank(9).rank(), 9);
         }
     }
 

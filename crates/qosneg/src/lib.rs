@@ -49,9 +49,11 @@
 //! handles advance reservations (a `start_at` time plus an
 //! [`AdvanceBook`]), and [`Session::submit_multidomain`] runs the
 //! hierarchical variant. All errors surface as the single
-//! [`QosError`] enum, whose [`QosError::transient`] predicate tells
-//! callers (e.g. the `nod-broker` retry loop) whether trying again
-//! later can help. The old deprecated free-function entry points
+//! [`QosError`] enum. A refused walk is no error but FAILEDTRYLATER,
+//! and its [`NegotiationOutcome::refusals`] tell callers whether trying
+//! again later can help: [`Attempt::of`] reads each record's
+//! [`RefusalKind::transient`](explain::RefusalKind::transient) for the
+//! `nod-broker` retry loop. The old deprecated free-function entry points
 //! (`negotiate`, `negotiate_future`, `negotiate_multidomain`, and the
 //! baselines) have been removed; the request/session API is the only
 //! entry point.
@@ -106,9 +108,7 @@ pub use lifecycle::{
 pub use manager::{ManagerConfig, QosManager};
 pub use mapping::{map_requirements, NetworkQosSpec};
 pub use money::Money;
-pub use negotiate::{
-    CommitFailure, CommitRefusal, NegotiationOutcome, NegotiationStatus, SessionReservation,
-};
+pub use negotiate::{NegotiationOutcome, NegotiationStatus, SessionReservation};
 pub use offer::{violated_components, OfferSet, SystemOffer, UserOffer};
 pub use profile::{MmQosSpec, TimeProfile, UserProfile};
 pub use request::{NegotiationRequest, Procedure, RetryPolicy, Session};

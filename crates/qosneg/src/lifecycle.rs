@@ -119,10 +119,10 @@ impl Attempt<SessionReservation> {
     /// An empty refusal log counts as transient.
     pub fn of(outcome: &mut NegotiationOutcome) -> Self {
         let Some(reservation) = outcome.reservation.take() else {
-            let failures = &outcome.commit_failures;
+            let refusals = &outcome.refusals;
             return Attempt::Unreserved {
                 status: outcome.status,
-                transient: failures.is_empty() || failures.iter().any(|(_, f)| f.transient()),
+                transient: refusals.is_empty() || refusals.iter().any(|r| r.kind().transient()),
             };
         };
         let index = (outcome.reserved_index).expect("a reservation has its offer's index");

@@ -150,9 +150,10 @@ pub struct NegotiationOutcome {
     pub ordered_offers: RankedOffers,
     /// The clamped QoS returned on `FailedWithLocalOffer`.
     pub local_offer: Option<MmQosSpec>,
-    /// Per-offer refusal reasons collected during step 5 (offer index into
-    /// `ordered_offers`, reason) — the "why" behind a FAILEDTRYLATER.
-    pub commit_failures: Vec<(usize, CommitFailure)>,
+    /// Every offer step 5 refused, in attempt order: its index into
+    /// `ordered_offers` (the record's rank), which resource said no, and
+    /// the shortfall — the "why" behind a FAILEDTRYLATER.
+    pub refusals: Vec<RefusalRecord>,
     /// Work counters.
     pub trace: NegotiationTrace,
     /// The decision log, present when [`NegotiationContext::explain`] was
@@ -173,7 +174,7 @@ impl NegotiationOutcome {
             reserved_offer: None,
             ordered_offers: RankedOffers::default(),
             local_offer: None,
-            commit_failures: Vec::new(),
+            refusals: Vec::new(),
             trace,
             decisions: None,
         }
@@ -593,10 +594,9 @@ struct RefusalCensus {
 }
 
 impl RefusalCensus {
-    fn attempt(&mut self, refused: Option<&CommitFailure>) {
+    fn attempt(&mut self, refused: Option<RefusalKind>) {
         self.attempts += 1;
-        if let Some(reason) = refused {
-            let kind = reason.refusal_kind();
+        if let Some(kind) = refused {
             match self.by_reason.iter_mut().find(|(k, _)| *k == kind) {
                 Some((_, n)) => *n += 1,
                 None => self.by_reason.push((kind, 1)),
@@ -630,10 +630,10 @@ impl RefusalCensus {
 /// refusal at component `d` depends on that state and on the variants
 /// chosen for components `0..=d` only. The walk therefore judges each such
 /// prefix once: `refused` remembers it, and a later offer sharing the
-/// prefix gets the identical [`CommitRefusal`] without asking a server or a
-/// link again. Nothing else touches the farm or the network while a walk
-/// runs, and a success always performs the real reservations, so the memo
-/// can never over-commit or leak.
+/// prefix gets the identical [`RefusalRecord`], re-cited at its own rank,
+/// without asking a server or a link again. Nothing else touches the farm
+/// or the network while a walk runs, and a success always performs the
+/// real reservations, so the memo can never over-commit or leak.
 pub(crate) struct CommitWalk<'c, 'a> {
     ctx: &'c NegotiationContext<'a>,
     client: &'c ClientMachine,
@@ -663,12 +663,12 @@ impl<'c, 'a> CommitWalk<'c, 'a> {
     /// offers in reservation order, passing over `skip`, and stop at the
     /// first that commits — its classified index and reservation. Returns
     /// how many offers were attempted with it; `refused` receives every
-    /// refusal with its offer's index, in walk order.
+    /// refusal, ranked by its offer's index, in walk order.
     pub(crate) fn first_fit(
         &mut self,
         ranked: &mut RankedOffers,
         skip: Option<usize>,
-        mut refused: impl FnMut(usize, CommitRefusal),
+        mut refused: impl FnMut(RefusalRecord),
     ) -> (usize, Option<(usize, SessionReservation)>) {
         let mut attempts = 0;
         let mut cursor = WalkCursor::default();
@@ -680,23 +680,24 @@ impl<'c, 'a> CommitWalk<'c, 'a> {
             let entry = *ranked.entry(idx);
             match self.attempt(ranked.engine(), &entry) {
                 Ok(reservation) => return (attempts, Some((idx, reservation))),
-                Err(refusal) => refused(idx, refusal),
+                Err(refusal) => refused(refusal.at_rank(idx as u64)),
             }
         }
         (attempts, None)
     }
 
     /// Try to commit the offer `entry` of `engine`, by reference: nothing
-    /// is materialized here.
+    /// is materialized here. A refusal is cited at rank 0, or at the rank
+    /// of the offer that first drew it from the memo's prefix.
     fn attempt(
         &mut self,
         engine: &OfferEngine,
         entry: &ScoredCombo,
-    ) -> Result<SessionReservation, CommitRefusal> {
+    ) -> Result<SessionReservation, RefusalRecord> {
         let result = self.judge(engine, entry);
         if self.ctx.recorder.is_some() {
             self.census
-                .attempt(result.as_ref().err().map(|r| &r.failure));
+                .attempt(result.as_ref().err().map(RefusalRecord::kind));
         }
         result
     }
@@ -707,13 +708,13 @@ impl<'c, 'a> CommitWalk<'c, 'a> {
         &mut self,
         engine: &OfferEngine,
         entry: &ScoredCombo,
-    ) -> Result<SessionReservation, CommitRefusal> {
+    ) -> Result<SessionReservation, RefusalRecord> {
         if !entry.decodable {
             return Err(decode_refusal());
         }
         if let Some(refusal) = self.refused.get(engine, entry.rank) {
             self.census.memo_hits += 1;
-            return Err(refusal.clone());
+            return Err(refusal);
         }
         let variants = engine.streams_at(entry.rank).map(|(v, ..)| v);
         reserve_streams(self.ctx, self.client, variants, self.max_startup_ms).map_err(
@@ -721,7 +722,7 @@ impl<'c, 'a> CommitWalk<'c, 'a> {
                 // The last component's prefix is the whole offer, which
                 // no walk attempts twice.
                 if d + 1 < engine.components() {
-                    self.refused.insert(engine, entry.rank, d, refusal.clone());
+                    self.refused.insert(engine, entry.rank, d, refusal);
                 }
                 refusal
             },
@@ -760,20 +761,20 @@ struct RefusedPrefixes {
     slots: Vec<PrefixSlot>,
 }
 
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 enum PrefixSlot {
     /// No attempt of the walk has been refused at or under this prefix.
     Open,
     /// Refused under this prefix: the next component's block starts here.
     Deeper(u32),
     /// Refused at this component: every offer sharing the prefix draws
-    /// this refusal.
-    Refused(CommitRefusal),
+    /// this refusal, at its own rank.
+    Refused(RefusalRecord),
 }
 
 impl RefusedPrefixes {
     /// The refusal remembered for a prefix of the offer at `rank`, if any.
-    fn get(&self, engine: &OfferEngine, rank: u64) -> Option<&CommitRefusal> {
+    fn get(&self, engine: &OfferEngine, rank: u64) -> Option<RefusalRecord> {
         if self.slots.is_empty() {
             return None;
         }
@@ -781,7 +782,7 @@ impl RefusedPrefixes {
         for choice in engine.choices(rank) {
             match &self.slots[block + choice] {
                 PrefixSlot::Open => return None,
-                PrefixSlot::Refused(refusal) => return Some(refusal),
+                PrefixSlot::Refused(refusal) => return Some(*refusal),
                 PrefixSlot::Deeper(next) => block = *next as usize,
             }
         }
@@ -790,7 +791,7 @@ impl RefusedPrefixes {
 
     /// Remember `refusal`, drawn at component `d` by the offer at `rank`
     /// (`d` is not the last component).
-    fn insert(&mut self, engine: &OfferEngine, rank: u64, d: usize, refusal: CommitRefusal) {
+    fn insert(&mut self, engine: &OfferEngine, rank: u64, d: usize, refusal: RefusalRecord) {
         if self.slots.is_empty() {
             self.slots.reserve_exact(engine.inner_prefixes());
             self.slots.resize(engine.variants_of(0), PrefixSlot::Open);
@@ -820,9 +821,10 @@ impl RefusedPrefixes {
 /// (one [`WalkCursor`], ordering the list only as far as the walk gets)
 /// and commit the first that fits. An attempted offer's index is its
 /// classified position; only the offer that commits is materialized.
-/// `decisions` (or, with [`NegotiationContext::explain`], a fresh log)
-/// receives the walk's live facts; with `explain` the rest of the log is
-/// derived at once.
+/// Each refusal is pushed once, to the outcome's `refusals`; `decisions`
+/// (or, with [`NegotiationContext::explain`], a fresh log) receives a copy
+/// of that list and the walk's other live facts after the walk; with
+/// `explain` the rest of the log is derived at once.
 fn commit_walk(
     ctx: &NegotiationContext<'_>,
     root: Option<&Span>,
@@ -839,15 +841,12 @@ fn commit_walk(
     let mut walk = CommitWalk::new(ctx, client, profile.time.max_startup_ms);
     // Sized once, on the first refusal: the walk can refuse every offer.
     let offers = ranked.len();
-    let mut failures: Vec<(usize, CommitFailure)> = Vec::new();
-    let (attempts, committed) = walk.first_fit(&mut ranked, None, |idx, refusal| {
-        if let Some(l) = decisions.as_deref_mut() {
-            l.refusals.push(refusal.record(idx));
+    let mut refusals: Vec<RefusalRecord> = Vec::new();
+    let (attempts, committed) = walk.first_fit(&mut ranked, None, |refusal| {
+        if refusals.capacity() == 0 {
+            refusals.reserve_exact(offers);
         }
-        if failures.capacity() == 0 {
-            failures.reserve_exact(offers);
-        }
-        failures.push((idx, refusal.failure));
+        refusals.push(refusal);
     });
     trace.reservation_attempts += attempts;
     let committed = committed.map(|(idx, reservation)| (idx, ranked.materialize(idx), reservation));
@@ -862,6 +861,7 @@ fn commit_walk(
         None => NegotiationStatus::FailedTryLater,
     };
     if let Some(l) = decisions.as_deref_mut() {
+        l.refusals = refusals.to_vec();
         l.chosen_rank = committed.as_ref().map(|(idx, ..)| *idx as u64);
         l.status = Some(status);
         if ctx.explain {
@@ -880,7 +880,7 @@ fn commit_walk(
         reserved_offer,
         ordered_offers: ranked,
         local_offer: None,
-        commit_failures: failures,
+        refusals,
         trace,
         decisions,
     }
@@ -900,14 +900,14 @@ fn commit_walk(
 /// outcome's `ordered_offers` keeps it that way. Each prefix of chosen
 /// variants is judged once per walk, against the capacity the walk started
 /// with: a refused prefix refuses every later offer that shares it without
-/// asking the server or link again, with the identical [`CommitRefusal`].
+/// asking the server or link again, with the identical [`RefusalRecord`].
 /// A success always performs the real reservations, so the memo can never
 /// over-commit or leak.
 ///
-/// `decisions`, when given, receives the walk's live facts — every
-/// refusal, the chosen rank, the status — and nothing else; with
-/// [`NegotiationContext::explain`] set the walk starts a log if none was
-/// given and derives the rest of it at once, exactly as
+/// `decisions`, when given, receives the walk's live facts — a copy of
+/// the outcome's refusals, the chosen rank, the status — and nothing
+/// else; with [`NegotiationContext::explain`] set the walk starts a log
+/// if none was given and derives the rest of it at once, exactly as
 /// [`explain_attempts`] would later.
 ///
 /// A refused session's retry prepares again (the broker does not carry
@@ -925,94 +925,6 @@ pub fn commit_prepared(
         record_outcome(rec, outcome.status);
     }
     outcome
-}
-
-/// Why step 5 refused to commit an offer — the diagnostic surface behind
-/// the `FAILEDTRYLATER` status (which resource said no, for which stream).
-#[derive(Debug, Clone, PartialEq)]
-pub enum CommitFailure {
-    /// The client cannot decode the offer's streams concurrently.
-    DecodeBudget,
-    /// The path to `server` violates the §6 jitter/loss/delay constants at
-    /// current load (or no path exists).
-    PathQos {
-        /// The unreachable / out-of-spec server.
-        server: ServerId,
-    },
-    /// Estimated startup exceeds the time profile's bound.
-    Startup {
-        /// The estimate, ms.
-        estimated_ms: u64,
-        /// The bound, ms.
-        limit_ms: u64,
-    },
-    /// The file server refused admission for a stream.
-    Server {
-        /// The refusing server.
-        server: ServerId,
-    },
-    /// A link on the path could not carry the stream's bandwidth.
-    Network {
-        /// The server whose path failed.
-        server: ServerId,
-    },
-}
-
-impl CommitFailure {
-    /// Would retrying the same offer later plausibly succeed?
-    ///
-    /// Server, network and path-QoS refusals depend on current load — they
-    /// are what FAILEDTRYLATER's "try later" refers to, and release of
-    /// other sessions' resources can clear them. Decode-budget and startup
-    /// refusals are static properties of the client and the route; waiting
-    /// does not change them.
-    pub fn transient(&self) -> bool {
-        match self {
-            CommitFailure::Server { .. }
-            | CommitFailure::Network { .. }
-            | CommitFailure::PathQos { .. } => true,
-            CommitFailure::DecodeBudget | CommitFailure::Startup { .. } => false,
-        }
-    }
-
-    /// Stable label for the `reason` label of
-    /// `negotiation.commit.refused`.
-    pub fn kind(&self) -> &'static str {
-        self.refusal_kind().as_str()
-    }
-
-    /// The failure's [`RefusalKind`] for decision logs.
-    pub fn refusal_kind(&self) -> RefusalKind {
-        match self {
-            CommitFailure::DecodeBudget => RefusalKind::DecodeBudget,
-            CommitFailure::PathQos { .. } => RefusalKind::PathQos,
-            CommitFailure::Startup { .. } => RefusalKind::Startup,
-            CommitFailure::Server { .. } => RefusalKind::Server,
-            CommitFailure::Network { .. } => RefusalKind::Network,
-        }
-    }
-}
-
-impl std::fmt::Display for CommitFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CommitFailure::DecodeBudget => write!(f, "client decode budget exceeded"),
-            CommitFailure::PathQos { server } => {
-                write!(f, "path to {server} violates jitter/loss/delay bounds")
-            }
-            CommitFailure::Startup {
-                estimated_ms,
-                limit_ms,
-            } => write!(
-                f,
-                "startup {estimated_ms} ms exceeds the {limit_ms} ms bound"
-            ),
-            CommitFailure::Server { server } => write!(f, "{server} refused admission"),
-            CommitFailure::Network { server } => {
-                write!(f, "no bandwidth left on the path to {server}")
-            }
-        }
-    }
 }
 
 /// Holds the partially reserved resources of one in-flight two-phase
@@ -1059,40 +971,6 @@ impl Drop for PendingCommit<'_> {
         for &id in &self.nets {
             self.network.release(id);
         }
-    }
-}
-
-/// A refused commit with its concrete [`Shortfall`]: not just *which*
-/// resource said no, but requested vs available. Everything is stack data,
-/// so the diagnosed commit path stays allocation-free on refusal.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CommitRefusal {
-    /// The refusal category (what an outcome's `commit_failures` lists).
-    pub failure: CommitFailure,
-    /// The quantitative shortfall behind it.
-    pub shortfall: Shortfall,
-}
-
-impl CommitRefusal {
-    /// The implicated server, when the failure names one.
-    pub fn server(&self) -> Option<ServerId> {
-        match self.failure {
-            CommitFailure::PathQos { server }
-            | CommitFailure::Server { server }
-            | CommitFailure::Network { server } => Some(server),
-            CommitFailure::DecodeBudget | CommitFailure::Startup { .. } => None,
-        }
-    }
-
-    /// Render as a [`RefusalRecord`] for the offer at classified-list rank
-    /// `rank`.
-    pub fn record(&self, rank: usize) -> RefusalRecord {
-        RefusalRecord::new(
-            rank as u64,
-            self.failure.refusal_kind(),
-            self.server().map(|s| s.0),
-            self.shortfall,
-        )
     }
 }
 
@@ -1150,17 +1028,18 @@ fn net_shortfall(err: NetError, requested: u64) -> Shortfall {
 /// and its network path, rolling back everything on the first refusal.
 /// Offers whose estimated startup latency exceeds `max_startup_ms` (the
 /// time profile's delivery bound) are refused like any other failed
-/// reservation. A refusal reports its [`CommitFailure`] and the concrete
-/// shortfall — which disk round / interface / link ran out, requested vs
-/// available. The one public commit primitive; the step-5 walk runs the
-/// same two checks per offer, by reference, reading the decode verdict off
-/// [`ScoredCombo::decodable`].
+/// reservation. A refusal is a [`RefusalRecord`] at rank 0 (cite it for
+/// the offer's rank with [`RefusalRecord::at_rank`]): which resource said
+/// no, its server, and the concrete shortfall — which disk round /
+/// interface / link ran out, requested vs available. The one public commit
+/// primitive; the step-5 walk runs the same two checks per offer, by
+/// reference, reading the decode verdict off [`ScoredCombo::decodable`].
 pub fn try_commit_refusal(
     ctx: &NegotiationContext<'_>,
     client: &ClientMachine,
     offer: &SystemOffer,
     max_startup_ms: u64,
-) -> Result<SessionReservation, CommitRefusal> {
+) -> Result<SessionReservation, RefusalRecord> {
     if !client.can_decode_concurrently(offer.variants.iter()) {
         return Err(decode_refusal());
     }
@@ -1168,38 +1047,40 @@ pub fn try_commit_refusal(
         .map_err(|(_, refusal)| refusal)
 }
 
-/// The refusal of an offer whose streams do not fit the client's
-/// concurrent decode budget (per-variant decodability was step 2; this
-/// guards the whole configuration).
-fn decode_refusal() -> CommitRefusal {
-    CommitRefusal {
-        failure: CommitFailure::DecodeBudget,
-        shortfall: Shortfall::DecodeBudget,
-    }
+/// The refusal, at rank 0, of an offer whose streams do not fit the
+/// client's concurrent decode budget (per-variant decodability was step
+/// 2; this guards the whole configuration).
+fn decode_refusal() -> RefusalRecord {
+    RefusalRecord::new(0, RefusalKind::DecodeBudget, None, Shortfall::DecodeBudget)
 }
 
 /// Two-phase commit of an offer's streams, in document component order:
 /// reserve each on its server and its network path, rolling back
-/// everything on the first refusal — which is returned with the index of
-/// the component that drew it.
+/// everything on the first refusal — which is returned, at rank 0, with
+/// the index of the component that drew it.
 fn reserve_streams<'v>(
     ctx: &NegotiationContext<'_>,
     client: &ClientMachine,
     variants: impl Iterator<Item = &'v Variant>,
     max_startup_ms: u64,
-) -> Result<SessionReservation, (usize, CommitRefusal)> {
+) -> Result<SessionReservation, (usize, RefusalRecord)> {
     // Any early return (or panic) below drops the guard, which releases
     // every reservation taken so far — no refusal path can leak capacity.
     let mut pending = PendingCommit::new(ctx.farm, ctx.network);
 
     for (d, variant) in variants.enumerate() {
-        let refuse = |failure, shortfall| Err((d, CommitRefusal { failure, shortfall }));
         let server = variant.server;
+        let refuse = |kind, server: Option<ServerId>, shortfall| {
+            Err((
+                d,
+                RefusalRecord::new(0, kind, server.map(|s| s.0), shortfall),
+            ))
+        };
         let spec = map_requirements(variant);
         // Load-dependent path QoS check (§6 constants vs. current metrics).
         let metrics = match ctx.network.path_metrics(client.id, server) {
             Ok(m) if path_supports(&spec, &m) => m,
-            _ => return refuse(CommitFailure::PathQos { server }, Shortfall::PathQos),
+            _ => return refuse(RefusalKind::PathQos, Some(server), Shortfall::PathQos),
         };
         // Time-profile check: the stream must be able to start in time.
         if variant.blocks_per_second > 0 {
@@ -1215,16 +1096,11 @@ fn reserve_streams<'v>(
             );
             if estimated_ms > max_startup_ms {
                 let limit_ms = max_startup_ms;
-                return refuse(
-                    CommitFailure::Startup {
-                        estimated_ms,
-                        limit_ms,
-                    },
-                    Shortfall::Startup {
-                        estimated_ms,
-                        limit_ms,
-                    },
-                );
+                let shortfall = Shortfall::Startup {
+                    estimated_ms,
+                    limit_ms,
+                };
+                return refuse(RefusalKind::Startup, None, shortfall);
             }
         }
         // Server admission (continuous media only occupy disk rounds, but
@@ -1232,7 +1108,7 @@ fn reserve_streams<'v>(
         let req = StreamRequirement::for_variant(variant, ctx.guarantee);
         match ctx.farm.try_reserve(server, req) {
             Ok(id) => pending.servers.push((server, id)),
-            Err(e) => return refuse(CommitFailure::Server { server }, admission_shortfall(e)),
+            Err(e) => return refuse(RefusalKind::Server, Some(server), admission_shortfall(e)),
         }
         // Network bandwidth along the path (continuous media only; discrete
         // transfers ride the residual capacity ahead of playout).
@@ -1240,7 +1116,7 @@ fn reserve_streams<'v>(
             let bps = charged_bit_rate(variant, ctx.guarantee);
             match ctx.network.try_reserve(client.id, server, bps) {
                 Ok(id) => pending.nets.push(id),
-                Err(e) => return refuse(CommitFailure::Network { server }, net_shortfall(e, bps)),
+                Err(e) => return refuse(RefusalKind::Network, Some(server), net_shortfall(e, bps)),
             }
         }
     }
@@ -1408,16 +1284,22 @@ mod tests {
         }
         let out = negotiate(&ctx(&w), &client, DocumentId(1), &tv_news_profile()).unwrap();
         assert_eq!(out.status, NegotiationStatus::FailedTryLater);
-        assert_eq!(out.commit_failures.len(), out.ordered_offers.len());
+        assert_eq!(out.refusals.len(), out.ordered_offers.len());
         // Every refusal names the server that said no.
-        for (idx, reason) in &out.commit_failures {
-            assert!(*idx < out.ordered_offers.len());
-            assert!(
-                matches!(reason, crate::negotiate::CommitFailure::Server { .. }),
-                "unexpected reason {reason:?}"
-            );
-            assert!(!reason.to_string().is_empty());
+        for refusal in &out.refusals {
+            assert!((refusal.rank() as usize) < out.ordered_offers.len());
+            assert_eq!(refusal.kind(), RefusalKind::Server, "{refusal:?}");
+            assert!(refusal.server().is_some(), "{refusal:?}");
+            assert!(!refusal.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn a_refused_prefix_is_remembered_in_one_record_wide_slot() {
+        // The memo's arena holds one slot per refusable prefix; a slot is
+        // the refusal record itself, the tag folded into its kind.
+        assert!(std::mem::size_of::<PrefixSlot>() <= 40);
+        assert_eq!(std::mem::size_of::<RefusalRecord>(), 40);
     }
 
     #[test]

@@ -671,7 +671,7 @@ fn explain_records_the_walk_without_changing_it() {
                 assert_eq!(plain.status, explained.status, "{tag}: status");
                 assert_eq!(plain.reserved_index, explained.reserved_index, "{tag}");
                 assert_eq!(plain.reserved_offer, explained.reserved_offer, "{tag}");
-                assert_eq!(plain.commit_failures, explained.commit_failures, "{tag}");
+                assert_eq!(plain.refusals, explained.refusals, "{tag}");
                 assert_eq!(plain.trace, explained.trace, "{tag}: trace");
                 let ordered = materialized(&mut explained.ordered_offers);
                 assert_eq!(
@@ -682,6 +682,7 @@ fn explain_records_the_walk_without_changing_it() {
                 assert!(plain.decisions.is_none(), "{tag}: explain off logs nothing");
                 let log = explained.decisions.as_ref().expect("explain on logs");
                 assert_eq!(log.status, Some(explained.status), "{tag}");
+                assert_eq!(log.refusals, explained.refusals, "{tag}: one list, logged");
                 refused += log.refusals.len();
                 reserved += usize::from(explained.reserved_index.is_some());
 

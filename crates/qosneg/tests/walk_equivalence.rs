@@ -2,9 +2,9 @@
 //! remembered for the rest of the walk — must decide exactly what the
 //! naive walk decides: materialize every offer of the reservation order
 //! and ask `try_commit_refusal` about each, every server and link
-//! included. Same reserved offer, same `(index, CommitFailure)` list, same
-//! explain `RefusalRecord`s down to the shortfall numbers, same capacity
-//! held afterwards — through `Session::submit`, plain and explained, and
+//! included. Same reserved offer, same `RefusalRecord`s — rank, kind,
+//! server and shortfall numbers — in the outcome and in the explain log,
+//! same capacity held afterwards — through `Session::submit`, plain and explained, and
 //! through `prepare → commit_prepared`, on walks that stop inside the
 //! ordered head and walks that outlast it (the ordering step in the middle
 //! of a walk must not cost it its memo).
@@ -35,8 +35,8 @@ use nod_qosneg::classify::reservation_order;
 use nod_qosneg::engine::HEAD;
 use nod_qosneg::explain::{RefusalRecord, Shortfall};
 use nod_qosneg::negotiate::{
-    commit_prepared, prepare, try_commit_refusal, CommitFailure, NegotiationContext,
-    NegotiationOutcome, NegotiationStatus, Prepared, SessionReservation, StreamingMode,
+    commit_prepared, prepare, try_commit_refusal, NegotiationContext, NegotiationOutcome,
+    NegotiationStatus, Prepared, SessionReservation, StreamingMode,
 };
 use nod_qosneg::profile::{tv_news_profile, MmQosSpec, UserProfile};
 use nod_qosneg::{
@@ -180,7 +180,6 @@ fn ctx(w: &World, strategy: ClassificationStrategy) -> NegotiationContext<'_> {
 /// question asked.
 struct Naive {
     reserved: Option<(usize, ScoredOffer)>,
-    failures: Vec<(usize, CommitFailure)>,
     refusals: Vec<RefusalRecord>,
 }
 
@@ -210,17 +209,13 @@ fn naive_walk(
     };
     let mut naive = Naive {
         reserved: None,
-        failures: Vec::new(),
         refusals: Vec::new(),
     };
     let order: Vec<usize> = ranked.reservation_order().collect();
     for idx in order {
         let scored = ranked.materialize(idx);
         match try_commit_refusal(ctx, client, &scored.offer, profile.time.max_startup_ms) {
-            Err(refusal) => {
-                naive.refusals.push(refusal.record(idx));
-                naive.failures.push((idx, refusal.failure));
-            }
+            Err(refusal) => naive.refusals.push(refusal.at_rank(idx as u64)),
             Ok(_) => {
                 naive.reserved = Some((idx, scored));
                 break;
@@ -263,14 +258,22 @@ fn assert_outcome(out: &NegotiationOutcome, naive: &Naive, tag: &str) {
         naive.reserved.as_ref().map(|(_, scored)| scored),
         "{tag}: reserved offer"
     );
-    assert_eq!(out.commit_failures, naive.failures, "{tag}: failures");
+    assert_eq!(out.refusals, naive.refusals, "{tag}: refusal records");
     assert_eq!(
         out.trace.reservation_attempts,
-        naive.failures.len() + usize::from(naive.reserved.is_some()),
+        naive.refusals.len() + usize::from(naive.reserved.is_some()),
         "{tag}: attempts"
     );
     if let Some(log) = &out.decisions {
-        assert_eq!(log.refusals, naive.refusals, "{tag}: refusal records");
+        assert_eq!(
+            log.refusals, naive.refusals,
+            "{tag}: logged refusal records"
+        );
+        assert_eq!(
+            log.refusals.capacity(),
+            log.refusals.len(),
+            "{tag}: exact log"
+        );
     }
 }
 
@@ -291,11 +294,11 @@ fn assert_walks_agree(
     };
     let held = w.capacity();
     coverage.walks += 1;
-    coverage.refused_offers += naive.failures.len();
+    coverage.refused_offers += naive.refusals.len();
     coverage.link_refusals += (naive.refusals.iter())
         .filter(|r| matches!(r.shortfall(), Shortfall::Link { .. }))
         .count();
-    coverage.late_commits += usize::from(naive.reserved.is_some() && !naive.failures.is_empty());
+    coverage.late_commits += usize::from(naive.reserved.is_some() && !naive.refusals.is_empty());
 
     // Session::submit as a viewer calls it. The recorder only reads.
     let w = make();
@@ -313,7 +316,7 @@ fn assert_walks_agree(
     );
     assert_eq!(
         snap.counter_sum("negotiation.commit.refused"),
-        naive.failures.len() as u64,
+        naive.refusals.len() as u64,
         "{tag}: the refusal census counts offers"
     );
     coverage.memo_hits += snap.counter("negotiation.commit.memo_hits");
@@ -372,7 +375,7 @@ fn naive_adapt(
         }
         naive.attempts += 1;
         match try_commit_refusal(ctx, client, &offers[idx].offer, u64::MAX) {
-            Err(refusal) => naive.refusals.push(refusal.record(idx)),
+            Err(refusal) => naive.refusals.push(refusal.at_rank(idx as u64)),
             Ok(_) => {
                 held.release(ctx.farm, ctx.network);
                 naive.new_index = Some(idx);
@@ -914,7 +917,7 @@ fn a_refused_walk_asks_the_farm_once_per_distinct_first_variant() {
         .submit(&NegotiationRequest::new(&client, DocumentId(1), &profile).recorder(&rec))
         .expect("valid request");
     assert_eq!(out.status, NegotiationStatus::FailedTryLater);
-    assert_eq!(out.commit_failures.len(), 36);
+    assert_eq!(out.refusals.len(), 36);
     assert_eq!(admissions(&rec), 4, "one admission call per first variant");
     let snap = rec.snapshot();
     assert_eq!(snap.counter("negotiation.reservation.attempts"), 36);
@@ -940,7 +943,7 @@ fn a_refused_walk_asks_the_farm_once_per_distinct_first_variant() {
 #[test]
 fn a_refused_walk_allocates_its_memo_and_its_failure_list_once() {
     // The 36 refused offers above, refused at their first component: the
-    // walk allocates the memo's arena and the outcome's failure list, each
+    // walk allocates the memo's arena and the outcome's refusal list, each
     // once and at the first refusal, and nothing per refused offer. (The
     // map memo and the one-push-at-a-time list took 6.) Routes are warmed
     // first, as any earlier session on the same network would have left
@@ -964,8 +967,8 @@ fn a_refused_walk_allocates_its_memo_and_its_failure_list_once() {
     let before = allocations();
     let out = commit_prepared(&c, &client, &profile, ranked, trace, log);
     let spent = allocations() - before;
-    assert_eq!(out.commit_failures.len(), 36);
-    assert_eq!(out.commit_failures.capacity(), 36, "sized once");
+    assert_eq!(out.refusals.len(), 36);
+    assert_eq!(out.refusals.capacity(), 36, "sized once");
     assert_eq!(spent, 2, "a refused walk allocated {spent} times");
 }
 

@@ -122,7 +122,7 @@ fn inert_prune_dominated_changes_nothing() {
             "seed {seed}: every offer stays in the fallback chain"
         );
         assert_eq!(off.trace, on.trace, "seed {seed}");
-        assert_eq!(off.commit_failures, on.commit_failures, "seed {seed}");
+        assert_eq!(off.refusals, on.refusals, "seed {seed}");
         assert_eq!(off_held, on_held, "seed {seed}: capacity afterwards");
     }
 }
@@ -234,9 +234,10 @@ fn commit_diagnostics_surface_through_the_stack() {
         ))
         .unwrap();
     assert_eq!(out.status, NegotiationStatus::FailedTryLater);
-    assert!(!out.commit_failures.is_empty());
-    // Every diagnostic renders a human-readable reason.
-    for (_, reason) in &out.commit_failures {
-        assert!(reason.to_string().contains("srv"));
+    assert!(!out.refusals.is_empty());
+    // Every diagnostic renders a human-readable reason naming its server.
+    for refusal in &out.refusals {
+        let server = refusal.server().expect("a server refusal names its server");
+        assert!(refusal.to_string().contains(&format!("srv{server}")));
     }
 }
