@@ -1285,7 +1285,7 @@ impl<'a> DriveLoop<'_, 'a> {
                 if let Some(rec) = broker.recorder {
                     record_outcome(rec, out.status);
                 }
-                Ok((*out, "other"))
+                Ok(*out)
             }
             Ok(Prepared::Offers(ordered, trace, _)) => {
                 let out = commit_prepared(&ctx, spec.client, spec.profile, ordered, trace, None);
@@ -1297,41 +1297,33 @@ impl<'a> DriveLoop<'_, 'a> {
                         admit_ms: now_ms,
                     });
                 }
-                let reason = refusal_reason(&out.refusals);
-                Ok((out, reason))
+                Ok(out)
             }
         };
-        // The attempt, and the outcome a terminal refusal logs.
-        let (outcome, refusal, reason, decisions) = match negotiated {
+        // The attempt, the outcome a terminal refusal logs, and its refusals.
+        let (outcome, refusal, refusals, decisions) = match negotiated {
             Err(error) => (
                 Attempt::Errored,
                 OutcomeKind::Errored { error },
-                "other",
+                Vec::new(),
                 None,
             ),
-            Ok((mut out, reason)) => {
+            Ok(mut out) => {
                 let refusal = OutcomeKind::Rejected { status: out.status };
-                // The attempt's live facts, its refusals at their exact
-                // count.
+                let attempt = Attempt::of(&mut out);
+                // The attempt's live facts, its refusals moved at their
+                // exact count (the walk sized the list for every offer).
                 let facts = explaining.then(|| DecisionLog {
-                    refusals: out.refusals.to_vec(),
+                    refusals: std::mem::take(&mut out.refusals).into_boxed_slice().into(),
                     chosen_rank: out.reserved_index.map(|idx| idx as u64),
                     status: Some(out.status),
                     ..DecisionLog::default()
                 });
-                (Attempt::of(&mut out), refusal, reason, facts)
+                (attempt, refusal, out.refusals, facts)
             }
         };
         if let Some(a) = attempt_span {
             a.end();
-        }
-        if let Some(decisions) = decisions {
-            if let Some(acc) = self.session(i).explain.as_mut() {
-                acc.attempts.push(AttemptExplain {
-                    at_ms: now_ms,
-                    decisions,
-                });
-            }
         }
         let config = &broker.config;
         let st = self.session(i);
@@ -1354,7 +1346,8 @@ impl<'a> DriveLoop<'_, 'a> {
                     // the reason point (recorded while it is innermost) is
                     // what wait-time attribution splits backoff by.
                     if let Some(span) = rec.trace_span("backoff") {
-                        rec.trace_point("backoff.reason", &[("reason", reason)]);
+                        let refusals = decisions.as_ref().map_or(&refusals, |d| &d.refusals);
+                        rec.trace_point("backoff.reason", &[("reason", refusal_reason(refusals))]);
                         self.session(i).wait_span = Some(span);
                     }
                 }
@@ -1402,6 +1395,14 @@ impl<'a> DriveLoop<'_, 'a> {
                 unreachable!("an arriving or retrying session takes its attempt")
             }
         };
+        if let Some(decisions) = decisions {
+            if let Some(acc) = self.session(i).explain.as_mut() {
+                acc.attempts.push(AttemptExplain {
+                    at_ms: now_ms,
+                    decisions,
+                });
+            }
+        }
         self.emit(i, now_ms, kind, settled);
     }
 

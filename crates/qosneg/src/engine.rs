@@ -19,31 +19,31 @@
 //! partial scores (importance, `CostNet + CostSer` for its duration, SNS
 //! flags, the client's decode cost) into a parallel score array, each
 //! component an offset, a length and a rank stride into both.
-//! [`RankedOffers`] then scores the whole product as plain data in one
-//! depth-first pass (one small `Copy` [`ScoredCombo`] per offer, counting
-//! the offers that satisfy the request as it goes) and **orders it on
-//! demand** by the classification order — bit-identical to
+//! [`RankedOffers`] then scores the whole product in one depth-first pass
+//! into one 16-byte integer key per offer (order key, enumeration rank,
+//! the walk's flags) and **orders the keys on demand** — bit-identical to
 //! [`classify`](crate::classify()) on the eagerly enumerated offers: the
-//! first ordering step puts the [`HEAD`] best entries in place (a
-//! selection plus a sort of that head, linear in the product), the next
-//! sorts the rest. Step 5 walks it with a [`WalkCursor`] — satisfying
-//! offers in classified order, then the rest — so an attempted offer's
-//! index *is* its classified position, and an entry becomes a
-//! [`ScoredOffer`] only when it commits or somebody materializes it by
-//! index. The same list is what a negotiation outcome, an advance booking
-//! and an active session keep, and adaptation walks it again with a fresh
-//! cursor. [`OfferEngine::reservation_stream`] is the same walk over a
-//! borrowed engine.
+//! first ordering step puts the [`HEAD`] best keys in place (a selection
+//! plus a sort of that head, linear in the product), the next sorts the
+//! rest. Step 5 walks it with a [`WalkCursor`] — satisfying offers in
+//! classified order, then the rest — reading rank and flags off the key,
+//! so an attempted offer's index *is* its classified position. A reader
+//! of scores rebuilds the [`ScoredCombo`] ([`OfferEngine::combo_at`]); an
+//! offer becomes a [`ScoredOffer`] only when it commits or somebody
+//! materializes it. The same list is what a negotiation outcome, an
+//! advance booking and an active session keep, and adaptation walks it
+//! again with a fresh cursor. [`OfferEngine::reservation_stream`] is the
+//! same walk over a borrowed engine.
 //!
 //! Exactness: per-offer scores are combined from the precomputed partials
 //! in document component order with the same left fold
 //! [`ScoredOffer::score`] uses — a combination's sums extend its prefix's,
-//! starting from `Sum`'s own neutral element — so OIF values are
-//! bit-identical, and so is the decode verdict
+//! from `Sum`'s own neutral element, in the pass and in `combo_at` alike —
+//! so OIF values are bit-identical, and so is the decode verdict
 //! ([`ClientMachine::can_decode_concurrently`] sums the same costs the same
-//! way). The order compares plain integers — the SNS class, the
+//! way). Keys compare as plain integers — the SNS class, the
 //! order-preserving `u64` image of the float key that `total_cmp` compares
-//! (`total_key`), then the enumeration rank — so it is total: ties keep
+//! (`total_key`), then the unique rank — so the order is total: ties keep
 //! enumeration order, −0.0 sorts beside +0.0 and NaN and infinite
 //! importances sort where [`classify`](crate::classify()) puts them, and
 //! selecting a head of it yields exactly the full sort's prefix.
@@ -153,6 +153,21 @@ struct Prefix {
     worst: bool,
 }
 
+impl Prefix {
+    /// This prefix extended by the `p`th variant of `comp`, scored `s`.
+    #[inline]
+    fn then(&self, comp: &Component, p: usize, s: &VariantScore) -> Prefix {
+        Prefix {
+            rank: self.rank + p as u64 * comp.stride,
+            cost: self.cost + s.cost(),
+            importance: self.importance + s.importance,
+            decode: self.decode + s.decode_cost,
+            desired: self.desired & s.meets_desired,
+            worst: self.worst & s.meets_worst,
+        }
+    }
+}
+
 /// The per-negotiation offer engine (see the module docs).
 #[derive(Debug, Clone)]
 pub struct OfferEngine {
@@ -222,7 +237,7 @@ impl EngineBuilder<'_> {
     }
 
     /// The engine, or the eager enumeration's failure: the first component
-    /// without a feasible variant, or a product larger than `cap`.
+    /// without a feasible variant, or a product past `cap` or 2^56 − 1.
     pub fn finish(self, cap: usize) -> Result<OfferEngine, EnumerationError> {
         let mut engine = self.engine;
         if let Some(empty) = engine.components.iter().find(|c| c.len == 0) {
@@ -230,7 +245,7 @@ impl EngineBuilder<'_> {
         }
         let total = (engine.components.iter())
             .try_fold(1usize, |acc, c| acc.checked_mul(c.len))
-            .filter(|&total| total <= cap)
+            .filter(|&total| total <= cap && (total as u64) < 1 << RANK_BITS)
             .ok_or(EnumerationError::TooManyOffers { cap })?;
         let mut stride = 1u64;
         for c in engine.components.iter_mut().rev() {
@@ -386,9 +401,9 @@ impl OfferEngine {
     /// [`classify`](crate::classify()) over the eagerly enumerated offers.
     pub fn classify_all(&self) -> Vec<ScoredOffer> {
         let mut ranking = Ranking::score(self);
-        ranking.order_to(ranking.entries.len());
-        (ranking.entries.iter())
-            .map(|c| self.materialize(c))
+        ranking.order_to(ranking.keys.len());
+        (ranking.keys.iter())
+            .map(|k| self.materialize(&self.combo_at(k.rank())))
             .collect()
     }
 
@@ -397,7 +412,16 @@ impl OfferEngine {
     /// the components whose call stack is the odometer, each level
     /// extending its prefix's partial sums by one variant.
     fn for_each_combo(&self, mut visit: impl FnMut(ScoredCombo)) {
-        let empty = Prefix {
+        if self.components.is_empty() {
+            visit(self.combo(self.empty_prefix()));
+        } else {
+            self.descend(0, self.empty_prefix(), &mut visit);
+        }
+    }
+
+    /// The sums of no component at all.
+    fn empty_prefix(&self) -> Prefix {
+        Prefix {
             rank: 0,
             cost: self.copyright,
             // `Sum`'s neutral element, so every sum below is the exact
@@ -407,11 +431,6 @@ impl OfferEngine {
             decode: std::iter::empty::<f64>().sum(),
             desired: true,
             worst: true,
-        };
-        if self.components.is_empty() {
-            visit(self.combo(empty));
-        } else {
-            self.descend(0, empty, &mut visit);
         }
     }
 
@@ -420,20 +439,23 @@ impl OfferEngine {
         let comp = &self.components[c];
         let last = c + 1 == self.components.len();
         for (p, s) in self.scores[comp.range()].iter().enumerate() {
-            let next = Prefix {
-                rank: prefix.rank + p as u64 * comp.stride,
-                cost: prefix.cost + s.cost(),
-                importance: prefix.importance + s.importance,
-                decode: prefix.decode + s.decode_cost,
-                desired: prefix.desired & s.meets_desired,
-                worst: prefix.worst & s.meets_worst,
-            };
+            let next = prefix.then(comp, p, s);
             if last {
                 visit(self.combo(next));
             } else {
                 self.descend(c + 1, next, visit);
             }
         }
+    }
+
+    /// The combination at enumeration `rank`, bit for bit as the
+    /// depth-first pass scores it: the same partials in the same fold.
+    pub fn combo_at(&self, rank: u64) -> ScoredCombo {
+        let sums = (self.components.iter().zip(self.choices(rank)))
+            .fold(self.empty_prefix(), |prefix, (comp, p)| {
+                prefix.then(comp, p, &self.scores[comp.start + p])
+            });
+        self.combo(sums)
     }
 
     /// The scores of a whole combination, from its sums — the same
@@ -479,10 +501,12 @@ impl OfferEngine {
     /// [`RankedOffers`]: satisfying offers in classified order, then the
     /// rest. Scores the product up front; each `next()` orders only as far
     /// as it has to.
-    pub fn reservation_stream(&self) -> impl Iterator<Item = ScoredCombo> {
+    pub fn reservation_stream(&self) -> impl Iterator<Item = ScoredCombo> + '_ {
         let mut ranking = Ranking::score(self);
         let mut cursor = WalkCursor::default();
-        std::iter::from_fn(move || ranking.advance(&mut cursor).map(|idx| ranking.entries[idx]))
+        std::iter::from_fn(move || {
+            (ranking.advance(&mut cursor)).map(|idx| self.combo_at(ranking.keys[idx].rank()))
+        })
     }
 }
 
@@ -497,39 +521,76 @@ pub struct WalkCursor {
     yielded: usize,
 }
 
-/// The scored product, ordered on demand: `entries[..ordered]` are the
-/// first `ordered` offers of the classified order, in place; the rest all
-/// sort after them, in no particular order yet.
+/// Bits of a key's rank field, so a product must stay below 2^56 offers.
+const RANK_BITS: u32 = 56;
+
+/// One ranked offer as one integer, high bits to low: the strategy's order
+/// key (66 bits for SNS-then-OIF, else 64), the rank, then the SNS class (2
+/// bits), `satisfies_request` and `decodable`. Ranks are unique in a list,
+/// so the integer order is the strategy's, ties in enumeration order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct OfferKey(u128);
+
+impl OfferKey {
+    /// `combo`'s key under `strategy`.
+    fn new(strategy: ClassificationStrategy, combo: &ScoredCombo) -> OfferKey {
+        let (sns, oif) = (combo.sns as u128, !total_key(combo.oif) as u128);
+        let order = match strategy {
+            ClassificationStrategy::SnsThenOif => sns << 64 | oif,
+            ClassificationStrategy::OifOnly => oif,
+            ClassificationStrategy::CostOnly => (combo.cost.millis() as u64 ^ 1 << 63) as u128,
+            ClassificationStrategy::QosOnly => !total_key(combo.qos_importance) as u128,
+        };
+        let flags = sns << 2 | (combo.satisfies_request as u128) << 1 | combo.decodable as u128;
+        OfferKey(order << (RANK_BITS + 4) | (combo.rank as u128) << 4 | flags)
+    }
+
+    pub(crate) fn rank(self) -> u64 {
+        (self.0 >> 4) as u64 & ((1 << RANK_BITS) - 1)
+    }
+
+    pub(crate) fn decodable(self) -> bool {
+        self.0 & 1 != 0
+    }
+
+    fn satisfies(self) -> bool {
+        self.0 & 2 != 0
+    }
+
+    fn sns(self) -> usize {
+        (self.0 >> 2) as usize & 3
+    }
+}
+
+/// The scored product, ordered on demand: `keys[..ordered]` are the first
+/// `ordered` offers of the classified order, in place; the rest all sort
+/// after them, in no particular order yet.
 #[derive(Debug, Clone)]
 struct Ranking {
-    strategy: ClassificationStrategy,
-    entries: Vec<ScoredCombo>,
+    keys: Vec<OfferKey>,
     ordered: usize,
-    /// How many entries satisfy the user's request.
+    /// How many offers satisfy the user's request.
     satisfying: usize,
 }
 
 impl Ranking {
     /// Score `engine`'s whole product in enumeration order with the
-    /// [`ScoredOffer::score`]-identical fold.
+    /// [`ScoredOffer::score`]-identical fold, keeping each offer's key.
     fn score(engine: &OfferEngine) -> Ranking {
-        let mut entries = Vec::with_capacity(engine.total);
+        let mut keys = Vec::with_capacity(engine.total);
         let mut satisfying = 0;
         engine.for_each_combo(|combo| {
             satisfying += usize::from(combo.satisfies_request);
-            entries.push(combo);
+            keys.push(OfferKey::new(engine.strategy, &combo));
         });
         Ranking {
-            strategy: engine.strategy,
-            entries,
+            keys,
             ordered: 0,
             satisfying,
         }
     }
 
-    /// Put (at least) the first `n` entries of the classified order in
-    /// place: a request within [`HEAD`] selects and sorts that head, linear
-    /// in the product; anything deeper sorts the rest.
+    /// Put (at least) the first `n` keys of the classified order in place.
     #[inline]
     fn order_to(&mut self, n: usize) {
         if n > self.ordered {
@@ -538,34 +599,18 @@ impl Ranking {
     }
 
     /// The ordering step itself, out of line: a walk checks `order_to` once
-    /// per offer and takes this at most twice. The strategy is picked once
-    /// here; the sort itself compares integer keys.
+    /// per offer and takes this at most twice. A request within [`HEAD`]
+    /// selects and sorts that head, linear in the product; anything deeper
+    /// sorts the rest.
     #[cold]
     fn order_more(&mut self, n: usize) {
-        match self.strategy {
-            ClassificationStrategy::SnsThenOif => {
-                self.order_by(n, |c| (c.sns as u8, !total_key(c.oif), c.rank));
-            }
-            ClassificationStrategy::OifOnly => self.order_by(n, |c| (!total_key(c.oif), c.rank)),
-            ClassificationStrategy::CostOnly => self.order_by(n, |c| (c.cost, c.rank)),
-            ClassificationStrategy::QosOnly => {
-                self.order_by(n, |c| (!total_key(c.qos_importance), c.rank));
-            }
-        }
-    }
-
-    /// Order by `key` — the strategy's key ending in the enumeration rank,
-    /// so ties keep enumeration order: a request within [`HEAD`] selects
-    /// and sorts that head, anything deeper sorts the rest.
-    #[inline]
-    fn order_by<K: Ord>(&mut self, n: usize, key: impl Fn(&ScoredCombo) -> K + Copy) {
-        if n <= HEAD && HEAD < self.entries.len() {
-            self.entries.select_nth_unstable_by_key(HEAD - 1, key);
-            self.entries[..HEAD].sort_unstable_by_key(key);
+        if n <= HEAD && HEAD < self.keys.len() {
+            self.keys.select_nth_unstable(HEAD - 1);
+            self.keys[..HEAD].sort_unstable();
             self.ordered = HEAD;
         } else {
-            self.entries[self.ordered..].sort_unstable_by_key(key);
-            self.ordered = self.entries.len();
+            self.keys[self.ordered..].sort_unstable();
+            self.ordered = self.keys.len();
         }
     }
 
@@ -573,7 +618,7 @@ impl Ranking {
     /// the walk has got.
     #[inline]
     fn advance(&mut self, cursor: &mut WalkCursor) -> Option<usize> {
-        if cursor.yielded == self.entries.len() {
+        if cursor.yielded == self.keys.len() {
             return None;
         }
         // The first pass ends with the last satisfying offer — known from
@@ -587,7 +632,7 @@ impl Ranking {
             let idx = cursor.at;
             cursor.at += 1;
             self.order_to(idx + 1);
-            if self.entries[idx].satisfies_request != rest {
+            if self.keys[idx].satisfies() != rest {
                 cursor.yielded += 1;
                 return Some(idx);
             }
@@ -605,9 +650,9 @@ fn total_key(x: f64) -> u64 {
     bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
 }
 
-/// The classified offer list as plain data over its engine: one
-/// [`ScoredCombo`] per offer, scored up front and ordered on
-/// demand (see the module docs). This is what
+/// The classified offer list as plain data over its engine: one 16-byte
+/// key per offer, scored up front and ordered on demand, each entry's
+/// [`ScoredCombo`] rebuilt when read (see the module docs). This is what
 /// [`prepare`](crate::negotiate::prepare) hands to step 5, and what an
 /// outcome and an active session keep for adaptation; an entry becomes a
 /// [`ScoredOffer`] only when it commits, or when somebody materializes it.
@@ -622,13 +667,12 @@ pub struct RankedOffers {
 impl Default for RankedOffers {
     /// The empty list, carried by an outcome that ranked no offers.
     fn default() -> RankedOffers {
-        let strategy = ClassificationStrategy::SnsThenOif;
         RankedOffers {
             engine: OfferEngine {
                 variants: Vec::new(),
                 scores: Vec::new(),
                 components: Vec::new(),
-                strategy,
+                strategy: ClassificationStrategy::SnsThenOif,
                 copyright: Money::ZERO,
                 cost_per_dollar: 0.0,
                 max_cost: Money::ZERO,
@@ -636,8 +680,7 @@ impl Default for RankedOffers {
                 total: 0,
             },
             ranking: Ranking {
-                strategy,
-                entries: Vec::new(),
+                keys: Vec::new(),
                 ordered: 0,
                 satisfying: 0,
             },
@@ -654,25 +697,31 @@ impl RankedOffers {
 
     /// Number of classified offers.
     pub fn len(&self) -> usize {
-        self.ranking.entries.len()
+        self.ranking.keys.len()
     }
 
     /// Is the list empty?
     pub fn is_empty(&self) -> bool {
-        self.ranking.entries.is_empty()
+        self.ranking.keys.is_empty()
     }
 
     /// The entries, in classified order (orders the whole list).
-    pub fn entries(&mut self) -> &[ScoredCombo] {
-        self.ranking.order_to(self.ranking.entries.len());
-        &self.ranking.entries
+    pub fn entries(&mut self) -> impl Iterator<Item = ScoredCombo> + '_ {
+        self.ranking.order_to(self.len());
+        (self.ranking.keys.iter()).map(|k| self.engine.combo_at(k.rank()))
     }
 
     /// The entry at classified index `idx`.
+    pub fn entry(&mut self, idx: usize) -> ScoredCombo {
+        let rank = self.key(idx).rank();
+        self.engine.combo_at(rank)
+    }
+
+    /// The key at classified index `idx`.
     #[inline]
-    pub fn entry(&mut self, idx: usize) -> &ScoredCombo {
+    pub(crate) fn key(&mut self, idx: usize) -> OfferKey {
         self.ranking.order_to(idx + 1);
-        &self.ranking.entries[idx]
+        self.ranking.keys[idx]
     }
 
     /// The engine the entries' ranks decode against.
@@ -682,7 +731,7 @@ impl RankedOffers {
 
     /// The offer at classified index `idx`, materialized.
     pub fn materialize(&mut self, idx: usize) -> ScoredOffer {
-        let combo = *self.entry(idx);
+        let combo = self.entry(idx);
         self.engine.materialize(&combo)
     }
 
@@ -704,8 +753,8 @@ impl RankedOffers {
     /// SNS class populations: `[desirable, acceptable, constraint]`.
     pub(crate) fn sns_census(&self) -> [u64; 3] {
         let mut census = [0; 3];
-        for entry in &self.ranking.entries {
-            census[entry.sns as usize] += 1;
+        for key in &self.ranking.keys {
+            census[key.sns()] += 1;
         }
         census
     }
@@ -717,6 +766,14 @@ mod tests {
     use crate::money::Money;
     use crate::profile::{MmQosSpec, UserProfile};
     use nod_mmdoc::prelude::*;
+    use std::cmp::Ordering;
+
+    const STRATEGIES: [ClassificationStrategy; 4] = [
+        ClassificationStrategy::SnsThenOif,
+        ClassificationStrategy::OifOnly,
+        ClassificationStrategy::CostOnly,
+        ClassificationStrategy::QosOnly,
+    ];
 
     fn client() -> ClientMachine {
         ClientMachine::era_workstation(ClientId(0))
@@ -854,6 +911,175 @@ mod tests {
         assert_eq!(engine.choices(14).collect::<Vec<_>>(), [1, 1, 2]);
         // 3 prefixes of component 0 and 9 of components 0–1.
         assert_eq!(engine.inner_prefixes(), 12);
+    }
+
+    #[test]
+    fn a_product_too_wide_for_the_rank_field_is_refused_whatever_the_cap() {
+        let (client, profile, model) = (client(), profile(), CostModel::era_default());
+        let strategy = ClassificationStrategy::SnsThenOif;
+        let list = |n: u64| -> Vec<Variant> {
+            (1..=n)
+                .map(|id| variant(id, 1, ColorDepth::Color, 25, 0))
+                .collect()
+        };
+        let build = |lists: &[Vec<Variant>]| {
+            let guarantee = Guarantee::Guaranteed;
+            let stored = lists.iter().map(Vec::len).sum();
+            let mut b =
+                OfferEngine::builder(&client, &profile, &model, guarantee, strategy, 8, stored);
+            for (c, list) in lists.iter().enumerate() {
+                b.component(MonomediaId(c as u64 + 1), 60_000, list.iter());
+            }
+            b.finish(usize::MAX)
+        };
+        // 128^8 = 2^56 offers: one past the widest rank.
+        let wide = vec![list(128); 8];
+        assert_eq!(
+            build(&wide).unwrap_err(),
+            EnumerationError::TooManyOffers { cap: usize::MAX }
+        );
+        // 128^7 · 64 = 2^55 offers fit; `finish` scores none of them.
+        let mut fits = vec![list(128); 7];
+        fits.push(list(64));
+        assert_eq!(build(&fits).expect("fits").total(), 1 << 55);
+    }
+
+    /// The key order `order_more` sorted by before the key was packed: the
+    /// strategy's key, then the enumeration rank.
+    fn tuple_cmp(strategy: ClassificationStrategy, a: &ScoredCombo, b: &ScoredCombo) -> Ordering {
+        let key = |c: &ScoredCombo| match strategy {
+            ClassificationStrategy::SnsThenOif => (c.sns as u8, !total_key(c.oif), 0, c.rank),
+            ClassificationStrategy::OifOnly => (0, !total_key(c.oif), 0, c.rank),
+            ClassificationStrategy::CostOnly => (0, 0, c.cost.millis(), c.rank),
+            ClassificationStrategy::QosOnly => (0, !total_key(c.qos_importance), 0, c.rank),
+        };
+        key(a).cmp(&key(b))
+    }
+
+    #[test]
+    fn the_packed_key_orders_like_the_tuple_and_keeps_the_flags() {
+        let nan = f64::NAN;
+        let other_nan = f64::from_bits(nan.to_bits() | 1);
+        let floats = [
+            0.0,
+            -0.0,
+            nan,
+            -nan,
+            other_nan,
+            -other_nan,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.5,
+            -1.5,
+        ];
+        let costs = [i64::MIN, -1, 0, 1, 2_500, i64::MAX].map(Money::from_millis);
+        let classes = [
+            StaticNegotiationStatus::Desirable,
+            StaticNegotiationStatus::Acceptable,
+            StaticNegotiationStatus::Constraint,
+        ];
+        let mut rng = nod_simcore::StreamRng::new(43);
+        let pick = |rng: &mut nod_simcore::StreamRng, n: usize| rng.below(n as u64) as usize;
+        for strategy in STRATEGIES {
+            // Few distinct scores over many ranks: equal scores at
+            // different ranks, the widest rank among them.
+            let combos: Vec<ScoredCombo> = (0..96u64)
+                .map(|i| ScoredCombo {
+                    rank: if i == 0 {
+                        (1 << RANK_BITS) - 1
+                    } else {
+                        i * 7_919
+                    },
+                    cost: costs[pick(&mut rng, costs.len())],
+                    qos_importance: floats[pick(&mut rng, floats.len())],
+                    oif: floats[pick(&mut rng, floats.len())],
+                    sns: classes[pick(&mut rng, classes.len())],
+                    satisfies_request: rng.chance(0.5),
+                    decodable: rng.chance(0.5),
+                })
+                .collect();
+            for a in &combos {
+                let key = OfferKey::new(strategy, a);
+                assert_eq!(key.rank(), a.rank);
+                assert_eq!(key.sns(), a.sns as usize);
+                assert_eq!(key.satisfies(), a.satisfies_request);
+                assert_eq!(key.decodable(), a.decodable);
+                for b in &combos {
+                    assert_eq!(
+                        key.cmp(&OfferKey::new(strategy, b)),
+                        tuple_cmp(strategy, a, b),
+                        "{strategy:?}: {a:?} vs {b:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn combo_at_rebuilds_the_scored_combo_bit_for_bit() {
+        let mut rng = nod_simcore::StreamRng::new(7);
+        let depths = [
+            ColorDepth::BlackWhite,
+            ColorDepth::Grey,
+            ColorDepth::Color,
+            ColorDepth::SuperColor,
+        ];
+        let model = CostModel::era_default();
+        let mut checked = [0usize; 2];
+        for strategy in STRATEGIES {
+            for width in 1..=10u64 {
+                let mut profile = profile();
+                profile.importance.color = [0.0; 4].map(|_| rng.range_f64(-2.0, 2.0));
+                profile.importance.cost_per_dollar = rng.range_f64(0.0, 0.3);
+                let mut client = client();
+                client.decode_budget = rng.range_f64(4.0, 7.0) * width as f64;
+                let lists: Vec<Vec<Variant>> = (0..width)
+                    .map(|c| {
+                        (0..rng.range_u64(1, 3))
+                            .map(|v| {
+                                let color = depths[rng.below(4) as usize];
+                                let fps = rng.range_u64(5, 30) as u32;
+                                variant(c * 3 + v + 1, c + 1, color, fps, rng.below(3))
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let stored = lists.iter().map(Vec::len).sum();
+                let guarantee = Guarantee::Guaranteed;
+                let (c, p) = (&client, &profile);
+                let mut b = OfferEngine::builder(c, p, &model, guarantee, strategy, 10, stored);
+                for (c, list) in lists.iter().enumerate() {
+                    b.component(MonomediaId(c as u64 + 1), 60_000, list.iter());
+                }
+                let engine = b.finish(usize::MAX).expect("fits");
+                engine.for_each_combo(|want| {
+                    let got = engine.combo_at(want.rank);
+                    let tag = format!("{strategy:?}, {width} components, rank {}", want.rank);
+                    assert_eq!(got.rank, want.rank, "{tag}");
+                    assert_eq!(got.cost, want.cost, "{tag}");
+                    assert_eq!(got.qos_importance.to_bits(), want.qos_importance.to_bits());
+                    assert_eq!(got.oif.to_bits(), want.oif.to_bits(), "{tag}");
+                    assert_eq!(got.sns, want.sns, "{tag}");
+                    assert_eq!(got.satisfies_request, want.satisfies_request, "{tag}");
+                    assert_eq!(got.decodable, want.decodable, "{tag}");
+                    checked[usize::from(want.decodable)] += 1;
+                });
+            }
+        }
+        assert!(checked[0] > 1_000 && checked[1] > 1_000, "{checked:?}");
+    }
+
+    #[test]
+    fn a_ranked_list_stores_sixteen_bytes_per_offer() {
+        let engine = engine_over(
+            (1..=20)
+                .map(|id| variant(id, 1, ColorDepth::Color, 5 + id as u32, id % 2))
+                .collect(),
+        );
+        let ranked = RankedOffers::new(engine);
+        assert_eq!(size_of::<OfferKey>(), 16);
+        assert_eq!(ranked.ranking.keys.capacity(), ranked.len());
+        assert_eq!(size_of_val(&ranked.ranking.keys[..]), 16 * ranked.len());
     }
 
     #[test]

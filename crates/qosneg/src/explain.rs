@@ -355,7 +355,7 @@ impl ScoreRow {
     /// from the engine's per-variant prices — exactly what formula (1)
     /// summed, nothing re-priced, no offer materialized.
     fn of(ranked: &mut RankedOffers, rank: usize, chosen: bool) -> ScoreRow {
-        let combo = *ranked.entry(rank);
+        let combo = ranked.entry(rank);
         let mut cost_net = Money::default();
         let mut cost_ser = Money::default();
         let streams = ranked

@@ -14,7 +14,7 @@ use nod_obs::{Counter, HandleSet, Histogram, Recorder, Span, SpanKind};
 
 use crate::classify::{ClassificationStrategy, ScoredOffer};
 use crate::cost::CostModel;
-use crate::engine::{OfferEngine, RankedOffers, ScoredCombo, WalkCursor};
+use crate::engine::{OfferEngine, OfferKey, RankedOffers, WalkCursor};
 use crate::explain::{DecisionLog, RefusalKind, RefusalRecord, Shortfall};
 use crate::mapping::{charged_bit_rate, map_requirements, path_supports};
 use crate::offer::{EnumerationError, SystemOffer, UserOffer};
@@ -677,8 +677,8 @@ impl<'c, 'a> CommitWalk<'c, 'a> {
                 continue;
             }
             attempts += 1;
-            let entry = *ranked.entry(idx);
-            match self.attempt(ranked.engine(), &entry) {
+            let key = ranked.key(idx);
+            match self.attempt(ranked.engine(), key) {
                 Ok(reservation) => return (attempts, Some((idx, reservation))),
                 Err(refusal) => refused(refusal.at_rank(idx as u64)),
             }
@@ -686,15 +686,15 @@ impl<'c, 'a> CommitWalk<'c, 'a> {
         (attempts, None)
     }
 
-    /// Try to commit the offer `entry` of `engine`, by reference: nothing
+    /// Try to commit the offer `key` of `engine`, by reference: nothing
     /// is materialized here. A refusal is cited at rank 0, or at the rank
     /// of the offer that first drew it from the memo's prefix.
     fn attempt(
         &mut self,
         engine: &OfferEngine,
-        entry: &ScoredCombo,
+        key: OfferKey,
     ) -> Result<SessionReservation, RefusalRecord> {
-        let result = self.judge(engine, entry);
+        let result = self.judge(engine, key);
         if self.ctx.recorder.is_some() {
             self.census
                 .attempt(result.as_ref().err().map(RefusalRecord::kind));
@@ -707,22 +707,22 @@ impl<'c, 'a> CommitWalk<'c, 'a> {
     fn judge(
         &mut self,
         engine: &OfferEngine,
-        entry: &ScoredCombo,
+        key: OfferKey,
     ) -> Result<SessionReservation, RefusalRecord> {
-        if !entry.decodable {
+        if !key.decodable() {
             return Err(decode_refusal());
         }
-        if let Some(refusal) = self.refused.get(engine, entry.rank) {
+        if let Some(refusal) = self.refused.get(engine, key.rank()) {
             self.census.memo_hits += 1;
             return Err(refusal);
         }
-        let variants = engine.streams_at(entry.rank).map(|(v, ..)| v);
+        let variants = engine.streams_at(key.rank()).map(|(v, ..)| v);
         reserve_streams(self.ctx, self.client, variants, self.max_startup_ms).map_err(
             |(d, refusal)| {
                 // The last component's prefix is the whole offer, which
                 // no walk attempts twice.
                 if d + 1 < engine.components() {
-                    self.refused.insert(engine, entry.rank, d, refusal);
+                    self.refused.insert(engine, key.rank(), d, refusal);
                 }
                 refusal
             },
@@ -1033,7 +1033,7 @@ fn net_shortfall(err: NetError, requested: u64) -> Shortfall {
 /// no, its server, and the concrete shortfall — which disk round /
 /// interface / link ran out, requested vs available. The one public commit
 /// primitive; the step-5 walk runs the same two checks per offer, by
-/// reference, reading the decode verdict off [`ScoredCombo::decodable`].
+/// reference, reading the decode verdict off the offer's ranking key.
 pub fn try_commit_refusal(
     ctx: &NegotiationContext<'_>,
     client: &ClientMachine,

@@ -284,7 +284,7 @@ fn check_order(fresh: &RankedOffers, want: &[ScoredOffer], tag: &str) {
 
         // Entries carry the same scores as the offers they stand for.
         let mut entries = stopped.clone();
-        for (i, (entry, offer)) in entries.entries().iter().zip(want).enumerate() {
+        for (i, (entry, offer)) in entries.entries().zip(want).enumerate() {
             assert_eq!(entry.oif.to_bits(), offer.oif.to_bits(), "{tag}: entry {i}");
             assert_eq!(entry.cost, offer.offer.cost, "{tag}: entry {i}");
             assert_eq!(entry.sns, offer.sns, "{tag}: entry {i}");
@@ -464,7 +464,7 @@ fn the_integer_order_matches_classify_on_adversarial_floats() {
                 let tag = format!("{palette:?} × {} {strategy:?}", product.len());
                 check_engine(&engine, &profile, strategy, &tag);
                 let mut ranked = RankedOffers::new(engine);
-                (ranked.entries().iter())
+                (ranked.entries())
                     .for_each(|e| seen.extend([e.oif.to_bits(), e.qos_importance.to_bits()]));
             }
         }
